@@ -30,6 +30,7 @@ from .game import (
     MatroidSpace,
     PathSpace,
     Profile,
+    Step,
     private_cost,
     total_cost,
 )

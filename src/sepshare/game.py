@@ -27,44 +27,30 @@ class CostFunction:
     """Shareable cost of one resource as a function of its user set.
 
     Two flavours: a fixed cost (same value for every non-empty user set)
-    and a general monotone subadditive set function given by a table or
-    callable oracle.  Oracles are validated lazily: every newly cached
-    value is checked against all previously cached values for monotonicity
-    and (where the relevant union is cached) subadditivity, raising
-    InvalidCostOracle on the first violation.
+    and a general monotone subadditive set function given by a table.
+    Tables are validated lazily: every newly cached value is checked
+    against all previously cached values for monotonicity and (where the
+    relevant union is cached) subadditivity, raising InvalidCostOracle on
+    the first violation.
 
-    Instances cache oracle answers and are not thread-safe.
+    Instances cache table answers and are not thread-safe.
     """
 
-    def __init__(self, fixed=None, oracle=None, table: Optional[Mapping] = None) -> None:
-        if sum(x is not None for x in (fixed, oracle, table)) != 1:
-            raise InputError("exactly one of fixed / oracle / table required")
+    def __init__(self, fixed=None, table: Optional[Mapping] = None) -> None:
+        if (fixed is None) == (table is None):
+            raise InputError("exactly one of fixed / table required")
         self._fixed: Optional[Fraction] = None
-        self._oracle = None
+        self._table: Optional[dict[frozenset, Fraction]] = None
         if fixed is not None:
             value = rat(fixed)
             if value < 0:
                 raise InputError(f"negative cost {value}")
             self._fixed = value
-        elif table is not None:
+        else:
             tbl = {frozenset(key): rat(val) for key, val in table.items()}
             if frozenset() in tbl and tbl[frozenset()] != 0:
                 raise InvalidCostOracle("cost of the empty set must be 0")
-
-            def lookup(users: frozenset) -> Fraction:
-                try:
-                    return tbl[users]
-                except KeyError:
-                    raise InputError(
-                        f"cost table has no entry for user set {sorted(users)}"
-                    ) from None
-
-            self._oracle = lookup
-            self._table: Optional[dict[frozenset, Fraction]] = tbl
-        else:
-            self._oracle = oracle
-        if not hasattr(self, "_table"):
-            self._table = None
+            self._table = tbl
         self._cache: dict[frozenset, Fraction] = {}
 
     @property
@@ -90,7 +76,12 @@ class CostFunction:
             return self._fixed
         if s in self._cache:
             return self._cache[s]
-        v = rat(self._oracle(s))
+        try:
+            v = self._table[s]
+        except KeyError:
+            raise InputError(
+                f"cost table has no entry for user set {sorted(s)}"
+            ) from None
         if v < 0:
             raise InvalidCostOracle(f"negative cost {v} for {sorted(s)}")
         self._check_against_cache(s, v)
@@ -113,6 +104,27 @@ class CostFunction:
                     raise InvalidCostOracle(
                         f"subadditivity violated on {sorted(s)} and {sorted(t)}"
                     )
+
+
+@dataclass(frozen=True)
+class Step:
+    """One local rewrite step of a transform.
+
+    `kind` is "delay" or "cover" for a matroid packet move (the player
+    leaves `source` for `resource`), "close" or "drop" for a tree edge,
+    "repair" for a series-parallel reroute (no single resource) and
+    "substitute" for a tight-detour substitution in phase `phase`.
+    `cost_delta` is the exact change in total cost, except for "drop",
+    where it is the change in auxiliary-graph tree cost.  Fields that do
+    not apply to a kind are None.
+    """
+
+    kind: str
+    player: int
+    resource: Optional[int]
+    cost_delta: Fraction
+    source: Optional[int] = None
+    phase: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     NotInBasis,
     UnsupportedSpace,
 )
-from .game import GameModel, MatroidSpace, Profile, total_cost
+from .game import GameModel, MatroidSpace, Profile, Step, total_cost
 from .protocol import SeparableProtocol, SharingTable
 
 _ZERO = Fraction(0)
@@ -325,17 +325,9 @@ def check_enforceable_matroid(
 
 
 @dataclass(frozen=True)
-class PacketMove:
-    player: int
-    source: int
-    target: int
-    reason: str  # "delay" or "cover"
-
-
-@dataclass(frozen=True)
 class MatroidTransformResult:
     profile: Profile
-    moves: tuple[PacketMove, ...]
+    moves: tuple[Step, ...]  # "delay" and "cover" packet moves
 
     @property
     def iterations(self) -> int:
@@ -370,7 +362,10 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     cheapest virtual exchange.  Each move strictly lowers the moving
     packet's virtual cost, total cost never increases (strictly per delay
     move and per cover batch), and the move count stays below
-    n * m * max-rank; all three facts are asserted.
+    n * m * max-rank; all three facts are asserted.  Each move carries its
+    exact total-cost delta, priced on the two resources it touches; the
+    deltas of a delay move or cover batch are asserted to add up to the
+    batch's total-cost change.
     """
     game.validate_profile(profile)
     for i in range(game.n):
@@ -380,23 +375,39 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     )
     current = profile
     cost_now = total_cost(game, current)
-    moves: list[PacketMove] = []
+    moves: list[Step] = []
 
-    def move_packet(i: int, e: int, reason: str) -> None:
+    def move_packet(i: int, e: int, kind: str) -> None:
         nonlocal current
         value, f = deviation_cost(game, current, i, e, virtual=True)
         if virtual_cost(game, i, e) <= value or f == e:
             raise InternalInvariant("packet move must strictly reduce virtual cost")
+        on_e, on_f = current.users(e), current.users(f)
+        delta = (
+            game.cost(e, on_e - {i}) - game.cost(e, on_e)
+            + game.cost(f, on_f | {i}) - game.cost(f, on_f)
+            + game.delay(i, f) - game.delay(i, e)
+        )
         current = current.replace(i, (current[i] - {e}) | {f})
-        moves.append(PacketMove(i, e, f, reason))
+        moves.append(Step(kind, i, f, delta, source=e))
         if len(moves) > bound:
             raise InternalInvariant(f"transform exceeded {bound} packet moves")
+
+    def settle(first_move: int, what: str) -> None:
+        nonlocal cost_now
+        after = total_cost(game, current)
+        if after >= cost_now:
+            raise InternalInvariant(f"{what} failed to reduce total cost")
+        if sum((mv.cost_delta for mv in moves[first_move:]), _ZERO) != after - cost_now:
+            raise InternalInvariant(f"{what} step deltas miss the total-cost change")
+        cost_now = after
 
     while True:
         hit = _first_violation(game, current)
         if hit is None:
             break
         kind, e = hit
+        first_move = len(moves)
         if kind == "delay":
             users = sorted(current.users(e))
             i = next(
@@ -405,10 +416,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
                 if game.delay(i, e) > deviation_cost(game, current, i, e, virtual=True)[0]
             )
             move_packet(i, e, "delay")
-            after = total_cost(game, current)
-            if after >= cost_now:
-                raise InternalInvariant("delay move failed to reduce total cost")
-            cost_now = after
+            settle(first_move, "delay move")
             continue
         # cover condition: drain players whose virtual cost on e is not
         # already their cheapest option, until the rest can pay for e.
@@ -427,10 +435,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
                     "not subadditive on the queried sets"
                 )
             move_packet(movable[0], e, "cover")
-        after = total_cost(game, current)
-        if after >= cost_now:
-            raise InternalInvariant("cover batch failed to reduce total cost")
-        cost_now = after
+        settle(first_move, "cover batch")
 
     report = check_enforceable_matroid(game, current, virtual=True)
     if not report.ok:

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
+    Disconnected,
     InputError,
     InternalInvariant,
     NoTightAlternative,
@@ -28,7 +29,7 @@ from .errors import (
     TooManyPaths,
     UnsupportedSpace,
 )
-from .game import CostFunction, GameModel, PathSpace, Profile, total_cost
+from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
 from .lp import OPTIMAL, LinearProgram, Solution, solve
 from .network import Network, Vertex
 from .oracle import DEFAULT_BUDGET, EnumerationBudget
@@ -125,7 +126,7 @@ def is_n_series_parallel(network: Network, pairs: Sequence[tuple[Vertex, Vertex]
             return False
         try:
             sub = player_subnetwork(network, s, t)
-        except Exception:
+        except Disconnected:
             return False
         if not is_two_terminal_sp(network, s, t, edge_ids=sub):
             return False
@@ -474,13 +475,11 @@ class NsepaTransformResult:
     lp_value: Fraction
     input_cost: Fraction
     output_cost: Fraction
-    substitutions: tuple[tuple, ...] = ()  # (phase, player, edge, total cost delta)
-    repairs: tuple[tuple[int, Fraction], ...] = ()  # (player, total cost delta)
+    substitutions: tuple[Step, ...] = ()
+    repairs: tuple[Step, ...] = ()
 
 
-def nsepa_transform(
-    game: GameModel, profile: Profile, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> NsepaTransformResult:
+def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     """Rewrite a profile into an enforceable one with balanced shares.
 
     Starts from the alternatives-mode LP optimum.  While some used edge is
@@ -519,7 +518,7 @@ def nsepa_transform(
         )
         return fixed + lag
 
-    repairs: list[tuple[int, Fraction]] = []
+    repairs: list[Step] = []
     for i in range(game.n):
         sp: PathSpace = game.spaces[i]
         while True:
@@ -538,10 +537,10 @@ def nsepa_transform(
                 break
             before_total = total_of(work)
             work[i] = tuple(edges)
-            repairs.append((i, total_of(work) - before_total))
+            repairs.append(Step("repair", i, None, total_of(work) - before_total))
 
     base = Profile([frozenset(row) for row in work])
-    report = is_enforceable(game, base, mode="alternatives", budget=budget)
+    report = is_enforceable(game, base, mode="alternatives")
     if report.status != OPTIMAL or report.shares is None:
         raise InternalInvariant(f"enforceability LP ended {report.status}")
 
@@ -579,7 +578,7 @@ def nsepa_transform(
         )
         return fixed + lag
 
-    substitutions: list[tuple] = []
+    substitutions: list[Step] = []
     phase_bound = len(base.used_resources())
     phases = 0
     while True:
@@ -631,7 +630,7 @@ def nsepa_transform(
                         f"private cost of player {i} drifted from {before} to {after}"
                     )
                 substitutions.append(
-                    (phases, i, f, current_total() - total_before)
+                    Step("substitute", i, f, current_total() - total_before, phase=phases)
                 )
 
     # reduce overpaid edges to exact balance, highest player index first

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, TooLarge
-from .game import GameModel, Profile, private_cost
+from .game import GameModel, Profile
 from .rationals import rat
 
 _ZERO = Fraction(0)
@@ -231,8 +231,3 @@ def verify_separability_bruteforce(
                 )
     return SeparabilityReport(ok=True, profiles_checked=checked)
 
-
-def protocol_private_cost(
-    game: GameModel, protocol: SeparableProtocol, profile: Profile, i: int
-) -> Fraction:
-    return private_cost(game, protocol, profile, i)

@@ -36,6 +36,8 @@ def parse_rational(text: str) -> Fraction:
     Fraction's own parser also accepts decimal and scientific notation;
     those are deliberately rejected here to keep files bit-exact.
     """
+    if not isinstance(text, str):
+        raise InputError(f"not an exact rational string: {text!r}")
     s = text.strip()
     num, sep, den = s.partition("/")
     try:

@@ -4,8 +4,6 @@ Rationals travel as "p/q" strings, bit-exact.  Costs are a "p/q" string
 for fixed costs or {"subadditive_table": {...}} keyed by comma-joined
 sorted player ids.  Graph games carry a "graph" block whose edge list is
 parallel to the resource list; matroid players carry descriptors.
-Oracle-backed cost functions have no faithful representation and are
-rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .errors import InputError
-from .game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile
+from .game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile, Step
 from .matroids import MatroidOracle, matroid_from_descriptor
 from .network import Network
 from .protocol import SeparableProtocol, SharingTable
@@ -39,13 +37,10 @@ def _users_from_key(key: str) -> frozenset:
 def cost_to_json(cf: CostFunction):
     if cf.is_fixed:
         return format_rational(cf.fixed_value)
-    table = cf.table
-    if table is None:
-        raise InputError("oracle-backed cost functions are not serializable")
     return {
         "subadditive_table": {
             _users_key(users): format_rational(v)
-            for users, v in sorted(table.items(), key=lambda kv: _users_key(kv[0]))
+            for users, v in sorted(cf.table.items(), key=lambda kv: _users_key(kv[0]))
             if users
         }
     }
@@ -177,10 +172,29 @@ def profile_from_json(data, game: Optional[GameModel] = None) -> Profile:
         rows = data
     if not isinstance(rows, list):
         raise InputError("profile must be a list of per-player resource lists")
-    profile = Profile([frozenset(int(e) for e in row) for row in rows])
+    for row in rows:
+        if not isinstance(row, list) or not all(
+            isinstance(e, int) and not isinstance(e, bool) for e in row
+        ):
+            raise InputError(f"profile row {row!r} is not a list of integer resource ids")
+    profile = Profile([frozenset(row) for row in rows])
     if game is not None:
         game.validate_profile(profile)
     return profile
+
+
+def step_to_json(step: Step) -> dict:
+    """One trace line: the step kind under "step", `source` under "from",
+    and no key for a field that is None."""
+    line = {
+        "step": step.kind,
+        "player": step.player,
+        "resource": step.resource,
+        "from": step.source,
+        "phase": step.phase,
+        "cost_delta": format_rational(step.cost_delta),
+    }
+    return {k: v for k, v in line.items() if v is not None}
 
 
 def protocol_to_json(protocol: SeparableProtocol) -> dict:

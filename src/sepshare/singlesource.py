@@ -30,7 +30,7 @@ from .errors import (
     InternalInvariant,
     UnsupportedSpace,
 )
-from .game import CostFunction, GameModel, PathSpace, Profile, total_cost
+from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, SharingTable
 from .rationals import rat
@@ -139,7 +139,7 @@ class AuxiliaryGraph:
         self.closed_shares: dict[ItemId, dict[int, Fraction]] = {}
         self.aux_payer: dict[tuple, int] = {}
         self.replacements: list[Replacement] = []
-        self.events: list[tuple] = []  # ("close"|"drop", edge, player, cost delta)
+        self.events: list[Step] = []  # "close" and "drop"
         self._check_tree()
         self._build_aux_edges()
 
@@ -351,7 +351,7 @@ class AuxiliaryGraph:
                 raise InternalInvariant(f"edge {e} left unpaid by water-filling")
             self.closed_shares[e] = shares
             self.open_edges.discard(e)
-            self.events.append(("close", e, users[0], _ZERO))
+            self.events.append(Step("close", users[0], e, _ZERO))
             return True
         self._drop_edge(e, users, contrib)
         return True
@@ -404,7 +404,7 @@ class AuxiliaryGraph:
         if not after < before:
             raise InternalInvariant("tree replacement failed to reduce tree cost")
         self._check_tree()
-        self.events.append(("drop", e, payers[0], after - before))
+        self.events.append(Step("drop", payers[0], e, after - before))
         self.replacements.append(
             Replacement(
                 edge=e,
@@ -437,7 +437,7 @@ class SingleSourceResult:
     replacements: tuple[Replacement, ...]
     aux_in_tree: tuple[tuple, ...]
     repairs: tuple[tuple, ...]  # (resource, player, amount) balance fixes
-    events: tuple[tuple, ...] = ()  # ("close"|"drop", edge, player, cost delta)
+    events: tuple[Step, ...] = ()  # "close" and "drop"; drop deltas are tree-cost changes
 
 
 def _loop_erased(

@@ -50,7 +50,7 @@ class TestCostFunction:
 
     def test_exactly_one_kind_required(self):
         with pytest.raises(InputError):
-            CostFunction(fixed=1, oracle=lambda s: 1)
+            CostFunction(fixed=1, table={frozenset({0}): F(1)})
         with pytest.raises(InputError):
             CostFunction()
 

@@ -195,7 +195,7 @@ class TestTransform:
         res = transform_matroid(g, Profile([{0}, {0}]))
         assert res.profile == Profile([{1}, {1}])
         assert total_cost(g, res.profile) == 3
-        assert [m.reason for m in res.moves] == ["cover", "cover"]
+        assert [m.kind for m in res.moves] == ["cover", "cover"]
         # exhaustive check that 3 is the best any profile can do
         best = min(
             total_cost(g, Profile(combo))
@@ -215,7 +215,8 @@ class TestTransform:
         res = transform_matroid(g, Profile([{0}]))
         assert res.profile == Profile([{1}])
         [move] = res.moves
-        assert (move.player, move.source, move.target, move.reason) == (0, 0, 1, "delay")
+        assert (move.player, move.source, move.resource, move.kind) == (0, 0, 1, "delay")
+        assert move.cost_delta == -5
 
     def test_random_instances_meet_the_guarantees(self):
         rng = random.Random(404)
@@ -227,13 +228,15 @@ class TestTransform:
             assert res.iterations <= game.n * len(game.resources) * rank
             assert total_cost(game, res.profile) <= total_cost(game, profile)
             assert check_enforceable_matroid(game, res.profile, virtual=True).ok
-            # replay: every packet move on its own never increases the cost
+            # replay: every packet move on its own never increases the cost,
+            # and its recorded delta is exactly the change in total cost
             current = profile
             for move in res.moves:
                 nxt = current.replace(
-                    move.player, current[move.player] - {move.source} | {move.target}
+                    move.player, current[move.player] - {move.source} | {move.resource}
                 )
                 assert total_cost(game, nxt) <= total_cost(game, current)
+                assert move.cost_delta == total_cost(game, nxt) - total_cost(game, current)
                 current = nxt
             assert current == res.profile
 

@@ -8,9 +8,10 @@ import pytest
 
 from _helpers import path_game
 from sepshare.errors import NoTightAlternative
-from sepshare.game import Profile, private_cost, total_cost
+from sepshare.game import Profile, Step, private_cost, total_cost
 from sepshare.gen import gen_sp
 from sepshare.lp import INFEASIBLE, solve
+from sepshare.network import Network
 from sepshare.nsepa import (
     alternatives,
     build_lp,
@@ -60,6 +61,10 @@ class TestRecognition:
         game, _p = counterexample_fixture()
         pairs = [(sp.source, sp.terminal) for sp in game.spaces]
         assert not is_n_series_parallel(game.network, pairs)
+
+    def test_pair_split_across_components_does_not(self):
+        net = Network([(0, "s", "a"), (1, "t", "b")])
+        assert not is_n_series_parallel(net, [("s", "t")])
 
 
 class TestAlternatives:
@@ -188,7 +193,10 @@ class TestTransform:
         assert (res.phases, res.output_cost) == (1, F(4))
         # adopters first pay in full; the rebate goes to the higher index
         assert dict(res.protocol.table.shares) == {(0, 1): F(4)}
-        assert res.substitutions == ((1, 0, 0, F(4)), (1, 1, 0, F(-10)))
+        assert res.substitutions == (
+            Step("substitute", 0, 0, F(4), phase=1),
+            Step("substitute", 1, 0, F(-10), phase=1),
+        )
         assert verify_pne(g, res.protocol).ok
         assert verify_budget_balance(g, res.protocol, res.profile).ok
 
@@ -197,8 +205,8 @@ class TestTransform:
             [("c0", "c1", 10), ("c0", "c1", 4)], [("c0", "c1"), ("c0", "c1")]
         )
         res = nsepa_transform(g, Profile([{0}, {0}]))
-        for _phase, i, f, _delta in res.substitutions:
-            assert f not in res.profile[i]
+        for step in res.substitutions:
+            assert step.resource not in res.profile[step.player]
 
     def test_delay_dominated_path_is_rerouted_first(self):
         # paying the parallel edge alone beats the delay of staying, so no
@@ -208,7 +216,7 @@ class TestTransform:
         )
         assert is_enforceable(g, Profile([{0}])).status == INFEASIBLE
         res = nsepa_transform(g, Profile([{0}]))
-        assert res.repairs == ((0, F(-9)),)
+        assert res.repairs == (Step("repair", 0, None, F(-9)),)
         assert res.profile == Profile([{1}])
         assert (res.phases, res.input_cost, res.output_cost) == (0, F(11), F(2))
         assert not res.input_enforceable

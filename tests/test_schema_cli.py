@@ -137,6 +137,28 @@ class TestCli:
         inst.write_text(dumps(doc) + "\n")
         assert run(["verify", "--in", str(inst), "--profile", "embedded"]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("delays", 1.5), ("profile", "x"), ("profile", 1.7)],
+        ids=["float-delay", "string-profile-entry", "float-profile-entry"],
+    )
+    def test_bad_values_exit_two_with_one_line(self, tmp_path, capsys, field, value):
+        _code, inst = run_to_file(
+            tmp_path,
+            "ufl.json",
+            ["gen", "ufl", "--players", "2", "--facilities", "2", "--seed", "7"],
+        )
+        doc = json.loads(inst.read_text())
+        doc[field][0][0] = value
+        inst.write_text(dumps(doc) + "\n")
+        capsys.readouterr()
+        code = run(["transform-matroid", "--in", str(inst),
+                    "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_blown_enumeration_budget_exits_three(self, tmp_path):
         g = path_game(
             [("s", "t", 1), ("s", "t", 2)], [("s", "t"), ("s", "t")]
@@ -164,21 +186,48 @@ class TestCli:
         assert (code, code2) == (0, 0)
         assert rep1.read_bytes() == rep2.read_bytes()
 
-    def test_trace_lines_are_json_steps(self, tmp_path):
-        g = path_game(
-            [("c0", "c1", 10), ("c0", "c1", 4)], [("c0", "c1"), ("c0", "c1")]
-        )
-        doc = game_to_json(g)
-        doc["profile"] = profile_to_json(Profile([{0}, {0}]))["profile"]
-        inst = tmp_path / "inst.json"
-        inst.write_text(dumps(doc) + "\n")
-        tracefile = tmp_path / "trace.jsonl"
-        code = run(["nsepa", "transform", "--in", str(inst),
-                    "--trace", str(tracefile), "--out", str(tmp_path / "r.json")])
-        assert code == 0
-        lines = [json.loads(s) for s in tracefile.read_text().splitlines()]
-        assert lines and all(line["step"] == "substitute" for line in lines)
-        assert {line["player"] for line in lines} == {0, 1}
+    @pytest.mark.parametrize(
+        "gen, command, kinds, deltas_add_up",
+        [
+            (["ufl", "--players", "6", "--facilities", "8"], ["transform-matroid"],
+             {"delay", "cover"}, True),
+            (["matroid"], ["transform-matroid"], {"delay", "cover"}, True),
+            # a drop delta is the change in auxiliary tree cost, not in total cost
+            (["tree"], ["transform-tree"], {"close", "drop"}, False),
+            (["sp"], ["nsepa", "transform"], {"repair", "substitute"}, True),
+        ],
+        ids=["transform-matroid-ufl", "transform-matroid", "transform-tree",
+             "nsepa-transform"],
+    )
+    def test_trace_lines_are_json_steps(self, tmp_path, gen, command, kinds,
+                                        deltas_add_up):
+        keys = {
+            "delay": {"from", "resource"},
+            "cover": {"from", "resource"},
+            "close": {"resource"},
+            "drop": {"resource"},
+            "repair": set(),
+            "substitute": {"phase", "resource"},
+        }
+        steps = 0
+        for seed in range(1, 11):
+            code, inst = run_to_file(tmp_path, "inst.json",
+                                     ["gen", *gen, "--seed", str(seed)])
+            tracefile = tmp_path / "trace.jsonl"
+            code, rep = run_to_file(tmp_path, "r.json", command + [
+                "--in", str(inst), "--trace", str(tracefile)])
+            assert code == 0
+            lines = [json.loads(s) for s in tracefile.read_text().splitlines()]
+            for line in lines:
+                assert line["step"] in kinds
+                assert set(line) == {"step", "player", "cost_delta"} | keys[line["step"]]
+            steps += len(lines)
+            if deltas_add_up:
+                doc = json.loads(rep.read_text())
+                total = sum((parse_rational(line["cost_delta"]) for line in lines), F(0))
+                assert total == (parse_rational(doc["output_cost"])
+                                 - parse_rational(doc["input_cost"]))
+        assert steps
 
     def test_approx_display_adds_decimals(self, tmp_path):
         code, inst = run_to_file(tmp_path, "fixture.json", ["fixture", "theorem5"])
