@@ -1,20 +1,25 @@
 """Exact linear programming over the rationals.
 
-Solves  maximize c.x  subject to  A.x <= b, x >= 0  with a dense two-phase
-tableau simplex using Bland's rule, so runs are deterministic and never
-cycle.  All arithmetic is fractions.Fraction; statuses are values, not
-exceptions, because infeasible and unbounded programs are legitimate
-outcomes for callers.
+Solves  maximize c.x  subject to  A.x <= b, x >= 0  with a two-phase
+tableau simplex on sparse rows: each tableau row is a dict holding only
+its nonzero fractions.Fraction entries, so a pivot touches only the rows
+with a nonzero in the entering column, and in them only the pivot row's
+columns.  Bland's rule (smallest improving column, ties in the ratio test
+to the smallest basic column) makes runs deterministic and rules out
+cycling.  Statuses are values, not exceptions, because infeasible and
+unbounded programs are legitimate outcomes for callers.
 
-Intended for the small programs this package produces (tens of variables,
-hundreds of rows); no sparsity, no scaling, no warm starts.
+Every optimum is certified before it is returned, against the original
+program: the point is primal feasible and attains the reported value, and
+the duals read off the final reduced costs are dual feasible with the same
+value, which by weak duality proves the point optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError, InternalInvariant
 from .rationals import format_rational, parse_rational, rat
@@ -67,55 +72,70 @@ class Solution:
     objective_value: Optional[Fraction] = None
 
 
-def _reduced_costs(
-    tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction]
-) -> tuple[list[Fraction], Fraction]:
-    ncols = len(tableau[0]) - 1 if tableau else len(costs)
-    z = list(costs)
-    value = _ZERO
-    for r, col in enumerate(basis):
-        cb = costs[col]
-        if cb == 0:
-            continue
-        row = tableau[r]
-        value += cb * row[-1]
-        for j in range(ncols):
-            z[j] -= cb * row[j]
-    return z, value
+# A sparse row maps column -> nonzero coefficient; its right-hand side is
+# kept in a parallel list.
+SparseRow = dict[int, Fraction]
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], r: int, c: int):
-    row = tableau[r]
+def _sparse_rows(lp: LinearProgram) -> list[SparseRow]:
+    return [{j: a for j, a in enumerate(row) if a} for row in lp.rows]
+
+
+def _axpy(target: SparseRow, factor: Fraction, row: SparseRow) -> None:
+    """target -= factor * row, dropping entries that become zero."""
+    for j, v in row.items():
+        new = target.get(j, _ZERO) - factor * v
+        if new:
+            target[j] = new
+        else:
+            del target[j]
+
+
+def _pivot(
+    rows: list[SparseRow], rhs: list[Fraction], basis: list[int], r: int, c: int
+) -> SparseRow:
+    row = rows[r]
     piv = row[c]
-    inv = _ONE / piv
-    tableau[r] = row = [v * inv for v in row]
-    for rr, other in enumerate(tableau):
-        if rr == r or other[c] == 0:
+    if piv != 1:
+        inv = _ONE / piv
+        rows[r] = row = {j: v * inv for j, v in row.items()}
+        rhs[r] *= inv
+    b = rhs[r]
+    for rr, other in enumerate(rows):
+        factor = other.get(c)
+        if factor is None or rr == r:
             continue
-        factor = other[c]
-        tableau[rr] = [a - factor * b for a, b in zip(other, row)]
+        _axpy(other, factor, row)
+        rhs[rr] -= factor * b
     basis[r] = c
     return row
 
 
 def _simplex_loop(
-    tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction]
-) -> tuple[str, Fraction]:
-    """Bland-rule pivoting until optimal or unbounded.  Returns status and
-    the objective value of the final basis."""
-    ncols = len(costs)
-    z, value = _reduced_costs(tableau, basis, costs)
+    rows: list[SparseRow], rhs: list[Fraction], basis: list[int], costs: SparseRow
+) -> tuple[str, Fraction, SparseRow]:
+    """Bland-rule pivoting until optimal or unbounded.  Returns the status,
+    the objective value of the final basis and its nonzero reduced costs."""
+    z = dict(costs)
+    value = _ZERO
+    for r, col in enumerate(basis):
+        cb = costs.get(col)
+        if cb:
+            value += cb * rhs[r]
+            _axpy(z, cb, rows[r])
     while True:
-        enter = next((j for j in range(ncols) if z[j] > 0), None)
+        # sign test on the numerator: a Fraction comparison costs several
+        # times more, and this scan runs over every nonzero reduced cost
+        enter = min((j for j, v in z.items() if v.numerator > 0), default=None)
         if enter is None:
-            return OPTIMAL, value
+            return OPTIMAL, value, z
         best_r = -1
         best_ratio: Optional[Fraction] = None
-        for r, row in enumerate(tableau):
-            a = row[enter]
-            if a <= 0:
+        for r, row in enumerate(rows):
+            a = row.get(enter)
+            if a is None or a <= 0:
                 continue
-            ratio = row[-1] / a
+            ratio = rhs[r] / a
             if (
                 best_ratio is None
                 or ratio < best_ratio
@@ -123,13 +143,9 @@ def _simplex_loop(
             ):
                 best_ratio, best_r = ratio, r
         if best_ratio is None:
-            return UNBOUNDED, value
-        gain = z[enter] * best_ratio
-        row = _pivot(tableau, basis, best_r, enter)
-        ze = z[enter]
-        for j in range(ncols):
-            z[j] -= ze * row[j]
-        value += gain
+            return UNBOUNDED, value, z
+        value += z[enter] * best_ratio
+        _axpy(z, z[enter], _pivot(rows, rhs, basis, best_r, enter))
 
 
 def solve(lp: LinearProgram) -> Solution:
@@ -137,71 +153,87 @@ def solve(lp: LinearProgram) -> Solution:
     n = len(lp.objective)
     m = len(lp.rows)
     ncols = n + m  # structural + slack
-    tableau: list[list[Fraction]] = []
+    original = _sparse_rows(lp)
+    rows: list[SparseRow] = []
+    rhs: list[Fraction] = []
     basis: list[int] = []
-    negative_rows = [k for k in range(m) if lp.rhs[k] < 0]
-    art_of_row = {k: ncols + idx for idx, k in enumerate(negative_rows)}
-    total_cols = ncols + len(negative_rows)
-    for k in range(m):
-        row = [_ZERO] * (total_cols + 1)
-        sign = -1 if k in art_of_row else 1
-        for j, a in enumerate(lp.rows[k]):
-            row[j] = sign * a
-        row[n + k] = Fraction(sign)
-        row[-1] = sign * lp.rhs[k]
-        if k in art_of_row:
-            row[art_of_row[k]] = _ONE
-            basis.append(art_of_row[k])
+    artificials: SparseRow = {}  # phase-1 costs: -1 on each artificial column
+    for k, row in enumerate(original):
+        if lp.rhs[k] < 0:
+            art = ncols + len(artificials)
+            artificials[art] = Fraction(-1)
+            row = {j: -a for j, a in row.items()}
+            row[n + k] = Fraction(-1)
+            row[art] = _ONE
+            rhs.append(-lp.rhs[k])
+            basis.append(art)
         else:
+            row = dict(row)
+            row[n + k] = _ONE
+            rhs.append(lp.rhs[k])
             basis.append(n + k)
-        tableau.append(row)
+        rows.append(row)
 
-    if negative_rows:
-        phase1_costs = [_ZERO] * total_cols
-        for col in art_of_row.values():
-            phase1_costs[col] = Fraction(-1)
-        status, value = _simplex_loop(tableau, basis, phase1_costs)
+    if artificials:
+        status, value, _z = _simplex_loop(rows, rhs, basis, artificials)
         if status != OPTIMAL:
             raise InternalInvariant("phase 1 cannot be unbounded")
         if value != 0:
             return Solution(status=INFEASIBLE)
-        # drive leftover artificials out of the basis, dropping redundant rows
-        for r in range(len(tableau) - 1, -1, -1):
+        # Drive leftover (zero-valued) artificials out of the basis.  Every
+        # row has its own slack, so [A | I] has full row rank and a basic
+        # artificial's row always has a nonzero below the artificials.
+        for r in range(m - 1, -1, -1):
             if basis[r] < ncols:
                 continue
-            pivot_col = next(
-                (j for j in range(ncols) if tableau[r][j] != 0), None
-            )
+            pivot_col = min((j for j in rows[r] if j < ncols), default=None)
             if pivot_col is None:
-                del tableau[r]
-                del basis[r]
-            else:
-                _pivot(tableau, basis, r, pivot_col)
-        tableau = [row[:ncols] + [row[-1]] for row in tableau]
-        total_cols = ncols
+                raise InternalInvariant(f"no pivot column to drive out the artificial of row {r}")
+            _pivot(rows, rhs, basis, r, pivot_col)
+        for row in rows:
+            for j in [j for j in row if j >= ncols]:
+                del row[j]
 
-    phase2_costs = [lp.objective[j] for j in range(n)] + [_ZERO] * (total_cols - n)
-    status, value = _simplex_loop(tableau, basis, phase2_costs)
+    costs = {j: c for j, c in enumerate(lp.objective) if c}
+    status, value, z = _simplex_loop(rows, rhs, basis, costs)
     if status == UNBOUNDED:
         return Solution(status=UNBOUNDED)
     x = [_ZERO] * n
     for r, col in enumerate(basis):
         if col < n:
-            x[col] = tableau[r][-1]
-    _certify(lp, x, value)
+            x[col] = rhs[r]
+    y = [-z.get(n + k, _ZERO) for k in range(m)]
+    _certify(lp, original, x, y, value)
     return Solution(status=OPTIMAL, values=tuple(x), objective_value=value)
 
 
-def _certify(lp: LinearProgram, x: list[Fraction], value: Fraction) -> None:
+def _certify(
+    lp: LinearProgram, rows: list[SparseRow], x: list[Fraction], y: list[Fraction], value: Fraction
+) -> None:
+    """Prove `x` optimal with value `value` for `lp`, whose rows are given
+    sparse as `rows`: `x` is primal feasible and attains `value`, and `y`
+    is dual feasible (y >= 0, A^T y >= c) with b.y == value."""
     if any(v < 0 for v in x):
         raise InternalInvariant("negative variable in reported optimum")
-    for k, row in enumerate(lp.rows):
-        lhs = sum((a * v for a, v in zip(row, x)), _ZERO)
+    for k, row in enumerate(rows):
+        lhs = sum((a * x[j] for j, a in row.items()), _ZERO)
         if lhs > lp.rhs[k]:
             raise InternalInvariant(f"row {k} violated by reported optimum")
     obj = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)
     if obj != value:
         raise InternalInvariant("objective value mismatch in reported optimum")
+    if any(v < 0 for v in y):
+        raise InternalInvariant("negative dual in reported optimum")
+    aty = [_ZERO] * len(lp.objective)
+    for row, yk in zip(rows, y):
+        if yk:
+            for j, a in row.items():
+                aty[j] += a * yk
+    for j, c in enumerate(lp.objective):
+        if aty[j] < c:
+            raise InternalInvariant(f"dual constraint of column {j} violated")
+    if sum((b * v for b, v in zip(lp.rhs, y)), _ZERO) != value:
+        raise InternalInvariant("duality gap in reported optimum")
 
 
 # -- plain-text round trip -------------------------------------------------

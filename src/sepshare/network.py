@@ -14,7 +14,9 @@ queries take an explicit direction.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import networkx as nx
@@ -280,6 +282,13 @@ class Network:
         Returns (vertex set, edge-id set) pairs.  Parallel edges always land
         in the same block as their endpoints.
         """
+        return list(self._blocks)
+
+    # A Network is never changed after __init__, so its blocks and its
+    # block-cut forest are computed on first use and kept.
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[frozenset, frozenset], ...]:
         simple = nx.Graph()
         simple.add_nodes_from(self.vertices)
         for eid in self.edge_ids:
@@ -296,7 +305,26 @@ class Network:
             out.append((verts, eids))
         # deterministic order: by smallest vertex index in the block
         out.sort(key=lambda be: min(self.vindex[v] for v in be[0]))
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _block_cut_tree(self) -> tuple[dict, "nx.Graph"]:
+        """(home, tree): the block-cut forest has a node ("B", k) for block k
+        and ("C", v) for each cut vertex v, the vertices in more than one
+        block.  home[v] is ("C", v) for a cut vertex, else the node of the
+        one block holding v; isolated vertices have none."""
+        count = Counter(v for verts, _eids in self._blocks for v in verts)
+        home: dict = {}
+        tree = nx.Graph()
+        for k, (verts, _eids) in enumerate(self._blocks):
+            tree.add_node(("B", k))
+            for v in verts:
+                if count[v] == 1:
+                    home[v] = ("B", k)
+                else:
+                    home[v] = ("C", v)
+                    tree.add_edge(("B", k), ("C", v))
+        return home, tree
 
     def blocks_between(self, s: Vertex, t: Vertex) -> frozenset:
         """Edge ids of all blocks on the block-cut-tree path from s to t.
@@ -309,31 +337,10 @@ class Network:
             raise InputError("endpoint not in network")
         if s == t:
             return frozenset()
-        simple = nx.Graph()
-        simple.add_nodes_from(self.vertices)
-        for eid in self.edge_ids:
-            u, v = self.endpoints[eid]
-            simple.add_edge(u, v)
-        if not nx.has_path(simple, s, t):
-            raise Disconnected(f"no path between {s!r} and {t!r}")
-        blocks = self.blocks()
-        cuts = set(nx.articulation_points(simple))
-        bc = nx.Graph()
-        for k, (verts, _eids) in enumerate(blocks):
-            bc.add_node(("B", k))
-            for v in verts:
-                if v in cuts:
-                    bc.add_edge(("B", k), ("C", v))
-
-        def node_of(v: Vertex):
-            if v in cuts:
-                return ("C", v)
-            for k, (verts, _eids) in enumerate(blocks):
-                if v in verts:
-                    return ("B", k)
-            raise Disconnected(f"vertex {v!r} is isolated")
-
-        ns, nt = node_of(s), node_of(t)
-        chain = nx.shortest_path(bc, ns, nt) if ns != nt else [ns]
-        edge_sets = [blocks[node[1]][1] for node in chain if node[0] == "B"]
-        return frozenset().union(*edge_sets) if edge_sets else frozenset()
+        home, tree = self._block_cut_tree
+        try:
+            chain = nx.shortest_path(tree, home[s], home[t])
+        except (KeyError, nx.NetworkXNoPath):
+            raise Disconnected(f"no path between {s!r} and {t!r}") from None
+        edge_sets = [self._blocks[node[1]][1] for node in chain if node[0] == "B"]
+        return frozenset().union(*edge_sets)

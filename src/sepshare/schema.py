@@ -90,6 +90,13 @@ def game_to_json(game: GameModel) -> dict:
     return out
 
 
+def _check_vertex(value, where: str) -> None:
+    """Vertices are labelled by JSON scalars; a list or an object cannot be
+    hashed, so it cannot label one."""
+    if isinstance(value, (list, dict)):
+        raise InputError(f"{where} must be a JSON string or number, not {value!r}")
+
+
 def game_from_json(data: Mapping) -> GameModel:
     try:
         players = int(data["players"])
@@ -125,9 +132,11 @@ def game_from_json(data: Mapping) -> GameModel:
             raise InputError("graph edge list must be parallel to resources")
         triples = []
         for e, spec in zip(resources, edges):
-            if len(spec) != 3:
+            if not isinstance(spec, list) or len(spec) != 3:
                 raise InputError(f"graph edge for resource {e} must be [u, v, cost]")
             u, v, cost_spec = spec
+            _check_vertex(u, f"endpoint of graph edge {e}")
+            _check_vertex(v, f"endpoint of graph edge {e}")
             declared = cost_from_json(cost_spec)
             same = declared.is_fixed == costs[e].is_fixed and (
                 declared.fixed_value == costs[e].fixed_value
@@ -146,6 +155,10 @@ def game_from_json(data: Mapping) -> GameModel:
             raise InputError(f"space {i} must be a single-key object")
         kind, body = next(iter(sp.items()))
         if kind == "path":
+            if not isinstance(body, Mapping) or not {"source", "terminal"} <= body.keys():
+                raise InputError(f"path space {i} needs a source and a terminal")
+            _check_vertex(body["source"], f"source of space {i}")
+            _check_vertex(body["terminal"], f"terminal of space {i}")
             spaces.append(PathSpace(source=body["source"], terminal=body["terminal"]))
         elif kind == "matroid":
             spaces.append(MatroidSpace(oracle=matroid_from_descriptor(body)))

@@ -1,10 +1,14 @@
-"""Regenerate the golden corpus of the three transform commands.
+"""Regenerate the golden corpus of the transform and check commands.
 
-Each case is a seeded instance from `sepshare gen` plus what one transform
-command makes of it: the exit code, the report bytes and the `--trace`
-bytes.  `tests/test_golden.py` reruns every case in-process and diffs all
-three byte for byte, so rerun this script only for a change that is meant
-to alter reports, and say why in the change log.
+Each case is a seeded instance plus what one command makes of it: the
+exit code, the report bytes and the `--trace` bytes.  Most instances come
+from `sepshare gen`; the `chain` cases are longer chains of parallel
+bundles (10 to 20 bundles, far beyond what `gen sp` reaches) built by
+`chain_instance` below, and `cases.json` records the builder's arguments
+in place of a `gen` command.  `tests/test_golden.py` reruns every case
+in-process and diffs all three byte for byte, so rerun this script only
+for a change that is meant to alter reports, and say why in the change
+log.
 
 Run from the repository root:
 
@@ -14,42 +18,103 @@ Run from the repository root:
 from __future__ import annotations
 
 import json
+import random
 import shutil
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from sepshare.cli import run
+from sepshare.game import CostFunction, GameModel, PathSpace, Profile
+from sepshare.network import Network
+from sepshare.schema import dumps, game_to_json, profile_to_json
 
 HERE = Path(__file__).resolve().parent
 SEEDS = range(1, 11)
 
-# (case prefix, generator argv, transform argv)
+# (case prefix, generator argv, command argv)
 FAMILIES = [
     ("ufl", ["gen", "ufl", "--players", "6", "--facilities", "8"], ["transform-matroid"]),
     ("matroid", ["gen", "matroid"], ["transform-matroid"]),
     ("tree", ["gen", "tree"], ["transform-tree"]),
     ("sp", ["gen", "sp"], ["nsepa", "transform"]),
     ("sp8", ["gen", "sp", "--players", "8"], ["nsepa", "transform"]),
+    ("spcheck", ["gen", "sp"], ["nsepa", "check"]),
 ]
+
+# (seed, bundles, players) of the chain cases, all run through `nsepa transform`
+CHAINS = [(1, 10, 6), (2, 12, 8), (3, 15, 8), (4, 18, 10), (5, 20, 10)]
+
+
+def chain_instance(seed: int, bundles: int, players: int) -> dict:
+    """A chain of `bundles` parallel bundles of one to three arms, each arm
+    one or two edges with a fixed cost 1..20.  Every player joins two
+    distinct cut vertices, pays a delay 1..5 on about a tenth of the edges
+    and starts on a cheapest path under random weights."""
+    rng = random.Random(f"golden-chain/{seed}")
+    cuts = [f"c{k}" for k in range(bundles + 1)]
+    pairs: list[tuple[str, str]] = []
+    for k in range(bundles):
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 1 / 2:
+                pairs.append((cuts[k], cuts[k + 1]))
+            else:
+                mid = f"m{len(pairs)}"
+                pairs += [(cuts[k], mid), (mid, cuts[k + 1])]
+    net = Network([(e, u, v) for e, (u, v) in enumerate(pairs)])
+    ids = list(range(len(pairs)))
+    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in ids}
+    spaces = []
+    for _ in range(players):
+        a, b = sorted(rng.sample(range(len(cuts)), 2))
+        spaces.append(PathSpace(source=cuts[a], terminal=cuts[b]))
+    delays = {(i, e): Fraction(rng.randint(1, 5))
+              for i in range(players) for e in ids if rng.random() < 1 / 10}
+    game = GameModel(players=players, resources=ids, costs=costs, spaces=spaces,
+                     delays=delays, network=net)
+    choices = []
+    for space in spaces:
+        weights = {e: rng.randint(1, 30) for e in ids}
+        hit = net.shortest_path(space.terminal, space.source, lambda e: weights[e])
+        choices.append(frozenset(hit[2]))
+    doc = game_to_json(game)
+    doc["profile"] = profile_to_json(Profile(choices))["profile"]
+    return doc
+
+
+def _record(case: dict, folder: Path, manifest: list) -> None:
+    code = run(case["command"] + ["--in", str(folder / "instance.json"),
+                                  "--out", str(folder / "report.json"),
+                                  "--trace", str(folder / "trace.jsonl")])
+    manifest.append({**case, "exit": code})
+    print(f"{case['name']}: exit {code}")
+
+
+def _fresh(name: str) -> Path:
+    folder = HERE / name
+    shutil.rmtree(folder, ignore_errors=True)
+    folder.mkdir()
+    return folder
 
 
 def main() -> None:
-    manifest = []
+    manifest: list[dict] = []
     for prefix, gen, command in FAMILIES:
         for seed in SEEDS:
             case = {"name": f"{prefix}-{seed:02d}",
                     "gen": gen + ["--seed", str(seed)], "command": command}
-            folder = HERE / case["name"]
-            shutil.rmtree(folder, ignore_errors=True)
-            folder.mkdir()
-            instance = folder / "instance.json"
-            if run(case["gen"] + ["--out", str(instance)]) != 0:
+            folder = _fresh(case["name"])
+            if run(case["gen"] + ["--out", str(folder / "instance.json")]) != 0:
                 sys.exit(f"generator failed for {case['name']}")
-            code = run(command + ["--in", str(instance),
-                                  "--out", str(folder / "report.json"),
-                                  "--trace", str(folder / "trace.jsonl")])
-            manifest.append({**case, "exit": code})
-            print(f"{case['name']}: exit {code}")
+            _record(case, folder, manifest)
+    for seed, bundles, players in CHAINS:
+        case = {"name": f"chain-{seed:02d}",
+                "builder": {"seed": seed, "bundles": bundles, "players": players},
+                "command": ["nsepa", "transform"]}
+        folder = _fresh(case["name"])
+        doc = chain_instance(seed, bundles, players)
+        (folder / "instance.json").write_text(dumps(doc) + "\n")
+        _record(case, folder, manifest)
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 

@@ -6,8 +6,18 @@ from fractions import Fraction as F
 import pytest
 
 from _oracles import fourier_motzkin_status, vertex_lp
-from sepshare.errors import InputError
-from sepshare.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, dump_lp, parse_lp, solve
+from sepshare.errors import InputError, InternalInvariant
+from sepshare.lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearProgram,
+    _certify,
+    _sparse_rows,
+    dump_lp,
+    parse_lp,
+    solve,
+)
 
 
 def lp(objective, rows, rhs):
@@ -49,6 +59,26 @@ class TestKnownPrograms:
         assert solve(prog) == solve(prog)
 
 
+class TestCertificate:
+    # maximize x0 + x1  s.t.  x0 + x1 <= 4,  x0 <= 2: the optimum is 4, and
+    # y = (1, 0) proves it.  x = (1, 1) is feasible with value 2, but no
+    # dual feasible y has b.y == 2, so any claimed dual must fail.
+    PROG = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [4, 2])
+
+    def test_optimum_with_its_dual_is_accepted(self):
+        _certify(self.PROG, _sparse_rows(self.PROG), [F(2), F(2)], [F(1), F(0)], F(4))
+
+    @pytest.mark.parametrize(
+        "dual",
+        [(F(0), F(1)), (F(1), F(0)), (F(-1), F(3))],
+        ids=["dual-infeasible", "duality-gap", "negative-dual"],
+    )
+    def test_feasible_but_not_optimal_point_is_rejected(self, dual):
+        x = [F(1), F(1)]
+        with pytest.raises(InternalInvariant):
+            _certify(self.PROG, _sparse_rows(self.PROG), x, list(dual), F(2))
+
+
 class TestAgainstOracles:
     def _random_lp(self, rng, max_vars=3):
         n = rng.randint(1, max_vars)
@@ -58,11 +88,21 @@ class TestAgainstOracles:
         rhs = [F(rng.randint(-3, 8)) for _ in range(m)]
         return obj, rows, rhs
 
+    def _sparse_random_lp(self, rng):
+        """More rows than columns, about a third of the coefficients nonzero."""
+        n = rng.randint(2, 3)
+        m = rng.randint(n + 1, 7)
+        obj = [F(rng.randint(-5, 6)) for _ in range(n)]
+        rows = [[F(rng.randint(-4, 5)) if rng.random() < 1 / 3 else F(0)
+                 for _ in range(n)] for _ in range(m)]
+        rhs = [F(rng.randint(-3, 8)) for _ in range(m)]
+        return obj, rows, rhs
+
     def test_status_and_value_match_both_oracles(self):
         rng = random.Random(20240901)
         statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-        for _ in range(250):
-            obj, rows, rhs = self._random_lp(rng)
+        for k in range(400):
+            obj, rows, rhs = self._random_lp(rng) if k < 250 else self._sparse_random_lp(rng)
             sol = solve(lp(obj, rows, rhs))
             vstatus, vvalue = vertex_lp(obj, rows, rhs)
             fstatus, _fvalue = fourier_motzkin_status(obj, rows, rhs)

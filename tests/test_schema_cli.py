@@ -159,6 +159,25 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda path: path.pop("terminal"),
+         lambda path: path.update(source=[1, 2])],
+        ids=["path-space-without-terminal", "list-valued-vertex"],
+    )
+    def test_bad_path_spaces_exit_two_with_one_line(self, tmp_path, capsys, edit):
+        _code, inst = run_to_file(tmp_path, "sp.json", ["gen", "sp", "--seed", "3"])
+        doc = json.loads(inst.read_text())
+        edit(doc["spaces"][0]["path"])
+        inst.write_text(dumps(doc) + "\n")
+        capsys.readouterr()
+        code = run(["nsepa", "transform", "--in", str(inst),
+                    "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_blown_enumeration_budget_exits_three(self, tmp_path):
         g = path_game(
             [("s", "t", 1), ("s", "t", 2)], [("s", "t"), ("s", "t")]
