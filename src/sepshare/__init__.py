@@ -51,11 +51,8 @@ from .network import Network
 from .nsepa import (
     counterexample_fixture,
     is_enforceable,
-    is_n_series_parallel,
     is_two_terminal_sp,
-    irredundant,
     nsepa_transform,
-    player_subnetwork,
     smallest_tight_alternative,
 )
 from .oracle import (
@@ -74,14 +71,7 @@ from .protocol import (
     verify_separability_bruteforce,
 )
 from .rationals import Rational, format_rational, parse_rational, rat
-from .singlesource import (
-    approx_steiner_tree,
-    reduce_group_connection,
-    reduce_multi_source,
-    steiner_edges,
-    to_tree_profile,
-    transform_single_source,
-)
+from .singlesource import to_tree_profile, transform_single_source
 
 __version__ = "0.1.0"
 

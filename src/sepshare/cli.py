@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -72,7 +71,6 @@ class RunReport:
     enforceable: bool = False
     pne_verified: bool = False
     budget_balanced: bool = False
-    timings: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
     def to_json(self, approx_display: bool = False) -> dict:
@@ -85,7 +83,7 @@ class RunReport:
             "enforceable": self.enforceable,
             "pne_verified": self.pne_verified,
             "budget_balanced": self.budget_balanced,
-            "timings": dict(self.timings),
+            "timings": {},  # always empty; kept so reports stay byte-stable
         }
         if approx_display:
             out["input_cost_approx"] = approx(self.input_cost)
@@ -223,10 +221,6 @@ def _cmd_transform_matroid(args) -> tuple[RunReport, Sequence[Step], bool]:
 
 def _cmd_transform_tree(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
-    if args.single_source:
-        sources = {sp.source for sp in game.spaces}
-        if len(sources) > 1:
-            raise InputError(f"multiple sources: {sorted(map(str, sources))}")
     if game.n == 0:
         empty = Profile([])
         protocol = SeparableProtocol(game, SharingTable(empty, {}))
@@ -388,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-step JSON lines to this file")
         p.add_argument("--approx-display", action="store_true",
                        help="add decimal renderings next to exact rationals")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings (breaks byte-stable reports)")
         if profile_flag:
             p.add_argument("--profile", default=None,
                            help="named bundled profile, 'embedded', or a JSON file")
@@ -402,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform-tree", help="single-source tree transform with sharing")
     io_flags(p)
-    p.add_argument("--single-source", action="store_true",
-                   help="validate that all players share one source before running")
     p.set_defaults(handler=_cmd_transform_tree)
 
     p = sub.add_parser("nsepa", help="series-parallel path game operations")
@@ -453,7 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     gs = gsub.add_parser("sp", help="chain of parallel bundles; player pairs "
                                     "on cut vertices; sparse delays 1..5")
     gs.add_argument("--players", type=int, default=None)
-    gs.add_argument("--max-edges", type=int, default=12)
+    gs.add_argument("--max-edges", type=int, default=12,
+                    help="cap on the chain length, not a target: the chain "
+                         "stops at random after each bundle, usually well "
+                         "before the cap")
     for gp in (gu, gm, gt, gs):
         gp.add_argument("--seed", type=int, default=0)
         gp.add_argument("--out", dest="outfile", default=None)
@@ -472,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.monotonic()
     try:
         if getattr(args, "generator", False):
             doc, ok = _cmd_gen(args)
@@ -492,8 +484,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SepshareError as ex:
         print(f"{type(ex).__name__}: {ex}", file=sys.stderr)
         return 1
-    if args.timings:
-        report.timings["total_ms"] = int((time.monotonic() - started) * 1000)
     _emit_trace(args.trace, trace)
     _write_text(args.outfile, dumps(report.to_json(args.approx_display)) + "\n")
     return 0 if ok else 1

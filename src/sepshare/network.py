@@ -89,16 +89,6 @@ class Network:
     def neighbors(self, v: Vertex, reverse: bool = False) -> list[tuple[Vertex, EdgeId]]:
         return (self._radj if reverse else self._adj)[v]
 
-    def subnetwork(self, edge_ids: Iterable[EdgeId], vertices: Sequence[Vertex] = ()) -> "Network":
-        """Subgraph on the given edges (same ids), plus any extra vertices."""
-        keep = sorted(set(edge_ids))
-        base = [v for v in self.vertices if v in set(vertices)]
-        return Network(
-            [(eid, *self.endpoints[eid]) for eid in keep],
-            directed=self.directed,
-            vertices=base,
-        )
-
     # -- shortest paths ------------------------------------------------
 
     def dijkstra(
@@ -261,20 +251,6 @@ class Network:
         return tuple(walk) if len(walk) == len(eids) else None
 
     # -- structure -----------------------------------------------------
-
-    def to_nx(self, edge_ids: Optional[Iterable[EdgeId]] = None) -> "nx.MultiGraph":
-        g: nx.MultiGraph = nx.MultiDiGraph() if self.directed else nx.MultiGraph()
-        g.add_nodes_from(self.vertices)
-        for eid in self.edge_ids if edge_ids is None else sorted(set(edge_ids)):
-            u, v = self.endpoints[eid]
-            g.add_edge(u, v, key=eid)
-        return g
-
-    def connected(self, frm: Vertex, to: Vertex) -> bool:
-        if frm == to:
-            return frm in self.vindex
-        tree = self.dijkstra(frm, lambda _eid: _ZERO)
-        return to in tree
 
     def blocks(self) -> list[tuple[frozenset, frozenset]]:
         """Biconnected components of the underlying undirected graph.

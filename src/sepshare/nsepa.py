@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (
     BudgetExceeded,
-    Disconnected,
     InputError,
     InternalInvariant,
     NoTightAlternative,
@@ -30,7 +29,7 @@ from .errors import (
     UnsupportedSpace,
 )
 from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
-from .lp import OPTIMAL, LinearProgram, Solution, solve
+from .lp import OPTIMAL, LinearProgram, solve
 from .network import Network, Vertex
 from .oracle import DEFAULT_BUDGET, EnumerationBudget
 from .protocol import SeparableProtocol, SharingTable
@@ -52,31 +51,15 @@ def _fixed_cost(game: GameModel, e: int) -> Fraction:
     return game.costs[e].fixed_value
 
 
-def player_subnetwork(network: Network, s: Vertex, t: Vertex) -> frozenset:
-    """Edge ids of the union of all simple s-t paths (blocks on the s-t
-    chain of the block-cut tree)."""
-    return network.blocks_between(s, t)
-
-
-def irredundant(network: Network, pairs: Sequence[tuple[Vertex, Vertex]]) -> Network:
-    """Drop every edge no player can ever use."""
-    keep: set[int] = set()
-    anchors: list[Vertex] = []
-    for s, t in pairs:
-        keep |= player_subnetwork(network, s, t)
-        anchors.extend((s, t))
-    return network.subnetwork(keep, vertices=anchors)
-
-
 # -- series-parallel recognition ------------------------------------------
 
 
-def is_two_terminal_sp(network: Network, s: Vertex, t: Vertex, edge_ids=None) -> bool:
-    """Reduce by parallel merges and degree-2 contractions; SP iff a single
-    s-t edge remains.  s == t counts as SP only without edges."""
-    eids = set(network.edge_ids if edge_ids is None else edge_ids)
+def is_two_terminal_sp(network: Network, s: Vertex, t: Vertex, edge_ids) -> bool:
+    """Reduce the subgraph on `edge_ids` by parallel merges and degree-2
+    contractions; SP iff a single s-t edge remains.  s == t counts as SP
+    only without edges."""
     edges: dict[object, frozenset] = {
-        eid: frozenset(network.endpoints[eid]) for eid in eids
+        eid: frozenset(network.endpoints[eid]) for eid in set(edge_ids)
     }
     if s == t:
         return not edges
@@ -114,23 +97,6 @@ def is_two_terminal_sp(network: Network, s: Vertex, t: Vertex, edge_ids=None) ->
             changed = True
             break
     return len(edges) == 1 and next(iter(edges.values())) == frozenset((s, t))
-
-
-def is_n_series_parallel(network: Network, pairs: Sequence[tuple[Vertex, Vertex]]) -> bool:
-    """True iff every player's usable subgraph is two-terminal SP for their
-    own pair.  Players with no source-terminal connection make this false."""
-    for s, t in pairs:
-        if s == t:
-            continue
-        if not network.has_vertex(s) or not network.has_vertex(t):
-            return False
-        try:
-            sub = player_subnetwork(network, s, t)
-        except Disconnected:
-            return False
-        if not is_two_terminal_sp(network, s, t, edge_ids=sub):
-            return False
-    return True
 
 
 # -- alternatives ----------------------------------------------------------
@@ -178,7 +144,7 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
     sp: PathSpace = game.spaces[i]
     if sp.source == sp.terminal:
         return []
-    region = player_subnetwork(net, sp.source, sp.terminal)
+    region = net.blocks_between(sp.source, sp.terminal)
     if not is_two_terminal_sp(net, sp.source, sp.terminal, edge_ids=region):
         raise NotSeriesParallel(f"player {i}'s subgraph is not series-parallel")
     ordered = _ordered_path(game, i, choice)
@@ -427,7 +393,7 @@ def smallest_tight_alternative(
     sp: PathSpace = game.spaces[i]
     if f not in ordered_path:
         raise InputError(f"edge {f} is not on the player's current path")
-    region = player_subnetwork(net, sp.source, sp.terminal)
+    region = net.blocks_between(sp.source, sp.terminal)
     nodes = _path_vertices(net, ordered_path, sp.source)
     fpos = ordered_path.index(f)
 
@@ -544,7 +510,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     if report.status != OPTIMAL or report.shares is None:
         raise InternalInvariant(f"enforceability LP ended {report.status}")
 
-    paths: dict[int, tuple[int, ...]] = {i: work[i] for i in range(game.n)}
+    paths = list(work)
     shares: dict[tuple[int, int], Fraction] = {
         (i, e): v for (i, e), v in report.shares.items()
     }
@@ -567,16 +533,6 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         return sum(
             (shares.get((i, e), _ZERO) + game.delay(i, e) for e in paths[i]), _ZERO
         )
-
-    def current_total() -> Fraction:
-        used = set()
-        for items in paths.values():
-            used.update(items)
-        fixed = sum((_fixed_cost(game, e) for e in used), _ZERO)
-        lag = sum(
-            (game.delay(i, e) for i in range(game.n) for e in paths[i]), _ZERO
-        )
-        return fixed + lag
 
     substitutions: list[Step] = []
     phase_bound = len(base.used_resources())
@@ -614,7 +570,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                     raise InternalInvariant(
                         f"player {i} re-adopted substituted edges {sorted(readopted)}"
                     )
-                total_before = current_total()
+                total_before = total_of(paths)
                 old = paths[i]
                 a = old.index(alt.substituted[0])
                 b = a + len(alt.substituted)
@@ -630,7 +586,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                         f"private cost of player {i} drifted from {before} to {after}"
                     )
                 substitutions.append(
-                    Step("substitute", i, f, current_total() - total_before, phase=phases)
+                    Step("substitute", i, f, total_of(paths) - total_before, phase=phases)
                 )
 
     # reduce overpaid edges to exact balance, highest player index first

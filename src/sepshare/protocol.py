@@ -10,9 +10,9 @@ the table itself is balanced on the base profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import InputError, TooLarge
 from .game import GameModel, Profile

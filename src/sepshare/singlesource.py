@@ -13,8 +13,7 @@ ride it for free.  Expansion finally replaces auxiliary edges by their
 stored paths and charges each expansion edge to its auxiliary payer unless
 the edge already carries shares.
 
-Delays must be zero here; multi-source and group variants are modeled by
-the reductions at the bottom of the module.
+Delays must be zero here, and all players share one source.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .errors import (
     Disconnected,
@@ -30,10 +29,9 @@ from .errors import (
     InternalInvariant,
     UnsupportedSpace,
 )
-from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
+from .game import GameModel, PathSpace, Profile, Step, total_cost
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, SharingTable
-from .rationals import rat
 
 _ZERO = Fraction(0)
 
@@ -550,176 +548,3 @@ def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceRe
         events=tuple(state.events),
     )
 
-
-# -- reductions and helpers ------------------------------------------------
-
-
-def _fresh_label(net: Network, base: str) -> str:
-    label = base
-    while net.has_vertex(label):
-        label += "_"
-    return label
-
-
-def reduce_multi_source(game: GameModel) -> tuple[GameModel, dict[int, int]]:
-    """Model player-specific sources by one shared source.
-
-    Adds a super source with a zero-cost edge to each player's own source;
-    foreign players get a prohibitive delay on that edge, larger than any
-    achievable total cost, so equilibria and optima correspond one-to-one
-    with unchanged costs.
-    """
-    for i, sp in enumerate(game.spaces):
-        if sp.kind != "path":
-            raise UnsupportedSpace(f"player {i} does not have a path space")
-    net = game.network
-    big = Fraction(1)
-    for e in game.resources:
-        big += game.costs[e].fixed_value
-    for i in range(game.n):
-        for e in game.resources:
-            big += game.delay(i, e)
-    s = _fresh_label(net, "__s__")
-    next_id = max(game.resources, default=-1) + 1
-    edges = [(eid, *net.endpoints[eid]) for eid in net.edge_ids]
-    new_edge_of: dict[int, int] = {}
-    costs = dict(game.costs)
-    delays: dict[tuple[int, int], Fraction] = {
-        (i, e): game.delay(i, e)
-        for i in range(game.n)
-        for e in game.resources
-        if game.delay(i, e) != 0
-    }
-    resources = list(game.resources)
-    spaces = []
-    for i in range(game.n):
-        sp: PathSpace = game.spaces[i]
-        eid = next_id
-        next_id += 1
-        new_edge_of[i] = eid
-        # direction source -> super source so terminal-to-source walks
-        # can finish through it in directed graphs
-        edges.append((eid, sp.source, s))
-        resources.append(eid)
-        costs[eid] = CostFunction(fixed=0)
-        for j in range(game.n):
-            if j != i:
-                delays[(j, eid)] = big
-        spaces.append(PathSpace(source=s, terminal=sp.terminal))
-    new_net = Network(edges, directed=net.directed, vertices=list(net.vertices) + [s])
-    new_game = GameModel(
-        players=game.n,
-        resources=resources,
-        costs=costs,
-        spaces=spaces,
-        delays=delays,
-        network=new_net,
-    )
-    return new_game, new_edge_of
-
-
-def reduce_group_connection(
-    network: Network,
-    costs: dict[int, CostFunction],
-    source: Vertex,
-    groups: Sequence[Iterable[Vertex]],
-) -> tuple[GameModel, dict[int, Vertex]]:
-    """Players wanting to reach the source from any vertex of their group
-    get a private super terminal wired into the group by zero-cost edges.
-
-    Directed networks only, matching the group-connection model.
-    """
-    if not network.directed:
-        raise UnsupportedSpace("group connection games are directed")
-    next_id = max(network.edge_ids, default=-1) + 1
-    edges = [(eid, *network.endpoints[eid]) for eid in network.edge_ids]
-    all_costs = dict(costs)
-    vertices = list(network.vertices)
-    spaces = []
-    terminal_of: dict[int, Vertex] = {}
-    for i, group in enumerate(groups):
-        t = _fresh_label(network, f"__t{i}__")
-        vertices.append(t)
-        terminal_of[i] = t
-        for v in group:
-            if not network.has_vertex(v):
-                raise InputError(f"group vertex {v!r} not in network")
-            edges.append((next_id, t, v))
-            all_costs[next_id] = CostFunction(fixed=0)
-            next_id += 1
-        spaces.append(PathSpace(source=source, terminal=t))
-    resources = sorted(all_costs)
-    new_net = Network(edges, directed=True, vertices=vertices)
-    game = GameModel(
-        players=len(spaces),
-        resources=resources,
-        costs=all_costs,
-        spaces=spaces,
-        network=new_net,
-    )
-    return game, terminal_of
-
-
-def steiner_edges(
-    network: Network,
-    costs: dict[int, Fraction],
-    source: Vertex,
-    terminals: Sequence[Vertex],
-) -> frozenset:
-    """Classic metric-closure 2-approximation of a cheapest source-terminal
-    tree, as an edge set."""
-    def weight(eid: int) -> Fraction:
-        return rat(costs[eid])
-
-    nodes = [source] + [t for t in terminals if t != source]
-    reach = {v: network.dijkstra(v, weight) for v in nodes}
-    connected = [source]
-    touched = {source}
-    edges: set[int] = set()
-    pending = set(nodes[1:])
-    while pending:
-        best = None
-        for t in sorted(pending, key=network.vindex.get):
-            for v in connected:
-                hit = reach[v].get(t)
-                if hit is None:
-                    continue
-                rank = (hit[0], network.vindex[v], network.vindex[t])
-                if best is None or rank < best[0]:
-                    best = (rank, t, hit)
-        if best is None:
-            raise Disconnected("metric closure is not connected")
-        _rank, t, (_d, vseq, eseq) = best
-        edges.update(eseq)
-        touched.update(vseq)
-        for x in nodes:
-            if x in pending and x in touched:  # hit on the way, no extra path
-                pending.discard(x)
-                connected.append(x)
-    return frozenset(edges)
-
-
-def approx_steiner_tree(game: GameModel) -> Profile:
-    """Seed profile: route every player inside a 2-approximate Steiner tree
-    spanning the source and all terminals."""
-    source = _require_single_source(game)
-    net = game.network
-    costs = {e: game.costs[e].fixed_value for e in game.resources}
-    terminals = [game.spaces[i].terminal for i in range(game.n)]
-    tree = steiner_edges(net, costs, source, terminals)
-    blocked = frozenset(net.edge_ids) - tree
-    choices = []
-    for i in range(game.n):
-        t = terminals[i]
-        if t == source:
-            choices.append(frozenset())
-            continue
-        hit = net.shortest_path(
-            t, source, lambda e: costs[e], blocked_edges=blocked
-        )
-        if hit is None:
-            raise Disconnected(f"terminal {t!r} lost in the Steiner tree")
-        choices.append(frozenset(hit[2]))
-    profile = Profile(choices)
-    game.validate_profile(profile)
-    return profile

@@ -146,25 +146,3 @@ def fourier_motzkin_status(objective, rows, rhs) -> tuple[str, Optional[Fraction
         return UNBOUNDED, None
     return OPTIMAL, upper
 
-
-def exhaustive_steiner_minimum(network, costs, source, terminals) -> Fraction:
-    """Cheapest edge set connecting every terminal to the source, by
-    brute force over all edge subsets."""
-    from itertools import combinations as combos
-
-    ids = list(network.edge_ids)
-    best = None
-    for k in range(len(ids) + 1):
-        if best is not None and k and best == 0:
-            break
-        for subset in combos(ids, k):
-            blocked = frozenset(ids) - frozenset(subset)
-            total = sum((costs[e] for e in subset), _ZERO)
-            if best is not None and total >= best:
-                continue
-            tree = network.dijkstra(source, lambda e: _ZERO, blocked_edges=blocked)
-            if all(t in tree for t in terminals):
-                best = total
-    if best is None:
-        raise AssertionError("no connecting subset exists")
-    return best

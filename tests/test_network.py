@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sepshare.errors import BudgetExceeded, InputError
+from sepshare.errors import BudgetExceeded, Disconnected, InputError
 from sepshare.network import Network
 
 
@@ -133,7 +133,9 @@ class TestBlocks:
         assert net.blocks_between("a", "d") == frozenset({0, 1, 2, 3})
         assert net.blocks_between("c", "d") == frozenset({3})
 
-    def test_connected(self):
-        net = Network([(0, "a", "b")], vertices=["a", "b", "c"])
-        assert net.connected("a", "b")
-        assert not net.connected("a", "c")
+    def test_blocks_between_raises_disconnected(self):
+        net = Network([(0, "s", "a"), (1, "t", "b")], vertices=["z"])
+        with pytest.raises(Disconnected, match="no path between 's' and 't'"):
+            net.blocks_between("s", "t")
+        with pytest.raises(Disconnected, match="no path between 's' and 'z'"):
+            net.blocks_between("s", "z")  # an isolated vertex is in no block

@@ -7,18 +7,17 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import path_game
-from sepshare.errors import NoTightAlternative
+from sepshare.cli import run
+from sepshare.errors import NoTightAlternative, NotSeriesParallel
 from sepshare.game import Profile, Step, private_cost, total_cost
 from sepshare.gen import gen_sp
 from sepshare.lp import INFEASIBLE, solve
-from sepshare.network import Network
 from sepshare.nsepa import (
     alternatives,
     build_lp,
     counterexample_fixture,
-    irredundant,
     is_enforceable,
-    is_n_series_parallel,
+    is_two_terminal_sp,
     nsepa_transform,
     smallest_tight_alternative,
 )
@@ -26,45 +25,31 @@ from sepshare.oracle import brute_force_enforceable
 from sepshare.protocol import verify_budget_balance, verify_pne
 
 
-class TestIrredundant:
-    def test_pendant_edge_is_removed(self):
-        g = path_game([("s", "t", 2), ("t", "x", 5)], [("s", "t")])
-        red = irredundant(g.network, [("s", "t")])
-        assert set(red.edge_ids) == {0}
-        assert "x" not in red.vertices
-
-    def test_dangling_branch_off_the_path_is_removed(self):
-        g = path_game(
-            [("s1", "a", 1), ("a", "t1", 1), ("a", "b", 1)], [("s1", "t1")]
-        )
-        red = irredundant(g.network, [("s1", "t1")])
-        assert set(red.edge_ids) == {0, 1}
-        assert "b" not in red.vertices
-
-    def test_fixture_is_already_irredundant(self):
-        game, _p = counterexample_fixture()
-        pairs = [(sp.source, sp.terminal) for sp in game.spaces]
-        red = irredundant(game.network, pairs)
-        assert set(red.edge_ids) == set(game.network.edge_ids)
-
-
 class TestRecognition:
     def test_one_edge_per_pair_qualifies(self):
         g = path_game([("s", "t", 1)], [("s", "t")])
-        assert is_n_series_parallel(g.network, [("s", "t")])
+        net = g.network
+        assert is_two_terminal_sp(net, "s", "t", edge_ids=net.blocks_between("s", "t"))
 
     def test_parallel_edges_qualify(self):
         g = path_game([("s", "t", 1), ("s", "t", 2)], [("s", "t")])
-        assert is_n_series_parallel(g.network, [("s", "t")])
+        net = g.network
+        assert is_two_terminal_sp(net, "s", "t", edge_ids=net.blocks_between("s", "t"))
 
     def test_fixture_network_does_not(self):
-        game, _p = counterexample_fixture()
-        pairs = [(sp.source, sp.terminal) for sp in game.spaces]
-        assert not is_n_series_parallel(game.network, pairs)
+        game, opt = counterexample_fixture()
+        with pytest.raises(NotSeriesParallel):
+            is_enforceable(game, opt, mode="alternatives")
 
-    def test_pair_split_across_components_does_not(self):
-        net = Network([(0, "s", "a"), (1, "t", "b")])
-        assert not is_n_series_parallel(net, [("s", "t")])
+    def test_fixture_check_exits_two_with_one_line(self, tmp_path, capsys):
+        inst = tmp_path / "fixture.json"
+        assert run(["fixture", "theorem5", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        code = run(["nsepa", "check", "--in", str(inst), "--profile", "opt",
+                    "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "input error: player 1's subgraph is not series-parallel\n"
 
 
 class TestAlternatives:

@@ -1,24 +1,17 @@
-"""Single-source connection games: tree rebuilding, pricing, reductions."""
+"""Single-source connection games: tree rebuilding and pricing."""
 
-import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from _helpers import path_game
-from _oracles import exhaustive_steiner_minimum
-from sepshare.errors import Disconnected, InfeasibleProfile, UnsupportedSpace
+from sepshare.errors import InfeasibleProfile, UnsupportedSpace
 from sepshare.game import Profile, total_cost
 from sepshare.gen import gen_tree
-from sepshare.oracle import brute_force_enforceable, brute_force_optimum, profiles_iter
 from sepshare.protocol import verify_budget_balance, verify_pne
 from sepshare.singlesource import (
     AuxiliaryGraph,
-    approx_steiner_tree,
-    reduce_group_connection,
-    reduce_multi_source,
-    steiner_edges,
     to_tree_profile,
     transform_single_source,
 )
@@ -225,104 +218,3 @@ class TestTransform:
         res = transform_single_source(g, Profile([{1, 0}]))
         assert res.profile == Profile([{1, 0}])
         assert verify_pne(g, res.protocol).ok
-
-
-class TestMultiSourceReduction:
-    EDGES = [
-        ("u", "v", 3),
-        ("v", "w", 2),
-        ("w", "x", 4),
-        ("x", "u", 2),
-        ("u", "w", 5),
-        ("v", "x", 6),
-    ]
-
-    def test_single_player_keeps_its_optimum(self):
-        g = path_game([("u", "v", 3)], [("u", "v")])
-        red, emap = reduce_multi_source(g)
-        assert red.delay(0, emap[0]) == 0
-        assert brute_force_optimum(red).cost == brute_force_optimum(g).cost == 3
-        res = transform_single_source(red, brute_force_optimum(red).profile)
-        assert res.output_cost == 3
-
-    def test_foreign_players_are_priced_out(self):
-        g = path_game(self.EDGES, [("u", "w"), ("v", "x")])
-        red, emap = reduce_multi_source(g)
-        big = 1 + sum(F(c) for _u, _v, c in self.EDGES)
-        assert red.delay(1, emap[0]) == big
-        assert red.delay(0, emap[0]) == 0
-        assert red.n == g.n
-        assert len(red.resources) == len(g.resources) + g.n
-
-    def test_costs_and_enforceability_carry_over(self):
-        g = path_game(self.EDGES, [("u", "w"), ("v", "x")])
-        red, emap = reduce_multi_source(g)
-        assert brute_force_optimum(red).cost == brute_force_optimum(g).cost == 7
-        for p in profiles_iter(g):
-            mapped = Profile([set(p[i]) | {emap[i]} for i in range(g.n)])
-            assert total_cost(g, p) == total_cost(red, mapped)
-            assert brute_force_enforceable(g, p) == brute_force_enforceable(red, mapped)
-
-
-class TestGroupReduction:
-    def test_player_connects_through_the_cheapest_member(self):
-        from sepshare.game import CostFunction
-        from sepshare.network import Network
-
-        net = Network([(0, "b", "s"), (1, "c", "s")], directed=True)
-        costs = {0: CostFunction(fixed=2), 1: CostFunction(fixed=5)}
-        game, terminal_of = reduce_group_connection(net, costs, "s", [["b", "c"]])
-        assert game.n == 1
-        t = terminal_of[0]
-        assert game.spaces[0].terminal == t
-        best = brute_force_optimum(game)
-        assert best.cost == 2
-        # the optimum runs through b over a zero-cost connector edge
-        connectors = set(game.resources) - {0, 1}
-        assert len(best.profile[0] & connectors) == 1
-
-    def test_undirected_input_is_rejected(self):
-        from sepshare.game import CostFunction
-        from sepshare.network import Network
-
-        net = Network([(0, "b", "s")])
-        with pytest.raises(UnsupportedSpace):
-            reduce_group_connection(net, {0: CostFunction(fixed=1)}, "s", [["b"]])
-
-
-class TestSteiner:
-    def test_source_only_terminals_need_no_edges(self):
-        g = path_game([("s", "x", 2)], [("s", "s")])
-        costs = {0: F(2)}
-        assert steiner_edges(g.network, costs, "s", ["s"]) == frozenset()
-        assert approx_steiner_tree(g) == Profile([frozenset()])
-
-    def test_star_is_recovered_exactly(self):
-        g = path_game(
-            [("s", "x", 2), ("s", "y", 3), ("s", "z", 4)],
-            [("s", "x"), ("s", "y"), ("s", "z")],
-        )
-        prof = approx_steiner_tree(g)
-        assert prof == Profile([{0}, {1}, {2}])
-        assert total_cost(g, prof) == 9
-
-    def test_within_factor_two_of_exhaustive_optimum(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            game, _p = gen_tree(rng, vertices=8, players=3)
-            prof = approx_steiner_tree(game)
-            costs = {e: game.costs[e].fixed_value for e in game.resources}
-            best = exhaustive_steiner_minimum(
-                game.network,
-                costs,
-                game.spaces[0].source,
-                [sp.terminal for sp in game.spaces],
-            )
-            assert total_cost(game, prof) <= 2 * best
-
-    def test_disconnected_terminal_raises(self):
-        from sepshare.network import Network
-
-        net = Network([(0, "s", "a")], vertices=["s", "a", "z"])
-        with pytest.raises(Disconnected):
-            steiner_edges(net, {0: F(1)}, "s", ["z"])
