@@ -7,6 +7,13 @@ terminates and never raises total cost.  Virtual costs price a resource as
 if the player were alone on it; checking stability against virtual
 deviations is what makes the local moves sound for general monotone
 subadditive costs.
+
+A player's virtual deviation from a resource depends only on that
+player's own basis, and whether a resource violates a condition depends
+only on its users and their virtual deviations from it.  So the
+transform keeps both: a move of player i from e to f invalidates i's
+deviations and the verdicts of e, f and the resources of i's new basis,
+and nothing else.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -44,7 +51,12 @@ class MatroidOracle:
 
     def __init__(self, ground: Iterable[int]) -> None:
         self.ground: tuple[int, ...] = tuple(sorted(set(ground)))
+        self._ground_set = frozenset(self.ground)
         self._cache: dict[frozenset, bool] = {frozenset(): True}
+        # cached sets by answer, in insertion order: a new independent set
+        # can only break the axiom against a dependent subset, and a new
+        # dependent set only against an independent superset
+        self._by_answer: dict[bool, list[frozenset]] = {True: [frozenset()], False: []}
         self._rank: Optional[int] = None
 
     def _independent(self, subset: frozenset) -> bool:
@@ -52,23 +64,27 @@ class MatroidOracle:
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
-        if not s <= set(self.ground):
+        if not s <= self._ground_set:
             return False
         if s in self._cache:
             return self._cache[s]
         answer = bool(self._independent(s))
-        for t, t_answer in self._cache.items():
-            if s < t and t_answer and not answer:
-                raise InvalidMatroid(
-                    f"hereditary axiom violated: {sorted(s)} dependent inside "
-                    f"independent {sorted(t)}"
-                )
-            if t < s and answer and not t_answer:
-                raise InvalidMatroid(
-                    f"hereditary axiom violated: {sorted(t)} dependent inside "
-                    f"independent {sorted(s)}"
-                )
+        if answer:
+            for t in self._by_answer[False]:
+                if t < s:
+                    raise InvalidMatroid(
+                        f"hereditary axiom violated: {sorted(t)} dependent inside "
+                        f"independent {sorted(s)}"
+                    )
+        else:
+            for t in self._by_answer[True]:
+                if s < t:
+                    raise InvalidMatroid(
+                        f"hereditary axiom violated: {sorted(s)} dependent inside "
+                        f"independent {sorted(t)}"
+                    )
         self._cache[s] = answer
+        self._by_answer[answer].append(s)
         return answer
 
     @property
@@ -258,18 +274,28 @@ def deviation_cost(
     (value, chosen element), ties to the smallest resource in global order.
     """
     sp = _matroid_space(game, i)
-    best: Optional[tuple[Fraction, int]] = None
-    for f in exchange_candidates(sp.oracle, profile[i], e):
+
+    def price(f: int) -> Fraction:
         if virtual:
-            value = virtual_cost(game, i, f)
-        else:
-            users_after = (profile.users(f) - {i}) | {i}
-            value = game.cost(f, users_after) + game.delay(i, f)
-        key = (value, game.resource_key(f))
-        if best is None or key < (best[0], game.resource_key(best[1])):
-            best = (value, f)
-    assert best is not None  # e itself is always a candidate
-    return best
+            return virtual_cost(game, i, f)
+        return game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
+
+    return _cheapest_exchange(game, sp.oracle, profile[i], e, price)
+
+
+def _cheapest_exchange(
+    game: GameModel,
+    oracle: MatroidOracle,
+    basis: frozenset,
+    e: int,
+    price: Callable[[int], Fraction],
+) -> tuple[Fraction, int]:
+    """(price, f) of the cheapest exchange candidate f for e in the basis,
+    ties to the smallest resource in global order."""
+    value, _key, f = min(
+        (price(f), game.resource_key(f), f) for f in exchange_candidates(oracle, basis, e)
+    )
+    return value, f
 
 
 @dataclass(frozen=True)
@@ -299,6 +325,14 @@ def check_enforceable_matroid(
     Virtual mode replaces exchange costs by virtual ones, giving a
     sufficient condition that the transform below establishes.
     """
+    return _check_conditions(game, profile, virtual)[0]
+
+
+def _check_conditions(
+    game: GameModel, profile: Profile, virtual: bool
+) -> tuple[EnforceabilityReport, dict[tuple[int, int], Fraction]]:
+    """The report of `check_enforceable_matroid` and the deviation cost
+    of every (player, resource in their basis) pair it priced."""
     game.validate_profile(profile)
     bad = []
     deltas: dict[tuple[int, int], Fraction] = {}
@@ -318,7 +352,7 @@ def check_enforceable_matroid(
         cost = game.cost(e, users)
         if cost > headroom:
             bad.append(EnforceabilityViolation("cover", e, None, cost, headroom))
-    return EnforceabilityReport(ok=not bad, virtual=virtual, violations=tuple(bad))
+    return EnforceabilityReport(ok=not bad, virtual=virtual, violations=tuple(bad)), deltas
 
 
 # -- the transform ---------------------------------------------------------
@@ -334,27 +368,6 @@ class MatroidTransformResult:
         return len(self.moves)
 
 
-def _first_violation(game: GameModel, profile: Profile) -> Optional[tuple[str, int]]:
-    virt: dict[tuple[int, int], Fraction] = {}
-
-    def vdev(i: int, e: int) -> Fraction:
-        if (i, e) not in virt:
-            virt[(i, e)] = deviation_cost(game, profile, i, e, virtual=True)[0]
-        return virt[(i, e)]
-
-    for e in game.resources:
-        users = profile.users(e)
-        if not users:
-            continue
-        for i in sorted(users):
-            if game.delay(i, e) > vdev(i, e):
-                return ("delay", e)
-        headroom = sum((vdev(i, e) - game.delay(i, e) for i in sorted(users)), _ZERO)
-        if game.cost(e, users) > headroom:
-            return ("cover", e)
-    return None
-
-
 def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResult:
     """Rewrite a basis profile into one the virtual conditions accept.
 
@@ -366,6 +379,16 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     exact total-cost delta, priced on the two resources it touches; the
     deltas of a delay move or cover batch are asserted to add up to the
     batch's total-cost change.
+
+    The loop fixes the first violated resource in global order.  It keeps
+    each player's virtual deviations (value and landing resource) for
+    their current basis, and a verdict per resource: None, "delay" or
+    "cover".  A move of player i from e to f changes the users of e and
+    f and the basis of i, so it drops i's deviations and the verdicts of
+    e, f and the resources of i's new basis; every other verdict reads
+    users and deviations that did not change.  The scan for the next
+    violation computes missing verdicts in order and stops at the first
+    violated one, so it picks the same resource as a full rescan would.
     """
     game.validate_profile(profile)
     for i in range(game.n):
@@ -376,11 +399,43 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     current = profile
     cost_now = total_cost(game, current)
     moves: list[Step] = []
+    alone: dict[tuple[int, int], Fraction] = {}  # virtual_cost, fixed per game
+    deviations: list[dict[int, tuple[Fraction, int]]] = [{} for _ in range(game.n)]
+    verdicts: dict[int, Optional[str]] = {}
+
+    def virtual(i: int, f: int) -> Fraction:
+        if (i, f) not in alone:
+            alone[(i, f)] = virtual_cost(game, i, f)
+        return alone[(i, f)]
+
+    def vdev(i: int, e: int) -> tuple[Fraction, int]:
+        cached = deviations[i].get(e)
+        if cached is None:
+            cached = _cheapest_exchange(
+                game, game.spaces[i].oracle, current[i], e, lambda f: virtual(i, f)
+            )
+            deviations[i][e] = cached
+        return cached
+
+    def uncovered(e: int, users: list[int]) -> bool:
+        headroom = sum((vdev(i, e)[0] - game.delay(i, e) for i in users), _ZERO)
+        return game.cost(e, frozenset(users)) > headroom
+
+    def verdict(e: int) -> Optional[str]:
+        if e not in verdicts:
+            users = sorted(current.users(e))
+            if any(game.delay(i, e) > vdev(i, e)[0] for i in users):
+                verdicts[e] = "delay"
+            elif users and uncovered(e, users):
+                verdicts[e] = "cover"
+            else:
+                verdicts[e] = None
+        return verdicts[e]
 
     def move_packet(i: int, e: int, kind: str) -> None:
         nonlocal current
-        value, f = deviation_cost(game, current, i, e, virtual=True)
-        if virtual_cost(game, i, e) <= value or f == e:
+        value, f = vdev(i, e)
+        if virtual(i, e) <= value or f == e:
             raise InternalInvariant("packet move must strictly reduce virtual cost")
         on_e, on_f = current.users(e), current.users(f)
         delta = (
@@ -389,6 +444,9 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
             + game.delay(i, f) - game.delay(i, e)
         )
         current = current.replace(i, (current[i] - {e}) | {f})
+        deviations[i].clear()
+        for r in current[i] | {e}:
+            verdicts.pop(r, None)
         moves.append(Step(kind, i, f, delta, source=e))
         if len(moves) > bound:
             raise InternalInvariant(f"transform exceeded {bound} packet moves")
@@ -403,32 +461,20 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
         cost_now = after
 
     while True:
-        hit = _first_violation(game, current)
-        if hit is None:
+        e = next((e for e in game.resources if verdict(e) is not None), None)
+        if e is None:
             break
-        kind, e = hit
         first_move = len(moves)
-        if kind == "delay":
+        if verdicts[e] == "delay":
             users = sorted(current.users(e))
-            i = next(
-                i
-                for i in users
-                if game.delay(i, e) > deviation_cost(game, current, i, e, virtual=True)[0]
-            )
+            i = next(i for i in users if game.delay(i, e) > vdev(i, e)[0])
             move_packet(i, e, "delay")
             settle(first_move, "delay move")
             continue
         # cover condition: drain players whose virtual cost on e is not
         # already their cheapest option, until the rest can pay for e.
-        while True:
-            users = sorted(current.users(e))
-            vdev = {
-                i: deviation_cost(game, current, i, e, virtual=True)[0] for i in users
-            }
-            headroom = sum((vdev[i] - game.delay(i, e) for i in users), _ZERO)
-            if game.cost(e, frozenset(users)) <= headroom:
-                break
-            movable = [i for i in users if virtual_cost(game, i, e) > vdev[i]]
+        while uncovered(e, users := sorted(current.users(e))):
+            movable = [i for i in users if virtual(i, e) > vdev(i, e)[0]]
             if not movable:
                 raise InvalidCostOracle(
                     f"cover condition stuck on resource {e}; cost function is "
@@ -449,7 +495,7 @@ def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtoc
     Requires the (true mode) enforceability conditions; raises
     NotEnforceable otherwise.
     """
-    report = check_enforceable_matroid(game, profile, virtual=False)
+    report, deltas = _check_conditions(game, profile, virtual=False)
     if not report.ok:
         raise NotEnforceable(f"{len(report.violations)} condition(s) violated")
     shares: dict[tuple[int, int], Fraction] = {}
@@ -459,7 +505,7 @@ def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtoc
             continue
         remaining = game.cost(e, frozenset(users))
         for i in users:
-            cap = deviation_cost(game, profile, i, e, virtual=False)[0] - game.delay(i, e)
+            cap = deltas[(i, e)] - game.delay(i, e)
             take = min(cap, remaining)
             shares[(i, e)] = take
             remaining -= take

@@ -252,19 +252,14 @@ class Network:
 
     # -- structure -----------------------------------------------------
 
-    def blocks(self) -> list[tuple[frozenset, frozenset]]:
-        """Biconnected components of the underlying undirected graph.
-
-        Returns (vertex set, edge-id set) pairs.  Parallel edges always land
-        in the same block as their endpoints.
-        """
-        return list(self._blocks)
-
     # A Network is never changed after __init__, so its blocks and its
     # block-cut forest are computed on first use and kept.
 
     @cached_property
     def _blocks(self) -> tuple[tuple[frozenset, frozenset], ...]:
+        """(vertex set, edge-id set) of each biconnected component of the
+        underlying undirected graph; parallel edges share their endpoints'
+        block."""
         simple = nx.Graph()
         simple.add_nodes_from(self.vertices)
         for eid in self.edge_ids:

@@ -105,7 +105,8 @@ def verify_budget_balance(
     bad = []
     for e in game.resources:
         users = profile.users(e)
-        paid = sum((protocol.cost_share(profile, i, e) for i in range(game.n)), _ZERO)
+        # cost_share is zero off the player's own choice, so only users pay
+        paid = sum((protocol.cost_share(profile, i, e) for i in sorted(users)), _ZERO)
         cost = game.cost(e, users) if users else _ZERO
         if paid != cost:
             bad.append(BalanceViolation(e, paid, cost))

@@ -2,7 +2,9 @@
 
 These are deliberately written with different algorithms than the package
 (vertex enumeration and Fourier-Motzkin instead of simplex, exhaustive
-search instead of greedy structure) so agreement is meaningful.
+search instead of greedy structure) so agreement is meaningful.  The
+matroid rewrite reference rescans every resource and reprices every
+deviation after each move, where the package keeps both up to date.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
+
+from sepshare.game import Step, total_cost
+from sepshare.matroids import deviation_cost, virtual_cost
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -146,3 +151,53 @@ def fourier_motzkin_status(objective, rows, rhs) -> tuple[str, Optional[Fraction
         return UNBOUNDED, None
     return OPTIMAL, upper
 
+
+
+def rescan_transform_matroid(game, profile):
+    """The matroid rewrite loop with a full rescan after every move.
+
+    Same rules as `transform_matroid`: the first violated resource in
+    global order, delay before cover, the first violating (delay) or
+    movable (cover) player in id order, and the cheapest virtual exchange.
+    Returns the output profile and the tuple of `Step` records.
+    """
+    current = profile
+    moves: list[Step] = []
+
+    def vdev(i, e):
+        return deviation_cost(game, current, i, e, virtual=True)[0]
+
+    def first_violation():
+        for e in game.resources:
+            users = sorted(current.users(e))
+            if not users:
+                continue
+            if any(game.delay(i, e) > vdev(i, e) for i in users):
+                return "delay", e
+            headroom = sum((vdev(i, e) - game.delay(i, e) for i in users), _ZERO)
+            if game.cost(e, frozenset(users)) > headroom:
+                return "cover", e
+        return None
+
+    def move_packet(i, e, kind):
+        nonlocal current
+        value, f = deviation_cost(game, current, i, e, virtual=True)
+        assert virtual_cost(game, i, e) > value and f != e
+        before = total_cost(game, current)
+        current = current.replace(i, (current[i] - {e}) | {f})
+        moves.append(Step(kind, i, f, total_cost(game, current) - before, source=e))
+
+    while (hit := first_violation()) is not None:
+        kind, e = hit
+        if kind == "delay":
+            i = next(i for i in sorted(current.users(e)) if game.delay(i, e) > vdev(i, e))
+            move_packet(i, e, "delay")
+            continue
+        while True:
+            users = sorted(current.users(e))
+            headroom = sum((vdev(i, e) - game.delay(i, e) for i in users), _ZERO)
+            if game.cost(e, frozenset(users)) <= headroom:
+                break
+            movable = [i for i in users if virtual_cost(game, i, e) > vdev(i, e)]
+            move_packet(movable[0], e, "cover")
+    return current, tuple(moves)

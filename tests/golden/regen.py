@@ -42,6 +42,11 @@ FAMILIES = [
     ("spcheck", ["gen", "sp"], ["nsepa", "check"]),
 ]
 
+# larger facility-location games whose rewrite runs 34 to 39 packet moves,
+# cover batches included; one case per seed in UFL40_SEEDS
+UFL40 = ["gen", "ufl", "--players", "40", "--facilities", "30"]
+UFL40_SEEDS = range(1, 6)
+
 # (seed, bundles, players) of the chain cases, all run through `nsepa transform`
 CHAINS = [(1, 10, 6), (2, 12, 8), (3, 15, 8), (4, 18, 10), (5, 20, 10)]
 
@@ -97,16 +102,22 @@ def _fresh(name: str) -> Path:
     return folder
 
 
+def _generated(case: dict, manifest: list) -> None:
+    folder = _fresh(case["name"])
+    if run(case["gen"] + ["--out", str(folder / "instance.json")]) != 0:
+        sys.exit(f"generator failed for {case['name']}")
+    _record(case, folder, manifest)
+
+
 def main() -> None:
     manifest: list[dict] = []
     for prefix, gen, command in FAMILIES:
         for seed in SEEDS:
-            case = {"name": f"{prefix}-{seed:02d}",
-                    "gen": gen + ["--seed", str(seed)], "command": command}
-            folder = _fresh(case["name"])
-            if run(case["gen"] + ["--out", str(folder / "instance.json")]) != 0:
-                sys.exit(f"generator failed for {case['name']}")
-            _record(case, folder, manifest)
+            _generated({"name": f"{prefix}-{seed:02d}",
+                        "gen": gen + ["--seed", str(seed)], "command": command}, manifest)
+    for seed in UFL40_SEEDS:
+        _generated({"name": f"ufl40-{seed:02d}", "gen": UFL40 + ["--seed", str(seed)],
+                    "command": ["transform-matroid"]}, manifest)
     for seed, bundles, players in CHAINS:
         case = {"name": f"chain-{seed:02d}",
                 "builder": {"seed": seed, "bundles": bundles, "players": players},

@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import ufl_game
+from _oracles import rescan_transform_matroid
+from sepshare import matroids
 from sepshare.errors import InvalidMatroid, NotABasis, NotEnforceable
 from sepshare.game import GameModel, MatroidSpace, Profile, total_cost
-from sepshare.gen import gen_matroid, random_bases_profile
+from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
 from sepshare.matroids import (
     GraphicMatroid,
@@ -239,6 +241,64 @@ class TestTransform:
                 assert move.cost_delta == total_cost(game, nxt) - total_cost(game, current)
                 current = nxt
             assert current == res.profile
+
+
+def _seeded_games(count):
+    """Seeded facility-location and general matroid games (cost tables and
+    delays included) with random starting bases."""
+    for seed in range(count):
+        rng = random.Random(f"incremental/{seed}")
+        if seed % 2:
+            game = gen_matroid(rng)
+        else:
+            game = gen_ufl(rng, players=rng.randint(1, 12), facilities=rng.randint(2, 10))
+        yield game, random_bases_profile(rng, game)
+
+
+class TestIncrementalLoop:
+    def test_same_moves_as_a_full_rescan(self):
+        moved = 0
+        for game, profile in _seeded_games(300):
+            res = transform_matroid(game, profile)
+            ref_profile, ref_moves = rescan_transform_matroid(game, profile)
+            assert res.moves == ref_moves
+            assert res.profile == ref_profile
+            moved += bool(res.moves)
+        assert moved > 200
+
+    def test_exchanges_priced_once_per_basis(self, monkeypatch):
+        # each basis a player holds is priced at most once per element;
+        # the final certificate check prices everything once more
+        calls = []
+        certified_after = []
+        real_exchange = matroids.exchange_candidates
+        real_check = matroids.check_enforceable_matroid
+
+        def counting(*args):
+            calls.append(args)
+            return real_exchange(*args)
+
+        def certify(*args, **kwargs):
+            certified_after.append(len(calls))
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(matroids, "exchange_candidates", counting)
+        monkeypatch.setattr(matroids, "check_enforceable_matroid", certify)
+        games = list(_seeded_games(40))
+        rng = random.Random(7)
+        big = gen_ufl(rng, players=40, facilities=30)
+        games.append((big, random_bases_profile(rng, big)))
+        for game, profile in games:
+            calls.clear()
+            certified_after.clear()
+            res = transform_matroid(game, profile)
+            moved = [0] * game.n
+            for move in res.moves:
+                moved[move.player] += 1
+            budget = sum(
+                game.spaces[i].oracle.rank * (1 + moved[i]) for i in range(game.n)
+            )
+            assert certified_after and certified_after[0] <= budget
 
 
 class TestProtocolConstruction:

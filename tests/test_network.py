@@ -122,9 +122,8 @@ class TestBlocks:
         net = Network(
             [(0, "a", "b"), (1, "b", "c"), (2, "c", "a"), (3, "c", "d")]
         )
-        blocks = net.blocks()
-        edge_sets = sorted(sorted(es) for _vs, es in blocks)
-        assert edge_sets == [[0, 1, 2], [3]]
+        assert net.blocks_between("a", "b") == frozenset({0, 1, 2})
+        assert net.blocks_between("c", "d") == frozenset({3})
 
     def test_blocks_between_collects_the_route(self):
         net = Network(
