@@ -11,6 +11,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 from .errors import (
     BudgetExceeded,
     InputError,
+    NotEnforceable,
     SepshareError,
     TooManyPaths,
 )
@@ -146,7 +148,7 @@ def _derive_protocol(
 
     An explicit protocol (document or --protocol) is used as-is; otherwise
     path games take the enforceability LP's share vector and matroid games
-    the water-filling construction."""
+    the water-filling construction, whose own condition check decides."""
     explicit = None
     if getattr(args, "protocol", None):
         explicit = protocol_from_json(loads(_read_text(args.protocol)), game)
@@ -166,12 +168,12 @@ def _derive_protocol(
         )
         return True, SeparableProtocol(game, table)
     if kinds <= {"matroid"}:
-        ok = check_enforceable_matroid(game, profile, virtual=False).ok
         if explicit is not None:
-            return ok, explicit
-        if not ok:
+            return check_enforceable_matroid(game, profile, virtual=False).ok, explicit
+        try:
+            return True, build_matroid_protocol(game, profile)
+        except NotEnforceable:
             return False, None
-        return True, build_matroid_protocol(game, profile)
     raise InputError("mixed strategy spaces are not supported")
 
 
@@ -367,6 +369,7 @@ def _cmd_fixture(args) -> tuple[dict, bool]:
     return doc, True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepshare",

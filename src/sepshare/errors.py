@@ -36,10 +36,6 @@ class UnsupportedSpace(InputError):
     """Operation requires a different strategy-space kind than supplied."""
 
 
-class TooLarge(InputError):
-    """Instance exceeds a documented size limit for this operation."""
-
-
 class Disconnected(InputError):
     """Required connectivity is missing (e.g. no source-terminal path)."""
 
@@ -67,7 +63,7 @@ class InvalidCostOracle(InputError):
 
 
 class InvalidMatroid(InputError):
-    """An independence oracle violated a matroid axiom on queried sets."""
+    """An independence oracle violated a matroid axiom."""
 
 
 class InternalInvariant(SepshareError):

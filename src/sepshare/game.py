@@ -264,7 +264,7 @@ class GameModel:
     def is_feasible_choice(self, i: int, choice: frozenset) -> bool:
         sp = self.spaces[i]
         if sp.kind == "matroid":
-            return set(choice) <= set(sp.ground) and sp.oracle.is_basis(choice)
+            return sp.oracle.is_basis(choice)
         return self.network.is_path_edge_set(choice, frm=sp.terminal, to=sp.source)
 
     def validate_profile(self, profile: Profile) -> None:

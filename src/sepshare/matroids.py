@@ -40,23 +40,20 @@ _ZERO = Fraction(0)
 
 
 class MatroidOracle:
-    """Independence oracle with caching and lazy axiom checks.
+    """Independence oracle over a finite ground set.
 
-    Subclasses implement `_independent`.  Every newly cached answer is
-    checked for the hereditary axiom against all comparable cached sets;
-    `validate_axioms` runs the full (exponential) axiom check and is meant
-    for tests and small grounds only.  Instances cache and are not
-    thread-safe.
+    Subclasses implement `_independent`; `is_independent` answers False
+    for any set that leaves the ground.  The oracle keeps no answers, so
+    it is a pure function of its descriptor.  The built-in kinds are
+    matroids by construction: uniform (sets of size at most k), partition
+    (at most a quota from each block) and graphic (forests).
+    `validate_axioms` is the one axiom check, and it is complete: custom
+    subclasses and tests should call it.
     """
 
     def __init__(self, ground: Iterable[int]) -> None:
         self.ground: tuple[int, ...] = tuple(sorted(set(ground)))
         self._ground_set = frozenset(self.ground)
-        self._cache: dict[frozenset, bool] = {frozenset(): True}
-        # cached sets by answer, in insertion order: a new independent set
-        # can only break the axiom against a dependent subset, and a new
-        # dependent set only against an independent superset
-        self._by_answer: dict[bool, list[frozenset]] = {True: [frozenset()], False: []}
         self._rank: Optional[int] = None
 
     def _independent(self, subset: frozenset) -> bool:
@@ -64,28 +61,7 @@ class MatroidOracle:
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
-        if not s <= self._ground_set:
-            return False
-        if s in self._cache:
-            return self._cache[s]
-        answer = bool(self._independent(s))
-        if answer:
-            for t in self._by_answer[False]:
-                if t < s:
-                    raise InvalidMatroid(
-                        f"hereditary axiom violated: {sorted(t)} dependent inside "
-                        f"independent {sorted(s)}"
-                    )
-        else:
-            for t in self._by_answer[True]:
-                if s < t:
-                    raise InvalidMatroid(
-                        f"hereditary axiom violated: {sorted(s)} dependent inside "
-                        f"independent {sorted(t)}"
-                    )
-        self._cache[s] = answer
-        self._by_answer[answer].append(s)
-        return answer
+        return s <= self._ground_set and bool(self._independent(s))
 
     @property
     def rank(self) -> int:

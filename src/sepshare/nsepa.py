@@ -220,8 +220,6 @@ def _discover(
         layer_hits: list[Vertex] = []
         nxt: list[Vertex] = []
         for x in frontier:
-            if x != u and x in pos:
-                continue  # path nodes stop the walk
             for nbr, eid in net.neighbors(x):
                 if eid not in live_edges or nbr in visited or nbr in dead_vertices:
                     continue

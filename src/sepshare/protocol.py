@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import InputError, TooLarge
+from .errors import InputError
 from .game import GameModel, Profile
 from .rationals import rat
 
@@ -196,25 +196,17 @@ def verify_separability_bruteforce(
 ) -> SeparabilityReport:
     """Exhaustively confirm equal user sets always get equal share vectors.
 
-    Enumerates every profile of the game (raising TooLarge beyond
-    `max_profiles`) and indexes share vectors by (resource, user set);
-    any clash is returned as a counterexample.
+    Enumerates every profile of the game (raising BudgetExceeded beyond
+    `max_profiles` profiles, or strategies for one player) and indexes
+    share vectors by (resource, user set); any clash is returned as a
+    counterexample.
     """
-    from .oracle import EnumerationBudget, enumerate_strategies
-
-    import itertools
+    from .oracle import EnumerationBudget, profiles_iter
 
     budget = EnumerationBudget(max_profiles=max_profiles, max_paths_per_player=max_profiles)
-    all_choices = [enumerate_strategies(game, i, budget) for i in range(game.n)]
-    count = 1
-    for c in all_choices:
-        count *= max(len(c), 1)
-    if count > max_profiles:
-        raise TooLarge(f"{count} profiles exceed limit {max_profiles}")
     seen: dict[tuple[int, frozenset], tuple] = {}
     checked = 0
-    for combo in itertools.product(*all_choices) if game.n else [()]:
-        profile = Profile(combo)
+    for profile in profiles_iter(game, budget):
         checked += 1
         for e in game.resources:
             users = profile.users(e)

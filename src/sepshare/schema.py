@@ -8,7 +8,6 @@ parallel to the resource list; matroid players carry descriptors.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from typing import Any, Mapping, Optional
@@ -230,23 +229,16 @@ def protocol_from_json(data: Mapping, game: GameModel) -> SeparableProtocol:
 
 
 def jsonable(obj):
-    """Recursive encoder for reports: rationals to "p/q", sets sorted,
-    dataclasses to plain objects."""
+    """Recursive encoder for reports: rationals to "p/q", profiles to
+    their JSON rows."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, float):
         raise InputError("floats are banned from reports")
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (frozenset, set)):
-        return sorted(jsonable(x) for x in obj)
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
     if isinstance(obj, Profile):

@@ -244,9 +244,8 @@ class AuxiliaryGraph:
         """Cheapest terminal-source connection for player i in the
         auxiliary graph, with `restored` at full price.  Cross-check for
         the structured deviation search."""
-        items = list(self.tree_items()) + [
-            aux.item for aux in self.aux.values() if aux.item not in self.tree_items()
-        ]
+        tree = self.tree_items()
+        items = list(tree) + [aux.item for aux in self.aux.values() if aux.item not in tree]
         adj: dict[Vertex, list] = {}
         directed = self.net.directed
         for it in items:

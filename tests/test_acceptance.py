@@ -12,7 +12,7 @@ import time
 from fractions import Fraction as F
 
 from _oracles import fourier_motzkin_status, vertex_lp
-from sepshare.errors import BudgetExceeded, TooLarge
+from sepshare.errors import BudgetExceeded
 from sepshare.game import total_cost
 from sepshare.gen import gen_matroid, gen_sp, gen_tree, random_bases_profile
 from sepshare.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
@@ -165,7 +165,7 @@ def test_6_constructed_protocols_are_separable():
     for game, protocol in bundle:
         try:
             report = verify_separability_bruteforce(game, protocol)
-        except TooLarge:
+        except BudgetExceeded:
             continue
         assert report.ok, report.counterexample
         verified += 1

@@ -42,15 +42,33 @@ class TestOracles:
         assert tri.is_basis({0, 2})
         assert not tri.is_basis({0})
 
-    def test_hereditary_violation_caught_lazily(self):
+    def test_hereditary_violation_caught_by_validate_axioms(self):
         class Broken(MatroidOracle):
             def _independent(self, subset):
-                return subset == frozenset({0, 1})  # supersets only
+                return subset in (frozenset(), frozenset({0, 1}))  # no singletons
 
-        oracle = Broken([0, 1])
-        assert oracle.is_independent({0, 1})
-        with pytest.raises(InvalidMatroid):
-            oracle.is_independent({0})
+        with pytest.raises(InvalidMatroid, match="hereditary"):
+            Broken([0, 1]).validate_axioms()
+
+    def test_random_builtin_descriptors_satisfy_the_axioms(self):
+        # the evidence that the built-in kinds need no per-query axiom check
+        rng = random.Random(8080)
+        kinds = ("uniform", "partition", "graphic")
+        for n in range(300):
+            ground = rng.sample(range(20), rng.randint(1, 7))
+            kind = kinds[n % 3]
+            if kind == "uniform":
+                desc = {"uniform": {"ground": ground, "rank": rng.randint(0, len(ground))}}
+            elif kind == "partition":
+                cuts = sorted(rng.sample(range(1, len(ground)), rng.randint(0, len(ground) - 1)))
+                blocks = [ground[a:b] for a, b in zip([0] + cuts, cuts + [len(ground)])]
+                quotas = [rng.randint(0, len(b)) for b in blocks]
+                desc = {"partition": {"blocks": blocks, "quotas": quotas}}
+            else:
+                # multigraph on few vertices: loops and parallel edges occur
+                edges = [[rng.randint(0, 3), rng.randint(0, 3)] for _ in ground]
+                desc = {"graphic": {"ground": ground, "edges": edges}}
+            matroid_from_descriptor(desc).validate_axioms()
 
     def test_descriptor_round_trip(self):
         for m in (

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import path_game, ufl_game
-from sepshare.errors import InputError, TooLarge
+from sepshare.errors import BudgetExceeded, InputError
 from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile
 from sepshare.matroids import UniformMatroid
 from sepshare.nsepa import counterexample_fixture, is_enforceable
@@ -187,5 +187,5 @@ class TestSeparability:
     def test_profile_bound_is_enforced(self):
         g = ufl_game([1, 2, 3], players=4)
         proto = make_protocol(g, [{0}] * 4, {(0, 0): 1})
-        with pytest.raises(TooLarge):
+        with pytest.raises(BudgetExceeded):
             verify_separability_bruteforce(g, proto, max_profiles=10)

@@ -1,6 +1,7 @@
 """Instance serialization and the command-line front end."""
 
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -267,3 +268,76 @@ class TestCli:
         code, rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
         assert code == 0
         assert json.loads(rep.read_text())["enforceable"] is True
+
+
+class TestVerifyMatroid:
+    """`verify` on a generated facility-location game."""
+
+    def _instance(self, tmp_path):
+        code, inst = run_to_file(
+            tmp_path,
+            "ufl.json",
+            ["gen", "ufl", "--players", "4", "--facilities", "5", "--seed", "1"],
+        )
+        assert code == 0
+        return inst
+
+    def _rewritten(self, tmp_path, keep_protocol=False):
+        inst = self._instance(tmp_path)
+        doc = json.loads(inst.read_text())
+        code, rep = run_to_file(
+            tmp_path, "rewrite.json", ["transform-matroid", "--in", str(inst)]
+        )
+        assert code == 0
+        out = json.loads(rep.read_text())
+        doc["profile"] = out["profile"]
+        if keep_protocol:
+            doc["protocol"] = out["protocol"]
+        inst = tmp_path / "rewritten.json"
+        inst.write_text(dumps(doc) + "\n")
+        return inst
+
+    def test_rewritten_profile_verifies_with_a_protocol(self, tmp_path):
+        inst = self._rewritten(tmp_path)
+        code, rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
+        assert code == 0
+        doc = json.loads(rep.read_text())
+        assert doc["enforceable"] is True
+        assert doc["pne_verified"] is True
+        assert doc["budget_balanced"] is True
+        assert "protocol" in doc
+
+    def test_unenforceable_input_exits_one_without_protocol(self, tmp_path):
+        inst = self._instance(tmp_path)
+        code, rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
+        assert code == 1
+        doc = json.loads(rep.read_text())
+        assert doc["enforceable"] is False
+        assert "protocol" not in doc
+
+    def test_bundled_protocol_is_verified(self, tmp_path):
+        inst = self._rewritten(tmp_path, keep_protocol=True)
+        code, rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
+        assert code == 0
+        doc = json.loads(rep.read_text())
+        assert doc["pne_verified"] is True
+        assert doc["budget_balanced"] is True
+
+    def test_true_mode_prices_each_pair_once(self, tmp_path, monkeypatch):
+        from sepshare import matroids
+
+        inst = self._rewritten(tmp_path)
+        priced = Counter()
+        original = matroids.deviation_cost
+
+        def counting(game, profile, i, e, virtual=False):
+            if not virtual:
+                priced[(i, e)] += 1
+            return original(game, profile, i, e, virtual=virtual)
+
+        monkeypatch.setattr(matroids, "deviation_cost", counting)
+        code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
+        assert code == 0
+        rows = json.loads(inst.read_text())["profile"]
+        assert sorted(priced) == sorted((i, e) for i, row in enumerate(rows) for e in row)
+        assert set(priced.values()) == {1}
