@@ -123,6 +123,8 @@ def _load_instance(args) -> tuple[GameModel, dict]:
 def _pick_profile(doc: dict, game: GameModel, selector: Optional[str]) -> Profile:
     if selector:
         named = doc.get("profiles", {})
+        if not isinstance(named, dict):
+            raise InputError("'profiles' must be an object of named profiles")
         if selector in named:
             return profile_from_json({"profile": named[selector]}, game)
         if selector == "embedded":

@@ -39,8 +39,6 @@ class LinearProgram:
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
-    row_labels: tuple[str, ...] = ()
-    var_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.objective)
@@ -49,19 +47,13 @@ class LinearProgram:
         for row in self.rows:
             if len(row) != n:
                 raise InputError("row width does not match objective")
-        if self.row_labels and len(self.row_labels) != len(self.rows):
-            raise InputError("row label count mismatch")
-        if self.var_labels and len(self.var_labels) != n:
-            raise InputError("var label count mismatch")
 
     @staticmethod
-    def build(objective, rows, rhs, row_labels=(), var_labels=()) -> "LinearProgram":
+    def build(objective, rows, rhs) -> "LinearProgram":
         return LinearProgram(
             tuple(rat(v) for v in objective),
             tuple(tuple(rat(v) for v in row) for row in rows),
             tuple(rat(v) for v in rhs),
-            tuple(row_labels),
-            tuple(var_labels),
         )
 
 

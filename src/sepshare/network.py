@@ -14,12 +14,8 @@ queries take an explicit direction.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
-
-import networkx as nx
 
 from .errors import BudgetExceeded, Disconnected, InputError
 
@@ -106,8 +102,6 @@ class Network:
         unique answer on multigraphs.  Vertices in `blocked_vertices` may be
         reached but never left, so they can only be path endpoints.
         """
-        if start in blocked_edges:
-            raise InputError("blocked_edges must contain edge ids")
         result: dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]] = {}
         vpath0 = (self.vindex[start],)
         heap: list[tuple[Fraction, tuple[int, ...], tuple[EdgeId, ...], Vertex]] = [
@@ -252,66 +246,54 @@ class Network:
 
     # -- structure -----------------------------------------------------
 
-    # A Network is never changed after __init__, so its blocks and its
-    # block-cut forest are computed on first use and kept.
-
-    @cached_property
-    def _blocks(self) -> tuple[tuple[frozenset, frozenset], ...]:
-        """(vertex set, edge-id set) of each biconnected component of the
-        underlying undirected graph; parallel edges share their endpoints'
-        block."""
-        simple = nx.Graph()
-        simple.add_nodes_from(self.vertices)
-        for eid in self.edge_ids:
-            u, v = self.endpoints[eid]
-            simple.add_edge(u, v)
-        comps = [frozenset(c) for c in nx.biconnected_components(simple)]
-        out = []
-        for verts in comps:
-            eids = frozenset(
-                eid
-                for eid in self.edge_ids
-                if self.endpoints[eid][0] in verts and self.endpoints[eid][1] in verts
-            )
-            out.append((verts, eids))
-        # deterministic order: by smallest vertex index in the block
-        out.sort(key=lambda be: min(self.vindex[v] for v in be[0]))
-        return tuple(out)
-
-    @cached_property
-    def _block_cut_tree(self) -> tuple[dict, "nx.Graph"]:
-        """(home, tree): the block-cut forest has a node ("B", k) for block k
-        and ("C", v) for each cut vertex v, the vertices in more than one
-        block.  home[v] is ("C", v) for a cut vertex, else the node of the
-        one block holding v; isolated vertices have none."""
-        count = Counter(v for verts, _eids in self._blocks for v in verts)
-        home: dict = {}
-        tree = nx.Graph()
-        for k, (verts, _eids) in enumerate(self._blocks):
-            tree.add_node(("B", k))
-            for v in verts:
-                if count[v] == 1:
-                    home[v] = ("B", k)
-                else:
-                    home[v] = ("C", v)
-                    tree.add_edge(("B", k), ("C", v))
-        return home, tree
-
     def blocks_between(self, s: Vertex, t: Vertex) -> frozenset:
-        """Edge ids of all blocks on the block-cut-tree path from s to t.
+        """Edge ids of the union of all simple s-t paths.
 
-        This is exactly the union of all simple s-t paths.  Raises
-        Disconnected when no s-t path exists; returns the empty set for
-        s == t.
+        An edge lies on a simple s-t path exactly when it shares a
+        biconnected component with a virtual s-t edge (Hopcroft and Tarjan,
+        1973).  One iterative lowpoint search of the underlying undirected
+        graph from s finds that component: the virtual edge is seen only as
+        a back edge from t, and the component is the one closed when the
+        child of s whose subtree holds t finishes.  Raises Disconnected when
+        no s-t path exists; returns the empty set for s == t.
         """
         if s not in self.vindex or t not in self.vindex:
             raise InputError("endpoint not in network")
         if s == t:
             return frozenset()
-        home, tree = self._block_cut_tree
-        try:
-            chain = nx.shortest_path(tree, home[s], home[t])
-        except (KeyError, nx.NetworkXNoPath):
-            raise Disconnected(f"no path between {s!r} and {t!r}") from None
-        edge_sets = [self._blocks[node[1]][1] for node in chain if node[0] == "B"]
-        return frozenset().union(*edge_sets)
+
+        def incident(v: Vertex) -> list[tuple[Vertex, EdgeId]]:
+            return self._adj[v] + self._radj[v] if self.directed else self._adj[v]
+
+        disc = {s: 0}
+        low = {s: 0}
+        edges: list[EdgeId] = []
+        # frame: (vertex, id of its tree edge, where that edge sits in
+        # `edges`, its incidence iterator)
+        stack = [(s, None, 0, iter(incident(s)))]
+        while stack:
+            v, into, mark, it = stack[-1]
+            for w, eid in it:
+                if eid == into:
+                    continue
+                if w not in disc:
+                    disc[w] = len(disc)
+                    low[w] = 0 if w == t else disc[w]
+                    stack.append((w, eid, len(edges), iter(incident(w))))
+                    edges.append(eid)
+                    break
+                if disc[w] < disc[v]:
+                    edges.append(eid)
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    block = edges[mark:]
+                    del edges[mark:]
+                    if p == s and t in disc:
+                        return frozenset(block)
+        raise Disconnected(f"no path between {s!r} and {t!r}")

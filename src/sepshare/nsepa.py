@@ -264,15 +264,12 @@ def build_lp(
     if mode not in ("alternatives", "full_paths"):
         raise InputError(f"unknown LP mode {mode!r}")
     var_index: dict = {}
-    var_labels: list[str] = []
     for i in range(game.n):
         for e in sorted(profile[i], key=game.resource_key):
-            var_index[(i, e)] = len(var_labels)
-            var_labels.append(f"x_{i}_{e}")
-    nvars = len(var_labels)
+            var_index[(i, e)] = len(var_index)
+    nvars = len(var_index)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    labels: list[str] = []
 
     for e in game.resources:
         users = profile.users(e)
@@ -283,12 +280,11 @@ def build_lp(
             row[var_index[(i, e)]] = Fraction(1)
         rows.append(row)
         rhs.append(_fixed_cost(game, e))
-        labels.append(f"cap_{e}")
 
     for i in range(game.n):
         own = profile[i]
         if mode == "alternatives":
-            for k, alt in enumerate(alternatives(game, i, own)):
+            for alt in alternatives(game, i, own):
                 row = [_ZERO] * nvars
                 bound = alt.weight
                 for e in alt.substituted:
@@ -296,7 +292,6 @@ def build_lp(
                     bound -= game.delay(i, e)
                 rows.append(row)
                 rhs.append(bound)
-                labels.append(f"ne_{i}_{k}")
         else:
             sp: PathSpace = game.spaces[i]
             try:
@@ -307,7 +302,7 @@ def build_lp(
                 )
             except BudgetExceeded as exc:
                 raise TooManyPaths(str(exc)) from exc
-            for k, epath in enumerate(paths):
+            for epath in paths:
                 q = frozenset(epath)
                 if q == own:
                     continue
@@ -320,14 +315,11 @@ def build_lp(
                     bound -= game.delay(i, e)
                 rows.append(row)
                 rhs.append(bound)
-                labels.append(f"path_{i}_{k}")
 
     lp = LinearProgram(
         objective=tuple(Fraction(1) for _ in range(nvars)),
         rows=tuple(tuple(r) for r in rows),
         rhs=tuple(rhs),
-        row_labels=tuple(labels),
-        var_labels=tuple(var_labels),
     )
     return LPInstance(lp=lp, var_index=var_index, profile=profile, mode=mode)
 

@@ -9,6 +9,7 @@ parallel to the resource list; matroid players carry descriptors.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
@@ -96,14 +97,24 @@ def _check_vertex(value, where: str) -> None:
         raise InputError(f"{where} must be a JSON string or number, not {value!r}")
 
 
-def game_from_json(data: Mapping) -> GameModel:
+@contextmanager
+def _reading(what: str):
+    """Report a document whose shape the reader does not expect (a missing
+    key, a value of the wrong type, an unparsable number) as InputError.
+    Used as a decorator, so it covers each reader once, with no per-field
+    type checks."""
     try:
-        players = int(data["players"])
-        resources = [int(e) for e in data["resources"]]
-        raw_costs = data["costs"]
-        raw_spaces = data["spaces"]
-    except (KeyError, TypeError, ValueError) as ex:
-        raise InputError(f"malformed game object: {ex}") from ex
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as ex:
+        raise InputError(f"malformed {what}: {ex}") from ex
+
+
+@_reading("game object")
+def game_from_json(data: Mapping) -> GameModel:
+    players = int(data["players"])
+    resources = [int(e) for e in data["resources"]]
+    raw_costs = data["costs"]
+    raw_spaces = data["spaces"]
     costs = {}
     for e in resources:
         key = str(e)
@@ -218,6 +229,7 @@ def protocol_to_json(protocol: SeparableProtocol) -> dict:
     return {"base": [sorted(choice) for choice in table.base], "shares": shares}
 
 
+@_reading("protocol object")
 def protocol_from_json(data: Mapping, game: GameModel) -> SeparableProtocol:
     base = profile_from_json({"profile": data["base"]}, game)
     shares = {}

@@ -1,15 +1,19 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+the package imports nothing outside itself and the standard library.
 
-`__init__.py` is skipped, as its imports are the package's re-exports.
+`__init__.py` is skipped by the unused-import check, as its imports are the
+package's re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sepshare"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -64,3 +68,28 @@ def test_every_module_level_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from typing import Iterable, Optional\nx: 'Optional[int]' = None\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"Iterable"}
+
+
+def _third_party(tree: ast.Module) -> set[str]:
+    """Top-level modules imported anywhere, neither relative nor standard."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_only_the_standard_library_is_imported(path):
+    found = _third_party(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.stem} imports {sorted(found)}"
+
+
+def test_the_check_sees_a_third_party_import():
+    tree = ast.parse(
+        "import json, networkx.algorithms as nxa\nfrom . import errors\n"
+        "from os.path import join\ndef f():\n    import numpy\n"
+    )
+    assert _third_party(tree) == {"networkx", "numpy"}

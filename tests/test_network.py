@@ -1,5 +1,6 @@
 """Multigraph substrate: shortest paths, enumeration, path feasibility."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -138,3 +139,36 @@ class TestBlocks:
             net.blocks_between("s", "t")
         with pytest.raises(Disconnected, match="no path between 's' and 'z'"):
             net.blocks_between("s", "z")  # an isolated vertex is in no block
+
+    def test_blocks_between_rejects_an_unknown_endpoint(self):
+        with pytest.raises(InputError, match="endpoint not in network"):
+            Network([(0, "s", "t")]).blocks_between("s", "z")
+
+    def test_blocks_between_is_the_union_of_simple_paths(self):
+        """Differential check on random multigraphs: parallel edges, negative
+        and large ids, int and str labels, directed and disconnected ones."""
+        rng = random.Random(20240611)
+        pairs = 0
+        for _ in range(400):
+            labels = list(dict.fromkeys(
+                rng.choice([k, -k, f"v{k}"]) for k in range(rng.randint(1, 7))
+            ))
+            edges = []
+            if len(labels) > 1:
+                ids = rng.sample(range(-20, 20), rng.randint(0, 9))
+                edges = [(e, *rng.sample(labels, 2)) for e in ids]
+                if edges and rng.random() < 0.5:
+                    _, u, v = rng.choice(edges)
+                    edges.append((10**9 + len(edges), v, u))
+            net = Network(edges, directed=rng.random() < 0.3, vertices=labels)
+            twin = Network(edges, vertices=labels)
+            for s in net.vertices:
+                for t in net.vertices:
+                    pairs += 1
+                    union = frozenset(e for p in twin.simple_paths(s, t) for e in p)
+                    if s != t and not union:
+                        with pytest.raises(Disconnected):
+                            net.blocks_between(s, t)
+                    else:
+                        assert net.blocks_between(s, t) == union, (edges, s, t)
+        assert pairs > 5000

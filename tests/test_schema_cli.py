@@ -341,3 +341,77 @@ class TestVerifyMatroid:
         rows = json.loads(inst.read_text())["profile"]
         assert sorted(priced) == sorted((i, e) for i, row in enumerate(rows) for e in row)
         assert set(priced.values()) == {1}
+
+
+def _relabel_vertices(doc):
+    """The same game with its vertices renamed 0, 1, ... in order of first
+    appearance."""
+    names: dict = {}
+    for edge in doc["graph"]["edges"]:
+        edge[0] = names.setdefault(edge[0], len(names))
+        edge[1] = names.setdefault(edge[1], len(names))
+    for space in doc["spaces"]:
+        path = space["path"]
+        path["source"] = names.setdefault(path["source"], len(names))
+        path["terminal"] = names.setdefault(path["terminal"], len(names))
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_integer_vertex_labels_give_the_same_reports(tmp_path, seed):
+    """JSON numbers are valid vertex labels: a series-parallel game with its
+    vertices renamed to integers gives the same exit codes and reports."""
+    _code, inst = run_to_file(
+        tmp_path, "sp.json", ["gen", "sp", "--players", "3", "--seed", str(seed)]
+    )
+    twin = tmp_path / "twin.json"
+    twin.write_text(dumps(_relabel_vertices(json.loads(inst.read_text()))) + "\n")
+    for command in (["nsepa", "transform"], ["nsepa", "check"], ["verify"]):
+        outcomes = [run_to_file(tmp_path, f"{src.stem}.out", command + ["--in", str(src)])
+                    for src in (inst, twin)]
+        (code, rep), (twin_code, twin_rep) = outcomes
+        assert twin_code == code, command
+        assert twin_rep.read_bytes() == rep.read_bytes(), command
+
+
+def _set_space(desc):
+    return lambda doc: doc["spaces"].__setitem__(0, {"matroid": desc})
+
+
+MALFORMED = {
+    "protocol-without-base": lambda doc: doc.update(protocol={"shares": []}),
+    "share-row-without-share": lambda doc: doc.update(
+        protocol={"base": doc["profile"], "shares": [{"player": 0, "resource": 0}]}),
+    "protocol-list": lambda doc: doc.update(protocol=[]),
+    "spaces-number": lambda doc: doc.update(spaces=5),
+    "delays-number": lambda doc: doc.update(delays=5),
+    "graph-number": lambda doc: doc.update(graph=7),
+    "graph-edges-number": lambda doc: doc.update(graph={"edges": 5}),
+    "uniform-rank-string": _set_space({"uniform": {"ground": [0, 1, 2], "rank": "x"}}),
+    "uniform-ground-number": _set_space({"uniform": {"ground": 5, "rank": 1}}),
+    "uniform-without-ground": _set_space({"uniform": {"rank": 1}}),
+    "graphic-edge-one-end": _set_space({"graphic": {"edges": [[0]]}}),
+    "partition-quota-string": _set_space(
+        {"partition": {"blocks": [[0, 1, 2]], "quotas": ["a"]}}),
+    "subadditive-table-number": lambda doc: doc["costs"].update(
+        {"0": {"subadditive_table": 5}}),
+    "profiles-number": lambda doc: doc.update(profiles=5),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_exit_two_with_one_line(tmp_path, capsys, edit):
+    _code, inst = run_to_file(
+        tmp_path, "ufl.json",
+        ["gen", "ufl", "--players", "3", "--facilities", "3", "--seed", "1"],
+    )
+    doc = json.loads(inst.read_text())
+    edit(doc)
+    inst.write_text(dumps(doc) + "\n")
+    capsys.readouterr()
+    pick = ["--profile", "x"] if "profiles" in doc else []
+    code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)] + pick)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ")
