@@ -20,7 +20,6 @@ from .errors import (
     NotInBasis,
     NotSeriesParallel,
     SepshareError,
-    TooManyPaths,
     UnsupportedSpace,
 )
 from .game import (

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    InputError,
-    NotEnforceable,
-    SepshareError,
-    TooManyPaths,
-)
+from .errors import BudgetExceeded, InputError, NotEnforceable, SepshareError
 from .game import GameModel, Profile, Step, total_cost
 from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
 from .matroids import (
@@ -344,7 +338,7 @@ def _cmd_optimum(args) -> tuple[RunReport, Sequence[Step], bool]:
     return report, [], enforceable
 
 
-def _cmd_gen(args) -> tuple[dict, bool]:
+def _cmd_gen(args) -> dict:
     rng = random.Random(args.seed)
     if args.family == "ufl":
         game = gen_ufl(rng, players=args.players, facilities=args.facilities)
@@ -359,16 +353,16 @@ def _cmd_gen(args) -> tuple[dict, bool]:
     doc = game_to_json(game)
     doc["profile"] = profile_to_json(profile)["profile"]
     doc["seed"] = args.seed
-    return doc, True
+    return doc
 
 
-def _cmd_fixture(args) -> tuple[dict, bool]:
+def _cmd_fixture(args) -> dict:
     game, opt = counterexample_fixture()
     doc = game_to_json(game)
     rows = profile_to_json(opt)["profile"]
     doc["profile"] = rows
     doc["profiles"] = {"opt": rows}
-    return doc, True
+    return doc
 
 
 @functools.cache
@@ -472,15 +466,15 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "generator", False):
-            doc, ok = _cmd_gen(args)
+            doc = _cmd_gen(args)
             _write_text(args.outfile, dumps(doc) + "\n")
             return 0
         if getattr(args, "fixture", False):
-            doc, ok = _cmd_fixture(args)
+            doc = _cmd_fixture(args)
             _write_text(args.outfile, dumps(doc) + "\n")
             return 0
         report, trace, ok = args.handler(args)
-    except (BudgetExceeded, TooManyPaths) as ex:
+    except BudgetExceeded as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3
     except InputError as ex:

@@ -44,10 +44,6 @@ class NotSeriesParallel(InputError):
     """The relevant subgraph is not two-terminal series-parallel."""
 
 
-class TooManyPaths(InputError):
-    """Path enumeration would exceed the configured budget."""
-
-
 class NoTightAlternative(SepshareError):
     """No tight alternative exists for an unpaid edge; theory precondition
     unmet, usually a sign the share vector is not an LP optimum."""

@@ -265,7 +265,10 @@ class GameModel:
         sp = self.spaces[i]
         if sp.kind == "matroid":
             return sp.oracle.is_basis(choice)
-        return self.network.is_path_edge_set(choice, frm=sp.terminal, to=sp.source)
+        net = self.network
+        return all(e in net.endpoints for e in choice) and (
+            net.order_path_edges(choice, frm=sp.terminal, to=sp.source) is not None
+        )
 
     def validate_profile(self, profile: Profile) -> None:
         if len(profile) != self.n:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, Disconnected, InputError
 
@@ -93,14 +93,16 @@ class Network:
         weight: Callable[[EdgeId], Fraction],
         reverse: bool = False,
         blocked_vertices: frozenset = frozenset(),
-        blocked_edges: frozenset = frozenset(),
+        edges: Optional[Collection[EdgeId]] = None,
     ) -> dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
         """Single-source shortest paths with exact weights.
 
         Among equal-cost paths the lexicographically smallest vertex-index
         sequence wins (then smallest edge-id sequence), which pins down a
-        unique answer on multigraphs.  Vertices in `blocked_vertices` may be
-        reached but never left, so they can only be path endpoints.
+        unique answer on multigraphs.  Only edges in `edges` are walked
+        (all edges when None).  Vertices in `blocked_vertices` may be
+        reached but never left, so they can only be path endpoints; their
+        own entries are the same as in a search where they are not blocked.
         """
         result: dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]] = {}
         vpath0 = (self.vindex[start],)
@@ -116,7 +118,7 @@ class Network:
             if x in blocked_vertices and x != start:
                 continue
             for nbr, eid in self.neighbors(x, reverse=reverse):
-                if nbr in result or eid in blocked_edges:
+                if nbr in result or (edges is not None and eid not in edges):
                     continue
                 w = weight(eid)
                 if w < 0:
@@ -132,15 +134,13 @@ class Network:
         to: Vertex,
         weight: Callable[[EdgeId], Fraction],
         blocked_vertices: frozenset = frozenset(),
-        blocked_edges: frozenset = frozenset(),
+        edges: Optional[Collection[EdgeId]] = None,
     ) -> Optional[tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
         """Cheapest frm -> to path, or None if unreachable.
 
         In directed networks the path follows edge orientation frm -> to.
         """
-        tree = self.dijkstra(
-            frm, weight, blocked_vertices=blocked_vertices, blocked_edges=blocked_edges
-        )
+        tree = self.dijkstra(frm, weight, blocked_vertices=blocked_vertices, edges=edges)
         return tree.get(to)
 
     # -- enumeration ---------------------------------------------------
@@ -191,57 +191,36 @@ class Network:
 
     # -- feasibility ---------------------------------------------------
 
-    def is_path_edge_set(self, edge_ids: Iterable[EdgeId], frm: Vertex, to: Vertex) -> bool:
-        """True iff the edge set forms a simple frm-to path.
-
-        Directed networks require every edge to be traversed along its
-        orientation when walking frm -> to.
-        """
-        eids = list(edge_ids)
-        if len(set(eids)) != len(eids):
-            return False
-        if not eids:
-            return frm == to and frm in self.vindex
-        if frm == to:
-            return False
-        try:
-            order = self.order_path_edges(eids, frm, to)
-        except InputError:
-            return False
-        return order is not None
-
     def order_path_edges(
         self, edge_ids: Iterable[EdgeId], frm: Vertex, to: Vertex
     ) -> Optional[tuple[EdgeId, ...]]:
-        """Order an edge set into the frm -> to walk, or None if impossible."""
+        """Order an edge set into the simple frm -> to walk, or None if it
+        is not one.  Directed networks walk each edge along its orientation.
+        """
         eids = set(edge_ids)
+        leaving: dict[Vertex, list[EdgeId]] = {}
         for eid in eids:
             if eid not in self.endpoints:
                 raise InputError(f"unknown edge id {eid}")
-        incident: dict[Vertex, list[EdgeId]] = {}
-        for eid in eids:
             u, v = self.endpoints[eid]
-            incident.setdefault(u, []).append(eid)
-            incident.setdefault(v, []).append(eid)
+            leaving.setdefault(u, []).append(eid)
+            if not self.directed:
+                leaving.setdefault(v, []).append(eid)
         if not eids:
             return () if frm == to else None
         walk: list[EdgeId] = []
-        seen_vertices = {frm}
-        x = frm
+        seen = {frm}
+        x, arrived = frm, None
         while x != to or not walk:
-            candidates = [e for e in incident.get(x, ()) if e not in set(walk)]
-            if self.directed:
-                candidates = [e for e in candidates if self.endpoints[e][0] == x]
-            if len(candidates) != 1:
+            step = [e for e in leaving.get(x, ()) if e != arrived]
+            if len(step) != 1:
                 return None
-            eid = candidates[0]
-            x = self.other_end(eid, x)
-            if x in seen_vertices:
+            arrived = step[0]
+            x = self.other_end(arrived, x)
+            if x in seen:
                 return None
-            seen_vertices.add(x)
-            walk.append(eid)
-            if len(walk) > len(eids):
-                return None
+            seen.add(x)
+            walk.append(arrived)
         return tuple(walk) if len(walk) == len(eids) else None
 
     # -- structure -----------------------------------------------------

@@ -20,12 +20,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import (
-    BudgetExceeded,
     InputError,
     InternalInvariant,
     NoTightAlternative,
     NotSeriesParallel,
-    TooManyPaths,
     UnsupportedSpace,
 )
 from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
@@ -165,13 +163,12 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
             if hit is None:
                 break
             v = hit
-            barrier = frozenset((set(nodes) - {u, v}) | dead_vertices)
             path = net.shortest_path(
                 u,
                 v,
                 weight,
-                blocked_vertices=barrier,
-                blocked_edges=frozenset(net.edge_ids) - frozenset(live_edges),
+                blocked_vertices=frozenset(nodes) | dead_vertices,
+                edges=live_edges,
             )
             if path is None:
                 raise InternalInvariant("discovered node without a connecting path")
@@ -242,8 +239,6 @@ def _discover(
 class LPInstance:
     lp: LinearProgram
     var_index: dict
-    profile: Profile
-    mode: str
 
 
 def build_lp(
@@ -294,15 +289,9 @@ def build_lp(
                 rhs.append(bound)
         else:
             sp: PathSpace = game.spaces[i]
-            try:
-                paths = list(
-                    game.network.simple_paths(
-                        sp.terminal, sp.source, max_paths=budget.max_paths_per_player
-                    )
-                )
-            except BudgetExceeded as exc:
-                raise TooManyPaths(str(exc)) from exc
-            for epath in paths:
+            for epath in game.network.simple_paths(
+                sp.terminal, sp.source, max_paths=budget.max_paths_per_player
+            ):
                 q = frozenset(epath)
                 if q == own:
                     continue
@@ -321,7 +310,7 @@ def build_lp(
         rows=tuple(tuple(r) for r in rows),
         rhs=tuple(rhs),
     )
-    return LPInstance(lp=lp, var_index=var_index, profile=profile, mode=mode)
+    return LPInstance(lp=lp, var_index=var_index)
 
 
 @dataclass(frozen=True)
@@ -390,16 +379,17 @@ def smallest_tight_alternative(
     def weight(eid: int) -> Fraction:
         return _fixed_cost(game, eid) + game.delay(i, eid)
 
-    allowed = frozenset(region) - frozenset(ordered_path)
-    blocked_edges = frozenset(net.edge_ids) - allowed
+    allowed = region - frozenset(ordered_path)
+    # path nodes are reached but never left, which leaves each one's own
+    # entry as in a search that blocks all the other path nodes
+    barrier = frozenset(nodes)
     best: Optional[tuple] = None
     for a in range(0, fpos + 1):
+        x = nodes[a]
+        tree = net.dijkstra(x, weight, blocked_vertices=barrier, edges=allowed)
         for b in range(fpos + 1, len(nodes)):
-            x, y = nodes[a], nodes[b]
-            barrier = frozenset(set(nodes) - {x, y})
-            hit = net.shortest_path(
-                x, y, weight, blocked_vertices=barrier, blocked_edges=blocked_edges
-            )
+            y = nodes[b]
+            hit = tree.get(y)
             if hit is None:
                 continue
             cost, _vseq, eseq = hit

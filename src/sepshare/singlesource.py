@@ -68,8 +68,7 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
     def weight(eid: int) -> Fraction:
         return game.costs[eid].fixed_value
 
-    blocked = frozenset(net.edge_ids) - union
-    tree = net.dijkstra(source, weight, reverse=net.directed, blocked_edges=blocked)
+    tree = net.dijkstra(source, weight, reverse=net.directed, edges=union)
     choices = []
     for i in range(game.n):
         t = game.spaces[i].terminal
@@ -428,7 +427,6 @@ class AuxiliaryGraph:
 class SingleSourceResult:
     profile: Profile
     protocol: SeparableProtocol
-    tree_profile: Profile
     input_cost: Fraction
     output_cost: Fraction
     replacements: tuple[Replacement, ...]
@@ -538,7 +536,6 @@ def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceRe
     return SingleSourceResult(
         profile=out,
         protocol=protocol,
-        tree_profile=tree_profile,
         input_cost=input_cost,
         output_cost=output_cost,
         replacements=tuple(state.replacements),

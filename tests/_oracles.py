@@ -5,6 +5,8 @@ These are deliberately written with different algorithms than the package
 search instead of greedy structure) so agreement is meaningful.  The
 matroid rewrite reference rescans every resource and reprices every
 deviation after each move, where the package keeps both up to date.
+The tight-detour reference runs one search per pair of path nodes, where
+the package runs one per left node.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from sepshare.errors import InputError, InternalInvariant, NoTightAlternative
 from sepshare.game import Step, total_cost
 from sepshare.matroids import deviation_cost, virtual_cost
+from sepshare.nsepa import Alternative
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -152,7 +156,6 @@ def fourier_motzkin_status(objective, rows, rhs) -> tuple[str, Optional[Fraction
     return OPTIMAL, upper
 
 
-
 def rescan_transform_matroid(game, profile):
     """The matroid rewrite loop with a full rescan after every move.
 
@@ -201,3 +204,46 @@ def rescan_transform_matroid(game, profile):
             movable = [i for i in users if virtual_cost(game, i, e) > vdev(i, e)]
             move_packet(movable[0], e, "cover")
     return current, tuple(moves)
+
+
+def per_pair_tight_alternative(game, i, ordered_path, share_of, f):
+    """`smallest_tight_alternative` with one search per (left node, right
+    node) pair, each blocking every other path node."""
+    net = game.network
+    sp = game.spaces[i]
+    if f not in ordered_path:
+        raise InputError(f"edge {f} is not on the player's current path")
+    region = net.blocks_between(sp.source, sp.terminal)
+    nodes = [sp.source]
+    for eid in ordered_path:
+        nodes.append(net.other_end(eid, nodes[-1]))
+    fpos = ordered_path.index(f)
+
+    def weight(eid):
+        return game.costs[eid].fixed_value + game.delay(i, eid)
+
+    allowed = frozenset(region) - frozenset(ordered_path)
+    best = None
+    for a in range(0, fpos + 1):
+        for b in range(fpos + 1, len(nodes)):
+            x, y = nodes[a], nodes[b]
+            barrier = frozenset(set(nodes) - {x, y})
+            hit = net.shortest_path(x, y, weight, blocked_vertices=barrier, edges=allowed)
+            if hit is None:
+                continue
+            cost, _vseq, eseq = hit
+            substituted = tuple(ordered_path[a:b])
+            absorbed = sum((share_of(e) + game.delay(i, e) for e in substituted), _ZERO)
+            if cost < absorbed:
+                raise InternalInvariant(
+                    "detour cheaper than current shares; share vector is not "
+                    "an LP-feasible optimum"
+                )
+            if cost > absorbed:
+                continue
+            key = (len(substituted), eseq, a, b)
+            if best is None or key < best[0]:
+                best = (key, Alternative(i, x, y, eseq, substituted, cost))
+    if best is None:
+        raise NoTightAlternative(f"no tight detour around edge {f} for player {i}")
+    return best[1]

@@ -7,7 +7,15 @@ from hypothesis import given, strategies as st
 
 from _helpers import path_game, ufl_game
 from sepshare.errors import InfeasibleProfile, InputError, InvalidCostOracle
-from sepshare.game import CostFunction, GameModel, Profile, private_cost, total_cost
+from sepshare.game import (
+    CostFunction,
+    GameModel,
+    PathSpace,
+    Profile,
+    private_cost,
+    total_cost,
+)
+from sepshare.network import Network
 from sepshare.nsepa import counterexample_fixture, is_enforceable
 from sepshare.protocol import SeparableProtocol, SharingTable
 from sepshare.rationals import format_rational, parse_rational, rat
@@ -114,6 +122,18 @@ class TestGameModel:
             g.validate_profile(Profile([{0}, {0, 1}]))  # not a rank-1 basis
         with pytest.raises(InfeasibleProfile):
             g.validate_profile(Profile([{0}, {7}]))
+
+    def test_path_choice_off_the_network_is_infeasible(self):
+        g = GameModel(
+            players=1,
+            resources=[0, 5],
+            costs={0: CostFunction(fixed=1), 5: CostFunction(fixed=1)},
+            spaces=[PathSpace(source="s", terminal="t")],
+            network=Network([(0, "s", "t")]),
+        )
+        g.validate_profile(Profile([{0}]))
+        with pytest.raises(InfeasibleProfile, match="choice of player 0 is not in their space"):
+            g.validate_profile(Profile([{5}]))
 
     def test_duplicate_resources_rejected(self):
         with pytest.raises(InputError):

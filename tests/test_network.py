@@ -1,6 +1,7 @@
 """Multigraph substrate: shortest paths, enumeration, path feasibility."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,16 @@ class TestShortestPath:
         )
         assert hit[2] == (2,)
 
+    def test_search_walks_only_the_given_edges(self):
+        net = Network([(0, "s", "a"), (1, "a", "t"), (2, "s", "t"), (3, "t", "b")])
+        tree = net.dijkstra("s", w({0: 1, 1: 1, 2: 9, 3: 1}), edges={2, 3})
+        assert tree == {
+            "s": (F(0), ("s",), ()),
+            "t": (F(9), ("s", "t"), (2,)),
+            "b": (F(10), ("s", "t", "b"), (2, 3)),
+        }
+        assert net.shortest_path("s", "a", w({0: 1}), edges=()) is None
+
     def test_negative_weight_rejected(self):
         net = Network([(0, "s", "t")])
         with pytest.raises(InputError):
@@ -98,12 +109,16 @@ class TestSimplePaths:
 class TestPathEdgeSets:
     def test_valid_and_invalid_sets(self):
         net = Network([(0, "s", "a"), (1, "a", "t"), (2, "s", "t")])
-        assert net.is_path_edge_set({0, 1}, "s", "t")
-        assert net.is_path_edge_set({2}, "s", "t")
-        assert not net.is_path_edge_set({0, 2}, "s", "t")  # not a single walk
-        assert not net.is_path_edge_set({0, 1, 2}, "s", "t")  # cycle
-        assert net.is_path_edge_set(set(), "s", "s")
-        assert not net.is_path_edge_set(set(), "s", "t")
+
+        def is_path(eids, frm, to):
+            return net.order_path_edges(eids, frm, to) is not None
+
+        assert is_path({0, 1}, "s", "t")
+        assert is_path({2}, "s", "t")
+        assert not is_path({0, 2}, "s", "t")  # not a single walk
+        assert not is_path({0, 1, 2}, "s", "t")  # cycle
+        assert is_path(set(), "s", "s")
+        assert not is_path(set(), "s", "t")
 
     def test_order_path_edges(self):
         net = Network([(0, "s", "a"), (1, "a", "t")])
@@ -114,8 +129,45 @@ class TestPathEdgeSets:
 
     def test_directed_sets_must_follow_orientation(self):
         net = Network([(0, "t", "s")], directed=True)
-        assert net.is_path_edge_set({0}, "t", "s")
-        assert not net.is_path_edge_set({0}, "s", "t")
+        assert net.order_path_edges({0}, "t", "s") is not None
+        assert net.order_path_edges({0}, "s", "t") is None
+
+    def test_order_matches_the_simple_path_with_that_edge_set(self):
+        """Differential check on random multigraphs: directed ones, parallel
+        edges and negative ids.  Samples are the edge sets of simple paths,
+        those sets with one edge dropped or added, and random subsets."""
+        rng = random.Random(20261018)
+        cases = 0
+        for _ in range(3000):
+            labels = list(range(rng.randint(1, 6)))
+            edges = []
+            if len(labels) > 1:
+                ids = rng.sample(range(-12, 12), rng.randint(0, 9))
+                edges = [(e, *rng.sample(labels, 2)) for e in ids]
+            net = Network(edges, directed=rng.random() < 0.4, vertices=labels)
+            ids = list(net.edge_ids)
+            frm, to = rng.choice(labels), rng.choice(labels)
+            by_set = {frozenset(p): p for p in net.simple_paths(frm, to)}
+            samples = [set(rng.sample(ids, rng.randint(0, len(ids))))]
+            for p in list(by_set)[:3]:
+                samples.append(set(p))
+                if p:
+                    samples.append(set(p) - {rng.choice(sorted(p))})
+                if ids:
+                    samples.append(set(p) | {rng.choice(ids)})
+            for eids in samples:
+                cases += 1
+                expected = by_set.get(frozenset(eids))
+                assert net.order_path_edges(eids, frm, to) == expected, (edges, eids, frm, to)
+        assert cases > 10000
+
+    def test_ordering_grows_linearly(self):
+        n = 20000
+        net = Network([(k, k, k + 1) for k in range(n)])
+        t0 = time.perf_counter()
+        order = net.order_path_edges(range(n), n, 0)
+        assert time.perf_counter() - t0 < 1
+        assert order == tuple(reversed(range(n)))
 
 
 class TestBlocks:

@@ -3,15 +3,24 @@ detour enumeration, and the share-balancing rewrite."""
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from _helpers import path_game
+from _oracles import per_pair_tight_alternative
 from sepshare.cli import run
-from sepshare.errors import NoTightAlternative, NotSeriesParallel
+from sepshare.errors import (
+    BudgetExceeded,
+    InternalInvariant,
+    NoTightAlternative,
+    NotSeriesParallel,
+    SepshareError,
+)
 from sepshare.game import Profile, Step, private_cost, total_cost
 from sepshare.gen import gen_sp
 from sepshare.lp import INFEASIBLE, solve
+from sepshare.network import Network
 from sepshare.nsepa import (
     alternatives,
     build_lp,
@@ -21,8 +30,11 @@ from sepshare.nsepa import (
     nsepa_transform,
     smallest_tight_alternative,
 )
-from sepshare.oracle import brute_force_enforceable
+from sepshare.oracle import EnumerationBudget, brute_force_enforceable
 from sepshare.protocol import verify_budget_balance, verify_pne
+from sepshare.schema import game_from_json, loads, profile_from_json
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestRecognition:
@@ -50,6 +62,17 @@ class TestRecognition:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "input error: player 1's subgraph is not series-parallel\n"
+
+    def test_full_path_budget_check_exits_three_with_one_line(self, tmp_path, capsys):
+        inst = tmp_path / "fixture.json"
+        assert run(["fixture", "theorem5", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        code = run(["nsepa", "check", "--in", str(inst), "--profile", "opt",
+                    "--mode", "full_paths", "--max-paths", "1",
+                    "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "budget exceeded: more than 1 simple paths between 't1' and 's1'\n"
 
 
 class TestAlternatives:
@@ -106,6 +129,13 @@ class TestEnforceabilityLP:
         assert not rep.enforceable
         assert (rep.lp_value, rep.used_cost) == (F(3), F(5))
 
+    def test_path_budget_overrun_raises_budget_exceeded(self):
+        game, opt = counterexample_fixture()
+        with pytest.raises(BudgetExceeded):
+            is_enforceable(
+                game, opt, mode="full_paths", budget=EnumerationBudget(max_paths_per_player=1)
+            )
+
     def test_fixture_optimum_cannot_be_supported(self):
         game, profile = counterexample_fixture()
         rep = is_enforceable(game, profile, mode="full_paths")
@@ -150,6 +180,62 @@ class TestTightAlternative:
         shares = {0: F(1), 1: F(4), 2: F(1)}
         with pytest.raises(NoTightAlternative):
             smallest_tight_alternative(g, 0, (2, 1, 0), shares.__getitem__, 1)
+
+    @staticmethod
+    def lp_optimum_paths():
+        """(game, player, ordered path, share function) at the
+        alternatives-LP optimum of seeded `gen_sp` games with 1 to 8
+        players and of the golden chains of 10 to 20 bundles."""
+        rng = random.Random(20261018)
+        games = [gen_sp(rng, players=rng.randint(1, 8)) for _ in range(150)]
+        for folder in sorted(GOLDEN.glob("chain-*")):
+            doc = loads((folder / "instance.json").read_text())
+            game = game_from_json(doc)
+            games.append((game, profile_from_json(doc, game)))
+        for game, profile in games:
+            shares = is_enforceable(game, profile).shares
+            if shares is None:
+                continue
+            for i, sp in enumerate(game.spaces):
+                path = game.network.order_path_edges(profile[i], sp.source, sp.terminal)
+                yield game, i, path, lambda e, i=i: shares.get((i, e), F(0))
+
+    def test_one_search_per_left_node_matches_the_per_pair_search(self):
+        compared = found = 0
+        for game, i, path, share_of in self.lp_optimum_paths():
+            for f in path:
+                answers = []
+                for search in (smallest_tight_alternative, per_pair_tight_alternative):
+                    try:
+                        answers.append(search(game, i, path, share_of, f))
+                    except SepshareError as exc:
+                        answers.append((type(exc), str(exc)))
+                assert answers[0] == answers[1], (i, path, f)
+                compared += 1
+                found += not isinstance(answers[0], tuple)
+        assert compared > 1000 and found > 200
+
+    def test_one_search_per_left_node(self, monkeypatch):
+        calls = 0
+        search = Network.dijkstra
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(Network, "dijkstra", counted)
+        several_right_nodes = 0
+        for game, i, path, share_of in self.lp_optimum_paths():
+            for fpos, f in enumerate(path):
+                calls = 0
+                try:
+                    smallest_tight_alternative(game, i, path, share_of, f)
+                except (NoTightAlternative, InternalInvariant):
+                    pass
+                assert calls == fpos + 1
+                several_right_nodes += len(path) - fpos > 1
+        assert several_right_nodes > 500
 
 
 class TestTransform:
