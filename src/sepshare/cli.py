@@ -5,7 +5,7 @@ named "profiles", and a "protocol"), runs transforms or verifiers, and
 writes machine-readable RunReport JSON.  Reports carry exact rationals;
 --approx-display adds decimal renderings for humans.  Exit codes: 0
 success, 1 verification failure, 2 input error, 3 enumeration budget
-exceeded.
+exceeded (only `optimum` enumerates).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _emit_trace(path: Optional[str], steps: Sequence[Step]) -> None:
 
 
 def _derive_protocol(
-    game: GameModel, profile: Profile, doc: dict, args, budget: EnumerationBudget
+    game: GameModel, profile: Profile, doc: dict, args
 ) -> tuple[bool, Optional[SeparableProtocol]]:
     """Enforceability verdict plus a protocol witnessing it.
 
@@ -153,7 +153,7 @@ def _derive_protocol(
     kinds = {sp.kind for sp in game.spaces}
     if kinds <= {"path"}:
         mode = getattr(args, "mode", None) or "full_paths"
-        report = is_enforceable(game, profile, mode=mode, budget=budget)
+        report = is_enforceable(game, profile, mode=mode)
         ok = report.enforceable
         if explicit is not None:
             return ok, explicit
@@ -181,14 +181,6 @@ def _verify_booleans(
     bb = verify_budget_balance(game, protocol, profile).ok
     pne = verify_pne(game, protocol).ok
     return pne, bb
-
-
-def _budget(args) -> EnumerationBudget:
-    return EnumerationBudget(
-        max_profiles=getattr(args, "max_profiles", None) or DEFAULT_BUDGET.max_profiles,
-        max_paths_per_player=getattr(args, "max_paths", None)
-        or DEFAULT_BUDGET.max_paths_per_player,
-    )
 
 
 # -- commands --------------------------------------------------------------
@@ -272,9 +264,7 @@ def _cmd_nsepa_transform(args) -> tuple[RunReport, Sequence[Step], bool]:
             "repairs": len(result.repairs),
         },
     )
-    report.enforceable = is_enforceable(
-        game, result.profile, mode=args.mode, budget=_budget(args)
-    ).enforceable
+    report.enforceable = is_enforceable(game, result.profile, mode=args.mode).enforceable
     ok = (
         report.enforceable
         and pne
@@ -287,7 +277,7 @@ def _cmd_nsepa_transform(args) -> tuple[RunReport, Sequence[Step], bool]:
 def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
-    rep = is_enforceable(game, profile, mode=args.mode, budget=_budget(args))
+    rep = is_enforceable(game, profile, mode=args.mode)
     cost = total_cost(game, profile)
     report = RunReport(
         command="nsepa-check",
@@ -307,7 +297,7 @@ def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
     cost = total_cost(game, profile)
-    enforceable, protocol = _derive_protocol(game, profile, doc, args, _budget(args))
+    enforceable, protocol = _derive_protocol(game, profile, doc, args)
     pne, bb = _verify_booleans(game, protocol, profile)
     report = RunReport(
         command="verify",
@@ -325,9 +315,12 @@ def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:
 
 def _cmd_optimum(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
-    budget = _budget(args)
+    budget = EnumerationBudget(
+        max_profiles=args.max_profiles or DEFAULT_BUDGET.max_profiles,
+        max_paths_per_player=args.max_paths or DEFAULT_BUDGET.max_paths_per_player,
+    )
     result = brute_force_optimum(game, budget=budget)
-    enforceable = brute_force_enforceable(game, result.profile, budget=budget)
+    enforceable = brute_force_enforceable(game, result.profile)
     report = RunReport(
         command="optimum",
         input_cost=result.cost,
@@ -401,13 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     io_flags(pt)
     pt.add_argument("--mode", choices=("alternatives", "full_paths"),
                     default="alternatives")
-    pt.add_argument("--max-paths", type=int, default=None)
     pt.set_defaults(handler=_cmd_nsepa_transform)
     pc = nsub.add_parser("check", help="LP enforceability check")
     io_flags(pc)
     pc.add_argument("--mode", choices=("alternatives", "full_paths"),
                     default="alternatives")
-    pc.add_argument("--max-paths", type=int, default=None)
     pc.set_defaults(handler=_cmd_nsepa_check)
 
     p = sub.add_parser("verify", help="enforceability plus protocol verification")
@@ -415,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", default=None, help="protocol JSON file")
     p.add_argument("--mode", choices=("alternatives", "full_paths"),
                    default="full_paths",
-                   help="LP row family for path games (default exhaustive)")
-    p.add_argument("--max-paths", type=int, default=None)
+                   help="LP row family for path games (default full_paths: "
+                        "exact, with its rows generated lazily)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("optimum", help="exact social optimum by enumeration")

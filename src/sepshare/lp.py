@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, InternalInvariant
-from .rationals import format_rational, parse_rational, rat
+from .rationals import rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -227,39 +227,3 @@ def _certify(
     if sum((b * v for b, v in zip(lp.rhs, y)), _ZERO) != value:
         raise InternalInvariant("duality gap in reported optimum")
 
-
-# -- plain-text round trip -------------------------------------------------
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """One header line "n m", the objective, then one line per row with the
-    rhs last; every number is p/q."""
-    lines = [f"{len(lp.objective)} {len(lp.rows)}"]
-    lines.append(" ".join(format_rational(c) for c in lp.objective))
-    for row, b in zip(lp.rows, lp.rhs):
-        lines.append(" ".join(format_rational(a) for a in row) + " " + format_rational(b))
-    return "\n".join(lines) + "\n"
-
-
-def parse_lp(text: str) -> LinearProgram:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty LP text")
-    try:
-        n, m = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise InputError("malformed LP header") from exc
-    if len(lines) != 2 + m:
-        raise InputError(f"expected {2 + m} lines, got {len(lines)}")
-    objective = tuple(parse_rational(tok) for tok in lines[1].split())
-    if len(objective) != n:
-        raise InputError("objective width mismatch")
-    rows = []
-    rhs = []
-    for ln in lines[2:]:
-        nums = [parse_rational(tok) for tok in ln.split()]
-        if len(nums) != n + 1:
-            raise InputError("row width mismatch")
-        rows.append(tuple(nums[:-1]))
-        rhs.append(nums[-1])
-    return LinearProgram(objective, tuple(rows), tuple(rhs))

@@ -4,10 +4,12 @@ For a profile P of source-terminal paths, enforceability is characterized
 by a linear program: maximize the total assigned shares subject to
 nonnegativity, per-resource capacity, and one stability row per deviation.
 P is enforceable exactly when the optimum pays for every used edge.  On
-series-parallel player subgraphs the exponentially many deviation rows
-collapse to one row per "alternative", an edge-disjoint detour between two
-nodes of the player's path, and the transform below rewrites any profile
-into an enforceable one by letting players slide along tight alternatives.
+any network the exponentially many deviation rows, one per simple path,
+are generated lazily from best responses under the current shares.  On
+series-parallel player subgraphs they collapse to one row per
+"alternative", an edge-disjoint detour between two nodes of the player's
+path, and the transform below rewrites any profile into an enforceable
+one by letting players slide along tight alternatives.
 
 Fixed edge costs throughout; delays are allowed and always charged on top.
 """
@@ -29,8 +31,7 @@ from .errors import (
 from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
 from .lp import OPTIMAL, LinearProgram, solve
 from .network import Network, Vertex
-from .oracle import DEFAULT_BUDGET, EnumerationBudget
-from .protocol import SeparableProtocol, SharingTable
+from .protocol import SeparableProtocol, SharingTable, verify_pne
 
 _ZERO = Fraction(0)
 
@@ -241,18 +242,27 @@ class LPInstance:
     var_index: dict
 
 
-def build_lp(
-    game: GameModel,
-    profile: Profile,
-    mode: str = "alternatives",
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> LPInstance:
+def _stability_row(
+    game: GameModel, var_index: dict, i: int, joined, left
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Row of player i's deviation that adopts `joined` and drops `left`:
+    the shares on `left` may not exceed the full cost plus delay of
+    `joined` minus the delay saved on `left`."""
+    row = [_ZERO] * len(var_index)
+    bound = sum((_fixed_cost(game, e) + game.delay(i, e) for e in joined), _ZERO)
+    for e in left:
+        row[var_index[(i, e)]] = Fraction(1)
+        bound -= game.delay(i, e)
+    return tuple(row), bound
+
+
+def build_lp(game: GameModel, profile: Profile, mode: str = "alternatives") -> LPInstance:
     """Shares-maximizing LP whose optimum decides enforceability.
 
     Variables are the shares of (player, own path edge); capacity rows cap
-    each used edge by its cost; one stability row per deviation, which in
-    "alternatives" mode means per detour and in "full_paths" mode per
-    simple path of the player.
+    each used edge by its cost.  In "alternatives" mode one stability row
+    per detour follows.  In "full_paths" mode the LP holds the capacity
+    rows only: `is_enforceable` generates its simple-path rows on demand.
     """
     _require_path_game(game)
     game.validate_profile(profile)
@@ -262,52 +272,29 @@ def build_lp(
     for i in range(game.n):
         for e in sorted(profile[i], key=game.resource_key):
             var_index[(i, e)] = len(var_index)
-    nvars = len(var_index)
-    rows: list[list[Fraction]] = []
+    rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
 
     for e in game.resources:
         users = profile.users(e)
         if not users:
             continue
-        row = [_ZERO] * nvars
+        row = [_ZERO] * len(var_index)
         for i in sorted(users):
             row[var_index[(i, e)]] = Fraction(1)
-        rows.append(row)
+        rows.append(tuple(row))
         rhs.append(_fixed_cost(game, e))
 
-    for i in range(game.n):
-        own = profile[i]
-        if mode == "alternatives":
-            for alt in alternatives(game, i, own):
-                row = [_ZERO] * nvars
-                bound = alt.weight
-                for e in alt.substituted:
-                    row[var_index[(i, e)]] = Fraction(1)
-                    bound -= game.delay(i, e)
-                rows.append(row)
-                rhs.append(bound)
-        else:
-            sp: PathSpace = game.spaces[i]
-            for epath in game.network.simple_paths(
-                sp.terminal, sp.source, max_paths=budget.max_paths_per_player
-            ):
-                q = frozenset(epath)
-                if q == own:
-                    continue
-                row = [_ZERO] * nvars
-                bound = _ZERO
-                for e in q - own:
-                    bound += _fixed_cost(game, e) + game.delay(i, e)
-                for e in own - q:
-                    row[var_index[(i, e)]] = Fraction(1)
-                    bound -= game.delay(i, e)
+    if mode == "alternatives":
+        for i in range(game.n):
+            for alt in alternatives(game, i, profile[i]):
+                row, bound = _stability_row(game, var_index, i, alt.edges, alt.substituted)
                 rows.append(row)
                 rhs.append(bound)
 
     lp = LinearProgram(
-        objective=tuple(Fraction(1) for _ in range(nvars)),
-        rows=tuple(tuple(r) for r in rows),
+        objective=tuple(Fraction(1) for _ in var_index),
+        rows=tuple(rows),
         rhs=tuple(rhs),
     )
     return LPInstance(lp=lp, var_index=var_index)
@@ -323,23 +310,57 @@ class EnforceabilityLPReport:
 
 
 def is_enforceable(
-    game: GameModel,
-    profile: Profile,
-    mode: str = "alternatives",
-    budget: EnumerationBudget = DEFAULT_BUDGET,
+    game: GameModel, profile: Profile, mode: str = "alternatives"
 ) -> EnforceabilityLPReport:
     """Solve the LP; the profile is enforceable iff the optimum covers the
-    full cost of all used edges (shares are then budget balanced)."""
-    inst = build_lp(game, profile, mode=mode, budget=budget)
-    sol = solve(inst.lp)
+    full cost of all used edges (shares are then budget balanced).
+
+    "alternatives" mode solves its detour LP once.  "full_paths" mode is
+    exact on any network: it is the LP with one stability row per simple
+    path of each player, whose rows are generated lazily.  After each
+    solve, `verify_pne` under the current shares finds each player's
+    cheapest deviation; every one that beats the player's current path
+    adds its row, and the LP is solved again.  The generated rows are
+    full-path rows and the final point violates none of them, so its
+    optimum is the full LP's.
+    """
+    inst = build_lp(game, profile, mode=mode)
     used_cost = sum(
         (_fixed_cost(game, e) for e in game.resources if profile.users(e)), _ZERO
     )
-    if sol.status != OPTIMAL:
-        return EnforceabilityLPReport(
-            enforceable=False, status=sol.status, lp_value=None, used_cost=used_cost
+    lp = inst.lp
+    generated: set = set()
+    while True:
+        sol = solve(lp)
+        if sol.status != OPTIMAL:
+            return EnforceabilityLPReport(
+                enforceable=False, status=sol.status, lp_value=None, used_cost=used_cost
+            )
+        shares = {pair: sol.values[col] for pair, col in inst.var_index.items()}
+        if mode == "alternatives":
+            break
+        protocol = SeparableProtocol(game, SharingTable(profile, shares))
+        cuts = [
+            _stability_row(
+                game,
+                inst.var_index,
+                d.player,
+                d.better_choice - profile[d.player],
+                profile[d.player] - d.better_choice,
+            )
+            for d in verify_pne(game, protocol).deviations
+        ]
+        if not cuts:
+            break
+        for cut in cuts:
+            if cut in generated:
+                raise InternalInvariant("stability row generated twice")
+            generated.add(cut)
+        lp = LinearProgram(
+            objective=lp.objective,
+            rows=lp.rows + tuple(row for row, _ in cuts),
+            rhs=lp.rhs + tuple(bound for _, bound in cuts),
         )
-    shares = {pair: sol.values[col] for pair, col in inst.var_index.items()}
     return EnforceabilityLPReport(
         enforceable=(sol.objective_value == used_cost),
         status=sol.status,

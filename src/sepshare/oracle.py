@@ -95,20 +95,19 @@ def brute_force_optimum(
     return OptimumResult(profile=best, cost=best_cost, unique=(ties == 1))
 
 
-def brute_force_enforceable(
-    game: GameModel, profile: Profile, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> bool:
+def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
     """Ground-truth enforceability of a profile.
 
     Path games go through the full-paths LP characterization (fixed costs
-    only); matroid games through the exchange-based conditions, which are
-    exact for them.
+    only), whose rows are generated lazily, so no path is enumerated;
+    matroid games through the exchange-based conditions, which are exact
+    for them.
     """
     kinds = {sp.kind for sp in game.spaces}
     if kinds <= {"path"}:
         from .nsepa import is_enforceable
 
-        return is_enforceable(game, profile, mode="full_paths", budget=budget).enforceable
+        return is_enforceable(game, profile, mode="full_paths").enforceable
     if kinds <= {"matroid"}:
         from .matroids import check_enforceable_matroid
 

@@ -6,7 +6,9 @@ search instead of greedy structure) so agreement is meaningful.  The
 matroid rewrite reference rescans every resource and reprices every
 deviation after each move, where the package keeps both up to date.
 The tight-detour reference runs one search per pair of path nodes, where
-the package runs one per left node.
+the package runs one per left node.  The full-path LP reference writes one
+stability row per enumerated simple path, where the package generates the
+rows it needs from best responses.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional, Sequence
 
 from sepshare.errors import InputError, InternalInvariant, NoTightAlternative
 from sepshare.game import Step, total_cost
+from sepshare.lp import LinearProgram
 from sepshare.matroids import deviation_cost, virtual_cost
 from sepshare.nsepa import Alternative
 
@@ -247,3 +250,36 @@ def per_pair_tight_alternative(game, i, ordered_path, share_of, f):
     if best is None:
         raise NoTightAlternative(f"no tight detour around edge {f} for player {i}")
     return best[1]
+
+
+def full_path_lp(game, profile) -> LinearProgram:
+    """The enforceability LP with every stability row written out: capacity
+    rows for the used edges, then one row per player and simple path other
+    than the player's own, enumerated by `Network.simple_paths`.  Columns
+    are the (player, own edge) shares in player and resource order."""
+    var_index = {}
+    for i in range(game.n):
+        for e in sorted(profile[i], key=game.resource_key):
+            var_index[(i, e)] = len(var_index)
+    nvars = len(var_index)
+    rows, rhs = [], []
+    for e in game.resources:
+        if profile.users(e):
+            rows.append([_ONE if f == e else _ZERO for (_j, f) in var_index])
+            rhs.append(game.costs[e].fixed_value)
+    for i, sp in enumerate(game.spaces):
+        own = profile[i]
+        for epath in game.network.simple_paths(sp.terminal, sp.source):
+            q = frozenset(epath)
+            if q == own:
+                continue
+            row = [_ZERO] * nvars
+            bound = _ZERO
+            for e in q - own:
+                bound += game.costs[e].fixed_value + game.delay(i, e)
+            for e in own - q:
+                row[var_index[(i, e)]] = _ONE
+                bound -= game.delay(i, e)
+            rows.append(row)
+            rhs.append(bound)
+    return LinearProgram.build([_ONE] * nvars, rows, rhs)

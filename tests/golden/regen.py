@@ -1,8 +1,9 @@
-"""Regenerate the golden corpus of the transform and check commands.
+"""Regenerate the golden corpus of the transform, check and verify commands.
 
 Each case is a seeded instance plus what one command makes of it: the
-exit code, the report bytes and the `--trace` bytes.  Most instances come
-from `sepshare gen`; the `chain` cases are longer chains of parallel
+exit code, the report bytes and the `--trace` bytes.  The commands are the
+three transforms, `nsepa check` and `verify`.  Most instances come from
+`sepshare gen`; the `chain` cases are longer chains of parallel
 bundles (10 to 20 bundles, far beyond what `gen sp` reaches) built by
 `chain_instance` below, and `cases.json` records the builder's arguments
 in place of a `gen` command.  `tests/test_golden.py` reruns every case
@@ -49,6 +50,11 @@ UFL40_SEEDS = range(1, 6)
 
 # (seed, bundles, players) of the chain cases, all run through `nsepa transform`
 CHAINS = [(1, 10, 6), (2, 12, 8), (3, 15, 8), (4, 18, 10), (5, 20, 10)]
+
+# `verify` on generated path games, whose verdict and protocol come from the
+# full-path LP with lazily generated rows; one case per family and seed
+VERIFY = [("verify-sp", ["gen", "sp"]), ("verify-tree", ["gen", "tree"])]
+VERIFY_SEEDS = range(1, 6)
 
 
 def chain_instance(seed: int, bundles: int, players: int) -> dict:
@@ -126,6 +132,10 @@ def main() -> None:
         doc = chain_instance(seed, bundles, players)
         (folder / "instance.json").write_text(dumps(doc) + "\n")
         _record(case, folder, manifest)
+    for prefix, gen in VERIFY:
+        for seed in VERIFY_SEEDS:
+            _generated({"name": f"{prefix}-{seed:02d}", "gen": gen + ["--seed", str(seed)],
+                        "command": ["verify"]}, manifest)
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 

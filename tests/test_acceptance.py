@@ -98,7 +98,6 @@ def test_3_single_source_transform_end_to_end():
 def test_4_series_parallel_transform_end_to_end():
     t0 = time.monotonic()
     rng = random.Random(440101)
-    compared = 0
     for _ in range(200):
         game, profile = gen_sp(rng)
         res = nsepa_transform(game, profile)
@@ -112,15 +111,10 @@ def test_4_series_parallel_transform_end_to_end():
         assert res.phases <= bound
         # per-phase private-cost conservation is asserted exactly inside
         # the transform; it raising nowhere in 200 runs certifies it
-        try:
-            fast = is_enforceable(game, profile, mode="alternatives")
-            slow = is_enforceable(game, profile, mode="full_paths")
-        except BudgetExceeded:
-            continue
+        fast = is_enforceable(game, profile, mode="alternatives")
+        slow = is_enforceable(game, profile, mode="full_paths")
         assert fast.lp_value == slow.lp_value
         assert fast.enforceable == slow.enforceable
-        compared += 1
-    assert compared >= 150
     assert time.monotonic() - t0 < 300
 
 

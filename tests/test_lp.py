@@ -14,8 +14,6 @@ from sepshare.lp import (
     LinearProgram,
     _certify,
     _sparse_rows,
-    dump_lp,
-    parse_lp,
     solve,
 )
 
@@ -126,22 +124,6 @@ class TestAgainstOracles:
 
 
 class TestTextFormat:
-    def test_round_trip(self):
-        prog = lp([F(1, 3), -2], [[1, 1], [F(5, 2), 0]], [F(7, 2), 3])
-        again = parse_lp(dump_lp(prog))
-        assert again.objective == prog.objective
-        assert again.rows == prog.rows
-        assert again.rhs == prog.rhs
-        assert dump_lp(again) == dump_lp(prog)
-
-    def test_malformed_text_rejected(self):
-        with pytest.raises(InputError):
-            parse_lp("")
-        with pytest.raises(InputError):
-            parse_lp("2 1\n1/1 2/1\n")  # missing the row
-        with pytest.raises(InputError):
-            parse_lp("x y\n1\n")
-
     def test_shape_validation(self):
         with pytest.raises(InputError):
             LinearProgram.build([1, 2], [[1]], [1])

@@ -1,6 +1,7 @@
 """Path games on series-parallel style networks: enforceability LP,
 detour enumeration, and the share-balancing rewrite."""
 
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,18 +9,18 @@ from pathlib import Path
 import pytest
 
 from _helpers import path_game
-from _oracles import per_pair_tight_alternative
+from _oracles import full_path_lp, per_pair_tight_alternative
+from sepshare import nsepa
 from sepshare.cli import run
 from sepshare.errors import (
-    BudgetExceeded,
     InternalInvariant,
     NoTightAlternative,
     NotSeriesParallel,
     SepshareError,
 )
 from sepshare.game import Profile, Step, private_cost, total_cost
-from sepshare.gen import gen_sp
-from sepshare.lp import INFEASIBLE, solve
+from sepshare.gen import gen_sp, gen_tree
+from sepshare.lp import INFEASIBLE, OPTIMAL, solve
 from sepshare.network import Network
 from sepshare.nsepa import (
     alternatives,
@@ -30,9 +31,16 @@ from sepshare.nsepa import (
     nsepa_transform,
     smallest_tight_alternative,
 )
-from sepshare.oracle import EnumerationBudget, brute_force_enforceable
-from sepshare.protocol import verify_budget_balance, verify_pne
-from sepshare.schema import game_from_json, loads, profile_from_json
+from sepshare.oracle import DEFAULT_BUDGET, brute_force_enforceable
+from sepshare.protocol import Deviation, PneReport, verify_budget_balance, verify_pne
+from sepshare.schema import (
+    dumps,
+    game_from_json,
+    game_to_json,
+    loads,
+    profile_from_json,
+    profile_to_json,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -62,17 +70,6 @@ class TestRecognition:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "input error: player 1's subgraph is not series-parallel\n"
-
-    def test_full_path_budget_check_exits_three_with_one_line(self, tmp_path, capsys):
-        inst = tmp_path / "fixture.json"
-        assert run(["fixture", "theorem5", "--out", str(inst)]) == 0
-        capsys.readouterr()
-        code = run(["nsepa", "check", "--in", str(inst), "--profile", "opt",
-                    "--mode", "full_paths", "--max-paths", "1",
-                    "--out", str(tmp_path / "r.json")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err == "budget exceeded: more than 1 simple paths between 't1' and 's1'\n"
 
 
 class TestAlternatives:
@@ -112,9 +109,8 @@ class TestEnforceabilityLP:
 
     def test_stability_row_caps_below_capacity(self):
         g = path_game([("s", "t", 5), ("s", "t", 3)], [("s", "t")])
-        for mode in ("alternatives", "full_paths"):
-            inst = build_lp(g, Profile([{0}]), mode=mode)
-            assert solve(inst.lp).objective_value == F(3)
+        assert solve(build_lp(g, Profile([{0}])).lp).objective_value == F(3)
+        assert is_enforceable(g, Profile([{0}]), mode="full_paths").lp_value == F(3)
 
     def test_shortest_path_player_is_enforceable(self):
         g = path_game([("s", "t", 3), ("s", "t", 5)], [("s", "t")])
@@ -128,13 +124,6 @@ class TestEnforceabilityLP:
         rep = is_enforceable(g, Profile([{1}]))
         assert not rep.enforceable
         assert (rep.lp_value, rep.used_cost) == (F(3), F(5))
-
-    def test_path_budget_overrun_raises_budget_exceeded(self):
-        game, opt = counterexample_fixture()
-        with pytest.raises(BudgetExceeded):
-            is_enforceable(
-                game, opt, mode="full_paths", budget=EnumerationBudget(max_paths_per_player=1)
-            )
 
     def test_fixture_optimum_cannot_be_supported(self):
         game, profile = counterexample_fixture()
@@ -152,6 +141,77 @@ class TestEnforceabilityLP:
             slow = is_enforceable(game, profile, mode="full_paths")
             assert fast.lp_value == slow.lp_value
             assert fast.enforceable == slow.enforceable
+
+    def test_row_generation_matches_the_full_path_lp(self):
+        """On 1,000 small seeded games the lazily generated LP agrees with
+        the one that writes a row for every simple path."""
+        outcomes = set()
+        for gen in (gen_sp, gen_tree):
+            for seed in range(500):
+                game, profile = gen(random.Random(seed))
+                rep = is_enforceable(game, profile, mode="full_paths")
+                ref = solve(full_path_lp(game, profile))
+                assert rep.status == ref.status, (gen.__name__, seed)
+                assert rep.lp_value == ref.objective_value, (gen.__name__, seed)
+                assert rep.enforceable == (ref.objective_value == rep.used_cost)
+                outcomes.add((gen.__name__, rep.status, rep.enforceable))
+        # both families reach both verdicts, and some LP is infeasible
+        assert {
+            ("gen_sp", OPTIMAL, True),
+            ("gen_sp", OPTIMAL, False),
+            ("gen_sp", INFEASIBLE, False),
+            ("gen_tree", OPTIMAL, True),
+            ("gen_tree", OPTIMAL, False),
+        } <= outcomes, outcomes
+
+    def test_alternatives_mode_solves_once(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(nsepa, "solve", lambda lp: solves.append(lp) or solve(lp))
+        game, profile = gen_sp(random.Random(3), players=3)
+        is_enforceable(game, profile, mode="alternatives")
+        assert solves == [build_lp(game, profile).lp]
+
+    def test_a_row_generated_twice_raises(self, monkeypatch):
+        # a separation oracle that keeps returning the same deviation has
+        # found nothing new, which the loop must not mistake for progress
+        g = path_game([("s", "t", 5), ("s", "t", 3)], [("s", "t")])
+        stuck = PneReport(ok=False, deviations=(Deviation(0, F(5), F(3), frozenset({1})),))
+        monkeypatch.setattr(nsepa, "verify_pne", lambda game, protocol: stuck)
+        with pytest.raises(InternalInvariant, match="generated twice"):
+            is_enforceable(g, Profile([{0}]), mode="full_paths")
+
+    BUNDLES = 10
+
+    @classmethod
+    def three_arm_chain(cls):
+        """A chain of `BUNDLES` bundles of three arms, one arm two edges
+        long.  Player 0 spans the chain, which has 3**BUNDLES simple paths;
+        player 1 spans its middle.  Both start on dear arms."""
+        edges = []
+        for k in range(cls.BUNDLES):
+            a, b, m = f"c{k}", f"c{k + 1}", f"m{k}"
+            edges += [(a, b, 4 + k % 3), (a, b, 6), (a, m, 3), (m, b, 2 + k % 2)]
+        game = path_game(edges, [("c0", f"c{cls.BUNDLES}"), ("c3", "c8")])
+        spanning = frozenset(4 * k + 1 for k in range(cls.BUNDLES))
+        middle = frozenset(e for k in range(3, 8) for e in (4 * k + 2, 4 * k + 3))
+        return game, Profile([spanning, middle])
+
+    def test_verify_and_full_path_check_accept_a_long_chain_output(self, tmp_path):
+        game, profile = self.three_arm_chain()
+        assert 3**self.BUNDLES > DEFAULT_BUDGET.max_paths_per_player
+        doc = game_to_json(game)
+        doc["profile"] = profile_to_json(profile)["profile"]
+        inst, out = tmp_path / "chain.json", tmp_path / "out.json"
+        inst.write_text(dumps(doc) + "\n")
+        assert run(["nsepa", "transform", "--in", str(inst), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["output_cost"] != report["input_cost"]
+        for argv in (["verify"], ["nsepa", "check", "--mode", "full_paths"]):
+            code = run(argv + ["--in", str(inst), "--profile", str(out),
+                               "--out", str(tmp_path / "r.json")])
+            assert code == 0, argv
+            checked = json.loads((tmp_path / "r.json").read_text())
+            assert checked["enforceable"] is True
 
 
 class TestTightAlternative:
