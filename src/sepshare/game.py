@@ -28,10 +28,12 @@ class CostFunction:
 
     Two flavours: a fixed cost (same value for every non-empty user set)
     and a general monotone subadditive set function given by a table.
-    Tables are validated lazily: every newly cached value is checked
-    against all previously cached values for monotonicity and (where the
-    relevant union is cached) subadditivity, raising InvalidCostOracle on
-    the first violation.
+    The table is copied; its keys and values may be shared with the other
+    tables of a document, which `game_from_json` parses string by distinct
+    string.  Tables are validated lazily: every newly cached value is
+    checked against all previously cached values for monotonicity and
+    (where the relevant union is cached) subadditivity, raising
+    InvalidCostOracle on the first violation.
 
     Instances cache table answers and are not thread-safe.
     """
@@ -284,8 +286,8 @@ class GameModel:
 
 
 def total_cost(game: GameModel, profile: Profile) -> Fraction:
-    """Shareable costs of used resources plus all incurred delays."""
-    game.validate_profile(profile)
+    """Shareable costs of used resources plus all incurred delays of a
+    validated profile (callers validate once, where a profile enters)."""
     total = _ZERO
     for e in game.resources:
         users = profile.users(e)

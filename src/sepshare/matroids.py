@@ -46,9 +46,10 @@ class MatroidOracle:
     for any set that leaves the ground.  The oracle keeps no answers, so
     it is a pure function of its descriptor.  The built-in kinds are
     matroids by construction: uniform (sets of size at most k), partition
-    (at most a quota from each block) and graphic (forests).
-    `validate_axioms` is the one axiom check, and it is complete: custom
-    subclasses and tests should call it.
+    (at most a quota from each block) and graphic (forests), and they set
+    `rank` and answer `_exchanges` directly, where a subclass falls back
+    to one query per ground element.  `validate_axioms` is the one axiom
+    check, and it is complete: custom subclasses and tests should call it.
     """
 
     def __init__(self, ground: Iterable[int]) -> None:
@@ -62,6 +63,11 @@ class MatroidOracle:
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
         return s <= self._ground_set and bool(self._independent(s))
+
+    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
+        """The f outside the basis with basis - e + f independent."""
+        rest = basis - {e}
+        return [f for f in self.ground if f not in basis and self.is_independent(rest | {f})]
 
     @property
     def rank(self) -> int:
@@ -113,14 +119,17 @@ class UniformMatroid(MatroidOracle):
         super().__init__(ground)
         if not (0 <= rank <= len(self.ground)):
             raise InputError(f"rank {rank} out of range for {len(self.ground)} elements")
-        self._k = rank
+        self._rank = rank
 
     def _independent(self, subset: frozenset) -> bool:
-        return len(subset) <= self._k
+        return len(subset) <= self._rank
+
+    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
+        return [f for f in self.ground if f not in basis]
 
     @property
     def descriptor(self) -> dict:
-        return {"uniform": {"ground": list(self.ground), "rank": self._k}}
+        return {"uniform": {"ground": list(self.ground), "rank": self._rank}}
 
 
 class PartitionMatroid(MatroidOracle):
@@ -139,9 +148,14 @@ class PartitionMatroid(MatroidOracle):
         for b, q in zip(self._blocks, self._quotas):
             if not (0 <= q <= len(b)):
                 raise InputError(f"quota {q} out of range for block of size {len(b)}")
+        self._rank = sum(self._quotas)
 
     def _independent(self, subset: frozenset) -> bool:
         return all(len(subset & b) <= q for b, q in zip(self._blocks, self._quotas))
+
+    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
+        # a basis fills every block to its quota, so f must share e's block
+        return list(next(b for b in self._blocks if e in b) - basis)
 
     @property
     def descriptor(self) -> dict:
@@ -159,9 +173,12 @@ class GraphicMatroid(MatroidOracle):
     def __init__(self, edges: Mapping[int, tuple]) -> None:
         super().__init__(edges.keys())
         self._edges = {eid: (u, v) for eid, (u, v) in edges.items()}
+        self._rank = self._components(self.ground)[0]
 
-    def _independent(self, subset: frozenset) -> bool:
+    def _components(self, subset: Iterable[int]) -> tuple[int, Callable]:
+        """Union-find over `subset`: how many edges join two trees, and `find`."""
         parent: dict = {}
+        joins = 0
 
         def find(x):
             root = x
@@ -174,10 +191,19 @@ class GraphicMatroid(MatroidOracle):
         for eid in subset:
             u, v = self._edges[eid]
             ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+            if ru != rv:
+                parent[ru] = rv
+                joins += 1
+        return joins, find
+
+    def _independent(self, subset: frozenset) -> bool:
+        return self._components(subset)[0] == len(subset)
+
+    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
+        # basis - e splits e's tree in two; f joins them again exactly when
+        # its ends lie in different components of basis - e
+        _joins, find = self._components(basis - {e})
+        return [f for f, (u, v) in self._edges.items() if f not in basis and find(u) != find(v)]
 
     @property
     def descriptor(self) -> dict:
@@ -229,15 +255,7 @@ def exchange_candidates(oracle: MatroidOracle, basis: frozenset, e: int) -> list
         raise NotABasis(f"{sorted(basis)} is not a basis")
     if e not in basis:
         raise NotInBasis(f"{e} not in basis {sorted(basis)}")
-    rest = basis - {e}
-    out = [e]
-    for f in oracle.ground:
-        if f in basis:
-            continue
-        if oracle.is_independent(rest | {f}):
-            out.append(f)
-    out.sort()
-    return out
+    return sorted([e, *oracle._exchanges(basis, e)])
 
 
 def deviation_cost(

@@ -46,14 +46,25 @@ def cost_to_json(cf: CostFunction):
     }
 
 
-def cost_from_json(data) -> CostFunction:
+def _once(parse):
+    """`parse` run once per distinct string: both parsers are pure, their
+    answers immutable, and they reject (raise for) anything but a string."""
+    memo: dict = {}
+
+    def cached(text):
+        if not isinstance(text, str):
+            return parse(text)
+        return memo[text] if text in memo else memo.setdefault(text, parse(text))
+
+    return cached
+
+
+def cost_from_json(data, rational, users) -> CostFunction:
+    """A cost function from JSON, read with the document's string parsers."""
     if isinstance(data, str):
-        return CostFunction(fixed=parse_rational(data))
+        return CostFunction(fixed=rational(data))
     if isinstance(data, Mapping) and set(data) == {"subadditive_table"}:
-        table = {
-            _users_from_key(k): parse_rational(v)
-            for k, v in data["subadditive_table"].items()
-        }
+        table = {users(k): rational(v) for k, v in data["subadditive_table"].items()}
         return CostFunction(table=table)
     raise InputError(f"unrecognized cost encoding {data!r}")
 
@@ -115,12 +126,14 @@ def game_from_json(data: Mapping) -> GameModel:
     resources = [int(e) for e in data["resources"]]
     raw_costs = data["costs"]
     raw_spaces = data["spaces"]
+    # a document repeats few strings many times: parse each one once
+    rational, users = _once(parse_rational), _once(_users_from_key)
     costs = {}
     for e in resources:
         key = str(e)
         if key not in raw_costs:
             raise InputError(f"no cost for resource {e}")
-        costs[e] = cost_from_json(raw_costs[key])
+        costs[e] = cost_from_json(raw_costs[key], rational, users)
     delays = None
     if "delays" in data and data["delays"] is not None:
         rows = data["delays"]
@@ -131,7 +144,7 @@ def game_from_json(data: Mapping) -> GameModel:
             if len(row) != len(resources):
                 raise InputError(f"delay row {i} has wrong length")
             for e, cell in zip(resources, row):
-                value = parse_rational(cell)
+                value = rational(cell)
                 if value != 0:
                     delays[(i, e)] = value
     network: Optional[Network] = None
@@ -147,13 +160,9 @@ def game_from_json(data: Mapping) -> GameModel:
             u, v, cost_spec = spec
             _check_vertex(u, f"endpoint of graph edge {e}")
             _check_vertex(v, f"endpoint of graph edge {e}")
-            declared = cost_from_json(cost_spec)
-            same = declared.is_fixed == costs[e].is_fixed and (
-                declared.fixed_value == costs[e].fixed_value
-                if declared.is_fixed
-                else declared.table == costs[e].table
-            )
-            if not same:
+            declared, mine = cost_from_json(cost_spec, rational, users), costs[e]
+            if declared.table != mine.table or (
+                    mine.is_fixed and declared.fixed_value != mine.fixed_value):
                 raise InputError(f"graph cost for resource {e} contradicts 'costs'")
             triples.append((e, u, v))
         network = Network(triples, directed=bool(g.get("directed", False)))

@@ -514,6 +514,7 @@ def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceRe
     of the output profile is established by the pricing pass and should be
     re-verified by callers that need a certificate.
     """
+    game.validate_profile(profile)
     input_cost = total_cost(game, profile)
     tree_profile = to_tree_profile(game, profile)
     state = AuxiliaryGraph(game, tree_profile)

@@ -8,20 +8,24 @@ deviation after each move, where the package keeps both up to date.
 The tight-detour reference runs one search per pair of path nodes, where
 the package runs one per left node.  The full-path LP reference writes one
 stability row per enumerated simple path, where the package generates the
-rows it needs from best responses.
+rows it needs from best responses.  The reference loader parses every cost
+table entry and delay cell where it stands, where the package parses each
+distinct string of a document once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from sepshare.errors import InputError, InternalInvariant, NoTightAlternative
-from sepshare.game import Step, total_cost
+from sepshare.game import CostFunction, GameModel, MatroidSpace, Step, total_cost
 from sepshare.lp import LinearProgram
-from sepshare.matroids import deviation_cost, virtual_cost
+from sepshare.matroids import deviation_cost, matroid_from_descriptor, virtual_cost
 from sepshare.nsepa import Alternative
+from sepshare.rationals import parse_rational
+from sepshare.schema import _reading, _users_from_key
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -283,3 +287,46 @@ def full_path_lp(game, profile) -> LinearProgram:
             rows.append(row)
             rhs.append(bound)
     return LinearProgram.build([_ONE] * nvars, rows, rhs)
+
+
+def per_entry_cost_from_json(data) -> CostFunction:
+    """A cost function with every table key and value parsed in place."""
+    if isinstance(data, str):
+        return CostFunction(fixed=parse_rational(data))
+    if isinstance(data, Mapping) and set(data) == {"subadditive_table"}:
+        table = {
+            _users_from_key(k): parse_rational(v)
+            for k, v in data["subadditive_table"].items()
+        }
+        return CostFunction(table=table)
+    raise InputError(f"unrecognized cost encoding {data!r}")
+
+
+@_reading("game object")
+def per_entry_game_from_json(data) -> GameModel:
+    """`game_from_json` for a matroid game, parsing each cost and delay
+    string where it stands; the same checks in the same order."""
+    players = int(data["players"])
+    resources = [int(e) for e in data["resources"]]
+    raw_costs = data["costs"]
+    costs = {}
+    for e in resources:
+        key = str(e)
+        if key not in raw_costs:
+            raise InputError(f"no cost for resource {e}")
+        costs[e] = per_entry_cost_from_json(raw_costs[key])
+    delays = None
+    if "delays" in data and data["delays"] is not None:
+        rows = data["delays"]
+        if len(rows) != players:
+            raise InputError("delays must have one row per player")
+        delays = {}
+        for i, row in enumerate(rows):
+            if len(row) != len(resources):
+                raise InputError(f"delay row {i} has wrong length")
+            for e, cell in zip(resources, row):
+                value = parse_rational(cell)
+                if value != 0:
+                    delays[(i, e)] = value
+    spaces = [MatroidSpace(matroid_from_descriptor(sp["matroid"])) for sp in data["spaces"]]
+    return GameModel(players, resources, costs, spaces, delays=delays)

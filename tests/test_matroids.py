@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from _helpers import ufl_game
 from _oracles import rescan_transform_matroid
 from sepshare import matroids
-from sepshare.errors import InvalidMatroid, NotABasis, NotEnforceable
+from sepshare.errors import InfeasibleProfile, InvalidMatroid, NotABasis, NotEnforceable
 from sepshare.game import GameModel, MatroidSpace, Profile, total_cost
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
@@ -26,7 +27,12 @@ from sepshare.matroids import (
     transform_matroid,
     virtual_cost,
 )
-from sepshare.protocol import verify_budget_balance, verify_pne
+from sepshare.protocol import (
+    SeparableProtocol,
+    SharingTable,
+    verify_budget_balance,
+    verify_pne,
+)
 
 
 class TestOracles:
@@ -81,7 +87,54 @@ class TestOracles:
             assert sorted(again.bases()) == sorted(m.bases())
 
 
+class QueryLoop(MatroidOracle):
+    """The same matroid seen only through its independence queries, so
+    that `rank` and the exchange sets come from the base class's loop."""
+
+    def __init__(self, inner: MatroidOracle) -> None:
+        super().__init__(inner.ground)
+        self._independent = inner._independent
+
+
+def random_descriptor(rng, kind):
+    """A built-in descriptor over up to 9 elements: graphic ones have
+    loops, parallel edges and several components, partition ones may have
+    quota-0 blocks."""
+    ground = rng.sample(range(30), rng.randint(1, 9))
+    if kind == "uniform":
+        return {"uniform": {"ground": ground, "rank": rng.randint(0, len(ground))}}
+    if kind == "partition":
+        cuts = sorted(rng.sample(range(1, len(ground)), rng.randint(0, len(ground) - 1)))
+        blocks = [ground[a:b] for a, b in zip([0] + cuts, cuts + [len(ground)])]
+        return {"partition": {"blocks": blocks, "quotas": [rng.randint(0, len(b)) for b in blocks]}}
+    edges = [[rng.randint(0, 5), rng.randint(0, 5)] for _ in ground]
+    return {"graphic": {"ground": ground, "edges": edges}}
+
+
 class TestExchanges:
+    def test_direct_rules_match_the_query_loop(self):
+        rng = random.Random(4711)
+        kinds = ("uniform", "partition", "graphic")
+        seen = Counter()
+        for n in range(450):
+            desc = random_descriptor(rng, kinds[n % 3])
+            m = matroid_from_descriptor(desc)
+            loop = QueryLoop(m)
+            assert m.rank == loop.rank, desc
+            bases = sorted(loop.bases(), key=sorted)
+            assert sorted(m.bases(), key=sorted) == bases, desc
+            for basis in rng.sample(bases, min(len(bases), 10)):
+                for e in basis:
+                    assert exchange_candidates(m, basis, e) == exchange_candidates(
+                        loop, basis, e), (desc, basis, e)
+            body = desc.get("graphic") or desc.get("partition") or {}
+            ends = [tuple(edge) for edge in body.get("edges", [])]
+            seen["loop"] += any(u == v for u, v in ends)
+            seen["parallel"] += len(set(map(frozenset, ends))) < len(ends)
+            seen["components"] += bool(ends) and m.rank < len({v for e in ends for v in e}) - 1
+            seen["quota 0"] += 0 in body.get("quotas", [1])
+        assert min(seen.values()) >= 20, seen
+
     def test_rank_one_swaps_freely(self):
         m = UniformMatroid([0, 1], 1)
         assert sorted(exchange_candidates(m, frozenset({0}), 0)) == [0, 1]
@@ -354,3 +407,29 @@ class TestProtocolConstruction:
             assert verify_budget_balance(game, proto, res.profile).ok
             built += 1
         assert built == 40
+
+
+# `total_cost` trusts its profile; these entry points are where one is checked
+BOUNDARIES = {
+    "transform_matroid": lambda g, p: transform_matroid(g, p),
+    "check_enforceable_matroid": lambda g, p: check_enforceable_matroid(g, p),
+    "verify_pne": lambda g, p: verify_pne(g, SeparableProtocol(g, SharingTable(p, {}))),
+    "verify_budget_balance": lambda g, p: verify_budget_balance(
+        g, SeparableProtocol(g, SharingTable(p, {})), p),
+}
+
+
+@pytest.mark.parametrize("check", BOUNDARIES.values(), ids=BOUNDARIES.keys())
+@pytest.mark.parametrize("choices, message", [
+    ([{0}, {0, 1}], "choice of player 1 is not in their space"),
+    ([{0}, {7}], "player 1 uses unknown resource 7"),
+], ids=["not-a-basis", "unknown-resource"])
+def test_entry_points_reject_an_infeasible_profile(check, choices, message):
+    with pytest.raises(InfeasibleProfile, match=message):
+        check(ufl_game([5, 3]), Profile(choices))
+
+
+@pytest.mark.parametrize("check", [transform_matroid, check_enforceable_matroid])
+def test_entry_points_reject_a_short_profile(check):
+    with pytest.raises(InfeasibleProfile, match="profile has 1 choices for 2 players"):
+        check(ufl_game([5, 3]), Profile([{0}]))

@@ -1,15 +1,18 @@
 """Instance serialization and the command-line front end."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from _helpers import path_game, ufl_game
+from _oracles import per_entry_game_from_json
 from sepshare.cli import run
 from sepshare.errors import InputError
 from sepshare.game import Profile
+from sepshare.gen import gen_matroid
 from sepshare.rationals import parse_rational
 from sepshare.schema import (
     dumps,
@@ -71,6 +74,137 @@ class TestSchema:
     def test_malformed_json_reports_line_and_column(self):
         with pytest.raises(InputError, match=r"line 2 column"):
             loads('{\n  "unterminated: 1}')
+
+
+# odd, bad and non-string values; drawn from a small pool, so that one
+# document often repeats a string the loader has parsed before
+VALUES = [" 1", "+1", "01", "2/4", "1/0", "1.5", "-3/1", "-1", "x", "", "7/1", "0/1",
+          5, None, [1], {"a": 1}, True, 1.5]
+
+
+def _key_forms(players, rng):
+    """A table key as written by a careless producer: unsorted, repeated,
+    padded, signed or zero-filled ids, or not ids at all."""
+    ids = [str(i) for i in rng.sample(range(players + 1), rng.randint(1, players))]
+    form = rng.choice(("unsorted", "repeated", "padded", "bad"))
+    if form == "unsorted":
+        ids.sort(reverse=True)
+    elif form == "repeated":
+        ids.append(ids[0])
+    elif form == "padded":
+        ids[0] = rng.choice((" ", "+", "0")) + ids[0]
+    else:
+        return rng.choice(("1.5", "1/0", "x", "1,,2", ","))
+    return ",".join(ids)
+
+
+def _mutate(doc, rng):
+    """One seeded edit of a matroid game document's costs or delays."""
+    tables = [c["subadditive_table"] for c in doc["costs"].values()
+              if isinstance(c, dict) and "subadditive_table" in c]
+    fixed = [k for k, c in doc["costs"].items() if isinstance(c, str)]
+    edit = rng.choice(("key", "alias", "empty", "value", "fixed", "delay"))
+    if edit in ("key", "alias", "empty", "value") and tables:
+        table = rng.choice(tables)
+        value = rng.choice(VALUES + ["3/1"] * 4)
+        if edit == "value" and table:
+            table[rng.choice(list(table))] = value
+        elif edit == "empty":
+            table[""] = rng.choice(("0/1", "3/1", "0", "-0/5"))
+        else:
+            # an alias of an existing key, before or after it: the later one wins
+            items = list(table.items())
+            key = _key_forms(doc["players"], rng)
+            items.insert(rng.randint(0, len(items)), (key, value))
+            if edit == "key" and len(items) > 1:
+                items.pop(rng.randrange(len(items)))
+            table.clear()
+            table.update(items)
+    elif edit == "fixed" and fixed:
+        doc["costs"][rng.choice(fixed)] = rng.choice(VALUES)
+    elif doc.get("delays"):
+        row = rng.choice(doc["delays"])
+        row[rng.randrange(len(row))] = rng.choice(VALUES)
+
+
+def _loaded(load, doc):
+    """The cost and delay maps a loader builds, or the error it raises."""
+    try:
+        game = load(doc)
+    except InputError as ex:
+        return type(ex).__name__, str(ex)
+    costs = {e: cf.fixed_value if cf.is_fixed else cf.table for e, cf in game.costs.items()}
+    delays = {(i, e): game.delay(i, e) for i in range(game.n) for e in game.resources}
+    return costs, delays
+
+
+class TestLoaderParsesEachStringOnce:
+    def test_matches_a_loader_that_parses_every_entry(self):
+        rng = random.Random(1212)
+        outcomes = Counter()
+        for n in range(400):
+            game = gen_matroid(rng, players=rng.randint(2, 4), resources=rng.randint(3, 8))
+            doc = json.loads(dumps(game_to_json(game)))
+            for _ in range(rng.randint(0, 3)):
+                _mutate(doc, rng)
+            expected = _loaded(per_entry_game_from_json, doc)
+            assert _loaded(game_from_json, doc) == expected, n
+            outcomes[isinstance(expected[0], str)] += 1
+        # both outcomes are common: the comparison is not all errors
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize("table, expected", [
+        ({"2,1": "3/1"}, {frozenset({1, 2}): F(3)}),
+        ({"1,1": "3/1"}, {frozenset({1}): F(3)}),
+        ({"1,2": "3/1", "2,1": "4/1"}, {frozenset({1, 2}): F(4)}),
+        ({" 1": "1/1", "+1": "2/1", "01": "3/1"}, {frozenset({1}): F(3)}),
+        ({"": "0/1", "1": "-2/1"}, {frozenset(): F(0), frozenset({1}): F(-2)}),
+        ({"1": "1/0"}, "malformed rational '1/0'"),
+        ({"1": "1.5"}, "malformed rational '1.5'"),
+        ({"1": 5}, "not an exact rational string: 5"),
+        ({"1.5": "1/1"}, "bad player set key '1.5'"),
+        ({"": "1/1"}, "cost of the empty set must be 0"),
+    ])
+    def test_table_keys_and_values(self, table, expected):
+        game = ufl_game([5, 3])
+        doc = game_to_json(game)
+        doc["costs"]["0"] = {"subadditive_table": table}
+        doc["costs"]["1"] = {"subadditive_table": dict(table)}
+        for load in (game_from_json, per_entry_game_from_json):
+            if isinstance(expected, str):
+                with pytest.raises(InputError, match=expected.replace(".", r"\.")):
+                    load(doc)
+            else:
+                assert load(doc).costs[1].table == expected
+
+    def _sp_doc(self, tmp_path, cost, graph_cost):
+        _code, inst = run_to_file(tmp_path, "sp.json", ["gen", "sp", "--seed", "3"])
+        doc = json.loads(inst.read_text())
+        doc["costs"]["0"] = cost
+        doc["graph"]["edges"][0][2] = graph_cost
+        inst.write_text(dumps(doc) + "\n")
+        return doc, inst
+
+    def test_a_graph_block_may_repeat_an_equal_table(self, tmp_path):
+        cost = {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "5/1"}}
+        same = {"subadditive_table": {"1,0": "5/1", "01": "4/1", "0": "3/1"}}
+        doc, _inst = self._sp_doc(tmp_path, cost, same)
+        table = game_from_json(doc).costs[0].table
+        assert table == {frozenset({0}): 3, frozenset({1}): 4, frozenset({0, 1}): 5}
+
+    @pytest.mark.parametrize("graph_cost", [
+        {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "6/1"}},
+        {"subadditive_table": {"0": "3/1", "1": "4/1"}},
+        "5/1",
+    ], ids=["other-value", "missing-entry", "fixed"])
+    def test_a_contradicting_graph_table_exits_two(self, tmp_path, capsys, graph_cost):
+        cost = {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "5/1"}}
+        _doc, inst = self._sp_doc(tmp_path, cost, graph_cost)
+        capsys.readouterr()
+        code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "input error: graph cost for resource 0 contradicts 'costs'\n"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -159,6 +293,24 @@ class TestCli:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("gen, command", [
+        (["ufl", "--players", "3", "--facilities", "3"], ["transform-matroid"]),
+        (["ufl", "--players", "3", "--facilities", "3"], ["verify"]),
+        (["sp", "--players", "3"], ["nsepa", "check"]),
+        (["sp", "--players", "3"], ["verify"]),
+    ], ids=["transform-matroid", "verify-matroid", "nsepa-check", "verify-path"])
+    def test_infeasible_embedded_profile_exits_two_with_one_line(
+            self, tmp_path, capsys, gen, command):
+        _code, inst = run_to_file(tmp_path, "g.json", ["gen", *gen, "--seed", "4"])
+        doc = json.loads(inst.read_text())
+        doc["profile"][1] = doc["profile"][1] + doc["profile"][0] + [max(doc["resources"])]
+        inst.write_text(dumps(doc) + "\n")
+        capsys.readouterr()
+        code, _rep = run_to_file(tmp_path, "r.json", command + ["--in", str(inst)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "input error: choice of player 1 is not in their space\n"
 
     @pytest.mark.parametrize(
         "edit",

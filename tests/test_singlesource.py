@@ -51,6 +51,12 @@ class TestTreeProfile:
         with pytest.raises(InfeasibleProfile):
             to_tree_profile(g, Profile([frozenset()]))
 
+    @pytest.mark.parametrize("choices", [[], [{0}, {0}], [{1}]], ids=["short", "long", "off-path"])
+    def test_transform_rejects_an_infeasible_profile(self, choices):
+        g = path_game([("s", "a", 2), ("a", "t", 3), ("s", "t", 9)], [("s", "t")])
+        with pytest.raises(InfeasibleProfile):
+            transform_single_source(g, Profile(choices))
+
 
 class TestContribution:
     """Willingness-to-pay queries against the working auxiliary graph."""

@@ -1,0 +1,64 @@
+"""The benchmark's span tracer still finds every package function it wraps.
+
+`bench/tracer.py` patches `sepshare` functions and methods by name from
+outside the package, so a renamed one would otherwise break only a traced
+benchmark run.  Here the tracer is loaded from `bench/` without writing
+there, installed against the package for one small run, and uninstalled.
+"""
+
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sepshare.cli import run
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _named(tracer_module) -> dict:
+    """Each traced (module, attribute) and the object it names now."""
+    out = {}
+    for module, attr in set(tracer_module.SPANS) | set(tracer_module.COUNTERS) | set(
+            tracer_module.HOOKS):
+        owner = importlib.import_module(f"sepshare.{module}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert leaf in owner.__dict__, f"sepshare.{module}.{attr} is gone"
+        out[(module, attr)] = owner.__dict__[leaf]
+    return out
+
+
+def test_install_wraps_every_name_and_uninstall_restores_it(tracer_module, tmp_path):
+    before = _named(tracer_module)
+    inst, out = tmp_path / "ufl.json", tmp_path / "r.json"
+    assert run(["gen", "ufl", "--players", "4", "--facilities", "5", "--seed", "3",
+                "--out", str(inst)]) == 0
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        wrapped = _named(tracer_module)
+        assert all(wrapped[key] is not before[key] for key in before)
+        assert run(["transform-matroid", "--in", str(inst), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    assert _named(tracer_module) == before
+    summary = tracer.summary()
+    for counter in ("game.total_cost_calls", "game.cost_queries", "matroids.deviation_calls",
+                    "matroids.independence_queries"):
+        assert summary[counter] > 0, counter
+    assert summary["schema.load_s"] > 0 and summary["matroids.transform_s"] > 0
+    assert json.loads(out.read_text())["command"] == "transform-matroid"
