@@ -152,8 +152,7 @@ def _derive_protocol(
         explicit = protocol_from_json(doc["protocol"], game)
     kinds = {sp.kind for sp in game.spaces}
     if kinds <= {"path"}:
-        mode = getattr(args, "mode", None) or "full_paths"
-        report = is_enforceable(game, profile, mode=mode)
+        report = is_enforceable(game, profile)
         ok = report.enforceable
         if explicit is not None:
             return ok, explicit
@@ -253,7 +252,7 @@ def _cmd_nsepa_transform(args) -> tuple[RunReport, Sequence[Step], bool]:
         output_cost=result.output_cost,
         iterations=len(result.substitutions),
         phases=result.phases,
-        enforceable=True,  # overwritten below by the verifier verdict
+        enforceable=is_enforceable(game, result.profile).enforceable,
         pne_verified=pne,
         budget_balanced=bb,
         extra={
@@ -264,7 +263,6 @@ def _cmd_nsepa_transform(args) -> tuple[RunReport, Sequence[Step], bool]:
             "repairs": len(result.repairs),
         },
     )
-    report.enforceable = is_enforceable(game, result.profile, mode=args.mode).enforceable
     ok = (
         report.enforceable
         and pne
@@ -277,7 +275,7 @@ def _cmd_nsepa_transform(args) -> tuple[RunReport, Sequence[Step], bool]:
 def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
-    rep = is_enforceable(game, profile, mode=args.mode)
+    rep = is_enforceable(game, profile)
     cost = total_cost(game, profile)
     report = RunReport(
         command="nsepa-check",
@@ -392,22 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     nsub = p.add_subparsers(dest="nsepa_command", required=True)
     pt = nsub.add_parser("transform", help="LP-guided substitution transform")
     io_flags(pt)
-    pt.add_argument("--mode", choices=("alternatives", "full_paths"),
-                    default="alternatives")
     pt.set_defaults(handler=_cmd_nsepa_transform)
     pc = nsub.add_parser("check", help="LP enforceability check")
     io_flags(pc)
-    pc.add_argument("--mode", choices=("alternatives", "full_paths"),
-                    default="alternatives")
     pc.set_defaults(handler=_cmd_nsepa_check)
 
     p = sub.add_parser("verify", help="enforceability plus protocol verification")
     io_flags(p)
     p.add_argument("--protocol", default=None, help="protocol JSON file")
-    p.add_argument("--mode", choices=("alternatives", "full_paths"),
-                   default="full_paths",
-                   help="LP row family for path games (default full_paths: "
-                        "exact, with its rows generated lazily)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("optimum", help="exact social optimum by enumeration")

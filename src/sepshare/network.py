@@ -94,6 +94,7 @@ class Network:
         reverse: bool = False,
         blocked_vertices: frozenset = frozenset(),
         edges: Optional[Collection[EdgeId]] = None,
+        stop: Optional[Vertex] = None,
     ) -> dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
         """Single-source shortest paths with exact weights.
 
@@ -103,6 +104,8 @@ class Network:
         (all edges when None).  Vertices in `blocked_vertices` may be
         reached but never left, so they can only be path endpoints; their
         own entries are the same as in a search where they are not blocked.
+        The search returns as soon as it settles `stop`, so only the
+        entries settled by then are present.
         """
         result: dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]] = {}
         vpath0 = (self.vindex[start],)
@@ -115,6 +118,8 @@ class Network:
                 continue
             vpath = tuple(self.vertices[k] for k in vkey)
             result[x] = (dist, vpath, epath)
+            if x == stop:
+                break
             if x in blocked_vertices and x != start:
                 continue
             for nbr, eid in self.neighbors(x, reverse=reverse):
@@ -140,7 +145,7 @@ class Network:
 
         In directed networks the path follows edge orientation frm -> to.
         """
-        tree = self.dijkstra(frm, weight, blocked_vertices=blocked_vertices, edges=edges)
+        tree = self.dijkstra(frm, weight, blocked_vertices=blocked_vertices, edges=edges, stop=to)
         return tree.get(to)
 
     # -- enumeration ---------------------------------------------------

@@ -149,8 +149,6 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
     ordered = _ordered_path(game, i, choice)
     nodes = _path_vertices(net, ordered, sp.source)
     pos = {v: k for k, v in enumerate(nodes)}
-    if set(choice) - region:
-        raise InputError(f"player {i}'s path leaves their usable subgraph")
 
     def weight(eid: int) -> Fraction:
         return _fixed_cost(game, eid) + game.delay(i, eid)
@@ -240,6 +238,7 @@ def _discover(
 class LPInstance:
     lp: LinearProgram
     var_index: dict
+    not_series_parallel: Optional[NotSeriesParallel]  # None: all detour rows are in
 
 
 def _stability_row(
@@ -256,18 +255,17 @@ def _stability_row(
     return tuple(row), bound
 
 
-def build_lp(game: GameModel, profile: Profile, mode: str = "alternatives") -> LPInstance:
+def build_lp(game: GameModel, profile: Profile) -> LPInstance:
     """Shares-maximizing LP whose optimum decides enforceability.
 
     Variables are the shares of (player, own path edge); capacity rows cap
-    each used edge by its cost.  In "alternatives" mode one stability row
-    per detour follows.  In "full_paths" mode the LP holds the capacity
-    rows only: `is_enforceable` generates its simple-path rows on demand.
+    each used edge by its cost.  When every player's subgraph is
+    series-parallel, one stability row per detour follows, and these rows
+    imply every simple-path row.  Otherwise the LP holds the capacity rows
+    only: `is_enforceable` generates its simple-path rows on demand.
     """
     _require_path_game(game)
     game.validate_profile(profile)
-    if mode not in ("alternatives", "full_paths"):
-        raise InputError(f"unknown LP mode {mode!r}")
     var_index: dict = {}
     for i in range(game.n):
         for e in sorted(profile[i], key=game.resource_key):
@@ -285,19 +283,22 @@ def build_lp(game: GameModel, profile: Profile, mode: str = "alternatives") -> L
         rows.append(tuple(row))
         rhs.append(_fixed_cost(game, e))
 
-    if mode == "alternatives":
-        for i in range(game.n):
-            for alt in alternatives(game, i, profile[i]):
-                row, bound = _stability_row(game, var_index, i, alt.edges, alt.substituted)
-                rows.append(row)
-                rhs.append(bound)
+    not_sp = None
+    try:
+        detours = [alt for i in range(game.n) for alt in alternatives(game, i, profile[i])]
+    except NotSeriesParallel as ex:
+        detours, not_sp = [], ex
+    for alt in detours:
+        row, bound = _stability_row(game, var_index, alt.owner, alt.edges, alt.substituted)
+        rows.append(row)
+        rhs.append(bound)
 
     lp = LinearProgram(
         objective=tuple(Fraction(1) for _ in var_index),
         rows=tuple(rows),
         rhs=tuple(rhs),
     )
-    return LPInstance(lp=lp, var_index=var_index)
+    return LPInstance(lp=lp, var_index=var_index, not_series_parallel=not_sp)
 
 
 @dataclass(frozen=True)
@@ -309,22 +310,21 @@ class EnforceabilityLPReport:
     shares: Optional[dict] = None  # (player, resource) -> share
 
 
-def is_enforceable(
-    game: GameModel, profile: Profile, mode: str = "alternatives"
-) -> EnforceabilityLPReport:
+def is_enforceable(game: GameModel, profile: Profile) -> EnforceabilityLPReport:
     """Solve the LP; the profile is enforceable iff the optimum covers the
     full cost of all used edges (shares are then budget balanced).
 
-    "alternatives" mode solves its detour LP once.  "full_paths" mode is
-    exact on any network: it is the LP with one stability row per simple
-    path of each player, whose rows are generated lazily.  After each
-    solve, `verify_pne` under the current shares finds each player's
-    cheapest deviation; every one that beats the player's current path
-    adds its row, and the LP is solved again.  The generated rows are
-    full-path rows and the final point violates none of them, so its
-    optimum is the full LP's.
+    On series-parallel player subgraphs the detour rows of `build_lp`
+    imply the stability row of every simple path, so one solve decides.
+    Elsewhere the path rows are generated lazily: after each solve,
+    `verify_pne` under the current shares adds the row of each player's
+    cheapest deviation that beats their path, until none does.  The final
+    point then violates no path row, so its optimum is the full LP's.
     """
-    inst = build_lp(game, profile, mode=mode)
+    return _optimize(game, profile, build_lp(game, profile))
+
+
+def _optimize(game: GameModel, profile: Profile, inst: LPInstance) -> EnforceabilityLPReport:
     used_cost = sum(
         (_fixed_cost(game, e) for e in game.resources if profile.users(e)), _ZERO
     )
@@ -337,7 +337,7 @@ def is_enforceable(
                 enforceable=False, status=sol.status, lp_value=None, used_cost=used_cost
             )
         shares = {pair: sol.values[col] for pair, col in inst.var_index.items()}
-        if mode == "alternatives":
+        if inst.not_series_parallel is None:
             break
         protocol = SeparableProtocol(game, SharingTable(profile, shares))
         cuts = [
@@ -449,7 +449,7 @@ class NsepaTransformResult:
 def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     """Rewrite a profile into an enforceable one with balanced shares.
 
-    Starts from the alternatives-mode LP optimum.  While some used edge is
+    Starts from the detour LP optimum.  While some used edge is
     not fully paid, every player holding such edges replaces all of them
     in one phase, walking their path from the source and substituting each
     unpaid edge by its smallest tight detour; substituted segments keep
@@ -507,7 +507,10 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
             repairs.append(Step("repair", i, None, total_of(work) - before_total))
 
     base = Profile([frozenset(row) for row in work])
-    report = is_enforceable(game, base, mode="alternatives")
+    inst = build_lp(game, base)
+    if inst.not_series_parallel is not None:
+        raise inst.not_series_parallel
+    report = _optimize(game, base, inst)
     if report.status != OPTIMAL or report.shares is None:
         raise InternalInvariant(f"enforceability LP ended {report.status}")
 

@@ -98,8 +98,9 @@ def brute_force_optimum(
 def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
     """Ground-truth enforceability of a profile.
 
-    Path games go through the full-paths LP characterization (fixed costs
-    only), whose rows are generated lazily, so no path is enumerated;
+    Path games go through the exact LP characterization (fixed costs
+    only): detour rows on series-parallel player subgraphs, rows generated
+    lazily from best responses elsewhere, so no path is enumerated;
     matroid games through the exchange-based conditions, which are exact
     for them.
     """
@@ -107,7 +108,7 @@ def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
     if kinds <= {"path"}:
         from .nsepa import is_enforceable
 
-        return is_enforceable(game, profile, mode="full_paths").enforceable
+        return is_enforceable(game, profile).enforceable
     if kinds <= {"matroid"}:
         from .matroids import check_enforceable_matroid
 

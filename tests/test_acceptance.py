@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from _oracles import fourier_motzkin_status, vertex_lp
+from _oracles import fourier_motzkin_status, full_path_lp, vertex_lp
 from sepshare.errors import BudgetExceeded
 from sepshare.game import total_cost
 from sepshare.gen import gen_matroid, gen_sp, gen_tree, random_bases_profile
@@ -42,7 +42,7 @@ def test_1_fixture_unique_optimum_is_not_enforceable():
     assert best.profile == opt
     assert best.cost == F(346)
     assert best.unique
-    rep = is_enforceable(game, opt, mode="full_paths")
+    rep = is_enforceable(game, opt)
     assert rep.lp_value == F(339)
     assert rep.lp_value <= F(339) < F(346)
     assert not rep.enforceable
@@ -111,10 +111,11 @@ def test_4_series_parallel_transform_end_to_end():
         assert res.phases <= bound
         # per-phase private-cost conservation is asserted exactly inside
         # the transform; it raising nowhere in 200 runs certifies it
-        fast = is_enforceable(game, profile, mode="alternatives")
-        slow = is_enforceable(game, profile, mode="full_paths")
-        assert fast.lp_value == slow.lp_value
-        assert fast.enforceable == slow.enforceable
+        fast = is_enforceable(game, profile)
+        slow = solve(full_path_lp(game, profile))
+        assert fast.status == slow.status
+        assert fast.lp_value == slow.objective_value
+        assert fast.enforceable == (slow.objective_value == fast.used_cost)
     assert time.monotonic() - t0 < 300
 
 

@@ -195,7 +195,7 @@ class TestPrivateCost:
 
     def test_counterexample_stable_shares_total_at_most_339(self):
         game, opt = counterexample_fixture()
-        report = is_enforceable(game, opt, mode="full_paths")
+        report = is_enforceable(game, opt)
         proto = self._protocol(game, opt, report.shares)
         paid = sum(private_cost(game, proto, opt, i) for i in range(game.n))
         assert paid == report.lp_value

@@ -1,17 +1,23 @@
-"""Source hygiene: every module-level import in the package is used, and
-the package imports nothing outside itself and the standard library.
+"""Source hygiene: every module-level import in the package is used, the
+package imports nothing outside itself and the standard library, and the
+README names no command-line flag that the parser does not accept.
 
 `__init__.py` is skipped by the unused-import check, as its imports are the
 package's re-exports.
 """
 
+import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sepshare"
+from sepshare.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sepshare"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
@@ -93,3 +99,38 @@ def test_the_check_sees_a_third_party_import():
         "from os.path import join\ndef f():\n    import numpy\n"
     )
     assert _third_party(tree) == {"networkx", "numpy"}
+
+
+def _accepted_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of the parser and of all its subcommands."""
+    flags: set[str] = set()
+    for action in parser._actions:
+        flags |= set(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _accepted_flags(sub)
+    return flags
+
+
+def _command_line_section() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("\n## Command line\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def _unknown_flags(text: str) -> list[str]:
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    return sorted(named - _accepted_flags(build_parser()))
+
+
+def test_readme_flags_are_accepted_by_the_cli():
+    section = _command_line_section()
+    assert "--profile" in section and "--trace" in section
+    unknown = _unknown_flags(section)
+    assert not unknown, f"README names flags the CLI rejects: {unknown}"
+
+
+def test_the_flag_check_sees_a_stale_flag():
+    text = "`nsepa check --mode full_paths`, `optimum --max-paths 9`"
+    assert _unknown_flags(text) == ["--mode"]

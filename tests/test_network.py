@@ -82,6 +82,45 @@ class TestShortestPath:
         with pytest.raises(InputError):
             net.shortest_path("s", "t", w({0: -1}))
 
+    def test_early_exit_gives_the_full_search_entry(self):
+        """On seeded random multigraphs with blocked vertices, edge subsets
+        and directed edges, `shortest_path` equals the entry of a search
+        that settles every vertex."""
+        rng = random.Random(5150)
+        reached = missed = 0
+        for _ in range(400):
+            nv = rng.randint(2, 9)
+            edges = [(k, *rng.sample(range(nv), 2)) for k in range(rng.randint(1, 3 * nv))]
+            net = Network(edges, directed=rng.random() < 0.3, vertices=list(range(nv)))
+            costs = {e: rng.randint(0, 5) for e, _u, _v in edges}  # zeros make ties
+            blocked = frozenset(rng.sample(range(nv), rng.randint(0, nv // 2)))
+            allowed = None
+            if rng.random() < 0.5:
+                allowed = set(rng.sample(sorted(costs), rng.randint(0, len(costs))))
+            s, t = rng.randrange(nv), rng.randrange(nv)
+            full = net.dijkstra(s, w(costs), blocked_vertices=blocked, edges=allowed)
+            hit = net.shortest_path(s, t, w(costs), blocked_vertices=blocked, edges=allowed)
+            assert hit == full.get(t)
+            reached += hit is not None
+            missed += hit is None
+        assert reached > 100 and missed > 100
+
+    def test_search_stops_at_its_target(self):
+        # a line s - t - x0 - ... - x7: the full search prices all 9 edges,
+        # the search for t only the one it crosses
+        names = ["s", "t"] + [f"x{k}" for k in range(8)]
+        net = Network([(k, names[k], names[k + 1]) for k in range(9)])
+        priced = []
+
+        def weight(eid):
+            priced.append(eid)
+            return F(1)
+
+        assert net.shortest_path("s", "t", weight) == (F(1), ("s", "t"), (0,))
+        assert priced == [0]
+        net.dijkstra("s", weight)
+        assert len(priced) == 1 + 9
+
 
 class TestSimplePaths:
     def test_triangle_has_two_paths(self):

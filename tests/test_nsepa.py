@@ -58,14 +58,26 @@ class TestRecognition:
 
     def test_fixture_network_does_not(self):
         game, opt = counterexample_fixture()
-        with pytest.raises(NotSeriesParallel):
-            is_enforceable(game, opt, mode="alternatives")
+        with pytest.raises(NotSeriesParallel, match="player 1's"):
+            alternatives(game, 1, opt[1])
+        assert build_lp(game, opt).not_series_parallel is not None
 
-    def test_fixture_check_exits_two_with_one_line(self, tmp_path, capsys):
+    def test_fixture_check_reports_the_lp_gap(self, tmp_path, capsys):
+        inst, out = tmp_path / "fixture.json", tmp_path / "r.json"
+        assert run(["fixture", "theorem5", "--out", str(inst)]) == 0
+        code = run(["nsepa", "check", "--in", str(inst), "--profile", "opt",
+                    "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert (report["lp_value"], report["used_cost"]) == ("339/1", "346/1")
+        assert report["enforceable"] is False
+        assert capsys.readouterr().err == ""
+
+    def test_fixture_transform_exits_two_with_one_line(self, tmp_path, capsys):
         inst = tmp_path / "fixture.json"
         assert run(["fixture", "theorem5", "--out", str(inst)]) == 0
         capsys.readouterr()
-        code = run(["nsepa", "check", "--in", str(inst), "--profile", "opt",
+        code = run(["nsepa", "transform", "--in", str(inst), "--profile", "opt",
                     "--out", str(tmp_path / "r.json")])
         err = capsys.readouterr().err
         assert code == 2
@@ -110,7 +122,7 @@ class TestEnforceabilityLP:
     def test_stability_row_caps_below_capacity(self):
         g = path_game([("s", "t", 5), ("s", "t", 3)], [("s", "t")])
         assert solve(build_lp(g, Profile([{0}])).lp).objective_value == F(3)
-        assert is_enforceable(g, Profile([{0}]), mode="full_paths").lp_value == F(3)
+        assert is_enforceable(g, Profile([{0}])).lp_value == F(3)
 
     def test_shortest_path_player_is_enforceable(self):
         g = path_game([("s", "t", 3), ("s", "t", 5)], [("s", "t")])
@@ -127,7 +139,7 @@ class TestEnforceabilityLP:
 
     def test_fixture_optimum_cannot_be_supported(self):
         game, profile = counterexample_fixture()
-        rep = is_enforceable(game, profile, mode="full_paths")
+        rep = is_enforceable(game, profile)
         assert not rep.enforceable
         assert rep.lp_value == F(339)
         assert rep.used_cost == F(346)
@@ -137,24 +149,32 @@ class TestEnforceabilityLP:
         rng = random.Random(77)
         for _ in range(60):
             game, profile = gen_sp(rng)
-            fast = is_enforceable(game, profile, mode="alternatives")
-            slow = is_enforceable(game, profile, mode="full_paths")
-            assert fast.lp_value == slow.lp_value
-            assert fast.enforceable == slow.enforceable
+            rep = is_enforceable(game, profile)
+            ref = solve(full_path_lp(game, profile))
+            assert rep.lp_value == ref.objective_value
+            assert rep.enforceable == (ref.objective_value == rep.used_cost)
 
     def test_row_generation_matches_the_full_path_lp(self):
-        """On 1,000 small seeded games the lazily generated LP agrees with
-        the one that writes a row for every simple path."""
+        """On 2,500 small seeded games the LP agrees with the one that
+        writes a row for every simple path, whichever rows it starts from:
+        detour rows on series-parallel player subgraphs, generated rows
+        elsewhere.  At least 500 games take each way."""
         outcomes = set()
-        for gen in (gen_sp, gen_tree):
-            for seed in range(500):
+        detour_games = generated_games = 0
+        for gen, seeds in ((gen_sp, 500), (gen_tree, 2000)):
+            for seed in range(seeds):
                 game, profile = gen(random.Random(seed))
-                rep = is_enforceable(game, profile, mode="full_paths")
+                if build_lp(game, profile).not_series_parallel is None:
+                    detour_games += 1
+                else:
+                    generated_games += 1
+                rep = is_enforceable(game, profile)
                 ref = solve(full_path_lp(game, profile))
                 assert rep.status == ref.status, (gen.__name__, seed)
                 assert rep.lp_value == ref.objective_value, (gen.__name__, seed)
                 assert rep.enforceable == (ref.objective_value == rep.used_cost)
                 outcomes.add((gen.__name__, rep.status, rep.enforceable))
+        assert (detour_games, generated_games) == (1969, 531)
         # both families reach both verdicts, and some LP is infeasible
         assert {
             ("gen_sp", OPTIMAL, True),
@@ -164,21 +184,23 @@ class TestEnforceabilityLP:
             ("gen_tree", OPTIMAL, False),
         } <= outcomes, outcomes
 
-    def test_alternatives_mode_solves_once(self, monkeypatch):
+    def test_a_series_parallel_game_solves_once(self, monkeypatch):
         solves = []
         monkeypatch.setattr(nsepa, "solve", lambda lp: solves.append(lp) or solve(lp))
+        monkeypatch.setattr(nsepa, "verify_pne", None)  # never called
         game, profile = gen_sp(random.Random(3), players=3)
-        is_enforceable(game, profile, mode="alternatives")
+        is_enforceable(game, profile)
         assert solves == [build_lp(game, profile).lp]
 
     def test_a_row_generated_twice_raises(self, monkeypatch):
         # a separation oracle that keeps returning the same deviation has
         # found nothing new, which the loop must not mistake for progress
-        g = path_game([("s", "t", 5), ("s", "t", 3)], [("s", "t")])
-        stuck = PneReport(ok=False, deviations=(Deviation(0, F(5), F(3), frozenset({1})),))
+        game, opt = counterexample_fixture()
+        direct = frozenset({1})  # the s1-t1 edge, off player 0's path
+        stuck = PneReport(ok=False, deviations=(Deviation(0, F(1), F(0), direct),))
         monkeypatch.setattr(nsepa, "verify_pne", lambda game, protocol: stuck)
         with pytest.raises(InternalInvariant, match="generated twice"):
-            is_enforceable(g, Profile([{0}]), mode="full_paths")
+            is_enforceable(game, opt)
 
     BUNDLES = 10
 
@@ -206,7 +228,7 @@ class TestEnforceabilityLP:
         assert run(["nsepa", "transform", "--in", str(inst), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["output_cost"] != report["input_cost"]
-        for argv in (["verify"], ["nsepa", "check", "--mode", "full_paths"]):
+        for argv in (["verify"], ["nsepa", "check"]):
             code = run(argv + ["--in", str(inst), "--profile", str(out),
                                "--out", str(tmp_path / "r.json")])
             assert code == 0, argv

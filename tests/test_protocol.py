@@ -124,7 +124,7 @@ class TestBudgetBalance:
 
     def test_lp_shares_on_counterexample_underpay(self):
         game, opt = counterexample_fixture()
-        shares = is_enforceable(game, opt, mode="full_paths").shares
+        shares = is_enforceable(game, opt).shares
         proto = SeparableProtocol(game, SharingTable(opt, shares))
         report = verify_budget_balance(game, proto, opt)
         assert not report.ok
