@@ -16,7 +16,6 @@ Fixed edge costs throughout; delays are allowed and always charged on top.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -54,48 +53,33 @@ def _fixed_cost(game: GameModel, e: int) -> Fraction:
 
 
 def is_two_terminal_sp(network: Network, s: Vertex, t: Vertex, edge_ids) -> bool:
-    """Reduce the subgraph on `edge_ids` by parallel merges and degree-2
-    contractions; SP iff a single s-t edge remains.  s == t counts as SP
-    only without edges."""
-    edges: dict[object, frozenset] = {
-        eid: frozenset(network.endpoints[eid]) for eid in set(edge_ids)
-    }
+    """Whether the subgraph on `edge_ids` is two-terminal series-parallel
+    between s and t, by one linear reduction.
+
+    Neighbour sets merge parallel edges.  A worklist contracts each vertex
+    other than s and t that has exactly two neighbours into an edge
+    between them, and queues both again.  SP iff only s and t remain,
+    joined by an edge.  The reductions are confluent (Valdes, Tarjan and
+    Lawler, 1982), so the worklist order does not change the answer.
+    s == t counts as SP only without edges."""
+    nbrs: dict[Vertex, set] = {}
+    for eid in edge_ids:
+        u, v = network.endpoints[eid]
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
     if s == t:
-        return not edges
-    if not edges:
-        return False
-    fresh = itertools.count()
-    changed = True
-    while changed:
-        changed = False
-        by_ends: dict[frozenset, list] = {}
-        for eid, ends in edges.items():
-            by_ends.setdefault(ends, []).append(eid)
-        for ends, group in by_ends.items():
-            if len(group) > 1:
-                for extra in group[1:]:
-                    del edges[extra]
-                changed = True
-        if changed:
+        return not nbrs
+    work = list(nbrs)
+    while work:
+        v = work.pop()
+        if v in (s, t) or len(nbrs.get(v, ())) != 2:
             continue
-        degree: dict[Vertex, list] = {}
-        for eid, ends in edges.items():
-            for v in ends:
-                degree.setdefault(v, []).append(eid)
-        for v, incident in degree.items():
-            if v in (s, t) or len(incident) != 2:
-                continue
-            e1, e2 = incident
-            (a,) = edges[e1] - {v}
-            (b,) = edges[e2] - {v}
-            if a == b:
-                continue  # becomes a parallel pair next round instead
-            del edges[e1]
-            del edges[e2]
-            edges[("sp", next(fresh))] = frozenset((a, b))
-            changed = True
-            break
-    return len(edges) == 1 and next(iter(edges.values())) == frozenset((s, t))
+        a, b = nbrs.pop(v)
+        for x, y in ((a, b), (b, a)):
+            nbrs[x].discard(v)
+            nbrs[x].add(y)
+            work.append(x)
+    return nbrs.keys() == {s, t} and t in nbrs[s]
 
 
 # -- alternatives ----------------------------------------------------------
@@ -468,28 +452,46 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     by more than the newly opened edges cost, so it strictly lowers total
     cost, and afterwards the all-zero share vector is LP-feasible.  The
     moves are reported as `repairs`.
+
+    The working paths and each edge's set of users are kept up to date
+    move by move.  Each step's `cost_delta` is priced from the edges that
+    leave and join the mover's path alone, and the deltas of all steps
+    must add up to `output_cost - input_cost`.
     """
     _require_path_game(game)
     game.validate_profile(profile)
     input_cost = total_cost(game, profile)
 
-    work: list[tuple[int, ...]] = [
-        _ordered_path(game, i, profile[i]) for i in range(game.n)
-    ]
+    paths: list[tuple[int, ...]] = [() for _ in range(game.n)]
+    users: dict[int, set[int]] = {}
 
-    def total_of(rows: list[tuple[int, ...]]) -> Fraction:
-        used = {e for row in rows for e in row}
-        fixed = sum((_fixed_cost(game, e) for e in used), _ZERO)
-        lag = sum(
-            (game.delay(i, e) for i in range(game.n) for e in rows[i]), _ZERO
-        )
-        return fixed + lag
+    def move(i: int, row: tuple[int, ...]) -> Fraction:
+        """Put player i on `row`; return the exact change of total cost."""
+        old, new = set(paths[i]), set(row)
+        delta = _ZERO
+        for e in old - new:
+            users[e].discard(i)
+            delta -= game.delay(i, e)
+            if not users[e]:
+                del users[e]
+                delta -= _fixed_cost(game, e)
+        for e in new - old:
+            if e not in users:
+                users[e] = set()
+                delta += _fixed_cost(game, e)
+            users[e].add(i)
+            delta += game.delay(i, e)
+        paths[i] = row
+        return delta
+
+    for i in range(game.n):
+        move(i, _ordered_path(game, i, profile[i]))
 
     repairs: list[Step] = []
     for i in range(game.n):
         sp: PathSpace = game.spaces[i]
         while True:
-            held = frozenset(work[i])
+            held = frozenset(paths[i])
 
             def reroute_price(e: int) -> Fraction:
                 opened = _ZERO if e in held else _fixed_cost(game, e)
@@ -499,14 +501,12 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
             if hit is None:
                 raise InternalInvariant(f"player {i} lost connectivity")
             price, _vs, edges = hit
-            stay = sum((game.delay(i, e) for e in work[i]), _ZERO)
+            stay = sum((game.delay(i, e) for e in paths[i]), _ZERO)
             if price >= stay:
                 break
-            before_total = total_of(work)
-            work[i] = tuple(edges)
-            repairs.append(Step("repair", i, None, total_of(work) - before_total))
+            repairs.append(Step("repair", i, None, move(i, tuple(edges))))
 
-    base = Profile([frozenset(row) for row in work])
+    base = Profile([frozenset(row) for row in paths])
     inst = build_lp(game, base)
     if inst.not_series_parallel is not None:
         raise inst.not_series_parallel
@@ -514,16 +514,11 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     if report.status != OPTIMAL or report.shares is None:
         raise InternalInvariant(f"enforceability LP ended {report.status}")
 
-    paths = list(work)
-    shares: dict[tuple[int, int], Fraction] = {
-        (i, e): v for (i, e), v in report.shares.items()
-    }
+    shares: dict[tuple[int, int], Fraction] = dict(report.shares)
     dropped: dict[int, set] = {i: set() for i in range(game.n)}
 
     def paid(e: int) -> Fraction:
-        return sum(
-            (shares.get((i, e), _ZERO) for i in range(game.n) if e in paths[i]), _ZERO
-        )
+        return sum((shares.get((i, e), _ZERO) for i in users[e]), _ZERO)
 
     def unpaid_edges() -> list[tuple[int, int]]:
         out = []
@@ -574,11 +569,10 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                     raise InternalInvariant(
                         f"player {i} re-adopted substituted edges {sorted(readopted)}"
                     )
-                total_before = total_of(paths)
                 old = paths[i]
                 a = old.index(alt.substituted[0])
                 b = a + len(alt.substituted)
-                paths[i] = old[:a] + alt.edges + old[b:]
+                delta = move(i, old[:a] + alt.edges + old[b:])
                 for e in alt.substituted:
                     dropped[i].add(e)
                     shares.pop((i, e), None)
@@ -589,19 +583,16 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                     raise InternalInvariant(
                         f"private cost of player {i} drifted from {before} to {after}"
                     )
-                substitutions.append(
-                    Step("substitute", i, f, total_of(paths) - total_before, phase=phases)
-                )
+                substitutions.append(Step("substitute", i, f, delta, phase=phases))
 
     # reduce overpaid edges to exact balance, highest player index first
     for e in game.resources:
-        users = [i for i in range(game.n) if e in paths[i]]
-        if not users:
+        if e not in users:
             continue
         excess = paid(e) - _fixed_cost(game, e)
         if excess < 0:
             raise InternalInvariant(f"edge {e} left unpaid after all phases")
-        for i in sorted(users, reverse=True):
+        for i in sorted(users[e], reverse=True):
             if excess == 0:
                 break
             cut = min(shares.get((i, e), _ZERO), excess)
@@ -614,6 +605,9 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     out_profile = Profile([frozenset(paths[i]) for i in range(game.n)])
     game.validate_profile(out_profile)
     output_cost = total_cost(game, out_profile)
+    stepped = sum((step.cost_delta for step in repairs + substitutions), _ZERO)
+    if stepped != output_cost - input_cost:
+        raise InternalInvariant("step cost deltas do not add up to the cost change")
     if report.enforceable and not repairs:
         if out_profile != profile:
             raise InternalInvariant("enforceable input must pass through unchanged")

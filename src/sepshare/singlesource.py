@@ -137,7 +137,7 @@ class AuxiliaryGraph:
         self.aux_payer: dict[tuple, int] = {}
         self.replacements: list[Replacement] = []
         self.events: list[Step] = []  # "close" and "drop"
-        self._check_tree()
+        self._check_tree()  # sets self.depth
         self._build_aux_edges()
 
     # ---- structure helpers ------------------------------------------
@@ -164,9 +164,10 @@ class AuxiliaryGraph:
     def users(self, item: ItemId) -> list[int]:
         return [i for i in range(self.game.n) if item in self.paths[i]]
 
-    def _check_tree(self) -> dict[Vertex, int]:
+    def _check_tree(self) -> None:
         """Verify the union of paths is a tree rooted at the source and
-        return vertex depths (in items)."""
+        keep its vertex depths (in items) for the pricing order; paths
+        change only in `_drop_edge`, which checks the tree again."""
         items = self.tree_items()
         adj: dict[Vertex, list] = {self.source: []}
         for it in items:
@@ -185,7 +186,7 @@ class AuxiliaryGraph:
             frontier = nxt
         if len(depth) != len(items) + 1 or any(v not in depth for v in adj):
             raise InternalInvariant("player paths do not form a tree")
-        return depth
+        self.depth = depth
 
     def _vertex_walk(self, i: int) -> list[Vertex]:
         sp: PathSpace = self.game.spaces[i]
@@ -318,11 +319,10 @@ class AuxiliaryGraph:
     def _next_open_edge(self) -> Optional[int]:
         if not self.open_edges:
             return None
-        depth = self._check_tree()
 
         def edge_depth(eid: int) -> int:
             u, v = self.item_ends(eid)
-            return max(depth[u], depth[v])
+            return max(self.depth[u], self.depth[v])
 
         return max(self.open_edges, key=lambda eid: (edge_depth(eid), -eid))
 

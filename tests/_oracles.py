@@ -10,20 +10,44 @@ the package runs one per left node.  The full-path LP reference writes one
 stability row per enumerated simple path, where the package generates the
 rows it needs from best responses.  The reference loader parses every cost
 table entry and delay cell where it stands, where the package parses each
-distinct string of a document once.
+distinct string of a document once.  The series-parallel recognition
+reference restarts its reduction and rebuilds its parallel-edge and degree
+maps after every contraction, where the package runs one worklist over
+neighbour sets.  The path-game transform reference re-sums the whole
+profile around every step and scans every player for an edge's users,
+where the package keeps one per-edge user map and prices each move from
+the edges it changes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Mapping, Optional, Sequence
 
 from sepshare.errors import InputError, InternalInvariant, NoTightAlternative
-from sepshare.game import CostFunction, GameModel, MatroidSpace, Step, total_cost
+from sepshare.game import (
+    CostFunction,
+    GameModel,
+    MatroidSpace,
+    PathSpace,
+    Profile,
+    Step,
+    total_cost,
+)
 from sepshare.lp import LinearProgram
 from sepshare.matroids import deviation_cost, matroid_from_descriptor, virtual_cost
-from sepshare.nsepa import Alternative
+from sepshare.nsepa import (
+    Alternative,
+    NsepaTransformResult,
+    _fixed_cost,
+    _optimize,
+    _ordered_path,
+    _require_path_game,
+    build_lp,
+    smallest_tight_alternative,
+)
+from sepshare.protocol import SeparableProtocol, SharingTable
 from sepshare.rationals import parse_rational
 from sepshare.schema import _reading, _users_from_key
 
@@ -330,3 +354,198 @@ def per_entry_game_from_json(data) -> GameModel:
                     delays[(i, e)] = value
     spaces = [MatroidSpace(matroid_from_descriptor(sp["matroid"])) for sp in data["spaces"]]
     return GameModel(players, resources, costs, spaces, delays=delays)
+
+
+def restart_is_two_terminal_sp(network, s, t, edge_ids) -> bool:
+    """`is_two_terminal_sp` as a restart loop: merge every parallel group,
+    else contract the first non-terminal vertex of degree 2, and rebuild
+    both maps from scratch after each change."""
+    edges = {eid: frozenset(network.endpoints[eid]) for eid in set(edge_ids)}
+    if s == t:
+        return not edges
+    if not edges:
+        return False
+    fresh = count()
+    changed = True
+    while changed:
+        changed = False
+        by_ends = {}
+        for eid, ends in edges.items():
+            by_ends.setdefault(ends, []).append(eid)
+        for ends, group in by_ends.items():
+            if len(group) > 1:
+                for extra in group[1:]:
+                    del edges[extra]
+                changed = True
+        if changed:
+            continue
+        degree = {}
+        for eid, ends in edges.items():
+            for v in ends:
+                degree.setdefault(v, []).append(eid)
+        for v, incident in degree.items():
+            if v in (s, t) or len(incident) != 2:
+                continue
+            e1, e2 = incident
+            (a,) = edges[e1] - {v}
+            (b,) = edges[e2] - {v}
+            if a == b:
+                continue
+            del edges[e1]
+            del edges[e2]
+            edges[("sp", next(fresh))] = frozenset((a, b))
+            changed = True
+            break
+    return len(edges) == 1 and next(iter(edges.values())) == frozenset((s, t))
+
+
+def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
+    """`nsepa_transform` that re-sums the whole profile before and after
+    every step for its `cost_delta`, and scans every player for the users
+    of an edge.  Same repairs, phases, substitution order and rebate."""
+    _require_path_game(game)
+    game.validate_profile(profile)
+    input_cost = total_cost(game, profile)
+    work = [_ordered_path(game, i, profile[i]) for i in range(game.n)]
+
+    def total_of(rows):
+        used = {e for row in rows for e in row}
+        fixed = sum((_fixed_cost(game, e) for e in used), _ZERO)
+        lag = sum((game.delay(i, e) for i in range(game.n) for e in rows[i]), _ZERO)
+        return fixed + lag
+
+    repairs = []
+    for i in range(game.n):
+        sp: PathSpace = game.spaces[i]
+        while True:
+            held = frozenset(work[i])
+
+            def reroute_price(e):
+                opened = _ZERO if e in held else _fixed_cost(game, e)
+                return opened + game.delay(i, e)
+
+            hit = game.network.shortest_path(sp.source, sp.terminal, reroute_price)
+            if hit is None:
+                raise InternalInvariant(f"player {i} lost connectivity")
+            price, _vs, edges = hit
+            stay = sum((game.delay(i, e) for e in work[i]), _ZERO)
+            if price >= stay:
+                break
+            before_total = total_of(work)
+            work[i] = tuple(edges)
+            repairs.append(Step("repair", i, None, total_of(work) - before_total))
+
+    base = Profile([frozenset(row) for row in work])
+    inst = build_lp(game, base)
+    if inst.not_series_parallel is not None:
+        raise inst.not_series_parallel
+    report = _optimize(game, base, inst)
+    if report.status != OPTIMAL or report.shares is None:
+        raise InternalInvariant(f"enforceability LP ended {report.status}")
+
+    paths = list(work)
+    shares = {(i, e): v for (i, e), v in report.shares.items()}
+    dropped = {i: set() for i in range(game.n)}
+
+    def paid(e):
+        return sum(
+            (shares.get((i, e), _ZERO) for i in range(game.n) if e in paths[i]), _ZERO
+        )
+
+    def unpaid_edges():
+        return [
+            (i, e)
+            for i in range(game.n)
+            for e in paths[i]
+            if paid(e) < _fixed_cost(game, e)
+        ]
+
+    def private(i):
+        return sum((shares.get((i, e), _ZERO) + game.delay(i, e) for e in paths[i]), _ZERO)
+
+    substitutions = []
+    phase_bound = len(base.used_resources())
+    phases = 0
+    while True:
+        snapshot = unpaid_edges()
+        if not snapshot:
+            break
+        phases += 1
+        if phases > phase_bound:
+            raise InternalInvariant(f"more than {phase_bound} phases")
+        for i in range(game.n):
+            targets = {e for j, e in snapshot if j == i}
+            while True:
+                mine = [
+                    e for e in paths[i] if e in targets and paid(e) < _fixed_cost(game, e)
+                ]
+                if not mine:
+                    break
+                before = private(i)
+                f = mine[0]
+                if (i, f) not in report.shares:
+                    raise InternalInvariant("unpaid edge outside the original path")
+                alt = smallest_tight_alternative(
+                    game, i, paths[i], lambda e: shares.get((i, e), _ZERO), f
+                )
+                readopted = set(alt.edges) & dropped[i]
+                if readopted:
+                    raise InternalInvariant(
+                        f"player {i} re-adopted substituted edges {sorted(readopted)}"
+                    )
+                total_before = total_of(paths)
+                old = paths[i]
+                a = old.index(alt.substituted[0])
+                b = a + len(alt.substituted)
+                paths[i] = old[:a] + alt.edges + old[b:]
+                for e in alt.substituted:
+                    dropped[i].add(e)
+                    shares.pop((i, e), None)
+                for e in alt.edges:
+                    shares[(i, e)] = _fixed_cost(game, e)
+                after = private(i)
+                if after != before:
+                    raise InternalInvariant(
+                        f"private cost of player {i} drifted from {before} to {after}"
+                    )
+                substitutions.append(
+                    Step("substitute", i, f, total_of(paths) - total_before, phase=phases)
+                )
+
+    for e in game.resources:
+        users = [i for i in range(game.n) if e in paths[i]]
+        if not users:
+            continue
+        excess = paid(e) - _fixed_cost(game, e)
+        if excess < 0:
+            raise InternalInvariant(f"edge {e} left unpaid after all phases")
+        for i in sorted(users, reverse=True):
+            if excess == 0:
+                break
+            cut = min(shares.get((i, e), _ZERO), excess)
+            if cut:
+                shares[(i, e)] -= cut
+                excess -= cut
+        if excess != 0:
+            raise InternalInvariant(f"cannot balance overpaid edge {e}")
+
+    out_profile = Profile([frozenset(paths[i]) for i in range(game.n)])
+    game.validate_profile(out_profile)
+    output_cost = total_cost(game, out_profile)
+    if report.enforceable and not repairs:
+        if out_profile != profile:
+            raise InternalInvariant("enforceable input must pass through unchanged")
+    elif not output_cost < input_cost:
+        raise InternalInvariant("transform failed to strictly reduce total cost")
+    table = SharingTable(out_profile, {pair: v for pair, v in shares.items() if v != 0})
+    return NsepaTransformResult(
+        profile=out_profile,
+        protocol=SeparableProtocol(game, table),
+        phases=phases,
+        input_enforceable=report.enforceable and not repairs,
+        lp_value=report.lp_value,
+        input_cost=input_cost,
+        output_cost=output_cost,
+        substitutions=tuple(substitutions),
+        repairs=tuple(repairs),
+    )

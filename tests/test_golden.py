@@ -1,7 +1,12 @@
 """Golden corpus: every transform case gives the recorded exit code and
-byte-identical report and trace.  Regenerate with tests/golden/regen.py."""
+byte-identical report and trace, in this process and, for the path-game
+families, replayed by tests/golden/replay.py under two fixed hash seeds.
+Regenerate with tests/golden/regen.py."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +26,21 @@ def test_golden_case_is_byte_identical(case, tmp_path):
     assert code == case["exit"]
     assert report.read_bytes() == (folder / "report.json").read_bytes()
     assert trace.read_bytes() == (folder / "trace.jsonl").read_bytes()
+
+
+PATH_GAME_FAMILIES = ["sp", "sp8", "chain", "spcheck", "verify-sp", "tree", "verify-tree"]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_path_game_cases_replay_under_a_fixed_hash_seed(hash_seed):
+    """Path-game reports do not depend on set or dict iteration order: the
+    replay script reruns those families in a fresh interpreter."""
+    src = str(GOLDEN.parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(GOLDEN / "replay.py"), *PATH_GAME_FAMILIES],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    count = sum(c["name"].rsplit("-", 1)[0] in PATH_GAME_FAMILIES for c in CASES)
+    assert count == 55
+    assert f"replayed {count} cases, 0 differences" in done.stdout

@@ -1,24 +1,32 @@
 """Path games on series-parallel style networks: enforceability LP,
 detour enumeration, and the share-balancing rewrite."""
 
+import importlib.util
 import json
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from _helpers import path_game
-from _oracles import full_path_lp, per_pair_tight_alternative
+from _oracles import (
+    full_path_lp,
+    per_pair_tight_alternative,
+    rescan_nsepa_transform,
+    restart_is_two_terminal_sp,
+)
 from sepshare import nsepa
 from sepshare.cli import run
 from sepshare.errors import (
+    Disconnected,
     InternalInvariant,
     NoTightAlternative,
     NotSeriesParallel,
     SepshareError,
 )
-from sepshare.game import Profile, Step, private_cost, total_cost
+from sepshare.game import GameModel, Profile, Step, private_cost, total_cost
 from sepshare.gen import gen_sp, gen_tree
 from sepshare.lp import INFEASIBLE, OPTIMAL, solve
 from sepshare.network import Network
@@ -45,6 +53,94 @@ from sepshare.schema import (
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _grown_sp_pairs(rng, names):
+    """Edge list of a random two-terminal SP multigraph between names[0]
+    and names[1] (series splits and parallel copies, at most 14 edges and
+    len(names) vertices), sometimes with one stray edge added."""
+    edges = [(names[0], names[1])]
+    fresh = 2
+    while len(edges) < 14 and rng.random() < 0.9:
+        k = rng.randrange(len(edges))
+        u, v = edges[k]
+        if rng.random() < 0.5 and fresh < len(names):
+            edges[k : k + 1] = [(u, names[fresh]), (names[fresh], v)]
+            fresh += 1
+        else:
+            edges.append((u, v))
+    if rng.random() < 0.3:
+        edges.append(tuple(rng.sample(names[:fresh], 2)))
+    return edges
+
+
+def _random_pairs(rng, names):
+    n = rng.randint(2, len(names))
+    return [tuple(rng.sample(names[:n], 2)) for _ in range(rng.randint(1, 14))]
+
+
+def _recognition_cases(rng, count):
+    """(network, s, t, edge ids) on multigraphs of up to 8 vertices and 14
+    edges with int or str labels: the whole edge set, a random subset and
+    the s-t region of `blocks_between`; s == t in some of them."""
+    while count > 0:
+        names = list(range(8)) if rng.random() < 0.5 else [f"v{k}" for k in range(8)]
+        rng.shuffle(names)
+        build = _grown_sp_pairs if rng.random() < 0.5 else _random_pairs
+        net = Network([(eid, u, v) for eid, (u, v) in enumerate(build(rng, names))])
+        if rng.random() < 0.5 and net.has_vertex(names[0]) and net.has_vertex(names[1]):
+            s, t = names[0], names[1]
+        else:
+            s, t = rng.choice(net.vertices), rng.choice(net.vertices)
+        ids = list(net.edge_ids)
+        picks = [ids, [e for e in ids if rng.random() < 0.7]]
+        try:
+            picks.append(sorted(net.blocks_between(s, t)))
+        except Disconnected:
+            pass
+        for edge_ids in picks:
+            yield net, s, t, edge_ids
+            count -= 1
+
+
+def _chain_instances(specs):
+    """Games and profiles of `tests/golden/regen.py::chain_instance` for
+    each (seed, bundles, players)."""
+    spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    out = []
+    for args in specs:
+        doc = regen.chain_instance(*args)
+        game = game_from_json(doc)
+        out.append((game, profile_from_json(doc, game)))
+    return out
+
+
+def _delay_heavy(game, seed):
+    """The game with fresh delays 1..30 on about a third of its (player,
+    edge) pairs."""
+    rng = random.Random(f"delay-heavy/{seed}")
+    delays = {
+        (i, e): F(rng.randint(1, 30))
+        for i in range(game.n)
+        for e in game.resources
+        if rng.random() < 1 / 3
+    }
+    return GameModel(game.n, game.resources, game.costs, game.spaces, delays=delays,
+                     network=game.network)
+
+
+def _transform_outcome(transform, game, profile):
+    try:
+        res = transform(game, profile)
+    except SepshareError as ex:
+        return type(ex).__name__, str(ex)
+    for step in res.substitutions + res.repairs:
+        assert type(step.cost_delta) is F
+    return (res.profile, res.protocol.base, dict(res.protocol.table.shares), res.phases,
+            res.input_enforceable, res.lp_value, res.input_cost, res.output_cost,
+            res.substitutions, res.repairs)
+
+
 class TestRecognition:
     def test_one_edge_per_pair_qualifies(self):
         g = path_game([("s", "t", 1)], [("s", "t")])
@@ -61,6 +157,29 @@ class TestRecognition:
         with pytest.raises(NotSeriesParallel, match="player 1's"):
             alternatives(game, 1, opt[1])
         assert build_lp(game, opt).not_series_parallel is not None
+
+    def test_worklist_matches_the_restart_loop(self):
+        verdicts = {True: 0, False: 0}
+        same_ends = 0
+        for net, s, t, edge_ids in _recognition_cases(random.Random(2024), 20_000):
+            got = is_two_terminal_sp(net, s, t, edge_ids)
+            assert got == restart_is_two_terminal_sp(net, s, t, edge_ids), (
+                net.endpoints, s, t, edge_ids)
+            verdicts[got] += 1
+            same_ends += s == t
+        assert min(verdicts.values()) > 5_000 and same_ends > 1_000
+
+    def test_a_long_chain_of_bundles_is_recognised_in_linear_time(self):
+        # 1,000 bundles of a direct edge and a two-edge arm: 3,000 edges
+        pairs = []
+        for k in range(1000):
+            a, b, mid = f"c{k}", f"c{k + 1}", f"m{k}"
+            pairs += [(a, b), (a, mid), (mid, b)]
+        net = Network([(eid, u, v) for eid, (u, v) in enumerate(pairs)])
+        start = time.perf_counter()
+        assert is_two_terminal_sp(net, "c0", "c1000", net.edge_ids)
+        assert time.perf_counter() - start < 0.5
+        assert not is_two_terminal_sp(net, "c0", "m500", net.edge_ids)
 
     def test_fixture_check_reports_the_lp_gap(self, tmp_path, capsys):
         inst, out = tmp_path / "fixture.json", tmp_path / "r.json"
@@ -393,6 +512,20 @@ class TestTransform:
             # reroute repairs happen exactly when the input LP is infeasible
             infeasible = is_enforceable(game, profile).status == INFEASIBLE
             assert bool(res.repairs) == infeasible
+
+    def test_matches_the_rescan_transform(self):
+        cases = [gen_sp(random.Random(seed), players=1 + seed % 8, max_edges=40)
+                 for seed in range(600)]
+        cases += _chain_instances((100 + k, 10 + k % 11, 6 + k % 5) for k in range(40))
+        cases += [(_delay_heavy(game, k), profile) for k, (game, profile) in enumerate(cases)]
+        repairs = substitutions = 0
+        for game, profile in cases:
+            got = _transform_outcome(nsepa_transform, game, profile)
+            assert got == _transform_outcome(rescan_nsepa_transform, game, profile)
+            substitutions += len(got[-2])
+            repairs += len(got[-1])
+        assert len(cases) == 1280
+        assert repairs >= 500 and substitutions >= 1400
 
     def test_private_costs_never_rise(self):
         # phases conserve each deviator's private cost and the final

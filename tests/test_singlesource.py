@@ -215,6 +215,43 @@ class TestTransform:
             drops += len(res.replacements)
         assert drops > 0  # the sample must exercise the replacement branch
 
+    def test_kept_depths_match_a_fresh_walk(self, monkeypatch):
+        # pricing order reads the depth map kept since the last tree check;
+        # before every pick it must equal a fresh walk of the current tree
+        def fresh_depths(state):
+            adj = {}
+            for item in state.tree_items():
+                u, v = state.item_ends(item)
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+            depth, frontier = {state.source: 0}, [state.source]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for y in adj.get(x, ()):
+                        if y not in depth:
+                            depth[y] = depth[x] + 1
+                            nxt.append(y)
+                frontier = nxt
+            return depth
+
+        picks = 0
+        original = AuxiliaryGraph._next_open_edge
+
+        def next_open_edge(state):
+            nonlocal picks
+            assert state.depth == fresh_depths(state)
+            picks += 1
+            return original(state)
+
+        monkeypatch.setattr(AuxiliaryGraph, "_next_open_edge", next_open_edge)
+        rng = random.Random(2026)
+        drops = 0
+        for _ in range(100):
+            game, profile = gen_tree(rng)
+            drops += len(transform_single_source(game, profile).replacements)
+        assert drops >= 20 and picks > 300
+
     def test_directed_instances_work_too(self):
         g = path_game(
             [("a", "s", 3), ("t", "a", 2), ("t", "s", 9)],
