@@ -193,8 +193,8 @@ def _cmd_transform_matroid(args) -> tuple[RunReport, Sequence[Step], bool]:
     pne, bb = _verify_booleans(game, protocol, result.profile)
     report = RunReport(
         command="transform-matroid",
-        input_cost=total_cost(game, profile),
-        output_cost=total_cost(game, result.profile),
+        input_cost=result.input_cost,
+        output_cost=result.output_cost,
         iterations=result.iterations,
         enforceable=pne and bb,
         pne_verified=pne,

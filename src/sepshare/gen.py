@@ -8,7 +8,7 @@ Families:
   - UFL: facilities with opening costs, clients as rank-1 matroid players,
     connection distances as delays.
   - general matroid games: uniform / partition / graphic bases per player,
-    fixed or subadditive-table costs, optional delays.
+    fixed or subadditive-table costs, delays.
   - single-source graph games: random connected graphs, fixed costs.
   - series-parallel games: a chain of parallel bundles, so every
     player pair along the chain induces a two-terminal series-parallel
@@ -55,14 +55,10 @@ def _subadditive_table(rng: random.Random, players: int) -> dict[frozenset, Frac
     }
 
 
-def gen_ufl(
-    rng: random.Random, players: int, facilities: int, max_cost: int = 20
-) -> GameModel:
+def gen_ufl(rng: random.Random, players: int, facilities: int) -> GameModel:
     """Facility location: every client picks exactly one open facility."""
     resources = list(range(facilities))
-    costs = {
-        e: CostFunction(fixed=Fraction(rng.randint(1, max_cost))) for e in resources
-    }
+    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in resources}
     delays = {}
     for i in range(players):
         for e in resources:
@@ -79,7 +75,6 @@ def gen_matroid(
     rng: random.Random,
     players: Optional[int] = None,
     resources: Optional[int] = None,
-    with_delays: bool = True,
 ) -> GameModel:
     n = players if players is not None else rng.randint(1, 5)
     m = resources if resources is not None else rng.randint(2, 8)
@@ -112,12 +107,11 @@ def gen_matroid(
                 edges[eid] = (f"g{u}", f"g{v}")
             spaces.append(MatroidSpace(GraphicMatroid(edges)))
     delays = {}
-    if with_delays:
-        for i in range(n):
-            for e in ids:
-                d = rng.randint(0, 6)
-                if d and rng.random() < 1 / 2:
-                    delays[(i, e)] = Fraction(d)
+    for i in range(n):
+        for e in ids:
+            d = rng.randint(0, 6)
+            if d and rng.random() < 1 / 2:
+                delays[(i, e)] = Fraction(d)
     return GameModel(
         players=n, resources=ids, costs=costs, spaces=spaces, delays=delays
     )
@@ -142,7 +136,6 @@ def gen_tree(
     rng: random.Random,
     vertices: Optional[int] = None,
     players: Optional[int] = None,
-    max_cost: int = 20,
 ) -> tuple[GameModel, Profile]:
     """Random connected single-source instance plus a feasible profile."""
     nv = vertices if vertices is not None else rng.randint(3, 10)
@@ -158,7 +151,7 @@ def gen_tree(
             pairs.append((u, v))
     net = Network([(i, u, v) for i, (u, v) in enumerate(pairs)])
     ids = list(range(len(pairs)))
-    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, max_cost))) for e in ids}
+    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in ids}
     n = players if players is not None else rng.randint(1, 4)
     source = verts[0]
     spaces = [
@@ -179,8 +172,6 @@ def gen_sp(
     rng: random.Random,
     players: Optional[int] = None,
     max_edges: int = 12,
-    with_delays: bool = True,
-    max_cost: int = 20,
 ) -> tuple[GameModel, Profile]:
     """Chain of parallel bundles of short paths; player pairs sit on chain
     cut vertices, so every induced subgraph is two-terminal series-parallel."""
@@ -206,7 +197,7 @@ def gen_sp(
         cuts.append(b)
     net = Network([(i, u, v) for i, (u, v) in enumerate(pairs)])
     ids = list(range(len(pairs)))
-    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, max_cost))) for e in ids}
+    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in ids}
     spaces = []
     for _ in range(n):
         a, b = sorted(rng.sample(range(len(cuts)), 2)) if len(cuts) > 1 else (0, 0)
@@ -214,12 +205,11 @@ def gen_sp(
             raise InternalInvariant("degenerate chain")
         spaces.append(PathSpace(source=cuts[a], terminal=cuts[b]))
     delays = {}
-    if with_delays:
-        for i in range(n):
-            for e in ids:
-                d = rng.randint(0, 5)
-                if d and rng.random() < 1 / 3:
-                    delays[(i, e)] = Fraction(d)
+    for i in range(n):
+        for e in ids:
+            d = rng.randint(0, 5)
+            if d and rng.random() < 1 / 3:
+                delays[(i, e)] = Fraction(d)
     game = GameModel(
         players=n,
         resources=ids,

@@ -356,6 +356,8 @@ def _check_conditions(
 class MatroidTransformResult:
     profile: Profile
     moves: tuple[Step, ...]  # "delay" and "cover" packet moves
+    input_cost: Fraction
+    output_cost: Fraction
 
     @property
     def iterations(self) -> int:
@@ -371,8 +373,9 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     move and per cover batch), and the move count stays below
     n * m * max-rank; all three facts are asserted.  Each move carries its
     exact total-cost delta, priced on the two resources it touches; the
-    deltas of a delay move or cover batch are asserted to add up to the
-    batch's total-cost change.
+    deltas of each delay move or cover batch are asserted to add up to
+    less than zero, and all deltas together to `output_cost - input_cost`,
+    so total cost is summed only for the input and the output.
 
     The loop fixes the first violated resource in global order.  It keeps
     each player's virtual deviations (value and landing resource) for
@@ -391,7 +394,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
         (sp.oracle.rank for sp in game.spaces), default=0
     )
     current = profile
-    cost_now = total_cost(game, current)
+    input_cost = total_cost(game, current)
     moves: list[Step] = []
     alone: dict[tuple[int, int], Fraction] = {}  # virtual_cost, fixed per game
     deviations: list[dict[int, tuple[Fraction, int]]] = [{} for _ in range(game.n)]
@@ -446,13 +449,8 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
             raise InternalInvariant(f"transform exceeded {bound} packet moves")
 
     def settle(first_move: int, what: str) -> None:
-        nonlocal cost_now
-        after = total_cost(game, current)
-        if after >= cost_now:
+        if sum((mv.cost_delta for mv in moves[first_move:]), _ZERO) >= 0:
             raise InternalInvariant(f"{what} failed to reduce total cost")
-        if sum((mv.cost_delta for mv in moves[first_move:]), _ZERO) != after - cost_now:
-            raise InternalInvariant(f"{what} step deltas miss the total-cost change")
-        cost_now = after
 
     while True:
         e = next((e for e in game.resources if verdict(e) is not None), None)
@@ -477,10 +475,15 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
             move_packet(movable[0], e, "cover")
         settle(first_move, "cover batch")
 
+    output_cost = total_cost(game, current)
+    if sum((mv.cost_delta for mv in moves), _ZERO) != output_cost - input_cost:
+        raise InternalInvariant("step cost deltas do not add up to the cost change")
     report = check_enforceable_matroid(game, current, virtual=True)
     if not report.ok:
         raise InternalInvariant("transform terminated on a violated profile")
-    return MatroidTransformResult(profile=current, moves=tuple(moves))
+    return MatroidTransformResult(
+        profile=current, moves=tuple(moves), input_cost=input_cost, output_cost=output_cost
+    )
 
 
 def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtocol:

@@ -94,7 +94,7 @@ class Network:
         reverse: bool = False,
         blocked_vertices: frozenset = frozenset(),
         edges: Optional[Collection[EdgeId]] = None,
-        stop: Optional[Vertex] = None,
+        stop: Optional[Collection[Vertex]] = None,
     ) -> dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
         """Single-source shortest paths with exact weights.
 
@@ -104,9 +104,12 @@ class Network:
         (all edges when None).  Vertices in `blocked_vertices` may be
         reached but never left, so they can only be path endpoints; their
         own entries are the same as in a search where they are not blocked.
-        The search returns as soon as it settles `stop`, so only the
-        entries settled by then are present.
+        When `stop` is given, the search returns as soon as it has settled
+        every vertex in it, so only the entries settled by then are present
+        (each the same as in a full search); a stop vertex that cannot be
+        reached leaves the search running to the end.
         """
+        pending = None if stop is None else set(stop)
         result: dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]] = {}
         vpath0 = (self.vindex[start],)
         heap: list[tuple[Fraction, tuple[int, ...], tuple[EdgeId, ...], Vertex]] = [
@@ -118,8 +121,10 @@ class Network:
                 continue
             vpath = tuple(self.vertices[k] for k in vkey)
             result[x] = (dist, vpath, epath)
-            if x == stop:
-                break
+            if pending is not None:
+                pending.discard(x)
+                if not pending:
+                    break
             if x in blocked_vertices and x != start:
                 continue
             for nbr, eid in self.neighbors(x, reverse=reverse):
@@ -145,7 +150,9 @@ class Network:
 
         In directed networks the path follows edge orientation frm -> to.
         """
-        tree = self.dijkstra(frm, weight, blocked_vertices=blocked_vertices, edges=edges, stop=to)
+        tree = self.dijkstra(
+            frm, weight, blocked_vertices=blocked_vertices, edges=edges, stop=(to,)
+        )
         return tree.get(to)
 
     # -- enumeration ---------------------------------------------------

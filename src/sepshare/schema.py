@@ -95,8 +95,7 @@ def game_to_json(game: GameModel) -> dict:
         edges = []
         for e in game.resources:
             u, v = net.endpoints[e]
-            edges.append([u, v, format_rational(game.costs[e].fixed_value)
-                          if game.costs[e].is_fixed else cost_to_json(game.costs[e])])
+            edges.append([u, v, cost_to_json(game.costs[e])])
         out["graph"] = {"directed": net.directed, "edges": edges}
     return out
 

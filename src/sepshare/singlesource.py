@@ -95,10 +95,6 @@ class AuxEdge:
     gpath: tuple[int, ...]  # ordered deep -> shallow
     cost: Fraction
 
-    @property
-    def item(self) -> tuple:
-        return ("aux", self.deep, self.shallow)
-
 
 @dataclass
 class Replacement:
@@ -137,8 +133,8 @@ class AuxiliaryGraph:
         self.aux_payer: dict[tuple, int] = {}
         self.replacements: list[Replacement] = []
         self.events: list[Step] = []  # "close" and "drop"
-        self._check_tree()  # sets self.depth
         self._build_aux_edges()
+        self._check_tree()  # sets self.walks, self.users, self.depth, self.adj
 
     # ---- structure helpers ------------------------------------------
 
@@ -152,41 +148,47 @@ class AuxiliaryGraph:
             return self.aux[item].cost
         return self.game.costs[item].fixed_value
 
-    def tree_items(self) -> set:
-        out: set = set()
-        for items in self.paths.values():
-            out.update(items)
-        return out
-
     def tree_cost(self) -> Fraction:
-        return sum((self.item_cost(it) for it in self.tree_items()), _ZERO)
-
-    def users(self, item: ItemId) -> list[int]:
-        return [i for i in range(self.game.n) if item in self.paths[i]]
+        return sum((self.item_cost(it) for it in self.users), _ZERO)
 
     def _check_tree(self) -> None:
         """Verify the union of paths is a tree rooted at the source and
-        keep its vertex depths (in items) for the pricing order; paths
-        change only in `_drop_edge`, which checks the tree again."""
-        items = self.tree_items()
-        adj: dict[Vertex, list] = {self.source: []}
-        for it in items:
-            u, v = self.item_ends(it)
+        keep what the pricing pass reads of the current paths: each
+        player's vertex walk (`walks`), each tree item's users in player
+        order (`users`), the vertex depths in items (`depth`, for the
+        pricing order) and the auxiliary graph's adjacency (`adj`: tree
+        items plus the auxiliary edges not in the tree, walked in arc
+        direction on directed graphs).  Paths change only in `_drop_edge`,
+        which calls this again; the auxiliary edges are fixed once built."""
+        self.walks = {i: self._vertex_walk(i) for i in self.paths}
+        users: dict[ItemId, list[int]] = {}
+        for i, items in self.paths.items():
+            for it in items:
+                users.setdefault(it, []).append(i)
+        tree: dict[Vertex, list] = {self.source: []}
+        adj: dict[Vertex, list] = {}
+        directed = self.net.directed
+        for it in list(users) + [key for key in self.aux if key not in users]:
+            u, v = self.item_ends(it)  # aux edges run deep -> shallow
             adj.setdefault(u, []).append((v, it))
-            adj.setdefault(v, []).append((u, it))
+            if not directed:
+                adj.setdefault(v, []).append((u, it))
+            if it in users:
+                tree.setdefault(u, []).append(v)
+                tree.setdefault(v, []).append(u)
         depth = {self.source: 0}
         frontier = [self.source]
         while frontier:
             nxt = []
             for x in frontier:
-                for y, _it in adj.get(x, ()):
+                for y in tree.get(x, ()):
                     if y not in depth:
                         depth[y] = depth[x] + 1
                         nxt.append(y)
             frontier = nxt
-        if len(depth) != len(items) + 1 or any(v not in depth for v in adj):
+        if len(depth) != len(users) + 1 or any(v not in depth for v in tree):
             raise InternalInvariant("player paths do not form a tree")
-        self.depth = depth
+        self.users, self.depth, self.adj = users, depth, adj
 
     def _vertex_walk(self, i: int) -> list[Vertex]:
         sp: PathSpace = self.game.spaces[i]
@@ -199,19 +201,27 @@ class AuxiliaryGraph:
         return out
 
     def _build_aux_edges(self) -> None:
+        """One auxiliary edge per (deeper, shallower) vertex pair of a
+        player's walk: the cheapest graph path between them.  One search
+        per deeper vertex, ended once it has settled every shallower vertex
+        of the walks through it."""
         net = self.net
 
         def weight(eid: int) -> Fraction:
             return self.game.costs[eid].fixed_value
 
+        # pairs (deeper, shallower): walk runs terminal -> source
+        walks = [self._vertex_walk(i) for i in range(self.game.n)]
+        targets: dict[Vertex, set] = {}
+        for walk in walks:
+            for a in range(0, len(walk) - 1):
+                targets.setdefault(walk[a], set()).update(walk[a + 1 :])
         trees: dict[Vertex, dict] = {}
-        for i in range(self.game.n):
-            # pairs (deeper, shallower): walk runs terminal -> source
-            walk = self._vertex_walk(i)
+        for walk in walks:
             for a in range(0, len(walk) - 1):
                 deep = walk[a]
                 if deep not in trees:
-                    trees[deep] = net.dijkstra(deep, weight)
+                    trees[deep] = net.dijkstra(deep, weight, stop=targets[deep])
                 reach = trees[deep]
                 for b in range(a + 1, len(walk)):
                     shallow = walk[b]
@@ -234,8 +244,6 @@ class AuxiliaryGraph:
         assigned = self.closed_shares.get(item)
         if assigned is not None:
             return assigned.get(i, self.item_cost(item))
-        if isinstance(item, tuple) and item and item[0] == "aux":
-            return self.aux[item].cost
         if item in self.open_edges:
             return _ZERO
         return self.item_cost(item)
@@ -244,34 +252,23 @@ class AuxiliaryGraph:
         """Cheapest terminal-source connection for player i in the
         auxiliary graph, with `restored` at full price.  Cross-check for
         the structured deviation search."""
-        tree = self.tree_items()
-        items = list(tree) + [aux.item for aux in self.aux.values() if aux.item not in tree]
-        adj: dict[Vertex, list] = {}
-        directed = self.net.directed
-        for it in items:
-            u, v = self.item_ends(it)  # aux edges run deep -> shallow
-            adj.setdefault(u, []).append((v, it))
-            if not directed:
-                adj.setdefault(v, []).append((u, it))
         start = self.game.spaces[i].terminal
         dist = {start: _ZERO}
         heap = [(_ZERO, 0, start)]
         tick = 0
         while heap:
             d, _k, x = heapq.heappop(heap)
+            if x == self.source:
+                return d
             if d > dist[x]:
                 continue
-            if x == self.source:
-                continue
-            for y, it in adj.get(x, ()):  # directed graphs walk arc direction
+            for y, it in self.adj.get(x, ()):
                 nd = d + self._working_cost(i, it, restored=restored)
                 if y not in dist or nd < dist[y]:
                     dist[y] = nd
                     tick += 1
                     heapq.heappush(heap, (nd, tick, y))
-        if self.source not in dist:
-            raise InternalInvariant("auxiliary graph lost source connectivity")
-        return dist[self.source]
+        raise InternalInvariant("auxiliary graph lost source connectivity")
 
     def max_contribution(self, i: int, e: int) -> tuple[Fraction, Optional[tuple]]:
         """Willingness of player i to pay for open edge e on their path.
@@ -284,23 +281,21 @@ class AuxiliaryGraph:
         items = self.paths[i]
         if e not in items:
             raise InputError(f"edge {e} is not on the path of player {i}")
-        walk = self._vertex_walk(i)
+        walk = self.walks[i]
         p = items.index(e)
-        stay = sum((self._working_cost(i, it, restored=e) for it in items), _ZERO)
+        upto = [_ZERO]  # upto[k]: working cost of the first k items
+        for it in items:
+            upto.append(upto[-1] + self._working_cost(i, it, restored=e))
+        stay = upto[-1]
         base = stay - self.item_cost(e)
         best: Optional[tuple] = None  # (cost, -a, b, key)
         for a in range(0, p + 1):
-            prefix = sum((self._working_cost(i, items[j], restored=e) for j in range(a)), _ZERO)
             for b in range(p + 1, len(walk)):
                 key = ("aux", walk[a], walk[b])
                 aux = self.aux.get(key)
                 if aux is None:
                     continue
-                tail = sum(
-                    (self._working_cost(i, items[j], restored=e) for j in range(b, len(items))),
-                    _ZERO,
-                )
-                cost = prefix + aux.cost + tail
+                cost = upto[a] + aux.cost + (stay - upto[b])
                 rank = (cost, -a, b)
                 if best is None or rank < best[0]:
                     best = (rank, (walk[a], walk[b], key))
@@ -331,7 +326,7 @@ class AuxiliaryGraph:
         e = self._next_open_edge()
         if e is None:
             return False
-        users = self.users(e)
+        users = self.users.get(e)
         if not users:
             raise InternalInvariant(f"open edge {e} has no users")
         contrib = {i: self.max_contribution(i, e) for i in users}
@@ -361,7 +356,7 @@ class AuxiliaryGraph:
                     "player without deviation vertex on a dropped edge"
                 )
             deviation[i] = contrib[i][1]
-        walks = {i: self._vertex_walk(i) for i in users}
+        walks = self.walks  # of the paths before the reroute, until _check_tree
         positions = {i: self.paths[i].index(e) for i in users}
         dev_vertices = {v for v, _u, _k in deviation.values()}
         highest: dict[int, Vertex] = {}
@@ -391,15 +386,15 @@ class AuxiliaryGraph:
             self.closed_shares[key] = share_map
             self.aux_payer[key] = rep
             payers.append(rep)
+        self._check_tree()
         self.open_edges.discard(e)
         # edges below e were closed earlier (bottom-up order), but open
         # edges above e may lose all users when reroutes jump over them;
         # they simply leave the tree unpriced
-        self.open_edges &= self.tree_items()
+        self.open_edges &= self.users.keys()
         after = self.tree_cost()
         if not after < before:
             raise InternalInvariant("tree replacement failed to reduce tree cost")
-        self._check_tree()
         self.events.append(Step("drop", payers[0], e, after - before))
         self.replacements.append(
             Replacement(
@@ -525,7 +520,7 @@ def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceRe
     if output_cost > input_cost:
         raise InternalInvariant("transform increased total cost")
     aux_in_tree = []
-    for it in sorted(state.tree_items(), key=str):
+    for it in sorted(state.users, key=str):
         if not isinstance(it, tuple):
             continue
         payers = [i for i, v in state.closed_shares[it].items() if v != 0]

@@ -16,11 +16,19 @@ maps after every contraction, where the package runs one worklist over
 neighbour sets.  The path-game transform reference re-sums the whole
 profile around every step and scans every player for an edge's users,
 where the package keeps one per-edge user map and prices each move from
-the edges it changes.
+the edges it changes.  The single-source pricing reference runs a full
+search from every path vertex for its auxiliary edges, rescans every
+player for an item's users, re-walks paths and re-sums every prefix and
+tail of a path per query, and rebuilds the auxiliary graph for each
+cross-check search, where the package keeps walks, users, depths and
+adjacency from one tree check to the next and stops its searches once
+their answers are settled.
 """
 
 from __future__ import annotations
 
+import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 from typing import Mapping, Optional, Sequence
@@ -50,6 +58,13 @@ from sepshare.nsepa import (
 from sepshare.protocol import SeparableProtocol, SharingTable
 from sepshare.rationals import parse_rational
 from sepshare.schema import _reading, _users_from_key
+from sepshare.singlesource import (
+    Replacement,
+    SingleSourceResult,
+    _require_single_source,
+    expand_and_assign,
+    to_tree_profile,
+)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -548,4 +563,319 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
         output_cost=output_cost,
         substitutions=tuple(substitutions),
         repairs=tuple(repairs),
+    )
+
+
+@dataclass(frozen=True)
+class _RebuildAuxEdge:
+    deep: object
+    shallow: object
+    gpath: tuple
+    cost: Fraction
+
+    @property
+    def item(self) -> tuple:
+        return ("aux", self.deep, self.shallow)
+
+
+class RebuildAuxiliaryGraph:
+    """The bottom-up pricing state that rebuilds what it reads: one full
+    search per path vertex, users by a scan over every player, walks and
+    path sums per query, and the auxiliary graph per cross-check search.
+    Same pricing order, deviations, drops and invariants as
+    `AuxiliaryGraph`; `expand_and_assign` reads either."""
+
+    def __init__(self, game, tree_profile) -> None:
+        self.game = game
+        self.net = game.network
+        self.source = _require_single_source(game)
+        game.validate_profile(tree_profile)
+        self.paths = {}
+        for i in range(game.n):
+            sp = game.spaces[i]
+            order = self.net.order_path_edges(tree_profile[i], frm=sp.terminal, to=self.source)
+            if order is None:
+                raise InputError(f"choice of player {i} is not a terminal-source path")
+            self.paths[i] = order
+        self.aux = {}
+        self.open_edges = set()
+        for items in self.paths.values():
+            self.open_edges.update(items)
+        self.closed_shares = {}
+        self.aux_payer = {}
+        self.replacements = []
+        self.events = []
+        self._check_tree()
+        self._build_aux_edges()
+
+    def item_ends(self, item):
+        if isinstance(item, tuple) and item and item[0] == "aux":
+            return (item[1], item[2])
+        return self.net.endpoints[item]
+
+    def item_cost(self, item):
+        if isinstance(item, tuple) and item and item[0] == "aux":
+            return self.aux[item].cost
+        return self.game.costs[item].fixed_value
+
+    def tree_items(self):
+        out = set()
+        for items in self.paths.values():
+            out.update(items)
+        return out
+
+    def tree_cost(self):
+        return sum((self.item_cost(it) for it in self.tree_items()), _ZERO)
+
+    def users(self, item):
+        return [i for i in range(self.game.n) if item in self.paths[i]]
+
+    def _check_tree(self):
+        items = self.tree_items()
+        adj = {self.source: []}
+        for it in items:
+            u, v = self.item_ends(it)
+            adj.setdefault(u, []).append((v, it))
+            adj.setdefault(v, []).append((u, it))
+        depth = {self.source: 0}
+        frontier = [self.source]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y, _it in adj.get(x, ()):
+                    if y not in depth:
+                        depth[y] = depth[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if len(depth) != len(items) + 1 or any(v not in depth for v in adj):
+            raise InternalInvariant("player paths do not form a tree")
+        self.depth = depth
+
+    def _vertex_walk(self, i):
+        out = [self.game.spaces[i].terminal]
+        for it in self.paths[i]:
+            u, v = self.item_ends(it)
+            out.append(v if out[-1] == u else u)
+        if out[-1] != self.source:
+            raise InternalInvariant(f"path of player {i} does not end at the source")
+        return out
+
+    def _build_aux_edges(self):
+        def weight(eid):
+            return self.game.costs[eid].fixed_value
+
+        trees = {}
+        for i in range(self.game.n):
+            walk = self._vertex_walk(i)
+            for a in range(0, len(walk) - 1):
+                deep = walk[a]
+                if deep not in trees:
+                    trees[deep] = self.net.dijkstra(deep, weight)
+                reach = trees[deep]
+                for b in range(a + 1, len(walk)):
+                    shallow = walk[b]
+                    key = ("aux", deep, shallow)
+                    if key in self.aux or shallow not in reach:
+                        continue
+                    cost, _vseq, eseq = reach[shallow]
+                    self.aux[key] = _RebuildAuxEdge(deep, shallow, eseq, cost)
+
+    def _working_cost(self, i, item, restored=None):
+        if item == restored:
+            return self.item_cost(item)
+        assigned = self.closed_shares.get(item)
+        if assigned is not None:
+            return assigned.get(i, self.item_cost(item))
+        if isinstance(item, tuple) and item and item[0] == "aux":
+            return self.aux[item].cost
+        if item in self.open_edges:
+            return _ZERO
+        return self.item_cost(item)
+
+    def _ghat_best(self, i, restored):
+        tree = self.tree_items()
+        items = list(tree) + [aux.item for aux in self.aux.values() if aux.item not in tree]
+        adj = {}
+        for it in items:
+            u, v = self.item_ends(it)
+            adj.setdefault(u, []).append((v, it))
+            if not self.net.directed:
+                adj.setdefault(v, []).append((u, it))
+        start = self.game.spaces[i].terminal
+        dist = {start: _ZERO}
+        heap = [(_ZERO, 0, start)]
+        tick = 0
+        while heap:
+            d, _k, x = heapq.heappop(heap)
+            if d > dist[x]:
+                continue
+            if x == self.source:
+                continue
+            for y, it in adj.get(x, ()):
+                nd = d + self._working_cost(i, it, restored=restored)
+                if y not in dist or nd < dist[y]:
+                    dist[y] = nd
+                    tick += 1
+                    heapq.heappush(heap, (nd, tick, y))
+        if self.source not in dist:
+            raise InternalInvariant("auxiliary graph lost source connectivity")
+        return dist[self.source]
+
+    def max_contribution(self, i, e):
+        items = self.paths[i]
+        walk = self._vertex_walk(i)
+        p = items.index(e)
+        stay = sum((self._working_cost(i, it, restored=e) for it in items), _ZERO)
+        base = stay - self.item_cost(e)
+        best = None
+        for a in range(0, p + 1):
+            prefix = sum((self._working_cost(i, items[j], restored=e) for j in range(a)), _ZERO)
+            for b in range(p + 1, len(walk)):
+                key = ("aux", walk[a], walk[b])
+                aux = self.aux.get(key)
+                if aux is None:
+                    continue
+                tail = sum(
+                    (self._working_cost(i, items[j], restored=e) for j in range(b, len(items))),
+                    _ZERO,
+                )
+                rank = (prefix + aux.cost + tail, -a, b)
+                if best is None or rank < best[0]:
+                    best = (rank, (walk[a], walk[b], key))
+        ghat = self._ghat_best(i, restored=e)
+        structured = stay if best is None else min(stay, best[0][0])
+        if ghat < structured:
+            raise InternalInvariant(
+                f"unstructured deviation beats the structured ones for player {i}"
+            )
+        if best is None or stay <= best[0][0]:
+            return self.item_cost(e), None
+        return best[0][0] - base, best[1]
+
+    def _next_open_edge(self):
+        if not self.open_edges:
+            return None
+
+        def edge_depth(eid):
+            u, v = self.item_ends(eid)
+            return max(self.depth[u], self.depth[v])
+
+        return max(self.open_edges, key=lambda eid: (edge_depth(eid), -eid))
+
+    def process_next(self):
+        e = self._next_open_edge()
+        if e is None:
+            return False
+        users = self.users(e)
+        if not users:
+            raise InternalInvariant(f"open edge {e} has no users")
+        contrib = {i: self.max_contribution(i, e) for i in users}
+        cost = self.item_cost(e)
+        if cost <= sum((contrib[i][0] for i in users), _ZERO):
+            shares = {}
+            remaining = cost
+            for i in users:
+                take = min(contrib[i][0], remaining)
+                shares[i] = take
+                remaining -= take
+            if remaining != 0:
+                raise InternalInvariant(f"edge {e} left unpaid by water-filling")
+            self.closed_shares[e] = shares
+            self.open_edges.discard(e)
+            self.events.append(Step("close", users[0], e, _ZERO))
+            return True
+        self._drop_edge(e, users, contrib)
+        return True
+
+    def _drop_edge(self, e, users, contrib):
+        before = self.tree_cost()
+        deviation = {}
+        for i in users:
+            if contrib[i][1] is None:
+                raise InternalInvariant("player without deviation vertex on a dropped edge")
+            deviation[i] = contrib[i][1]
+        walks = {i: self._vertex_walk(i) for i in users}
+        positions = {i: self.paths[i].index(e) for i in users}
+        dev_vertices = {v for v, _u, _k in deviation.values()}
+        highest = {}
+        for i in users:
+            below = walks[i][: positions[i] + 1]
+            options = [a for a, v in enumerate(below) if v in dev_vertices]
+            if not options:
+                raise InternalInvariant("no deviation vertex on a user's path")
+            highest[i] = below[max(options)]
+        chosen = sorted(set(highest.values()), key=self.net.vindex.get)
+        payers = []
+        for v in chosen:
+            reps = [i for i in users if deviation[i][0] == v]
+            if not reps:
+                raise InternalInvariant("deviation group without a representative")
+            rep = min(reps)
+            _v, u, key = deviation[rep]
+            aux = self.aux[key]
+            riders = [j for j in users if highest[j] == v]
+            tail = self.paths[rep][walks[rep].index(u) :]
+            share_map = {rep: aux.cost}
+            for j in riders:
+                prefix = self.paths[j][: walks[j].index(v)]
+                self.paths[j] = tuple(prefix) + (key,) + tuple(tail)
+                if j != rep:
+                    share_map[j] = _ZERO
+            self.closed_shares[key] = share_map
+            self.aux_payer[key] = rep
+            payers.append(rep)
+        self.open_edges.discard(e)
+        self.open_edges &= self.tree_items()
+        after = self.tree_cost()
+        if not after < before:
+            raise InternalInvariant("tree replacement failed to reduce tree cost")
+        self._check_tree()
+        self.events.append(Step("drop", payers[0], e, after - before))
+        self.replacements.append(
+            Replacement(
+                edge=e,
+                deviation_vertices=tuple(chosen),
+                payers=tuple(payers),
+                tree_cost_before=before,
+                tree_cost_after=after,
+            )
+        )
+
+    def run(self):
+        guard = 0
+        limit = 2 * len(self.net.edge_ids) + len(self.aux) + 10
+        while self.process_next():
+            guard += 1
+            if guard > limit:
+                raise InternalInvariant("bottom-up loop failed to terminate")
+
+
+def rebuild_transform_single_source(game, profile) -> SingleSourceResult:
+    """`transform_single_source` over `RebuildAuxiliaryGraph`."""
+    game.validate_profile(profile)
+    input_cost = total_cost(game, profile)
+    state = RebuildAuxiliaryGraph(game, to_tree_profile(game, profile))
+    state.run()
+    out, table, repairs = expand_and_assign(state)
+    output_cost = total_cost(game, out)
+    if output_cost > input_cost:
+        raise InternalInvariant("transform increased total cost")
+    aux_in_tree = []
+    for it in sorted(state.tree_items(), key=str):
+        if not isinstance(it, tuple):
+            continue
+        payers = [i for i, v in state.closed_shares[it].items() if v != 0]
+        expected = [state.aux_payer[it]] if state.aux[it].cost != 0 else []
+        if payers != expected:
+            raise InternalInvariant(f"auxiliary edge {it} not paid by one player")
+        aux_in_tree.append((it, state.aux_payer[it]))
+    return SingleSourceResult(
+        profile=out,
+        protocol=SeparableProtocol(game, table),
+        input_cost=input_cost,
+        output_cost=output_cost,
+        replacements=tuple(state.replacements),
+        aux_in_tree=tuple(aux_in_tree),
+        repairs=repairs,
+        events=tuple(state.events),
     )

@@ -334,8 +334,28 @@ class TestIncrementalLoop:
             ref_profile, ref_moves = rescan_transform_matroid(game, profile)
             assert res.moves == ref_moves
             assert res.profile == ref_profile
+            assert res.input_cost == total_cost(game, profile)
+            assert res.output_cost == total_cost(game, ref_profile)
             moved += bool(res.moves)
         assert moved > 200
+
+    def test_total_cost_summed_only_for_input_and_output(self, monkeypatch):
+        # batches are checked by their step deltas, the whole run once
+        # against the two sums
+        calls = [0]
+        real_total = matroids.total_cost
+
+        def counting(*args):
+            calls[0] += 1
+            return real_total(*args)
+
+        monkeypatch.setattr(matroids, "total_cost", counting)
+        moved = 0
+        for game, profile in _seeded_games(40):
+            calls[0] = 0
+            moved += len(transform_matroid(game, profile).moves)
+            assert calls[0] == 2
+        assert moved > 40
 
     def test_exchanges_priced_once_per_basis(self, monkeypatch):
         # each basis a player holds is priced at most once per element;

@@ -121,6 +121,26 @@ class TestShortestPath:
         net.dijkstra("s", weight)
         assert len(priced) == 1 + 9
 
+    def test_stop_set_settles_every_stop_vertex_with_the_full_entry(self):
+        """A search with a set of stop vertices holds every reachable one,
+        and every vertex it settled has the entry of a full search."""
+        rng = random.Random(6160)
+        early = 0
+        for _ in range(400):
+            nv = rng.randint(2, 10)
+            edges = [(k, *rng.sample(range(nv), 2)) for k in range(rng.randint(1, 3 * nv))]
+            net = Network(edges, directed=rng.random() < 0.3, vertices=list(range(nv)))
+            costs = {e: rng.randint(0, 5) for e, _u, _v in edges}  # zeros make ties
+            blocked = frozenset(rng.sample(range(nv), rng.randint(0, nv // 3)))
+            s = rng.randrange(nv)
+            stop = set(rng.sample(range(nv), rng.randint(1, nv)))
+            full = net.dijkstra(s, w(costs), blocked_vertices=blocked)
+            part = net.dijkstra(s, w(costs), blocked_vertices=blocked, stop=stop)
+            assert all(full[v] == entry for v, entry in part.items())
+            assert stop & full.keys() <= part.keys()
+            early += len(part) < len(full)
+        assert early > 50
+
 
 class TestSimplePaths:
     def test_triangle_has_two_paths(self):

@@ -229,6 +229,40 @@ class TestAlternatives:
         [alt] = alternatives(g, 0, frozenset({0}))
         assert alt.weight == F(7)
 
+    @pytest.mark.parametrize("case", ["nested", "sp-9", "sp-10", "sp-11"])
+    def test_build_lp_keeps_the_detour_order(self, case):
+        # the simplex pivots follow the row order, so a reordering could
+        # change which optimal vertex the LP reports: pin (owner, frm, to,
+        # substituted) of every detour row, in order
+        expected = {
+            "nested": [(0, "s", "t", (0, 1, 2)), (0, "s", "a", (0,)), (0, "a", "t", (1, 2)),
+                       (0, "b", "t", (2,)), (1, "a", "t", (1, 2)), (1, "b", "t", (2,))],
+            "sp-9": [(0, "c0", "c1", (2, 3)), (0, "c1", "c2", (5,)), (1, "c0", "c1", (4,)),
+                     (1, "c1", "c2", (8, 9))],
+            "sp-10": [(0, "c2", "c3", (5,)), (1, "c2", "c3", (5,)), (2, "c3", "c4", (8,))],
+            "sp-11": [(0, "c0", "c1", (4,)), (0, "c1", "c2", (8,)), (1, "c0", "c1", (4,)),
+                      (1, "c1", "c2", (5, 6))],
+        }[case]
+        if case == "nested":
+            game = path_game(
+                [("s", "a", 3), ("a", "b", 2), ("b", "t", 4), ("s", "m", 1), ("m", "a", 1),
+                 ("a", "t", 5), ("b", "t", 2), ("s", "t", 9)],
+                [("s", "t"), ("a", "t")],
+            )
+            profile = Profile([{0, 1, 2}, {1, 2}])
+        else:
+            game, profile = gen_sp(random.Random(int(case[3:])))
+        detours = [alt for i in range(game.n) for alt in alternatives(game, i, profile[i])]
+        assert [(a.owner, a.frm, a.to, a.substituted) for a in detours] == expected
+        inst = build_lp(game, profile)
+        rows = [
+            nsepa._stability_row(game, inst.var_index, a.owner, a.edges, a.substituted)
+            for a in detours
+        ]
+        tail = len(inst.lp.rows) - len(rows)
+        assert tail == len(profile.used_resources())  # the capacity rows come first
+        assert list(zip(inst.lp.rows[tail:], inst.lp.rhs[tail:])) == rows
+
 
 class TestEnforceabilityLP:
     def test_lone_edge_lp_recovers_its_cost(self):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import path_game
+from _oracles import rebuild_transform_single_source
 from sepshare.errors import InfeasibleProfile, UnsupportedSpace
 from sepshare.game import Profile, total_cost
 from sepshare.gen import gen_tree
@@ -216,14 +217,36 @@ class TestTransform:
         assert drops > 0  # the sample must exercise the replacement branch
 
     def test_kept_depths_match_a_fresh_walk(self, monkeypatch):
-        # pricing order reads the depth map kept since the last tree check;
-        # before every pick it must equal a fresh walk of the current tree
+        # pricing reads the walks, users, depths and adjacency kept since
+        # the last tree check; before every pick each must equal a fresh
+        # recomputation from the current paths
+        def ends(state, item):
+            return item[1:] if isinstance(item, tuple) else state.net.endpoints[item]
+
+        def fresh_walks(state):
+            walks = {}
+            for i, items in state.paths.items():
+                walk = [state.game.spaces[i].terminal]
+                for item in items:
+                    u, v = ends(state, item)
+                    walk.append(v if walk[-1] == u else u)
+                walks[i] = walk
+            return walks
+
+        def fresh_users(state):
+            every = {item for items in state.paths.values() for item in items}
+            return {
+                item: [i for i in range(state.game.n) if item in state.paths[i]]
+                for item in every
+            }
+
         def fresh_depths(state):
             adj = {}
-            for item in state.tree_items():
-                u, v = state.item_ends(item)
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
+            for items in state.paths.values():
+                for item in items:
+                    u, v = ends(state, item)
+                    adj.setdefault(u, []).append(v)
+                    adj.setdefault(v, []).append(u)
             depth, frontier = {state.source: 0}, [state.source]
             while frontier:
                 nxt = []
@@ -235,12 +258,30 @@ class TestTransform:
                 frontier = nxt
             return depth
 
+        def fresh_arcs(state):
+            items = {item for items in state.paths.values() for item in items} | set(state.aux)
+            arcs = []
+            for item in items:
+                u, v = ends(state, item)
+                arcs.append((u, v, item))
+                if not state.net.directed:
+                    arcs.append((v, u, item))
+            return sorted(arcs, key=repr)
+
+        def kept_arcs(state):
+            return sorted(
+                ((x, y, item) for x, out in state.adj.items() for y, item in out), key=repr
+            )
+
         picks = 0
         original = AuxiliaryGraph._next_open_edge
 
         def next_open_edge(state):
             nonlocal picks
+            assert state.walks == fresh_walks(state)
+            assert state.users == fresh_users(state)
             assert state.depth == fresh_depths(state)
+            assert kept_arcs(state) == fresh_arcs(state)
             picks += 1
             return original(state)
 
@@ -251,6 +292,35 @@ class TestTransform:
             game, profile = gen_tree(rng)
             drops += len(transform_single_source(game, profile).replacements)
         assert drops >= 20 and picks > 300
+
+    def test_same_results_as_the_rebuilding_pass(self):
+        # every result field and step of the kept-state pass equals the
+        # reference that rebuilds walks, users, sums and adjacency per query
+        # and runs a full search from every path vertex
+        def outcome(transform, game, profile):
+            res = transform(game, profile)
+            shares = sorted(res.protocol.table.shares.items())
+            return (res.profile, shares, res.input_cost, res.output_cost, res.replacements,
+                    res.aux_in_tree, res.repairs, res.events)
+
+        seeds = [(s, {"vertices": 16, "players": 4}) for s in range(3000)]
+        seeds += [(s, {}) for s in range(1000)]
+        drops = 0
+        for seed, sizes in seeds:
+            game, profile = gen_tree(random.Random(seed), **sizes)
+            got = outcome(transform_single_source, game, profile)
+            assert got == outcome(rebuild_transform_single_source, game, profile), seed
+            drops += len(got[4])
+        assert drops >= 2000
+
+    @pytest.mark.xfail(strict=True, reason="the pricing pass can end off equilibrium")
+    @pytest.mark.parametrize("seed", [324, 568, 1686, 2146, 2415])
+    def test_known_non_equilibrium_outputs(self, seed):
+        # these seeds end in a profile that a player can leave for less;
+        # once the pricing pass is fixed this XPASSes and becomes a plain test
+        game, profile = gen_tree(random.Random(seed), vertices=16, players=4)
+        res = transform_single_source(game, profile)
+        assert verify_pne(game, res.protocol).ok
 
     def test_directed_instances_work_too(self):
         g = path_game(

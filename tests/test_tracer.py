@@ -3,7 +3,8 @@
 `bench/tracer.py` patches `sepshare` functions and methods by name from
 outside the package, so a renamed one would otherwise break only a traced
 benchmark run.  Here the tracer is loaded from `bench/` without writing
-there, installed against the package for one small run, and uninstalled.
+there, installed against the package for one small run per traced
+transform, and uninstalled.
 """
 
 import importlib
@@ -62,3 +63,22 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracer_module, tmp_p
         assert summary[counter] > 0, counter
     assert summary["schema.load_s"] > 0 and summary["matroids.transform_s"] > 0
     assert json.loads(out.read_text())["command"] == "transform-matroid"
+
+
+def test_the_tree_layer_reports_its_spans_and_counters(tracer_module, tmp_path):
+    # `gen tree --seed 9` drops two edges, so every single-source span and
+    # counter sees work
+    inst, out = tmp_path / "tree.json", tmp_path / "r.json"
+    assert run(["gen", "tree", "--seed", "9", "--out", str(inst)]) == 0
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert run(["transform-tree", "--in", str(inst), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in ("singlesource.aux_edges", "singlesource.edges_priced",
+                 "singlesource.replacements", "singlesource.aux_build_s",
+                 "singlesource.pricing_s", "singlesource.ghat_s"):
+        assert summary[name] > 0, name
+    assert json.loads(out.read_text())["command"] == "transform-tree"
