@@ -1,13 +1,14 @@
 """Exact linear programming over the rationals.
 
 Solves  maximize c.x  subject to  A.x <= b, x >= 0  with a two-phase
-tableau simplex on sparse rows: each tableau row is a dict holding only
-its nonzero fractions.Fraction entries, so a pivot touches only the rows
-with a nonzero in the entering column, and in them only the pivot row's
-columns.  Bland's rule (smallest improving column, ties in the ratio test
-to the smallest basic column) makes runs deterministic and rules out
-cycling.  Statuses are values, not exceptions, because infeasible and
-unbounded programs are legitimate outcomes for callers.
+tableau simplex on sparse rows: a program's rows hold only their nonzero
+fractions.Fraction coefficients from construction on, and each tableau
+row is a dict of them, so a pivot touches only the rows with a nonzero
+in the entering column, and in them only the pivot row's columns.
+Bland's rule (smallest improving column, ties in the ratio test to the
+smallest basic column) makes runs deterministic and rules out cycling.
+Statuses are values, not exceptions, because infeasible and unbounded
+programs are legitimate outcomes for callers.
 
 Every optimum is certified before it is returned, against the original
 program: the point is primal feasible and attains the reported value, and
@@ -32,29 +33,41 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+Row = tuple[tuple[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  s.t.  rows[k] . x <= rhs[k],  x >= 0."""
+    """maximize objective . x  s.t.  rows[k] . x <= rhs[k],  x >= 0.
+
+    `objective` is dense.  Each row is (column, coefficient) pairs, columns
+    ascending and in range, no coefficient zero; `build` takes dense rows.
+    Pair tuples, not dicts, keep rows hashable and count one per nonzero."""
 
     objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[Row, ...]
     rhs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         n = len(self.objective)
         if len(self.rows) != len(self.rhs):
             raise InputError("row / rhs length mismatch")
-        for row in self.rows:
-            if len(row) != n:
-                raise InputError("row width does not match objective")
+        for k, row in enumerate(self.rows):
+            last = -1
+            for j, a in row:
+                if not (last < j < n and a):
+                    raise InputError(f"row {k}: column {j} out of order or range, or zero")
+                last = j
 
     @staticmethod
     def build(objective, rows, rhs) -> "LinearProgram":
-        return LinearProgram(
-            tuple(rat(v) for v in objective),
-            tuple(tuple(rat(v) for v in row) for row in rows),
-            tuple(rat(v) for v in rhs),
-        )
+        objective = tuple(rat(v) for v in objective)
+        sparse = []
+        for row in rows:
+            if len(row) != len(objective):
+                raise InputError("row width does not match objective")
+            sparse.append(tuple((j, a) for j, a in enumerate(map(rat, row)) if a))
+        return LinearProgram(objective, tuple(sparse), tuple(rat(v) for v in rhs))
 
 
 @dataclass(frozen=True)
@@ -64,13 +77,9 @@ class Solution:
     objective_value: Optional[Fraction] = None
 
 
-# A sparse row maps column -> nonzero coefficient; its right-hand side is
+# A tableau row maps column -> nonzero coefficient; its right-hand side is
 # kept in a parallel list.
 SparseRow = dict[int, Fraction]
-
-
-def _sparse_rows(lp: LinearProgram) -> list[SparseRow]:
-    return [{j: a for j, a in enumerate(row) if a} for row in lp.rows]
 
 
 def _axpy(target: SparseRow, factor: Fraction, row: SparseRow) -> None:
@@ -145,16 +154,15 @@ def solve(lp: LinearProgram) -> Solution:
     n = len(lp.objective)
     m = len(lp.rows)
     ncols = n + m  # structural + slack
-    original = _sparse_rows(lp)
     rows: list[SparseRow] = []
     rhs: list[Fraction] = []
     basis: list[int] = []
     artificials: SparseRow = {}  # phase-1 costs: -1 on each artificial column
-    for k, row in enumerate(original):
+    for k, row in enumerate(lp.rows):
         if lp.rhs[k] < 0:
             art = ncols + len(artificials)
             artificials[art] = Fraction(-1)
-            row = {j: -a for j, a in row.items()}
+            row = {j: -a for j, a in row}
             row[n + k] = Fraction(-1)
             row[art] = _ONE
             rhs.append(-lp.rhs[k])
@@ -195,20 +203,18 @@ def solve(lp: LinearProgram) -> Solution:
         if col < n:
             x[col] = rhs[r]
     y = [-z.get(n + k, _ZERO) for k in range(m)]
-    _certify(lp, original, x, y, value)
+    _certify(lp, x, y, value)
     return Solution(status=OPTIMAL, values=tuple(x), objective_value=value)
 
 
-def _certify(
-    lp: LinearProgram, rows: list[SparseRow], x: list[Fraction], y: list[Fraction], value: Fraction
-) -> None:
-    """Prove `x` optimal with value `value` for `lp`, whose rows are given
-    sparse as `rows`: `x` is primal feasible and attains `value`, and `y`
-    is dual feasible (y >= 0, A^T y >= c) with b.y == value."""
+def _certify(lp: LinearProgram, x: list[Fraction], y: list[Fraction], value: Fraction) -> None:
+    """Prove `x` optimal with value `value` for `lp`: `x` is primal
+    feasible and attains `value`, and `y` is dual feasible (y >= 0,
+    A^T y >= c) with b.y == value."""
     if any(v < 0 for v in x):
         raise InternalInvariant("negative variable in reported optimum")
-    for k, row in enumerate(rows):
-        lhs = sum((a * x[j] for j, a in row.items()), _ZERO)
+    for k, row in enumerate(lp.rows):
+        lhs = sum((a * x[j] for j, a in row), _ZERO)
         if lhs > lp.rhs[k]:
             raise InternalInvariant(f"row {k} violated by reported optimum")
     obj = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)
@@ -217,9 +223,9 @@ def _certify(
     if any(v < 0 for v in y):
         raise InternalInvariant("negative dual in reported optimum")
     aty = [_ZERO] * len(lp.objective)
-    for row, yk in zip(rows, y):
+    for row, yk in zip(lp.rows, y):
         if yk:
-            for j, a in row.items():
+            for j, a in row:
                 aty[j] += a * yk
     for j, c in enumerate(lp.objective):
         if aty[j] < c:

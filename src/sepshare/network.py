@@ -22,8 +22,6 @@ from .errors import BudgetExceeded, Disconnected, InputError
 Vertex = Hashable
 EdgeId = int
 
-_ZERO = Fraction(0)
-
 
 class Network:
     """Multigraph with stable vertex order and integer edge ids."""
@@ -92,50 +90,54 @@ class Network:
         start: Vertex,
         weight: Callable[[EdgeId], Fraction],
         reverse: bool = False,
-        blocked_vertices: frozenset = frozenset(),
+        blocked_vertices: Collection[Vertex] = frozenset(),
         edges: Optional[Collection[EdgeId]] = None,
         stop: Optional[Collection[Vertex]] = None,
     ) -> dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
         """Single-source shortest paths with exact weights.
 
-        Among equal-cost paths the lexicographically smallest vertex-index
-        sequence wins (then smallest edge-id sequence), which pins down a
-        unique answer on multigraphs.  Only edges in `edges` are walked
-        (all edges when None).  Vertices in `blocked_vertices` may be
-        reached but never left, so they can only be path endpoints; their
-        own entries are the same as in a search where they are not blocked.
-        When `stop` is given, the search returns as soon as it has settled
-        every vertex in it, so only the entries settled by then are present
-        (each the same as in a full search); a stop vertex that cannot be
-        reached leaves the search running to the end.
+        Weights must be exact and nonnegative.  Among equal-cost paths the
+        lexicographically smallest vertex-index sequence wins (then smallest
+        edge-id sequence), which pins down a unique answer on multigraphs.
+        Only edges in `edges` are walked (all edges when None).  Vertices
+        in `blocked_vertices` may be reached but never left, so they can
+        only be path endpoints; their own entries are the same as in a
+        search where they are not blocked.  When `stop` is given, the
+        search returns as soon as it has settled every vertex in it, so
+        only the entries settled by then are present (each the same as in
+        a full search); a stop vertex that cannot be reached leaves the
+        search running to the end.  Integral distances are ints inside the
+        search, cheaper than Fractions and exact alongside them, so the
+        heap order is unchanged; every returned distance is a Fraction.
         """
         pending = None if stop is None else set(stop)
+        vindex, vertices = self.vindex, self.vertices
+        adj = self._radj if reverse else self._adj
+        push, pop = heapq.heappush, heapq.heappop
         result: dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]] = {}
-        vpath0 = (self.vindex[start],)
-        heap: list[tuple[Fraction, tuple[int, ...], tuple[EdgeId, ...], Vertex]] = [
-            (_ZERO, vpath0, (), start)
+        heap: list[tuple[int | Fraction, tuple[int, ...], tuple[EdgeId, ...], Vertex]] = [
+            (0, (vindex[start],), (), start)
         ]
         while heap:
-            dist, vkey, epath, x = heapq.heappop(heap)
+            dist, vkey, epath, x = pop(heap)
             if x in result:
                 continue
-            vpath = tuple(self.vertices[k] for k in vkey)
-            result[x] = (dist, vpath, epath)
+            result[x] = (Fraction(dist), tuple(vertices[k] for k in vkey), epath)
             if pending is not None:
                 pending.discard(x)
                 if not pending:
                     break
             if x in blocked_vertices and x != start:
                 continue
-            for nbr, eid in self.neighbors(x, reverse=reverse):
+            for nbr, eid in adj[x]:
                 if nbr in result or (edges is not None and eid not in edges):
                     continue
                 w = weight(eid)
-                if w < 0:
+                if w.numerator < 0:
                     raise InputError(f"negative weight on edge {eid}")
-                heapq.heappush(
-                    heap, (dist + w, vkey + (self.vindex[nbr],), epath + (eid,), nbr)
-                )
+                if w.denominator == 1:
+                    w = w.numerator
+                push(heap, (dist + w, vkey + (vindex[nbr],), epath + (eid,), nbr))
         return result
 
     def shortest_path(
@@ -143,7 +145,7 @@ class Network:
         frm: Vertex,
         to: Vertex,
         weight: Callable[[EdgeId], Fraction],
-        blocked_vertices: frozenset = frozenset(),
+        blocked_vertices: Collection[Vertex] = frozenset(),
         edges: Optional[Collection[EdgeId]] = None,
     ) -> Optional[tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
         """Cheapest frm -> to path, or None if unreachable.

@@ -28,11 +28,12 @@ from .errors import (
     UnsupportedSpace,
 )
 from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
-from .lp import OPTIMAL, LinearProgram, solve
+from .lp import OPTIMAL, LinearProgram, Row, solve
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, SharingTable, verify_pne
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _require_path_game(game: GameModel) -> None:
@@ -138,21 +139,16 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
         return _fixed_cost(game, eid) + game.delay(i, eid)
 
     live_edges = set(region) - set(choice)
-    dead_vertices: set[Vertex] = set()
+    # path nodes and the interiors of detours found so far
+    blocked: set[Vertex] = set(nodes)
     found: list[Alternative] = []
     for u in nodes:
         while True:
-            hit = _discover(net, u, pos, live_edges, dead_vertices)
+            hit = _discover(net, u, pos, live_edges, blocked)
             if hit is None:
                 break
             v = hit
-            path = net.shortest_path(
-                u,
-                v,
-                weight,
-                blocked_vertices=frozenset(nodes) | dead_vertices,
-                edges=live_edges,
-            )
+            path = net.shortest_path(u, v, weight, blocked_vertices=blocked, edges=live_edges)
             if path is None:
                 raise InternalInvariant("discovered node without a connecting path")
             cost, vseq, eseq = path
@@ -168,7 +164,7 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
                 )
             )
             live_edges -= set(eseq)
-            dead_vertices |= set(vseq) - {u, v}
+            blocked.update(vseq[1:-1])
     if len(found) > len(net.edge_ids):
         raise InternalInvariant("more alternatives than edges")
     used = [e for alt in found for e in alt.edges]
@@ -189,11 +185,12 @@ def _discover(
     u: Vertex,
     pos: dict,
     live_edges: set,
-    dead_vertices: set,
+    blocked: set,
 ) -> Optional[Vertex]:
-    """Breadth-first search from u through off-path territory; returns the
-    first other path node reached, preferring earlier path position on the
-    same layer, or None."""
+    """Breadth-first search from u through off-path territory, which is
+    neither a path node nor in `blocked`; returns the first other path
+    node reached, preferring earlier path position on the same layer, or
+    None."""
     visited = {u}
     frontier = [u]
     while frontier:
@@ -201,7 +198,7 @@ def _discover(
         nxt: list[Vertex] = []
         for x in frontier:
             for nbr, eid in net.neighbors(x):
-                if eid not in live_edges or nbr in visited or nbr in dead_vertices:
+                if eid not in live_edges or nbr in visited or (nbr in blocked and nbr not in pos):
                     continue
                 visited.add(nbr)
                 if nbr in pos:
@@ -225,18 +222,14 @@ class LPInstance:
     not_series_parallel: Optional[NotSeriesParallel]  # None: all detour rows are in
 
 
-def _stability_row(
-    game: GameModel, var_index: dict, i: int, joined, left
-) -> tuple[tuple[Fraction, ...], Fraction]:
+def _stability_row(game: GameModel, var_index: dict, i: int, joined, left) -> tuple[Row, Fraction]:
     """Row of player i's deviation that adopts `joined` and drops `left`:
     the shares on `left` may not exceed the full cost plus delay of
     `joined` minus the delay saved on `left`."""
-    row = [_ZERO] * len(var_index)
     bound = sum((_fixed_cost(game, e) + game.delay(i, e) for e in joined), _ZERO)
     for e in left:
-        row[var_index[(i, e)]] = Fraction(1)
         bound -= game.delay(i, e)
-    return tuple(row), bound
+    return tuple(sorted((var_index[(i, e)], _ONE) for e in left)), bound
 
 
 def build_lp(game: GameModel, profile: Profile) -> LPInstance:
@@ -254,17 +247,16 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
     for i in range(game.n):
         for e in sorted(profile[i], key=game.resource_key):
             var_index[(i, e)] = len(var_index)
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[Row] = []
     rhs: list[Fraction] = []
 
+    # a player's columns all come before the next player's, so ascending
+    # players give ascending columns
     for e in game.resources:
         users = profile.users(e)
         if not users:
             continue
-        row = [_ZERO] * len(var_index)
-        for i in sorted(users):
-            row[var_index[(i, e)]] = Fraction(1)
-        rows.append(tuple(row))
+        rows.append(tuple((var_index[(i, e)], _ONE) for i in sorted(users)))
         rhs.append(_fixed_cost(game, e))
 
     not_sp = None
@@ -278,7 +270,7 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
         rhs.append(bound)
 
     lp = LinearProgram(
-        objective=tuple(Fraction(1) for _ in var_index),
+        objective=(_ONE,) * len(var_index),
         rows=tuple(rows),
         rhs=tuple(rhs),
     )

@@ -22,7 +22,9 @@ player for an item's users, re-walks paths and re-sums every prefix and
 tail of a path per query, and rebuilds the auxiliary graph for each
 cross-check search, where the package keeps walks, users, depths and
 adjacency from one tree check to the next and stops its searches once
-their answers are settled.
+their answers are settled.  The shortest-path reference keeps every
+distance a Fraction, where the package keeps integral distances as ints
+inside the search.
 """
 
 from __future__ import annotations
@@ -250,6 +252,35 @@ def rescan_transform_matroid(game, profile):
             movable = [i for i in users if virtual_cost(game, i, e) > vdev(i, e)]
             move_packet(movable[0], e, "cover")
     return current, tuple(moves)
+
+
+def fraction_dijkstra(
+    net, start, weight, reverse=False, blocked_vertices=frozenset(), edges=None, stop=None
+):
+    """`Network.dijkstra` with every distance a Fraction from the start,
+    including inside the search."""
+    pending = None if stop is None else set(stop)
+    result = {}
+    heap = [(_ZERO, (net.vindex[start],), (), start)]
+    while heap:
+        dist, vkey, epath, x = heapq.heappop(heap)
+        if x in result:
+            continue
+        result[x] = (dist, tuple(net.vertices[k] for k in vkey), epath)
+        if pending is not None:
+            pending.discard(x)
+            if not pending:
+                break
+        if x in blocked_vertices and x != start:
+            continue
+        for nbr, eid in net.neighbors(x, reverse=reverse):
+            if nbr in result or (edges is not None and eid not in edges):
+                continue
+            w = weight(eid)
+            if w < 0:
+                raise InputError(f"negative weight on edge {eid}")
+            heapq.heappush(heap, (dist + w, vkey + (net.vindex[nbr],), epath + (eid,), nbr))
+    return result
 
 
 def per_pair_tight_alternative(game, i, ordered_path, share_of, f):

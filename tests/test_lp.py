@@ -13,7 +13,6 @@ from sepshare.lp import (
     UNBOUNDED,
     LinearProgram,
     _certify,
-    _sparse_rows,
     solve,
 )
 
@@ -64,7 +63,7 @@ class TestCertificate:
     PROG = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [4, 2])
 
     def test_optimum_with_its_dual_is_accepted(self):
-        _certify(self.PROG, _sparse_rows(self.PROG), [F(2), F(2)], [F(1), F(0)], F(4))
+        _certify(self.PROG, [F(2), F(2)], [F(1), F(0)], F(4))
 
     @pytest.mark.parametrize(
         "dual",
@@ -74,7 +73,7 @@ class TestCertificate:
     def test_feasible_but_not_optimal_point_is_rejected(self, dual):
         x = [F(1), F(1)]
         with pytest.raises(InternalInvariant):
-            _certify(self.PROG, _sparse_rows(self.PROG), x, list(dual), F(2))
+            _certify(self.PROG, x, list(dual), F(2))
 
 
 class TestAgainstOracles:
@@ -129,3 +128,21 @@ class TestTextFormat:
             LinearProgram.build([1, 2], [[1]], [1])
         with pytest.raises(InputError):
             LinearProgram.build([1], [[1]], [1, 2])
+
+
+class TestRowForm:
+    def test_build_keeps_only_the_nonzeros_in_column_order(self):
+        prog = LinearProgram.build([1, 1, 1], [[0, 2, 0], [3, 0, -1], [0, 0, 0]], [1, 2, 3])
+        assert prog.rows == (((1, F(2)),), ((0, F(3)), (2, F(-1))), ())
+        assert LinearProgram(prog.objective, prog.rows, prog.rhs) == prog
+
+    @pytest.mark.parametrize(
+        "row",
+        [((2, F(1)),), ((-1, F(1)),), ((1, F(1)), (1, F(2))), ((1, F(1)), (0, F(2))),
+         ((0, F(0)),)],
+        ids=["column-past-the-end", "negative-column", "repeated-column", "unsorted-columns",
+             "zero-coefficient"],
+    )
+    def test_malformed_sparse_row_is_rejected(self, row):
+        with pytest.raises(InputError):
+            LinearProgram((F(1), F(1)), (row,), (F(1),))

@@ -262,6 +262,21 @@ class TestAlternatives:
         tail = len(inst.lp.rows) - len(rows)
         assert tail == len(profile.used_resources())  # the capacity rows come first
         assert list(zip(inst.lp.rows[tail:], inst.lp.rhs[tail:])) == rows
+        if case == "nested":
+            # columns: (0, 0), (0, 1), (0, 2), (1, 1), (1, 2); every row
+            # written out, capacity rows then detour rows
+            assert inst.var_index == {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4}
+            assert list(zip(inst.lp.rows, inst.lp.rhs)) == [
+                (((0, 1),), 3),
+                (((1, 1), (3, 1)), 2),
+                (((2, 1), (4, 1)), 4),
+                (((0, 1), (1, 1), (2, 1)), 9),
+                (((0, 1),), 2),
+                (((1, 1), (2, 1)), 5),
+                (((2, 1),), 2),
+                (((3, 1), (4, 1)), 5),
+                (((4, 1),), 2),
+            ]
 
 
 class TestEnforceabilityLP:

@@ -4,7 +4,9 @@
 outside the package, so a renamed one would otherwise break only a traced
 benchmark run.  Here the tracer is loaded from `bench/` without writing
 there, installed against the package for one small run per traced
-transform, and uninstalled.
+transform, and uninstalled.  The LP counters must also count the rows and
+nonzeros of exactly the programs that were solved, whatever form the
+package gives its rows.
 """
 
 import importlib
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import sepshare.lp
+import sepshare.nsepa
 from sepshare.cli import run
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -82,3 +86,30 @@ def test_the_tree_layer_reports_its_spans_and_counters(tracer_module, tmp_path):
                  "singlesource.pricing_s", "singlesource.ghat_s"):
         assert summary[name] > 0, name
     assert json.loads(out.read_text())["command"] == "transform-tree"
+
+
+def test_the_lp_counters_count_every_solved_row_and_nonzero(tracer_module, tmp_path,
+                                                              monkeypatch):
+    # the LP hook counts a row's nonzeros as its truthy entries, so it holds
+    # only while every entry of a row is one nonzero, column 0 included
+    solved = []
+
+    def recording_solve(lp):
+        solved.append(lp)
+        return sepshare.lp.solve(lp)  # looked up per call: the traced one
+
+    monkeypatch.setattr(sepshare.nsepa, "solve", recording_solve)
+    inst, out = tmp_path / "sp.json", tmp_path / "r.json"
+    assert run(["gen", "sp", "--seed", "9", "--out", str(inst)]) == 0
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert run(["nsepa", "transform", "--in", str(inst), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["lp.solves"] == len(solved) == 2
+    assert any(j == 0 for lp in solved for row in lp.rows for j, _a in row)
+    assert summary["lp.rows"] == sum(len(lp.rows) for lp in solved)
+    assert summary["lp.nonzeros"] == sum(1 for lp in solved for row in lp.rows
+                                         for _j, a in row if a)
