@@ -127,6 +127,8 @@ def _pick_profile(doc: dict, game: GameModel, selector: Optional[str]) -> Profil
             return profile_from_json(loads(_read_text(selector)), game)
     if "profile" in doc:
         return profile_from_json({"profile": doc["profile"]}, game)
+    if game.n == 0:
+        return Profile([])  # the only profile of a game without players
     raise InputError("no profile: bundle one in the instance or pass --profile")
 
 
@@ -151,6 +153,13 @@ def _derive_protocol(
     elif "protocol" in doc:
         explicit = protocol_from_json(doc["protocol"], game)
     kinds = {sp.kind for sp in game.spaces}
+    if kinds <= {"matroid"}:  # a game without players needs no network
+        if explicit is not None:
+            return check_enforceable_matroid(game, profile, virtual=False).ok, explicit
+        try:
+            return True, build_matroid_protocol(game, profile)
+        except NotEnforceable:
+            return False, None
     if kinds <= {"path"}:
         report = is_enforceable(game, profile)
         ok = report.enforceable
@@ -158,17 +167,7 @@ def _derive_protocol(
             return ok, explicit
         if not ok:
             return False, None
-        table = SharingTable(
-            profile, {pair: v for pair, v in report.shares.items() if v != 0}
-        )
-        return True, SeparableProtocol(game, table)
-    if kinds <= {"matroid"}:
-        if explicit is not None:
-            return check_enforceable_matroid(game, profile, virtual=False).ok, explicit
-        try:
-            return True, build_matroid_protocol(game, profile)
-        except NotEnforceable:
-            return False, None
+        return True, SeparableProtocol(game, SharingTable(profile, report.shares))
     raise InputError("mixed strategy spaces are not supported")
 
 
@@ -185,91 +184,54 @@ def _verify_booleans(
 # -- commands --------------------------------------------------------------
 
 
-def _cmd_transform_matroid(args) -> tuple[RunReport, Sequence[Step], bool]:
-    game, doc = _load_instance(args)
-    profile = _pick_profile(doc, game, args.profile)
+def _matroid_family(game: GameModel, profile: Profile):
     result = transform_matroid(game, profile)
     protocol = build_matroid_protocol(game, result.profile)
-    pne, bb = _verify_booleans(game, protocol, result.profile)
-    report = RunReport(
-        command="transform-matroid",
-        input_cost=result.input_cost,
-        output_cost=result.output_cost,
-        iterations=result.iterations,
-        enforceable=pne and bb,
-        pne_verified=pne,
-        budget_balanced=bb,
-        extra={
-            "profile": result.profile,
-            "protocol": protocol_to_json(protocol),
-        },
-    )
-    ok = pne and bb and report.output_cost <= report.input_cost
-    return report, result.moves, ok
+    return result, protocol, result.moves, result.iterations, 0, {}
 
 
-def _cmd_transform_tree(args) -> tuple[RunReport, Sequence[Step], bool]:
-    game, doc = _load_instance(args)
-    if game.n == 0:
-        empty = Profile([])
-        protocol = SeparableProtocol(game, SharingTable(empty, {}))
-        pne, bb = _verify_booleans(game, protocol, empty)
-        report = RunReport(command="transform-tree", enforceable=pne and bb,
-                           pne_verified=pne, budget_balanced=bb,
-                           extra={"profile": empty,
-                                  "protocol": protocol_to_json(protocol)})
-        return report, [], pne and bb
-    profile = _pick_profile(doc, game, args.profile)
+def _tree_family(game: GameModel, profile: Profile):
     result = transform_single_source(game, profile)
-    pne, bb = _verify_booleans(game, result.protocol, result.profile)
-    report = RunReport(
-        command="transform-tree",
-        input_cost=result.input_cost,
-        output_cost=result.output_cost,
-        iterations=len(result.events),
-        phases=len(result.replacements),
-        enforceable=pne and bb,
-        pne_verified=pne,
-        budget_balanced=bb,
-        extra={
-            "profile": result.profile,
-            "protocol": protocol_to_json(result.protocol),
-            "repairs": result.repairs,
-        },
-    )
-    ok = pne and bb and report.output_cost <= report.input_cost
-    return report, result.events, ok
+    return (result, result.protocol, result.events, len(result.events),
+            len(result.replacements), {"repairs": result.repairs})
 
 
-def _cmd_nsepa_transform(args) -> tuple[RunReport, Sequence[Step], bool]:
+def _nsepa_family(game: GameModel, profile: Profile):
+    result = nsepa_transform(game, profile)
+    extra = {
+        "lp_value": result.lp_value,
+        "input_enforceable": result.input_enforceable,
+        "repairs": len(result.repairs),
+    }
+    return (result, result.protocol, result.repairs + result.substitutions,
+            len(result.substitutions), result.phases, extra)
+
+
+def _cmd_transform(command: str, family, args) -> tuple[RunReport, Sequence[Step], bool]:
+    """One transform command.  `family(game, profile)` runs the transform and
+    returns its result, the protocol on the output profile, the trace steps,
+    the iteration and phase counts, and the report keys of its own."""
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
-    result = nsepa_transform(game, profile)
-    pne, bb = _verify_booleans(game, result.protocol, result.profile)
+    result, protocol, steps, iterations, phases, extra = family(game, profile)
+    pne, bb = _verify_booleans(game, protocol, result.profile)
+    enforceable = pne and bb
+    if command == "nsepa-transform":
+        # path games also re-decide the output with the enforceability LP
+        enforceable = is_enforceable(game, result.profile).enforceable
     report = RunReport(
-        command="nsepa-transform",
+        command=command,
         input_cost=result.input_cost,
         output_cost=result.output_cost,
-        iterations=len(result.substitutions),
-        phases=result.phases,
-        enforceable=is_enforceable(game, result.profile).enforceable,
+        iterations=iterations,
+        phases=phases,
+        enforceable=enforceable,
         pne_verified=pne,
         budget_balanced=bb,
-        extra={
-            "profile": result.profile,
-            "protocol": protocol_to_json(result.protocol),
-            "lp_value": result.lp_value,
-            "input_enforceable": result.input_enforceable,
-            "repairs": len(result.repairs),
-        },
+        extra={"profile": result.profile, "protocol": protocol_to_json(protocol), **extra},
     )
-    ok = (
-        report.enforceable
-        and pne
-        and bb
-        and report.output_cost <= report.input_cost
-    )
-    return report, result.repairs + result.substitutions, ok
+    ok = enforceable and pne and bb and result.output_cost <= result.input_cost
+    return report, steps, ok
 
 
 def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
@@ -380,17 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform-matroid", help="rewrite matroid profiles until enforceable")
     io_flags(p)
-    p.set_defaults(handler=_cmd_transform_matroid)
+    p.set_defaults(handler=functools.partial(_cmd_transform, "transform-matroid", _matroid_family))
 
     p = sub.add_parser("transform-tree", help="single-source tree transform with sharing")
     io_flags(p)
-    p.set_defaults(handler=_cmd_transform_tree)
+    p.set_defaults(handler=functools.partial(_cmd_transform, "transform-tree", _tree_family))
 
     p = sub.add_parser("nsepa", help="series-parallel path game operations")
     nsub = p.add_subparsers(dest="nsepa_command", required=True)
     pt = nsub.add_parser("transform", help="LP-guided substitution transform")
     io_flags(pt)
-    pt.set_defaults(handler=_cmd_nsepa_transform)
+    pt.set_defaults(handler=functools.partial(_cmd_transform, "nsepa-transform", _nsepa_family))
     pc = nsub.add_parser("check", help="LP enforceability check")
     io_flags(pc)
     pc.set_defaults(handler=_cmd_nsepa_check)

@@ -124,11 +124,7 @@ def random_bases_profile(rng: random.Random, game: GameModel) -> Profile:
         oracle = game.spaces[i].oracle
         order = list(oracle.ground)
         rng.shuffle(order)
-        picked: set[int] = set()
-        for e in order:
-            if oracle.is_independent(frozenset(picked | {e})):
-                picked.add(e)
-        choices.append(frozenset(picked))
+        choices.append(oracle.greedy(order))
     return Profile(choices)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedSpace,
 )
 from .game import GameModel, MatroidSpace, Profile, Step, total_cost
-from .protocol import SeparableProtocol, SharingTable
+from .protocol import SeparableProtocol, SharingTable, water_fill
 
 _ZERO = Fraction(0)
 
@@ -69,14 +69,20 @@ class MatroidOracle:
         rest = basis - {e}
         return [f for f in self.ground if f not in basis and self.is_independent(rest | {f})]
 
+    def greedy(self, order: Iterable[int]) -> frozenset:
+        """Take each element of `order` in turn unless it breaks
+        independence; along the ground sorted by weight, the result is a
+        min-weight basis."""
+        picked: set[int] = set()
+        for e in order:
+            if self.is_independent(frozenset(picked | {e})):
+                picked.add(e)
+        return frozenset(picked)
+
     @property
     def rank(self) -> int:
         if self._rank is None:
-            current: set[int] = set()
-            for e in self.ground:
-                if self.is_independent(frozenset(current | {e})):
-                    current.add(e)
-            self._rank = len(current)
+            self._rank = len(self.greedy(self.ground))
         return self._rank
 
     def is_basis(self, subset: Iterable[int]) -> bool:
@@ -498,14 +504,7 @@ def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtoc
     shares: dict[tuple[int, int], Fraction] = {}
     for e in game.resources:
         users = sorted(profile.users(e))
-        if not users:
-            continue
-        remaining = game.cost(e, frozenset(users))
-        for i in users:
-            cap = deltas[(i, e)] - game.delay(i, e)
-            take = min(cap, remaining)
-            shares[(i, e)] = take
-            remaining -= take
-        if remaining != 0:
-            raise InternalInvariant(f"water-filling left {remaining} unpaid on {e}")
+        if users:
+            caps = [((i, e), deltas[(i, e)] - game.delay(i, e)) for i in users]
+            shares.update(water_fill(game.cost(e, frozenset(users)), caps))
     return SeparableProtocol(game, SharingTable(profile, shares))

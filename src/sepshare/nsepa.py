@@ -30,7 +30,7 @@ from .errors import (
 from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
 from .lp import OPTIMAL, LinearProgram, Row, solve
 from .network import Network, Vertex
-from .protocol import SeparableProtocol, SharingTable, verify_pne
+from .protocol import SeparableProtocol, SharingTable, verify_pne, water_fill
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -584,15 +584,11 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         excess = paid(e) - _fixed_cost(game, e)
         if excess < 0:
             raise InternalInvariant(f"edge {e} left unpaid after all phases")
-        for i in sorted(users[e], reverse=True):
-            if excess == 0:
-                break
-            cut = min(shares.get((i, e), _ZERO), excess)
-            if cut:
-                shares[(i, e)] -= cut
-                excess -= cut
-        if excess != 0:
-            raise InternalInvariant(f"cannot balance overpaid edge {e}")
+        if excess:
+            held = [((i, e), shares.get((i, e), _ZERO)) for i in sorted(users[e], reverse=True)]
+            for pair, cut in water_fill(excess, held).items():
+                if cut:
+                    shares[pair] -= cut
 
     out_profile = Profile([frozenset(paths[i]) for i in range(game.n)])
     game.validate_profile(out_profile)
@@ -605,13 +601,9 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
             raise InternalInvariant("enforceable input must pass through unchanged")
     elif not output_cost < input_cost:
         raise InternalInvariant("transform failed to strictly reduce total cost")
-    table = SharingTable(
-        out_profile,
-        {pair: v for pair, v in shares.items() if v != 0},
-    )
     return NsepaTransformResult(
         profile=out_profile,
-        protocol=SeparableProtocol(game, table),
+        protocol=SeparableProtocol(game, SharingTable(out_profile, shares)),
         phases=phases,
         input_enforceable=report.enforceable and not repairs,
         lp_value=report.lp_value,

@@ -105,12 +105,12 @@ def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
     for them.
     """
     kinds = {sp.kind for sp in game.spaces}
+    if kinds <= {"matroid"}:  # a game without players needs no network
+        from .matroids import check_enforceable_matroid
+
+        return check_enforceable_matroid(game, profile, virtual=False).ok
     if kinds <= {"path"}:
         from .nsepa import is_enforceable
 
         return is_enforceable(game, profile).enforceable
-    if kinds <= {"matroid"}:
-        from .matroids import check_enforceable_matroid
-
-        return check_enforceable_matroid(game, profile, virtual=False).ok
     raise UnsupportedSpace("mixed strategy-space kinds")

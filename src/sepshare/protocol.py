@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
-from .errors import InputError
+from .errors import InputError, InternalInvariant
 from .game import GameModel, Profile
 from .rationals import rat
 
@@ -47,6 +47,21 @@ class SharingTable:
 
     def share(self, i: int, e: int) -> Fraction:
         return self.shares.get((i, e), _ZERO)
+
+
+def water_fill(
+    amount: Fraction, caps: Iterable[tuple[Hashable, Fraction]]
+) -> dict[Hashable, Fraction]:
+    """Split `amount` over ordered (key, cap) pairs: each key takes the
+    smaller of its cap and what is left, zero takes included.  The caps
+    must hold the whole amount."""
+    takes = {}
+    for key, cap in caps:
+        takes[key] = take = min(cap, amount)
+        amount -= take
+    if amount != 0:
+        raise InternalInvariant(f"water-filling left {amount} over the caps")
+    return takes
 
 
 class SeparableProtocol:
@@ -145,14 +160,6 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
     return weight
 
 
-def _greedy_min_basis(oracle, weight, order_key) -> frozenset:
-    picked: set[int] = set()
-    for e in sorted(oracle.ground, key=lambda e: (weight(e), order_key(e))):
-        if oracle.is_independent(frozenset(picked | {e})):
-            picked.add(e)
-    return frozenset(picked)
-
-
 def best_response(
     game: GameModel, protocol: SeparableProtocol, i: int
 ) -> tuple[frozenset, Fraction]:
@@ -160,7 +167,9 @@ def best_response(
     weight = _deviation_weight(game, protocol, i)
     sp = game.spaces[i]
     if sp.kind == "matroid":
-        choice = _greedy_min_basis(sp.oracle, weight, game.resource_key)
+        choice = sp.oracle.greedy(
+            sorted(sp.oracle.ground, key=lambda e: (weight(e), game.resource_key(e)))
+        )
     else:
         hit = game.network.shortest_path(sp.terminal, sp.source, weight)
         if hit is None:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .game import GameModel, PathSpace, Profile, Step, total_cost
 from .network import Network, Vertex
-from .protocol import SeparableProtocol, SharingTable
+from .protocol import SeparableProtocol, SharingTable, water_fill
 
 _ZERO = Fraction(0)
 
@@ -62,6 +62,8 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
     shortest-path tree from the source; never more expensive."""
     source = _require_single_source(game)
     game.validate_profile(profile)
+    if game.n == 0:
+        return profile  # without players there is no source to search from
     union = profile.used_resources()
     net = game.network
 
@@ -332,15 +334,7 @@ class AuxiliaryGraph:
         contrib = {i: self.max_contribution(i, e) for i in users}
         cost = self.item_cost(e)
         if cost <= sum((contrib[i][0] for i in users), _ZERO):
-            shares: dict[int, Fraction] = {}
-            remaining = cost
-            for i in users:
-                take = min(contrib[i][0], remaining)
-                shares[i] = take
-                remaining -= take
-            if remaining != 0:
-                raise InternalInvariant(f"edge {e} left unpaid by water-filling")
-            self.closed_shares[e] = shares
+            self.closed_shares[e] = water_fill(cost, [(i, contrib[i][0]) for i in users])
             self.open_edges.discard(e)
             self.events.append(Step("close", users[0], e, _ZERO))
             return True

@@ -1,8 +1,10 @@
 """Golden corpus: every transform case gives the recorded exit code and
 byte-identical report and trace, in this process and, for the path-game
-families, replayed by tests/golden/replay.py under two fixed hash seeds.
-Regenerate with tests/golden/regen.py."""
+families, replayed by tests/golden/replay.py under two fixed hash seeds;
+and the generators still write every case's instance.  Regenerate with
+tests/golden/regen.py."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from sepshare.cli import run
+from sepshare.schema import dumps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -44,3 +47,29 @@ def test_path_game_cases_replay_under_a_fixed_hash_seed(hash_seed):
     count = sum(c["name"].rsplit("-", 1)[0] in PATH_GAME_FAMILIES for c in CASES)
     assert count == 55
     assert f"replayed {count} cases, 0 differences" in done.stdout
+
+
+def _regen_module():
+    spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generators_reproduce_every_golden_instance(tmp_path):
+    """Each case's `gen` argv, or its `chain_instance` arguments, still
+    writes its instance.json byte for byte, so no seed's stream moved."""
+    regen = _regen_module()
+    built = {"gen": 0, "builder": 0}
+    for case in CASES:
+        recorded = (GOLDEN / case["name"] / "instance.json").read_bytes()
+        if "builder" in case:
+            made = (dumps(regen.chain_instance(**case["builder"])) + "\n").encode()
+            built["builder"] += 1
+        else:
+            out = tmp_path / f"{case['name']}.json"
+            assert run(case["gen"] + ["--out", str(out)]) == 0
+            made = out.read_bytes()
+            built["gen"] += 1
+        assert made == recorded, case["name"]
+    assert built == {"gen": 75, "builder": 5}

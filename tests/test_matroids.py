@@ -135,6 +135,21 @@ class TestExchanges:
             seen["quota 0"] += 0 in body.get("quotas", [1])
         assert min(seen.values()) >= 20, seen
 
+    def test_greedy_takes_the_cheapest_basis(self):
+        rng = random.Random(4711)
+        kinds = ("uniform", "partition", "graphic")
+        for n in range(450):
+            desc = random_descriptor(rng, kinds[n % 3])
+            m = matroid_from_descriptor(desc)
+            loop = QueryLoop(m)
+            weight = {e: rng.randint(0, 3) for e in m.ground}
+            order = sorted(m.ground, key=lambda e: (weight[e], e))
+            cheapest = min(loop.bases(), key=lambda b: (
+                sum(weight[e] for e in b), sorted((weight[e], e) for e in b)))
+            for oracle in (m, loop):
+                assert oracle.greedy(order) == cheapest, desc
+                assert len(oracle.greedy(oracle.ground)) == m.rank, desc
+
     def test_rank_one_swaps_freely(self):
         m = UniformMatroid([0, 1], 1)
         assert sorted(exchange_candidates(m, frozenset({0}), 0)) == [0, 1]

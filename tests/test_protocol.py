@@ -1,11 +1,12 @@
 """Share tables, the occupancy case rule, and the three verifiers."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from _helpers import path_game, ufl_game
-from sepshare.errors import BudgetExceeded, InputError
+from sepshare.errors import BudgetExceeded, InputError, InternalInvariant
 from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile
 from sepshare.matroids import UniformMatroid
 from sepshare.nsepa import counterexample_fixture, is_enforceable
@@ -16,6 +17,7 @@ from sepshare.protocol import (
     verify_budget_balance,
     verify_pne,
     verify_separability_bruteforce,
+    water_fill,
 )
 
 
@@ -104,6 +106,32 @@ class TestCaseRule:
         b = Profile([{0}, {0}, {2}])  # same users on resource 0
         for i in range(3):
             assert proto.cost_share(a, i, 0) == proto.cost_share(b, i, 0)
+
+
+class TestWaterFill:
+    def test_keys_take_in_their_given_order(self):
+        assert list(water_fill(F(7), [("b", F(5)), ("a", F(5))]).items()) == [
+            ("b", F(5)), ("a", F(2))]
+        assert list(water_fill(F(7), [("a", F(5)), ("b", F(5))]).items()) == [
+            ("a", F(5)), ("b", F(2))]
+
+    def test_zero_takes_are_kept(self):
+        takes = water_fill(F(3), [(0, F(0)), (1, F(3)), (2, F(4))])
+        assert takes == {0: F(0), 1: F(3), 2: F(0)}
+
+    def test_a_leftover_raises(self):
+        with pytest.raises(InternalInvariant, match="1/2"):
+            water_fill(F(5, 2), [(0, F(1)), (1, F(1))])
+
+    def test_takes_add_up_within_their_caps(self):
+        rng = random.Random(2024)
+        for _ in range(500):
+            caps = [F(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+            amount = sum(caps, F(0)) * F(rng.randint(0, 8), 8)
+            takes = water_fill(amount, list(enumerate(caps)))
+            assert list(takes) == list(range(len(caps)))
+            assert sum(takes.values(), F(0)) == amount
+            assert all(0 <= takes[k] <= cap for k, cap in enumerate(caps))
 
 
 class TestBudgetBalance:

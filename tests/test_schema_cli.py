@@ -254,6 +254,11 @@ class TestCli:
         doc = json.loads(rep.read_text())
         assert doc["input_cost"] == "0/1"
         assert doc["output_cost"] == "0/1"
+        # the same keys as the report of a game with players
+        _code, gen = run_to_file(tmp_path, "g.json", ["gen", "tree", "--seed", "1"])
+        _code, full = run_to_file(tmp_path, "f.json", ["transform-tree", "--in", str(gen)])
+        assert doc["repairs"] == []
+        assert doc.keys() == json.loads(full.read_text()).keys()
 
     def test_malformed_instance_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -420,6 +425,106 @@ class TestCli:
         code, rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
         assert code == 0
         assert json.loads(rep.read_text())["enforceable"] is True
+
+
+def _write_doc(tmp_path, doc, name="inst.json"):
+    inst = tmp_path / name
+    inst.write_text(dumps(doc) + "\n")
+    return inst
+
+
+def _two_link_doc():
+    """One player over two parallel links costing 3 and 5, on the cheap one."""
+    doc = game_to_json(path_game([("s", "t", 3), ("s", "t", 5)], [("s", "t")]))
+    doc["profile"] = [[0]]
+    return doc
+
+
+class TestCliPaths:
+    @pytest.mark.parametrize("command, game", [
+        (["transform-matroid"], ufl_game([3], players=0)),
+        (["nsepa", "transform"], path_game([], [])),
+        (["verify"], path_game([], [])),
+        (["verify"], ufl_game([3], players=0)),
+        (["nsepa", "check"], path_game([], [])),
+        (["optimum"], ufl_game([3], players=0)),
+    ], ids=["transform-matroid", "nsepa-transform", "verify-path", "verify-matroid",
+            "nsepa-check", "optimum-matroid"])
+    def test_zero_player_game_needs_no_profile(self, tmp_path, command, game):
+        inst = _write_doc(tmp_path, game_to_json(game))
+        code, rep = run_to_file(tmp_path, "r.json", command + ["--in", str(inst)])
+        assert code == 0
+        doc = json.loads(rep.read_text())
+        assert (doc["input_cost"], doc["output_cost"], doc["enforceable"]) == (
+            "0/1", "0/1", True)
+
+    def test_optimum_of_an_enforceable_game_exits_zero(self, tmp_path):
+        inst = _write_doc(tmp_path, _two_link_doc())
+        code, rep = run_to_file(tmp_path, "r.json", ["optimum", "--in", str(inst)])
+        assert code == 0
+        doc = json.loads(rep.read_text())
+        assert doc["optimum_profile"] == [[0]]
+        assert doc["unique"] is True
+        assert (doc["output_cost"], doc["enforceable"]) == ("3/1", True)
+
+    def test_optimum_of_the_theorem5_fixture_exits_one(self, tmp_path):
+        _code, inst = run_to_file(tmp_path, "fixture.json", ["fixture", "theorem5"])
+        code, rep = run_to_file(tmp_path, "r.json", ["optimum", "--in", str(inst)])
+        assert code == 1
+        doc = json.loads(rep.read_text())
+        assert (doc["output_cost"], doc["unique"], doc["enforceable"]) == (
+            "346/1", True, False)
+
+    @pytest.mark.parametrize("shares, exit_code", [
+        ([{"player": 0, "resource": 0, "share": "3/1"}], 0), ([], 1),
+    ], ids=["balanced", "unpaid"])
+    def test_verify_takes_a_protocol_file_for_a_path_game(self, tmp_path, shares, exit_code):
+        inst = _write_doc(tmp_path, _two_link_doc())
+        proto = _write_doc(tmp_path, {"base": [[0]], "shares": shares}, "proto.json")
+        code, rep = run_to_file(tmp_path, "r.json",
+                                ["verify", "--in", str(inst), "--protocol", str(proto)])
+        assert code == exit_code
+        doc = json.loads(rep.read_text())
+        assert doc["enforceable"] is True
+        assert doc["budget_balanced"] is (exit_code == 0)
+        assert doc["protocol"]["shares"] == shares
+
+    def test_embedded_picks_the_bundled_profile_over_named_ones(self, tmp_path):
+        doc = _two_link_doc()
+        doc["profiles"] = {"dear": [[1]]}
+        inst = _write_doc(tmp_path, doc)
+        verdicts = {}
+        for pick in ("embedded", "dear"):
+            code, rep = run_to_file(tmp_path, "r.json",
+                                    ["verify", "--in", str(inst), "--profile", pick])
+            verdicts[pick] = code, json.loads(rep.read_text())["input_cost"]
+        assert verdicts == {"embedded": (0, "3/1"), "dear": (1, "5/1")}
+
+    def _input_error(self, tmp_path, capsys, text):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        capsys.readouterr()
+        code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
+        assert code == 2
+        return capsys.readouterr().err
+
+    def test_missing_profile_exits_two(self, tmp_path, capsys):
+        doc = _two_link_doc()
+        del doc["profile"]
+        err = self._input_error(tmp_path, capsys, dumps(doc))
+        assert err == "input error: no profile: bundle one in the instance or pass --profile\n"
+
+    def test_non_object_document_exits_two(self, tmp_path, capsys):
+        err = self._input_error(tmp_path, capsys, "[1, 2]")
+        assert err == "input error: instance document must be a JSON object\n"
+
+    def test_mixed_strategy_spaces_exit_two(self, tmp_path, capsys):
+        doc = _two_link_doc()
+        doc["players"] = 2
+        doc["spaces"].append({"matroid": {"uniform": {"ground": [0, 1], "rank": 1}}})
+        doc["profile"].append([1])
+        err = self._input_error(tmp_path, capsys, dumps(doc))
+        assert err == "input error: mixed strategy spaces are not supported\n"
 
 
 class TestVerifyMatroid:

@@ -195,6 +195,12 @@ class TestTransform:
         assert res.profile == Profile([])
         assert res.output_cost == 0
 
+    def test_empty_game_on_an_empty_graph_passes_through(self):
+        g = path_game([], [])
+        res = transform_single_source(g, Profile([]))
+        assert (res.profile, res.output_cost, res.events) == (Profile([]), 0, ())
+        assert verify_pne(g, res.protocol).ok
+
     def test_delays_are_rejected(self):
         g = path_game(
             [("s", "a", 1), ("a", "t", 1)], [("s", "t")], delays={(0, 0): F(1)}
