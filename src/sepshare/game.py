@@ -16,9 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InfeasibleProfile, InputError, InvalidCostOracle, UnsupportedSpace
 from .network import Network, Vertex
-from .rationals import rat
-
-_ZERO = Fraction(0)
+from .rationals import exact
 
 PlayerSet = frozenset  # of player ids
 
@@ -27,7 +25,9 @@ class CostFunction:
     """Shareable cost of one resource as a function of its user set.
 
     Two flavours: a fixed cost (same value for every non-empty user set)
-    and a general monotone subadditive set function given by a table.
+    and a general monotone subadditive set function given by a table.  Fixed
+    and table values are stored by the rule of `rationals.exact`: an int
+    when integral, a Fraction otherwise, so `value` answers the same way.
     The table is copied; its keys and values may be shared with the other
     tables of a document, which `game_from_json` parses string by distinct
     string.  Tables are validated lazily: every newly cached value is
@@ -41,19 +41,19 @@ class CostFunction:
     def __init__(self, fixed=None, table: Optional[Mapping] = None) -> None:
         if (fixed is None) == (table is None):
             raise InputError("exactly one of fixed / table required")
-        self._fixed: Optional[Fraction] = None
-        self._table: Optional[dict[frozenset, Fraction]] = None
+        self._fixed: Optional[int | Fraction] = None
+        self._table: Optional[dict[frozenset, int | Fraction]] = None
         if fixed is not None:
-            value = rat(fixed)
+            value = exact(fixed)
             if value < 0:
                 raise InputError(f"negative cost {value}")
             self._fixed = value
         else:
-            tbl = {frozenset(key): rat(val) for key, val in table.items()}
+            tbl = {frozenset(key): exact(val) for key, val in table.items()}
             if frozenset() in tbl and tbl[frozenset()] != 0:
                 raise InvalidCostOracle("cost of the empty set must be 0")
             self._table = tbl
-        self._cache: dict[frozenset, Fraction] = {}
+        self._cache: dict[frozenset, int | Fraction] = {}
 
     @property
     def table(self) -> Optional[dict]:
@@ -65,15 +65,15 @@ class CostFunction:
         return self._fixed is not None
 
     @property
-    def fixed_value(self) -> Fraction:
+    def fixed_value(self) -> int | Fraction:
         if self._fixed is None:
             raise UnsupportedSpace("cost function is not fixed")
         return self._fixed
 
-    def value(self, users: Iterable[int]) -> Fraction:
+    def value(self, users: Iterable[int]) -> int | Fraction:
         s = frozenset(users)
         if not s:
-            return _ZERO
+            return 0
         if self._fixed is not None:
             return self._fixed
         if s in self._cache:
@@ -90,7 +90,7 @@ class CostFunction:
         self._cache[s] = v
         return v
 
-    def _check_against_cache(self, s: frozenset, v: Fraction) -> None:
+    def _check_against_cache(self, s: frozenset, v: int | Fraction) -> None:
         for t, w in self._cache.items():
             if s <= t and v > w:
                 raise InvalidCostOracle(
@@ -124,7 +124,7 @@ class Step:
     kind: str
     player: int
     resource: Optional[int]
-    cost_delta: Fraction
+    cost_delta: int | Fraction
     source: Optional[int] = None
     phase: Optional[int] = None
 
@@ -199,7 +199,13 @@ class Profile:
 
 
 class GameModel:
-    """Immutable description of one congestion game with shareable costs."""
+    """Immutable description of one congestion game with shareable costs.
+
+    Delays are stored by the rule of `rationals.exact` (an int when
+    integral, a Fraction otherwise) and only when nonzero; `delay` and
+    `cost` answer in the stored form.  `validate_profile` remembers the
+    profiles that passed, so checking one again is a set lookup.
+    """
 
     def __init__(
         self,
@@ -238,25 +244,27 @@ class GameModel:
                         raise InputError(f"matroid ground element {e} is not a resource")
             else:
                 raise UnsupportedSpace(f"unknown space kind {sp.kind!r}")
-        self._delay: dict[tuple[int, int], Fraction] = {}
+        self._delay: dict[tuple[int, int], int | Fraction] = {}
         if delays:
             for (i, e), d in delays.items():
                 if not (0 <= i < players) or e not in self.resource_order:
                     raise InputError(f"delay for unknown pair ({i}, {e})")
-                dv = rat(d)
+                dv = exact(d)
                 if dv < 0:
                     raise InputError(f"negative delay for ({i}, {e})")
                 if dv != 0:
                     self._delay[(i, e)] = dv
 
-    def delay(self, i: int, e: int) -> Fraction:
-        return self._delay.get((i, e), _ZERO)
+        self._valid: set[Profile] = set()
+
+    def delay(self, i: int, e: int) -> int | Fraction:
+        return self._delay.get((i, e), 0)
 
     @property
     def has_delays(self) -> bool:
         return bool(self._delay)
 
-    def cost(self, e: int, users: Iterable[int]) -> Fraction:
+    def cost(self, e: int, users: Iterable[int]) -> int | Fraction:
         return self.costs[e].value(users)
 
     def resource_key(self, e: int) -> int:
@@ -273,6 +281,8 @@ class GameModel:
         )
 
     def validate_profile(self, profile: Profile) -> None:
+        if profile in self._valid:
+            return
         if len(profile) != self.n:
             raise InfeasibleProfile(
                 f"profile has {len(profile)} choices for {self.n} players"
@@ -283,12 +293,13 @@ class GameModel:
                     raise InfeasibleProfile(f"player {i} uses unknown resource {e}")
             if not self.is_feasible_choice(i, choice):
                 raise InfeasibleProfile(f"choice of player {i} is not in their space")
+        self._valid.add(profile)
 
 
 def total_cost(game: GameModel, profile: Profile) -> Fraction:
     """Shareable costs of used resources plus all incurred delays of a
     validated profile (callers validate once, where a profile enters)."""
-    total = _ZERO
+    total = 0
     for e in game.resources:
         users = profile.users(e)
         if users:
@@ -296,13 +307,13 @@ def total_cost(game: GameModel, profile: Profile) -> Fraction:
     for i in range(game.n):
         for e in profile[i]:
             total += game.delay(i, e)
-    return total
+    return Fraction(total)
 
 
-def private_cost(game: GameModel, protocol, profile: Profile, i: int) -> Fraction:
+def private_cost(game: GameModel, protocol, profile: Profile, i: int) -> int | Fraction:
     """Player i's shares under the protocol plus their delays."""
     game.validate_profile(profile)
-    out = _ZERO
+    out = 0
     for e in profile[i]:
         out += protocol.cost_share(profile, i, e) + game.delay(i, e)
     return out

@@ -18,7 +18,6 @@ Families:
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -27,16 +26,14 @@ from .game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .network import Network
 
-_ZERO = Fraction(0)
 
-
-def _subadditive_table(rng: random.Random, players: int) -> dict[frozenset, Fraction]:
+def _subadditive_table(rng: random.Random, players: int) -> dict[frozenset, int]:
     """Monotone subadditive set function over all player subsets.
 
     Two families: concave in cardinality (nonincreasing increments) and
     budget-capped additive min(B, sum of weights)."""
     everyone = range(players)
-    if rng.random() < 1 / 2:
+    if rng.random() < 0.5:
         first = rng.randint(2, 12)
         increments = [first]
         for _ in range(players - 1):
@@ -44,12 +41,12 @@ def _subadditive_table(rng: random.Random, players: int) -> dict[frozenset, Frac
         table = {}
         for size in range(players + 1):
             for subset in combinations(everyone, size):
-                table[frozenset(subset)] = Fraction(sum(increments[:size]))
+                table[frozenset(subset)] = sum(increments[:size])
         return table
     weights = [rng.randint(1, 9) for _ in everyone]
     budget = rng.randint(4, 18)
     return {
-        frozenset(sub): Fraction(min(budget, sum(weights[i] for i in sub)))
+        frozenset(sub): min(budget, sum(weights[i] for i in sub))
         for size in range(players + 1)
         for sub in combinations(everyone, size)
     }
@@ -58,13 +55,13 @@ def _subadditive_table(rng: random.Random, players: int) -> dict[frozenset, Frac
 def gen_ufl(rng: random.Random, players: int, facilities: int) -> GameModel:
     """Facility location: every client picks exactly one open facility."""
     resources = list(range(facilities))
-    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in resources}
+    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in resources}
     delays = {}
     for i in range(players):
         for e in resources:
             d = rng.randint(0, 9)
             if d:
-                delays[(i, e)] = Fraction(d)
+                delays[(i, e)] = d
     spaces = [MatroidSpace(UniformMatroid(resources, 1)) for _ in range(players)]
     return GameModel(
         players=players, resources=resources, costs=costs, spaces=spaces, delays=delays
@@ -81,10 +78,10 @@ def gen_matroid(
     ids = list(range(m))
     costs: dict[int, CostFunction] = {}
     for e in ids:
-        if rng.random() < 1 / 3:
+        if rng.random() * 3 < 1:
             costs[e] = CostFunction(table=_subadditive_table(rng, n))
         else:
-            costs[e] = CostFunction(fixed=Fraction(rng.randint(1, 20)))
+            costs[e] = CostFunction(fixed=rng.randint(1, 20))
     spaces = []
     for _ in range(n):
         size = rng.randint(1, m)
@@ -110,8 +107,8 @@ def gen_matroid(
     for i in range(n):
         for e in ids:
             d = rng.randint(0, 6)
-            if d and rng.random() < 1 / 2:
-                delays[(i, e)] = Fraction(d)
+            if d and rng.random() < 0.5:
+                delays[(i, e)] = d
     return GameModel(
         players=n, resources=ids, costs=costs, spaces=spaces, delays=delays
     )
@@ -147,7 +144,7 @@ def gen_tree(
             pairs.append((u, v))
     net = Network([(i, u, v) for i, (u, v) in enumerate(pairs)])
     ids = list(range(len(pairs)))
-    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in ids}
+    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in ids}
     n = players if players is not None else rng.randint(1, 4)
     source = verts[0]
     spaces = [
@@ -158,7 +155,7 @@ def gen_tree(
     )
     choices = []
     for i in range(n):
-        weights = {e: Fraction(rng.randint(1, 30)) for e in ids}
+        weights = {e: rng.randint(1, 30) for e in ids}
         hit = net.shortest_path(spaces[i].terminal, source, lambda e: weights[e])
         choices.append(frozenset(hit[2]))
     return game, Profile(choices)
@@ -175,7 +172,7 @@ def gen_sp(
     cuts = ["c0"]
     pairs: list[tuple[str, str]] = []
     fresh = 0
-    while len(pairs) < max_edges - 2 and (len(cuts) < 2 or rng.random() < 2 / 3):
+    while len(pairs) < max_edges - 2 and (len(cuts) < 2 or rng.random() * 3 < 2):
         a = cuts[-1]
         b = f"c{len(cuts)}"
         arms = rng.randint(1, 3)
@@ -193,7 +190,7 @@ def gen_sp(
         cuts.append(b)
     net = Network([(i, u, v) for i, (u, v) in enumerate(pairs)])
     ids = list(range(len(pairs)))
-    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in ids}
+    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in ids}
     spaces = []
     for _ in range(n):
         a, b = sorted(rng.sample(range(len(cuts)), 2)) if len(cuts) > 1 else (0, 0)
@@ -204,8 +201,8 @@ def gen_sp(
     for i in range(n):
         for e in ids:
             d = rng.randint(0, 5)
-            if d and rng.random() < 1 / 3:
-                delays[(i, e)] = Fraction(d)
+            if d and rng.random() * 3 < 1:
+                delays[(i, e)] = d
     game = GameModel(
         players=n,
         resources=ids,
@@ -216,7 +213,7 @@ def gen_sp(
     )
     choices = []
     for i in range(n):
-        weights = {e: Fraction(rng.randint(1, 30)) for e in ids}
+        weights = {e: rng.randint(1, 30) for e in ids}
         hit = net.shortest_path(spaces[i].terminal, spaces[i].source, lambda e: weights[e])
         choices.append(frozenset(hit[2]))
     return game, Profile(choices)

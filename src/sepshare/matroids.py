@@ -36,8 +36,6 @@ from .errors import (
 from .game import GameModel, MatroidSpace, Profile, Step, total_cost
 from .protocol import SeparableProtocol, SharingTable, water_fill
 
-_ZERO = Fraction(0)
-
 
 class MatroidOracle:
     """Independence oracle over a finite ground set.
@@ -250,7 +248,7 @@ def _matroid_space(game: GameModel, i: int) -> MatroidSpace:
     return sp
 
 
-def virtual_cost(game: GameModel, i: int, e: int) -> Fraction:
+def virtual_cost(game: GameModel, i: int, e: int) -> int | Fraction:
     """Cost of the resource as if player i were alone on it, plus delay."""
     return game.cost(e, frozenset((i,))) + game.delay(i, e)
 
@@ -266,7 +264,7 @@ def exchange_candidates(oracle: MatroidOracle, basis: frozenset, e: int) -> list
 
 def deviation_cost(
     game: GameModel, profile: Profile, i: int, e: int, virtual: bool = False
-) -> tuple[Fraction, int]:
+) -> tuple[int | Fraction, int]:
     """Cheapest packet move for player i away from e (staying counts).
 
     True mode prices the landing resource at the user set it would have
@@ -275,7 +273,7 @@ def deviation_cost(
     """
     sp = _matroid_space(game, i)
 
-    def price(f: int) -> Fraction:
+    def price(f: int) -> int | Fraction:
         if virtual:
             return virtual_cost(game, i, f)
         return game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
@@ -288,8 +286,8 @@ def _cheapest_exchange(
     oracle: MatroidOracle,
     basis: frozenset,
     e: int,
-    price: Callable[[int], Fraction],
-) -> tuple[Fraction, int]:
+    price: Callable[[int], int | Fraction],
+) -> tuple[int | Fraction, int]:
     """(price, f) of the cheapest exchange candidate f for e in the basis,
     ties to the smallest resource in global order."""
     value, _key, f = min(
@@ -303,8 +301,8 @@ class EnforceabilityViolation:
     kind: str  # "delay" or "cover"
     resource: int
     player: Optional[int]
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int | Fraction
+    rhs: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -330,12 +328,12 @@ def check_enforceable_matroid(
 
 def _check_conditions(
     game: GameModel, profile: Profile, virtual: bool
-) -> tuple[EnforceabilityReport, dict[tuple[int, int], Fraction]]:
+) -> tuple[EnforceabilityReport, dict[tuple[int, int], int | Fraction]]:
     """The report of `check_enforceable_matroid` and the deviation cost
     of every (player, resource in their basis) pair it priced."""
     game.validate_profile(profile)
     bad = []
-    deltas: dict[tuple[int, int], Fraction] = {}
+    deltas: dict[tuple[int, int], int | Fraction] = {}
     for i in range(game.n):
         _matroid_space(game, i)
         for e in profile[i]:
@@ -348,7 +346,7 @@ def _check_conditions(
         users = profile.users(e)
         if not users:
             continue
-        headroom = sum((deltas[(i, e)] - game.delay(i, e) for i in sorted(users)), _ZERO)
+        headroom = sum(deltas[(i, e)] - game.delay(i, e) for i in sorted(users))
         cost = game.cost(e, users)
         if cost > headroom:
             bad.append(EnforceabilityViolation("cover", e, None, cost, headroom))
@@ -402,16 +400,16 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     current = profile
     input_cost = total_cost(game, current)
     moves: list[Step] = []
-    alone: dict[tuple[int, int], Fraction] = {}  # virtual_cost, fixed per game
-    deviations: list[dict[int, tuple[Fraction, int]]] = [{} for _ in range(game.n)]
+    alone: dict[tuple[int, int], int | Fraction] = {}  # virtual_cost, fixed per game
+    deviations: list[dict[int, tuple[int | Fraction, int]]] = [{} for _ in range(game.n)]
     verdicts: dict[int, Optional[str]] = {}
 
-    def virtual(i: int, f: int) -> Fraction:
+    def virtual(i: int, f: int) -> int | Fraction:
         if (i, f) not in alone:
             alone[(i, f)] = virtual_cost(game, i, f)
         return alone[(i, f)]
 
-    def vdev(i: int, e: int) -> tuple[Fraction, int]:
+    def vdev(i: int, e: int) -> tuple[int | Fraction, int]:
         cached = deviations[i].get(e)
         if cached is None:
             cached = _cheapest_exchange(
@@ -421,7 +419,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
         return cached
 
     def uncovered(e: int, users: list[int]) -> bool:
-        headroom = sum((vdev(i, e)[0] - game.delay(i, e) for i in users), _ZERO)
+        headroom = sum(vdev(i, e)[0] - game.delay(i, e) for i in users)
         return game.cost(e, frozenset(users)) > headroom
 
     def verdict(e: int) -> Optional[str]:
@@ -455,7 +453,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
             raise InternalInvariant(f"transform exceeded {bound} packet moves")
 
     def settle(first_move: int, what: str) -> None:
-        if sum((mv.cost_delta for mv in moves[first_move:]), _ZERO) >= 0:
+        if sum(mv.cost_delta for mv in moves[first_move:]) >= 0:
             raise InternalInvariant(f"{what} failed to reduce total cost")
 
     while True:
@@ -482,7 +480,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
         settle(first_move, "cover batch")
 
     output_cost = total_cost(game, current)
-    if sum((mv.cost_delta for mv in moves), _ZERO) != output_cost - input_cost:
+    if sum(mv.cost_delta for mv in moves) != output_cost - input_cost:
         raise InternalInvariant("step cost deltas do not add up to the cost change")
     report = check_enforceable_matroid(game, current, virtual=True)
     if not report.ok:
@@ -501,7 +499,7 @@ def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtoc
     report, deltas = _check_conditions(game, profile, virtual=False)
     if not report.ok:
         raise NotEnforceable(f"{len(report.violations)} condition(s) violated")
-    shares: dict[tuple[int, int], Fraction] = {}
+    shares: dict[tuple[int, int], int | Fraction] = {}
     for e in game.resources:
         users = sorted(profile.users(e))
         if users:

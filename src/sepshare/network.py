@@ -66,6 +66,7 @@ class Network:
         for v in order:
             self._adj[v].sort(key=key)
             self._radj[v].sort(key=key)
+        self._blocks: dict[tuple[Vertex, Vertex], frozenset] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -248,12 +249,15 @@ class Network:
         graph from s finds that component: the virtual edge is seen only as
         a back edge from t, and the component is the one closed when the
         child of s whose subtree holds t finishes.  Raises Disconnected when
-        no s-t path exists; returns the empty set for s == t.
+        no s-t path exists; returns the empty set for s == t.  The network
+        does not change, so each (s, t) answer is kept and searched once.
         """
         if s not in self.vindex or t not in self.vindex:
             raise InputError("endpoint not in network")
         if s == t:
             return frozenset()
+        if (s, t) in self._blocks:
+            return self._blocks[(s, t)]
 
         def incident(v: Vertex) -> list[tuple[Vertex, EdgeId]]:
             return self._adj[v] + self._radj[v] if self.directed else self._adj[v]
@@ -288,5 +292,5 @@ class Network:
                     block = edges[mark:]
                     del edges[mark:]
                     if p == s and t in disc:
-                        return frozenset(block)
+                        return self._blocks.setdefault((s, t), frozenset(block))
         raise Disconnected(f"no path between {s!r} and {t!r}")

@@ -257,7 +257,7 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
         if not users:
             continue
         rows.append(tuple((var_index[(i, e)], _ONE) for i in sorted(users)))
-        rhs.append(_fixed_cost(game, e))
+        rhs.append(Fraction(_fixed_cost(game, e)))  # LP data stay Fractions
 
     not_sp = None
     try:

@@ -16,9 +16,7 @@ from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import InputError, InternalInvariant
 from .game import GameModel, Profile
-from .rationals import rat
-
-_ZERO = Fraction(0)
+from .rationals import exact
 
 
 class SharingTable:
@@ -27,31 +25,32 @@ class SharingTable:
     Only pairs with the resource in the player's base strategy may carry a
     share.  Budget balance on the base is a property to verify, not a
     construction-time requirement, so deliberately unbalanced tables can be
-    built for testing.
+    built for testing.  Shares are stored by the rule of `rationals.exact`:
+    an int when integral, a Fraction otherwise.
     """
 
-    def __init__(self, base: Profile, shares: Mapping[tuple[int, int], Fraction]) -> None:
+    def __init__(self, base: Profile, shares: Mapping[tuple[int, int], int | Fraction]) -> None:
         self.base = base
-        table: dict[tuple[int, int], Fraction] = {}
+        table: dict[tuple[int, int], int | Fraction] = {}
         for (i, e), v in shares.items():
             if not (0 <= i < len(base)):
                 raise InputError(f"share for unknown player {i}")
             if e not in base[i]:
                 raise InputError(f"share for ({i}, {e}) but resource not in base choice")
-            value = rat(v)
+            value = exact(v)
             if value < 0:
                 raise InputError(f"negative share for ({i}, {e})")
             if value != 0:
                 table[(i, e)] = value
         self.shares = table
 
-    def share(self, i: int, e: int) -> Fraction:
-        return self.shares.get((i, e), _ZERO)
+    def share(self, i: int, e: int) -> int | Fraction:
+        return self.shares.get((i, e), 0)
 
 
 def water_fill(
-    amount: Fraction, caps: Iterable[tuple[Hashable, Fraction]]
-) -> dict[Hashable, Fraction]:
+    amount: int | Fraction, caps: Iterable[tuple[Hashable, int | Fraction]]
+) -> dict[Hashable, int | Fraction]:
     """Split `amount` over ordered (key, cap) pairs: each key takes the
     smaller of its cap and what is left, zero takes included.  The caps
     must hold the whole amount."""
@@ -77,7 +76,7 @@ class SeparableProtocol:
     def base(self) -> Profile:
         return self.table.base
 
-    def cost_share(self, profile: Profile, i: int, e: int) -> Fraction:
+    def cost_share(self, profile: Profile, i: int, e: int) -> int | Fraction:
         """Share of player i on resource e under the given profile.
 
         Case rule relative to the base occupancy N_e:
@@ -87,23 +86,23 @@ class SeparableProtocol:
         costs "full cost" is evaluated at the profile's own user set.
         """
         if e not in profile[i]:
-            return _ZERO
+            return 0
         users = profile.users(e)
         base_users = self.base.users(e)
         if users == base_users:
             return self.table.share(i, e)
         joined = users - base_users
         if joined:
-            return self.game.cost(e, users) if i == min(joined) else _ZERO
+            return self.game.cost(e, users) if i == min(joined) else 0
         # users is a strict subset of the base occupancy
-        return self.game.cost(e, users) if i == min(users) else _ZERO
+        return self.game.cost(e, users) if i == min(users) else 0
 
 
 @dataclass(frozen=True)
 class BalanceViolation:
     resource: int
-    paid: Fraction
-    cost: Fraction
+    paid: int | Fraction
+    cost: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,8 @@ def verify_budget_balance(
     for e in game.resources:
         users = profile.users(e)
         # cost_share is zero off the player's own choice, so only users pay
-        paid = sum((protocol.cost_share(profile, i, e) for i in sorted(users)), _ZERO)
-        cost = game.cost(e, users) if users else _ZERO
+        paid = sum(protocol.cost_share(profile, i, e) for i in sorted(users))
+        cost = game.cost(e, users) if users else 0
         if paid != cost:
             bad.append(BalanceViolation(e, paid, cost))
     return BalanceReport(ok=not bad, violations=tuple(bad))
@@ -131,8 +130,8 @@ def verify_budget_balance(
 @dataclass(frozen=True)
 class Deviation:
     player: int
-    current_cost: Fraction
-    best_cost: Fraction
+    current_cost: int | Fraction
+    best_cost: int | Fraction
     better_choice: frozenset
 
 
@@ -152,7 +151,7 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
     """
     base = protocol.base
 
-    def weight(e: int) -> Fraction:
+    def weight(e: int) -> int | Fraction:
         if e in base[i]:
             return protocol.table.share(i, e) + game.delay(i, e)
         return game.cost(e, base.users(e) | {i}) + game.delay(i, e)
@@ -162,7 +161,7 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
 
 def best_response(
     game: GameModel, protocol: SeparableProtocol, i: int
-) -> tuple[frozenset, Fraction]:
+) -> tuple[frozenset, int | Fraction]:
     """Cheapest unilateral deviation of player i from the protocol's base."""
     weight = _deviation_weight(game, protocol, i)
     sp = game.spaces[i]
@@ -175,7 +174,7 @@ def best_response(
         if hit is None:
             raise InputError(f"player {i} has no feasible path")
         choice = frozenset(hit[2])
-    value = sum((weight(e) for e in choice), _ZERO)
+    value = sum(weight(e) for e in choice)
     return choice, value
 
 
@@ -186,7 +185,7 @@ def verify_pne(game: GameModel, protocol: SeparableProtocol) -> PneReport:
     bad = []
     for i in range(game.n):
         weight = _deviation_weight(game, protocol, i)
-        current = sum((weight(e) for e in base[i]), _ZERO)
+        current = sum(weight(e) for e in base[i])
         choice, value = best_response(game, protocol, i)
         if value < current:
             bad.append(Deviation(i, current, value, choice))

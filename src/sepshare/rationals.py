@@ -1,8 +1,13 @@
 """Exact rational arithmetic helpers.
 
-All quantities in this package (costs, delays, shares, LP data) are
-`fractions.Fraction` values.  Serialized form is always the string "p/q"
-with q > 0 and gcd(|p|, q) = 1, which Fraction guarantees internally.
+Every quantity in this package is exact.  Costs, delays and shares are
+stored by one rule, which `exact` enforces: a rational with denominator 1
+is a Python int, any other a `fractions.Fraction`.  Ints and Fractions add
+and compare exactly with each other, and ints are several times cheaper.
+LP data and everything `rat` returns stay Fractions, because the simplex
+divides.  Serialized form is always the string "p/q" with q > 0 and
+gcd(|p|, q) = 1, which both types give through `numerator` and
+`denominator`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,14 @@ def rat(value: RationalLike) -> Fraction:
     raise InputError(f"not an exact rational: {value!r}")
 
 
+def exact(value: RationalLike) -> int | Fraction:
+    """`value` as `rat` reads it, stored as an int when it is integral."""
+    if type(value) is int:
+        return value
+    value = rat(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into a Fraction.
 
@@ -48,11 +61,11 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"malformed rational {text!r}") from exc
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: int | Fraction) -> str:
     """Canonical "p/q" form, always with an explicit denominator."""
     return f"{value.numerator}/{value.denominator}"
 
 
-def approx(value: Fraction, digits: int = 6) -> str:
+def approx(value: int | Fraction, digits: int = 6) -> str:
     """Human-oriented decimal rendering.  Never used in machine output."""
     return f"{float(value):.{digits}g}"

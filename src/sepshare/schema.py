@@ -18,7 +18,7 @@ from .game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile, Ste
 from .matroids import MatroidOracle, matroid_from_descriptor
 from .network import Network
 from .protocol import SeparableProtocol, SharingTable
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
 
 def _users_key(users: frozenset) -> str:
@@ -125,8 +125,10 @@ def game_from_json(data: Mapping) -> GameModel:
     resources = [int(e) for e in data["resources"]]
     raw_costs = data["costs"]
     raw_spaces = data["spaces"]
-    # a document repeats few strings many times: parse each one once
-    rational, users = _once(parse_rational), _once(_users_from_key)
+    # a document repeats few strings many times: parse each one once, and
+    # keep each integral value as an int (see `rationals.exact`)
+    rational = _once(lambda text: exact(parse_rational(text)))
+    users = _once(_users_from_key)
     costs = {}
     for e in resources:
         key = str(e)

@@ -1,6 +1,9 @@
 """Source hygiene: every module-level import in the package is used, the
-package imports nothing outside itself and the standard library, and the
-README names no command-line flag that the parser does not accept.
+package imports nothing outside itself and the standard library, the
+README names no command-line flag that the parser does not accept, and no
+float can enter the exact arithmetic: true division appears only in the
+LP, `float(` only in `rationals.approx`, and costs, delays and shares are
+stored as ints exactly when integral and as Fractions otherwise.
 
 `__init__.py` is skipped by the unused-import check, as its imports are the
 package's re-exports.
@@ -8,13 +11,22 @@ package's re-exports.
 
 import argparse
 import ast
+import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sepshare.cli import build_parser
+from sepshare.errors import InputError
+from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile
+from sepshare.gen import gen_sp
+from sepshare.matroids import UniformMatroid, build_matroid_protocol, transform_matroid
+from sepshare.nsepa import nsepa_transform
+from sepshare.protocol import SharingTable
+from sepshare.schema import game_from_json, protocol_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sepshare"
@@ -134,3 +146,140 @@ def test_readme_flags_are_accepted_by_the_cli():
 def test_the_flag_check_sees_a_stale_flag():
     text = "`nsepa check --mode full_paths`, `optimum --max-paths 9`"
     assert _unknown_flags(text) == ["--mode"]
+
+
+# -- exact arithmetic --------------------------------------------------------
+
+
+def _divisions(tree: ast.Module) -> list[int]:
+    """Line of every true division (`/` or `/=`)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def _float_calls(tree: ast.Module) -> list[str]:
+    """The function around each `float(...)` call, "<module>" outside any."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "float":
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_true_division_appears_only_in_the_lp():
+    """int / int is a float, so only the simplex, whose data are Fractions,
+    may divide."""
+    found = {
+        f"{path.stem} (lines {lines})"
+        for path in ALL_MODULES
+        if path.name != "lp.py" and (lines := _divisions(ast.parse(path.read_text())))
+    }
+    assert not found, f"true division outside lp.py: {sorted(found)}"
+    assert _divisions(ast.parse((SRC / "lp.py").read_text()))
+
+
+def test_the_check_sees_a_division():
+    tree = ast.parse("a = 1 // 2\nb = 2 * 3\nb /= 4\ndef f(x):\n    return x / 2\n")
+    assert _divisions(tree) == [3, 5]
+
+
+def test_float_is_called_only_in_approx():
+    found = sorted(
+        f"{path.stem}.{where}"
+        for path in ALL_MODULES
+        for where in _float_calls(ast.parse(path.read_text()))
+    )
+    assert found == ["rationals.approx"]
+
+
+def test_the_check_sees_a_float_call():
+    tree = ast.parse("x = float(1)\ndef f():\n    def g():\n        return float(2)\n"
+                     "    return float\n")
+    assert _float_calls(tree) == ["<module>", "g"]
+
+
+def _stored(value) -> bool:
+    """An int exactly when integral, otherwise a Fraction; never a bool or
+    a float."""
+    if type(value) not in (int, Fraction):
+        return False
+    return type(value) is (int if value.denominator == 1 else Fraction)
+
+
+def _loaded_game() -> GameModel:
+    uniform = {"uniform": {"ground": [0, 1, 2], "rank": 1}}
+    return game_from_json({
+        "players": 2,
+        "resources": [0, 1, 2],
+        "costs": {"0": "6/3", "1": "5/3",
+                  "2": {"subadditive_table": {"0": "4/2", "1": "3/2", "0,1": "7/2"}}},
+        "delays": [["9/3", "0/5", "1/2"], ["0/1", "8/1", "-0/3"]],
+        "spaces": [{"matroid": uniform}, {"matroid": uniform}],
+    })
+
+
+def _built_game() -> GameModel:
+    table = {frozenset(): 0, frozenset({0}): Fraction(4, 2), frozenset({1}): "3/2",
+             frozenset({0, 1}): Fraction(7, 2)}
+    costs = {0: CostFunction(fixed=Fraction(6, 3)), 1: CostFunction(fixed="5/3"),
+             2: CostFunction(table=table)}
+    delays = {(0, 0): Fraction(9, 3), (0, 2): "1/2", (1, 1): 8, (1, 2): Fraction(0)}
+    spaces = [MatroidSpace(UniformMatroid([0, 1, 2], 1)) for _ in range(2)]
+    return GameModel(2, [0, 1, 2], costs, spaces, delays=delays)
+
+
+@pytest.mark.parametrize("make", [_loaded_game, _built_game], ids=["loaded", "built"])
+def test_costs_and_delays_are_ints_exactly_when_integral(make):
+    game = make()
+    user_sets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    costs = [game.cost(e, users) for e in game.resources for users in user_sets]
+    delays = [game.delay(i, e) for i in range(game.n) for e in game.resources]
+    assert all(map(_stored, costs + delays)), (costs, delays)
+    assert {type(v) for v in costs} == {type(v) for v in delays} == {int, Fraction}
+    profile = transform_matroid(game, Profile([{2}, {2}])).profile
+    shares = build_matroid_protocol(game, profile).table
+    values = [shares.share(i, e) for i in range(game.n) for e in game.resources]
+    assert all(map(_stored, values)), values
+
+
+def test_shares_are_ints_exactly_when_integral():
+    game = _built_game()
+    base = Profile([{0}, {0}])
+    given = {(0, 0): Fraction(4, 2), (1, 0): "1/3"}
+    table = SharingTable(base, given)
+    read = protocol_from_json(
+        {"base": [[0], [0]], "shares": [{"player": 0, "resource": 0, "share": "8/4"},
+                                        {"player": 1, "resource": 0, "share": "1/3"}]},
+        game,
+    ).table
+    for shares in (table, read):
+        values = [shares.share(i, e) for i in range(2) for e in game.resources]
+        assert all(map(_stored, values)) and Fraction in set(map(type, values))
+    # the enforceability LP's shares are Fractions, most of them integral
+    checked = 0
+    for seed in range(20):
+        shares = nsepa_transform(*gen_sp(random.Random(seed))).protocol.table
+        values = [shares.share(i, e) for (i, e) in shares.shares]
+        assert all(map(_stored, values)), (seed, values)
+        checked += len(values)
+    assert checked
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_bools_and_floats_are_not_stored(bad):
+    game = _built_game()
+    with pytest.raises(InputError):
+        CostFunction(fixed=bad)
+    with pytest.raises(InputError):
+        GameModel(2, game.resources, game.costs, game.spaces, delays={(0, 0): bad})
+    with pytest.raises(InputError):
+        SharingTable(Profile([{0}, {0}]), {(0, 0): bad})

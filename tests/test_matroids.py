@@ -1,7 +1,9 @@
 """Matroid oracles, exchange deviations, and the packet-move transform."""
 
 import itertools
+import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -10,6 +12,7 @@ import pytest
 from _helpers import ufl_game
 from _oracles import rescan_transform_matroid
 from sepshare import matroids
+from sepshare.cli import run
 from sepshare.errors import InfeasibleProfile, InvalidMatroid, NotABasis, NotEnforceable
 from sepshare.game import GameModel, MatroidSpace, Profile, total_cost
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
@@ -33,6 +36,8 @@ from sepshare.protocol import (
     verify_budget_balance,
     verify_pne,
 )
+from sepshare.rationals import format_rational, parse_rational
+from sepshare.schema import game_to_json, profile_to_json
 
 
 class TestOracles:
@@ -468,3 +473,113 @@ def test_entry_points_reject_an_infeasible_profile(check, choices, message):
 def test_entry_points_reject_a_short_profile(check):
     with pytest.raises(InfeasibleProfile, match="profile has 1 choices for 2 players"):
         check(ufl_game([5, 3]), Profile([{0}]))
+
+
+# -- scale invariance ------------------------------------------------------
+
+_RATIONAL = re.compile(r"-?\d+/\d+")
+
+
+def _scaled(doc: dict, q) -> dict:
+    """The document with every cost and delay divided by q."""
+
+    def div(text: str) -> str:
+        return format_rational(parse_rational(text) / q)
+
+    out = json.loads(json.dumps(doc))
+    for key, cost in out["costs"].items():
+        if isinstance(cost, str):
+            out["costs"][key] = div(cost)
+        else:
+            table = cost["subadditive_table"]
+            table.update((users, div(value)) for users, value in table.items())
+    if "delays" in out:
+        out["delays"] = [[div(cell) for cell in row] for row in out["delays"]]
+    return out
+
+
+def _transform_matroid_run(tmp_path, doc: dict) -> list:
+    """Report and trace lines of one `transform-matroid` command on `doc`."""
+    inst, out, trace = (tmp_path / name for name in ("in.json", "out.json", "trace.jsonl"))
+    inst.write_text(json.dumps(doc))
+    code = run(["transform-matroid", "--in", str(inst), "--out", str(out),
+                "--trace", str(trace)])
+    assert code == 0
+    return [json.loads(out.read_text())] + [
+        json.loads(line) for line in trace.read_text().splitlines()
+    ]
+
+
+def _assert_scaled(integral, scaled, q) -> int:
+    """Every rational of `scaled` is the one of `integral` at the same place
+    divided by q, and everything else is equal.  Returns how many of the
+    scaled rationals are not integers."""
+    if isinstance(integral, str) and _RATIONAL.fullmatch(integral):
+        value = parse_rational(scaled)
+        assert value == parse_rational(integral) / q, (integral, scaled, q)
+        return value.denominator != 1
+    if isinstance(integral, (list, dict)):
+        assert type(scaled) is type(integral) and len(scaled) == len(integral)
+        if isinstance(integral, dict):
+            assert scaled.keys() == integral.keys()
+            return sum(_assert_scaled(integral[k], scaled[k], q) for k in integral)
+        return sum(_assert_scaled(a, b, q) for a, b in zip(integral, scaled))
+    assert scaled == integral
+    return 0
+
+
+def _generated_games():
+    """300 seeded `gen_matroid` games and 100 facility-location ones, each
+    with a random basis profile."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        game = gen_matroid(rng)
+        yield game, random_bases_profile(rng, game)
+    for seed in range(100):
+        rng = random.Random(f"ufl/{seed}")
+        game = gen_ufl(rng, players=rng.randint(1, 6), facilities=rng.randint(1, 6))
+        yield game, random_bases_profile(rng, game)
+
+
+def test_scaled_games_transform_to_scaled_reports(tmp_path):
+    """Dividing every cost and delay by q divides every cost, cost delta and
+    share of the report and trace by q, and leaves the output profile and
+    the steps as they were: the integral games run on ints, the scaled ones
+    on Fractions mixed with ints, and a float or a lost denominator in
+    either shows as a mismatch."""
+    fractional = moved = 0
+    for game, profile in _generated_games():
+        doc = game_to_json(game)
+        doc["profile"] = profile_to_json(profile)["profile"]
+        integral = _transform_matroid_run(tmp_path, doc)
+        moved += len(integral) > 1
+        for q in (3, 7):
+            scaled = _transform_matroid_run(tmp_path, _scaled(doc, q))
+            fractional += _assert_scaled(integral, scaled, q)
+    assert moved > 200 and fractional > 2000, (moved, fractional)
+
+
+def test_a_game_of_mixed_values_transforms_like_its_integral_double(tmp_path):
+    """Halves next to integers in costs, tables and delays: the same run as
+    the game with every value doubled, at half the costs."""
+    uniform = {"uniform": {"ground": [0, 1, 2, 3], "rank": 1}}
+    mixed = {
+        "players": 4,
+        "resources": [0, 1, 2, 3],
+        "costs": {
+            "0": "7/2", "1": "3/1", "2": "9/2",
+            "3": {"subadditive_table": {
+                "0": "5/2", "1": "2/1", "2": "3/2", "3": "1/1",
+                "0,1": "4/1", "0,2": "7/2", "0,3": "3/1", "1,2": "7/2", "1,3": "3/1",
+                "2,3": "5/2", "0,1,2": "9/2", "0,1,3": "9/2", "0,2,3": "4/1",
+                "1,2,3": "4/1", "0,1,2,3": "5/1"}},
+        },
+        "delays": [["1/2", "0/1", "2/1", "3/2"], ["0/1", "5/2", "1/1", "0/1"],
+                   ["3/1", "1/2", "0/1", "1/1"], ["1/2", "1/2", "5/2", "2/1"]],
+        "spaces": [{"matroid": uniform}] * 4,
+        "profile": [[0], [1], [0], [2]],
+    }
+    doubled = _scaled(mixed, F(1, 2))
+    integral = _transform_matroid_run(tmp_path, doubled)
+    assert {line["step"] for line in integral[1:]} == {"delay", "cover"}
+    assert _assert_scaled(integral, _transform_matroid_run(tmp_path, mixed), 2)

@@ -316,9 +316,21 @@ class TestBlocks:
                 for t in net.vertices:
                     pairs += 1
                     union = frozenset(e for p in twin.simple_paths(s, t) for e in p)
-                    if s != t and not union:
-                        with pytest.raises(Disconnected):
-                            net.blocks_between(s, t)
-                    else:
-                        assert net.blocks_between(s, t) == union, (edges, s, t)
+                    for _asked in range(2):  # the second answer is the kept one
+                        if s != t and not union:
+                            with pytest.raises(Disconnected):
+                                net.blocks_between(s, t)
+                        else:
+                            assert net.blocks_between(s, t) == union, (edges, s, t)
         assert pairs > 5000
+
+    def test_answers_are_kept_and_raises_repeat(self):
+        net = Network([(0, "a", "b"), (1, "b", "c"), (2, "c", "a"), (3, "c", "d")],
+                      vertices=["z"])
+        first = net.blocks_between("a", "d")
+        assert net.blocks_between("a", "d") is first
+        for _asked in range(2):
+            with pytest.raises(Disconnected):
+                net.blocks_between("a", "z")
+            with pytest.raises(InputError):
+                net.blocks_between("a", "y")

@@ -11,7 +11,7 @@ from _helpers import path_game, ufl_game
 from _oracles import per_entry_game_from_json
 from sepshare.cli import run
 from sepshare.errors import InputError
-from sepshare.game import Profile
+from sepshare.game import GameModel, Profile
 from sepshare.gen import gen_matroid
 from sepshare.rationals import parse_rational
 from sepshare.schema import (
@@ -405,6 +405,42 @@ class TestCli:
                 assert total == (parse_rational(doc["output_cost"])
                                  - parse_rational(doc["input_cost"]))
         assert steps
+
+    @pytest.mark.parametrize("gen, command", [
+        (["ufl", "--players", "6", "--facilities", "8"], "transform-matroid"),
+        (["matroid"], "transform-matroid"),
+        (["tree"], "transform-tree"),
+    ], ids=["transform-matroid-ufl", "transform-matroid", "transform-tree"])
+    def test_each_profile_is_checked_once_per_command(self, tmp_path, monkeypatch,
+                                                      gen, command):
+        """A command checks each distinct profile's feasibility once, however
+        often its entry points validate it (6 and 8 full checks per
+        transform-matroid and transform-tree command before profiles were
+        remembered)."""
+        validate = GameModel.validate_profile
+        feasible = GameModel.is_feasible_choice
+        choices_checked = [0]
+        full_checks = Counter()  # profile -> full checks of all its choices
+
+        def counted_feasible(game, i, choice):
+            choices_checked[0] += 1
+            return feasible(game, i, choice)
+
+        def counted_validate(game, profile):
+            before = choices_checked[0]
+            validate(game, profile)
+            assert choices_checked[0] - before in (0, game.n)
+            full_checks[profile] += choices_checked[0] > before
+
+        monkeypatch.setattr(GameModel, "is_feasible_choice", counted_feasible)
+        monkeypatch.setattr(GameModel, "validate_profile", counted_validate)
+        for seed in range(1, 11):
+            _code, inst = run_to_file(tmp_path, "inst.json",
+                                      ["gen", *gen, "--seed", str(seed)])
+            full_checks.clear()
+            code, _rep = run_to_file(tmp_path, "r.json", [command, "--in", str(inst)])
+            assert code == 0
+            assert full_checks and set(full_checks.values()) == {1}, seed
 
     def test_approx_display_adds_decimals(self, tmp_path):
         code, inst = run_to_file(tmp_path, "fixture.json", ["fixture", "theorem5"])
