@@ -162,13 +162,18 @@ def _derive_protocol(
             return False, None
     if kinds <= {"path"}:
         report = is_enforceable(game, profile)
-        ok = report.enforceable
         if explicit is not None:
-            return ok, explicit
-        if not ok:
-            return False, None
-        return True, SeparableProtocol(game, SharingTable(profile, report.shares))
+            return report.enforceable, explicit
+        return report.enforceable, _lp_protocol(game, profile, report)
     raise InputError("mixed strategy spaces are not supported")
+
+
+def _lp_protocol(game: GameModel, profile: Profile, report) -> Optional[SeparableProtocol]:
+    """The enforceability LP's share vector as a protocol, when the LP
+    proves the profile enforceable."""
+    if not report.enforceable:
+        return None
+    return SeparableProtocol(game, SharingTable(profile, report.shares))
 
 
 def _verify_booleans(
@@ -192,8 +197,9 @@ def _matroid_family(game: GameModel, profile: Profile):
 
 def _tree_family(game: GameModel, profile: Profile):
     result = transform_single_source(game, profile)
+    repairs = [(e, i, format_rational(amount)) for e, i, amount in result.repairs]
     return (result, result.protocol, result.events, len(result.events),
-            len(result.replacements), {"repairs": result.repairs})
+            len(result.replacements), {"repairs": repairs})
 
 
 def _nsepa_family(game: GameModel, profile: Profile):
@@ -239,18 +245,21 @@ def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
     profile = _pick_profile(doc, game, args.profile)
     rep = is_enforceable(game, profile)
     cost = total_cost(game, profile)
+    pne, bb = _verify_booleans(game, _lp_protocol(game, profile, rep), profile)
     report = RunReport(
         command="nsepa-check",
         input_cost=cost,
         output_cost=cost,
         enforceable=rep.enforceable,
+        pne_verified=pne,
+        budget_balanced=bb,
         extra={
             "lp_status": rep.status,
             "lp_value": rep.lp_value,
             "used_cost": rep.used_cost,
         },
     )
-    return report, [], rep.enforceable
+    return report, [], rep.enforceable and pne and bb
 
 
 def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:

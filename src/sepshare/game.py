@@ -28,17 +28,21 @@ class CostFunction:
     and a general monotone subadditive set function given by a table.  Fixed
     and table values are stored by the rule of `rationals.exact`: an int
     when integral, a Fraction otherwise, so `value` answers the same way.
-    The table is copied; its keys and values may be shared with the other
-    tables of a document, which `game_from_json` parses string by distinct
-    string.  Tables are validated lazily: every newly cached value is
-    checked against all previously cached values for monotonicity and
-    (where the relevant union is cached) subadditivity, raising
-    InvalidCostOracle on the first violation.
+    A hand-built table is copied, each key made a frozenset and each value
+    stored by that rule.  A `parsed` table is kept as given: its keys are
+    frozensets and its values follow the rule already, as
+    `schema.game_from_json` builds them, sharing keys and values with the
+    other tables of a document.  Tables are validated lazily: every newly
+    cached value is checked against all previously cached values for
+    monotonicity and (where the relevant union is cached) subadditivity,
+    raising InvalidCostOracle on the first violation.
 
     Instances cache table answers and are not thread-safe.
     """
 
-    def __init__(self, fixed=None, table: Optional[Mapping] = None) -> None:
+    def __init__(
+        self, fixed=None, table: Optional[Mapping] = None, *, parsed: bool = False
+    ) -> None:
         if (fixed is None) == (table is None):
             raise InputError("exactly one of fixed / table required")
         self._fixed: Optional[int | Fraction] = None
@@ -49,7 +53,9 @@ class CostFunction:
                 raise InputError(f"negative cost {value}")
             self._fixed = value
         else:
-            tbl = {frozenset(key): exact(val) for key, val in table.items()}
+            tbl = table if parsed else {
+                frozenset(key): exact(val) for key, val in table.items()
+            }
             if frozenset() in tbl and tbl[frozenset()] != 0:
                 raise InvalidCostOracle("cost of the empty set must be 0")
             self._table = tbl

@@ -46,26 +46,31 @@ def cost_to_json(cf: CostFunction):
     }
 
 
-def _once(parse):
-    """`parse` run once per distinct string: both parsers are pure, their
-    answers immutable, and they reject (raise for) anything but a string."""
-    memo: dict = {}
+class _Once(dict):
+    """`parse` run once per distinct string: `memo[text]` parses on the
+    first lookup and is a plain dict lookup after.  Both parsers are pure
+    and their answers immutable.  Look up strings only: `memo.parse` takes
+    anything else, and rejects it."""
 
-    def cached(text):
-        if not isinstance(text, str):
-            return parse(text)
-        return memo[text] if text in memo else memo.setdefault(text, parse(text))
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
 
-    return cached
+    def __missing__(self, text):
+        value = self[text] = self.parse(text)
+        return value
 
 
-def cost_from_json(data, rational, users) -> CostFunction:
+def cost_from_json(data, rational: _Once, users: _Once) -> CostFunction:
     """A cost function from JSON, read with the document's string parsers."""
     if isinstance(data, str):
-        return CostFunction(fixed=rational(data))
+        return CostFunction(fixed=rational[data])
     if isinstance(data, Mapping) and set(data) == {"subadditive_table"}:
-        table = {users(k): rational(v) for k, v in data["subadditive_table"].items()}
-        return CostFunction(table=table)
+        table = {
+            users[k]: rational[v] if type(v) is str else rational.parse(v)
+            for k, v in data["subadditive_table"].items()
+        }
+        return CostFunction(table=table, parsed=True)
     raise InputError(f"unrecognized cost encoding {data!r}")
 
 
@@ -127,8 +132,8 @@ def game_from_json(data: Mapping) -> GameModel:
     raw_spaces = data["spaces"]
     # a document repeats few strings many times: parse each one once, and
     # keep each integral value as an int (see `rationals.exact`)
-    rational = _once(lambda text: exact(parse_rational(text)))
-    users = _once(_users_from_key)
+    rational = _Once(lambda text: exact(parse_rational(text)))
+    users = _Once(_users_from_key)
     costs = {}
     for e in resources:
         key = str(e)
@@ -145,7 +150,7 @@ def game_from_json(data: Mapping) -> GameModel:
             if len(row) != len(resources):
                 raise InputError(f"delay row {i} has wrong length")
             for e, cell in zip(resources, row):
-                value = rational(cell)
+                value = rational[cell] if type(cell) is str else rational.parse(cell)
                 if value != 0:
                     delays[(i, e)] = value
     network: Optional[Network] = None

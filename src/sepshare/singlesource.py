@@ -13,7 +13,10 @@ ride it for free.  Expansion finally replaces auxiliary edges by their
 stored paths and charges each expansion edge to its auxiliary payer unless
 the edge already carries shares.
 
-Delays must be zero here, and all players share one source.
+Delays must be zero here, and all players share one source.  Costs,
+shares and sums follow the rule of `rationals.exact`: `Network.dijkstra`
+returns Fraction distances, and each auxiliary edge stores its cost as an
+int when integral, so integral games price on ints throughout.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .errors import (
 from .game import GameModel, PathSpace, Profile, Step, total_cost
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, SharingTable, water_fill
-
-_ZERO = Fraction(0)
+from .rationals import exact
 
 ItemId = object  # int for graph edges, ("aux", deep, shallow) for auxiliary edges
 
@@ -67,7 +69,7 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
     union = profile.used_resources()
     net = game.network
 
-    def weight(eid: int) -> Fraction:
+    def weight(eid: int) -> int | Fraction:
         return game.costs[eid].fixed_value
 
     tree = net.dijkstra(source, weight, reverse=net.directed, edges=union)
@@ -95,7 +97,7 @@ class AuxEdge:
     deep: Vertex
     shallow: Vertex
     gpath: tuple[int, ...]  # ordered deep -> shallow
-    cost: Fraction
+    cost: int | Fraction
 
 
 @dataclass
@@ -105,12 +107,17 @@ class Replacement:
     edge: int
     deviation_vertices: tuple
     payers: tuple[int, ...]
-    tree_cost_before: Fraction
-    tree_cost_after: Fraction
+    tree_cost_before: int | Fraction
+    tree_cost_after: int | Fraction
 
 
 class AuxiliaryGraph:
-    """Mutable working state of the bottom-up pricing pass."""
+    """Mutable working state of the bottom-up pricing pass.
+
+    `cost` prices every item once: graph edges by id and auxiliary edges
+    by key, each stored by the rule of `rationals.exact`.  Open tree edges
+    are priced in a kept order (`order`), rebuilt only when a drop changes
+    the tree's depths."""
 
     def __init__(self, game: GameModel, tree_profile: Profile) -> None:
         self.game = game
@@ -131,12 +138,16 @@ class AuxiliaryGraph:
         for items in self.paths.values():
             self.open_edges.update(items)
         # shares of closed items; users only, zero entries kept on purpose
-        self.closed_shares: dict[ItemId, dict[int, Fraction]] = {}
+        self.closed_shares: dict[ItemId, dict[int, int | Fraction]] = {}
         self.aux_payer: dict[tuple, int] = {}
         self.replacements: list[Replacement] = []
         self.events: list[Step] = []  # "close" and "drop"
         self._build_aux_edges()
-        self._check_tree()  # sets self.walks, self.users, self.depth, self.adj
+        self.cost: dict[ItemId, int | Fraction] = {
+            e: game.costs[e].fixed_value for e in game.resources
+        }
+        self.cost.update((key, aux.cost) for key, aux in self.aux.items())
+        self._check_tree()  # sets walks, users, depth, adj and the pricing order
 
     # ---- structure helpers ------------------------------------------
 
@@ -145,23 +156,20 @@ class AuxiliaryGraph:
             return (item[1], item[2])
         return self.net.endpoints[item]
 
-    def item_cost(self, item: ItemId) -> Fraction:
-        if isinstance(item, tuple) and item and item[0] == "aux":
-            return self.aux[item].cost
-        return self.game.costs[item].fixed_value
-
-    def tree_cost(self) -> Fraction:
-        return sum((self.item_cost(it) for it in self.users), _ZERO)
+    def tree_cost(self) -> int | Fraction:
+        return exact(sum(self.cost[it] for it in self.users))
 
     def _check_tree(self) -> None:
         """Verify the union of paths is a tree rooted at the source and
         keep what the pricing pass reads of the current paths: each
         player's vertex walk (`walks`), each tree item's users in player
         order (`users`), the vertex depths in items (`depth`, for the
-        pricing order) and the auxiliary graph's adjacency (`adj`: tree
+        pricing order), the auxiliary graph's adjacency (`adj`: tree
         items plus the auxiliary edges not in the tree, walked in arc
-        direction on directed graphs).  Paths change only in `_drop_edge`,
-        which calls this again; the auxiliary edges are fixed once built."""
+        direction on directed graphs) and the open tree edges in pricing
+        order (`order`: by depth, then largest id, the next pick last).
+        Paths change only in `_drop_edge`, which calls this again; the
+        auxiliary edges are fixed once built."""
         self.walks = {i: self._vertex_walk(i) for i in self.paths}
         users: dict[ItemId, list[int]] = {}
         for i, items in self.paths.items():
@@ -191,6 +199,11 @@ class AuxiliaryGraph:
         if len(depth) != len(users) + 1 or any(v not in depth for v in tree):
             raise InternalInvariant("player paths do not form a tree")
         self.users, self.depth, self.adj = users, depth, adj
+        ends = self.net.endpoints
+        self.order = sorted(
+            (e for e in self.open_edges if e in users),
+            key=lambda e: (max(depth[ends[e][0]], depth[ends[e][1]]), -e),
+        )
 
     def _vertex_walk(self, i: int) -> list[Vertex]:
         sp: PathSpace = self.game.spaces[i]
@@ -209,7 +222,7 @@ class AuxiliaryGraph:
         of the walks through it."""
         net = self.net
 
-        def weight(eid: int) -> Fraction:
+        def weight(eid: int) -> int | Fraction:
             return self.game.costs[eid].fixed_value
 
         # pairs (deeper, shallower): walk runs terminal -> source
@@ -231,32 +244,34 @@ class AuxiliaryGraph:
                     if key in self.aux or shallow not in reach:
                         continue
                     cost, _vseq, eseq = reach[shallow]
-                    self.aux[key] = AuxEdge(deep, shallow, eseq, cost)
+                    self.aux[key] = AuxEdge(deep, shallow, eseq, exact(cost))
 
     # ---- pricing ----------------------------------------------------
 
-    def _working_cost(self, i: int, item: ItemId, restored: Optional[int] = None) -> Fraction:
+    def _working_cost(
+        self, i: int, item: ItemId, restored: Optional[int] = None
+    ) -> int | Fraction:
         """Price of one auxiliary-graph edge for player i.
 
         Open tree edges are free for everyone; closed items cost their
         assigned share for users and the full price for joiners; the edge
         currently being processed (`restored`) costs its full price."""
         if item == restored:
-            return self.item_cost(item)
+            return self.cost[item]
         assigned = self.closed_shares.get(item)
         if assigned is not None:
-            return assigned.get(i, self.item_cost(item))
+            return assigned.get(i, self.cost[item])
         if item in self.open_edges:
-            return _ZERO
-        return self.item_cost(item)
+            return 0
+        return self.cost[item]
 
-    def _ghat_best(self, i: int, restored: int) -> Fraction:
+    def _ghat_best(self, i: int, restored: int) -> int | Fraction:
         """Cheapest terminal-source connection for player i in the
         auxiliary graph, with `restored` at full price.  Cross-check for
         the structured deviation search."""
         start = self.game.spaces[i].terminal
-        dist = {start: _ZERO}
-        heap = [(_ZERO, 0, start)]
+        dist = {start: 0}
+        heap = [(0, 0, start)]
         tick = 0
         while heap:
             d, _k, x = heapq.heappop(heap)
@@ -272,7 +287,7 @@ class AuxiliaryGraph:
                     heapq.heappush(heap, (nd, tick, y))
         raise InternalInvariant("auxiliary graph lost source connectivity")
 
-    def max_contribution(self, i: int, e: int) -> tuple[Fraction, Optional[tuple]]:
+    def max_contribution(self, i: int, e: int) -> tuple[int | Fraction, Optional[tuple]]:
         """Willingness of player i to pay for open edge e on their path.
 
         Returns (delta, deviation) where deviation is None when staying is
@@ -285,11 +300,11 @@ class AuxiliaryGraph:
             raise InputError(f"edge {e} is not on the path of player {i}")
         walk = self.walks[i]
         p = items.index(e)
-        upto = [_ZERO]  # upto[k]: working cost of the first k items
+        upto = [0]  # upto[k]: working cost of the first k items
         for it in items:
             upto.append(upto[-1] + self._working_cost(i, it, restored=e))
         stay = upto[-1]
-        base = stay - self.item_cost(e)
+        base = stay - self.cost[e]
         best: Optional[tuple] = None  # (cost, -a, b, key)
         for a in range(0, p + 1):
             for b in range(p + 1, len(walk)):
@@ -308,20 +323,20 @@ class AuxiliaryGraph:
                 f"unstructured deviation beats the structured ones for player {i}"
             )
         if best is None or stay <= best[0][0]:
-            return self.item_cost(e), None
+            return self.cost[e], None
         return best[0][0] - base, best[1]
 
     # ---- bottom-up loop ---------------------------------------------
 
     def _next_open_edge(self) -> Optional[int]:
-        if not self.open_edges:
-            return None
-
-        def edge_depth(eid: int) -> int:
-            u, v = self.item_ends(eid)
-            return max(self.depth[u], self.depth[v])
-
-        return max(self.open_edges, key=lambda eid: (edge_depth(eid), -eid))
+        """The deepest open edge, the smallest id first among equals.  Open
+        edges only close or leave the tree between two `_check_tree`
+        calls, so the kept order holds: entries no longer open are skipped."""
+        while self.order:
+            e = self.order.pop()
+            if e in self.open_edges:
+                return e
+        return None
 
     def process_next(self) -> bool:
         """Price one open edge; True while work remains."""
@@ -332,11 +347,12 @@ class AuxiliaryGraph:
         if not users:
             raise InternalInvariant(f"open edge {e} has no users")
         contrib = {i: self.max_contribution(i, e) for i in users}
-        cost = self.item_cost(e)
-        if cost <= sum((contrib[i][0] for i in users), _ZERO):
-            self.closed_shares[e] = water_fill(cost, [(i, contrib[i][0]) for i in users])
+        cost = self.cost[e]
+        if cost <= sum(contrib[i][0] for i in users):
+            takes = water_fill(cost, [(i, contrib[i][0]) for i in users])
+            self.closed_shares[e] = {i: exact(v) for i, v in takes.items()}
             self.open_edges.discard(e)
-            self.events.append(Step("close", users[0], e, _ZERO))
+            self.events.append(Step("close", users[0], e, 0))
             return True
         self._drop_edge(e, users, contrib)
         return True
@@ -376,7 +392,7 @@ class AuxiliaryGraph:
                 prefix = self.paths[j][: walks[j].index(v)]
                 self.paths[j] = tuple(prefix) + (key,) + tuple(tail)
                 if j != rep:
-                    share_map[j] = _ZERO
+                    share_map[j] = 0
             self.closed_shares[key] = share_map
             self.aux_payer[key] = rep
             payers.append(rep)
@@ -416,8 +432,8 @@ class AuxiliaryGraph:
 class SingleSourceResult:
     profile: Profile
     protocol: SeparableProtocol
-    input_cost: Fraction
-    output_cost: Fraction
+    input_cost: int | Fraction
+    output_cost: int | Fraction
     replacements: tuple[Replacement, ...]
     aux_in_tree: tuple[tuple, ...]
     repairs: tuple[tuple, ...]  # (resource, player, amount) balance fixes
@@ -468,10 +484,10 @@ def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, SharingTable, tup
     profile = Profile([frozenset(expanded[i]) for i in range(game.n)])
     game.validate_profile(profile)
 
-    shares: dict[tuple[int, int], Fraction] = {}
+    shares: dict[tuple[int, int], int | Fraction] = {}
 
-    def paid(e: int) -> Fraction:
-        return sum((shares.get((i, e), _ZERO) for i in range(game.n)), _ZERO)
+    def paid(e: int) -> int | Fraction:
+        return sum(shares.get((i, e), 0) for i in range(game.n))
 
     for item, table in state.closed_shares.items():
         if isinstance(item, tuple):
@@ -491,8 +507,8 @@ def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, SharingTable, tup
             raise InternalInvariant(f"edge {e} overpaid after expansion")
         if total < cost:
             payer = min(i for i in range(game.n) if e in profile[i])
-            shares[(payer, e)] = shares.get((payer, e), _ZERO) + cost - total
-            repairs.append((e, payer, cost - total))
+            shares[(payer, e)] = shares.get((payer, e), 0) + cost - total
+            repairs.append((e, payer, exact(cost - total)))
     return profile, SharingTable(profile, shares), tuple(repairs)
 
 

@@ -1,10 +1,14 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and scale-invariance checks for the test suite."""
 
+import json
+import re
 from fractions import Fraction
 
+from sepshare.cli import run
 from sepshare.game import CostFunction, GameModel, MatroidSpace, PathSpace
 from sepshare.matroids import UniformMatroid
 from sepshare.network import Network
+from sepshare.rationals import format_rational, parse_rational
 
 
 def path_game(edges, pairs, delays=None, directed=False):
@@ -34,3 +38,61 @@ def ufl_game(costs, delays=None, players=2):
     return GameModel(
         players=players, resources=ids, costs=cf, spaces=spaces, delays=delays or {}
     )
+
+
+# -- scale invariance ------------------------------------------------------
+
+_RATIONAL = re.compile(r"-?\d+/\d+")
+
+
+def scaled_doc(doc: dict, q) -> dict:
+    """The document with every cost and delay divided by q, in `costs` and
+    in the `graph` block alike."""
+
+    def div(text: str) -> str:
+        return format_rational(parse_rational(text) / q)
+
+    out = json.loads(json.dumps(doc))
+    for key, cost in out["costs"].items():
+        if isinstance(cost, str):
+            out["costs"][key] = div(cost)
+        else:
+            table = cost["subadditive_table"]
+            table.update((users, div(value)) for users, value in table.items())
+    if "delays" in out:
+        out["delays"] = [[div(cell) for cell in row] for row in out["delays"]]
+    for edge in out.get("graph", {}).get("edges", ()):
+        edge[2] = div(edge[2])
+    return out
+
+
+def transform_run(tmp_path, argv: list, doc: dict) -> tuple[int, list]:
+    """Exit code, and report and trace lines, of one transform command on
+    `doc`; no lines when it wrote no report."""
+    inst, out, trace = (tmp_path / name for name in ("in.json", "out.json", "trace.jsonl"))
+    inst.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    code = run(argv + ["--in", str(inst), "--out", str(out), "--trace", str(trace)])
+    if not out.exists():
+        return code, []
+    return code, [json.loads(out.read_text())] + [
+        json.loads(line) for line in trace.read_text().splitlines()
+    ]
+
+
+def assert_scaled(integral, scaled, q) -> int:
+    """Every rational of `scaled` is the one of `integral` at the same place
+    divided by q, and everything else is equal.  Returns how many of the
+    scaled rationals are not integers."""
+    if isinstance(integral, str) and _RATIONAL.fullmatch(integral):
+        value = parse_rational(scaled)
+        assert value == parse_rational(integral) / q, (integral, scaled, q)
+        return value.denominator != 1
+    if isinstance(integral, (list, dict)):
+        assert type(scaled) is type(integral) and len(scaled) == len(integral)
+        if isinstance(integral, dict):
+            assert scaled.keys() == integral.keys()
+            return sum(assert_scaled(integral[k], scaled[k], q) for k in integral)
+        return sum(assert_scaled(a, b, q) for a, b in zip(integral, scaled))
+    assert scaled == integral
+    return 0

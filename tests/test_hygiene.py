@@ -19,14 +19,16 @@ from pathlib import Path
 
 import pytest
 
+from _helpers import scaled_doc
 from sepshare.cli import build_parser
 from sepshare.errors import InputError
 from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile
-from sepshare.gen import gen_sp
+from sepshare.gen import gen_sp, gen_tree
 from sepshare.matroids import UniformMatroid, build_matroid_protocol, transform_matroid
 from sepshare.nsepa import nsepa_transform
 from sepshare.protocol import SharingTable
-from sepshare.schema import game_from_json, protocol_from_json
+from sepshare.schema import game_from_json, game_to_json, protocol_from_json
+from sepshare.singlesource import AuxiliaryGraph, to_tree_profile, transform_single_source
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sepshare"
@@ -272,6 +274,29 @@ def test_shares_are_ints_exactly_when_integral():
         assert all(map(_stored, values)), (seed, values)
         checked += len(values)
     assert checked
+
+
+@pytest.mark.parametrize("q", [1, 2], ids=["integral", "halved"])
+def test_single_source_state_is_int_exactly_when_integral(q):
+    """The pricing pass's auxiliary costs, search distances, closed shares
+    and tree costs and the output shares of `gen_tree` games, as generated
+    and with every cost halved."""
+    values, drops = [], 0
+    for seed in range(60):
+        game, profile = gen_tree(random.Random(seed), vertices=12, players=4)
+        game = game_from_json(scaled_doc(game_to_json(game), q))
+        state = AuxiliaryGraph(game, to_tree_profile(game, profile))
+        values += [aux.cost for aux in state.aux.values()] + [state.tree_cost()]
+        values += [state._ghat_best(i, e) for e in state.open_edges for i in state.users[e]]
+        state.run()
+        values += [v for shares in state.closed_shares.values() for v in shares.values()]
+        values.append(state.tree_cost())
+        for step in state.replacements:
+            values += [step.tree_cost_before, step.tree_cost_after]
+        drops += len(state.replacements)
+        values += transform_single_source(game, profile).protocol.table.shares.values()
+    assert all(map(_stored, values)), [v for v in values if not _stored(v)][:5]
+    assert drops > 10 and {type(v) for v in values} == ({int} if q == 1 else {int, Fraction})
 
 
 @pytest.mark.parametrize("bad", [True, 1.5])

@@ -1,18 +1,15 @@
 """Matroid oracles, exchange deviations, and the packet-move transform."""
 
 import itertools
-import json
 import random
-import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from _helpers import ufl_game
+from _helpers import assert_scaled, scaled_doc, transform_run, ufl_game
 from _oracles import rescan_transform_matroid
 from sepshare import matroids
-from sepshare.cli import run
 from sepshare.errors import InfeasibleProfile, InvalidMatroid, NotABasis, NotEnforceable
 from sepshare.game import GameModel, MatroidSpace, Profile, total_cost
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
@@ -36,7 +33,6 @@ from sepshare.protocol import (
     verify_budget_balance,
     verify_pne,
 )
-from sepshare.rationals import format_rational, parse_rational
 from sepshare.schema import game_to_json, profile_to_json
 
 
@@ -477,55 +473,11 @@ def test_entry_points_reject_a_short_profile(check):
 
 # -- scale invariance ------------------------------------------------------
 
-_RATIONAL = re.compile(r"-?\d+/\d+")
-
-
-def _scaled(doc: dict, q) -> dict:
-    """The document with every cost and delay divided by q."""
-
-    def div(text: str) -> str:
-        return format_rational(parse_rational(text) / q)
-
-    out = json.loads(json.dumps(doc))
-    for key, cost in out["costs"].items():
-        if isinstance(cost, str):
-            out["costs"][key] = div(cost)
-        else:
-            table = cost["subadditive_table"]
-            table.update((users, div(value)) for users, value in table.items())
-    if "delays" in out:
-        out["delays"] = [[div(cell) for cell in row] for row in out["delays"]]
-    return out
-
-
 def _transform_matroid_run(tmp_path, doc: dict) -> list:
     """Report and trace lines of one `transform-matroid` command on `doc`."""
-    inst, out, trace = (tmp_path / name for name in ("in.json", "out.json", "trace.jsonl"))
-    inst.write_text(json.dumps(doc))
-    code = run(["transform-matroid", "--in", str(inst), "--out", str(out),
-                "--trace", str(trace)])
+    code, lines = transform_run(tmp_path, ["transform-matroid"], doc)
     assert code == 0
-    return [json.loads(out.read_text())] + [
-        json.loads(line) for line in trace.read_text().splitlines()
-    ]
-
-
-def _assert_scaled(integral, scaled, q) -> int:
-    """Every rational of `scaled` is the one of `integral` at the same place
-    divided by q, and everything else is equal.  Returns how many of the
-    scaled rationals are not integers."""
-    if isinstance(integral, str) and _RATIONAL.fullmatch(integral):
-        value = parse_rational(scaled)
-        assert value == parse_rational(integral) / q, (integral, scaled, q)
-        return value.denominator != 1
-    if isinstance(integral, (list, dict)):
-        assert type(scaled) is type(integral) and len(scaled) == len(integral)
-        if isinstance(integral, dict):
-            assert scaled.keys() == integral.keys()
-            return sum(_assert_scaled(integral[k], scaled[k], q) for k in integral)
-        return sum(_assert_scaled(a, b, q) for a, b in zip(integral, scaled))
-    assert scaled == integral
-    return 0
+    return lines
 
 
 def _generated_games():
@@ -554,8 +506,8 @@ def test_scaled_games_transform_to_scaled_reports(tmp_path):
         integral = _transform_matroid_run(tmp_path, doc)
         moved += len(integral) > 1
         for q in (3, 7):
-            scaled = _transform_matroid_run(tmp_path, _scaled(doc, q))
-            fractional += _assert_scaled(integral, scaled, q)
+            scaled = _transform_matroid_run(tmp_path, scaled_doc(doc, q))
+            fractional += assert_scaled(integral, scaled, q)
     assert moved > 200 and fractional > 2000, (moved, fractional)
 
 
@@ -579,7 +531,7 @@ def test_a_game_of_mixed_values_transforms_like_its_integral_double(tmp_path):
         "spaces": [{"matroid": uniform}] * 4,
         "profile": [[0], [1], [0], [2]],
     }
-    doubled = _scaled(mixed, F(1, 2))
+    doubled = scaled_doc(mixed, F(1, 2))
     integral = _transform_matroid_run(tmp_path, doubled)
     assert {line["step"] for line in integral[1:]} == {"delay", "cover"}
-    assert _assert_scaled(integral, _transform_matroid_run(tmp_path, mixed), 2)
+    assert assert_scaled(integral, _transform_matroid_run(tmp_path, mixed), 2)

@@ -511,6 +511,20 @@ class TestCliPaths:
         assert (doc["output_cost"], doc["unique"], doc["enforceable"]) == (
             "346/1", True, False)
 
+    @pytest.mark.parametrize("seed, verdict", [
+        (1, (1, False, False, False)), (2, (0, True, True, True)),
+    ], ids=["not-enforceable", "enforceable"])
+    def test_nsepa_check_verifies_the_lp_protocol_as_verify_does(self, tmp_path, seed, verdict):
+        """An enforceable verdict comes with the PNE and budget-balance
+        checks of the LP's protocol, as in `verify`; a negative one has no
+        protocol, so both stay false."""
+        _code, inst = run_to_file(tmp_path, "sp.json", ["gen", "sp", "--seed", str(seed)])
+        for command in (["nsepa", "check"], ["verify"]):
+            code, rep = run_to_file(tmp_path, "r.json", command + ["--in", str(inst)])
+            doc = json.loads(rep.read_text())
+            got = (code, doc["enforceable"], doc["pne_verified"], doc["budget_balanced"])
+            assert got == verdict, command
+
     @pytest.mark.parametrize("shares, exit_code", [
         ([{"player": 0, "resource": 0, "share": "3/1"}], 0), ([], 1),
     ], ids=["balanced", "unpaid"])

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from _helpers import path_game
+from _helpers import assert_scaled, path_game, scaled_doc, transform_run
 from _oracles import rebuild_transform_single_source
 from sepshare.errors import InfeasibleProfile, UnsupportedSpace
 from sepshare.game import Profile, total_cost
 from sepshare.gen import gen_tree
 from sepshare.protocol import verify_budget_balance, verify_pne
+from sepshare.schema import game_to_json, profile_to_json
 from sepshare.singlesource import (
     AuxiliaryGraph,
     to_tree_profile,
@@ -337,3 +338,24 @@ class TestTransform:
         res = transform_single_source(g, Profile([{1, 0}]))
         assert res.profile == Profile([{1, 0}])
         assert verify_pne(g, res.protocol).ok
+
+
+def test_scaled_tree_games_transform_to_scaled_reports(tmp_path):
+    """Dividing every edge cost by q divides every cost, cost delta, share
+    and repair of the `transform-tree` report and trace by q and leaves the
+    rest as it was: the integral games price on ints, the scaled ones on
+    Fractions mixed with ints, and a float or a lost denominator in either
+    shows as a mismatch or as a failed command."""
+    fractional = {3: 0, 7: 0}
+    dropped = 0
+    for seed in range(300):
+        game, profile = gen_tree(random.Random(seed))
+        doc = game_to_json(game)
+        doc["profile"] = profile_to_json(profile)["profile"]
+        code, integral = transform_run(tmp_path, ["transform-tree"], doc)
+        assert code in (0, 1) and integral, (seed, code)
+        dropped += integral[0]["phases"] > 0
+        for q in fractional:
+            scaled = transform_run(tmp_path, ["transform-tree"], scaled_doc(doc, q))
+            fractional[q] += assert_scaled([code, *integral], [scaled[0], *scaled[1]], q)
+    assert dropped > 50 and fractional[3] > 500, (dropped, fractional)
