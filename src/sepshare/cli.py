@@ -14,7 +14,7 @@ import argparse
 import functools
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,12 +27,7 @@ from .matroids import (
     transform_matroid,
 )
 from .nsepa import counterexample_fixture, is_enforceable, nsepa_transform
-from .oracle import (
-    DEFAULT_BUDGET,
-    EnumerationBudget,
-    brute_force_enforceable,
-    brute_force_optimum,
-)
+from .oracle import DEFAULT_BUDGET, brute_force_enforceable, brute_force_optimum
 from .protocol import (
     SeparableProtocol,
     SharingTable,
@@ -54,14 +49,12 @@ from .schema import (
 )
 from .singlesource import transform_single_source
 
-_ZERO = Fraction(0)
-
 
 @dataclass
 class RunReport:
     command: str
-    input_cost: Fraction = _ZERO
-    output_cost: Fraction = _ZERO
+    input_cost: int | Fraction = 0
+    output_cost: int | Fraction = 0
     iterations: int = 0
     phases: int = 0
     enforceable: bool = False
@@ -90,21 +83,24 @@ class RunReport:
 
 
 def _read_text(path: Optional[str]) -> str:
-    if path in (None, "-"):
-        return sys.stdin.read()
     try:
+        if path in (None, "-"):
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as ex:
-        raise InputError(f"cannot read {path}: {ex}") from ex
+    except (OSError, UnicodeDecodeError) as ex:
+        raise InputError(f"cannot read {path or 'standard input'}: {ex}") from ex
 
 
 def _write_text(path: Optional[str], text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise InputError(f"cannot write {path}: {ex}") from ex
 
 
 def _load_instance(args) -> tuple[GameModel, dict]:
@@ -205,7 +201,7 @@ def _tree_family(game: GameModel, profile: Profile):
 def _nsepa_family(game: GameModel, profile: Profile):
     result = nsepa_transform(game, profile)
     extra = {
-        "lp_value": result.lp_value,
+        "lp_value": format_rational(result.lp_value),
         "input_enforceable": result.input_enforceable,
         "repairs": len(result.repairs),
     }
@@ -255,8 +251,8 @@ def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
         budget_balanced=bb,
         extra={
             "lp_status": rep.status,
-            "lp_value": rep.lp_value,
-            "used_cost": rep.used_cost,
+            "lp_value": None if rep.lp_value is None else format_rational(rep.lp_value),
+            "used_cost": format_rational(rep.used_cost),
         },
     )
     return report, [], rep.enforceable and pne and bb
@@ -283,11 +279,12 @@ def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:
 
 
 def _cmd_optimum(args) -> tuple[RunReport, Sequence[Step], bool]:
+    limits = {"max_profiles": args.max_profiles, "max_paths_per_player": args.max_paths}
+    for flag, value in zip(("--max-profiles", "--max-paths"), limits.values()):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be at least 1, not {value}")
     game, doc = _load_instance(args)
-    budget = EnumerationBudget(
-        max_profiles=args.max_profiles or DEFAULT_BUDGET.max_profiles,
-        max_paths_per_player=args.max_paths or DEFAULT_BUDGET.max_paths_per_player,
-    )
+    budget = replace(DEFAULT_BUDGET, **{k: v for k, v in limits.items() if v is not None})
     result = brute_force_optimum(game, budget=budget)
     enforceable = brute_force_enforceable(game, result.profile)
     report = RunReport(
@@ -426,6 +423,8 @@ def run(argv: Optional[list[str]] = None) -> int:
             _write_text(args.outfile, dumps(doc) + "\n")
             return 0
         report, trace, ok = args.handler(args)
+        _emit_trace(args.trace, trace)
+        _write_text(args.outfile, dumps(report.to_json(args.approx_display)) + "\n")
     except BudgetExceeded as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3
@@ -435,8 +434,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SepshareError as ex:
         print(f"{type(ex).__name__}: {ex}", file=sys.stderr)
         return 1
-    _emit_trace(args.trace, trace)
-    _write_text(args.outfile, dumps(report.to_json(args.approx_display)) + "\n")
     return 0 if ok else 1
 
 

@@ -302,7 +302,7 @@ class GameModel:
         self._valid.add(profile)
 
 
-def total_cost(game: GameModel, profile: Profile) -> Fraction:
+def total_cost(game: GameModel, profile: Profile) -> int | Fraction:
     """Shareable costs of used resources plus all incurred delays of a
     validated profile (callers validate once, where a profile enters)."""
     total = 0
@@ -313,7 +313,7 @@ def total_cost(game: GameModel, profile: Profile) -> Fraction:
     for i in range(game.n):
         for e in profile[i]:
             total += game.delay(i, e)
-    return Fraction(total)
+    return exact(total)
 
 
 def private_cost(game: GameModel, protocol, profile: Profile, i: int) -> int | Fraction:

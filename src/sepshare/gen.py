@@ -21,7 +21,7 @@ import random
 from itertools import combinations
 from typing import Optional
 
-from .errors import InternalInvariant
+from .errors import InputError, InternalInvariant
 from .game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .network import Network
@@ -73,6 +73,8 @@ def gen_matroid(
     players: Optional[int] = None,
     resources: Optional[int] = None,
 ) -> GameModel:
+    if resources is not None and resources < 1:
+        raise InputError(f"resources must be at least 1, not {resources}")
     n = players if players is not None else rng.randint(1, 5)
     m = resources if resources is not None else rng.randint(2, 8)
     ids = list(range(m))
@@ -131,6 +133,8 @@ def gen_tree(
     players: Optional[int] = None,
 ) -> tuple[GameModel, Profile]:
     """Random connected single-source instance plus a feasible profile."""
+    if vertices is not None and vertices < 2:
+        raise InputError(f"vertices must be at least 2, not {vertices}")
     nv = vertices if vertices is not None else rng.randint(3, 10)
     verts = [f"v{k}" for k in range(nv)]
     pairs = []
@@ -157,7 +161,7 @@ def gen_tree(
     for i in range(n):
         weights = {e: rng.randint(1, 30) for e in ids}
         hit = net.shortest_path(spaces[i].terminal, source, lambda e: weights[e])
-        choices.append(frozenset(hit[2]))
+        choices.append(frozenset(hit[1]))
     return game, Profile(choices)
 
 
@@ -168,6 +172,8 @@ def gen_sp(
 ) -> tuple[GameModel, Profile]:
     """Chain of parallel bundles of short paths; player pairs sit on chain
     cut vertices, so every induced subgraph is two-terminal series-parallel."""
+    if max_edges < 3:
+        raise InputError(f"max_edges must be at least 3, not {max_edges}")
     n = players if players is not None else rng.randint(1, 3)
     cuts = ["c0"]
     pairs: list[tuple[str, str]] = []
@@ -215,5 +221,5 @@ def gen_sp(
     for i in range(n):
         weights = {e: rng.randint(1, 30) for e in ids}
         hit = net.shortest_path(spaces[i].terminal, spaces[i].source, lambda e: weights[e])
-        choices.append(frozenset(hit[2]))
+        choices.append(frozenset(hit[1]))
     return game, Profile(choices)

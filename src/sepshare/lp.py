@@ -2,9 +2,11 @@
 
 Solves  maximize c.x  subject to  A.x <= b, x >= 0  with a two-phase
 tableau simplex on sparse rows: a program's rows hold only their nonzero
-fractions.Fraction coefficients from construction on, and each tableau
-row is a dict of them, so a pivot touches only the rows with a nonzero
-in the entering column, and in them only the pivot row's columns.
+coefficients from construction on, and each tableau row is a dict of
+them, so a pivot touches only the rows with a nonzero in the entering
+column, and in them only the pivot row's columns.  Program data are ints
+or Fractions; the simplex divides, so `solve` copies them into a tableau
+of Fractions and returns values and optimum by `rationals.exact`.
 Bland's rule (smallest improving column, ties in the ratio test to the
 smallest basic column) makes runs deterministic and rules out cycling.
 Statuses are values, not exceptions, because infeasible and unbounded
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, InternalInvariant
-from .rationals import rat
+from .rationals import exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -33,7 +35,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-Row = tuple[tuple[int, Fraction], ...]
+Row = tuple[tuple[int, int | Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,9 @@ class LinearProgram:
     ascending and in range, no coefficient zero; `build` takes dense rows.
     Pair tuples, not dicts, keep rows hashable and count one per nonzero."""
 
-    objective: tuple[Fraction, ...]
+    objective: tuple[int | Fraction, ...]
     rows: tuple[Row, ...]
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         n = len(self.objective)
@@ -61,20 +63,20 @@ class LinearProgram:
 
     @staticmethod
     def build(objective, rows, rhs) -> "LinearProgram":
-        objective = tuple(rat(v) for v in objective)
+        objective = tuple(map(exact, objective))
         sparse = []
         for row in rows:
             if len(row) != len(objective):
                 raise InputError("row width does not match objective")
-            sparse.append(tuple((j, a) for j, a in enumerate(map(rat, row)) if a))
-        return LinearProgram(objective, tuple(sparse), tuple(rat(v) for v in rhs))
+            sparse.append(tuple((j, a) for j, a in enumerate(map(exact, row)) if a))
+        return LinearProgram(objective, tuple(sparse), tuple(map(exact, rhs)))
 
 
 @dataclass(frozen=True)
 class Solution:
     status: str
-    values: tuple[Fraction, ...] = ()
-    objective_value: Optional[Fraction] = None
+    values: tuple[int | Fraction, ...] = ()
+    objective_value: Optional[int | Fraction] = None
 
 
 # A tableau row maps column -> nonzero coefficient; its right-hand side is
@@ -161,16 +163,16 @@ def solve(lp: LinearProgram) -> Solution:
     for k, row in enumerate(lp.rows):
         if lp.rhs[k] < 0:
             art = ncols + len(artificials)
-            artificials[art] = Fraction(-1)
-            row = {j: -a for j, a in row}
-            row[n + k] = Fraction(-1)
+            artificials[art] = -_ONE
+            row = {j: -Fraction(a) for j, a in row}
+            row[n + k] = -_ONE
             row[art] = _ONE
-            rhs.append(-lp.rhs[k])
+            rhs.append(-Fraction(lp.rhs[k]))
             basis.append(art)
         else:
-            row = dict(row)
+            row = {j: Fraction(a) for j, a in row}
             row[n + k] = _ONE
-            rhs.append(lp.rhs[k])
+            rhs.append(Fraction(lp.rhs[k]))
             basis.append(n + k)
         rows.append(row)
 
@@ -194,7 +196,7 @@ def solve(lp: LinearProgram) -> Solution:
             for j in [j for j in row if j >= ncols]:
                 del row[j]
 
-    costs = {j: c for j, c in enumerate(lp.objective) if c}
+    costs = {j: Fraction(c) for j, c in enumerate(lp.objective) if c}
     status, value, z = _simplex_loop(rows, rhs, basis, costs)
     if status == UNBOUNDED:
         return Solution(status=UNBOUNDED)
@@ -204,7 +206,7 @@ def solve(lp: LinearProgram) -> Solution:
             x[col] = rhs[r]
     y = [-z.get(n + k, _ZERO) for k in range(m)]
     _certify(lp, x, y, value)
-    return Solution(status=OPTIMAL, values=tuple(x), objective_value=value)
+    return Solution(status=OPTIMAL, values=tuple(map(exact, x)), objective_value=exact(value))
 
 
 def _certify(lp: LinearProgram, x: list[Fraction], y: list[Fraction], value: Fraction) -> None:

@@ -360,8 +360,8 @@ def _check_conditions(
 class MatroidTransformResult:
     profile: Profile
     moves: tuple[Step, ...]  # "delay" and "cover" packet moves
-    input_cost: Fraction
-    output_cost: Fraction
+    input_cost: int | Fraction
+    output_cost: int | Fraction
 
     @property
     def iterations(self) -> int:

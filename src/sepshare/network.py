@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, Disconnected, InputError
+from .rationals import exact
 
 Vertex = Hashable
 EdgeId = int
@@ -89,13 +90,14 @@ class Network:
     def dijkstra(
         self,
         start: Vertex,
-        weight: Callable[[EdgeId], Fraction],
+        weight: Callable[[EdgeId], int | Fraction],
         reverse: bool = False,
         blocked_vertices: Collection[Vertex] = frozenset(),
         edges: Optional[Collection[EdgeId]] = None,
         stop: Optional[Collection[Vertex]] = None,
-    ) -> dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
-        """Single-source shortest paths with exact weights.
+    ) -> dict[Vertex, tuple[int | Fraction, tuple[EdgeId, ...]]]:
+        """Single-source shortest paths with exact weights: each reached
+        vertex maps to its distance and the edge ids of its path.
 
         Weights must be exact and nonnegative.  Among equal-cost paths the
         lexicographically smallest vertex-index sequence wins (then smallest
@@ -107,15 +109,13 @@ class Network:
         search returns as soon as it has settled every vertex in it, so
         only the entries settled by then are present (each the same as in
         a full search); a stop vertex that cannot be reached leaves the
-        search running to the end.  Integral distances are ints inside the
-        search, cheaper than Fractions and exact alongside them, so the
-        heap order is unchanged; every returned distance is a Fraction.
+        search running to the end.  Distances follow `rationals.exact`.
         """
         pending = None if stop is None else set(stop)
-        vindex, vertices = self.vindex, self.vertices
+        vindex = self.vindex
         adj = self._radj if reverse else self._adj
         push, pop = heapq.heappush, heapq.heappop
-        result: dict[Vertex, tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]] = {}
+        result: dict[Vertex, tuple[int | Fraction, tuple[EdgeId, ...]]] = {}
         heap: list[tuple[int | Fraction, tuple[int, ...], tuple[EdgeId, ...], Vertex]] = [
             (0, (vindex[start],), (), start)
         ]
@@ -123,7 +123,8 @@ class Network:
             dist, vkey, epath, x = pop(heap)
             if x in result:
                 continue
-            result[x] = (Fraction(dist), tuple(vertices[k] for k in vkey), epath)
+            dist = exact(dist)
+            result[x] = (dist, epath)
             if pending is not None:
                 pending.discard(x)
                 if not pending:
@@ -136,8 +137,6 @@ class Network:
                 w = weight(eid)
                 if w.numerator < 0:
                     raise InputError(f"negative weight on edge {eid}")
-                if w.denominator == 1:
-                    w = w.numerator
                 push(heap, (dist + w, vkey + (vindex[nbr],), epath + (eid,), nbr))
         return result
 
@@ -145,11 +144,11 @@ class Network:
         self,
         frm: Vertex,
         to: Vertex,
-        weight: Callable[[EdgeId], Fraction],
+        weight: Callable[[EdgeId], int | Fraction],
         blocked_vertices: Collection[Vertex] = frozenset(),
         edges: Optional[Collection[EdgeId]] = None,
-    ) -> Optional[tuple[Fraction, tuple[Vertex, ...], tuple[EdgeId, ...]]]:
-        """Cheapest frm -> to path, or None if unreachable.
+    ) -> Optional[tuple[int | Fraction, tuple[EdgeId, ...]]]:
+        """Cheapest frm -> to path as (distance, edge ids), or None if unreachable.
 
         In directed networks the path follows edge orientation frm -> to.
         """

@@ -31,9 +31,7 @@ from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
 from .lp import OPTIMAL, LinearProgram, Row, solve
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, SharingTable, verify_pne, water_fill
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .rationals import exact
 
 
 def _require_path_game(game: GameModel) -> None:
@@ -46,7 +44,7 @@ def _require_path_game(game: GameModel) -> None:
         raise UnsupportedSpace("series-parallel analysis expects undirected networks")
 
 
-def _fixed_cost(game: GameModel, e: int) -> Fraction:
+def _fixed_cost(game: GameModel, e: int) -> int | Fraction:
     return game.costs[e].fixed_value
 
 
@@ -96,7 +94,7 @@ class Alternative:
     to: Vertex
     edges: tuple[int, ...]
     substituted: tuple[int, ...]
-    weight: Fraction  # cost + owner delay, summed over `edges`
+    weight: int | Fraction  # cost + owner delay, summed over `edges`
 
 
 def _ordered_path(game: GameModel, i: int, choice: frozenset) -> tuple[int, ...]:
@@ -135,7 +133,7 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
     nodes = _path_vertices(net, ordered, sp.source)
     pos = {v: k for k, v in enumerate(nodes)}
 
-    def weight(eid: int) -> Fraction:
+    def weight(eid: int) -> int | Fraction:
         return _fixed_cost(game, eid) + game.delay(i, eid)
 
     live_edges = set(region) - set(choice)
@@ -151,7 +149,7 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
             path = net.shortest_path(u, v, weight, blocked_vertices=blocked, edges=live_edges)
             if path is None:
                 raise InternalInvariant("discovered node without a connecting path")
-            cost, vseq, eseq = path
+            cost, eseq = path
             a, b = sorted((pos[u], pos[v]))
             found.append(
                 Alternative(
@@ -164,7 +162,7 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
                 )
             )
             live_edges -= set(eseq)
-            blocked.update(vseq[1:-1])
+            blocked.update(_path_vertices(net, eseq, u)[1:-1])
     if len(found) > len(net.edge_ids):
         raise InternalInvariant("more alternatives than edges")
     used = [e for alt in found for e in alt.edges]
@@ -222,14 +220,16 @@ class LPInstance:
     not_series_parallel: Optional[NotSeriesParallel]  # None: all detour rows are in
 
 
-def _stability_row(game: GameModel, var_index: dict, i: int, joined, left) -> tuple[Row, Fraction]:
+def _stability_row(
+    game: GameModel, var_index: dict, i: int, joined, left
+) -> tuple[Row, int | Fraction]:
     """Row of player i's deviation that adopts `joined` and drops `left`:
     the shares on `left` may not exceed the full cost plus delay of
     `joined` minus the delay saved on `left`."""
-    bound = sum((_fixed_cost(game, e) + game.delay(i, e) for e in joined), _ZERO)
+    bound = sum(_fixed_cost(game, e) + game.delay(i, e) for e in joined)
     for e in left:
         bound -= game.delay(i, e)
-    return tuple(sorted((var_index[(i, e)], _ONE) for e in left)), bound
+    return tuple(sorted((var_index[(i, e)], 1) for e in left)), bound
 
 
 def build_lp(game: GameModel, profile: Profile) -> LPInstance:
@@ -248,7 +248,7 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
         for e in sorted(profile[i], key=game.resource_key):
             var_index[(i, e)] = len(var_index)
     rows: list[Row] = []
-    rhs: list[Fraction] = []
+    rhs: list[int | Fraction] = []
 
     # a player's columns all come before the next player's, so ascending
     # players give ascending columns
@@ -256,8 +256,8 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
         users = profile.users(e)
         if not users:
             continue
-        rows.append(tuple((var_index[(i, e)], _ONE) for i in sorted(users)))
-        rhs.append(Fraction(_fixed_cost(game, e)))  # LP data stay Fractions
+        rows.append(tuple((var_index[(i, e)], 1) for i in sorted(users)))
+        rhs.append(_fixed_cost(game, e))
 
     not_sp = None
     try:
@@ -270,7 +270,7 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
         rhs.append(bound)
 
     lp = LinearProgram(
-        objective=(_ONE,) * len(var_index),
+        objective=(1,) * len(var_index),
         rows=tuple(rows),
         rhs=tuple(rhs),
     )
@@ -281,8 +281,8 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
 class EnforceabilityLPReport:
     enforceable: bool
     status: str
-    lp_value: Optional[Fraction]
-    used_cost: Fraction
+    lp_value: Optional[int | Fraction]
+    used_cost: int | Fraction
     shares: Optional[dict] = None  # (player, resource) -> share
 
 
@@ -301,9 +301,7 @@ def is_enforceable(game: GameModel, profile: Profile) -> EnforceabilityLPReport:
 
 
 def _optimize(game: GameModel, profile: Profile, inst: LPInstance) -> EnforceabilityLPReport:
-    used_cost = sum(
-        (_fixed_cost(game, e) for e in game.resources if profile.users(e)), _ZERO
-    )
+    used_cost = exact(sum(_fixed_cost(game, e) for e in game.resources if profile.users(e)))
     lp = inst.lp
     generated: set = set()
     while True:
@@ -353,7 +351,7 @@ def smallest_tight_alternative(
     game: GameModel,
     i: int,
     ordered_path: tuple[int, ...],
-    share_of: Callable[[int], Fraction],
+    share_of: Callable[[int], int | Fraction],
     f: int,
 ) -> Alternative:
     """Cheapest-possible detour around f whose cost exactly matches the
@@ -373,7 +371,7 @@ def smallest_tight_alternative(
     nodes = _path_vertices(net, ordered_path, sp.source)
     fpos = ordered_path.index(f)
 
-    def weight(eid: int) -> Fraction:
+    def weight(eid: int) -> int | Fraction:
         return _fixed_cost(game, eid) + game.delay(i, eid)
 
     allowed = region - frozenset(ordered_path)
@@ -389,11 +387,9 @@ def smallest_tight_alternative(
             hit = tree.get(y)
             if hit is None:
                 continue
-            cost, _vseq, eseq = hit
+            cost, eseq = hit
             substituted = tuple(ordered_path[a:b])
-            absorbed = sum(
-                (share_of(e) + game.delay(i, e) for e in substituted), _ZERO
-            )
+            absorbed = sum(share_of(e) + game.delay(i, e) for e in substituted)
             if cost < absorbed:
                 raise InternalInvariant(
                     "detour cheaper than current shares; share vector is not "
@@ -415,9 +411,9 @@ class NsepaTransformResult:
     protocol: SeparableProtocol
     phases: int
     input_enforceable: bool
-    lp_value: Fraction
-    input_cost: Fraction
-    output_cost: Fraction
+    lp_value: int | Fraction
+    input_cost: int | Fraction
+    output_cost: int | Fraction
     substitutions: tuple[Step, ...] = ()
     repairs: tuple[Step, ...] = ()
 
@@ -457,10 +453,10 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     paths: list[tuple[int, ...]] = [() for _ in range(game.n)]
     users: dict[int, set[int]] = {}
 
-    def move(i: int, row: tuple[int, ...]) -> Fraction:
+    def move(i: int, row: tuple[int, ...]) -> int | Fraction:
         """Put player i on `row`; return the exact change of total cost."""
         old, new = set(paths[i]), set(row)
-        delta = _ZERO
+        delta = 0
         for e in old - new:
             users[e].discard(i)
             delta -= game.delay(i, e)
@@ -474,7 +470,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
             users[e].add(i)
             delta += game.delay(i, e)
         paths[i] = row
-        return delta
+        return exact(delta)
 
     for i in range(game.n):
         move(i, _ordered_path(game, i, profile[i]))
@@ -485,15 +481,15 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         while True:
             held = frozenset(paths[i])
 
-            def reroute_price(e: int) -> Fraction:
-                opened = _ZERO if e in held else _fixed_cost(game, e)
+            def reroute_price(e: int) -> int | Fraction:
+                opened = 0 if e in held else _fixed_cost(game, e)
                 return opened + game.delay(i, e)
 
             hit = game.network.shortest_path(sp.source, sp.terminal, reroute_price)
             if hit is None:
                 raise InternalInvariant(f"player {i} lost connectivity")
-            price, _vs, edges = hit
-            stay = sum((game.delay(i, e) for e in paths[i]), _ZERO)
+            price, edges = hit
+            stay = sum(game.delay(i, e) for e in paths[i])
             if price >= stay:
                 break
             repairs.append(Step("repair", i, None, move(i, tuple(edges))))
@@ -506,11 +502,11 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     if report.status != OPTIMAL or report.shares is None:
         raise InternalInvariant(f"enforceability LP ended {report.status}")
 
-    shares: dict[tuple[int, int], Fraction] = dict(report.shares)
+    shares: dict[tuple[int, int], int | Fraction] = dict(report.shares)
     dropped: dict[int, set] = {i: set() for i in range(game.n)}
 
-    def paid(e: int) -> Fraction:
-        return sum((shares.get((i, e), _ZERO) for i in users[e]), _ZERO)
+    def paid(e: int) -> int | Fraction:
+        return sum(shares.get((i, e), 0) for i in users[e])
 
     def unpaid_edges() -> list[tuple[int, int]]:
         out = []
@@ -520,10 +516,8 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                     out.append((i, e))
         return out
 
-    def private(i: int) -> Fraction:
-        return sum(
-            (shares.get((i, e), _ZERO) + game.delay(i, e) for e in paths[i]), _ZERO
-        )
+    def private(i: int) -> int | Fraction:
+        return sum(shares.get((i, e), 0) + game.delay(i, e) for e in paths[i])
 
     substitutions: list[Step] = []
     phase_bound = len(base.used_resources())
@@ -553,7 +547,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                     game,
                     i,
                     paths[i],
-                    lambda e: shares.get((i, e), _ZERO),
+                    lambda e: shares.get((i, e), 0),
                     f,
                 )
                 readopted = set(alt.edges) & dropped[i]
@@ -585,7 +579,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         if excess < 0:
             raise InternalInvariant(f"edge {e} left unpaid after all phases")
         if excess:
-            held = [((i, e), shares.get((i, e), _ZERO)) for i in sorted(users[e], reverse=True)]
+            held = [((i, e), shares.get((i, e), 0)) for i in sorted(users[e], reverse=True)]
             for pair, cut in water_fill(excess, held).items():
                 if cut:
                     shares[pair] -= cut
@@ -593,7 +587,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     out_profile = Profile([frozenset(paths[i]) for i in range(game.n)])
     game.validate_profile(out_profile)
     output_cost = total_cost(game, out_profile)
-    stepped = sum((step.cost_delta for step in repairs + substitutions), _ZERO)
+    stepped = sum(step.cost_delta for step in repairs + substitutions)
     if stepped != output_cost - input_cost:
         raise InternalInvariant("step cost deltas do not add up to the cost change")
     if report.enforceable and not repairs:
@@ -647,9 +641,7 @@ def counterexample_fixture() -> tuple[GameModel, Profile]:
         directed=False,
         vertices=["s1", "t1", "s2", "t2", "s3", "t3", "a"],
     )
-    costs = {
-        k: CostFunction(fixed=Fraction(c)) for k, (_u, _v, c) in enumerate(_FIXTURE_EDGES)
-    }
+    costs = {k: CostFunction(fixed=c) for k, (_u, _v, c) in enumerate(_FIXTURE_EDGES)}
     game = GameModel(
         players=3,
         resources=list(range(len(_FIXTURE_EDGES))),

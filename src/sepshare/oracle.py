@@ -69,7 +69,7 @@ def profiles_iter(
 @dataclass(frozen=True)
 class OptimumResult:
     profile: Profile
-    cost: Fraction
+    cost: int | Fraction
     unique: bool
 
 
@@ -82,7 +82,7 @@ def brute_force_optimum(
     cost is attained by exactly one profile.
     """
     best: Optional[Profile] = None
-    best_cost: Optional[Fraction] = None
+    best_cost: Optional[int | Fraction] = None
     ties = 0
     for profile in profiles_iter(game, budget):
         cost = total_cost(game, profile)

@@ -173,7 +173,7 @@ def best_response(
         hit = game.network.shortest_path(sp.terminal, sp.source, weight)
         if hit is None:
             raise InputError(f"player {i} has no feasible path")
-        choice = frozenset(hit[2])
+        choice = frozenset(hit[1])
     value = sum(weight(e) for e in choice)
     return choice, value
 

@@ -1,10 +1,10 @@
 """Exact rational arithmetic helpers.
 
-Every quantity in this package is exact.  Costs, delays and shares are
-stored by one rule, which `exact` enforces: a rational with denominator 1
-is a Python int, any other a `fractions.Fraction`.  Ints and Fractions add
-and compare exactly with each other, and ints are several times cheaper.
-LP data and everything `rat` returns stay Fractions, because the simplex
+Every quantity in this package is exact and stored by one rule, which
+`exact` enforces: a rational with denominator 1 is a Python int, any
+other a `fractions.Fraction`.  Ints and Fractions add and compare exactly
+with each other, and ints are several times cheaper.  The one exception
+is the simplex tableau, which `lp.solve` builds of Fractions because it
 divides.  Serialized form is always the string "p/q" with q > 0 and
 gcd(|p|, q) = 1, which both types give through `numerator` and
 `denominator`.

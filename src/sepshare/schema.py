@@ -282,3 +282,5 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as ex:
         raise InputError(f"malformed JSON at line {ex.lineno} column {ex.colno}: {ex.msg}") from ex
+    except RecursionError as ex:
+        raise InputError("JSON nested too deeply") from ex

@@ -14,9 +14,8 @@ stored paths and charges each expansion edge to its auxiliary payer unless
 the edge already carries shares.
 
 Delays must be zero here, and all players share one source.  Costs,
-shares and sums follow the rule of `rationals.exact`: `Network.dijkstra`
-returns Fraction distances, and each auxiliary edge stores its cost as an
-int when integral, so integral games price on ints throughout.
+shares, search distances and sums follow the rule of `rationals.exact`,
+so integral games price on ints throughout.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
             continue
         if t not in tree:
             raise Disconnected(f"terminal {t!r} cannot reach the source")
-        choices.append(frozenset(tree[t][2]))
+        choices.append(frozenset(tree[t][1]))
     out = Profile(choices)
     game.validate_profile(out)
     if total_cost(game, out) > total_cost(game, profile):
@@ -243,8 +242,8 @@ class AuxiliaryGraph:
                     key = ("aux", deep, shallow)
                     if key in self.aux or shallow not in reach:
                         continue
-                    cost, _vseq, eseq = reach[shallow]
-                    self.aux[key] = AuxEdge(deep, shallow, eseq, exact(cost))
+                    cost, eseq = reach[shallow]
+                    self.aux[key] = AuxEdge(deep, shallow, eseq, cost)
 
     # ---- pricing ----------------------------------------------------
 

@@ -40,6 +40,14 @@ def ufl_game(costs, delays=None, players=2):
     )
 
 
+def stored(value) -> bool:
+    """Stored by the rule of `rationals.exact`: an int exactly when
+    integral, otherwise a Fraction; never a bool or a float."""
+    if type(value) not in (int, Fraction):
+        return False
+    return type(value) is (int if value.denominator == 1 else Fraction)
+
+
 # -- scale invariance ------------------------------------------------------
 
 _RATIONAL = re.compile(r"-?\d+/\d+")

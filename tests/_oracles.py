@@ -258,7 +258,7 @@ def fraction_dijkstra(
     net, start, weight, reverse=False, blocked_vertices=frozenset(), edges=None, stop=None
 ):
     """`Network.dijkstra` with every distance a Fraction from the start,
-    including inside the search."""
+    including inside the search: vertex -> (distance, edge ids)."""
     pending = None if stop is None else set(stop)
     result = {}
     heap = [(_ZERO, (net.vindex[start],), (), start)]
@@ -266,7 +266,7 @@ def fraction_dijkstra(
         dist, vkey, epath, x = heapq.heappop(heap)
         if x in result:
             continue
-        result[x] = (dist, tuple(net.vertices[k] for k in vkey), epath)
+        result[x] = (dist, epath)
         if pending is not None:
             pending.discard(x)
             if not pending:
@@ -308,7 +308,7 @@ def per_pair_tight_alternative(game, i, ordered_path, share_of, f):
             hit = net.shortest_path(x, y, weight, blocked_vertices=barrier, edges=allowed)
             if hit is None:
                 continue
-            cost, _vseq, eseq = hit
+            cost, eseq = hit
             substituted = tuple(ordered_path[a:b])
             absorbed = sum((share_of(e) + game.delay(i, e) for e in substituted), _ZERO)
             if cost < absorbed:
@@ -473,7 +473,7 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
             hit = game.network.shortest_path(sp.source, sp.terminal, reroute_price)
             if hit is None:
                 raise InternalInvariant(f"player {i} lost connectivity")
-            price, _vs, edges = hit
+            price, edges = hit
             stay = sum((game.delay(i, e) for e in work[i]), _ZERO)
             if price >= stay:
                 break
@@ -708,7 +708,7 @@ class RebuildAuxiliaryGraph:
                     key = ("aux", deep, shallow)
                     if key in self.aux or shallow not in reach:
                         continue
-                    cost, _vseq, eseq = reach[shallow]
+                    cost, eseq = reach[shallow]
                     self.aux[key] = _RebuildAuxEdge(deep, shallow, eseq, cost)
 
     def _working_cost(self, i, item, restored=None):

@@ -87,7 +87,7 @@ def chain_instance(seed: int, bundles: int, players: int) -> dict:
     for space in spaces:
         weights = {e: rng.randint(1, 30) for e in ids}
         hit = net.shortest_path(space.terminal, space.source, lambda e: weights[e])
-        choices.append(frozenset(hit[2]))
+        choices.append(frozenset(hit[1]))
     doc = game_to_json(game)
     doc["profile"] = profile_to_json(Profile(choices))["profile"]
     return doc

@@ -2,8 +2,10 @@
 package imports nothing outside itself and the standard library, the
 README names no command-line flag that the parser does not accept, and no
 float can enter the exact arithmetic: true division appears only in the
-LP, `float(` only in `rationals.approx`, and costs, delays and shares are
-stored as ints exactly when integral and as Fractions otherwise.
+LP, `float(` only in `rationals.approx`, and `Fraction(` only in the LP and
+in `rationals`.  Costs, delays, shares, search distances, total costs, LP
+values and step deltas are ints exactly when integral and Fractions
+otherwise.
 
 `__init__.py` is skipped by the unused-import check, as its imports are the
 package's re-exports.
@@ -19,13 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from _helpers import scaled_doc
+from _helpers import scaled_doc, stored
 from sepshare.cli import build_parser
 from sepshare.errors import InputError
-from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile
+from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile, total_cost
 from sepshare.gen import gen_sp, gen_tree
+from sepshare.lp import solve
 from sepshare.matroids import UniformMatroid, build_matroid_protocol, transform_matroid
-from sepshare.nsepa import nsepa_transform
+from sepshare.nsepa import build_lp, is_enforceable, nsepa_transform
 from sepshare.protocol import SharingTable
 from sepshare.schema import game_from_json, game_to_json, protocol_from_json
 from sepshare.singlesource import AuxiliaryGraph, to_tree_profile, transform_single_source
@@ -162,13 +165,16 @@ def _divisions(tree: ast.Module) -> list[int]:
     )
 
 
-def _float_calls(tree: ast.Module) -> list[str]:
-    """The function around each `float(...)` call, "<module>" outside any."""
+def _calls(tree: ast.Module, name: str) -> list[str]:
+    """The function around each call of `name` (bare or as an attribute),
+    "<module>" outside any."""
     found: list[str] = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "float":
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
                 found.append(where)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else where)
@@ -198,7 +204,7 @@ def test_float_is_called_only_in_approx():
     found = sorted(
         f"{path.stem}.{where}"
         for path in ALL_MODULES
-        for where in _float_calls(ast.parse(path.read_text()))
+        for where in _calls(ast.parse(path.read_text()), "float")
     )
     assert found == ["rationals.approx"]
 
@@ -206,15 +212,21 @@ def test_float_is_called_only_in_approx():
 def test_the_check_sees_a_float_call():
     tree = ast.parse("x = float(1)\ndef f():\n    def g():\n        return float(2)\n"
                      "    return float\n")
-    assert _float_calls(tree) == ["<module>", "g"]
+    assert _calls(tree, "float") == ["<module>", "g"]
 
 
-def _stored(value) -> bool:
-    """An int exactly when integral, otherwise a Fraction; never a bool or
-    a float."""
-    if type(value) not in (int, Fraction):
-        return False
-    return type(value) is (int if value.denominator == 1 else Fraction)
+def test_fraction_is_called_only_in_the_lp_and_rationals():
+    """Values are stored by `rationals.exact`; only the simplex, which
+    divides, builds Fractions of its own."""
+    found = {path.stem for path in ALL_MODULES if _calls(ast.parse(path.read_text()), "Fraction")}
+    assert found == {"lp", "rationals"}
+
+
+def test_the_check_sees_a_fraction_call():
+    tree = ast.parse("import fractions\nfrom fractions import Fraction\n"
+                     "def f(v: Fraction) -> Fraction:\n    return isinstance(v, Fraction)\n"
+                     "def g():\n    return fractions.Fraction(1, 2)\nh = Fraction(3)\n")
+    assert _calls(tree, "Fraction") == ["g", "<module>"]
 
 
 def _loaded_game() -> GameModel:
@@ -245,12 +257,12 @@ def test_costs_and_delays_are_ints_exactly_when_integral(make):
     user_sets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
     costs = [game.cost(e, users) for e in game.resources for users in user_sets]
     delays = [game.delay(i, e) for i in range(game.n) for e in game.resources]
-    assert all(map(_stored, costs + delays)), (costs, delays)
+    assert all(map(stored, costs + delays)), (costs, delays)
     assert {type(v) for v in costs} == {type(v) for v in delays} == {int, Fraction}
     profile = transform_matroid(game, Profile([{2}, {2}])).profile
     shares = build_matroid_protocol(game, profile).table
     values = [shares.share(i, e) for i in range(game.n) for e in game.resources]
-    assert all(map(_stored, values)), values
+    assert all(map(stored, values)), values
 
 
 def test_shares_are_ints_exactly_when_integral():
@@ -265,13 +277,13 @@ def test_shares_are_ints_exactly_when_integral():
     ).table
     for shares in (table, read):
         values = [shares.share(i, e) for i in range(2) for e in game.resources]
-        assert all(map(_stored, values)) and Fraction in set(map(type, values))
+        assert all(map(stored, values)) and Fraction in set(map(type, values))
     # the enforceability LP's shares are Fractions, most of them integral
     checked = 0
     for seed in range(20):
         shares = nsepa_transform(*gen_sp(random.Random(seed))).protocol.table
         values = [shares.share(i, e) for (i, e) in shares.shares]
-        assert all(map(_stored, values)), (seed, values)
+        assert all(map(stored, values)), (seed, values)
         checked += len(values)
     assert checked
 
@@ -295,8 +307,39 @@ def test_single_source_state_is_int_exactly_when_integral(q):
             values += [step.tree_cost_before, step.tree_cost_after]
         drops += len(state.replacements)
         values += transform_single_source(game, profile).protocol.table.shares.values()
-    assert all(map(_stored, values)), [v for v in values if not _stored(v)][:5]
+    assert all(map(stored, values)), [v for v in values if not stored(v)][:5]
     assert drops > 10 and {type(v) for v in values} == ({int} if q == 1 else {int, Fraction})
+
+
+@pytest.mark.parametrize("q", [1, 2], ids=["integral", "halved"])
+def test_path_layer_values_are_ints_exactly_when_integral(q):
+    """Search distances, total costs, LP values and optimum, the
+    enforceability report's shares and used cost, and `nsepa_transform`'s
+    step deltas, costs and LP value on `gen_sp` games, as generated and with
+    every cost and delay halved, so that Fractions also add up to integers."""
+    values, deltas = [], 0
+    for seed in range(60):
+        game, profile = gen_sp(random.Random(seed), players=1 + seed % 4)
+        game = game_from_json(scaled_doc(game_to_json(game), q))
+        for i, space in enumerate(game.spaces):
+            tree = game.network.dijkstra(
+                space.source, lambda e: game.costs[e].fixed_value + game.delay(i, e)
+            )
+            values += [dist for dist, _edges in tree.values()]
+        values.append(total_cost(game, profile))
+        solution = solve(build_lp(game, profile).lp)
+        report = is_enforceable(game, profile)
+        if report.shares is not None:  # an infeasible LP has neither
+            values += [*solution.values, solution.objective_value]
+            values += [*report.shares.values(), report.lp_value]
+        values.append(report.used_cost)
+        result = nsepa_transform(game, profile)
+        steps = result.repairs + result.substitutions
+        values += [step.cost_delta for step in steps]
+        values += [result.lp_value, result.input_cost, result.output_cost]
+        deltas += len(steps)
+    assert all(map(stored, values)), [v for v in values if not stored(v)][:5]
+    assert deltas > 30 and {type(v) for v in values} == ({int} if q == 1 else {int, Fraction})
 
 
 @pytest.mark.parametrize("bad", [True, 1.5])

@@ -5,12 +5,13 @@ import importlib.util
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from _helpers import path_game
+from _helpers import assert_scaled, path_game, scaled_doc, stored, transform_run
 from _oracles import (
     full_path_lp,
     per_pair_tight_alternative,
@@ -134,8 +135,8 @@ def _transform_outcome(transform, game, profile):
         res = transform(game, profile)
     except SepshareError as ex:
         return type(ex).__name__, str(ex)
-    for step in res.substitutions + res.repairs:
-        assert type(step.cost_delta) is F
+    if transform is nsepa_transform:  # the reference's deltas stay Fractions
+        assert all(stored(step.cost_delta) for step in res.substitutions + res.repairs)
     return (res.profile, res.protocol.base, dict(res.protocol.table.shares), res.phases,
             res.input_enforceable, res.lp_value, res.input_cost, res.output_cost,
             res.substitutions, res.repairs)
@@ -609,3 +610,28 @@ class TestFixture:
             ("s3", "t3"),
         ]
         assert total_cost(game, profile) == F(346)
+
+
+def test_scaled_sp_games_give_scaled_reports(tmp_path):
+    """Dividing every cost and delay of a `gen_sp` game by q divides every
+    cost, LP value, used cost, share and cost delta of the `nsepa
+    transform`, `nsepa check` and `verify` reports and traces by q and
+    leaves the rest as it was: the integral games run on ints, the scaled
+    ones on Fractions mixed with ints, and a float, a lost denominator or
+    a rational written as a JSON number shows as a mismatch."""
+    fractional = {3: 0, 7: 0}
+    outcomes = Counter()
+    for seed in range(150):
+        game, profile = gen_sp(random.Random(seed), players=1 + seed % 4)
+        doc = game_to_json(game)
+        doc["profile"] = profile_to_json(profile)["profile"]
+        for argv in (["nsepa", "transform"], ["nsepa", "check"], ["verify"]):
+            code, integral = transform_run(tmp_path, argv, doc)
+            assert integral, (seed, argv, code)
+            outcomes[argv[-1], code] += 1
+            outcomes["steps"] += len(integral) - 1
+            for q in fractional:
+                scaled = transform_run(tmp_path, argv, scaled_doc(doc, q))
+                fractional[q] += assert_scaled([code, *integral], [scaled[0], *scaled[1]], q)
+    assert outcomes["check", 0] > 50 and outcomes["check", 1] > 50, outcomes
+    assert outcomes["steps"] > 60 and min(fractional.values()) > 1000, (outcomes, fractional)

@@ -722,3 +722,92 @@ def test_malformed_documents_exit_two_with_one_line(tmp_path, capsys, edit):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("input error: ")
+
+
+def _unreadable_file(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"players": "é"}'.encode("latin-1"))
+    return str(bad)
+
+
+def _nested_file(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    return str(deep)
+
+
+FILE_FAULTS = {
+    "non-utf8-in": lambda tmp, inst: ["--in", _unreadable_file(tmp)],
+    "non-utf8-profile": lambda tmp, inst: ["--in", inst, "--profile", _unreadable_file(tmp)],
+    "non-utf8-protocol": lambda tmp, inst: ["--in", inst, "--protocol", _unreadable_file(tmp)],
+    "nested-past-the-recursion-limit": lambda tmp, inst: ["--in", _nested_file(tmp)],
+    "unwritable-out": lambda tmp, inst: ["--in", inst, "--out", str(tmp / "no" / "r.json")],
+    "unwritable-trace": lambda tmp, inst: ["--in", inst, "--out", str(tmp / "r.json"),
+                                           "--trace", str(tmp / "no" / "t.jsonl")],
+}
+
+
+@pytest.mark.parametrize("argv", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
+def test_file_faults_exit_two_with_one_line(tmp_path, capsys, argv):
+    """An unreadable, too deeply nested or unwritable file is bad input:
+    exit 2 and one stderr line, never a traceback."""
+    _code, inst = run_to_file(tmp_path, "sp.json", ["gen", "sp", "--seed", "2"])
+    capsys.readouterr()
+    code = run(["verify", *argv(tmp_path, str(inst))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--vertices", "0"],
+    ["tree", "--vertices", "1"],
+    ["tree", "--vertices", "1", "--players", "0"],
+    ["matroid", "--resources", "0"],
+    ["matroid", "--resources", "-1"],
+    ["sp", "--max-edges", "0"],
+    ["sp", "--max-edges", "1"],
+    ["sp", "--max-edges", "2"],
+], ids=" ".join)
+def test_gen_rejects_sizes_it_cannot_build(tmp_path, capsys, argv):
+    for seed in ("0", "3"):
+        code = run(["gen", *argv, "--seed", seed, "--out", str(tmp_path / "g.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "g.json").exists()
+        assert len(err.splitlines()) == 1 and err.startswith("input error: "), err
+
+
+def test_gen_accepts_the_smallest_sizes_it_can_build(tmp_path):
+    for argv in (["tree", "--vertices", "2"], ["matroid", "--resources", "1"],
+                 ["sp", "--max-edges", "3"]):
+        for seed in range(20):
+            code, _doc = run_to_file(tmp_path, "g.json", ["gen", *argv, "--seed", str(seed)])
+            assert code == 0, (argv, seed)
+
+
+class TestOptimumBudgetFlags:
+    def _doc(self, tmp_path):
+        # two players on two parallel links: 2 paths each, 4 profiles
+        g = path_game([("s", "t", 1), ("s", "t", 2)], [("s", "t"), ("s", "t")])
+        return _write_doc(tmp_path, game_to_json(g))
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-profiles", "0"], ["--max-paths", "0"], ["--max-paths", "-1"],
+        ["--max-profiles", "-5"],
+    ], ids=" ".join)
+    def test_a_budget_below_one_exits_two(self, tmp_path, capsys, flags):
+        inst = self._doc(tmp_path)
+        capsys.readouterr()
+        code = run(["optimum", "--in", str(inst), *flags, "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"input error: {flags[0]} must be at least 1, not {flags[1]}\n"
+
+    @pytest.mark.parametrize("flags, code", [
+        ([], 0), (["--max-profiles", "4"], 0), (["--max-profiles", "3"], 3),
+        (["--max-paths", "2"], 0), (["--max-paths", "1"], 3),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_a_given_budget_is_the_budget(self, tmp_path, flags, code):
+        inst = self._doc(tmp_path)
+        assert run(["optimum", "--in", str(inst), *flags,
+                    "--out", str(tmp_path / "r.json")]) == code
