@@ -25,7 +25,6 @@ from .errors import (
 from .game import (
     CostFunction,
     GameModel,
-    MatroidSpace,
     PathSpace,
     Profile,
     Step,
@@ -62,7 +61,6 @@ from .oracle import (
 )
 from .protocol import (
     SeparableProtocol,
-    SharingTable,
     best_response,
     verify_budget_balance,
     verify_pne,

@@ -28,12 +28,7 @@ from .matroids import (
 )
 from .nsepa import counterexample_fixture, is_enforceable, nsepa_transform
 from .oracle import DEFAULT_BUDGET, brute_force_enforceable, brute_force_optimum
-from .protocol import (
-    SeparableProtocol,
-    SharingTable,
-    verify_budget_balance,
-    verify_pne,
-)
+from .protocol import SeparableProtocol, verify_budget_balance, verify_pne
 from .rationals import approx, format_rational
 from .schema import (
     dumps,
@@ -85,10 +80,14 @@ class RunReport:
 def _read_text(path: Optional[str]) -> str:
     try:
         if path in (None, "-"):
-            return sys.stdin.read()
+            # standard input may decode with surrogateescape, which keeps
+            # bytes that are not UTF-8 as lone surrogates; encoding refuses them
+            text = sys.stdin.read()
+            text.encode("utf-8")
+            return text
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as ex:
+    except (OSError, UnicodeError) as ex:
         raise InputError(f"cannot read {path or 'standard input'}: {ex}") from ex
 
 
@@ -169,7 +168,7 @@ def _lp_protocol(game: GameModel, profile: Profile, report) -> Optional[Separabl
     proves the profile enforceable."""
     if not report.enforceable:
         return None
-    return SeparableProtocol(game, SharingTable(profile, report.shares))
+    return SeparableProtocol(game, profile, report.shares)
 
 
 def _verify_booleans(
@@ -274,8 +273,7 @@ def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:
     )
     if protocol is not None:
         report.extra["protocol"] = protocol_to_json(protocol)
-    ok = enforceable and (protocol is None or (pne and bb))
-    return report, [], ok
+    return report, [], enforceable and pne and bb
 
 
 def _cmd_optimum(args) -> tuple[RunReport, Sequence[Step], bool]:

@@ -3,9 +3,10 @@
 A game has players 0..n-1 (this numbering is the global player order used
 by every tie-break in the package), an ordered list of resource ids, a
 shareable cost function per resource, a non-shareable delay per (player,
-resource), and one strategy space per player.  Strategy spaces are either
-matroid bases over a subset of the resources or simple source-terminal
-paths in an attached network.
+resource), and one strategy space per player.  A space is either a
+`matroids.MatroidOracle`, whose bases over a subset of the resources are
+the strategies, or a `PathSpace` of simple source-terminal paths in an
+attached network; both tell themselves apart by `kind`.
 """
 
 from __future__ import annotations
@@ -150,19 +151,6 @@ class PathSpace:
     kind = "path"
 
 
-class MatroidSpace:
-    """Bases of a matroid over a subset of the resources."""
-
-    kind = "matroid"
-
-    def __init__(self, oracle) -> None:
-        self.oracle = oracle
-
-    @property
-    def ground(self) -> tuple[int, ...]:
-        return self.oracle.ground
-
-
 class Profile:
     """One strategy per player, as frozensets of resource ids."""
 
@@ -280,7 +268,7 @@ class GameModel:
     def is_feasible_choice(self, i: int, choice: frozenset) -> bool:
         sp = self.spaces[i]
         if sp.kind == "matroid":
-            return sp.oracle.is_basis(choice)
+            return sp.is_basis(choice)
         net = self.network
         return all(e in net.endpoints for e in choice) and (
             net.order_path_edges(choice, frm=sp.terminal, to=sp.source) is not None

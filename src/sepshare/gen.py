@@ -21,8 +21,8 @@ import random
 from itertools import combinations
 from typing import Optional
 
-from .errors import InputError, InternalInvariant
-from .game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile
+from .errors import InputError
+from .game import CostFunction, GameModel, PathSpace, Profile
 from .matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from .network import Network
 
@@ -62,7 +62,7 @@ def gen_ufl(rng: random.Random, players: int, facilities: int) -> GameModel:
             d = rng.randint(0, 9)
             if d:
                 delays[(i, e)] = d
-    spaces = [MatroidSpace(UniformMatroid(resources, 1)) for _ in range(players)]
+    spaces = [UniformMatroid(resources, 1) for _ in range(players)]
     return GameModel(
         players=players, resources=resources, costs=costs, spaces=spaces, delays=delays
     )
@@ -90,13 +90,13 @@ def gen_matroid(
         ground = sorted(rng.sample(ids, size))
         kind = rng.choice(("uniform", "partition", "graphic"))
         if kind == "uniform":
-            spaces.append(MatroidSpace(UniformMatroid(ground, rng.randint(1, size))))
+            spaces.append(UniformMatroid(ground, rng.randint(1, size)))
         elif kind == "partition":
             cut = sorted(rng.sample(range(1, size), rng.randint(0, min(2, size - 1))) if size > 1 else [])
             bounds = [0, *cut, size]
             blocks = [ground[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
             quotas = [rng.randint(1, len(b)) for b in blocks]
-            spaces.append(MatroidSpace(PartitionMatroid(blocks, quotas)))
+            spaces.append(PartitionMatroid(blocks, quotas))
         else:
             verts = list(range(rng.randint(2, size + 1)))
             edges = {}
@@ -104,7 +104,7 @@ def gen_matroid(
                 u = rng.choice(verts)
                 v = rng.choice([x for x in verts if x != u] or verts)
                 edges[eid] = (f"g{u}", f"g{v}")
-            spaces.append(MatroidSpace(GraphicMatroid(edges)))
+            spaces.append(GraphicMatroid(edges))
     delays = {}
     for i in range(n):
         for e in ids:
@@ -120,7 +120,7 @@ def random_bases_profile(rng: random.Random, game: GameModel) -> Profile:
     """Feasible matroid profile: greedy bases under random element orders."""
     choices = []
     for i in range(game.n):
-        oracle = game.spaces[i].oracle
+        oracle = game.spaces[i]
         order = list(oracle.ground)
         rng.shuffle(order)
         choices.append(oracle.greedy(order))
@@ -199,9 +199,7 @@ def gen_sp(
     costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in ids}
     spaces = []
     for _ in range(n):
-        a, b = sorted(rng.sample(range(len(cuts)), 2)) if len(cuts) > 1 else (0, 0)
-        if a == b:
-            raise InternalInvariant("degenerate chain")
+        a, b = sorted(rng.sample(range(len(cuts)), 2))
         spaces.append(PathSpace(source=cuts[a], terminal=cuts[b]))
     delays = {}
     for i in range(n):

@@ -33,12 +33,13 @@ from .errors import (
     NotInBasis,
     UnsupportedSpace,
 )
-from .game import GameModel, MatroidSpace, Profile, Step, total_cost
-from .protocol import SeparableProtocol, SharingTable, water_fill
+from .game import GameModel, Profile, Step, total_cost
+from .protocol import SeparableProtocol, water_fill
 
 
 class MatroidOracle:
-    """Independence oracle over a finite ground set.
+    """Independence oracle over a finite ground set, and the strategy space
+    of a matroid player: the strategies are its bases.
 
     Subclasses implement `_independent`; `is_independent` answers False
     for any set that leaves the ground.  The oracle keeps no answers, so
@@ -49,6 +50,8 @@ class MatroidOracle:
     to one query per ground element.  `validate_axioms` is the one axiom
     check, and it is complete: custom subclasses and tests should call it.
     """
+
+    kind = "matroid"
 
     def __init__(self, ground: Iterable[int]) -> None:
         self.ground: tuple[int, ...] = tuple(sorted(set(ground)))
@@ -241,7 +244,7 @@ def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
 # -- deviation costs -------------------------------------------------------
 
 
-def _matroid_space(game: GameModel, i: int) -> MatroidSpace:
+def _matroid_space(game: GameModel, i: int) -> MatroidOracle:
     sp = game.spaces[i]
     if sp.kind != "matroid":
         raise UnsupportedSpace(f"player {i} does not have a matroid space")
@@ -278,7 +281,7 @@ def deviation_cost(
             return virtual_cost(game, i, f)
         return game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
 
-    return _cheapest_exchange(game, sp.oracle, profile[i], e, price)
+    return _cheapest_exchange(game, sp, profile[i], e, price)
 
 
 def _cheapest_exchange(
@@ -308,7 +311,6 @@ class EnforceabilityViolation:
 @dataclass(frozen=True)
 class EnforceabilityReport:
     ok: bool
-    virtual: bool
     violations: tuple[EnforceabilityViolation, ...] = ()
 
 
@@ -350,7 +352,7 @@ def _check_conditions(
         cost = game.cost(e, users)
         if cost > headroom:
             bad.append(EnforceabilityViolation("cover", e, None, cost, headroom))
-    return EnforceabilityReport(ok=not bad, virtual=virtual, violations=tuple(bad)), deltas
+    return EnforceabilityReport(ok=not bad, violations=tuple(bad)), deltas
 
 
 # -- the transform ---------------------------------------------------------
@@ -395,7 +397,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     for i in range(game.n):
         _matroid_space(game, i)
     bound = game.n * len(game.resources) * max(
-        (sp.oracle.rank for sp in game.spaces), default=0
+        (sp.rank for sp in game.spaces), default=0
     )
     current = profile
     input_cost = total_cost(game, current)
@@ -413,7 +415,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
         cached = deviations[i].get(e)
         if cached is None:
             cached = _cheapest_exchange(
-                game, game.spaces[i].oracle, current[i], e, lambda f: virtual(i, f)
+                game, game.spaces[i], current[i], e, lambda f: virtual(i, f)
             )
             deviations[i][e] = cached
         return cached
@@ -505,4 +507,4 @@ def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtoc
         if users:
             caps = [((i, e), deltas[(i, e)] - game.delay(i, e)) for i in users]
             shares.update(water_fill(game.cost(e, frozenset(users)), caps))
-    return SeparableProtocol(game, SharingTable(profile, shares))
+    return SeparableProtocol(game, profile, shares)

@@ -30,7 +30,7 @@ from .errors import (
 from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
 from .lp import OPTIMAL, LinearProgram, Row, solve
 from .network import Network, Vertex
-from .protocol import SeparableProtocol, SharingTable, verify_pne, water_fill
+from .protocol import SeparableProtocol, verify_pne, water_fill
 from .rationals import exact
 
 
@@ -313,7 +313,7 @@ def _optimize(game: GameModel, profile: Profile, inst: LPInstance) -> Enforceabi
         shares = {pair: sol.values[col] for pair, col in inst.var_index.items()}
         if inst.not_series_parallel is None:
             break
-        protocol = SeparableProtocol(game, SharingTable(profile, shares))
+        protocol = SeparableProtocol(game, profile, shares)
         cuts = [
             _stability_row(
                 game,
@@ -597,7 +597,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         raise InternalInvariant("transform failed to strictly reduce total cost")
     return NsepaTransformResult(
         profile=out_profile,
-        protocol=SeparableProtocol(game, SharingTable(out_profile, shares)),
+        protocol=SeparableProtocol(game, out_profile, shares),
         phases=phases,
         input_enforceable=report.enforceable and not repairs,
         lp_value=report.lp_value,

@@ -1,8 +1,9 @@
 """Reference oracles: exhaustive enumeration, optimum, enforceability.
 
-Everything here is deliberately brute force.  These functions exist to
-pin down ground truth for tests and small CLI runs; budgets raise
-BudgetExceeded rather than ever returning a truncated answer.
+The enumerators are deliberately brute force; `brute_force_enforceable`
+enumerates nothing and defers to the exact characterizations.  These
+functions pin down ground truth for tests and small CLI runs; budgets
+raise BudgetExceeded rather than ever returning a truncated answer.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def enumerate_strategies(
     sp = game.spaces[i]
     out: list[frozenset] = []
     if sp.kind == "matroid":
-        for basis in sp.oracle.bases():
+        for basis in sp.bases():
             out.append(basis)
             if len(out) > budget.max_paths_per_player:
                 raise BudgetExceeded(

@@ -1,11 +1,11 @@
 """Separable cost sharing protocols and their verifiers.
 
-A protocol is induced by a sharing table for one base profile: on any
-profile with the same user set on a resource it charges the table share,
-and off the table it follows a fixed case rule that charges joining or
+A protocol is induced by shares on one base profile: on any profile with
+the same user set on a resource as the base it charges the base share,
+and otherwise it follows a fixed case rule that charges joining or
 shrunken user sets to the smallest player id involved.  This makes the
-protocol separable by construction and budget balanced everywhere provided
-the table itself is balanced on the base profile.
+protocol separable by construction and budget balanced everywhere
+provided the shares themselves are balanced on the base profile.
 """
 
 from __future__ import annotations
@@ -17,35 +17,6 @@ from typing import Hashable, Iterable, Mapping, Optional
 from .errors import InputError, InternalInvariant
 from .game import GameModel, Profile
 from .rationals import exact
-
-
-class SharingTable:
-    """Nonnegative shares for (player, resource) pairs of one base profile.
-
-    Only pairs with the resource in the player's base strategy may carry a
-    share.  Budget balance on the base is a property to verify, not a
-    construction-time requirement, so deliberately unbalanced tables can be
-    built for testing.  Shares are stored by the rule of `rationals.exact`:
-    an int when integral, a Fraction otherwise.
-    """
-
-    def __init__(self, base: Profile, shares: Mapping[tuple[int, int], int | Fraction]) -> None:
-        self.base = base
-        table: dict[tuple[int, int], int | Fraction] = {}
-        for (i, e), v in shares.items():
-            if not (0 <= i < len(base)):
-                raise InputError(f"share for unknown player {i}")
-            if e not in base[i]:
-                raise InputError(f"share for ({i}, {e}) but resource not in base choice")
-            value = exact(v)
-            if value < 0:
-                raise InputError(f"negative share for ({i}, {e})")
-            if value != 0:
-                table[(i, e)] = value
-        self.shares = table
-
-    def share(self, i: int, e: int) -> int | Fraction:
-        return self.shares.get((i, e), 0)
 
 
 def water_fill(
@@ -64,23 +35,46 @@ def water_fill(
 
 
 class SeparableProtocol:
-    """Cost shares for every profile, induced by one sharing table."""
+    """Cost shares for every profile, induced by nonnegative shares for
+    (player, resource) pairs of one base profile.
 
-    def __init__(self, game: GameModel, table: SharingTable) -> None:
-        if len(table.base) != game.n:
-            raise InputError("table base does not match player count")
+    Only pairs with the resource in the player's base strategy may carry a
+    share.  Budget balance on the base is a property to verify, not a
+    construction-time requirement, so deliberately unbalanced protocols can
+    be built for testing.  Shares are stored by the rule of
+    `rationals.exact` (an int when integral, a Fraction otherwise), and
+    only when nonzero.
+    """
+
+    def __init__(
+        self, game: GameModel, base: Profile, shares: Mapping[tuple[int, int], int | Fraction]
+    ) -> None:
+        if len(base) != game.n:
+            raise InputError("base does not match player count")
+        stored: dict[tuple[int, int], int | Fraction] = {}
+        for (i, e), v in shares.items():
+            if not (0 <= i < len(base)):
+                raise InputError(f"share for unknown player {i}")
+            if e not in base[i]:
+                raise InputError(f"share for ({i}, {e}) but resource not in base choice")
+            value = exact(v)
+            if value < 0:
+                raise InputError(f"negative share for ({i}, {e})")
+            if value != 0:
+                stored[(i, e)] = value
         self.game = game
-        self.table = table
+        self.base = base
+        self.shares = stored
 
-    @property
-    def base(self) -> Profile:
-        return self.table.base
+    def share(self, i: int, e: int) -> int | Fraction:
+        """Player i's share of resource e on the base profile."""
+        return self.shares.get((i, e), 0)
 
     def cost_share(self, profile: Profile, i: int, e: int) -> int | Fraction:
         """Share of player i on resource e under the given profile.
 
         Case rule relative to the base occupancy N_e:
-        same users -> table share; new users present -> smallest joining
+        same users -> base share; new users present -> smallest joining
         player pays the full cost; strictly fewer users -> smallest
         remaining player pays; everyone else pays nothing.  For set
         costs "full cost" is evaluated at the profile's own user set.
@@ -90,7 +84,7 @@ class SeparableProtocol:
         users = profile.users(e)
         base_users = self.base.users(e)
         if users == base_users:
-            return self.table.share(i, e)
+            return self.share(i, e)
         joined = users - base_users
         if joined:
             return self.game.cost(e, users) if i == min(joined) else 0
@@ -144,7 +138,7 @@ class PneReport:
 def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
     """Per-resource cost of player i's unilateral deviations from the base.
 
-    Staying on a base resource keeps the table share; joining a resource
+    Staying on a base resource keeps the base share; joining a resource
     charges the full cost at the joined user set (the case rule makes the
     single newcomer pay).  Either way the deviation cost is additive, so
     best responses are shortest paths / min-weight bases in these weights.
@@ -153,7 +147,7 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
 
     def weight(e: int) -> int | Fraction:
         if e in base[i]:
-            return protocol.table.share(i, e) + game.delay(i, e)
+            return protocol.share(i, e) + game.delay(i, e)
         return game.cost(e, base.users(e) | {i}) + game.delay(i, e)
 
     return weight
@@ -166,9 +160,7 @@ def best_response(
     weight = _deviation_weight(game, protocol, i)
     sp = game.spaces[i]
     if sp.kind == "matroid":
-        choice = sp.oracle.greedy(
-            sorted(sp.oracle.ground, key=lambda e: (weight(e), game.resource_key(e)))
-        )
+        choice = sp.greedy(sorted(sp.ground, key=lambda e: (weight(e), game.resource_key(e))))
     else:
         hit = game.network.shortest_path(sp.terminal, sp.source, weight)
         if hit is None:

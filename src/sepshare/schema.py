@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .errors import InputError
-from .game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile, Step
-from .matroids import MatroidOracle, matroid_from_descriptor
+from .game import CostFunction, GameModel, PathSpace, Profile, Step
+from .matroids import matroid_from_descriptor
 from .network import Network
-from .protocol import SeparableProtocol, SharingTable
+from .protocol import SeparableProtocol
 from .rationals import exact, format_rational, parse_rational
 
 
@@ -90,10 +89,9 @@ def game_to_json(game: GameModel) -> dict:
         if sp.kind == "path":
             spaces.append({"path": {"source": sp.source, "terminal": sp.terminal}})
         else:
-            oracle: MatroidOracle = sp.oracle
-            if not hasattr(oracle, "descriptor"):
+            if not hasattr(sp, "descriptor"):
                 raise InputError("matroid oracle has no serializable descriptor")
-            spaces.append({"matroid": oracle.descriptor})
+            spaces.append({"matroid": sp.descriptor})
     out["spaces"] = spaces
     if game.network is not None:
         net = game.network
@@ -186,7 +184,7 @@ def game_from_json(data: Mapping) -> GameModel:
             _check_vertex(body["terminal"], f"terminal of space {i}")
             spaces.append(PathSpace(source=body["source"], terminal=body["terminal"]))
         elif kind == "matroid":
-            spaces.append(MatroidSpace(oracle=matroid_from_descriptor(body)))
+            spaces.append(matroid_from_descriptor(body))
         else:
             raise InputError(f"unknown space kind {kind!r}")
     return GameModel(
@@ -236,12 +234,11 @@ def step_to_json(step: Step) -> dict:
 
 
 def protocol_to_json(protocol: SeparableProtocol) -> dict:
-    table = protocol.table
     shares = [
         {"player": i, "resource": e, "share": format_rational(v)}
-        for (i, e), v in sorted(table.shares.items())
+        for (i, e), v in sorted(protocol.shares.items())
     ]
-    return {"base": [sorted(choice) for choice in table.base], "shares": shares}
+    return {"base": [sorted(choice) for choice in protocol.base], "shares": shares}
 
 
 @_reading("protocol object")
@@ -252,16 +249,15 @@ def protocol_from_json(data: Mapping, game: GameModel) -> SeparableProtocol:
         shares[(int(row["player"]), int(row["resource"]))] = parse_rational(
             row["share"]
         )
-    return SeparableProtocol(game, SharingTable(base, shares))
+    return SeparableProtocol(game, base, shares)
 
 
 def jsonable(obj):
-    """Recursive encoder for reports: rationals to "p/q", profiles to
-    their JSON rows."""
+    """Recursive encoder for reports: profiles to their JSON rows.  Reports
+    format their rationals where they are built, so a Fraction here is
+    one left unformatted and raises InputError, as a float does."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
     if isinstance(obj, float):
         raise InputError("floats are banned from reports")
     if isinstance(obj, Mapping):

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .game import GameModel, PathSpace, Profile, Step, total_cost
 from .network import Network, Vertex
-from .protocol import SeparableProtocol, SharingTable, water_fill
+from .protocol import SeparableProtocol, water_fill
 from .rationals import exact
 
 ItemId = object  # int for graph edges, ("aux", deep, shallow) for auxiliary edges
@@ -456,8 +456,9 @@ def _loop_erased(
     return [e for _v, e in stack[1:] if e is not None]
 
 
-def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, SharingTable, tuple]:
-    """Replace auxiliary edges by their stored paths and settle payments.
+def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, dict, tuple]:
+    """Replace auxiliary edges by their stored paths and settle payments:
+    the expanded profile, its (player, edge) shares and the repairs.
 
     Kept tree edges keep their closed shares for players who still use
     them.  Expansion edges are charged in global player order: the payer
@@ -508,7 +509,7 @@ def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, SharingTable, tup
             payer = min(i for i in range(game.n) if e in profile[i])
             shares[(payer, e)] = shares.get((payer, e), 0) + cost - total
             repairs.append((e, payer, exact(cost - total)))
-    return profile, SharingTable(profile, shares), tuple(repairs)
+    return profile, shares, tuple(repairs)
 
 
 def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceResult:
@@ -523,8 +524,8 @@ def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceRe
     tree_profile = to_tree_profile(game, profile)
     state = AuxiliaryGraph(game, tree_profile)
     state.run()
-    out, table, repairs = expand_and_assign(state)
-    protocol = SeparableProtocol(game, table)
+    out, shares, repairs = expand_and_assign(state)
+    protocol = SeparableProtocol(game, out, shares)
     output_cost = total_cost(game, out)
     if output_cost > input_cost:
         raise InternalInvariant("transform increased total cost")

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 from sepshare.cli import run
-from sepshare.game import CostFunction, GameModel, MatroidSpace, PathSpace
+from sepshare.game import CostFunction, GameModel, PathSpace
 from sepshare.matroids import UniformMatroid
 from sepshare.network import Network
 from sepshare.rationals import format_rational, parse_rational
@@ -34,7 +34,7 @@ def ufl_game(costs, delays=None, players=2):
     """Facility location: rank-1 players over facilities with the given costs."""
     ids = list(range(len(costs)))
     cf = {e: CostFunction(fixed=Fraction(c)) for e, c in enumerate(costs)}
-    spaces = [MatroidSpace(UniformMatroid(ids, 1)) for _ in range(players)]
+    spaces = [UniformMatroid(ids, 1) for _ in range(players)]
     return GameModel(
         players=players, resources=ids, costs=cf, spaces=spaces, delays=delays or {}
     )

@@ -39,7 +39,6 @@ from sepshare.errors import InputError, InternalInvariant, NoTightAlternative
 from sepshare.game import (
     CostFunction,
     GameModel,
-    MatroidSpace,
     PathSpace,
     Profile,
     Step,
@@ -57,7 +56,7 @@ from sepshare.nsepa import (
     build_lp,
     smallest_tight_alternative,
 )
-from sepshare.protocol import SeparableProtocol, SharingTable
+from sepshare.protocol import SeparableProtocol
 from sepshare.rationals import parse_rational
 from sepshare.schema import _reading, _users_from_key
 from sepshare.singlesource import (
@@ -398,7 +397,7 @@ def per_entry_game_from_json(data) -> GameModel:
                 value = parse_rational(cell)
                 if value != 0:
                     delays[(i, e)] = value
-    spaces = [MatroidSpace(matroid_from_descriptor(sp["matroid"])) for sp in data["spaces"]]
+    spaces = [matroid_from_descriptor(sp["matroid"]) for sp in data["spaces"]]
     return GameModel(players, resources, costs, spaces, delays=delays)
 
 
@@ -583,10 +582,10 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
             raise InternalInvariant("enforceable input must pass through unchanged")
     elif not output_cost < input_cost:
         raise InternalInvariant("transform failed to strictly reduce total cost")
-    table = SharingTable(out_profile, {pair: v for pair, v in shares.items() if v != 0})
+    kept = {pair: v for pair, v in shares.items() if v != 0}
     return NsepaTransformResult(
         profile=out_profile,
-        protocol=SeparableProtocol(game, table),
+        protocol=SeparableProtocol(game, out_profile, kept),
         phases=phases,
         input_enforceable=report.enforceable and not repairs,
         lp_value=report.lp_value,
@@ -887,7 +886,7 @@ def rebuild_transform_single_source(game, profile) -> SingleSourceResult:
     input_cost = total_cost(game, profile)
     state = RebuildAuxiliaryGraph(game, to_tree_profile(game, profile))
     state.run()
-    out, table, repairs = expand_and_assign(state)
+    out, shares, repairs = expand_and_assign(state)
     output_cost = total_cost(game, out)
     if output_cost > input_cost:
         raise InternalInvariant("transform increased total cost")
@@ -902,7 +901,7 @@ def rebuild_transform_single_source(game, profile) -> SingleSourceResult:
         aux_in_tree.append((it, state.aux_payer[it]))
     return SingleSourceResult(
         profile=out,
-        protocol=SeparableProtocol(game, table),
+        protocol=SeparableProtocol(game, out, shares),
         input_cost=input_cost,
         output_cost=output_cost,
         replacements=tuple(state.replacements),

@@ -58,14 +58,14 @@ def test_2_matroid_transform_iteration_bound_and_soundness():
         game = gen_matroid(rng)
         profile = random_bases_profile(rng, game)
         res = transform_matroid(game, profile)
-        rk = max(game.spaces[i].oracle.rank for i in range(game.n))
+        rk = max(game.spaces[i].rank for i in range(game.n))
         assert res.iterations <= game.n * len(game.resources) * rk
         assert total_cost(game, res.profile) <= total_cost(game, profile)
         assert check_enforceable_matroid(game, res.profile, virtual=True).ok
         protocol = build_matroid_protocol(game, res.profile)
         assert verify_pne(game, protocol).ok
         assert verify_budget_balance(game, protocol, res.profile).ok
-        kinds |= {type(sp.oracle).__name__ for sp in game.spaces}
+        kinds |= {type(sp).__name__ for sp in game.spaces}
         cost_families |= {
             "fixed" if cf.is_fixed else "table" for cf in game.costs.values()
         }

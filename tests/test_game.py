@@ -17,7 +17,7 @@ from sepshare.game import (
 )
 from sepshare.network import Network
 from sepshare.nsepa import counterexample_fixture, is_enforceable
-from sepshare.protocol import SeparableProtocol, SharingTable
+from sepshare.protocol import SeparableProtocol
 from sepshare.rationals import format_rational, parse_rational, rat
 
 
@@ -178,7 +178,7 @@ class TestTotalCost:
 
 class TestPrivateCost:
     def _protocol(self, game, base, shares):
-        return SeparableProtocol(game, SharingTable(base, shares))
+        return SeparableProtocol(game, base, shares)
 
     def test_single_player_pays_cost_plus_delay(self):
         g = ufl_game([5], delays={(0, 0): F(2)}, players=1)

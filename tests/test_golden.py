@@ -1,7 +1,7 @@
 """Golden corpus: every transform case gives the recorded exit code and
-byte-identical report and trace, in this process and, for the path-game
-families, replayed by tests/golden/replay.py under two fixed hash seeds;
-and the generators still write every case's instance.  Regenerate with
+byte-identical report and trace, in this process and replayed by
+tests/golden/replay.py under two fixed hash seeds; and the generators
+still write every case's instance.  Regenerate with
 tests/golden/regen.py."""
 
 import importlib.util
@@ -31,22 +31,19 @@ def test_golden_case_is_byte_identical(case, tmp_path):
     assert trace.read_bytes() == (folder / "trace.jsonl").read_bytes()
 
 
-PATH_GAME_FAMILIES = ["sp", "sp8", "chain", "spcheck", "verify-sp", "tree", "verify-tree"]
-
-
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
-def test_path_game_cases_replay_under_a_fixed_hash_seed(hash_seed):
-    """Path-game reports do not depend on set or dict iteration order: the
-    replay script reruns those families in a fresh interpreter."""
+def test_golden_cases_replay_under_a_fixed_hash_seed(hash_seed):
+    """No report depends on set or dict iteration order: the replay script
+    reruns every family in a fresh interpreter."""
     src = str(GOLDEN.parent.parent / "src")
     env = {**os.environ, "PYTHONHASHSEED": hash_seed,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, str(GOLDEN / "replay.py"), *PATH_GAME_FAMILIES],
+    families = sorted({c["name"].rsplit("-", 1)[0] for c in CASES})
+    done = subprocess.run([sys.executable, str(GOLDEN / "replay.py"), *families],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
-    count = sum(c["name"].rsplit("-", 1)[0] in PATH_GAME_FAMILIES for c in CASES)
-    assert count == 55
-    assert f"replayed {count} cases, 0 differences" in done.stdout
+    assert len(CASES) == 80
+    assert "replayed 80 cases, 0 differences" in done.stdout
 
 
 def _regen_module():

@@ -24,12 +24,12 @@ import pytest
 from _helpers import scaled_doc, stored
 from sepshare.cli import build_parser
 from sepshare.errors import InputError
-from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile, total_cost
+from sepshare.game import CostFunction, GameModel, Profile, total_cost
 from sepshare.gen import gen_sp, gen_tree
 from sepshare.lp import solve
 from sepshare.matroids import UniformMatroid, build_matroid_protocol, transform_matroid
 from sepshare.nsepa import build_lp, is_enforceable, nsepa_transform
-from sepshare.protocol import SharingTable
+from sepshare.protocol import SeparableProtocol
 from sepshare.schema import game_from_json, game_to_json, protocol_from_json
 from sepshare.singlesource import AuxiliaryGraph, to_tree_profile, transform_single_source
 
@@ -247,7 +247,7 @@ def _built_game() -> GameModel:
     costs = {0: CostFunction(fixed=Fraction(6, 3)), 1: CostFunction(fixed="5/3"),
              2: CostFunction(table=table)}
     delays = {(0, 0): Fraction(9, 3), (0, 2): "1/2", (1, 1): 8, (1, 2): Fraction(0)}
-    spaces = [MatroidSpace(UniformMatroid([0, 1, 2], 1)) for _ in range(2)]
+    spaces = [UniformMatroid([0, 1, 2], 1) for _ in range(2)]
     return GameModel(2, [0, 1, 2], costs, spaces, delays=delays)
 
 
@@ -260,8 +260,8 @@ def test_costs_and_delays_are_ints_exactly_when_integral(make):
     assert all(map(stored, costs + delays)), (costs, delays)
     assert {type(v) for v in costs} == {type(v) for v in delays} == {int, Fraction}
     profile = transform_matroid(game, Profile([{2}, {2}])).profile
-    shares = build_matroid_protocol(game, profile).table
-    values = [shares.share(i, e) for i in range(game.n) for e in game.resources]
+    protocol = build_matroid_protocol(game, profile)
+    values = [protocol.share(i, e) for i in range(game.n) for e in game.resources]
     assert all(map(stored, values)), values
 
 
@@ -269,20 +269,20 @@ def test_shares_are_ints_exactly_when_integral():
     game = _built_game()
     base = Profile([{0}, {0}])
     given = {(0, 0): Fraction(4, 2), (1, 0): "1/3"}
-    table = SharingTable(base, given)
+    built = SeparableProtocol(game, base, given)
     read = protocol_from_json(
         {"base": [[0], [0]], "shares": [{"player": 0, "resource": 0, "share": "8/4"},
                                         {"player": 1, "resource": 0, "share": "1/3"}]},
         game,
-    ).table
-    for shares in (table, read):
-        values = [shares.share(i, e) for i in range(2) for e in game.resources]
+    )
+    for protocol in (built, read):
+        values = [protocol.share(i, e) for i in range(2) for e in game.resources]
         assert all(map(stored, values)) and Fraction in set(map(type, values))
     # the enforceability LP's shares are Fractions, most of them integral
     checked = 0
     for seed in range(20):
-        shares = nsepa_transform(*gen_sp(random.Random(seed))).protocol.table
-        values = [shares.share(i, e) for (i, e) in shares.shares]
+        protocol = nsepa_transform(*gen_sp(random.Random(seed))).protocol
+        values = [protocol.share(i, e) for (i, e) in protocol.shares]
         assert all(map(stored, values)), (seed, values)
         checked += len(values)
     assert checked
@@ -306,7 +306,7 @@ def test_single_source_state_is_int_exactly_when_integral(q):
         for step in state.replacements:
             values += [step.tree_cost_before, step.tree_cost_after]
         drops += len(state.replacements)
-        values += transform_single_source(game, profile).protocol.table.shares.values()
+        values += transform_single_source(game, profile).protocol.shares.values()
     assert all(map(stored, values)), [v for v in values if not stored(v)][:5]
     assert drops > 10 and {type(v) for v in values} == ({int} if q == 1 else {int, Fraction})
 
@@ -350,4 +350,4 @@ def test_bools_and_floats_are_not_stored(bad):
     with pytest.raises(InputError):
         GameModel(2, game.resources, game.costs, game.spaces, delays={(0, 0): bad})
     with pytest.raises(InputError):
-        SharingTable(Profile([{0}, {0}]), {(0, 0): bad})
+        SeparableProtocol(game, Profile([{0}, {0}]), {(0, 0): bad})

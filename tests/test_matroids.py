@@ -11,7 +11,7 @@ from _helpers import assert_scaled, scaled_doc, transform_run, ufl_game
 from _oracles import rescan_transform_matroid
 from sepshare import matroids
 from sepshare.errors import InfeasibleProfile, InvalidMatroid, NotABasis, NotEnforceable
-from sepshare.game import GameModel, MatroidSpace, Profile, total_cost
+from sepshare.game import GameModel, Profile, total_cost
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
 from sepshare.matroids import (
@@ -27,12 +27,7 @@ from sepshare.matroids import (
     transform_matroid,
     virtual_cost,
 )
-from sepshare.protocol import (
-    SeparableProtocol,
-    SharingTable,
-    verify_budget_balance,
-    verify_pne,
-)
+from sepshare.protocol import SeparableProtocol, verify_budget_balance, verify_pne
 from sepshare.schema import game_to_json, profile_to_json
 
 
@@ -192,7 +187,7 @@ class TestDeviationCost:
             players=1,
             resources=[0, 1],
             costs={0: ufl_game([6]).costs[0], 1: ufl_game([9]).costs[0]},
-            spaces=[MatroidSpace(m)],
+            spaces=[m],
             delays={(0, 0): F(2)},
         )
         value, target = deviation_cost(g, Profile([{0, 1}]), 0, 0, virtual=True)
@@ -266,9 +261,7 @@ class TestEnforceabilityConditions:
         for i, e in pairs:
             best = min(
                 game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
-                for f in exchange_candidates(
-                    game.spaces[i].oracle, profile[i], e
-                )
+                for f in exchange_candidates(game.spaces[i], profile[i], e)
             )
             row([((i, e), F(1))], best - game.delay(i, e))
         sol = solve(LinearProgram.build([F(0)] * len(pairs), rows, rhs))
@@ -313,7 +306,7 @@ class TestTransform:
             game = gen_matroid(rng)
             profile = random_bases_profile(rng, game)
             res = transform_matroid(game, profile)
-            rank = max(game.spaces[i].oracle.rank for i in range(game.n))
+            rank = max(game.spaces[i].rank for i in range(game.n))
             assert res.iterations <= game.n * len(game.resources) * rank
             assert total_cost(game, res.profile) <= total_cost(game, profile)
             assert check_enforceable_matroid(game, res.profile, virtual=True).ok
@@ -403,7 +396,7 @@ class TestIncrementalLoop:
             for move in res.moves:
                 moved[move.player] += 1
             budget = sum(
-                game.spaces[i].oracle.rank * (1 + moved[i]) for i in range(game.n)
+                game.spaces[i].rank * (1 + moved[i]) for i in range(game.n)
             )
             assert certified_after and certified_after[0] <= budget
 
@@ -412,20 +405,20 @@ class TestProtocolConstruction:
     def test_lone_player_pays_fully(self):
         g = ufl_game([5], players=1)
         proto = build_matroid_protocol(g, Profile([{0}]))
-        assert proto.table.share(0, 0) == 5
+        assert proto.share(0, 0) == 5
 
     def test_water_filling_order(self):
         g = ufl_game([10, 3])
         proto = build_matroid_protocol(g, Profile([{1}, {1}]))
-        assert proto.table.share(0, 1) == 3
-        assert proto.table.share(1, 1) == 0
+        assert proto.share(0, 1) == 3
+        assert proto.share(1, 1) == 0
         assert verify_pne(g, proto).ok
 
     def test_tight_caps_force_even_split(self):
         g = ufl_game([4, 2])
         proto = build_matroid_protocol(g, Profile([{0}, {0}]))
-        assert proto.table.share(0, 0) == 2
-        assert proto.table.share(1, 0) == 2
+        assert proto.share(0, 0) == 2
+        assert proto.share(1, 0) == 2
 
     def test_unenforceable_profile_is_rejected(self):
         g = ufl_game([10, 3])
@@ -449,9 +442,9 @@ class TestProtocolConstruction:
 BOUNDARIES = {
     "transform_matroid": lambda g, p: transform_matroid(g, p),
     "check_enforceable_matroid": lambda g, p: check_enforceable_matroid(g, p),
-    "verify_pne": lambda g, p: verify_pne(g, SeparableProtocol(g, SharingTable(p, {}))),
+    "verify_pne": lambda g, p: verify_pne(g, SeparableProtocol(g, p, {})),
     "verify_budget_balance": lambda g, p: verify_budget_balance(
-        g, SeparableProtocol(g, SharingTable(p, {})), p),
+        g, SeparableProtocol(g, p, {}), p),
 }
 
 

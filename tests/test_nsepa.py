@@ -137,7 +137,7 @@ def _transform_outcome(transform, game, profile):
         return type(ex).__name__, str(ex)
     if transform is nsepa_transform:  # the reference's deltas stay Fractions
         assert all(stored(step.cost_delta) for step in res.substitutions + res.repairs)
-    return (res.profile, res.protocol.base, dict(res.protocol.table.shares), res.phases,
+    return (res.profile, res.protocol.base, dict(res.protocol.shares), res.phases,
             res.input_enforceable, res.lp_value, res.input_cost, res.output_cost,
             res.substitutions, res.repairs)
 
@@ -514,7 +514,7 @@ class TestTransform:
         assert res.profile == Profile([{1}, {1}])
         assert (res.phases, res.output_cost) == (1, F(4))
         # adopters first pay in full; the rebate goes to the higher index
-        assert dict(res.protocol.table.shares) == {(0, 1): F(4)}
+        assert dict(res.protocol.shares) == {(0, 1): F(4)}
         assert res.substitutions == (
             Step("substitute", 0, 0, F(4), phase=1),
             Step("substitute", 1, 0, F(-10), phase=1),
@@ -542,7 +542,7 @@ class TestTransform:
         assert res.profile == Profile([{1}])
         assert (res.phases, res.input_cost, res.output_cost) == (0, F(11), F(2))
         assert not res.input_enforceable
-        assert dict(res.protocol.table.shares) == {(0, 1): F(2)}
+        assert dict(res.protocol.shares) == {(0, 1): F(2)}
         assert verify_pne(g, res.protocol).ok
 
     def test_random_outputs_are_enforceable_and_stable(self):

@@ -6,7 +6,7 @@ import pytest
 
 from _helpers import path_game, ufl_game
 from sepshare.errors import BudgetExceeded, UnsupportedSpace
-from sepshare.game import CostFunction, GameModel, MatroidSpace, PathSpace, Profile
+from sepshare.game import CostFunction, GameModel, PathSpace, Profile
 from sepshare.matroids import UniformMatroid, transform_matroid
 from sepshare.network import Network
 from sepshare.nsepa import counterexample_fixture, nsepa_transform
@@ -128,7 +128,7 @@ class TestEnforceable:
             costs={0: CostFunction(fixed=1)},
             spaces=[
                 PathSpace(source="s", terminal="t"),
-                MatroidSpace(UniformMatroid([0], 1)),
+                UniformMatroid([0], 1),
             ],
             network=net,
         )

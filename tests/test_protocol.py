@@ -1,4 +1,4 @@
-"""Share tables, the occupancy case rule, and the three verifiers."""
+"""Base shares, the occupancy case rule, and the three verifiers."""
 
 import random
 from fractions import Fraction as F
@@ -7,12 +7,11 @@ import pytest
 
 from _helpers import path_game, ufl_game
 from sepshare.errors import BudgetExceeded, InputError, InternalInvariant
-from sepshare.game import CostFunction, GameModel, MatroidSpace, Profile
+from sepshare.game import CostFunction, GameModel, Profile
 from sepshare.matroids import UniformMatroid
 from sepshare.nsepa import counterexample_fixture, is_enforceable
 from sepshare.protocol import (
     SeparableProtocol,
-    SharingTable,
     best_response,
     verify_budget_balance,
     verify_pne,
@@ -22,25 +21,34 @@ from sepshare.protocol import (
 
 
 def make_protocol(game, base_choices, shares):
-    table = SharingTable(Profile(base_choices), {k: F(v) for k, v in shares.items()})
-    return SeparableProtocol(game, table)
+    return SeparableProtocol(game, Profile(base_choices), {k: F(v) for k, v in shares.items()})
 
 
-class TestSharingTable:
+class TestBaseShares:
+    """The share conditions `SeparableProtocol` checks on construction."""
+
+    def _protocol(self, base, shares):
+        return SeparableProtocol(ufl_game([4, 6], players=1), Profile(base), shares)
+
     def test_share_defaults_to_zero(self):
-        t = SharingTable(Profile([{0}]), {(0, 0): F(4)})
-        assert t.share(0, 0) == 4
-        assert t.share(0, 1) == 0
+        proto = self._protocol([{0}], {(0, 0): F(4)})
+        assert proto.share(0, 0) == 4
+        assert proto.share(0, 1) == 0
 
     def test_rejects_share_outside_base(self):
-        with pytest.raises(InputError):
-            SharingTable(Profile([{0}]), {(0, 1): F(1)})
-        with pytest.raises(InputError):
-            SharingTable(Profile([{0}]), {(2, 0): F(1)})
+        with pytest.raises(InputError, match="resource not in base choice"):
+            self._protocol([{0}], {(0, 1): F(1)})
+        with pytest.raises(InputError, match="share for unknown player 2"):
+            self._protocol([{0}], {(2, 0): F(1)})
 
     def test_rejects_negative_share(self):
-        with pytest.raises(InputError):
-            SharingTable(Profile([{0}]), {(0, 0): F(-1)})
+        with pytest.raises(InputError, match="negative share"):
+            self._protocol([{0}], {(0, 0): F(-1)})
+
+    @pytest.mark.parametrize("base", [[], [{0}, {0}]], ids=["short", "long"])
+    def test_rejects_a_base_of_the_wrong_length(self, base):
+        with pytest.raises(InputError, match="base does not match player count"):
+            self._protocol(base, {})
 
 
 class TestCaseRule:
@@ -91,7 +99,7 @@ class TestCaseRule:
             players=3,
             resources=[0, 1],
             costs={0: CostFunction(table=table), 1: CostFunction(fixed=1)},
-            spaces=[MatroidSpace(UniformMatroid([0, 1], 1)) for _ in range(3)],
+            spaces=[UniformMatroid([0, 1], 1) for _ in range(3)],
         )
         proto = make_protocol(g, [{0}, {1}, {1}], {(0, 0): 6})
         p = Profile([{0}, {0}, {0}])
@@ -153,7 +161,7 @@ class TestBudgetBalance:
     def test_lp_shares_on_counterexample_underpay(self):
         game, opt = counterexample_fixture()
         shares = is_enforceable(game, opt).shares
-        proto = SeparableProtocol(game, SharingTable(opt, shares))
+        proto = SeparableProtocol(game, opt, shares)
         report = verify_budget_balance(game, proto, opt)
         assert not report.ok
         assert all(v.paid < v.cost for v in report.violations)

@@ -1,5 +1,6 @@
 """Instance serialization and the command-line front end."""
 
+import io
 import json
 import random
 from collections import Counter
@@ -50,19 +51,25 @@ class TestSchema:
         assert profile_from_json(doc, g) == p
 
     def test_protocol_round_trip(self):
-        from sepshare.protocol import SeparableProtocol, SharingTable
+        from sepshare.protocol import SeparableProtocol
 
         g = ufl_game((10, 8))
         base = Profile([{0}, {0}])
-        proto = SeparableProtocol(g, SharingTable(base, {(0, 0): F(7), (1, 0): F(3)}))
+        proto = SeparableProtocol(g, base, {(0, 0): F(7), (1, 0): F(3)})
         doc = protocol_to_json(proto)
         back = protocol_from_json(loads(dumps(doc)), g)
-        assert back.table.shares == proto.table.shares
-        assert back.table.base == base
+        assert back.shares == proto.shares
+        assert back.base == base
 
     def test_floats_are_banned_from_reports(self):
         with pytest.raises(InputError):
             jsonable(0.5)
+
+    def test_unformatted_fractions_are_banned_from_reports(self):
+        """Reports format rationals where they are built; a Fraction that
+        reaches the encoder would print unlike its integral twin, an int."""
+        with pytest.raises(InputError):
+            jsonable(F(1, 3))
 
     def test_float_costs_are_rejected_on_load(self):
         g = path_game([("s", "t", 1)], [("s", "t")])
@@ -757,6 +764,24 @@ def test_file_faults_exit_two_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+def test_standard_input_rejects_bytes_that_are_not_utf8(tmp_path, capsys, monkeypatch):
+    """Standard input that keeps undecodable bytes as surrogates (as Python's
+    UTF-8 mode does) is bad input, the same as that file given as `--in`."""
+    _code, inst = run_to_file(tmp_path, "sp.json", ["gen", "sp", "--seed", "2"])
+    data = inst.read_bytes()
+    assert b'"c0"' in data
+    inst.write_bytes(data.replace(b'"c0"', b'"c\xff"'))
+    stdin = io.TextIOWrapper(io.BytesIO(inst.read_bytes()), encoding="utf-8",
+                             errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    capsys.readouterr()
+    for argv in (["nsepa", "check"], ["nsepa", "check", "--in", str(inst)]):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert len(err.splitlines()) == 1 and err.startswith("input error: "), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -97,7 +97,7 @@ class TestTransform:
         p = Profile([{0}, {1}, {2}])
         res = transform_single_source(g, p)
         assert res.profile == p
-        assert sorted(res.protocol.table.shares.items()) == [
+        assert sorted(res.protocol.shares.items()) == [
             ((0, 0), F(2)),
             ((1, 1), F(3)),
             ((2, 2), F(4)),
@@ -110,7 +110,7 @@ class TestTransform:
         res = transform_single_source(g, Profile([{0}, {0}]))
         assert res.profile == Profile([{1}, {1}])
         assert (res.input_cost, res.output_cost) == (F(10), F(4))
-        assert dict(res.protocol.table.shares) == {(0, 1): F(4)}
+        assert dict(res.protocol.shares) == {(0, 1): F(4)}
         [rep] = res.replacements
         assert (rep.edge, rep.deviation_vertices, rep.payers) == (0, ("m",), (0,))
         assert (rep.tree_cost_before, rep.tree_cost_after) == (F(10), F(4))
@@ -124,7 +124,7 @@ class TestTransform:
         assert res.profile == Profile([{0, 1}, {0, 2}])
         assert res.replacements == ()
         # trunk shares fill caps in player order: 8 then the remaining 2
-        assert dict(res.protocol.table.shares) == {
+        assert dict(res.protocol.shares) == {
             (0, 0): F(8),
             (0, 1): F(1),
             (1, 0): F(2),
@@ -140,7 +140,7 @@ class TestTransform:
         assert res.profile == Profile([{1, 3}, {2, 3}])
         assert (res.input_cost, res.output_cost) == (F(14), F(7))
         # the rider keeps a zero share on the bought bypass
-        assert dict(res.protocol.table.shares) == {
+        assert dict(res.protocol.shares) == {
             (0, 1): F(1),
             (0, 3): F(5),
             (1, 2): F(1),
@@ -165,7 +165,7 @@ class TestTransform:
         assert res.profile == Profile([{4, 5}, {4, 6}])
         assert (res.input_cost, res.output_cost) == (F(22), F(7))
         # both reroutes pass the h-s edge; only the first payer is charged
-        assert dict(res.protocol.table.shares) == {
+        assert dict(res.protocol.shares) == {
             (0, 4): F(3),
             (0, 5): F(2),
             (1, 6): F(2),
@@ -306,7 +306,7 @@ class TestTransform:
         # and runs a full search from every path vertex
         def outcome(transform, game, profile):
             res = transform(game, profile)
-            shares = sorted(res.protocol.table.shares.items())
+            shares = sorted(res.protocol.shares.items())
             return (res.profile, shares, res.input_cost, res.output_cost, res.replacements,
                     res.aux_in_tree, res.repairs, res.events)
 
