@@ -21,11 +21,7 @@ from typing import Optional, Sequence
 from .errors import BudgetExceeded, InputError, NotEnforceable, SepshareError
 from .game import GameModel, Profile, Step, total_cost
 from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
-from .matroids import (
-    build_matroid_protocol,
-    check_enforceable_matroid,
-    transform_matroid,
-)
+from .matroids import build_matroid_protocol, transform_matroid
 from .nsepa import counterexample_fixture, is_enforceable, nsepa_transform
 from .oracle import DEFAULT_BUDGET, brute_force_enforceable, brute_force_optimum
 from .protocol import SeparableProtocol, verify_budget_balance, verify_pne
@@ -137,30 +133,24 @@ def _emit_trace(path: Optional[str], steps: Sequence[Step]) -> None:
 def _derive_protocol(
     game: GameModel, profile: Profile, doc: dict, args
 ) -> tuple[bool, Optional[SeparableProtocol]]:
-    """Enforceability verdict plus a protocol witnessing it.
-
-    An explicit protocol (document or --protocol) is used as-is; otherwise
-    path games take the enforceability LP's share vector and matroid games
-    the water-filling construction, whose own condition check decides."""
+    """Enforceability verdict plus a protocol witnessing it: an explicit
+    protocol (document or --protocol) as-is, with `brute_force_enforceable`'s
+    verdict; else the enforceability LP's share vector for path games, and
+    the water-filling construction, whose own check decides, for the rest."""
     explicit = None
     if getattr(args, "protocol", None):
         explicit = protocol_from_json(loads(_read_text(args.protocol)), game)
     elif "protocol" in doc:
         explicit = protocol_from_json(doc["protocol"], game)
-    kinds = {sp.kind for sp in game.spaces}
-    if kinds <= {"matroid"}:  # a game without players needs no network
-        if explicit is not None:
-            return check_enforceable_matroid(game, profile, virtual=False).ok, explicit
-        try:
-            return True, build_matroid_protocol(game, profile)
-        except NotEnforceable:
-            return False, None
-    if kinds <= {"path"}:
+    if explicit is not None:
+        return brute_force_enforceable(game, profile), explicit
+    if game.kind == "path":
         report = is_enforceable(game, profile)
-        if explicit is not None:
-            return report.enforceable, explicit
         return report.enforceable, _lp_protocol(game, profile, report)
-    raise InputError("mixed strategy spaces are not supported")
+    try:
+        return True, build_matroid_protocol(game, profile)
+    except NotEnforceable:
+        return False, None
 
 
 def _lp_protocol(game: GameModel, profile: Profile, report) -> Optional[SeparableProtocol]:
@@ -208,7 +198,7 @@ def _nsepa_family(game: GameModel, profile: Profile):
             len(result.substitutions), result.phases, extra)
 
 
-def _cmd_transform(command: str, family, args) -> tuple[RunReport, Sequence[Step], bool]:
+def _cmd_transform(command: str, family, args) -> tuple[dict, Sequence[Step], bool]:
     """One transform command.  `family(game, profile)` runs the transform and
     returns its result, the protocol on the output profile, the trace steps,
     the iteration and phase counts, and the report keys of its own."""
@@ -232,10 +222,10 @@ def _cmd_transform(command: str, family, args) -> tuple[RunReport, Sequence[Step
         extra={"profile": result.profile, "protocol": protocol_to_json(protocol), **extra},
     )
     ok = enforceable and pne and bb and result.output_cost <= result.input_cost
-    return report, steps, ok
+    return report.to_json(args.approx_display), steps, ok
 
 
-def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
+def _cmd_nsepa_check(args) -> tuple[dict, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
     rep = is_enforceable(game, profile)
@@ -254,10 +244,10 @@ def _cmd_nsepa_check(args) -> tuple[RunReport, Sequence[Step], bool]:
             "used_cost": format_rational(rep.used_cost),
         },
     )
-    return report, [], rep.enforceable and pne and bb
+    return report.to_json(args.approx_display), [], rep.enforceable and pne and bb
 
 
-def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:
+def _cmd_verify(args) -> tuple[dict, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
     cost = total_cost(game, profile)
@@ -273,10 +263,10 @@ def _cmd_verify(args) -> tuple[RunReport, Sequence[Step], bool]:
     )
     if protocol is not None:
         report.extra["protocol"] = protocol_to_json(protocol)
-    return report, [], enforceable and pne and bb
+    return report.to_json(args.approx_display), [], enforceable and pne and bb
 
 
-def _cmd_optimum(args) -> tuple[RunReport, Sequence[Step], bool]:
+def _cmd_optimum(args) -> tuple[dict, Sequence[Step], bool]:
     limits = {"max_profiles": args.max_profiles, "max_paths_per_player": args.max_paths}
     for flag, value in zip(("--max-profiles", "--max-paths"), limits.values()):
         if value is not None and value < 1:
@@ -292,10 +282,10 @@ def _cmd_optimum(args) -> tuple[RunReport, Sequence[Step], bool]:
         enforceable=enforceable,
         extra={"optimum_profile": result.profile, "unique": result.unique},
     )
-    return report, [], enforceable
+    return report.to_json(args.approx_display), [], enforceable
 
 
-def _cmd_gen(args) -> dict:
+def _cmd_gen(args) -> tuple[dict, Sequence[Step], bool]:
     rng = random.Random(args.seed)
     if args.family == "ufl":
         game = gen_ufl(rng, players=args.players, facilities=args.facilities)
@@ -310,16 +300,16 @@ def _cmd_gen(args) -> dict:
     doc = game_to_json(game)
     doc["profile"] = profile_to_json(profile)["profile"]
     doc["seed"] = args.seed
-    return doc
+    return doc, [], True
 
 
-def _cmd_fixture(args) -> dict:
+def _cmd_fixture(args) -> tuple[dict, Sequence[Step], bool]:
     game, opt = counterexample_fixture()
     doc = game_to_json(game)
     rows = profile_to_json(opt)["profile"]
     doc["profile"] = rows
     doc["profiles"] = {"opt": rows}
-    return doc
+    return doc, [], True
 
 
 @functools.cache
@@ -391,38 +381,32 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--players", type=int, default=None)
     gs.add_argument("--max-edges", type=int, default=12,
                     help="cap on the chain length, not a target: the chain "
-                         "stops at random after each bundle, usually well "
-                         "before the cap")
+                         "stops at random after each bundle and near the cap, "
+                         "at most one edge past it")
     for gp in (gu, gm, gt, gs):
         gp.add_argument("--seed", type=int, default=0)
         gp.add_argument("--out", dest="outfile", default=None)
-        gp.set_defaults(handler=None, generator=True)
+        gp.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("fixture", help="pinned hard instances")
     fsub = p.add_subparsers(dest="fixture_name", required=True)
     ft = fsub.add_parser("theorem5", help="three-pair instance whose unique "
                                           "optimum is not enforceable")
     ft.add_argument("--out", dest="outfile", default=None)
-    ft.set_defaults(handler=None, fixture=True)
+    ft.set_defaults(handler=_cmd_fixture)
 
     return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
+    """Run argv's subcommand, whose handler returns the document to write,
+    the trace steps and whether the run passed; return the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "generator", False):
-            doc = _cmd_gen(args)
-            _write_text(args.outfile, dumps(doc) + "\n")
-            return 0
-        if getattr(args, "fixture", False):
-            doc = _cmd_fixture(args)
-            _write_text(args.outfile, dumps(doc) + "\n")
-            return 0
-        report, trace, ok = args.handler(args)
-        _emit_trace(args.trace, trace)
-        _write_text(args.outfile, dumps(report.to_json(args.approx_display)) + "\n")
+        document, steps, ok = args.handler(args)
+        _emit_trace(getattr(args, "trace", None), steps)
+        _write_text(args.outfile, dumps(document) + "\n")
     except BudgetExceeded as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3

@@ -6,7 +6,8 @@ shareable cost function per resource, a non-shareable delay per (player,
 resource), and one strategy space per player.  A space is either a
 `matroids.MatroidOracle`, whose bases over a subset of the resources are
 the strategies, or a `PathSpace` of simple source-terminal paths in an
-attached network; both tell themselves apart by `kind`.
+attached network.  All spaces of one game are of one kind, which the game
+fixes when it is built as `GameModel.kind`.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ class Profile:
 class GameModel:
     """Immutable description of one congestion game with shareable costs.
 
+    `kind` is the one kind of all its spaces, "matroid" or "path", or
+    None for a game without players; mixed spaces raise UnsupportedSpace.
     Delays are stored by the rule of `rationals.exact` (an int when
     integral, a Fraction otherwise) and only when nonzero; `delay` and
     `cost` answer in the stored form.  `validate_profile` remembers the
@@ -225,6 +228,7 @@ class GameModel:
         if len(spaces) != players:
             raise InputError("one strategy space per player required")
         self.spaces = tuple(spaces)
+        self.kind: Optional[str] = self.spaces[0].kind if self.spaces else None
         for i, sp in enumerate(self.spaces):
             if sp.kind == "path":
                 if network is None:
@@ -238,6 +242,8 @@ class GameModel:
                         raise InputError(f"matroid ground element {e} is not a resource")
             else:
                 raise UnsupportedSpace(f"unknown space kind {sp.kind!r}")
+            if sp.kind != self.kind:
+                raise UnsupportedSpace("mixed strategy spaces are not supported")
         self._delay: dict[tuple[int, int], int | Fraction] = {}
         if delays:
             for (i, e), d in delays.items():
@@ -267,7 +273,7 @@ class GameModel:
 
     def is_feasible_choice(self, i: int, choice: frozenset) -> bool:
         sp = self.spaces[i]
-        if sp.kind == "matroid":
+        if self.kind == "matroid":
             return sp.is_basis(choice)
         net = self.network
         return all(e in net.endpoints for e in choice) and (

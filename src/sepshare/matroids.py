@@ -244,13 +244,6 @@ def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
 # -- deviation costs -------------------------------------------------------
 
 
-def _matroid_space(game: GameModel, i: int) -> MatroidOracle:
-    sp = game.spaces[i]
-    if sp.kind != "matroid":
-        raise UnsupportedSpace(f"player {i} does not have a matroid space")
-    return sp
-
-
 def virtual_cost(game: GameModel, i: int, e: int) -> int | Fraction:
     """Cost of the resource as if player i were alone on it, plus delay."""
     return game.cost(e, frozenset((i,))) + game.delay(i, e)
@@ -274,14 +267,15 @@ def deviation_cost(
     after the move; virtual mode prices it as if i were alone.  Returns
     (value, chosen element), ties to the smallest resource in global order.
     """
-    sp = _matroid_space(game, i)
+    if game.kind == "path":
+        raise UnsupportedSpace("the game has path spaces, not matroid spaces")
 
     def price(f: int) -> int | Fraction:
         if virtual:
             return virtual_cost(game, i, f)
         return game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
 
-    return _cheapest_exchange(game, sp, profile[i], e, price)
+    return _cheapest_exchange(game, game.spaces[i], profile[i], e, price)
 
 
 def _cheapest_exchange(
@@ -333,11 +327,12 @@ def _check_conditions(
 ) -> tuple[EnforceabilityReport, dict[tuple[int, int], int | Fraction]]:
     """The report of `check_enforceable_matroid` and the deviation cost
     of every (player, resource in their basis) pair it priced."""
+    if game.kind == "path":
+        raise UnsupportedSpace("the game has path spaces, not matroid spaces")
     game.validate_profile(profile)
     bad = []
     deltas: dict[tuple[int, int], int | Fraction] = {}
     for i in range(game.n):
-        _matroid_space(game, i)
         for e in profile[i]:
             value, _f = deviation_cost(game, profile, i, e, virtual=virtual)
             deltas[(i, e)] = value
@@ -393,9 +388,9 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     violation computes missing verdicts in order and stops at the first
     violated one, so it picks the same resource as a full rescan would.
     """
+    if game.kind == "path":
+        raise UnsupportedSpace("the game has path spaces, not matroid spaces")
     game.validate_profile(profile)
-    for i in range(game.n):
-        _matroid_space(game, i)
     bound = game.n * len(game.resources) * max(
         (sp.rank for sp in game.spaces), default=0
     )

@@ -54,19 +54,18 @@ class Network:
         self.vertices: tuple[Vertex, ...] = tuple(order)
         self.vindex: dict[Vertex, int] = {v: k for k, v in enumerate(order)}
         self.edge_ids: tuple[EdgeId, ...] = tuple(sorted(self.endpoints))
+        # undirected edges run both ways, so there `_radj` is `_adj` itself
         self._adj: dict[Vertex, list[tuple[Vertex, EdgeId]]] = {v: [] for v in order}
-        self._radj: dict[Vertex, list[tuple[Vertex, EdgeId]]] = {v: [] for v in order}
+        self._radj = {v: [] for v in order} if directed else self._adj
         for eid in self.edge_ids:
             u, v = self.endpoints[eid]
             self._adj[u].append((v, eid))
             self._radj[v].append((u, eid))
-            if not directed:
-                self._adj[v].append((u, eid))
-                self._radj[u].append((v, eid))
         key = lambda pair: (self.vindex[pair[0]], pair[1])
         for v in order:
             self._adj[v].sort(key=key)
-            self._radj[v].sort(key=key)
+            if directed:
+                self._radj[v].sort(key=key)
         self._blocks: dict[tuple[Vertex, Vertex], frozenset] = {}
 
     # -- basic queries -------------------------------------------------
@@ -82,8 +81,8 @@ class Network:
             return u
         raise InputError(f"vertex {v!r} not an endpoint of edge {eid}")
 
-    def neighbors(self, v: Vertex, reverse: bool = False) -> list[tuple[Vertex, EdgeId]]:
-        return (self._radj if reverse else self._adj)[v]
+    def neighbors(self, v: Vertex) -> list[tuple[Vertex, EdgeId]]:
+        return self._adj[v]
 
     # -- shortest paths ------------------------------------------------
 

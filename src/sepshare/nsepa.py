@@ -35,9 +35,8 @@ from .rationals import exact
 
 
 def _require_path_game(game: GameModel) -> None:
-    for i, sp in enumerate(game.spaces):
-        if sp.kind != "path":
-            raise UnsupportedSpace(f"player {i} does not have a path space")
+    if game.kind == "matroid":
+        raise UnsupportedSpace("the game has matroid spaces, not path spaces")
     if game.network is None:
         raise InputError("game has no network")
     if game.network.directed:

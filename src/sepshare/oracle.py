@@ -37,7 +37,7 @@ def enumerate_strategies(
     """
     sp = game.spaces[i]
     out: list[frozenset] = []
-    if sp.kind == "matroid":
+    if game.kind == "matroid":
         for basis in sp.bases():
             out.append(basis)
             if len(out) > budget.max_paths_per_player:
@@ -102,16 +102,13 @@ def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
     Path games go through the exact LP characterization (fixed costs
     only): detour rows on series-parallel player subgraphs, rows generated
     lazily from best responses elsewhere, so no path is enumerated;
-    matroid games through the exchange-based conditions, which are exact
-    for them.
+    matroid games (and a game without players) through the exchange-based
+    conditions, which are exact for them.
     """
-    kinds = {sp.kind for sp in game.spaces}
-    if kinds <= {"matroid"}:  # a game without players needs no network
-        from .matroids import check_enforceable_matroid
-
-        return check_enforceable_matroid(game, profile, virtual=False).ok
-    if kinds <= {"path"}:
+    if game.kind == "path":
         from .nsepa import is_enforceable
 
         return is_enforceable(game, profile).enforceable
-    raise UnsupportedSpace("mixed strategy-space kinds")
+    from .matroids import check_enforceable_matroid
+
+    return check_enforceable_matroid(game, profile, virtual=False).ok

@@ -159,7 +159,7 @@ def best_response(
     """Cheapest unilateral deviation of player i from the protocol's base."""
     weight = _deviation_weight(game, protocol, i)
     sp = game.spaces[i]
-    if sp.kind == "matroid":
+    if game.kind == "matroid":
         choice = sp.greedy(sorted(sp.ground, key=lambda e: (weight(e), game.resource_key(e))))
     else:
         hit = game.network.shortest_path(sp.terminal, sp.source, weight)

@@ -66,6 +66,6 @@ def format_rational(value: int | Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def approx(value: int | Fraction, digits: int = 6) -> str:
-    """Human-oriented decimal rendering.  Never used in machine output."""
-    return f"{float(value):.{digits}g}"
+def approx(value: int | Fraction) -> str:
+    """Decimal rendering to six digits, for humans; never in machine output."""
+    return f"{float(value):.6g}"

@@ -86,7 +86,7 @@ def game_to_json(game: GameModel) -> dict:
         ]
     spaces = []
     for sp in game.spaces:
-        if sp.kind == "path":
+        if game.kind == "path":
             spaces.append({"path": {"source": sp.source, "terminal": sp.terminal}})
         else:
             if not hasattr(sp, "descriptor"):
@@ -201,7 +201,7 @@ def profile_to_json(profile: Profile) -> dict:
     return {"profile": [sorted(choice) for choice in profile]}
 
 
-def profile_from_json(data, game: Optional[GameModel] = None) -> Profile:
+def profile_from_json(data, game: GameModel) -> Profile:
     if isinstance(data, Mapping) and "profile" in data:
         rows = data["profile"]
     else:
@@ -214,8 +214,7 @@ def profile_from_json(data, game: Optional[GameModel] = None) -> Profile:
         ):
             raise InputError(f"profile row {row!r} is not a list of integer resource ids")
     profile = Profile([frozenset(row) for row in rows])
-    if game is not None:
-        game.validate_profile(profile)
+    game.validate_profile(profile)
     return profile
 
 

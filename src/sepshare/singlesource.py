@@ -40,13 +40,11 @@ ItemId = object  # int for graph edges, ("aux", deep, shallow) for auxiliary edg
 
 
 def _require_single_source(game: GameModel) -> Vertex:
+    if game.kind == "matroid":
+        raise UnsupportedSpace("the game has matroid spaces, not path spaces")
     if game.network is None:
         raise InputError("game has no network")
-    sources = set()
-    for i, sp in enumerate(game.spaces):
-        if sp.kind != "path":
-            raise UnsupportedSpace(f"player {i} does not have a path space")
-        sources.add(sp.source)
+    sources = {sp.source for sp in game.spaces}
     if len(sources) > 1:
         raise UnsupportedSpace(f"multiple sources {sorted(map(str, sources))}")
     if game.has_delays:

@@ -253,6 +253,17 @@ def rescan_transform_matroid(game, profile):
     return current, tuple(moves)
 
 
+def _arcs(net, x, reverse):
+    """(neighbour, edge id) of each edge the search may leave x by, read
+    from the endpoints alone: every incident edge when undirected, else
+    the edges out of x (into x when `reverse`)."""
+    for eid, (u, v) in net.endpoints.items():
+        if u == x and not (net.directed and reverse):
+            yield v, eid
+        if v == x and (reverse or not net.directed):
+            yield u, eid
+
+
 def fraction_dijkstra(
     net, start, weight, reverse=False, blocked_vertices=frozenset(), edges=None, stop=None
 ):
@@ -272,7 +283,7 @@ def fraction_dijkstra(
                 break
         if x in blocked_vertices and x != start:
             continue
-        for nbr, eid in net.neighbors(x, reverse=reverse):
+        for nbr, eid in _arcs(net, x, reverse):
             if nbr in result or (edges is not None and eid not in edges):
                 continue
             w = weight(eid)

@@ -121,16 +121,17 @@ class TestEnforceable:
         assert brute_force_enforceable(u, out.profile)
 
     def test_mixed_space_kinds_are_rejected(self):
+        """A game fixes its one family when it is built, so a game that
+        mixes path and matroid spaces is rejected before any check runs."""
         net = Network([(0, "s", "t")])
-        mixed = GameModel(
-            players=2,
-            resources=[0],
-            costs={0: CostFunction(fixed=1)},
-            spaces=[
-                PathSpace(source="s", terminal="t"),
-                UniformMatroid([0], 1),
-            ],
-            network=net,
-        )
-        with pytest.raises(UnsupportedSpace):
-            brute_force_enforceable(mixed, Profile([{0}, {0}]))
+        with pytest.raises(UnsupportedSpace, match="mixed strategy spaces"):
+            GameModel(
+                players=2,
+                resources=[0],
+                costs={0: CostFunction(fixed=1)},
+                spaces=[
+                    PathSpace(source="s", terminal="t"),
+                    UniformMatroid([0], 1),
+                ],
+                network=net,
+            )

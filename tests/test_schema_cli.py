@@ -1,5 +1,6 @@
 """Instance serialization and the command-line front end."""
 
+import argparse
 import io
 import json
 import random
@@ -10,10 +11,10 @@ import pytest
 
 from _helpers import path_game, ufl_game
 from _oracles import per_entry_game_from_json
-from sepshare.cli import run
+from sepshare.cli import build_parser, run
 from sepshare.errors import InputError
 from sepshare.game import GameModel, Profile
-from sepshare.gen import gen_matroid
+from sepshare.gen import gen_matroid, gen_sp
 from sepshare.rationals import parse_rational
 from sepshare.schema import (
     dumps,
@@ -576,12 +577,40 @@ class TestCliPaths:
         assert err == "input error: instance document must be a JSON object\n"
 
     def test_mixed_strategy_spaces_exit_two(self, tmp_path, capsys):
+        """The game rejects mixed spaces when it is built, so every command
+        stops there with the same line, before `optimum` counts profiles
+        against its budget."""
         doc = _two_link_doc()
         doc["players"] = 2
         doc["spaces"].append({"matroid": {"uniform": {"ground": [0, 1], "rank": 1}}})
         doc["profile"].append([1])
-        err = self._input_error(tmp_path, capsys, dumps(doc))
-        assert err == "input error: mixed strategy spaces are not supported\n"
+        inst = _write_doc(tmp_path, doc)
+        for command in (["transform-matroid"], ["transform-tree"], ["nsepa", "transform"],
+                        ["nsepa", "check"], ["verify"], ["optimum"],
+                        ["optimum", "--max-profiles", "1"]):
+            capsys.readouterr()
+            code, rep = run_to_file(tmp_path, "r.json", command + ["--in", str(inst)])
+            assert code == 2 and not rep.exists(), command
+            err = capsys.readouterr().err
+            assert err == "input error: mixed strategy spaces are not supported\n", command
+
+    @pytest.mark.parametrize("command, family", [
+        (["transform-matroid"], "path"), (["transform-tree"], "matroid"),
+        (["nsepa", "transform"], "matroid"), (["nsepa", "check"], "matroid"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_a_game_of_the_wrong_family_exits_two(self, tmp_path, capsys, command, family):
+        if family == "path":
+            doc, other = _two_link_doc(), "matroid"
+        else:
+            doc, other = game_to_json(ufl_game([3, 5], players=1)), "path"
+            doc["profile"] = [[0]]
+        inst = _write_doc(tmp_path, doc)
+        capsys.readouterr()
+        code, _rep = run_to_file(tmp_path, "r.json", command + ["--in", str(inst)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: the game has {family} spaces, not {other} spaces\n"
+        )
 
 
 class TestVerifyMatroid:
@@ -808,6 +837,37 @@ def test_gen_accepts_the_smallest_sizes_it_can_build(tmp_path):
         for seed in range(20):
             code, _doc = run_to_file(tmp_path, "g.json", ["gen", *argv, "--seed", str(seed)])
             assert code == 0, (argv, seed)
+
+
+def test_gen_sp_ends_at_most_one_edge_past_its_cap():
+    """`--max-edges` is checked after each arm of a bundle, and an arm has
+    at most two edges, so a chain can pass the cap by one edge, never by
+    more.  Seeds 0-1,999 pass each cap at least once."""
+    for cap in (3, 4, 12):
+        sizes = [len(gen_sp(random.Random(seed), max_edges=cap)[0].resources)
+                 for seed in range(2000)]
+        assert max(sizes) == cap + 1, cap
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of each subcommand that takes no further
+    subcommand."""
+    branches = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not branches:
+        yield words, parser
+    for action in branches:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, words + (name,))
+
+
+def test_every_subcommand_has_a_handler():
+    """`run` calls `args.handler` and nothing else, so each leaf subcommand
+    must set one."""
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert {("gen", "sp"), ("fixture", "theorem5"), ("nsepa", "check")} <= leaves.keys()
+    missing = [" ".join(words) for words, sub in leaves.items()
+               if not callable(sub.get_default("handler"))]
+    assert not missing, f"subcommands without a handler: {missing}"
 
 
 class TestOptimumBudgetFlags:
