@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -42,21 +43,26 @@ class MatroidOracle:
     of a matroid player: the strategies are its bases.
 
     Subclasses implement `_independent`; `is_independent` answers False
-    for any set that leaves the ground.  The oracle keeps no answers, so
-    it is a pure function of its descriptor.  The built-in kinds are
-    matroids by construction: uniform (sets of size at most k), partition
-    (at most a quota from each block) and graphic (forests), and they set
-    `rank` and answer `_exchanges` directly, where a subclass falls back
-    to one query per ground element.  `validate_axioms` is the one axiom
-    check, and it is complete: custom subclasses and tests should call it.
+    for any set that leaves the ground.  The oracle keeps the exchange
+    table of the last basis it answered, so it is not thread-safe.  The
+    built-in kinds are matroids by construction: uniform (sets of size at
+    most k), partition (at most a quota from each block) and graphic
+    (forests); they set `rank` and answer `_exchange_table` and `greedy`
+    by rule, where a subclass falls back to independence queries.
+    `validate_axioms` is the one axiom check, and it is complete: custom
+    subclasses and tests should call it.
     """
 
     kind = "matroid"
 
     def __init__(self, ground: Iterable[int]) -> None:
+        ground = list(ground)
         self.ground: tuple[int, ...] = tuple(sorted(set(ground)))
+        if len(self.ground) < len(ground):
+            raise InputError("matroid ground repeats an element")
         self._ground_set = frozenset(self.ground)
         self._rank: Optional[int] = None
+        self._kept: tuple[Optional[frozenset], Mapping[int, tuple[int, ...]]] = (None, {})
 
     def _independent(self, subset: frozenset) -> bool:
         raise NotImplementedError
@@ -65,10 +71,22 @@ class MatroidOracle:
         s = frozenset(subset)
         return s <= self._ground_set and bool(self._independent(s))
 
-    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
-        """The f outside the basis with basis - e + f independent."""
-        rest = basis - {e}
-        return [f for f in self.ground if f not in basis and self.is_independent(rest | {f})]
+    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
+        """Each e of the basis to e and the f with basis - e + f independent."""
+        return {e: [f for f in self.ground if f == e or f not in basis
+                    and self.is_independent((basis - {e}) | {f})] for e in basis}
+
+    def exchanges(self, basis: frozenset) -> Mapping[int, tuple[int, ...]]:
+        """Each e of the basis to the sorted tuple of e and its exchanges;
+        the basis is checked when its table is built, and the last is kept."""
+        kept, table = self._kept
+        if basis != kept:
+            if not self.is_basis(basis):
+                raise NotABasis(f"{sorted(basis)} is not a basis")
+            table = MappingProxyType(
+                {e: tuple(sorted(fs)) for e, fs in self._exchange_table(basis).items()})
+            self._kept = (frozenset(basis), table)
+        return table
 
     def greedy(self, order: Iterable[int]) -> frozenset:
         """Take each element of `order` in turn unless it breaks
@@ -131,8 +149,13 @@ class UniformMatroid(MatroidOracle):
     def _independent(self, subset: frozenset) -> bool:
         return len(subset) <= self._rank
 
-    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
-        return [f for f in self.ground if f not in basis]
+    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
+        outside = [f for f in self.ground if f not in basis]
+        return {e: [e, *outside] for e in basis}
+
+    def greedy(self, order: Iterable[int]) -> frozenset:
+        firsts = dict.fromkeys(e for e in order if e in self._ground_set)
+        return frozenset(itertools.islice(firsts, self._rank))
 
     @property
     def descriptor(self) -> dict:
@@ -141,16 +164,11 @@ class UniformMatroid(MatroidOracle):
 
 class PartitionMatroid(MatroidOracle):
     def __init__(self, blocks: Sequence[Iterable[int]], quotas: Sequence[int]) -> None:
-        block_sets = [frozenset(b) for b in blocks]
-        if len(block_sets) != len(quotas):
+        blocks = [list(b) for b in blocks]
+        if len(blocks) != len(quotas):
             raise InputError("one quota per block required")
-        ground: set[int] = set()
-        for b in block_sets:
-            if ground & b:
-                raise InputError("partition blocks must be disjoint")
-            ground |= b
-        super().__init__(ground)
-        self._blocks = block_sets
+        super().__init__(e for b in blocks for e in b)  # no repeat within or across blocks
+        self._blocks = [frozenset(b) for b in blocks]
         self._quotas = [int(q) for q in quotas]
         for b, q in zip(self._blocks, self._quotas):
             if not (0 <= q <= len(b)):
@@ -160,9 +178,14 @@ class PartitionMatroid(MatroidOracle):
     def _independent(self, subset: frozenset) -> bool:
         return all(len(subset & b) <= q for b, q in zip(self._blocks, self._quotas))
 
-    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
+    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
         # a basis fills every block to its quota, so f must share e's block
-        return list(next(b for b in self._blocks if e in b) - basis)
+        return {e: (b - basis) | {e} for b in self._blocks for e in b & basis}
+
+    def greedy(self, order: Iterable[int]) -> frozenset:
+        firsts = list(dict.fromkeys(order))
+        return frozenset().union(
+            *([e for e in firsts if e in b][:q] for b, q in zip(self._blocks, self._quotas)))
 
     @property
     def descriptor(self) -> dict:
@@ -180,12 +203,12 @@ class GraphicMatroid(MatroidOracle):
     def __init__(self, edges: Mapping[int, tuple]) -> None:
         super().__init__(edges.keys())
         self._edges = {eid: (u, v) for eid, (u, v) in edges.items()}
-        self._rank = self._components(self.ground)[0]
+        self._rank = len(self._components(self.ground))
 
-    def _components(self, subset: Iterable[int]) -> tuple[int, Callable]:
-        """Union-find over `subset`: how many edges join two trees, and `find`."""
+    def _components(self, subset: Iterable[int]) -> list[int]:
+        """Kruskal's union-find along `subset`: the edges that join two trees."""
         parent: dict = {}
-        joins = 0
+        joins = []
 
         def find(x):
             root = x
@@ -200,17 +223,39 @@ class GraphicMatroid(MatroidOracle):
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-                joins += 1
-        return joins, find
+                joins.append(eid)
+        return joins
 
     def _independent(self, subset: frozenset) -> bool:
-        return self._components(subset)[0] == len(subset)
+        return len(self._components(subset)) == len(subset)
 
-    def _exchanges(self, basis: frozenset, e: int) -> list[int]:
-        # basis - e splits e's tree in two; f joins them again exactly when
-        # its ends lie in different components of basis - e
-        _joins, find = self._components(basis - {e})
-        return [f for f, (u, v) in self._edges.items() if f not in basis and find(u) != find(v)]
+    def greedy(self, order: Iterable[int]) -> frozenset:
+        return frozenset(self._components(e for e in order if e in self._ground_set))
+
+    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
+        # f exchanges for exactly the edges of its fundamental cycle: the
+        # path between its ends in the basis forest, which is what their
+        # paths to the root do not share (e alone for a basis edge e)
+        adjacent: dict = {}
+        for e in basis:
+            u, v = self._edges[e]
+            adjacent.setdefault(u, []).append((v, e))
+            adjacent.setdefault(v, []).append((u, e))
+        to_root: dict = {}  # vertex -> the edges from it to the root of its tree
+        stack = list(adjacent)
+        while stack:
+            x = stack.pop()
+            to_root.setdefault(x, frozenset())  # not reached yet: a new root
+            for y, e in adjacent[x]:
+                if y not in to_root:
+                    to_root[y] = to_root[x] | {e}
+                    stack.append(y)
+        table: dict[int, list[int]] = {e: [] for e in basis}
+        for f in self.ground:
+            u, v = self._edges[f]
+            for e in to_root[u] ^ to_root[v] if u != v else ():  # a loop exchanges for none
+                table[e].append(f)
+        return table
 
     @property
     def descriptor(self) -> dict:
@@ -237,6 +282,8 @@ def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
         ground = body.get("ground", list(range(len(edges))))
         if len(ground) != len(edges):
             raise InputError("graphic descriptor ground/edges length mismatch")
+        if len(set(ground)) < len(ground):
+            raise InputError("matroid ground repeats an element")
         return GraphicMatroid({g: (u, v) for g, (u, v) in zip(ground, edges)})
     raise InputError(f"unknown matroid kind {kind!r}")
 
@@ -249,13 +296,12 @@ def virtual_cost(game: GameModel, i: int, e: int) -> int | Fraction:
     return game.cost(e, frozenset((i,))) + game.delay(i, e)
 
 
-def exchange_candidates(oracle: MatroidOracle, basis: frozenset, e: int) -> list[int]:
-    """Elements f with basis - e + f again a basis; contains e itself."""
-    if not oracle.is_basis(basis):
-        raise NotABasis(f"{sorted(basis)} is not a basis")
-    if e not in basis:
+def exchange_candidates(oracle: MatroidOracle, basis: frozenset, e: int) -> tuple[int, ...]:
+    """Elements f with basis - e + f again a basis, sorted; contains e itself."""
+    table = oracle.exchanges(basis)
+    if e not in table:
         raise NotInBasis(f"{e} not in basis {sorted(basis)}")
-    return sorted([e, *oracle._exchanges(basis, e)])
+    return table[e]
 
 
 def deviation_cost(

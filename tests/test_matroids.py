@@ -10,7 +10,13 @@ import pytest
 from _helpers import assert_scaled, scaled_doc, transform_run, ufl_game
 from _oracles import rescan_transform_matroid
 from sepshare import matroids
-from sepshare.errors import InfeasibleProfile, InvalidMatroid, NotABasis, NotEnforceable
+from sepshare.errors import (
+    InfeasibleProfile,
+    InvalidMatroid,
+    NotABasis,
+    NotEnforceable,
+    NotInBasis,
+)
 from sepshare.game import GameModel, Profile, total_cost
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
@@ -146,6 +152,20 @@ class TestExchanges:
                 assert oracle.greedy(order) == cheapest, desc
                 assert len(oracle.greedy(oracle.ground)) == m.rank, desc
 
+    def test_greedy_by_rule_matches_the_query_loop_on_any_order(self):
+        # orders that repeat elements and name ids outside the ground
+        rng = random.Random(2323)
+        kinds = ("uniform", "partition", "graphic")
+        for n in range(450):
+            desc = random_descriptor(rng, kinds[n % 3])
+            m = matroid_from_descriptor(desc)
+            loop = QueryLoop(m)
+            for _ in range(5):
+                order = list(m.ground) + rng.choices(m.ground, k=rng.randint(0, 6))
+                order += rng.sample(range(-3, 40), rng.randint(0, 4))
+                rng.shuffle(order)
+                assert m.greedy(order) == loop.greedy(order), (desc, order)
+
     def test_rank_one_swaps_freely(self):
         m = UniformMatroid([0, 1], 1)
         assert sorted(exchange_candidates(m, frozenset({0}), 0)) == [0, 1]
@@ -164,6 +184,62 @@ class TestExchanges:
     def test_requires_a_basis(self):
         with pytest.raises(NotABasis):
             exchange_candidates(UniformMatroid([0, 1], 1), frozenset({0, 1}), 0)
+
+
+def _oracle_makers():
+    """Five descriptors per built-in kind with at least three bases, each
+    built as itself and seen through the query loop."""
+    rng = random.Random(99)
+    for kind in ("uniform", "partition", "graphic"):
+        for n in range(5):
+            desc = random_descriptor(rng, kind)
+            while len(list(itertools.islice(matroid_from_descriptor(desc).bases(), 3))) < 3:
+                desc = random_descriptor(rng, kind)
+            yield pytest.param(lambda d=desc: matroid_from_descriptor(d), id=f"{kind}-{n}")
+            yield pytest.param(lambda d=desc: QueryLoop(matroid_from_descriptor(d)),
+                               id=f"{kind}-{n}-query-loop")
+
+
+@pytest.mark.parametrize("make", list(_oracle_makers()))
+class TestKeptTable:
+    """An oracle keeps the exchange table of the last basis it answered;
+    that memory never changes an answer."""
+
+    def test_interleaved_bases_answer_like_a_fresh_oracle(self, make):
+        m = make()
+        bases = sorted(m.bases(), key=sorted)
+        rng = random.Random(len(bases))
+        for _ in range(30):
+            basis = rng.choice(bases)
+            e = rng.choice(sorted(basis))
+            assert exchange_candidates(m, basis, e) == exchange_candidates(make(), basis, e)
+
+    def test_a_non_basis_after_a_kept_basis_raises(self, make):
+        m = make()
+        basis = next(m.bases())
+        e = min(basis)
+        exchange_candidates(m, basis, e)
+        for other in (basis - {e}, basis | {max(m.ground) + 1}):
+            with pytest.raises(NotABasis):
+                exchange_candidates(m, other, e)
+            exchange_candidates(m, basis, e)
+
+    def test_an_element_outside_a_kept_basis_raises(self, make):
+        m = make()
+        basis = next(m.bases())
+        exchange_candidates(m, basis, min(basis))
+        for e in [f for f in m.ground if f not in basis] + [max(m.ground) + 1]:
+            with pytest.raises(NotInBasis):
+                exchange_candidates(m, basis, e)
+
+    def test_the_answers_are_immutable(self, make):
+        m = make()
+        basis = next(m.bases())
+        e = min(basis)
+        assert isinstance(exchange_candidates(m, basis, e), tuple)
+        with pytest.raises(TypeError):
+            m.exchanges(basis)[e] = ()
+        assert exchange_candidates(m, basis, e) == exchange_candidates(make(), basis, e)
 
 
 class TestDeviationCost:
@@ -399,6 +475,52 @@ class TestIncrementalLoop:
                 game.spaces[i].rank * (1 + moved[i]) for i in range(game.n)
             )
             assert certified_after and certified_after[0] <= budget
+
+
+class TestRulePaths:
+    """The built-in kinds answer by rule; only a custom subclass falls back
+    to the base class's independence queries."""
+
+    def test_every_builtin_kind_has_its_own_rules(self):
+        kinds = [c for c in MatroidOracle.__subclasses__() if c.__module__ == matroids.__name__]
+        assert {UniformMatroid, PartitionMatroid, GraphicMatroid} <= set(kinds)
+        for kind in kinds:
+            for rule in ("greedy", "_exchange_table"):
+                assert rule in vars(kind), (kind.__name__, rule)
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Count the calls of the method `name` on every built-in kind."""
+        calls = []
+        for kind in (MatroidOracle, UniformMatroid, PartitionMatroid, GraphicMatroid):
+            if name in vars(kind):
+                def counting(self, subset, _real=vars(kind)[name]):
+                    calls.append((self, frozenset(subset)))
+                    return _real(self, subset)
+                monkeypatch.setattr(kind, name, counting)
+        return calls
+
+    def test_verify_pne_asks_no_independence_query(self, monkeypatch):
+        # on a profile its game has validated, as every command's is by then
+        games = list(_seeded_games(60))
+        protocols = [build_matroid_protocol(game, transform_matroid(game, profile).profile)
+                     for game, profile in games]
+        calls = self._count(monkeypatch, "_independent")
+        for (game, _profile), protocol in zip(games, protocols):
+            assert verify_pne(game, protocol).ok
+        assert calls == []
+
+    def test_one_conditions_pass_checks_each_basis_once(self, monkeypatch):
+        games = list(_seeded_games(60))
+        for game, profile in games:
+            game.validate_profile(profile)
+        calls = self._count(monkeypatch, "is_basis")
+        for game, profile in games:
+            for virtual in (False, True):
+                calls.clear()
+                matroids._check_conditions(game, profile, virtual)
+                expected = [(game.spaces[i], profile[i]) for i in range(game.n) if profile[i]]
+                assert calls == (expected if not virtual else []), virtual
 
 
 class TestProtocolConstruction:

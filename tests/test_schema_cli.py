@@ -325,6 +325,23 @@ class TestCli:
         assert code == 2
         assert err == "input error: choice of player 1 is not in their space\n"
 
+    @pytest.mark.parametrize("space", [
+        {"uniform": {"ground": [0, 0, 1], "rank": 1}},
+        {"partition": {"blocks": [[0, 0], [1]], "quotas": [1, 1]}},
+        {"graphic": {"ground": [0, 0], "edges": [["a", "b"], ["b", "c"]]}},
+    ], ids=["uniform", "partition", "graphic"])
+    def test_a_repeated_matroid_element_exits_two_with_one_line(self, tmp_path, capsys, space):
+        # before, the repeat was dropped and the command ran on another game
+        _code, inst = run_to_file(tmp_path, "g.json", ["gen", "ufl", "--players", "1",
+                                                       "--facilities", "3", "--seed", "1"])
+        doc = json.loads(inst.read_text())
+        doc["spaces"][0]["matroid"] = space
+        inst.write_text(dumps(doc) + "\n")
+        capsys.readouterr()
+        code, rep = run_to_file(tmp_path, "r.json", ["transform-matroid", "--in", str(inst)])
+        assert code == 2 and not rep.exists()
+        assert capsys.readouterr().err == "input error: matroid ground repeats an element\n"
+
     @pytest.mark.parametrize(
         "edit",
         [lambda path: path.pop("terminal"),
