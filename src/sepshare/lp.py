@@ -4,11 +4,16 @@ Solves  maximize c.x  subject to  A.x <= b, x >= 0  with a two-phase
 tableau simplex on sparse rows: a program's rows hold only their nonzero
 coefficients from construction on, and each tableau row is a dict of
 them, so a pivot touches only the rows with a nonzero in the entering
-column, and in them only the pivot row's columns.  Program data are ints
-or Fractions; the simplex divides, so `solve` copies them into a tableau
-of Fractions and returns values and optimum by `rationals.exact`.
+column, and in them only the pivot row's columns.  Program data, and
+every tableau entry, right-hand side, reduced cost and objective value,
+are stored by the rule of `rationals.exact`: an int when integral, a
+Fraction otherwise.  Slacks and artificials are the ints 1 and -1, and
+only a pivot other than 1 divides, so integral data whose pivots are all
+1 never make a Fraction.
 Bland's rule (smallest improving column, ties in the ratio test to the
-smallest basic column) makes runs deterministic and rules out cycling.
+smallest basic column) makes runs deterministic and rules out cycling;
+the ratio test compares rhs[r] / a by cross-multiplication, without
+dividing.
 Statuses are values, not exceptions, because infeasible and unbounded
 programs are legitimate outcomes for callers.
 
@@ -27,15 +32,13 @@ from typing import Optional
 from .errors import InputError, InternalInvariant
 from .rationals import exact
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-Row = tuple[tuple[int, int | Fraction], ...]
+Number = int | Fraction
+Row = tuple[tuple[int, Number], ...]
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,9 @@ class LinearProgram:
 
     `objective` is dense.  Each row is (column, coefficient) pairs, columns
     ascending and in range, no coefficient zero; `build` takes dense rows.
-    Pair tuples, not dicts, keep rows hashable and count one per nonzero."""
+    Pair tuples, not dicts, keep rows hashable and count one per nonzero.
+    Every number is stored by the rule of `rationals.exact`; `build`
+    converts, the constructor only checks."""
 
     objective: tuple[int | Fraction, ...]
     rows: tuple[Row, ...]
@@ -54,11 +59,16 @@ class LinearProgram:
         n = len(self.objective)
         if len(self.rows) != len(self.rhs):
             raise InputError("row / rhs length mismatch")
+        for where, values in (("objective", self.objective), ("rhs", self.rhs)):
+            if bad := [v for v in values if type(exact(v)) is not type(v)]:
+                raise InputError(f"{where} entry {bad[0]!r} is not stored by rationals.exact")
         for k, row in enumerate(self.rows):
             last = -1
             for j, a in row:
                 if not (last < j < n and a):
                     raise InputError(f"row {k}: column {j} out of order or range, or zero")
+                if type(exact(a)) is not type(a):
+                    raise InputError(f"row {k}: coefficient {a!r} is not stored by rationals.exact")
                 last = j
 
     @staticmethod
@@ -81,74 +91,74 @@ class Solution:
 
 # A tableau row maps column -> nonzero coefficient; its right-hand side is
 # kept in a parallel list.
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, Number]
 
 
-def _axpy(target: SparseRow, factor: Fraction, row: SparseRow) -> None:
+def _axpy(target: SparseRow, factor: Number, row: SparseRow) -> None:
     """target -= factor * row, dropping entries that become zero."""
     for j, v in row.items():
-        new = target.get(j, _ZERO) - factor * v
+        new = target.get(j, 0) - factor * v
         if new:
-            target[j] = new
+            target[j] = exact(new)
         else:
             del target[j]
 
 
 def _pivot(
-    rows: list[SparseRow], rhs: list[Fraction], basis: list[int], r: int, c: int
+    rows: list[SparseRow], rhs: list[Number], basis: list[int], r: int, c: int
 ) -> SparseRow:
     row = rows[r]
     piv = row[c]
     if piv != 1:
-        inv = _ONE / piv
-        rows[r] = row = {j: v * inv for j, v in row.items()}
-        rhs[r] *= inv
+        inv = 1 / Fraction(piv)
+        rows[r] = row = {j: exact(v * inv) for j, v in row.items()}
+        rhs[r] = exact(rhs[r] * inv)
     b = rhs[r]
     for rr, other in enumerate(rows):
         factor = other.get(c)
         if factor is None or rr == r:
             continue
         _axpy(other, factor, row)
-        rhs[rr] -= factor * b
+        rhs[rr] = exact(rhs[rr] - factor * b)
     basis[r] = c
     return row
 
 
 def _simplex_loop(
-    rows: list[SparseRow], rhs: list[Fraction], basis: list[int], costs: SparseRow
-) -> tuple[str, Fraction, SparseRow]:
+    rows: list[SparseRow], rhs: list[Number], basis: list[int], costs: SparseRow
+) -> tuple[str, Number, SparseRow]:
     """Bland-rule pivoting until optimal or unbounded.  Returns the status,
     the objective value of the final basis and its nonzero reduced costs."""
     z = dict(costs)
-    value = _ZERO
+    value = 0
     for r, col in enumerate(basis):
         cb = costs.get(col)
         if cb:
-            value += cb * rhs[r]
+            value = exact(value + cb * rhs[r])
             _axpy(z, cb, rows[r])
     while True:
-        # sign test on the numerator: a Fraction comparison costs several
-        # times more, and this scan runs over every nonzero reduced cost
-        enter = min((j for j, v in z.items() if v.numerator > 0), default=None)
+        enter = min((j for j, v in z.items() if v > 0), default=None)
         if enter is None:
             return OPTIMAL, value, z
+        # rhs[r] / a < rhs[best_r] / best_a as rhs[r] * best_a < rhs[best_r] * a,
+        # since both a are positive; a tie goes to the smaller basic column
         best_r = -1
-        best_ratio: Optional[Fraction] = None
         for r, row in enumerate(rows):
             a = row.get(enter)
             if a is None or a <= 0:
                 continue
-            ratio = rhs[r] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[r] < basis[best_r])
-            ):
-                best_ratio, best_r = ratio, r
-        if best_ratio is None:
+            if best_r >= 0:
+                new, old = rhs[r] * best_a, rhs[best_r] * a
+                if new > old or (new == old and basis[r] > basis[best_r]):
+                    continue
+            best_r, best_a = r, a
+        if best_r < 0:
             return UNBOUNDED, value, z
-        value += z[enter] * best_ratio
-        _axpy(z, z[enter], _pivot(rows, rhs, basis, best_r, enter))
+        gain = z[enter]
+        row = _pivot(rows, rhs, basis, best_r, enter)
+        # the entering column's new value, rhs[best_r], is the winning ratio
+        value = exact(value + gain * rhs[best_r])
+        _axpy(z, gain, row)
 
 
 def solve(lp: LinearProgram) -> Solution:
@@ -157,22 +167,22 @@ def solve(lp: LinearProgram) -> Solution:
     m = len(lp.rows)
     ncols = n + m  # structural + slack
     rows: list[SparseRow] = []
-    rhs: list[Fraction] = []
+    rhs: list[Number] = []
     basis: list[int] = []
     artificials: SparseRow = {}  # phase-1 costs: -1 on each artificial column
-    for k, row in enumerate(lp.rows):
-        if lp.rhs[k] < 0:
+    for k, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        if b < 0:
             art = ncols + len(artificials)
-            artificials[art] = -_ONE
-            row = {j: -Fraction(a) for j, a in row}
-            row[n + k] = -_ONE
-            row[art] = _ONE
-            rhs.append(-Fraction(lp.rhs[k]))
+            artificials[art] = -1
+            row = {j: -a for j, a in row}
+            row[n + k] = -1
+            row[art] = 1
+            rhs.append(-b)
             basis.append(art)
         else:
-            row = {j: Fraction(a) for j, a in row}
-            row[n + k] = _ONE
-            rhs.append(Fraction(lp.rhs[k]))
+            row = dict(row)
+            row[n + k] = 1
+            rhs.append(b)
             basis.append(n + k)
         rows.append(row)
 
@@ -196,35 +206,35 @@ def solve(lp: LinearProgram) -> Solution:
             for j in [j for j in row if j >= ncols]:
                 del row[j]
 
-    costs = {j: Fraction(c) for j, c in enumerate(lp.objective) if c}
+    costs = {j: c for j, c in enumerate(lp.objective) if c}
     status, value, z = _simplex_loop(rows, rhs, basis, costs)
     if status == UNBOUNDED:
         return Solution(status=UNBOUNDED)
-    x = [_ZERO] * n
+    x = [0] * n
     for r, col in enumerate(basis):
         if col < n:
             x[col] = rhs[r]
-    y = [-z.get(n + k, _ZERO) for k in range(m)]
+    y = [-z.get(n + k, 0) for k in range(m)]
     _certify(lp, x, y, value)
-    return Solution(status=OPTIMAL, values=tuple(map(exact, x)), objective_value=exact(value))
+    return Solution(status=OPTIMAL, values=tuple(x), objective_value=value)
 
 
-def _certify(lp: LinearProgram, x: list[Fraction], y: list[Fraction], value: Fraction) -> None:
+def _certify(lp: LinearProgram, x: list[Number], y: list[Number], value: Number) -> None:
     """Prove `x` optimal with value `value` for `lp`: `x` is primal
     feasible and attains `value`, and `y` is dual feasible (y >= 0,
     A^T y >= c) with b.y == value."""
     if any(v < 0 for v in x):
         raise InternalInvariant("negative variable in reported optimum")
     for k, row in enumerate(lp.rows):
-        lhs = sum((a * x[j] for j, a in row), _ZERO)
+        lhs = sum(a * x[j] for j, a in row)
         if lhs > lp.rhs[k]:
             raise InternalInvariant(f"row {k} violated by reported optimum")
-    obj = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)
+    obj = sum(c * v for c, v in zip(lp.objective, x))
     if obj != value:
         raise InternalInvariant("objective value mismatch in reported optimum")
     if any(v < 0 for v in y):
         raise InternalInvariant("negative dual in reported optimum")
-    aty = [_ZERO] * len(lp.objective)
+    aty = [0] * len(lp.objective)
     for row, yk in zip(lp.rows, y):
         if yk:
             for j, a in row:
@@ -232,6 +242,6 @@ def _certify(lp: LinearProgram, x: list[Fraction], y: list[Fraction], value: Fra
     for j, c in enumerate(lp.objective):
         if aty[j] < c:
             raise InternalInvariant(f"dual constraint of column {j} violated")
-    if sum((b * v for b, v in zip(lp.rhs, y)), _ZERO) != value:
+    if sum(b * v for b, v in zip(lp.rhs, y)) != value:
         raise InternalInvariant("duality gap in reported optimum")
 

@@ -228,7 +228,7 @@ def _stability_row(
     bound = sum(_fixed_cost(game, e) + game.delay(i, e) for e in joined)
     for e in left:
         bound -= game.delay(i, e)
-    return tuple(sorted((var_index[(i, e)], 1) for e in left)), bound
+    return tuple(sorted((var_index[(i, e)], 1) for e in left)), exact(bound)
 
 
 def build_lp(game: GameModel, profile: Profile) -> LPInstance:

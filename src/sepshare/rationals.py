@@ -3,11 +3,11 @@
 Every quantity in this package is exact and stored by one rule, which
 `exact` enforces: a rational with denominator 1 is a Python int, any
 other a `fractions.Fraction`.  Ints and Fractions add and compare exactly
-with each other, and ints are several times cheaper.  The one exception
-is the simplex tableau, which `lp.solve` builds of Fractions because it
-divides.  Serialized form is always the string "p/q" with q > 0 and
-gcd(|p|, q) = 1, which both types give through `numerator` and
-`denominator`.
+with each other, and ints are several times cheaper.  The rule has no
+exception: the simplex tableau of `lp.solve` follows it too, and builds
+a Fraction only where a pivot other than 1 divides.  Serialized
+form is always the string "p/q" with q > 0 and gcd(|p|, q) = 1, which
+both types give through `numerator` and `denominator`.
 """
 
 from __future__ import annotations

@@ -184,8 +184,8 @@ def _calls(tree: ast.Module, name: str) -> list[str]:
 
 
 def test_true_division_appears_only_in_the_lp():
-    """int / int is a float, so only the simplex, whose data are Fractions,
-    may divide."""
+    """int / int is a float, so only the simplex, which makes a pivot
+    other than 1 a Fraction before it divides by it, may divide."""
     found = {
         f"{path.stem} (lines {lines})"
         for path in ALL_MODULES

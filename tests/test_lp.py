@@ -1,12 +1,16 @@
-"""Exact simplex against two independent references."""
+"""Exact simplex against two independent references, and the number rule
+of `rationals.exact` on its data and its tableau."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import sepshare.lp
+from _helpers import scaled_doc, stored
 from _oracles import fourier_motzkin_status, vertex_lp
 from sepshare.errors import InputError, InternalInvariant
+from sepshare.gen import gen_sp
 from sepshare.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -15,10 +19,50 @@ from sepshare.lp import (
     _certify,
     solve,
 )
+from sepshare.nsepa import build_lp
+from sepshare.schema import game_from_json, game_to_json
 
 
 def lp(objective, rows, rhs):
     return LinearProgram.build(objective, rows, rhs)
+
+
+def _watch_pivots(monkeypatch) -> tuple[list, set]:
+    """Wrap `lp._pivot` so that after every pivot each tableau entry and
+    right-hand side must be stored by the rule of `rationals.exact`.
+    Returns the pivot elements seen and the types of the values checked."""
+    pivots, kinds = [], set()
+    real = sepshare.lp._pivot
+
+    def checked(rows, rhs, basis, r, c):
+        pivots.append(rows[r][c])
+        pivot_row = real(rows, rhs, basis, r, c)
+        values = [v for row in rows for v in row.values()] + rhs
+        assert all(map(stored, values)), [v for v in values if not stored(v)][:5]
+        kinds.update(map(type, values))
+        return pivot_row
+
+    monkeypatch.setattr(sepshare.lp, "_pivot", checked)
+    return pivots, kinds
+
+
+def _fractional_lp(rng):
+    """Coefficients and right-hand sides p/q with q <= 6, some right-hand
+    sides negative, and up to two repeated rows, some of them scaled."""
+    def q(low, high):
+        return F(rng.randint(low, high), rng.randint(1, 6))
+
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 4)
+    obj = [q(-5, 6) for _ in range(n)]
+    rows = [[q(-4, 5) for _ in range(n)] for _ in range(m)]
+    rhs = [q(-3, 8) for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randrange(len(rows))
+        s = rng.choice([1, q(1, 6)])
+        rows.append([a * s for a in rows[k]])
+        rhs.append(rhs[k] * s)
+    return obj, rows, rhs
 
 
 class TestKnownPrograms:
@@ -110,6 +154,16 @@ class TestAgainstOracles:
         # the sample must actually exercise all three outcomes
         assert all(statuses.values()), statuses
 
+    def test_the_tableau_follows_the_number_rule(self, monkeypatch):
+        pivots, kinds = _watch_pivots(monkeypatch)
+        rng = random.Random(20240901)
+        for k in range(400):
+            obj, rows, rhs = self._random_lp(rng) if k < 250 else self._sparse_random_lp(rng)
+            solve(lp(obj, rows, rhs))
+        # pivots other than 1 and -1 divide, and some of them leave Fractions
+        assert len(pivots) > 300 and {abs(p) for p in pivots} - {1}
+        assert kinds == {int, F}
+
     def test_optimal_points_satisfy_all_rows(self):
         rng = random.Random(7)
         for _ in range(80):
@@ -120,6 +174,87 @@ class TestAgainstOracles:
             assert all(v >= 0 for v in sol.values)
             for row, b in zip(rows, rhs):
                 assert sum(a * v for a, v in zip(row, sol.values)) <= b
+
+
+class TestFractionalData:
+    def test_status_and_value_match_both_oracles(self):
+        rng = random.Random(6)
+        statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        negative = fractional = 0
+        for _ in range(360):
+            obj, rows, rhs = _fractional_lp(rng)
+            sol = solve(lp(obj, rows, rhs))
+            vstatus, vvalue = vertex_lp(obj, rows, rhs)
+            fstatus, fvalue = fourier_motzkin_status(obj, rows, rhs)
+            assert sol.status == vstatus == fstatus
+            if sol.status == OPTIMAL:
+                assert sol.objective_value == vvalue == fvalue
+                assert all(map(stored, sol.values)) and stored(sol.objective_value)
+                fractional += any(type(v) is F for v in sol.values)
+            statuses[sol.status] += 1
+            negative += min(rhs) < 0
+        assert all(statuses.values()) and negative > 100 and fractional > 50, statuses
+
+    def test_scaling_a_row_moves_no_vertex(self):
+        """A row and its rhs times s > 0 scale every ratio of that row by
+        1, and the row's slack by s, so no ratio comparison, no reduced
+        cost's sign and no Bland choice changes, and neither does the
+        vertex.  Only rows with rhs >= 0: a row with rhs < 0 has an
+        artificial, and scaling it reweights the phase-1 objective."""
+        rng = random.Random(11)
+        scaled = 0
+        for _ in range(300):
+            obj, rows, rhs = _fractional_lp(rng)
+            before = solve(lp(obj, rows, rhs))
+            for k, b in enumerate(rhs):
+                if b < 0:
+                    continue
+                s = F(rng.randint(1, 12), rng.randint(1, 12))
+                rows2 = [[a * s for a in row] if kk == k else row for kk, row in enumerate(rows)]
+                rhs2 = [bb * s if kk == k else bb for kk, bb in enumerate(rhs)]
+                after = solve(lp(obj, rows2, rhs2))
+                assert after == before, (obj, rows, rhs, k, s)
+                scaled += before.status == OPTIMAL
+        assert scaled > 200
+
+
+@pytest.mark.parametrize("q", [1, 2], ids=["integral", "halved"])
+def test_the_enforceability_tableau_follows_the_number_rule(monkeypatch, q):
+    """`build_lp` of `gen_sp` games, as generated and with every cost and
+    delay halved: its coefficients are all 1, so every pivot is a unit and
+    the tableau is integral exactly when the costs are."""
+    pivots, kinds = _watch_pivots(monkeypatch)
+    for seed in range(60):
+        game, profile = gen_sp(random.Random(seed), players=1 + seed % 4)
+        game = game_from_json(scaled_doc(game_to_json(game), q))
+        solve(build_lp(game, profile).lp)
+    assert len(pivots) > 100 and {abs(p) for p in pivots} == {1}
+    assert kinds == ({int} if q == 1 else {int, F})
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("place", ["objective", "coefficient", "rhs"])
+    @pytest.mark.parametrize(
+        "bad", [0.1, 1.0, True, "1", None, F(2, 1)],
+        ids=["float", "integral-float", "bool", "string", "none", "integral-fraction"],
+    )
+    def test_a_number_off_the_rule_is_an_input_error(self, place, bad):
+        objective, row, rhs = [1, F(1, 2)], [(0, 1), (1, F(3, 2))], [2]
+        LinearProgram(tuple(objective), (tuple(row),), tuple(rhs))
+        if place == "objective":
+            objective[0] = bad
+        elif place == "coefficient":
+            row[0] = (0, bad)
+        else:
+            rhs[0] = bad
+        with pytest.raises(InputError):
+            LinearProgram(tuple(objective), (tuple(row),), tuple(rhs))
+
+    @pytest.mark.parametrize("bad", [0.1, True], ids=["float", "bool"])
+    def test_build_rejects_a_float_or_a_bool(self, bad):
+        for objective, rows, rhs in ([bad], [[1]], [1]), ([1], [[bad]], [1]), ([1], [[1]], [bad]):
+            with pytest.raises(InputError):
+                LinearProgram.build(objective, rows, rhs)
 
 
 class TestTextFormat:
@@ -133,16 +268,17 @@ class TestTextFormat:
 class TestRowForm:
     def test_build_keeps_only_the_nonzeros_in_column_order(self):
         prog = LinearProgram.build([1, 1, 1], [[0, 2, 0], [3, 0, -1], [0, 0, 0]], [1, 2, 3])
-        assert prog.rows == (((1, F(2)),), ((0, F(3)), (2, F(-1))), ())
+        assert prog.rows == (((1, 2),), ((0, 3), (2, -1)), ())
+        assert {type(a) for row in prog.rows for _j, a in row} == {int}
         assert LinearProgram(prog.objective, prog.rows, prog.rhs) == prog
 
     @pytest.mark.parametrize(
         "row",
-        [((2, F(1)),), ((-1, F(1)),), ((1, F(1)), (1, F(2))), ((1, F(1)), (0, F(2))),
-         ((0, F(0)),)],
+        [((2, 1),), ((-1, 1),), ((1, 1), (1, 2)), ((1, 1), (0, 2)), ((0, 0),)],
         ids=["column-past-the-end", "negative-column", "repeated-column", "unsorted-columns",
              "zero-coefficient"],
     )
     def test_malformed_sparse_row_is_rejected(self, row):
+        LinearProgram((1, 1), (((0, 1),),), (1,))
         with pytest.raises(InputError):
-            LinearProgram((F(1), F(1)), (row,), (F(1),))
+            LinearProgram((1, 1), (row,), (1,))
