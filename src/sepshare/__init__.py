@@ -28,6 +28,7 @@ from .game import (
     PathSpace,
     Profile,
     Step,
+    move_cost,
     private_cost,
     total_cost,
 )
@@ -57,6 +58,7 @@ from .oracle import (
     EnumerationBudget,
     brute_force_enforceable,
     brute_force_optimum,
+    enforcing_protocol,
     enumerate_strategies,
 )
 from .protocol import (
@@ -66,7 +68,7 @@ from .protocol import (
     verify_pne,
     verify_separability_bruteforce,
 )
-from .rationals import Rational, format_rational, parse_rational, rat
+from .rationals import exact, format_rational, parse_rational
 from .singlesource import to_tree_profile, transform_single_source
 
 __version__ = "0.1.0"

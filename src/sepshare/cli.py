@@ -18,12 +18,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, InputError, NotEnforceable, SepshareError
+from .errors import BudgetExceeded, InputError, SepshareError
 from .game import GameModel, Profile, Step, total_cost
 from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
 from .matroids import build_matroid_protocol, transform_matroid
 from .nsepa import counterexample_fixture, is_enforceable, nsepa_transform
-from .oracle import DEFAULT_BUDGET, brute_force_enforceable, brute_force_optimum
+from .oracle import (DEFAULT_BUDGET, brute_force_enforceable, brute_force_optimum,
+                     enforcing_protocol)
 from .protocol import SeparableProtocol, verify_budget_balance, verify_pne
 from .rationals import approx, format_rational
 from .schema import (
@@ -133,32 +134,16 @@ def _emit_trace(path: Optional[str], steps: Sequence[Step]) -> None:
 def _derive_protocol(
     game: GameModel, profile: Profile, doc: dict, args
 ) -> tuple[bool, Optional[SeparableProtocol]]:
-    """Enforceability verdict plus a protocol witnessing it: an explicit
-    protocol (document or --protocol) as-is, with `brute_force_enforceable`'s
-    verdict; else the enforceability LP's share vector for path games, and
-    the water-filling construction, whose own check decides, for the rest."""
+    """Enforceability verdict plus a protocol to verify: an explicit
+    protocol (document or --protocol) as-is, else the one
+    `enforcing_protocol` finds."""
     explicit = None
     if getattr(args, "protocol", None):
         explicit = protocol_from_json(loads(_read_text(args.protocol)), game)
     elif "protocol" in doc:
         explicit = protocol_from_json(doc["protocol"], game)
-    if explicit is not None:
-        return brute_force_enforceable(game, profile), explicit
-    if game.kind == "path":
-        report = is_enforceable(game, profile)
-        return report.enforceable, _lp_protocol(game, profile, report)
-    try:
-        return True, build_matroid_protocol(game, profile)
-    except NotEnforceable:
-        return False, None
-
-
-def _lp_protocol(game: GameModel, profile: Profile, report) -> Optional[SeparableProtocol]:
-    """The enforceability LP's share vector as a protocol, when the LP
-    proves the profile enforceable."""
-    if not report.enforceable:
-        return None
-    return SeparableProtocol(game, profile, report.shares)
+    found = enforcing_protocol(game, profile)
+    return found is not None, found if explicit is None else explicit
 
 
 def _verify_booleans(
@@ -230,7 +215,8 @@ def _cmd_nsepa_check(args) -> tuple[dict, Sequence[Step], bool]:
     profile = _pick_profile(doc, game, args.profile)
     rep = is_enforceable(game, profile)
     cost = total_cost(game, profile)
-    pne, bb = _verify_booleans(game, _lp_protocol(game, profile, rep), profile)
+    protocol = SeparableProtocol(game, profile, rep.shares) if rep.enforceable else None
+    pne, bb = _verify_booleans(game, protocol, profile)
     report = RunReport(
         command="nsepa-check",
         input_cost=cost,

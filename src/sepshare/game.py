@@ -20,8 +20,6 @@ from .errors import InfeasibleProfile, InputError, InvalidCostOracle, Unsupporte
 from .network import Network, Vertex
 from .rationals import exact
 
-PlayerSet = frozenset  # of player ids
-
 
 class CostFunction:
     """Shareable cost of one resource as a function of its user set.
@@ -153,7 +151,8 @@ class PathSpace:
 
 
 class Profile:
-    """One strategy per player, as frozensets of resource ids."""
+    """One strategy per player, as frozensets of resource ids; the users of
+    each resource are found once and kept through `replace`."""
 
     def __init__(self, choices: Iterable[Iterable[int]]) -> None:
         self.choices: tuple[frozenset, ...] = tuple(frozenset(c) for c in choices)
@@ -188,9 +187,16 @@ class Profile:
         return frozenset().union(*self.choices) if self.choices else frozenset()
 
     def replace(self, i: int, choice: Iterable[int]) -> "Profile":
-        new = list(self.choices)
-        new[i] = frozenset(choice)
-        return Profile(new)
+        """The profile with player i on `choice`.  Users already found are
+        kept, changed only on the resources that i leaves or joins."""
+        old, new = self.choices[i], frozenset(choice)
+        out = Profile(self.choices[:i] + (new,) + self.choices[i + 1:])
+        if self._occupancy is not None:
+            occ = out._occupancy = dict(self._occupancy)
+            for e in old ^ new:
+                if users := occ.pop(e, frozenset()) ^ {i}:
+                    occ[e] = users
+        return out
 
 
 class GameModel:
@@ -234,7 +240,7 @@ class GameModel:
                 if network is None:
                     raise InputError("path spaces require a network")
                 for v in (sp.source, sp.terminal):
-                    if not network.has_vertex(v):
+                    if v not in network.vindex:
                         raise InputError(f"vertex {v!r} of player {i} not in network")
             elif sp.kind == "matroid":
                 for e in sp.ground:
@@ -256,6 +262,14 @@ class GameModel:
                     self._delay[(i, e)] = dv
 
         self._valid: set[Profile] = set()
+
+    def require(self, kind: str) -> None:
+        """Raise unless the spaces are of `kind`, "matroid" or "path" (a
+        game without players passes both); a path game needs a network."""
+        if self.kind not in (None, kind):
+            raise UnsupportedSpace(f"the game has {self.kind} spaces, not {kind} spaces")
+        if kind == "path" and self.network is None:
+            raise InputError("game has no network")
 
     def delay(self, i: int, e: int) -> int | Fraction:
         return self._delay.get((i, e), 0)
@@ -308,6 +322,20 @@ def total_cost(game: GameModel, profile: Profile) -> int | Fraction:
         for e in profile[i]:
             total += game.delay(i, e)
     return exact(total)
+
+
+def move_cost(game: GameModel, profile: Profile, i: int, choice: Iterable[int]) -> int | Fraction:
+    """Exact change of total cost when player i moves to `choice`, priced
+    on the resources the player leaves, first, and joins."""
+    old, new = profile[i], frozenset(choice)
+    delta = 0
+    for e in old - new:
+        users = profile.users(e)
+        delta += game.cost(e, users - {i}) - game.cost(e, users) - game.delay(i, e)
+    for e in new - old:
+        users = profile.users(e)
+        delta += game.cost(e, users | {i}) - game.cost(e, users) + game.delay(i, e)
+    return exact(delta)
 
 
 def private_cost(game: GameModel, protocol, profile: Profile, i: int) -> int | Fraction:

@@ -32,10 +32,10 @@ from .errors import (
     NotABasis,
     NotEnforceable,
     NotInBasis,
-    UnsupportedSpace,
 )
-from .game import GameModel, Profile, Step, total_cost
+from .game import GameModel, Profile, Step, move_cost, total_cost
 from .protocol import SeparableProtocol, water_fill
+from .rationals import integer
 
 
 class MatroidOracle:
@@ -169,7 +169,7 @@ class PartitionMatroid(MatroidOracle):
             raise InputError("one quota per block required")
         super().__init__(e for b in blocks for e in b)  # no repeat within or across blocks
         self._blocks = [frozenset(b) for b in blocks]
-        self._quotas = [int(q) for q in quotas]
+        self._quotas = list(quotas)
         for b, q in zip(self._blocks, self._quotas):
             if not (0 <= q <= len(b)):
                 raise InputError(f"quota {q} out of range for block of size {len(b)}")
@@ -274,9 +274,9 @@ def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
         raise InputError("matroid descriptor must have exactly one kind")
     kind, body = next(iter(desc.items()))
     if kind == "uniform":
-        return UniformMatroid(body["ground"], int(body["rank"]))
+        return UniformMatroid(body["ground"], integer(body["rank"], "a rank"))
     if kind == "partition":
-        return PartitionMatroid(body["blocks"], body["quotas"])
+        return PartitionMatroid(body["blocks"], [integer(q, "a quota") for q in body["quotas"]])
     if kind == "graphic":
         edges = body["edges"]
         ground = body.get("ground", list(range(len(edges))))
@@ -313,8 +313,7 @@ def deviation_cost(
     after the move; virtual mode prices it as if i were alone.  Returns
     (value, chosen element), ties to the smallest resource in global order.
     """
-    if game.kind == "path":
-        raise UnsupportedSpace("the game has path spaces, not matroid spaces")
+    game.require("matroid")
 
     def price(f: int) -> int | Fraction:
         if virtual:
@@ -373,8 +372,7 @@ def _check_conditions(
 ) -> tuple[EnforceabilityReport, dict[tuple[int, int], int | Fraction]]:
     """The report of `check_enforceable_matroid` and the deviation cost
     of every (player, resource in their basis) pair it priced."""
-    if game.kind == "path":
-        raise UnsupportedSpace("the game has path spaces, not matroid spaces")
+    game.require("matroid")
     game.validate_profile(profile)
     bad = []
     deltas: dict[tuple[int, int], int | Fraction] = {}
@@ -434,8 +432,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     violation computes missing verdicts in order and stops at the first
     violated one, so it picks the same resource as a full rescan would.
     """
-    if game.kind == "path":
-        raise UnsupportedSpace("the game has path spaces, not matroid spaces")
+    game.require("matroid")
     game.validate_profile(profile)
     bound = game.n * len(game.resources) * max(
         (sp.rank for sp in game.spaces), default=0
@@ -481,13 +478,9 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
         value, f = vdev(i, e)
         if virtual(i, e) <= value or f == e:
             raise InternalInvariant("packet move must strictly reduce virtual cost")
-        on_e, on_f = current.users(e), current.users(f)
-        delta = (
-            game.cost(e, on_e - {i}) - game.cost(e, on_e)
-            + game.cost(f, on_f | {i}) - game.cost(f, on_f)
-            + game.delay(i, f) - game.delay(i, e)
-        )
-        current = current.replace(i, (current[i] - {e}) | {f})
+        choice = (current[i] - {e}) | {f}
+        delta = move_cost(game, current, i, choice)
+        current = current.replace(i, choice)
         deviations[i].clear()
         for r in current[i] | {e}:
             verdicts.pop(r, None)

@@ -70,9 +70,6 @@ class Network:
 
     # -- basic queries -------------------------------------------------
 
-    def has_vertex(self, v: Vertex) -> bool:
-        return v in self.vindex
-
     def other_end(self, eid: EdgeId, v: Vertex) -> Vertex:
         u, w = self.endpoints[eid]
         if v == u:
@@ -163,26 +160,19 @@ class Network:
         frm: Vertex,
         to: Vertex,
         max_paths: Optional[int] = None,
-        reverse_order: bool = False,
     ) -> Iterator[tuple[EdgeId, ...]]:
         """All simple frm -> to paths as edge-id tuples, DFS order.
-
-        `reverse_order` flips the adjacency scan; it exists so callers can
-        cross-check an enumeration with an independent traversal order.
-        Raises BudgetExceeded instead of truncating.
-        """
+        Raises BudgetExceeded instead of truncating."""
         if frm not in self.vindex or to not in self.vindex:
             raise InputError("endpoint not in network")
         count = 0
         if frm == to:
             yield ()
             return
-        stack: list[tuple[Vertex, tuple[EdgeId, ...], frozenset]] = []
-        order = self.neighbors(frm)
-        order = list(reversed(order)) if not reverse_order else list(order)
         # stack holds frames in reverse visit order so pop() walks ascending.
-        for nbr, eid in order:
-            stack.append((nbr, (eid,), frozenset((frm,))))
+        stack: list[tuple[Vertex, tuple[EdgeId, ...], frozenset]] = [
+            (nbr, (eid,), frozenset((frm,))) for nbr, eid in reversed(self.neighbors(frm))
+        ]
         while stack:
             x, epath, visited = stack.pop()
             if x == to:
@@ -193,12 +183,8 @@ class Network:
                     )
                 yield epath
                 continue
-            if x in visited:
-                continue
             nvisited = visited | {x}
-            nxt = self.neighbors(x)
-            nxt = list(reversed(nxt)) if not reverse_order else list(nxt)
-            for nbr, eid in nxt:
+            for nbr, eid in reversed(self.neighbors(x)):
                 if nbr not in nvisited:
                     stack.append((nbr, epath + (eid,), nvisited))
 

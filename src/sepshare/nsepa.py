@@ -27,7 +27,7 @@ from .errors import (
     NotSeriesParallel,
     UnsupportedSpace,
 )
-from .game import CostFunction, GameModel, PathSpace, Profile, Step, total_cost
+from .game import CostFunction, GameModel, PathSpace, Profile, Step, move_cost, total_cost
 from .lp import OPTIMAL, LinearProgram, Row, solve
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, verify_pne, water_fill
@@ -35,10 +35,7 @@ from .rationals import exact
 
 
 def _require_path_game(game: GameModel) -> None:
-    if game.kind == "matroid":
-        raise UnsupportedSpace("the game has matroid spaces, not path spaces")
-    if game.network is None:
-        raise InputError("game has no network")
+    game.require("path")
     if game.network.directed:
         raise UnsupportedSpace("series-parallel analysis expects undirected networks")
 
@@ -440,45 +437,34 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     cost, and afterwards the all-zero share vector is LP-feasible.  The
     moves are reported as `repairs`.
 
-    The working paths and each edge's set of users are kept up to date
-    move by move.  Each step's `cost_delta` is priced from the edges that
-    leave and join the mover's path alone, and the deltas of all steps
-    must add up to `output_cost - input_cost`.
+    The working profile, which keeps each edge's users, and the ordered
+    paths are updated move by move.  Each step's `cost_delta` is
+    `move_cost`, priced from the edges that leave and join the mover's
+    path alone, and the deltas of all steps must add up to
+    `output_cost - input_cost`.
     """
     _require_path_game(game)
     game.validate_profile(profile)
     input_cost = total_cost(game, profile)
+    for e in profile.used_resources():
+        _fixed_cost(game, e)  # fixed costs only: a used table raises before any move
 
-    paths: list[tuple[int, ...]] = [() for _ in range(game.n)]
-    users: dict[int, set[int]] = {}
+    current = profile
+    paths = [_ordered_path(game, i, profile[i]) for i in range(game.n)]
 
     def move(i: int, row: tuple[int, ...]) -> int | Fraction:
         """Put player i on `row`; return the exact change of total cost."""
-        old, new = set(paths[i]), set(row)
-        delta = 0
-        for e in old - new:
-            users[e].discard(i)
-            delta -= game.delay(i, e)
-            if not users[e]:
-                del users[e]
-                delta -= _fixed_cost(game, e)
-        for e in new - old:
-            if e not in users:
-                users[e] = set()
-                delta += _fixed_cost(game, e)
-            users[e].add(i)
-            delta += game.delay(i, e)
+        nonlocal current
+        delta = move_cost(game, current, i, row)
+        current = current.replace(i, row)
         paths[i] = row
-        return exact(delta)
-
-    for i in range(game.n):
-        move(i, _ordered_path(game, i, profile[i]))
+        return delta
 
     repairs: list[Step] = []
     for i in range(game.n):
         sp: PathSpace = game.spaces[i]
         while True:
-            held = frozenset(paths[i])
+            held = current[i]
 
             def reroute_price(e: int) -> int | Fraction:
                 opened = 0 if e in held else _fixed_cost(game, e)
@@ -493,11 +479,10 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                 break
             repairs.append(Step("repair", i, None, move(i, tuple(edges))))
 
-    base = Profile([frozenset(row) for row in paths])
-    inst = build_lp(game, base)
+    inst = build_lp(game, current)
     if inst.not_series_parallel is not None:
         raise inst.not_series_parallel
-    report = _optimize(game, base, inst)
+    report = _optimize(game, current, inst)
     if report.status != OPTIMAL or report.shares is None:
         raise InternalInvariant(f"enforceability LP ended {report.status}")
 
@@ -505,7 +490,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     dropped: dict[int, set] = {i: set() for i in range(game.n)}
 
     def paid(e: int) -> int | Fraction:
-        return sum(shares.get((i, e), 0) for i in users[e])
+        return sum(shares.get((i, e), 0) for i in current.users(e))
 
     def unpaid_edges() -> list[tuple[int, int]]:
         out = []
@@ -519,7 +504,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         return sum(shares.get((i, e), 0) + game.delay(i, e) for e in paths[i])
 
     substitutions: list[Step] = []
-    phase_bound = len(base.used_resources())
+    phase_bound = len(current.used_resources())
     phases = 0
     while True:
         snapshot = unpaid_edges()
@@ -572,31 +557,31 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
 
     # reduce overpaid edges to exact balance, highest player index first
     for e in game.resources:
-        if e not in users:
+        users = current.users(e)
+        if not users:
             continue
         excess = paid(e) - _fixed_cost(game, e)
         if excess < 0:
             raise InternalInvariant(f"edge {e} left unpaid after all phases")
         if excess:
-            held = [((i, e), shares.get((i, e), 0)) for i in sorted(users[e], reverse=True)]
+            held = [((i, e), shares.get((i, e), 0)) for i in sorted(users, reverse=True)]
             for pair, cut in water_fill(excess, held).items():
                 if cut:
                     shares[pair] -= cut
 
-    out_profile = Profile([frozenset(paths[i]) for i in range(game.n)])
-    game.validate_profile(out_profile)
-    output_cost = total_cost(game, out_profile)
+    game.validate_profile(current)
+    output_cost = total_cost(game, current)
     stepped = sum(step.cost_delta for step in repairs + substitutions)
     if stepped != output_cost - input_cost:
         raise InternalInvariant("step cost deltas do not add up to the cost change")
     if report.enforceable and not repairs:
-        if out_profile != profile:
+        if current != profile:
             raise InternalInvariant("enforceable input must pass through unchanged")
     elif not output_cost < input_cost:
         raise InternalInvariant("transform failed to strictly reduce total cost")
     return NsepaTransformResult(
-        profile=out_profile,
-        protocol=SeparableProtocol(game, out_profile, shares),
+        profile=current,
+        protocol=SeparableProtocol(game, current, shares),
         phases=phases,
         input_enforceable=report.enforceable and not repairs,
         lp_value=report.lp_value,

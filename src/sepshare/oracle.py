@@ -1,6 +1,6 @@
 """Reference oracles: exhaustive enumeration, optimum, enforceability.
 
-The enumerators are deliberately brute force; `brute_force_enforceable`
+The enumerators are deliberately brute force; `enforcing_protocol`
 enumerates nothing and defers to the exact characterizations.  These
 functions pin down ground truth for tests and small CLI runs; budgets
 raise BudgetExceeded rather than ever returning a truncated answer.
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BudgetExceeded, UnsupportedSpace
+from .errors import BudgetExceeded, NotEnforceable, UnsupportedSpace
 from .game import GameModel, Profile, total_cost
+from .protocol import SeparableProtocol
 
 
 @dataclass(frozen=True)
@@ -96,19 +97,28 @@ def brute_force_optimum(
     return OptimumResult(profile=best, cost=best_cost, unique=(ties == 1))
 
 
-def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
-    """Ground-truth enforceability of a profile.
+def enforcing_protocol(game: GameModel, profile: Profile) -> Optional[SeparableProtocol]:
+    """A protocol that makes the profile a stable equilibrium, or None if
+    no separable protocol does.
 
-    Path games go through the exact LP characterization (fixed costs
-    only): detour rows on series-parallel player subgraphs, rows generated
-    lazily from best responses elsewhere, so no path is enumerated;
-    matroid games (and a game without players) through the exchange-based
-    conditions, which are exact for them.
+    Path games take the shares of the exact LP characterization (fixed
+    costs only), which generates its path rows lazily, so no path is
+    enumerated; matroid games (and a game without players) take the
+    water-filling construction, whose exchange conditions are exact.
     """
     if game.kind == "path":
         from .nsepa import is_enforceable
 
-        return is_enforceable(game, profile).enforceable
-    from .matroids import check_enforceable_matroid
+        report = is_enforceable(game, profile)
+        return SeparableProtocol(game, profile, report.shares) if report.enforceable else None
+    from .matroids import build_matroid_protocol
 
-    return check_enforceable_matroid(game, profile, virtual=False).ok
+    try:
+        return build_matroid_protocol(game, profile)
+    except NotEnforceable:
+        return None
+
+
+def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
+    """Ground-truth enforceability of a profile."""
+    return enforcing_protocol(game, profile) is not None

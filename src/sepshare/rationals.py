@@ -13,34 +13,29 @@ both types give through `numerator` and `denominator`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .errors import InputError
 
-Rational = Fraction
 
-RationalLike = Union[Fraction, int, str]
-
-
-def rat(value: RationalLike) -> Fraction:
-    """Coerce ints and "p/q" strings to Fraction.  Floats are rejected."""
-    if isinstance(value, Fraction):
+def exact(value: int | Fraction | str) -> int | Fraction:
+    """An int, a Fraction or a "p/q" string as an exact rational, stored
+    as an int when it is integral.  Bools and floats are rejected."""
+    if type(value) is int:
         return value
     if isinstance(value, bool):
         raise InputError("bool is not a rational value")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        return parse_rational(value)
-    raise InputError(f"not an exact rational: {value!r}")
-
-
-def exact(value: RationalLike) -> int | Fraction:
-    """`value` as `rat` reads it, stored as an int when it is integral."""
-    if type(value) is int:
-        return value
-    value = rat(value)
+        value = parse_rational(value)
+    elif not isinstance(value, (int, Fraction)):
+        raise InputError(f"not an exact rational: {value!r}")
     return value.numerator if value.denominator == 1 else value
+
+
+def integer(value, what: str) -> int:
+    """`value` if it is a JSON integer, not a bool; InputError otherwise."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, not {value!r}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:

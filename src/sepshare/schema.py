@@ -17,7 +17,7 @@ from .game import CostFunction, GameModel, PathSpace, Profile, Step
 from .matroids import matroid_from_descriptor
 from .network import Network
 from .protocol import SeparableProtocol
-from .rationals import exact, format_rational, parse_rational
+from .rationals import exact, format_rational, integer, parse_rational
 
 
 def _users_key(users: frozenset) -> str:
@@ -124,8 +124,8 @@ def _reading(what: str):
 
 @_reading("game object")
 def game_from_json(data: Mapping) -> GameModel:
-    players = int(data["players"])
-    resources = [int(e) for e in data["resources"]]
+    players = integer(data["players"], "players")
+    resources = [integer(e, "a resource id") for e in data["resources"]]
     raw_costs = data["costs"]
     raw_spaces = data["spaces"]
     # a document repeats few strings many times: parse each one once, and
@@ -169,7 +169,10 @@ def game_from_json(data: Mapping) -> GameModel:
                     mine.is_fixed and declared.fixed_value != mine.fixed_value):
                 raise InputError(f"graph cost for resource {e} contradicts 'costs'")
             triples.append((e, u, v))
-        network = Network(triples, directed=bool(g.get("directed", False)))
+        directed = g.get("directed", False)
+        if type(directed) is not bool:
+            raise InputError(f"graph.directed must be true or false, not {directed!r}")
+        network = Network(triples, directed=directed)
     spaces = []
     if len(raw_spaces) != players:
         raise InputError("one space per player required")
@@ -245,9 +248,9 @@ def protocol_from_json(data: Mapping, game: GameModel) -> SeparableProtocol:
     base = profile_from_json({"profile": data["base"]}, game)
     shares = {}
     for row in data.get("shares", []):
-        shares[(int(row["player"]), int(row["resource"]))] = parse_rational(
-            row["share"]
-        )
+        pair = (integer(row["player"], "a share's player"),
+                integer(row["resource"], "a share's resource"))
+        shares[pair] = parse_rational(row["share"])
     return SeparableProtocol(game, base, shares)
 
 

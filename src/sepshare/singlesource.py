@@ -40,10 +40,7 @@ ItemId = object  # int for graph edges, ("aux", deep, shallow) for auxiliary edg
 
 
 def _require_single_source(game: GameModel) -> Vertex:
-    if game.kind == "matroid":
-        raise UnsupportedSpace("the game has matroid spaces, not path spaces")
-    if game.network is None:
-        raise InputError("game has no network")
+    game.require("path")
     sources = {sp.source for sp in game.spaces}
     if len(sources) > 1:
         raise UnsupportedSpace(f"multiple sources {sorted(map(str, sources))}")

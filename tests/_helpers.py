@@ -1,5 +1,6 @@
 """Shared instance builders and scale-invariance checks for the test suite."""
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -39,6 +40,17 @@ def ufl_game(costs, delays=None, players=2):
         players=players, resources=ids, costs=cf, spaces=spaces, delays=delays or {}
     )
 
+
+
+def path_subsets(net, frm, to) -> set:
+    """Every edge subset that `Network.order_path_edges` accepts as a
+    simple frm -> to path, by trying all subsets of the edges."""
+    return {
+        frozenset(subset)
+        for r in range(len(net.edge_ids) + 1)
+        for subset in itertools.combinations(net.edge_ids, r)
+        if net.order_path_edges(subset, frm, to) is not None
+    }
 
 def stored(value) -> bool:
     """Stored by the rule of `rationals.exact`: an int exactly when

@@ -1,12 +1,16 @@
-"""Regenerate the golden corpus of the transform, check and verify commands.
+"""Regenerate the golden corpus of the transform, check, verify and optimum
+commands.
 
 Each case is a seeded instance plus what one command makes of it: the
 exit code, the report bytes and the `--trace` bytes.  The commands are the
-three transforms, `nsepa check` and `verify`.  Most instances come from
-`sepshare gen`; the `chain` cases are longer chains of parallel
-bundles (10 to 20 bundles, far beyond what `gen sp` reaches) built by
-`chain_instance` below, and `cases.json` records the builder's arguments
-in place of a `gen` command.  `tests/test_golden.py` reruns every case
+three transforms, `nsepa check`, `verify` and `optimum`.  Most instances
+come from `sepshare gen` (or `sepshare fixture`); the `chain` cases are
+longer chains of parallel bundles (10 to 20 bundles, far beyond what
+`gen sp` reaches) built by `chain_instance` below, and `cases.json`
+records the builder's arguments in place of a `gen` command.  The
+`bundled` cases verify a transform's output: `bundled_instance` puts the
+profile and protocol of the transform named under "bundle" into the
+generated instance, so `verify` checks that protocol as given.  `tests/test_golden.py` reruns every case
 in-process and diffs all three byte for byte, so rerun this script only
 for a change that is meant to alter reports, and say why in the change
 log.
@@ -22,6 +26,7 @@ import json
 import random
 import shutil
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,6 +60,26 @@ CHAINS = [(1, 10, 6), (2, 12, 8), (3, 15, 8), (4, 18, 10), (5, 20, 10)]
 # full-path LP with lazily generated rows; one case per family and seed
 VERIFY = [("verify-sp", ["gen", "sp"]), ("verify-tree", ["gen", "tree"])]
 VERIFY_SEEDS = range(1, 6)
+
+# `verify` on matroid games, whose verdict and protocol come from the
+# water-filling construction and its exchange conditions
+VERIFY_MATROID = [("verify-ufl", ["gen", "ufl", "--players", "6", "--facilities", "8"]),
+                  ("verify-matroid", ["gen", "matroid"])]
+
+# `verify` of a transform's output profile with the protocol it built
+# bundled in the instance; (case prefix, generator argv, transform argv)
+BUNDLED = [
+    ("bundled-matroid", ["gen", "matroid"], ["transform-matroid"]),
+    ("bundled-tree", ["gen", "tree"], ["transform-tree"]),
+    ("bundled-sp", ["gen", "sp"], ["nsepa", "transform"]),
+]
+BUNDLED_SEEDS = range(1, 4)
+
+# `optimum` on small games of every family, and on the fixture whose
+# unique optimum is not enforceable
+OPTIMUM = [("optimum-ufl", ["gen", "ufl"]), ("optimum-matroid", ["gen", "matroid"]),
+           ("optimum-tree", ["gen", "tree"]), ("optimum-sp", ["gen", "sp"])]
+OPTIMUM_SEEDS = range(1, 4)
 
 
 def chain_instance(seed: int, bundles: int, players: int) -> dict:
@@ -90,6 +115,20 @@ def chain_instance(seed: int, bundles: int, players: int) -> dict:
         choices.append(frozenset(hit[1]))
     doc = game_to_json(game)
     doc["profile"] = profile_to_json(Profile(choices))["profile"]
+    return doc
+
+
+def bundled_instance(gen: list[str], transform: list[str]) -> dict:
+    """The instance that `gen` writes, its profile replaced by the output
+    profile of `transform` and the protocol it built added."""
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, report = Path(tmp) / "instance.json", Path(tmp) / "report.json"
+        if run(gen + ["--out", str(instance)]) != 0:
+            sys.exit(f"generator failed: {gen}")
+        run(transform + ["--in", str(instance), "--out", str(report)])
+        doc = json.loads(instance.read_text())
+        made = json.loads(report.read_text())
+    doc["profile"], doc["protocol"] = made["profile"], made["protocol"]
     return doc
 
 
@@ -132,10 +171,24 @@ def main() -> None:
         doc = chain_instance(seed, bundles, players)
         (folder / "instance.json").write_text(dumps(doc) + "\n")
         _record(case, folder, manifest)
-    for prefix, gen in VERIFY:
+    for prefix, gen in VERIFY + VERIFY_MATROID:
         for seed in VERIFY_SEEDS:
             _generated({"name": f"{prefix}-{seed:02d}", "gen": gen + ["--seed", str(seed)],
                         "command": ["verify"]}, manifest)
+    for prefix, gen, transform in BUNDLED:
+        for seed in BUNDLED_SEEDS:
+            case = {"name": f"{prefix}-{seed:02d}", "gen": gen + ["--seed", str(seed)],
+                    "bundle": transform, "command": ["verify"]}
+            folder = _fresh(case["name"])
+            doc = bundled_instance(case["gen"], transform)
+            (folder / "instance.json").write_text(dumps(doc) + "\n")
+            _record(case, folder, manifest)
+    for prefix, gen in OPTIMUM:
+        for seed in OPTIMUM_SEEDS:
+            _generated({"name": f"{prefix}-{seed:02d}", "gen": gen + ["--seed", str(seed)],
+                        "command": ["optimum"]}, manifest)
+    _generated({"name": "optimum-theorem5-01", "gen": ["fixture", "theorem5"],
+                "command": ["optimum"]}, manifest)
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 

@@ -1,5 +1,6 @@
 """Cost functions, profiles, and the two cost aggregates."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,13 +13,16 @@ from sepshare.game import (
     GameModel,
     PathSpace,
     Profile,
+    move_cost,
     private_cost,
     total_cost,
 )
+from sepshare.gen import gen_matroid, gen_sp, gen_ufl, random_bases_profile
 from sepshare.network import Network
 from sepshare.nsepa import counterexample_fixture, is_enforceable
+from sepshare.oracle import enumerate_strategies
 from sepshare.protocol import SeparableProtocol
-from sepshare.rationals import format_rational, parse_rational, rat
+from sepshare.rationals import exact, format_rational, parse_rational
 
 
 rationals = st.fractions(
@@ -41,7 +45,7 @@ class TestRationals:
 
     def test_rat_rejects_floats(self):
         with pytest.raises(InputError):
-            rat(0.5)
+            exact(0.5)
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "1/0", "a/b", "1.5"):
@@ -111,6 +115,33 @@ class TestProfile:
         assert Profile([{0}]) == Profile([[0]])
         assert hash(Profile([{0}])) == hash(Profile([{0}]))
         assert Profile([{0}]) != Profile([{1}])
+
+    @pytest.mark.parametrize("family", ["ufl", "matroid", "sp"])
+    def test_kept_users_and_move_cost_match_a_fresh_profile(self, family):
+        """Along chains of random feasible moves on seeded generated games,
+        `move_cost` is the change of `total_cost`, and the users that
+        `replace` carries forward are those of a freshly built profile."""
+        moves = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            if family == "sp":
+                game, p = gen_sp(rng)
+            else:
+                game = gen_ufl(rng, 4, 5) if family == "ufl" else gen_matroid(rng)
+                p = random_bases_profile(rng, game)
+            options = [enumerate_strategies(game, i) for i in range(game.n)]
+            for _ in range(15):
+                i = rng.randrange(game.n)
+                choice = rng.choice(options[i])
+                before = total_cost(game, p)  # finds p's users, so `replace` keeps them
+                q = p.replace(i, choice)
+                fresh = Profile(q.choices)
+                assert [q.users(e) for e in (*game.resources, -1)] == [
+                    fresh.users(e) for e in (*game.resources, -1)]
+                assert move_cost(game, p, i, choice) == total_cost(game, fresh) - before
+                moves += choice != p[i]
+                p = q
+        assert moves > 200
 
 
 class TestGameModel:

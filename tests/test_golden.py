@@ -1,8 +1,8 @@
-"""Golden corpus: every transform case gives the recorded exit code and
-byte-identical report and trace, in this process and replayed by
-tests/golden/replay.py under two fixed hash seeds; and the generators
-still write every case's instance.  Regenerate with
-tests/golden/regen.py."""
+"""Golden corpus: every transform, check, verify and optimum case gives
+the recorded exit code and byte-identical report and trace, in this
+process and replayed by tests/golden/replay.py under two fixed hash
+seeds; and the generators still write every case's instance.
+Regenerate with tests/golden/regen.py."""
 
 import importlib.util
 import json
@@ -42,8 +42,8 @@ def test_golden_cases_replay_under_a_fixed_hash_seed(hash_seed):
     done = subprocess.run([sys.executable, str(GOLDEN / "replay.py"), *families],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert len(CASES) == 80
-    assert "replayed 80 cases, 0 differences" in done.stdout
+    assert len(CASES) == 112
+    assert "replayed 112 cases, 0 differences" in done.stdout
 
 
 def _regen_module():
@@ -54,19 +54,23 @@ def _regen_module():
 
 
 def test_generators_reproduce_every_golden_instance(tmp_path):
-    """Each case's `gen` argv, or its `chain_instance` arguments, still
-    writes its instance.json byte for byte, so no seed's stream moved."""
+    """Each case's `gen` argv, or its `chain_instance` arguments, or its
+    `gen` argv with the output of its "bundle" transform, still writes its
+    instance.json byte for byte, so no seed's stream moved."""
     regen = _regen_module()
-    built = {"gen": 0, "builder": 0}
+    built = {"gen": 0, "builder": 0, "bundle": 0}
     for case in CASES:
         recorded = (GOLDEN / case["name"] / "instance.json").read_bytes()
         if "builder" in case:
             made = (dumps(regen.chain_instance(**case["builder"])) + "\n").encode()
             built["builder"] += 1
+        elif "bundle" in case:
+            made = (dumps(regen.bundled_instance(case["gen"], case["bundle"])) + "\n").encode()
+            built["bundle"] += 1
         else:
             out = tmp_path / f"{case['name']}.json"
             assert run(case["gen"] + ["--out", str(out)]) == 0
             made = out.read_bytes()
             built["gen"] += 1
         assert made == recorded, case["name"]
-    assert built == {"gen": 75, "builder": 5}
+    assert built == {"gen": 98, "builder": 5, "bundle": 9}

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used, the
+"""Source hygiene: every module-level import in the package is used, every
+module-level function, class and assigned name is read somewhere, the
 package imports nothing outside itself and the standard library, the
 README names no command-line flag that the parser does not accept, and no
 float can enter the exact arithmetic: true division appears only in the
@@ -91,6 +92,69 @@ def test_every_module_level_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from typing import Iterable, Optional\nx: 'Optional[int]' = None\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"Iterable"}
+
+
+def _defined_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each module-level function, class and assigned name, dunders aside
+    -> the statement that defines it."""
+    out: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                out.update((sub.id, node) for sub in ast.walk(target) if isinstance(sub, ast.Name))
+    return {name: node for name, node in out.items() if not name.startswith("__")}
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names read in a node: loaded names, attribute names, imported names
+    and the names inside string annotations."""
+    found: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+        for ann in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
+            for text in ast.walk(ann) if isinstance(ann, ast.AST) else ():
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    found |= _read_names(ast.parse(text.value, mode="eval"))
+    return found
+
+
+def _dead_names(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """`module.name` of each module-level name in `modules` that is read
+    nowhere but in its own definition, neither in `modules` nor in `others`."""
+    reads = [(node, _read_names(node)) for tree in modules.values() for node in tree.body]
+    reads += [(tree, _read_names(tree)) for tree in others]
+    return sorted(
+        f"{stem}.{name}"
+        for stem, tree in modules.items()
+        for name, defined in _defined_names(tree).items()
+        if not any(name in read for node, read in reads if node is not defined)
+    )
+
+
+def test_every_module_level_name_is_read():
+    """No function, class or assignment of the package is dead: each is
+    read, imported or named in an annotation somewhere in `src/` or
+    `tests/` other than its own definition."""
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in ALL_MODULES}
+    tests = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests").rglob("*.py"))]
+    dead = _dead_names(modules, tests)
+    assert not dead, "names read nowhere: " + ", ".join(dead)
+
+
+def test_the_check_sees_a_dead_name():
+    module = ast.parse("import os\nA = 1\nB, C = 2, A\nclass K:\n    pass\n"
+                       "def f():\n    return f()\ndef g() -> 'list[K]':\n    return []\n"
+                       "H: int = os.sep\n__all__ = []\n")
+    reader = ast.parse("from m import g\nprint(m.H)\n")
+    assert _dead_names({"m": module}, [reader]) == ["m.B", "m.C", "m.f"]
 
 
 def _third_party(tree: ast.Module) -> set[str]:

@@ -87,7 +87,7 @@ def _recognition_cases(rng, count):
         rng.shuffle(names)
         build = _grown_sp_pairs if rng.random() < 0.5 else _random_pairs
         net = Network([(eid, u, v) for eid, (u, v) in enumerate(build(rng, names))])
-        if rng.random() < 0.5 and net.has_vertex(names[0]) and net.has_vertex(names[1]):
+        if rng.random() < 0.5 and names[0] in net.vindex and names[1] in net.vindex:
             s, t = names[0], names[1]
         else:
             s, t = rng.choice(net.vertices), rng.choice(net.vertices)

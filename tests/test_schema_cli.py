@@ -777,6 +777,67 @@ def test_malformed_documents_exit_two_with_one_line(tmp_path, capsys, edit):
     assert err.startswith("input error: ")
 
 
+def _ufl_doc():
+    """Two players sharing the cheaper of two facilities, with a bundled
+    protocol that splits it evenly: `verify` exits 0."""
+    doc = game_to_json(ufl_game((5, 3)))
+    doc["profile"] = [[1], [1]]
+    doc["protocol"] = {"base": [[1], [1]], "shares": [
+        {"player": i, "resource": 1, "share": "3/2"} for i in (0, 1)]}
+    return doc
+
+
+def _partition_doc():
+    doc = game_to_json(ufl_game((3, 5), players=1))
+    doc["spaces"] = [{"matroid": {"partition": {"blocks": [[0, 1]], "quotas": [1]}}}]
+    doc["profile"] = [[0]]
+    return doc
+
+
+def _share_field(field, value):
+    return lambda doc: doc["protocol"]["shares"][0].__setitem__(field, value)
+
+
+def _graph_directed(value):
+    return lambda doc: doc["graph"].__setitem__("directed", value)
+
+
+# (base document, edit, field named in the message); `int()` or `bool()`
+# would read each edited value as a valid one
+NOT_INTEGRAL = {
+    "players-float": (_ufl_doc, lambda doc: doc.update(players=2.5), "players"),
+    "players-bool": (_two_link_doc, lambda doc: doc.update(players=True), "players"),
+    "resource-float": (_ufl_doc, lambda doc: doc.update(resources=[0, 1.5]), "a resource id"),
+    "resource-string": (_ufl_doc, lambda doc: doc.update(resources=[0, "1"]), "a resource id"),
+    "uniform-rank-float": (_ufl_doc, lambda doc: doc["spaces"][0]["matroid"]["uniform"]
+                           .update(rank=1.7), "a rank"),
+    "partition-quota-float": (_partition_doc, lambda doc: doc["spaces"][0]["matroid"]
+                              ["partition"].update(quotas=[1.5]), "a quota"),
+    "share-player-float": (_ufl_doc, _share_field("player", 0.5), "a share's player"),
+    "share-resource-string": (_ufl_doc, _share_field("resource", "1"), "a share's resource"),
+    "directed-zero": (_two_link_doc, _graph_directed(0), "graph.directed"),
+    "directed-null": (_two_link_doc, _graph_directed(None), "graph.directed"),
+    "directed-empty-string": (_two_link_doc, _graph_directed(""), "graph.directed"),
+}
+
+
+@pytest.mark.parametrize("make, edit, field", NOT_INTEGRAL.values(), ids=NOT_INTEGRAL.keys())
+def test_counts_ids_and_flags_are_read_exactly(tmp_path, capsys, make, edit, field):
+    """Counts and ids are JSON integers and `graph.directed` is true or
+    false; any other value exits 2 with one line naming the field."""
+    doc = make()
+    verify = ["verify", "--in", str(tmp_path / "inst.json")]
+    _write_doc(tmp_path, doc)
+    assert run_to_file(tmp_path, "r.json", verify)[0] == 0
+    edit(doc)
+    _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    code, _rep = run_to_file(tmp_path, "r.json", verify)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"input error: {field} must be ")
+
 def _unreadable_file(tmp_path):
     bad = tmp_path / "latin1.json"
     bad.write_bytes('{"players": "é"}'.encode("latin-1"))
