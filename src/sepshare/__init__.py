@@ -17,7 +17,6 @@ from .errors import (
     NoTightAlternative,
     NotABasis,
     NotEnforceable,
-    NotInBasis,
     NotSeriesParallel,
     SepshareError,
     UnsupportedSpace,
@@ -29,7 +28,6 @@ from .game import (
     Profile,
     Step,
     move_cost,
-    private_cost,
     total_cost,
 )
 from .matroids import (
@@ -40,7 +38,6 @@ from .matroids import (
     build_matroid_protocol,
     check_enforceable_matroid,
     deviation_cost,
-    exchange_candidates,
     matroid_from_descriptor,
     transform_matroid,
     virtual_cost,
@@ -66,7 +63,6 @@ from .protocol import (
     best_response,
     verify_budget_balance,
     verify_pne,
-    verify_separability_bruteforce,
 )
 from .rationals import exact, format_rational, parse_rational
 from .singlesource import to_tree_profile, transform_single_source

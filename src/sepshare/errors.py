@@ -24,10 +24,6 @@ class NotABasis(InputError):
     """An edge/element set is not a basis of the player's matroid."""
 
 
-class NotInBasis(InputError):
-    """The element being exchanged does not belong to the given basis."""
-
-
 class NotEnforceable(SepshareError):
     """The requested profile admits no separable protocol making it stable."""
 

@@ -336,12 +336,3 @@ def move_cost(game: GameModel, profile: Profile, i: int, choice: Iterable[int]) 
         users = profile.users(e)
         delta += game.cost(e, users | {i}) - game.cost(e, users) + game.delay(i, e)
     return exact(delta)
-
-
-def private_cost(game: GameModel, protocol, profile: Profile, i: int) -> int | Fraction:
-    """Player i's shares under the protocol plus their delays."""
-    game.validate_profile(profile)
-    out = 0
-    for e in profile[i]:
-        out += protocol.cost_share(profile, i, e) + game.delay(i, e)
-    return out

@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -31,11 +30,14 @@ from .errors import (
     InvalidMatroid,
     NotABasis,
     NotEnforceable,
-    NotInBasis,
 )
 from .game import GameModel, Profile, Step, move_cost, total_cost
 from .protocol import SeparableProtocol, water_fill
 from .rationals import integer
+
+Price = Callable[[int], int | Fraction]
+Order = Mapping[int, int]  # resource -> position in the game's resource order
+Exchanges = dict[int, tuple[int | Fraction, int, int]]  # e -> (price, order, f) of its pick
 
 
 class MatroidOracle:
@@ -43,12 +45,12 @@ class MatroidOracle:
     of a matroid player: the strategies are its bases.
 
     Subclasses implement `_independent`; `is_independent` answers False
-    for any set that leaves the ground.  The oracle keeps the exchange
-    table of the last basis it answered, so it is not thread-safe.  The
-    built-in kinds are matroids by construction: uniform (sets of size at
-    most k), partition (at most a quota from each block) and graphic
-    (forests); they set `rank` and answer `_exchange_table` and `greedy`
-    by rule, where a subclass falls back to independence queries.
+    for any set that leaves the ground.  The built-in kinds are matroids
+    by construction: uniform (sets of size at most k), partition (at most
+    a quota from each block) and graphic (forests); they set `rank` and
+    answer `cheapest_exchanges` and `greedy` by rule, where a subclass
+    falls back to independence queries.  An oracle keeps no state between
+    the bases it is asked about.
     `validate_axioms` is the one axiom check, and it is complete: custom
     subclasses and tests should call it.
     """
@@ -62,7 +64,6 @@ class MatroidOracle:
             raise InputError("matroid ground repeats an element")
         self._ground_set = frozenset(self.ground)
         self._rank: Optional[int] = None
-        self._kept: tuple[Optional[frozenset], Mapping[int, tuple[int, ...]]] = (None, {})
 
     def _independent(self, subset: frozenset) -> bool:
         raise NotImplementedError
@@ -71,22 +72,17 @@ class MatroidOracle:
         s = frozenset(subset)
         return s <= self._ground_set and bool(self._independent(s))
 
-    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
-        """Each e of the basis to e and the f with basis - e + f independent."""
-        return {e: [f for f in self.ground if f == e or f not in basis
-                    and self.is_independent((basis - {e}) | {f})] for e in basis}
+    def _check_basis(self, basis: frozenset) -> None:
+        if not self.is_basis(basis):
+            raise NotABasis(f"{sorted(basis)} is not a basis")
 
-    def exchanges(self, basis: frozenset) -> Mapping[int, tuple[int, ...]]:
-        """Each e of the basis to the sorted tuple of e and its exchanges;
-        the basis is checked when its table is built, and the last is kept."""
-        kept, table = self._kept
-        if basis != kept:
-            if not self.is_basis(basis):
-                raise NotABasis(f"{sorted(basis)} is not a basis")
-            table = MappingProxyType(
-                {e: tuple(sorted(fs)) for e, fs in self._exchange_table(basis).items()})
-            self._kept = (frozenset(basis), table)
-        return table
+    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
+        """Each e of the basis to (price(f), order[f], f) for the least
+        such f among e and the f with basis - e + f a basis: e's cheapest
+        exchange, ties to the smaller position in `order`."""
+        self._check_basis(basis)
+        return {e: min((price(f), order[f], f) for f in self.ground if f == e or f not in basis
+                       and self.is_independent((basis - {e}) | {f})) for e in basis}
 
     def greedy(self, order: Iterable[int]) -> frozenset:
         """Take each element of `order` in turn unless it breaks
@@ -149,9 +145,9 @@ class UniformMatroid(MatroidOracle):
     def _independent(self, subset: frozenset) -> bool:
         return len(subset) <= self._rank
 
-    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
-        outside = [f for f in self.ground if f not in basis]
-        return {e: [e, *outside] for e in basis}
+    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
+        self._check_basis(basis)
+        return _staying_or(basis, [f for f in self.ground if f not in basis], price, order)
 
     def greedy(self, order: Iterable[int]) -> frozenset:
         firsts = dict.fromkeys(e for e in order if e in self._ground_set)
@@ -178,9 +174,11 @@ class PartitionMatroid(MatroidOracle):
     def _independent(self, subset: frozenset) -> bool:
         return all(len(subset & b) <= q for b, q in zip(self._blocks, self._quotas))
 
-    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
+    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
         # a basis fills every block to its quota, so f must share e's block
-        return {e: (b - basis) | {e} for b in self._blocks for e in b & basis}
+        self._check_basis(basis)
+        return {e: pick for b in self._blocks
+                for e, pick in _staying_or(b & basis, b - basis, price, order).items()}
 
     def greedy(self, order: Iterable[int]) -> frozenset:
         firsts = list(dict.fromkeys(order))
@@ -209,18 +207,9 @@ class GraphicMatroid(MatroidOracle):
         """Kruskal's union-find along `subset`: the edges that join two trees."""
         parent: dict = {}
         joins = []
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
         for eid in subset:
             u, v = self._edges[eid]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 joins.append(eid)
@@ -232,30 +221,39 @@ class GraphicMatroid(MatroidOracle):
     def greedy(self, order: Iterable[int]) -> frozenset:
         return frozenset(self._components(e for e in order if e in self._ground_set))
 
-    def _exchange_table(self, basis: frozenset) -> Mapping[int, Iterable[int]]:
-        # f exchanges for exactly the edges of its fundamental cycle: the
-        # path between its ends in the basis forest, which is what their
-        # paths to the root do not share (e alone for a basis edge e)
+    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
+        # f exchanges for the edges of its fundamental cycle, the path
+        # between its ends in the basis forest (a loop for none).  Taken
+        # cheapest first, each f answers the cycle edges still unanswered;
+        # `answered` skips the others (Tarjan, JACM 1979).
+        self._check_basis(basis)
         adjacent: dict = {}
         for e in basis:
             u, v = self._edges[e]
             adjacent.setdefault(u, []).append((v, e))
             adjacent.setdefault(v, []).append((u, e))
-        to_root: dict = {}  # vertex -> the edges from it to the root of its tree
+        parent: dict = {}  # vertex -> its depth, its parent and the edge to it
         stack = list(adjacent)
         while stack:
             x = stack.pop()
-            to_root.setdefault(x, frozenset())  # not reached yet: a new root
+            parent.setdefault(x, (0, None, None))  # not reached yet: a new root
             for y, e in adjacent[x]:
-                if y not in to_root:
-                    to_root[y] = to_root[x] | {e}
+                if y not in parent:
+                    parent[y] = (parent[x][0] + 1, x, e)
                     stack.append(y)
-        table: dict[int, list[int]] = {e: [] for e in basis}
-        for f in self.ground:
-            u, v = self._edges[f]
-            for e in to_root[u] ^ to_root[v] if u != v else ():  # a loop exchanges for none
-                table[e].append(f)
-        return table
+        cheapest = {e: (price(e), order[e], e) for e in basis}
+        answered: dict = {}
+        for key in sorted((price(f), order[f], f) for f in self.ground
+                          if f not in basis and self._edges[f][0] != self._edges[f][1]):
+            u, v = (_find(answered, x) for x in self._edges[key[2]])
+            while u != v:
+                if parent[u][0] < parent[v][0]:
+                    u, v = v, u
+                _depth, x, e = parent[u]
+                cheapest[e] = min(cheapest[e], key)
+                answered[u] = x
+                u = _find(answered, x)
+        return cheapest
 
     @property
     def descriptor(self) -> dict:
@@ -268,18 +266,41 @@ class GraphicMatroid(MatroidOracle):
         }
 
 
+def _staying_or(part: frozenset, outside: Collection, price: Price, order: Order) -> Exchanges:
+    """Each e of a part of a basis to the least of e itself and `outside`,
+    every element of which exchanges for every such e."""
+    least = [min((price(f), order[f], f) for f in outside)] if part and outside else []
+    return {e: min([(price(e), order[e], e), *least]) for e in part}
+
+
+def _find(parent: dict, x):
+    """The root of x in the union-find forest `parent` (roots are not
+    keys), pointing each vertex on the way straight at it."""
+    root = x
+    while root in parent:
+        root = parent[root]
+    while x != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
 def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
     """Inverse of the `descriptor` properties."""
     if not isinstance(desc, Mapping) or len(desc) != 1:
         raise InputError("matroid descriptor must have exactly one kind")
     kind, body = next(iter(desc.items()))
+
+    def elements(ids: Iterable) -> list[int]:
+        return [integer(e, "a matroid element") for e in ids]
+
     if kind == "uniform":
-        return UniformMatroid(body["ground"], integer(body["rank"], "a rank"))
+        return UniformMatroid(elements(body["ground"]), integer(body["rank"], "a rank"))
     if kind == "partition":
-        return PartitionMatroid(body["blocks"], [integer(q, "a quota") for q in body["quotas"]])
+        return PartitionMatroid([elements(b) for b in body["blocks"]],
+                                [integer(q, "a quota") for q in body["quotas"]])
     if kind == "graphic":
         edges = body["edges"]
-        ground = body.get("ground", list(range(len(edges))))
+        ground = elements(body.get("ground", range(len(edges))))
         if len(ground) != len(edges):
             raise InputError("graphic descriptor ground/edges length mismatch")
         if len(set(ground)) < len(ground):
@@ -296,23 +317,14 @@ def virtual_cost(game: GameModel, i: int, e: int) -> int | Fraction:
     return game.cost(e, frozenset((i,))) + game.delay(i, e)
 
 
-def exchange_candidates(oracle: MatroidOracle, basis: frozenset, e: int) -> tuple[int, ...]:
-    """Elements f with basis - e + f again a basis, sorted; contains e itself."""
-    table = oracle.exchanges(basis)
-    if e not in table:
-        raise NotInBasis(f"{e} not in basis {sorted(basis)}")
-    return table[e]
-
-
 def deviation_cost(
-    game: GameModel, profile: Profile, i: int, e: int, virtual: bool = False
-) -> tuple[int | Fraction, int]:
-    """Cheapest packet move for player i away from e (staying counts).
-
-    True mode prices the landing resource at the user set it would have
-    after the move; virtual mode prices it as if i were alone.  Returns
-    (value, chosen element), ties to the smallest resource in global order.
-    """
+    game: GameModel, profile: Profile, i: int, virtual: bool = False
+) -> dict[int, tuple[int | Fraction, int]]:
+    """Cheapest packet move for player i away from each e of their basis
+    (staying counts), as {e: (value, chosen element)}, ties to the
+    smallest resource in global order.  True mode prices the landing
+    resource at the user set it would have after the move; virtual mode
+    prices it as if i were alone."""
     game.require("matroid")
 
     def price(f: int) -> int | Fraction:
@@ -320,22 +332,8 @@ def deviation_cost(
             return virtual_cost(game, i, f)
         return game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
 
-    return _cheapest_exchange(game, game.spaces[i], profile[i], e, price)
-
-
-def _cheapest_exchange(
-    game: GameModel,
-    oracle: MatroidOracle,
-    basis: frozenset,
-    e: int,
-    price: Callable[[int], int | Fraction],
-) -> tuple[int | Fraction, int]:
-    """(price, f) of the cheapest exchange candidate f for e in the basis,
-    ties to the smallest resource in global order."""
-    value, _key, f = min(
-        (price(f), game.resource_key(f), f) for f in exchange_candidates(oracle, basis, e)
-    )
-    return value, f
+    cheapest = game.spaces[i].cheapest_exchanges(profile[i], price, game.resource_order)
+    return {e: (value, f) for e, (value, _order, f) in cheapest.items()}
 
 
 @dataclass(frozen=True)
@@ -377,9 +375,9 @@ def _check_conditions(
     bad = []
     deltas: dict[tuple[int, int], int | Fraction] = {}
     for i in range(game.n):
+        cheapest = deviation_cost(game, profile, i, virtual=virtual)
         for e in profile[i]:
-            value, _f = deviation_cost(game, profile, i, e, virtual=virtual)
-            deltas[(i, e)] = value
+            value = deltas[(i, e)] = cheapest[e][0]
             d = game.delay(i, e)
             if d > value:
                 bad.append(EnforceabilityViolation("delay", e, i, d, value))
@@ -423,11 +421,11 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     so total cost is summed only for the input and the output.
 
     The loop fixes the first violated resource in global order.  It keeps
-    each player's virtual deviations (value and landing resource) for
-    their current basis, and a verdict per resource: None, "delay" or
-    "cover".  A move of player i from e to f changes the users of e and
-    f and the basis of i, so it drops i's deviations and the verdicts of
-    e, f and the resources of i's new basis; every other verdict reads
+    each player's virtual deviations (value and landing resource) from
+    all of their current basis, and a verdict per resource: None, "delay"
+    or "cover".  A move of player i from e to f changes the users of e
+    and f and the basis of i, so it drops i's deviations and the verdicts
+    of e, f and the resources of i's new basis; every other verdict reads
     users and deviations that did not change.  The scan for the next
     violation computes missing verdicts in order and stops at the first
     violated one, so it picks the same resource as a full rescan would.
@@ -441,7 +439,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     input_cost = total_cost(game, current)
     moves: list[Step] = []
     alone: dict[tuple[int, int], int | Fraction] = {}  # virtual_cost, fixed per game
-    deviations: list[dict[int, tuple[int | Fraction, int]]] = [{} for _ in range(game.n)]
+    deviations: list[Optional[Exchanges]] = [None] * game.n
     verdicts: dict[int, Optional[str]] = {}
 
     def virtual(i: int, f: int) -> int | Fraction:
@@ -449,14 +447,12 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
             alone[(i, f)] = virtual_cost(game, i, f)
         return alone[(i, f)]
 
-    def vdev(i: int, e: int) -> tuple[int | Fraction, int]:
-        cached = deviations[i].get(e)
-        if cached is None:
-            cached = _cheapest_exchange(
-                game, game.spaces[i], current[i], e, lambda f: virtual(i, f)
-            )
-            deviations[i][e] = cached
-        return cached
+    def vdev(i: int, e: int) -> tuple[int | Fraction, int, int]:
+        """(value, order, landing resource) of i's cheapest virtual move from e."""
+        if deviations[i] is None:
+            deviations[i] = game.spaces[i].cheapest_exchanges(
+                current[i], lambda f: virtual(i, f), game.resource_order)
+        return deviations[i][e]
 
     def uncovered(e: int, users: list[int]) -> bool:
         headroom = sum(vdev(i, e)[0] - game.delay(i, e) for i in users)
@@ -475,13 +471,13 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
 
     def move_packet(i: int, e: int, kind: str) -> None:
         nonlocal current
-        value, f = vdev(i, e)
+        value, _order, f = vdev(i, e)
         if virtual(i, e) <= value or f == e:
             raise InternalInvariant("packet move must strictly reduce virtual cost")
         choice = (current[i] - {e}) | {f}
         delta = move_cost(game, current, i, choice)
         current = current.replace(i, choice)
-        deviations[i].clear()
+        deviations[i] = None
         for r in current[i] | {e}:
             verdicts.pop(r, None)
         moves.append(Step(kind, i, f, delta, source=e))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping
 
 from .errors import InputError, InternalInvariant
 from .game import GameModel, Profile
@@ -182,45 +182,4 @@ def verify_pne(game: GameModel, protocol: SeparableProtocol) -> PneReport:
         if value < current:
             bad.append(Deviation(i, current, value, choice))
     return PneReport(ok=not bad, deviations=tuple(bad))
-
-
-@dataclass(frozen=True)
-class SeparabilityReport:
-    ok: bool
-    profiles_checked: int
-    counterexample: Optional[tuple] = None  # (resource, users, details)
-
-
-def verify_separability_bruteforce(
-    game: GameModel, protocol: SeparableProtocol, max_profiles: int = 10**5
-) -> SeparabilityReport:
-    """Exhaustively confirm equal user sets always get equal share vectors.
-
-    Enumerates every profile of the game (raising BudgetExceeded beyond
-    `max_profiles` profiles, or strategies for one player) and indexes
-    share vectors by (resource, user set); any clash is returned as a
-    counterexample.
-    """
-    from .oracle import EnumerationBudget, profiles_iter
-
-    budget = EnumerationBudget(max_profiles=max_profiles, max_paths_per_player=max_profiles)
-    seen: dict[tuple[int, frozenset], tuple] = {}
-    checked = 0
-    for profile in profiles_iter(game, budget):
-        checked += 1
-        for e in game.resources:
-            users = profile.users(e)
-            if not users:
-                continue
-            vec = tuple(protocol.cost_share(profile, i, e) for i in sorted(users))
-            key = (e, users)
-            if key not in seen:
-                seen[key] = vec
-            elif seen[key] != vec:
-                return SeparabilityReport(
-                    ok=False,
-                    profiles_checked=checked,
-                    counterexample=(e, tuple(sorted(users)), (seen[key], vec)),
-                )
-    return SeparabilityReport(ok=True, profiles_checked=checked)
 

@@ -24,7 +24,9 @@ cross-check search, where the package keeps walks, users, depths and
 adjacency from one tree check to the next and stops its searches once
 their answers are settled.  The shortest-path reference keeps every
 distance a Fraction, where the package keeps integral distances as ints
-inside the search.
+inside the search.  The exhaustive separability check and a player's
+private cost under a protocol have no caller in the package, so they
+live here with the tests that use them.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from sepshare.nsepa import (
     build_lp,
     smallest_tight_alternative,
 )
+from sepshare.oracle import EnumerationBudget, profiles_iter
 from sepshare.protocol import SeparableProtocol
 from sepshare.rationals import parse_rational
 from sepshare.schema import _reading, _users_from_key
@@ -215,7 +218,7 @@ def rescan_transform_matroid(game, profile):
     moves: list[Step] = []
 
     def vdev(i, e):
-        return deviation_cost(game, current, i, e, virtual=True)[0]
+        return deviation_cost(game, current, i, virtual=True)[e][0]
 
     def first_violation():
         for e in game.resources:
@@ -231,7 +234,7 @@ def rescan_transform_matroid(game, profile):
 
     def move_packet(i, e, kind):
         nonlocal current
-        value, f = deviation_cost(game, current, i, e, virtual=True)
+        value, f = deviation_cost(game, current, i, virtual=True)[e]
         assert virtual_cost(game, i, e) > value and f != e
         before = total_cost(game, current)
         current = current.replace(i, (current[i] - {e}) | {f})
@@ -920,3 +923,51 @@ def rebuild_transform_single_source(game, profile) -> SingleSourceResult:
         repairs=repairs,
         events=tuple(state.events),
     )
+
+
+@dataclass(frozen=True)
+class SeparabilityReport:
+    ok: bool
+    profiles_checked: int
+    counterexample: Optional[tuple] = None  # (resource, users, details)
+
+
+def verify_separability_bruteforce(
+    game: GameModel, protocol: SeparableProtocol, max_profiles: int = 10**5
+) -> SeparabilityReport:
+    """Exhaustively confirm equal user sets always get equal share vectors.
+
+    Enumerates every profile of the game (raising BudgetExceeded beyond
+    `max_profiles` profiles, or strategies for one player) and indexes
+    share vectors by (resource, user set); any clash is returned as a
+    counterexample.
+    """
+    budget = EnumerationBudget(max_profiles=max_profiles, max_paths_per_player=max_profiles)
+    seen: dict[tuple[int, frozenset], tuple] = {}
+    checked = 0
+    for profile in profiles_iter(game, budget):
+        checked += 1
+        for e in game.resources:
+            users = profile.users(e)
+            if not users:
+                continue
+            vec = tuple(protocol.cost_share(profile, i, e) for i in sorted(users))
+            key = (e, users)
+            if key not in seen:
+                seen[key] = vec
+            elif seen[key] != vec:
+                return SeparabilityReport(
+                    ok=False,
+                    profiles_checked=checked,
+                    counterexample=(e, tuple(sorted(users)), (seen[key], vec)),
+                )
+    return SeparabilityReport(ok=True, profiles_checked=checked)
+
+
+def private_cost(game: GameModel, protocol, profile: Profile, i: int) -> int | Fraction:
+    """Player i's shares under the protocol plus their delays."""
+    game.validate_profile(profile)
+    out = 0
+    for e in profile[i]:
+        out += protocol.cost_share(profile, i, e) + game.delay(i, e)
+    return out

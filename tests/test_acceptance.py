@@ -11,7 +11,12 @@ import random
 import time
 from fractions import Fraction as F
 
-from _oracles import fourier_motzkin_status, full_path_lp, vertex_lp
+from _oracles import (
+    fourier_motzkin_status,
+    full_path_lp,
+    verify_separability_bruteforce,
+    vertex_lp,
+)
 from sepshare.errors import BudgetExceeded
 from sepshare.game import total_cost
 from sepshare.gen import gen_matroid, gen_sp, gen_tree, random_bases_profile
@@ -27,11 +32,7 @@ from sepshare.oracle import (
     brute_force_optimum,
     profiles_iter,
 )
-from sepshare.protocol import (
-    verify_budget_balance,
-    verify_pne,
-    verify_separability_bruteforce,
-)
+from sepshare.protocol import verify_budget_balance, verify_pne
 from sepshare.singlesource import transform_single_source
 
 

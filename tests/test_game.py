@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _helpers import path_game, ufl_game
+from _oracles import private_cost
 from sepshare.errors import InfeasibleProfile, InputError, InvalidCostOracle
 from sepshare.game import (
     CostFunction,
@@ -14,7 +15,6 @@ from sepshare.game import (
     PathSpace,
     Profile,
     move_cost,
-    private_cost,
     total_cost,
 )
 from sepshare.gen import gen_matroid, gen_sp, gen_ufl, random_bases_profile

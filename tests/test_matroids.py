@@ -15,7 +15,6 @@ from sepshare.errors import (
     InvalidMatroid,
     NotABasis,
     NotEnforceable,
-    NotInBasis,
 )
 from sepshare.game import GameModel, Profile, total_cost
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
@@ -28,7 +27,6 @@ from sepshare.matroids import (
     build_matroid_protocol,
     check_enforceable_matroid,
     deviation_cost,
-    exchange_candidates,
     matroid_from_descriptor,
     transform_matroid,
     virtual_cost,
@@ -91,7 +89,8 @@ class TestOracles:
 
 class QueryLoop(MatroidOracle):
     """The same matroid seen only through its independence queries, so
-    that `rank` and the exchange sets come from the base class's loop."""
+    that `rank` and the cheapest exchanges come from the base class's
+    loop."""
 
     def __init__(self, inner: MatroidOracle) -> None:
         super().__init__(inner.ground)
@@ -113,8 +112,27 @@ def random_descriptor(rng, kind):
     return {"graphic": {"ground": ground, "edges": edges}}
 
 
+def random_pricing(rng, ground):
+    """Prices over `ground` with ties, ints next to halves, and a shuffled
+    resource order."""
+    price = {f: rng.choice((0, 1, 2, F(1, 2), F(3, 2))) for f in ground}
+    shuffled = rng.sample(ground, len(ground))
+    return price, {f: k for k, f in enumerate(shuffled)}
+
+
+def exchange_set(m, basis, e):
+    """e and every f with basis - e + f a basis, read off the oracle's
+    cheapest exchanges: f is one exactly when pricing f alone at 0 makes
+    it e's answer."""
+    order = {f: k for k, f in enumerate(m.ground)}
+    return sorted(f for f in m.ground
+                  if m.cheapest_exchanges(basis, lambda g: int(g != f), order)[e][2] == f)
+
+
 class TestExchanges:
     def test_direct_rules_match_the_query_loop(self):
+        # each built-in rule answers like the query loop, and prices each
+        # element at most once, and only those that exchange for some e
         rng = random.Random(4711)
         kinds = ("uniform", "partition", "graphic")
         seen = Counter()
@@ -126,9 +144,16 @@ class TestExchanges:
             bases = sorted(loop.bases(), key=sorted)
             assert sorted(m.bases(), key=sorted) == bases, desc
             for basis in rng.sample(bases, min(len(bases), 10)):
-                for e in basis:
-                    assert exchange_candidates(m, basis, e) == exchange_candidates(
-                        loop, basis, e), (desc, basis, e)
+                price, order = random_pricing(rng, m.ground)
+                priced = []
+                answer = m.cheapest_exchanges(basis, lambda f: priced.append(f) or price[f], order)
+                assert answer == loop.cheapest_exchanges(basis, price.__getitem__, order), (
+                    desc, basis, price, order)
+                assert len(priced) == len(set(priced)) <= len(m.ground), (desc, basis)
+                exchanging = {f for e in basis for f in m.ground if f == e or f not in basis
+                              and loop.is_independent((basis - {e}) | {f})}
+                assert set(priced) == exchanging, (desc, basis)
+                seen["ties"] += len(set(price.values())) < len(price)
             body = desc.get("graphic") or desc.get("partition") or {}
             ends = [tuple(edge) for edge in body.get("edges", [])]
             seen["loop"] += any(u == v for u, v in ends)
@@ -136,6 +161,7 @@ class TestExchanges:
             seen["components"] += bool(ends) and m.rank < len({v for e in ends for v in e}) - 1
             seen["quota 0"] += 0 in body.get("quotas", [1])
         assert min(seen.values()) >= 20, seen
+        assert seen["ties"] >= 1000, seen
 
     def test_greedy_takes_the_cheapest_basis(self):
         rng = random.Random(4711)
@@ -168,22 +194,23 @@ class TestExchanges:
 
     def test_rank_one_swaps_freely(self):
         m = UniformMatroid([0, 1], 1)
-        assert sorted(exchange_candidates(m, frozenset({0}), 0)) == [0, 1]
+        assert exchange_set(m, frozenset({0}), 0) == [0, 1]
 
     def test_triangle_keeps_acyclic_swaps(self):
         tri = GraphicMatroid({0: ("x", "y"), 1: ("y", "z"), 2: ("z", "x")})
         basis = frozenset({0, 1})
-        assert sorted(exchange_candidates(tri, basis, 0)) == [0, 2]
-        assert sorted(exchange_candidates(tri, basis, 1)) == [1, 2]
+        assert exchange_set(tri, basis, 0) == [0, 2]
+        assert exchange_set(tri, basis, 1) == [1, 2]
 
     def test_partition_swaps_stay_in_block(self):
         m = PartitionMatroid([[0, 1], [2]], [1, 1])
-        assert sorted(exchange_candidates(m, frozenset({0, 2}), 0)) == [0, 1]
-        assert sorted(exchange_candidates(m, frozenset({0, 2}), 2)) == [2]
+        assert exchange_set(m, frozenset({0, 2}), 0) == [0, 1]
+        assert exchange_set(m, frozenset({0, 2}), 2) == [2]
 
     def test_requires_a_basis(self):
-        with pytest.raises(NotABasis):
-            exchange_candidates(UniformMatroid([0, 1], 1), frozenset({0, 1}), 0)
+        for m in (UniformMatroid([0, 1], 1), QueryLoop(UniformMatroid([0, 1], 1))):
+            with pytest.raises(NotABasis):
+                m.cheapest_exchanges(frozenset({0, 1}), lambda f: 0, {0: 0, 1: 1})
 
 
 def _oracle_makers():
@@ -200,46 +227,51 @@ def _oracle_makers():
                                id=f"{kind}-{n}-query-loop")
 
 
+def _ask(m, basis, seed=0):
+    """The oracle's cheapest exchanges for `basis` under seeded prices."""
+    price, order = random_pricing(random.Random(seed), m.ground)
+    return m.cheapest_exchanges(basis, price.__getitem__, order)
+
+
 @pytest.mark.parametrize("make", list(_oracle_makers()))
 class TestKeptTable:
-    """An oracle keeps the exchange table of the last basis it answered;
-    that memory never changes an answer."""
+    """An oracle keeps nothing from one basis to the next: every answer is
+    the one a fresh oracle gives, and it names the basis elements only."""
 
     def test_interleaved_bases_answer_like_a_fresh_oracle(self, make):
         m = make()
         bases = sorted(m.bases(), key=sorted)
         rng = random.Random(len(bases))
-        for _ in range(30):
+        for n in range(30):
             basis = rng.choice(bases)
-            e = rng.choice(sorted(basis))
-            assert exchange_candidates(m, basis, e) == exchange_candidates(make(), basis, e)
+            assert _ask(m, basis, n) == _ask(make(), basis, n)
 
     def test_a_non_basis_after_a_kept_basis_raises(self, make):
         m = make()
         basis = next(m.bases())
         e = min(basis)
-        exchange_candidates(m, basis, e)
+        _ask(m, basis)
         for other in (basis - {e}, basis | {max(m.ground) + 1}):
             with pytest.raises(NotABasis):
-                exchange_candidates(m, other, e)
-            exchange_candidates(m, basis, e)
+                _ask(m, other)
+            assert _ask(m, basis) == _ask(make(), basis)
 
     def test_an_element_outside_a_kept_basis_raises(self, make):
         m = make()
         basis = next(m.bases())
-        exchange_candidates(m, basis, min(basis))
+        answer = _ask(m, basis)
+        assert set(answer) == basis
         for e in [f for f in m.ground if f not in basis] + [max(m.ground) + 1]:
-            with pytest.raises(NotInBasis):
-                exchange_candidates(m, basis, e)
+            with pytest.raises(KeyError):
+                answer[e]
 
     def test_the_answers_are_immutable(self, make):
+        # an answer is the caller's own: changing it changes no later one
         m = make()
         basis = next(m.bases())
-        e = min(basis)
-        assert isinstance(exchange_candidates(m, basis, e), tuple)
-        with pytest.raises(TypeError):
-            m.exchanges(basis)[e] = ()
-        assert exchange_candidates(m, basis, e) == exchange_candidates(make(), basis, e)
+        answer = _ask(m, basis)
+        answer.clear()
+        assert _ask(m, basis) == _ask(make(), basis) != answer
 
 
 class TestDeviationCost:
@@ -247,13 +279,11 @@ class TestDeviationCost:
         g = ufl_game([4, 7], delays={(0, 0): F(1), (0, 1): F(2)}, players=1)
         p = Profile([{0}])
         for virtual in (False, True):
-            value, target = deviation_cost(g, p, 0, 0, virtual=virtual)
-            assert (value, target) == (F(5), 0)  # min(4+1, 7+2)
+            assert deviation_cost(g, p, 0, virtual=virtual) == {0: (5, 0)}  # min(4+1, 7+2)
 
     def test_virtual_cost_ignores_occupancy(self):
         g = ufl_game([10, 3])
-        value, target = deviation_cost(g, Profile([{0}, {0}]), 0, 0, virtual=True)
-        assert (value, target) == (F(3), 1)
+        assert deviation_cost(g, Profile([{0}, {0}]), 0, virtual=True) == {0: (3, 1)}
         assert virtual_cost(g, 0, 0) == 10
         assert virtual_cost(g, 0, 1) == 3
 
@@ -266,8 +296,8 @@ class TestDeviationCost:
             spaces=[m],
             delays={(0, 0): F(2)},
         )
-        value, target = deviation_cost(g, Profile([{0, 1}]), 0, 0, virtual=True)
-        assert (value, target) == (F(8), 0)
+        # each block holds one element, so each stays where it is
+        assert deviation_cost(g, Profile([{0, 1}]), 0, virtual=True) == {0: (8, 0), 1: (9, 1)}
 
 
 class TestEnforceabilityConditions:
@@ -335,9 +365,11 @@ class TestEnforceabilityConditions:
             row([((i, e), F(1)) for i in users], c)
             row([((i, e), F(-1)) for i in users], -c)
         for i, e in pairs:
+            basis = profile[i]
             best = min(
                 game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
-                for f in exchange_candidates(game.spaces[i], profile[i], e)
+                for f in game.resources if f == e or f not in basis
+                and game.spaces[i].is_independent((basis - {e}) | {f})
             )
             row([((i, e), F(1))], best - game.delay(i, e))
         sol = solve(LinearProgram.build([F(0)] * len(pairs), rows, rhs))
@@ -443,22 +475,21 @@ class TestIncrementalLoop:
         assert moved > 40
 
     def test_exchanges_priced_once_per_basis(self, monkeypatch):
-        # each basis a player holds is priced at most once per element;
-        # the final certificate check prices everything once more
+        # each basis a player holds is asked of its oracle at most once;
+        # the final certificate check asks once more per player
         calls = [0]
         certified_after = []
-        real_exchange = matroids.exchange_candidates
         real_check = matroids.check_enforceable_matroid
-
-        def counting(*args):
-            calls[0] += 1
-            return real_exchange(*args)
+        for kind in (UniformMatroid, PartitionMatroid, GraphicMatroid):
+            def counting(self, *args, _real=vars(kind)["cheapest_exchanges"]):
+                calls[0] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(kind, "cheapest_exchanges", counting)
 
         def certify(*args, **kwargs):
             certified_after.append(calls[0])
             return real_check(*args, **kwargs)
 
-        monkeypatch.setattr(matroids, "exchange_candidates", counting)
         monkeypatch.setattr(matroids, "check_enforceable_matroid", certify)
         games = list(_seeded_games(40))
         rng = random.Random(7)
@@ -471,10 +502,8 @@ class TestIncrementalLoop:
             moved = [0] * game.n
             for move in res.moves:
                 moved[move.player] += 1
-            budget = sum(
-                game.spaces[i].rank * (1 + moved[i]) for i in range(game.n)
-            )
-            assert certified_after and certified_after[0] <= budget
+            assert certified_after and certified_after[0] <= game.n + sum(moved)
+            assert calls[0] == certified_after[0] + game.n
 
 
 class TestRulePaths:
@@ -485,7 +514,7 @@ class TestRulePaths:
         kinds = [c for c in MatroidOracle.__subclasses__() if c.__module__ == matroids.__name__]
         assert {UniformMatroid, PartitionMatroid, GraphicMatroid} <= set(kinds)
         for kind in kinds:
-            for rule in ("greedy", "_exchange_table"):
+            for rule in ("greedy", "cheapest_exchanges"):
                 assert rule in vars(kind), (kind.__name__, rule)
 
     @staticmethod
@@ -519,8 +548,7 @@ class TestRulePaths:
             for virtual in (False, True):
                 calls.clear()
                 matroids._check_conditions(game, profile, virtual)
-                expected = [(game.spaces[i], profile[i]) for i in range(game.n) if profile[i]]
-                assert calls == (expected if not virtual else []), virtual
+                assert calls == [(game.spaces[i], profile[i]) for i in range(game.n)], virtual
 
 
 class TestProtocolConstruction:

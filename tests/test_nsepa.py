@@ -15,6 +15,7 @@ from _helpers import assert_scaled, path_game, scaled_doc, stored, transform_run
 from _oracles import (
     full_path_lp,
     per_pair_tight_alternative,
+    private_cost,
     rescan_nsepa_transform,
     restart_is_two_terminal_sp,
 )
@@ -27,7 +28,7 @@ from sepshare.errors import (
     NotSeriesParallel,
     SepshareError,
 )
-from sepshare.game import GameModel, Profile, Step, private_cost, total_cost
+from sepshare.game import GameModel, Profile, Step, total_cost
 from sepshare.gen import gen_sp, gen_tree
 from sepshare.lp import INFEASIBLE, OPTIMAL, solve
 from sepshare.network import Network

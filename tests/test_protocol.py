@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import path_game, ufl_game
+from _oracles import verify_separability_bruteforce
 from sepshare.errors import BudgetExceeded, InputError, InternalInvariant
 from sepshare.game import CostFunction, GameModel, Profile
 from sepshare.matroids import UniformMatroid
@@ -15,7 +16,6 @@ from sepshare.protocol import (
     best_response,
     verify_budget_balance,
     verify_pne,
-    verify_separability_bruteforce,
     water_fill,
 )
 

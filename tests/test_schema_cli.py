@@ -684,16 +684,18 @@ class TestVerifyMatroid:
         assert doc["budget_balanced"] is True
 
     def test_true_mode_prices_each_pair_once(self, tmp_path, monkeypatch):
+        # one call prices every (player, resource) pair of one player
         from sepshare import matroids
 
         inst = self._rewritten(tmp_path)
         priced = Counter()
         original = matroids.deviation_cost
 
-        def counting(game, profile, i, e, virtual=False):
+        def counting(game, profile, i, virtual=False):
+            answer = original(game, profile, i, virtual=virtual)
             if not virtual:
-                priced[(i, e)] += 1
-            return original(game, profile, i, e, virtual=virtual)
+                priced.update((i, e) for e in answer)
+            return answer
 
         monkeypatch.setattr(matroids, "deviation_cost", counting)
         code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
@@ -837,6 +839,39 @@ def test_counts_ids_and_flags_are_read_exactly(tmp_path, capsys, make, edit, fie
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith(f"input error: {field} must be ")
+
+# a one-player space over facilities 0 and 1 that names one of them `x`
+ELEMENT_IDS = {
+    "uniform-float": (lambda x: {"uniform": {"ground": [0, x], "rank": 1}}, 1.0),
+    "uniform-bool": (lambda x: {"uniform": {"ground": [0, x], "rank": 1}}, True),
+    "partition-float": (lambda x: {"partition": {"blocks": [[0, x]], "quotas": [1]}}, 1.0),
+    "partition-bool": (lambda x: {"partition": {"blocks": [[0], [x]], "quotas": [1, 0]}},
+                       True),
+    "graphic-float": (lambda x: {"graphic": {"ground": [0, x], "edges": [[0, 1], [0, 1]]}},
+                      1.0),
+    "graphic-bool": (lambda x: {"graphic": {"ground": [x, 1], "edges": [[0, 1], [0, 1]]}},
+                     False),
+}
+
+
+@pytest.mark.parametrize("command", ["transform-matroid", "verify"])
+@pytest.mark.parametrize("space, bad", ELEMENT_IDS.values(), ids=ELEMENT_IDS.keys())
+def test_matroid_element_ids_are_read_exactly(tmp_path, capsys, command, space, bad):
+    """A float or bool matroid element equal to an int id exits 2 with one
+    line naming it, where the int id runs."""
+    doc = _partition_doc()
+    argv = [command, "--in", str(tmp_path / "inst.json")]
+    doc["spaces"] = [{"matroid": space(int(bad))}]
+    _write_doc(tmp_path, doc)
+    assert run_to_file(tmp_path, "r.json", argv)[0] == 0
+    doc["spaces"] = [{"matroid": space(bad)}]
+    _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    code, _rep = run_to_file(tmp_path, "r.json", argv)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: a matroid element must be a JSON integer, not {bad!r}"]
+
 
 def _unreadable_file(tmp_path):
     bad = tmp_path / "latin1.json"
