@@ -3,13 +3,17 @@
 Solves  maximize c.x  subject to  A.x <= b, x >= 0  with a two-phase
 tableau simplex on sparse rows: a program's rows hold only their nonzero
 coefficients from construction on, and each tableau row is a dict of
-them, so a pivot touches only the rows with a nonzero in the entering
-column, and in them only the pivot row's columns.  Program data, and
-every tableau entry, right-hand side, reduced cost and objective value,
-are stored by the rule of `rationals.exact`: an int when integral, a
-Fraction otherwise.  Slacks and artificials are the ints 1 and -1, and
-only a pivot other than 1 divides, so integral data whose pivots are all
-1 never make a Fraction.
+them.  Each connected component (columns joined by the rows they share,
+an empty row alone) is pivoted on its own rows.  A pivot changes no other
+component, and columns keep their global ids, so each component makes
+the pivots that one tableau over the whole program would make in it.
+The program is infeasible if a component is, else unbounded if one is or
+a column in no row has a positive cost.
+Program data, and every tableau entry, right-hand side, reduced cost and
+objective value, are stored by the rule of `rationals.exact`: an int when
+integral, a Fraction otherwise.  Slacks and artificials are the ints 1
+and -1, and only a pivot other than 1 divides, so integral data whose
+pivots are all 1 never make a Fraction.
 Bland's rule (smallest improving column, ties in the ratio test to the
 smallest basic column) makes runs deterministic and rules out cycling;
 the ratio test compares rhs[r] / a by cross-multiplication, without
@@ -162,59 +166,96 @@ def _simplex_loop(
 
 
 def solve(lp: LinearProgram) -> Solution:
-    """Two-phase exact simplex.  Deterministic for identical inputs."""
+    """Two-phase exact simplex on each connected component of the program
+    in turn, in the order of their first rows.  Deterministic for
+    identical inputs."""
     n = len(lp.objective)
-    m = len(lp.rows)
-    ncols = n + m  # structural + slack
-    rows: list[SparseRow] = []
-    rhs: list[Number] = []
-    basis: list[int] = []
-    artificials: SparseRow = {}  # phase-1 costs: -1 on each artificial column
-    for k, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-        if b < 0:
-            art = ncols + len(artificials)
-            artificials[art] = -1
-            row = {j: -a for j, a in row}
-            row[n + k] = -1
-            row[art] = 1
-            rhs.append(-b)
-            basis.append(art)
-        else:
-            row = dict(row)
+    ncols = n + len(lp.rows)  # structural + slack
+    # Union-find over the columns in one walk over the nonzeros: `owner`
+    # maps each column to its block (rows, columns, costs), and a row merges
+    # the blocks of its columns, each smaller one into the larger.
+    owner: list[Optional[tuple[list[int], list[int], SparseRow]]] = [None] * n
+    blocks = []
+    for k, row in enumerate(lp.rows):
+        block = owner[row[0][0]] if row else None
+        if block is None:
+            blocks.append(block := ([], [], {}))
+        block[0].append(k)
+        for j, _a in row:
+            other = owner[j]
+            if other is None:
+                owner[j] = block
+                block[1].append(j)
+            elif other is not block:
+                if len(other[1]) < len(block[1]):
+                    other, block = block, other
+                for jj in block[1]:
+                    owner[jj] = other
+                other[0].extend(block[0])
+                other[1].extend(block[1])
+                block[0].clear()  # merged: no longer a block
+                block = other
+    unbounded = False  # so far: a column in no row with a positive cost
+    for j, c in enumerate(lp.objective):
+        if c:
+            if owner[j] is not None:
+                owner[j][2][j] = c
+            elif c > 0:
+                unbounded = True
+    for ks, _cols, _costs in blocks:
+        ks.sort()
+
+    x, y = [0] * n, [0] * len(lp.rows)
+    value: Number = 0
+    for ks, _cols, costs in sorted(block for block in blocks if block[0]):
+        rows, rhs, basis = [], [], []
+        artificials: SparseRow = {}  # phase-1 costs: -1 on each artificial column
+        for k in ks:
+            row, b = dict(lp.rows[k]), lp.rhs[k]
             row[n + k] = 1
-            rhs.append(b)
-            basis.append(n + k)
-        rows.append(row)
+            if b < 0:  # negated, with an artificial in the basis
+                row = {j: -a for j, a in row.items()}
+                row[ncols + k] = 1
+                artificials[ncols + k] = -1
+            rows.append(row)
+            rhs.append(abs(b))
+            basis.append(n + k if b >= 0 else ncols + k)
 
-    if artificials:
-        status, value, _z = _simplex_loop(rows, rhs, basis, artificials)
-        if status != OPTIMAL:
-            raise InternalInvariant("phase 1 cannot be unbounded")
-        if value != 0:
-            return Solution(status=INFEASIBLE)
-        # Drive leftover (zero-valued) artificials out of the basis.  Every
-        # row has its own slack, so [A | I] has full row rank and a basic
-        # artificial's row always has a nonzero below the artificials.
-        for r in range(m - 1, -1, -1):
-            if basis[r] < ncols:
-                continue
-            pivot_col = min((j for j in rows[r] if j < ncols), default=None)
-            if pivot_col is None:
-                raise InternalInvariant(f"no pivot column to drive out the artificial of row {r}")
-            _pivot(rows, rhs, basis, r, pivot_col)
-        for row in rows:
-            for j in [j for j in row if j >= ncols]:
-                del row[j]
+        if artificials:
+            status, phase1, _z = _simplex_loop(rows, rhs, basis, artificials)
+            if status != OPTIMAL:
+                raise InternalInvariant("phase 1 cannot be unbounded")
+            if phase1 != 0:
+                return Solution(status=INFEASIBLE)
+            # Drive leftover (zero-valued) artificials out of the basis.  Every
+            # row has its own slack, so [A | I] has full row rank and a basic
+            # artificial's row always has a nonzero below the artificials.
+            for r in range(len(rows) - 1, -1, -1):
+                if basis[r] < ncols:
+                    continue
+                pivot_col = min((j for j in rows[r] if j < ncols), default=None)
+                if pivot_col is None:
+                    raise InternalInvariant(f"no pivot column to drive out the artificial of row {ks[r]}")
+                _pivot(rows, rhs, basis, r, pivot_col)
+            for row in rows:
+                for j in [j for j in row if j >= ncols]:
+                    del row[j]
 
-    costs = {j: c for j, c in enumerate(lp.objective) if c}
-    status, value, z = _simplex_loop(rows, rhs, basis, costs)
-    if status == UNBOUNDED:
+        if unbounded:
+            continue  # the later components may still be infeasible
+        status, part, z = _simplex_loop(rows, rhs, basis, costs)
+        if status == UNBOUNDED:
+            unbounded = True
+            continue
+        value += part
+        for r, col in enumerate(basis):
+            if col < n:
+                x[col] = rhs[r]
+        for k in ks:
+            y[k] = -z.get(n + k, 0)
+    if unbounded:
         return Solution(status=UNBOUNDED)
-    x = [0] * n
-    for r, col in enumerate(basis):
-        if col < n:
-            x[col] = rhs[r]
-    y = [-z.get(n + k, 0) for k in range(m)]
+    value = exact(value)
     _certify(lp, x, y, value)
     return Solution(status=OPTIMAL, values=tuple(x), objective_value=value)
 
@@ -222,26 +263,25 @@ def solve(lp: LinearProgram) -> Solution:
 def _certify(lp: LinearProgram, x: list[Number], y: list[Number], value: Number) -> None:
     """Prove `x` optimal with value `value` for `lp`: `x` is primal
     feasible and attains `value`, and `y` is dual feasible (y >= 0,
-    A^T y >= c) with b.y == value."""
+    A^T y >= c) with b.y == value.  One walk over the nonzeros sums both
+    A x and A^T y."""
     if any(v < 0 for v in x):
         raise InternalInvariant("negative variable in reported optimum")
-    for k, row in enumerate(lp.rows):
-        lhs = sum(a * x[j] for j, a in row)
-        if lhs > lp.rhs[k]:
-            raise InternalInvariant(f"row {k} violated by reported optimum")
-    obj = sum(c * v for c, v in zip(lp.objective, x))
-    if obj != value:
-        raise InternalInvariant("objective value mismatch in reported optimum")
     if any(v < 0 for v in y):
         raise InternalInvariant("negative dual in reported optimum")
     aty = [0] * len(lp.objective)
-    for row, yk in zip(lp.rows, y):
-        if yk:
-            for j, a in row:
+    for k, row in enumerate(lp.rows):
+        lhs, yk = 0, y[k]
+        for j, a in row:
+            lhs += a * x[j]
+            if yk:
                 aty[j] += a * yk
+        if lhs > lp.rhs[k]:
+            raise InternalInvariant(f"row {k} violated by reported optimum")
+    if sum(c * v for c, v in zip(lp.objective, x)) != value:
+        raise InternalInvariant("objective value mismatch in reported optimum")
     for j, c in enumerate(lp.objective):
         if aty[j] < c:
             raise InternalInvariant(f"dual constraint of column {j} violated")
     if sum(b * v for b, v in zip(lp.rhs, y)) != value:
         raise InternalInvariant("duality gap in reported optimum")
-

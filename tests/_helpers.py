@@ -1,15 +1,18 @@
 """Shared instance builders and scale-invariance checks for the test suite."""
 
+import importlib.util
 import itertools
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from sepshare.cli import run
 from sepshare.game import CostFunction, GameModel, PathSpace
 from sepshare.matroids import UniformMatroid
 from sepshare.network import Network
 from sepshare.rationals import format_rational, parse_rational
+from sepshare.schema import game_from_json, profile_from_json
 
 
 def path_game(edges, pairs, delays=None, directed=False):
@@ -40,6 +43,20 @@ def ufl_game(costs, delays=None, players=2):
         players=players, resources=ids, costs=cf, spaces=spaces, delays=delays or {}
     )
 
+
+def chain_instances(specs):
+    """Games and profiles of `tests/golden/regen.py::chain_instance` for
+    each (seed, bundles, players)."""
+    path = Path(__file__).resolve().parent / "golden" / "regen.py"
+    spec = importlib.util.spec_from_file_location("golden_regen", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    out = []
+    for args in specs:
+        doc = regen.chain_instance(*args)
+        game = game_from_json(doc)
+        out.append((game, profile_from_json(doc, game)))
+    return out
 
 
 def path_subsets(net, frm, to) -> set:

@@ -24,7 +24,9 @@ cross-check search, where the package keeps walks, users, depths and
 adjacency from one tree check to the next and stops its searches once
 their answers are settled.  The shortest-path reference keeps every
 distance a Fraction, where the package keeps integral distances as ints
-inside the search.  The exhaustive separability check and a player's
+inside the search.  The whole-tableau simplex reference pivots on every
+row of the program, where the package pivots each connected component of
+the program on its own rows.  The exhaustive separability check and a player's
 private cost under a protocol have no caller in the package, so they
 live here with the tests that use them.
 """
@@ -46,7 +48,15 @@ from sepshare.game import (
     Step,
     total_cost,
 )
-from sepshare.lp import LinearProgram
+from sepshare.lp import (
+    LinearProgram,
+    Number,
+    Solution,
+    SparseRow,
+    _certify,
+    _pivot,
+    _simplex_loop,
+)
 from sepshare.matroids import deviation_cost, matroid_from_descriptor, virtual_cost
 from sepshare.nsepa import (
     Alternative,
@@ -204,6 +214,65 @@ def fourier_motzkin_status(objective, rows, rhs) -> tuple[str, Optional[Fraction
     if upper is None:
         return UNBOUNDED, None
     return OPTIMAL, upper
+
+
+def whole_tableau_solve(lp: LinearProgram) -> Solution:
+    """`sepshare.lp.solve` as one two-phase tableau over all of the
+    program's rows, so that every pivot visits every row."""
+    n = len(lp.objective)
+    m = len(lp.rows)
+    ncols = n + m  # structural + slack
+    rows: list[SparseRow] = []
+    rhs: list[Number] = []
+    basis: list[int] = []
+    artificials: SparseRow = {}  # phase-1 costs: -1 on each artificial column
+    for k, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        if b < 0:
+            art = ncols + len(artificials)
+            artificials[art] = -1
+            row = {j: -a for j, a in row}
+            row[n + k] = -1
+            row[art] = 1
+            rhs.append(-b)
+            basis.append(art)
+        else:
+            row = dict(row)
+            row[n + k] = 1
+            rhs.append(b)
+            basis.append(n + k)
+        rows.append(row)
+
+    if artificials:
+        status, value, _z = _simplex_loop(rows, rhs, basis, artificials)
+        if status != OPTIMAL:
+            raise InternalInvariant("phase 1 cannot be unbounded")
+        if value != 0:
+            return Solution(status=INFEASIBLE)
+        # Drive leftover (zero-valued) artificials out of the basis.  Every
+        # row has its own slack, so [A | I] has full row rank and a basic
+        # artificial's row always has a nonzero below the artificials.
+        for r in range(m - 1, -1, -1):
+            if basis[r] < ncols:
+                continue
+            pivot_col = min((j for j in rows[r] if j < ncols), default=None)
+            if pivot_col is None:
+                raise InternalInvariant(f"no pivot column to drive out the artificial of row {r}")
+            _pivot(rows, rhs, basis, r, pivot_col)
+        for row in rows:
+            for j in [j for j in row if j >= ncols]:
+                del row[j]
+
+    costs = {j: c for j, c in enumerate(lp.objective) if c}
+    status, value, z = _simplex_loop(rows, rhs, basis, costs)
+    if status == UNBOUNDED:
+        return Solution(status=UNBOUNDED)
+    x = [0] * n
+    for r, col in enumerate(basis):
+        if col < n:
+            x[col] = rhs[r]
+    y = [-z.get(n + k, 0) for k in range(m)]
+    _certify(lp, x, y, value)
+    return Solution(status=OPTIMAL, values=tuple(x), objective_value=value)
 
 
 def rescan_transform_matroid(game, profile):

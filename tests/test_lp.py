@@ -1,14 +1,16 @@
-"""Exact simplex against two independent references, and the number rule
-of `rationals.exact` on its data and its tableau."""
+"""Exact simplex against two independent references and against one
+tableau over the whole program, and the number rule of `rationals.exact`
+on its data and its tableau."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import sepshare.lp
 from _helpers import scaled_doc, stored
-from _oracles import fourier_motzkin_status, vertex_lp
+from _oracles import fourier_motzkin_status, vertex_lp, whole_tableau_solve
 from sepshare.errors import InputError, InternalInvariant
 from sepshare.gen import gen_sp
 from sepshare.lp import (
@@ -157,7 +159,9 @@ class TestAgainstOracles:
     def test_the_tableau_follows_the_number_rule(self, monkeypatch):
         pivots, kinds = _watch_pivots(monkeypatch)
         rng = random.Random(20240901)
-        for k in range(400):
+        # 500 programs: a program stops pivoting at its first infeasible
+        # component, so the first 400 make only 288 pivots
+        for k in range(500):
             obj, rows, rhs = self._random_lp(rng) if k < 250 else self._sparse_random_lp(rng)
             solve(lp(obj, rows, rhs))
         # pivots other than 1 and -1 divide, and some of them leave Fractions
@@ -230,6 +234,137 @@ def test_the_enforceability_tableau_follows_the_number_rule(monkeypatch, q):
         solve(build_lp(game, profile).lp)
     assert len(pivots) > 100 and {abs(p) for p in pivots} == {1}
     assert kinds == ({int} if q == 1 else {int, F})
+
+
+def _same_as_whole_tableau(prog: LinearProgram):
+    """`solve` and the whole-tableau reference return equal `Solution`s,
+    with every number of the same type and stored by the rule."""
+    sol, ref = solve(prog), whole_tableau_solve(prog)
+    assert sol == ref, (prog, sol, ref)
+    numbers, ref_numbers = (s.values + (s.objective_value,) for s in (sol, ref))
+    assert list(map(type, numbers)) == list(map(type, ref_numbers))
+    assert all(v is None or stored(v) for v in numbers)
+    return sol
+
+
+def _block_diagonal(rng):
+    """A program assembled from one to three random blocks, empty rows and
+    columns in no row, its rows and columns shuffled.  Returns it with
+    the blocks' own statuses, a column in no row counted UNBOUNDED when
+    its cost is positive and an empty row INFEASIBLE when its rhs is
+    negative."""
+    blocks, statuses = [], []
+    for _ in range(rng.randint(1, 3)):
+        obj, rows, rhs = rng.choice([TestAgainstOracles()._sparse_random_lp, _fractional_lp])(rng)
+        if rng.random() < 1 / 2:  # feasible at 0, so optimal or unbounded
+            rhs = [abs(b) for b in rhs]
+        blocks.append((obj, rows, rhs))
+        statuses.append(whole_tableau_solve(lp(obj, rows, rhs)).status)
+    for _ in range(rng.choice([0, 0, 1, 2])):  # columns in no row
+        c = rng.randint(-2, 1)
+        blocks.append(([c], [], []))
+        statuses.append(UNBOUNDED if c > 0 else OPTIMAL)
+    for _ in range(rng.choice([0, 0, 1, 2])):  # empty rows
+        b = rng.randint(-1, 5)
+        blocks.append(([], [[]], [b]))
+        statuses.append(INFEASIBLE if b < 0 else OPTIMAL)
+    n = sum(len(obj) for obj, _rows, _rhs in blocks)
+    place = list(range(n))
+    rng.shuffle(place)
+    obj, rows, rhs = [0] * n, [], []
+    at = 0
+    for bobj, brows, brhs in blocks:
+        cols = place[at:at + len(bobj)]
+        at += len(bobj)
+        for j, c in zip(cols, bobj):
+            obj[j] = c
+        for brow, b in zip(brows, brhs):
+            row = [0] * n
+            for j, a in zip(cols, brow):
+                row[j] = a
+            rows.append((row, b))
+    rng.shuffle(rows)
+    return lp(obj, [row for row, _b in rows], [b for _row, b in rows]), statuses
+
+
+def _components(prog: LinearProgram) -> list:
+    """The row sets of the program's connected components, by search over
+    rows that share a column; empty rows are left out."""
+    left = {k for k, row in enumerate(prog.rows) if row}
+    out = []
+    while left:
+        todo, comp = [left.pop()], set()
+        while todo:
+            k = todo.pop()
+            comp.add(k)
+            cols = {j for j, _a in prog.rows[k]}
+            near = {kk for kk in left if cols & {j for j, _a in prog.rows[kk]}}
+            left -= near
+            todo += near
+        out.append(comp)
+    return out
+
+
+class TestComponents:
+    """`solve` pivots each connected component on its own rows and must
+    return exactly what one tableau over the whole program returns."""
+
+    def test_the_oracle_programs_solve_as_one_tableau(self):
+        oracles, rng = TestAgainstOracles(), random.Random(20240901)
+        for k in range(400):
+            make = oracles._random_lp if k < 250 else oracles._sparse_random_lp
+            _same_as_whole_tableau(lp(*make(rng)))
+        rng = random.Random(6)
+        for _ in range(360):
+            _same_as_whole_tableau(lp(*_fractional_lp(rng)))
+
+    def test_block_diagonal_programs_solve_as_one_tableau(self):
+        rng = random.Random(27)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0, "infeasible and unbounded blocks": 0}
+        edges = Counter()
+        for _ in range(400):
+            prog, statuses = _block_diagonal(rng)
+            used = {j for row in prog.rows for j, _a in row}
+            edges.update(("empty row", (b > 0) - (b < 0)) for row, b in zip(prog.rows, prog.rhs)
+                         if not row)
+            edges.update(("column in no row", (c > 0) - (c < 0))
+                         for j, c in enumerate(prog.objective) if j not in used)
+            sol = _same_as_whole_tableau(prog)
+            if INFEASIBLE in statuses:
+                assert sol.status == INFEASIBLE
+                seen["infeasible and unbounded blocks"] += UNBOUNDED in statuses
+            elif UNBOUNDED in statuses:
+                assert sol.status == UNBOUNDED
+            else:
+                assert sol.status == OPTIMAL
+            seen[sol.status] += 1
+        assert min(seen.values()) > 50, seen
+        # every sign of an empty row's rhs and of a lone column's cost
+        assert len(edges) == 6 and min(edges.values()) > 10, edges
+
+    def test_each_pivot_gets_only_its_components_rows(self, monkeypatch):
+        """A tableau row's slack columns name the program rows it mixes,
+        and the slack columns of a component's tableau are invertible, so
+        they name all of its rows: the rows a pivot is given must be
+        exactly one component's."""
+        rng = random.Random(28)
+        programs = [_block_diagonal(rng)[0] for _ in range(400)]
+        real = sepshare.lp._pivot
+        pivots = 0
+
+        def local(rows, rhs, basis, r, c):
+            nonlocal pivots
+            n, m = len(prog.objective), len(prog.rows)
+            named = {j - n for row in rows for j in row if n <= j < n + m}
+            assert len(named) == len(rows) and named in components, (named, components)
+            pivots += 1
+            return real(rows, rhs, basis, r, c)
+
+        monkeypatch.setattr(sepshare.lp, "_pivot", local)
+        for prog in programs:
+            components = _components(prog)
+            solve(prog)
+        assert pivots > 200, pivots
 
 
 class TestNumberRule:

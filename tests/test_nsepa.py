@@ -1,7 +1,6 @@
 """Path games on series-parallel style networks: enforceability LP,
 detour enumeration, and the share-balancing rewrite."""
 
-import importlib.util
 import json
 import random
 import time
@@ -11,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from _helpers import assert_scaled, path_game, scaled_doc, stored, transform_run
+from _helpers import (
+    assert_scaled,
+    chain_instances,
+    path_game,
+    scaled_doc,
+    stored,
+    transform_run,
+)
 from _oracles import (
     full_path_lp,
     per_pair_tight_alternative,
@@ -101,20 +107,6 @@ def _recognition_cases(rng, count):
         for edge_ids in picks:
             yield net, s, t, edge_ids
             count -= 1
-
-
-def _chain_instances(specs):
-    """Games and profiles of `tests/golden/regen.py::chain_instance` for
-    each (seed, bundles, players)."""
-    spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
-    regen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regen)
-    out = []
-    for args in specs:
-        doc = regen.chain_instance(*args)
-        game = game_from_json(doc)
-        out.append((game, profile_from_json(doc, game)))
-    return out
 
 
 def _delay_heavy(game, seed):
@@ -567,7 +559,7 @@ class TestTransform:
     def test_matches_the_rescan_transform(self):
         cases = [gen_sp(random.Random(seed), players=1 + seed % 8, max_edges=40)
                  for seed in range(600)]
-        cases += _chain_instances((100 + k, 10 + k % 11, 6 + k % 5) for k in range(40))
+        cases += chain_instances((100 + k, 10 + k % 11, 6 + k % 5) for k in range(40))
         cases += [(_delay_heavy(game, k), profile) for k, (game, profile) in enumerate(cases)]
         repairs = substitutions = 0
         for game, profile in cases:
