@@ -7,9 +7,12 @@ P is enforceable exactly when the optimum pays for every used edge.  On
 any network the exponentially many deviation rows, one per simple path,
 are generated lazily from best responses under the current shares.  On
 series-parallel player subgraphs they collapse to one row per
-"alternative", an edge-disjoint detour between two nodes of the player's
-path, and the transform below rewrites any profile into an enforceable
-one by letting players slide along tight alternatives.
+"alternative", the cheapest detour between two path nodes that one piece
+of the subgraph off the path joins.  A piece meets the path in at most
+two nodes, so the detours are edge-disjoint; rows run by left node, then
+by the fewest edges to the right node, then by its position.  The
+transform below rewrites any profile into an enforceable one by letting
+players slide along tight alternatives.
 
 Fixed edge costs throughout; delays are allowed and always charged on top.
 """
@@ -101,21 +104,40 @@ def _ordered_path(game: GameModel, i: int, choice: frozenset) -> tuple[int, ...]
     return order
 
 
-def _path_vertices(network: Network, ordered: tuple[int, ...], start: Vertex) -> list[Vertex]:
-    out = [start]
+def _detour_search(game: GameModel, i: int, ordered: tuple[int, ...]) -> tuple[list, Callable]:
+    """Nodes of player i's ordered path, and the search from the path node
+    at a given position through the player's region minus the path edges.
+    Every path node is a barrier, reached but never left, so a tree's entry
+    at another path node is the cheapest detour between the two.  Edges
+    weigh fixed cost plus the player's delay unless `weight` says otherwise."""
+    net = game.network
+    sp: PathSpace = game.spaces[i]
+    nodes = [sp.source]
     for eid in ordered:
-        out.append(network.other_end(eid, out[-1]))
-    return out
+        nodes.append(net.other_end(eid, nodes[-1]))
+    allowed = net.blocks_between(sp.source, sp.terminal) - frozenset(ordered)
+    barrier = frozenset(nodes)
+
+    def detour_weight(eid: int) -> int | Fraction:
+        return _fixed_cost(game, eid) + game.delay(i, eid)
+
+    def search(a: int, weight: Callable = detour_weight) -> dict:
+        return net.dijkstra(nodes[a], weight, blocked_vertices=barrier, edges=allowed)
+
+    return nodes, search
 
 
 def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative]:
-    """Edge-disjoint detour system of player i against their current path.
+    """Edge-disjoint detour system of player i against their current path:
+    the cheapest detour between each pair of path nodes that one piece of
+    the player's subgraph off the path joins.
 
-    Discovery walks the path from the source; from each path node a
-    BFS into the off-path region finds the next reachable path node, the
-    cheapest connecting detour is recorded, and its interior is deleted.
-    On series-parallel player subgraphs the stability rows of these
-    detours imply the rows of all simple-path deviations.
+    On a series-parallel subgraph a piece meets the path in at most two
+    nodes, as a third would give a K4 minor with the path and the virtual
+    source-terminal edge.  So the detours are edge-disjoint, and their
+    stability rows imply the rows of all simple-path deviations.  Rows run
+    by left node along the path, then by the fewest edges of any detour to
+    the right node, then by the right node's position.
     """
     _require_path_game(game)
     net = game.network
@@ -126,84 +148,21 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
     if not is_two_terminal_sp(net, sp.source, sp.terminal, edge_ids=region):
         raise NotSeriesParallel(f"player {i}'s subgraph is not series-parallel")
     ordered = _ordered_path(game, i, choice)
-    nodes = _path_vertices(net, ordered, sp.source)
-    pos = {v: k for k, v in enumerate(nodes)}
-
-    def weight(eid: int) -> int | Fraction:
-        return _fixed_cost(game, eid) + game.delay(i, eid)
-
-    live_edges = set(region) - set(choice)
-    # path nodes and the interiors of detours found so far
-    blocked: set[Vertex] = set(nodes)
+    nodes, search = _detour_search(game, i, ordered)
     found: list[Alternative] = []
-    for u in nodes:
-        while True:
-            hit = _discover(net, u, pos, live_edges, blocked)
-            if hit is None:
-                break
-            v = hit
-            path = net.shortest_path(u, v, weight, blocked_vertices=blocked, edges=live_edges)
-            if path is None:
-                raise InternalInvariant("discovered node without a connecting path")
-            cost, eseq = path
-            a, b = sorted((pos[u], pos[v]))
-            found.append(
-                Alternative(
-                    owner=i,
-                    frm=nodes[a],
-                    to=nodes[b],
-                    edges=eseq,
-                    substituted=tuple(ordered[a:b]),
-                    weight=cost,
-                )
-            )
-            live_edges -= set(eseq)
-            blocked.update(_path_vertices(net, eseq, u)[1:-1])
-    if len(found) > len(net.edge_ids):
-        raise InternalInvariant("more alternatives than edges")
+    for a in range(len(nodes) - 1):
+        tree = search(a)
+        later = [b for b in range(a + 1, len(nodes)) if nodes[b] in tree]
+        if len(later) > 1:  # fewest edges first; the stable sort keeps path order on ties
+            hops = search(a, lambda eid: 1)
+            later.sort(key=lambda b: len(hops[nodes[b]][1]))
+        for b in later:
+            cost, eseq = tree[nodes[b]]
+            found.append(Alternative(i, nodes[a], nodes[b], eseq, ordered[a:b], cost))
     used = [e for alt in found for e in alt.edges]
     if len(used) != len(set(used)):
         raise InternalInvariant("alternatives are not edge-disjoint")
-    # same endpoints mean same substituted subpath, so the cheapest detour's
-    # stability row implies the rows of all costlier ones; keep only it
-    cheapest: dict[tuple, Alternative] = {}
-    for alt in found:
-        key = (alt.frm, alt.to)
-        if key not in cheapest or alt.weight < cheapest[key].weight:
-            cheapest[key] = alt
-    return [alt for alt in found if cheapest[(alt.frm, alt.to)] is alt]
-
-
-def _discover(
-    net: Network,
-    u: Vertex,
-    pos: dict,
-    live_edges: set,
-    blocked: set,
-) -> Optional[Vertex]:
-    """Breadth-first search from u through off-path territory, which is
-    neither a path node nor in `blocked`; returns the first other path
-    node reached, preferring earlier path position on the same layer, or
-    None."""
-    visited = {u}
-    frontier = [u]
-    while frontier:
-        layer_hits: list[Vertex] = []
-        nxt: list[Vertex] = []
-        for x in frontier:
-            for nbr, eid in net.neighbors(x):
-                if eid not in live_edges or nbr in visited or (nbr in blocked and nbr not in pos):
-                    continue
-                visited.add(nbr)
-                if nbr in pos:
-                    layer_hits.append(nbr)
-                else:
-                    nxt.append(nbr)
-        if layer_hits:
-            layer_hits.sort(key=lambda v: (pos[v], net.vindex[v]))
-            return layer_hits[0]
-        frontier = nxt
-    return None
+    return found
 
 
 # -- the enforceability LP -------------------------------------------------
@@ -359,31 +318,17 @@ def smallest_tight_alternative(
     absorbed amount would contradict LP feasibility, so it raises.
     """
     _require_path_game(game)
-    net = game.network
-    sp: PathSpace = game.spaces[i]
     if f not in ordered_path:
         raise InputError(f"edge {f} is not on the player's current path")
-    region = net.blocks_between(sp.source, sp.terminal)
-    nodes = _path_vertices(net, ordered_path, sp.source)
+    nodes, search = _detour_search(game, i, ordered_path)
     fpos = ordered_path.index(f)
-
-    def weight(eid: int) -> int | Fraction:
-        return _fixed_cost(game, eid) + game.delay(i, eid)
-
-    allowed = region - frozenset(ordered_path)
-    # path nodes are reached but never left, which leaves each one's own
-    # entry as in a search that blocks all the other path nodes
-    barrier = frozenset(nodes)
     best: Optional[tuple] = None
-    for a in range(0, fpos + 1):
-        x = nodes[a]
-        tree = net.dijkstra(x, weight, blocked_vertices=barrier, edges=allowed)
+    for a in range(fpos + 1):
+        tree = search(a)
         for b in range(fpos + 1, len(nodes)):
-            y = nodes[b]
-            hit = tree.get(y)
-            if hit is None:
+            if nodes[b] not in tree:
                 continue
-            cost, eseq = hit
+            cost, eseq = tree[nodes[b]]
             substituted = tuple(ordered_path[a:b])
             absorbed = sum(share_of(e) + game.delay(i, e) for e in substituted)
             if cost < absorbed:
@@ -395,7 +340,7 @@ def smallest_tight_alternative(
                 continue
             key = (len(substituted), eseq, a, b)
             if best is None or key < best[0]:
-                best = (key, Alternative(i, x, y, eseq, substituted, cost))
+                best = (key, Alternative(i, nodes[a], nodes[b], eseq, substituted, cost))
     if best is None:
         raise NoTightAlternative(f"no tight detour around edge {f} for player {i}")
     return best[1]

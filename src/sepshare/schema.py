@@ -211,11 +211,14 @@ def profile_from_json(data, game: GameModel) -> Profile:
         rows = data
     if not isinstance(rows, list):
         raise InputError("profile must be a list of per-player resource lists")
-    for row in rows:
+    for k, row in enumerate(rows):
         if not isinstance(row, list) or not all(
             isinstance(e, int) and not isinstance(e, bool) for e in row
         ):
             raise InputError(f"profile row {row!r} is not a list of integer resource ids")
+        if len(set(row)) != len(row):
+            repeated = next(e for e in row if row.count(e) > 1)
+            raise InputError(f"profile row {k} repeats resource {repeated}")
     profile = Profile([frozenset(row) for row in rows])
     game.validate_profile(profile)
     return profile
@@ -250,6 +253,9 @@ def protocol_from_json(data: Mapping, game: GameModel) -> SeparableProtocol:
     for row in data.get("shares", []):
         pair = (integer(row["player"], "a share's player"),
                 integer(row["resource"], "a share's resource"))
+        if pair in shares:
+            i, e = pair
+            raise InputError(f"protocol repeats the share of player {i} on resource {e}")
         shares[pair] = parse_rational(row["share"])
     return SeparableProtocol(game, base, shares)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sepshare.cli import run
-from sepshare.game import CostFunction, GameModel, PathSpace
+from sepshare.game import CostFunction, GameModel, PathSpace, Profile
 from sepshare.matroids import UniformMatroid
 from sepshare.network import Network
 from sepshare.rationals import format_rational, parse_rational
@@ -57,6 +57,57 @@ def chain_instances(specs):
         game = game_from_json(doc)
         out.append((game, profile_from_json(doc, game)))
     return out
+
+
+def nested_sp_game(rng):
+    """Game and profile on a seeded nested series-parallel graph.
+
+    Series and parallel pieces are composed recursively between two
+    terminals, "n0" and "n1", down to single edges: 4 to 45 edges in all,
+    costs 1 to 20, 1 to 4 players, and delays 1 to 5 on about a sixth of
+    the (player, edge) pairs.  About half the players sit between the two
+    terminals of a composed piece; the others sit between arbitrary
+    vertices, so some of their subgraphs are not series-parallel.  Each
+    player starts on a shortest path under random weights."""
+    pairs, pieces = [], []
+    names = itertools.count(2)
+
+    def compose(u, v, m):
+        pieces.append((u, v))
+        if m == 1:
+            pairs.append((u, v))
+            return
+        k = rng.randint(1, m - 1)
+        if rng.random() < 0.5:
+            w = f"n{next(names)}"
+            compose(u, w, k)
+            compose(w, v, m - k)
+        else:
+            compose(u, v, k)
+            compose(u, v, m - k)
+
+    compose("n0", "n1", rng.randint(4, 45))
+    net = Network([(e, u, v) for e, (u, v) in enumerate(pairs)])
+    ids = list(net.edge_ids)
+    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in ids}
+    n = rng.randint(1, 4)
+    spaces = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            s, t = rng.choice(pieces)
+        else:
+            s, t = rng.sample(net.vertices, 2)
+        if rng.random() < 0.5:
+            s, t = t, s
+        spaces.append(PathSpace(source=s, terminal=t))
+    delays = {(i, e): rng.randint(1, 5) for i in range(n) for e in ids if rng.random() < 1 / 6}
+    game = GameModel(players=n, resources=ids, costs=costs, spaces=spaces, delays=delays,
+                     network=net)
+    choices = []
+    for sp in spaces:
+        weights = {e: rng.randint(1, 30) for e in ids}
+        choices.append(frozenset(net.shortest_path(sp.source, sp.terminal, weights.get)[1]))
+    return game, Profile(choices)
 
 
 def path_subsets(net, frm, to) -> set:

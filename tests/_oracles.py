@@ -4,9 +4,12 @@ These are deliberately written with different algorithms than the package
 (vertex enumeration and Fourier-Motzkin instead of simplex, exhaustive
 search instead of greedy structure) so agreement is meaningful.  The
 matroid rewrite reference rescans every resource and reprices every
-deviation after each move, where the package keeps both up to date.
-The tight-detour reference runs one search per pair of path nodes, where
-the package runs one per left node.  The full-path LP reference writes one
+deviation after each move, where the package keeps both up to date.  The
+tight-detour reference runs one search per pair of path nodes, where the
+package runs one per left node.  The detour-system reference discovers each
+detour by a breadth-first search, deletes its interior and keeps the
+cheapest detour per pair of path nodes, where the package reads every pair
+off one search per left node.  The full-path LP reference writes one
 stability row per enumerated simple path, where the package generates the
 rows it needs from best responses.  The reference loader parses every cost
 table entry and delay cell where it stands, where the package parses each
@@ -24,11 +27,11 @@ cross-check search, where the package keeps walks, users, depths and
 adjacency from one tree check to the next and stops its searches once
 their answers are settled.  The shortest-path reference keeps every
 distance a Fraction, where the package keeps integral distances as ints
-inside the search.  The whole-tableau simplex reference pivots on every
-row of the program, where the package pivots each connected component of
-the program on its own rows.  The exhaustive separability check and a player's
-private cost under a protocol have no caller in the package, so they
-live here with the tests that use them.
+inside the search.  The whole-tableau simplex reference pivots on every row
+of the program, where the package pivots each connected component of the
+program on its own rows.  The exhaustive separability check and a player's
+private cost under a protocol have no caller in the package, so they live
+here with the tests that use them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Mapping, Optional, Sequence
 
-from sepshare.errors import InputError, InternalInvariant, NoTightAlternative
+from sepshare.errors import InputError, InternalInvariant, NoTightAlternative, NotSeriesParallel
 from sepshare.game import (
     CostFunction,
     GameModel,
@@ -58,6 +61,7 @@ from sepshare.lp import (
     _simplex_loop,
 )
 from sepshare.matroids import deviation_cost, matroid_from_descriptor, virtual_cost
+from sepshare.network import Network, Vertex
 from sepshare.nsepa import (
     Alternative,
     NsepaTransformResult,
@@ -66,6 +70,7 @@ from sepshare.nsepa import (
     _ordered_path,
     _require_path_game,
     build_lp,
+    is_two_terminal_sp,
     smallest_tight_alternative,
 )
 from sepshare.oracle import EnumerationBudget, profiles_iter
@@ -406,6 +411,112 @@ def per_pair_tight_alternative(game, i, ordered_path, share_of, f):
     if best is None:
         raise NoTightAlternative(f"no tight detour around edge {f} for player {i}")
     return best[1]
+
+
+def _path_vertices(network: Network, ordered: tuple[int, ...], start: Vertex) -> list[Vertex]:
+    out = [start]
+    for eid in ordered:
+        out.append(network.other_end(eid, out[-1]))
+    return out
+
+
+def discovery_alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative]:
+    """`alternatives` by discovery: edge-disjoint detour system of player i
+    against their current path.
+
+    Discovery walks the path from the source; from each path node a
+    BFS into the off-path region finds the next reachable path node, the
+    cheapest connecting detour is recorded, and its interior is deleted.
+    On series-parallel player subgraphs the stability rows of these
+    detours imply the rows of all simple-path deviations.
+    """
+    _require_path_game(game)
+    net = game.network
+    sp: PathSpace = game.spaces[i]
+    if sp.source == sp.terminal:
+        return []
+    region = net.blocks_between(sp.source, sp.terminal)
+    if not is_two_terminal_sp(net, sp.source, sp.terminal, edge_ids=region):
+        raise NotSeriesParallel(f"player {i}'s subgraph is not series-parallel")
+    ordered = _ordered_path(game, i, choice)
+    nodes = _path_vertices(net, ordered, sp.source)
+    pos = {v: k for k, v in enumerate(nodes)}
+
+    def weight(eid: int) -> int | Fraction:
+        return _fixed_cost(game, eid) + game.delay(i, eid)
+
+    live_edges = set(region) - set(choice)
+    # path nodes and the interiors of detours found so far
+    blocked: set[Vertex] = set(nodes)
+    found: list[Alternative] = []
+    for u in nodes:
+        while True:
+            hit = _discover(net, u, pos, live_edges, blocked)
+            if hit is None:
+                break
+            v = hit
+            path = net.shortest_path(u, v, weight, blocked_vertices=blocked, edges=live_edges)
+            if path is None:
+                raise InternalInvariant("discovered node without a connecting path")
+            cost, eseq = path
+            a, b = sorted((pos[u], pos[v]))
+            found.append(
+                Alternative(
+                    owner=i,
+                    frm=nodes[a],
+                    to=nodes[b],
+                    edges=eseq,
+                    substituted=tuple(ordered[a:b]),
+                    weight=cost,
+                )
+            )
+            live_edges -= set(eseq)
+            blocked.update(_path_vertices(net, eseq, u)[1:-1])
+    if len(found) > len(net.edge_ids):
+        raise InternalInvariant("more alternatives than edges")
+    used = [e for alt in found for e in alt.edges]
+    if len(used) != len(set(used)):
+        raise InternalInvariant("alternatives are not edge-disjoint")
+    # same endpoints mean same substituted subpath, so the cheapest detour's
+    # stability row implies the rows of all costlier ones; keep only it
+    cheapest: dict[tuple, Alternative] = {}
+    for alt in found:
+        key = (alt.frm, alt.to)
+        if key not in cheapest or alt.weight < cheapest[key].weight:
+            cheapest[key] = alt
+    return [alt for alt in found if cheapest[(alt.frm, alt.to)] is alt]
+
+
+def _discover(
+    net: Network,
+    u: Vertex,
+    pos: dict,
+    live_edges: set,
+    blocked: set,
+) -> Optional[Vertex]:
+    """Breadth-first search from u through off-path territory, which is
+    neither a path node nor in `blocked`; returns the first other path
+    node reached, preferring earlier path position on the same layer, or
+    None."""
+    visited = {u}
+    frontier = [u]
+    while frontier:
+        layer_hits: list[Vertex] = []
+        nxt: list[Vertex] = []
+        for x in frontier:
+            for nbr, eid in net.neighbors(x):
+                if eid not in live_edges or nbr in visited or (nbr in blocked and nbr not in pos):
+                    continue
+                visited.add(nbr)
+                if nbr in pos:
+                    layer_hits.append(nbr)
+                else:
+                    nxt.append(nbr)
+        if layer_hits:
+            layer_hits.sort(key=lambda v: (pos[v], net.vindex[v]))
+            return layer_hits[0]
+        frontier = nxt
+    return None
 
 
 def full_path_lp(game, profile) -> LinearProgram:

@@ -1,14 +1,16 @@
 """Replay golden cases and diff them against the recorded bytes.
 
 Reruns every case of the named families (the case name without its
-`-NN` suffix, such as `sp`, `verify-tree` or `chain`) in this process
-and compares the exit code, report and trace with what `cases.json` and
-the case folder hold.  Run it under a fixed `PYTHONHASHSEED` to check
-that reports do not depend on set or dict order:
+`-NN` suffix, such as `sp`, `verify-tree` or `chain`), or of every
+family when none is named, in this process and compares the exit code,
+report and trace with what `cases.json` and the case folder hold.  Run
+it under a fixed `PYTHONHASHSEED` to check that reports do not depend on
+set or dict order:
 
     PYTHONHASHSEED=4242 PYTHONPATH=src python3 tests/golden/replay.py sp tree
 
-Prints one line per differing case and exits 1 if there is any.
+Prints one line per differing case and exits 1 if there is any.  A
+family that no case belongs to exits 2 with one line naming it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,14 @@ def _same(made: Path, recorded: Path) -> bool:
 
 
 def main(families: list[str]) -> int:
-    cases = [c for c in json.loads((HERE / "cases.json").read_text())
-             if c["name"].rsplit("-", 1)[0] in families]
+    cases = json.loads((HERE / "cases.json").read_text())
+    known = {c["name"].rsplit("-", 1)[0] for c in cases}
+    unknown = [f for f in families if f not in known]
+    if unknown:
+        print(f"no golden case in family {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if families:
+        cases = [c for c in cases if c["name"].rsplit("-", 1)[0] in families]
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:

@@ -31,19 +31,36 @@ def test_golden_case_is_byte_identical(case, tmp_path):
     assert trace.read_bytes() == (folder / "trace.jsonl").read_bytes()
 
 
+def _replay(*families, **env):
+    """The replay script run over `families` in a fresh interpreter, with
+    `env` added to its environment."""
+    src = str(GOLDEN.parent.parent / "src")
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, str(GOLDEN / "replay.py"), *families],
+                          env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
 def test_golden_cases_replay_under_a_fixed_hash_seed(hash_seed):
     """No report depends on set or dict iteration order: the replay script
     reruns every family in a fresh interpreter."""
-    src = str(GOLDEN.parent.parent / "src")
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     families = sorted({c["name"].rsplit("-", 1)[0] for c in CASES})
-    done = subprocess.run([sys.executable, str(GOLDEN / "replay.py"), *families],
-                          env=env, capture_output=True, text=True)
+    done = _replay(*families, PYTHONHASHSEED=hash_seed)
     assert done.returncode == 0, done.stdout + done.stderr
     assert len(CASES) == 112
     assert "replayed 112 cases, 0 differences" in done.stdout
+
+
+def test_replay_takes_every_family_by_default_and_rejects_an_unknown_one():
+    """Named no family, the replay script reruns the whole corpus; a
+    misspelled family exits 2 naming it instead of replaying no case."""
+    every = _replay()
+    assert every.returncode == 0, every.stdout + every.stderr
+    assert "replayed 112 cases, 0 differences" in every.stdout
+    typo = _replay("sp", "sp-chian")
+    assert (typo.returncode, typo.stdout) == (2, "")
+    assert typo.stderr == "no golden case in family sp-chian\n"
 
 
 def _regen_module():

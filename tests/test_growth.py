@@ -22,6 +22,7 @@ from sepshare.matroids import (
     build_matroid_protocol,
     transform_matroid,
 )
+from sepshare.network import Network
 from sepshare.nsepa import nsepa_transform
 
 GROUNDS = (32, 64, 128)
@@ -112,3 +113,41 @@ def test_lp_rows_visited_per_pivot_stay_flat(monkeypatch):
         per_pivot.append(sum(visits) / len(visits))
     ratios = [b / a for a, b in zip(per_pivot, per_pivot[1:])]
     assert max(ratios) <= 1.3, (per_pivot, ratios)
+
+
+def test_dijkstra_settled_vertices_grow_linearly(monkeypatch):
+    """The vertices `Network.dijkstra` settles during `nsepa_transform`,
+    per (player, edge) pair of the profile plus edge, grow at most 1.75x
+    per doubling of the chain.
+
+    A detour search is never continued from a path node, so it settles
+    only the pieces of the player's subgraph off the path that meet its
+    start.  Measured per pair or edge: 2.56, 3.91 and 4.47 vertices at 8,
+    16 and 32 bundles (1.53x, then 1.14x).  With one tight-detour search
+    per pair of path nodes instead of one per left node: 3.61, 11.32 and
+    22.12 (3.14x, then 1.95x).  The bound does not yet catch one
+    quadratic term that shows on longer chains: each substitution searches
+    from every path node up to its edge, and the count is 5.84 and 9.89 at
+    64 and 128 bundles (1.31x, then 1.69x).
+    """
+    settled = []
+    real = Network.dijkstra
+
+    def counting(self, *args, **kwargs):
+        tree = real(self, *args, **kwargs)
+        settled.append(len(tree))
+        return tree
+
+    per_unit = []
+    for bundles in BUNDLES:
+        cases = chain_instances((1000 * bundles + seed, bundles, 6) for seed in range(CHAINS))
+        monkeypatch.setattr(Network, "dijkstra", counting)
+        settled.clear()
+        size = 0
+        for game, profile in cases:
+            nsepa_transform(game, profile)
+            size += sum(len(choice) for choice in profile) + len(game.resources)
+        monkeypatch.setattr(Network, "dijkstra", real)
+        per_unit.append(sum(settled) / size)
+    ratios = [b / a for a, b in zip(per_unit, per_unit[1:])]
+    assert max(ratios) <= 1.75, (per_unit, ratios)

@@ -7,10 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import path_subsets, stored
-from _oracles import fraction_dijkstra
+from _oracles import _path_vertices, fraction_dijkstra
 from sepshare.errors import BudgetExceeded, Disconnected, InputError
 from sepshare.network import Network
-from sepshare.nsepa import _path_vertices
 
 
 def w(costs):

@@ -13,12 +13,14 @@ import pytest
 from _helpers import (
     assert_scaled,
     chain_instances,
+    nested_sp_game,
     path_game,
     scaled_doc,
     stored,
     transform_run,
 )
 from _oracles import (
+    discovery_alternatives,
     full_path_lp,
     per_pair_tight_alternative,
     private_cost,
@@ -222,6 +224,40 @@ class TestAlternatives:
         )
         [alt] = alternatives(g, 0, frozenset({0}))
         assert alt.weight == F(7)
+
+    @staticmethod
+    def detour_system(find, game, i, choice):
+        """Each detour with the type of its weight, or the error raised."""
+        try:
+            return [(alt, type(alt.weight)) for alt in find(game, i, choice)]
+        except SepshareError as ex:
+            return type(ex), str(ex)
+
+    def test_matches_the_discovery_reference(self):
+        """On 600 seeded `gen_sp` games and 500 nested ones, each player's
+        detour system is the one that discovery by breadth-first search,
+        interior deletion and a cheapest-per-pair filter finds, in order
+        and number types; or both raise the same error."""
+        games = [gen_sp(random.Random(seed), players=1 + seed % 4, max_edges=40)
+                 for seed in range(600)]
+        games += [nested_sp_game(random.Random(f"nested/{seed}")) for seed in range(500)]
+        outcomes = Counter()
+        for game, profile in games:
+            for i in range(game.n):
+                got = self.detour_system(alternatives, game, i, profile[i])
+                assert got == self.detour_system(discovery_alternatives, game, i, profile[i])
+                if isinstance(got, tuple):
+                    outcomes[got[0].__name__] += 1
+                    continue
+                outcomes["detours"] += len(got)
+                pairs = list(zip(got, got[1:]))
+                outcomes["two right nodes"] += any(a.frm == b.frm for (a, _), (b, _) in pairs)
+                # a right node fewer edges away listed before one earlier on the path
+                outcomes["out of path order"] += any(
+                    a.frm == b.frm and len(a.substituted) > len(b.substituted)
+                    for (a, _), (b, _) in pairs)
+        assert outcomes["NotSeriesParallel"] > 150 and outcomes["detours"] > 2500, outcomes
+        assert outcomes["two right nodes"] > 100 and outcomes["out of path order"] > 4, outcomes
 
     @pytest.mark.parametrize("case", ["nested", "sp-9", "sp-10", "sp-11"])
     def test_build_lp_keeps_the_detour_order(self, case):
@@ -429,9 +465,11 @@ class TestTightAlternative:
     def lp_optimum_paths():
         """(game, player, ordered path, share function) at the
         alternatives-LP optimum of seeded `gen_sp` games with 1 to 8
-        players and of the golden chains of 10 to 20 bundles."""
+        players, of seeded nested games and of the golden chains of 10 to
+        20 bundles."""
         rng = random.Random(20261018)
         games = [gen_sp(rng, players=rng.randint(1, 8)) for _ in range(150)]
+        games += [nested_sp_game(random.Random(f"tight/{seed}")) for seed in range(100)]
         for folder in sorted(GOLDEN.glob("chain-*")):
             doc = loads((folder / "instance.json").read_text())
             game = game_from_json(doc)

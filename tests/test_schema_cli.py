@@ -317,7 +317,8 @@ class TestCli:
             self, tmp_path, capsys, gen, command):
         _code, inst = run_to_file(tmp_path, "g.json", ["gen", *gen, "--seed", "4"])
         doc = json.loads(inst.read_text())
-        doc["profile"][1] = doc["profile"][1] + doc["profile"][0] + [max(doc["resources"])]
+        # a set, since a row that repeats an id exits 2 before the space check
+        doc["profile"][1] = sorted({*doc["profile"][1], *doc["profile"][0], max(doc["resources"])})
         inst.write_text(dumps(doc) + "\n")
         capsys.readouterr()
         code, _rep = run_to_file(tmp_path, "r.json", command + ["--in", str(inst)])
@@ -341,6 +342,30 @@ class TestCli:
         code, rep = run_to_file(tmp_path, "r.json", ["transform-matroid", "--in", str(inst)])
         assert code == 2 and not rep.exists()
         assert capsys.readouterr().err == "input error: matroid ground repeats an element\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(protocol={"base": doc["profile"], "shares": [
+            {"player": 0, "resource": 1, "share": "1/1"},
+            {"player": 0, "resource": 1, "share": "5/1"}]}),
+         "protocol repeats the share of player 0 on resource 1"),
+        (lambda doc: doc["profile"][0].append(doc["profile"][0][0]),
+         "profile row 0 repeats resource 1"),
+        (lambda doc: doc.update(protocol={"base": [[1], [2, 0, 2]], "shares": []}),
+         "profile row 1 repeats resource 2"),
+    ], ids=["share-row", "profile-id", "base-id"])
+    def test_a_repeated_share_row_or_profile_id_exits_two_with_one_line(
+            self, tmp_path, capsys, edit, message):
+        # before, the last share row won and a profile row read as its set
+        _code, inst = run_to_file(tmp_path, "g.json", ["gen", "ufl", "--players", "2",
+                                                       "--facilities", "3", "--seed", "1"])
+        doc = json.loads(inst.read_text())
+        assert doc["profile"] == [[1], [2]]
+        edit(doc)
+        inst.write_text(dumps(doc) + "\n")
+        capsys.readouterr()
+        code, rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
+        assert code == 2 and not rep.exists()
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
         "edit",
