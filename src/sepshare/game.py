@@ -34,8 +34,10 @@ class CostFunction:
     `schema.game_from_json` builds them, sharing keys and values with the
     other tables of a document.  Tables are validated lazily: every newly
     cached value is checked against all previously cached values for
-    monotonicity and (where the relevant union is cached) subadditivity,
-    raising InvalidCostOracle on the first violation.
+    monotonicity, and for subadditivity on every pair of cached sets whose
+    union is cached, raising InvalidCostOracle on the first violation; so
+    whether a table's answers are rejected does not depend on the order
+    in which they are asked.
 
     Instances cache table answers and are not thread-safe.
     """
@@ -97,21 +99,25 @@ class CostFunction:
         return v
 
     def _check_against_cache(self, s: frozenset, v: int | Fraction) -> None:
+        parts: list = []  # the cached proper subsets of s met so far
         for t, w in self._cache.items():
-            if s <= t and v > w:
-                raise InvalidCostOracle(
-                    f"monotonicity violated: c({sorted(s)})={v} > c({sorted(t)})={w}"
-                )
-            if t <= s and w > v:
-                raise InvalidCostOracle(
-                    f"monotonicity violated: c({sorted(t)})={w} > c({sorted(s)})={v}"
-                )
-            union = s | t
-            if union != s and union != t and union in self._cache:
-                if self._cache[union] > v + w:
+            for (a, x), (b, y) in (((s, v), (t, w)), ((t, w), (s, v))):
+                if a <= b and x > y:
                     raise InvalidCostOracle(
-                        f"subadditivity violated on {sorted(s)} and {sorted(t)}"
-                    )
+                        f"monotonicity violated: c({sorted(a)})={x} > c({sorted(b)})={y}")
+            # (other part, value of the union, sum of the parts) of each pair
+            # of t and a part it shares a cached union with, s among the three
+            if t < s:
+                pairs = [(r, v, x + w) for r, x in parts if r | t == s]
+                parts.append((t, w))
+            else:
+                union = s | t
+                cached = union != t and union in self._cache
+                pairs = [(s, self._cache[union], v + w)] if cached else []
+            for r, whole, total in pairs:
+                if whole > total:
+                    raise InvalidCostOracle(
+                        f"subadditivity violated on {sorted(r)} and {sorted(t)}")
 
 
 @dataclass(frozen=True)

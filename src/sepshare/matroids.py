@@ -8,12 +8,10 @@ if the player were alone on it; checking stability against virtual
 deviations is what makes the local moves sound for general monotone
 subadditive costs.
 
-A player's virtual deviation from a resource depends only on that
-player's own basis, and whether a resource violates a condition depends
-only on its users and their virtual deviations from it.  So the
-transform keeps both: a move of player i from e to f invalidates i's
-deviations and the verdicts of e, f and the resources of i's new basis,
-and nothing else.
+A virtual price depends only on the player and the element, so the
+transform ranks each player's elements once and walks that ranking for
+every cheapest exchange; a move invalidates only the mover's deviations
+and the verdicts of the resources whose users or deviations it changes.
 """
 
 from __future__ import annotations
@@ -21,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -35,8 +34,7 @@ from .game import GameModel, Profile, Step, move_cost, total_cost
 from .protocol import SeparableProtocol, water_fill
 from .rationals import integer
 
-Price = Callable[[int], int | Fraction]
-Order = Mapping[int, int]  # resource -> position in the game's resource order
+Ranked = Sequence[tuple[int | Fraction, int, int]]  # (price, order, f), ascending
 Exchanges = dict[int, tuple[int | Fraction, int, int]]  # e -> (price, order, f) of its pick
 
 
@@ -48,9 +46,9 @@ class MatroidOracle:
     for any set that leaves the ground.  The built-in kinds are matroids
     by construction: uniform (sets of size at most k), partition (at most
     a quota from each block) and graphic (forests); they set `rank` and
-    answer `cheapest_exchanges` and `greedy` by rule, where a subclass
-    falls back to independence queries.  An oracle keeps no state between
-    the bases it is asked about.
+    `loops` and answer `cheapest_exchanges` and `greedy` by rule, where a
+    subclass falls back to independence queries.  An oracle keeps no
+    state between the bases it is asked about.
     `validate_axioms` is the one axiom check, and it is complete: custom
     subclasses and tests should call it.
     """
@@ -63,7 +61,6 @@ class MatroidOracle:
         if len(self.ground) < len(ground):
             raise InputError("matroid ground repeats an element")
         self._ground_set = frozenset(self.ground)
-        self._rank: Optional[int] = None
 
     def _independent(self, subset: frozenset) -> bool:
         raise NotImplementedError
@@ -76,13 +73,22 @@ class MatroidOracle:
         if not self.is_basis(basis):
             raise NotABasis(f"{sorted(basis)} is not a basis")
 
-    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
-        """Each e of the basis to (price(f), order[f], f) for the least
-        such f among e and the f with basis - e + f a basis: e's cheapest
-        exchange, ties to the smaller position in `order`."""
+    @cached_property
+    def loops(self) -> frozenset:
+        """The elements that lie in no basis."""
+        return frozenset(f for f in self.ground if not self.is_independent((f,)))
+
+    def ranking(self, price: Callable[[int], int | Fraction], order: Mapping[int, int]) -> Ranked:
+        """(price(f), order[f], f) for each f outside `loops`, ascending: the
+        walk of `cheapest_exchanges`, ties to the smaller position in `order`."""
+        return sorted((price(f), order[f], f) for f in self.ground if f not in self.loops)
+
+    def cheapest_exchanges(self, basis: frozenset, ranked: Ranked) -> Exchanges:
+        """Each e of the basis to the first key of `ranked` whose f is e
+        or has basis - e + f a basis: e's cheapest exchange."""
         self._check_basis(basis)
-        return {e: min((price(f), order[f], f) for f in self.ground if f == e or f not in basis
-                       and self.is_independent((basis - {e}) | {f})) for e in basis}
+        return {e: next(key for key in ranked if key[2] == e or key[2] not in basis
+                        and self.is_independent((basis - {e}) | {key[2]})) for e in basis}
 
     def greedy(self, order: Iterable[int]) -> frozenset:
         """Take each element of `order` in turn unless it breaks
@@ -94,11 +100,9 @@ class MatroidOracle:
                 picked.add(e)
         return frozenset(picked)
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = len(self.greedy(self.ground))
-        return self._rank
+        return len(self.greedy(self.ground))
 
     def is_basis(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
@@ -114,25 +118,16 @@ class MatroidOracle:
         """Full axiom check by enumeration; exponential in |ground|."""
         if len(self.ground) > 16:
             raise InputError("ground too large for exhaustive validation")
-        subsets = [
-            frozenset(c)
-            for r in range(len(self.ground) + 1)
-            for c in itertools.combinations(self.ground, r)
-        ]
-        indep = {s for s in subsets if self.is_independent(s)}
+        indep = {frozenset(c) for r in range(len(self.ground) + 1)
+                 for c in itertools.combinations(self.ground, r) if self.is_independent(c)}
         if frozenset() not in indep:
             raise InvalidMatroid("empty set must be independent")
         for s in indep:
-            for e in s:
-                if s - {e} not in indep:
-                    raise InvalidMatroid(f"hereditary axiom violated at {sorted(s)}")
-        for s in indep:
-            for t in indep:
-                if len(s) < len(t):
-                    if not any(s | {e} in indep for e in t - s):
-                        raise InvalidMatroid(
-                            f"exchange axiom violated for {sorted(s)}, {sorted(t)}"
-                        )
+            if any(s - {e} not in indep for e in s):
+                raise InvalidMatroid(f"hereditary axiom violated at {sorted(s)}")
+        for s, t in itertools.product(indep, indep):
+            if len(s) < len(t) and not any(s | {e} in indep for e in t - s):
+                raise InvalidMatroid(f"exchange axiom violated for {sorted(s)}, {sorted(t)}")
 
 
 class UniformMatroid(MatroidOracle):
@@ -140,22 +135,23 @@ class UniformMatroid(MatroidOracle):
         super().__init__(ground)
         if not (0 <= rank <= len(self.ground)):
             raise InputError(f"rank {rank} out of range for {len(self.ground)} elements")
-        self._rank = rank
+        self.rank = rank
+        self.loops = frozenset() if rank else self._ground_set
 
     def _independent(self, subset: frozenset) -> bool:
-        return len(subset) <= self._rank
+        return len(subset) <= self.rank
 
-    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
+    def cheapest_exchanges(self, basis: frozenset, ranked: Ranked) -> Exchanges:
         self._check_basis(basis)
-        return _staying_or(basis, [f for f in self.ground if f not in basis], price, order)
+        return _first_outside(basis, ranked, lambda f: self._ground_set)
 
     def greedy(self, order: Iterable[int]) -> frozenset:
         firsts = dict.fromkeys(e for e in order if e in self._ground_set)
-        return frozenset(itertools.islice(firsts, self._rank))
+        return frozenset(itertools.islice(firsts, self.rank))
 
     @property
     def descriptor(self) -> dict:
-        return {"uniform": {"ground": list(self.ground), "rank": self._rank}}
+        return {"uniform": {"ground": list(self.ground), "rank": self.rank}}
 
 
 class PartitionMatroid(MatroidOracle):
@@ -169,16 +165,17 @@ class PartitionMatroid(MatroidOracle):
         for b, q in zip(self._blocks, self._quotas):
             if not (0 <= q <= len(b)):
                 raise InputError(f"quota {q} out of range for block of size {len(b)}")
-        self._rank = sum(self._quotas)
+        self.rank = sum(self._quotas)
+        self.loops = frozenset().union(*(b for b, q in zip(self._blocks, self._quotas) if not q))
+        self._block_of = {e: b for b in self._blocks for e in b}
 
     def _independent(self, subset: frozenset) -> bool:
         return all(len(subset & b) <= q for b, q in zip(self._blocks, self._quotas))
 
-    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
+    def cheapest_exchanges(self, basis: frozenset, ranked: Ranked) -> Exchanges:
         # a basis fills every block to its quota, so f must share e's block
         self._check_basis(basis)
-        return {e: pick for b in self._blocks
-                for e, pick in _staying_or(b & basis, b - basis, price, order).items()}
+        return _first_outside(basis, ranked, self._block_of.__getitem__)
 
     def greedy(self, order: Iterable[int]) -> frozenset:
         firsts = list(dict.fromkeys(order))
@@ -187,12 +184,8 @@ class PartitionMatroid(MatroidOracle):
 
     @property
     def descriptor(self) -> dict:
-        return {
-            "partition": {
-                "blocks": [sorted(b) for b in self._blocks],
-                "quotas": list(self._quotas),
-            }
-        }
+        return {"partition": {"blocks": [sorted(b) for b in self._blocks],
+                              "quotas": list(self._quotas)}}
 
 
 class GraphicMatroid(MatroidOracle):
@@ -201,7 +194,8 @@ class GraphicMatroid(MatroidOracle):
     def __init__(self, edges: Mapping[int, tuple]) -> None:
         super().__init__(edges.keys())
         self._edges = {eid: (u, v) for eid, (u, v) in edges.items()}
-        self._rank = len(self._components(self.ground))
+        self.rank = len(self._components(self.ground))
+        self.loops = frozenset(eid for eid, (u, v) in self._edges.items() if u == v)
 
     def _components(self, subset: Iterable[int]) -> list[int]:
         """Kruskal's union-find along `subset`: the edges that join two trees."""
@@ -221,11 +215,10 @@ class GraphicMatroid(MatroidOracle):
     def greedy(self, order: Iterable[int]) -> frozenset:
         return frozenset(self._components(e for e in order if e in self._ground_set))
 
-    def cheapest_exchanges(self, basis: frozenset, price: Price, order: Order) -> Exchanges:
-        # f exchanges for the edges of its fundamental cycle, the path
-        # between its ends in the basis forest (a loop for none).  Taken
-        # cheapest first, each f answers the cycle edges still unanswered;
-        # `answered` skips the others (Tarjan, JACM 1979).
+    def cheapest_exchanges(self, basis: frozenset, ranked: Ranked) -> Exchanges:
+        # f exchanges for the edges of its fundamental cycle (a basis edge's
+        # is itself): walked in order, each f answers the cycle edges still
+        # unanswered; `answered` skips the others (Tarjan, JACM 1979).
         self._check_basis(basis)
         adjacent: dict = {}
         for e in basis:
@@ -241,36 +234,42 @@ class GraphicMatroid(MatroidOracle):
                 if y not in parent:
                     parent[y] = (parent[x][0] + 1, x, e)
                     stack.append(y)
-        cheapest = {e: (price(e), order[e], e) for e in basis}
+        cheapest: Exchanges = {}
         answered: dict = {}
-        for key in sorted((price(f), order[f], f) for f in self.ground
-                          if f not in basis and self._edges[f][0] != self._edges[f][1]):
+        for key in ranked:
             u, v = (_find(answered, x) for x in self._edges[key[2]])
             while u != v:
                 if parent[u][0] < parent[v][0]:
                     u, v = v, u
                 _depth, x, e = parent[u]
-                cheapest[e] = min(cheapest[e], key)
+                cheapest[e] = key
                 answered[u] = x
                 u = _find(answered, x)
+            if len(cheapest) == len(basis):
+                break
         return cheapest
 
     @property
     def descriptor(self) -> dict:
         # edges listed in ground order; "ground" pins the element ids
-        return {
-            "graphic": {
-                "ground": list(self.ground),
-                "edges": [list(self._edges[eid]) for eid in self.ground],
-            }
-        }
+        return {"graphic": {"ground": list(self.ground),
+                            "edges": [list(self._edges[eid]) for eid in self.ground]}}
 
 
-def _staying_or(part: frozenset, outside: Collection, price: Price, order: Order) -> Exchanges:
-    """Each e of a part of a basis to the least of e itself and `outside`,
-    every element of which exchanges for every such e."""
-    least = [min((price(f), order[f], f) for f in outside)] if part and outside else []
-    return {e: min([(price(e), order[e], e), *least]) for e in part}
+def _first_outside(basis: frozenset, ranked: Ranked, block: Callable) -> Exchanges:
+    """Each e of the basis to the first key of `ranked` that is e or lies
+    outside the basis in e's block, every element of which exchanges for e."""
+    cheapest: Exchanges = {}
+    opened = set()
+    for key in ranked:
+        if key[2] in basis:
+            cheapest.setdefault(key[2], key)
+        elif (b := block(key[2])) not in opened:
+            opened.add(b)
+            cheapest.update((e, key) for e in b & basis if e not in cheapest)
+        if len(cheapest) == len(basis):
+            break
+    return cheapest
 
 
 def _find(parent: dict, x):
@@ -332,7 +331,8 @@ def deviation_cost(
             return virtual_cost(game, i, f)
         return game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
 
-    cheapest = game.spaces[i].cheapest_exchanges(profile[i], price, game.resource_order)
+    space = game.spaces[i]
+    cheapest = space.cheapest_exchanges(profile[i], space.ranking(price, game.resource_order))
     return {e: (value, f) for e, (value, _order, f) in cheapest.items()}
 
 
@@ -366,16 +366,18 @@ def check_enforceable_matroid(
 
 
 def _check_conditions(
-    game: GameModel, profile: Profile, virtual: bool
+    game: GameModel, profile: Profile, virtual: bool, ranked: Optional[Sequence[Ranked]] = None
 ) -> tuple[EnforceabilityReport, dict[tuple[int, int], int | Fraction]]:
     """The report of `check_enforceable_matroid` and the deviation cost
-    of every (player, resource in their basis) pair it priced."""
+    of every (player, resource in their basis) pair it priced; it walks
+    `ranked`, each player's virtual ranking, if given."""
     game.require("matroid")
     game.validate_profile(profile)
     bad = []
     deltas: dict[tuple[int, int], int | Fraction] = {}
     for i in range(game.n):
-        cheapest = deviation_cost(game, profile, i, virtual=virtual)
+        cheapest = (deviation_cost(game, profile, i, virtual=virtual) if ranked is None
+                    else game.spaces[i].cheapest_exchanges(profile[i], ranked[i]))
         for e in profile[i]:
             value = deltas[(i, e)] = cheapest[e][0]
             d = game.delay(i, e)
@@ -420,38 +422,34 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     less than zero, and all deltas together to `output_cost - input_cost`,
     so total cost is summed only for the input and the output.
 
-    The loop fixes the first violated resource in global order.  It keeps
-    each player's virtual deviations (value and landing resource) from
-    all of their current basis, and a verdict per resource: None, "delay"
-    or "cover".  A move of player i from e to f changes the users of e
-    and f and the basis of i, so it drops i's deviations and the verdicts
-    of e, f and the resources of i's new basis; every other verdict reads
-    users and deviations that did not change.  The scan for the next
-    violation computes missing verdicts in order and stops at the first
-    violated one, so it picks the same resource as a full rescan would.
+    The loop fixes the first violated resource in global order.  It ranks
+    each player's elements by virtual cost once, for every walk of the
+    loop and of the final certificate.  It keeps each player's virtual
+    deviations (value and landing resource) from all of their current
+    basis, and a verdict per resource: None, "delay" or "cover".  A move
+    of player i from e to f changes the users of e and f and the basis of
+    i, so it drops i's deviations and the verdicts of e, f and the
+    resources of i's new basis; every other verdict reads users and
+    deviations that did not change.  The scan for the next violation
+    computes missing verdicts in order and stops at the first violated
+    one, so it picks the same resource as a full rescan would.
     """
     game.require("matroid")
     game.validate_profile(profile)
-    bound = game.n * len(game.resources) * max(
-        (sp.rank for sp in game.spaces), default=0
-    )
+    bound = game.n * len(game.resources) * max((sp.rank for sp in game.spaces), default=0)
     current = profile
     input_cost = total_cost(game, current)
     moves: list[Step] = []
-    alone: dict[tuple[int, int], int | Fraction] = {}  # virtual_cost, fixed per game
+    ranked = [space.ranking(lambda f, i=i: virtual_cost(game, i, f), game.resource_order)
+              for i, space in enumerate(game.spaces)]
+    alone = {(i, f): price for i, keys in enumerate(ranked) for price, _order, f in keys}
     deviations: list[Optional[Exchanges]] = [None] * game.n
     verdicts: dict[int, Optional[str]] = {}
-
-    def virtual(i: int, f: int) -> int | Fraction:
-        if (i, f) not in alone:
-            alone[(i, f)] = virtual_cost(game, i, f)
-        return alone[(i, f)]
 
     def vdev(i: int, e: int) -> tuple[int | Fraction, int, int]:
         """(value, order, landing resource) of i's cheapest virtual move from e."""
         if deviations[i] is None:
-            deviations[i] = game.spaces[i].cheapest_exchanges(
-                current[i], lambda f: virtual(i, f), game.resource_order)
+            deviations[i] = game.spaces[i].cheapest_exchanges(current[i], ranked[i])
         return deviations[i][e]
 
     def uncovered(e: int, users: list[int]) -> bool:
@@ -461,18 +459,14 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     def verdict(e: int) -> Optional[str]:
         if e not in verdicts:
             users = sorted(current.users(e))
-            if any(game.delay(i, e) > vdev(i, e)[0] for i in users):
-                verdicts[e] = "delay"
-            elif users and uncovered(e, users):
-                verdicts[e] = "cover"
-            else:
-                verdicts[e] = None
+            verdicts[e] = ("delay" if any(game.delay(i, e) > vdev(i, e)[0] for i in users)
+                           else "cover" if users and uncovered(e, users) else None)
         return verdicts[e]
 
     def move_packet(i: int, e: int, kind: str) -> None:
         nonlocal current
         value, _order, f = vdev(i, e)
-        if virtual(i, e) <= value or f == e:
+        if alone[(i, e)] <= value or f == e:
             raise InternalInvariant("packet move must strictly reduce virtual cost")
         choice = (current[i] - {e}) | {f}
         delta = move_cost(game, current, i, choice)
@@ -502,7 +496,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
         # cover condition: drain players whose virtual cost on e is not
         # already their cheapest option, until the rest can pay for e.
         while uncovered(e, users := sorted(current.users(e))):
-            movable = [i for i in users if virtual(i, e) > vdev(i, e)[0]]
+            movable = [i for i in users if alone[(i, e)] > vdev(i, e)[0]]
             if not movable:
                 raise InvalidCostOracle(
                     f"cover condition stuck on resource {e}; cost function is "
@@ -514,7 +508,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     output_cost = total_cost(game, current)
     if sum(mv.cost_delta for mv in moves) != output_cost - input_cost:
         raise InternalInvariant("step cost deltas do not add up to the cost change")
-    report = check_enforceable_matroid(game, current, virtual=True)
+    report = _check_conditions(game, current, True, ranked)[0]
     if not report.ok:
         raise InternalInvariant("transform terminated on a violated profile")
     return MatroidTransformResult(

@@ -29,9 +29,12 @@ their answers are settled.  The shortest-path reference keeps every
 distance a Fraction, where the package keeps integral distances as ints
 inside the search.  The whole-tableau simplex reference pivots on every row
 of the program, where the package pivots each connected component of the
-program on its own rows.  The exhaustive separability check and a player's
-private cost under a protocol have no caller in the package, so they live
-here with the tests that use them.
+program on its own rows.  The priced cheapest-exchange rules take a price
+callable and price every element they consider on each call, where the
+package walks a ranking of keys that its caller priced and sorted once.
+The exhaustive separability check and a player's private cost under a
+protocol have no caller in the package, so they live here with the tests
+that use them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 from sepshare.errors import InputError, InternalInvariant, NoTightAlternative, NotSeriesParallel
 from sepshare.game import (
@@ -60,7 +63,15 @@ from sepshare.lp import (
     _pivot,
     _simplex_loop,
 )
-from sepshare.matroids import deviation_cost, matroid_from_descriptor, virtual_cost
+from sepshare.matroids import (
+    GraphicMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+    _find,
+    deviation_cost,
+    matroid_from_descriptor,
+    virtual_cost,
+)
 from sepshare.network import Network, Vertex
 from sepshare.nsepa import (
     Alternative,
@@ -278,6 +289,83 @@ def whole_tableau_solve(lp: LinearProgram) -> Solution:
     y = [-z.get(n + k, 0) for k in range(m)]
     _certify(lp, x, y, value)
     return Solution(status=OPTIMAL, values=tuple(x), objective_value=value)
+
+
+def _priced_query_loop(self, basis: frozenset, price, order) -> dict:
+    """The query loop over a price callable: the least (price(f),
+    order[f], f) among e and the f with basis - e + f a basis."""
+    self._check_basis(basis)
+    return {e: min((price(f), order[f], f) for f in self.ground if f == e or f not in basis
+                   and self.is_independent((basis - {e}) | {f})) for e in basis}
+
+
+def _priced_uniform(self, basis: frozenset, price, order) -> dict:
+    """Uniform: one minimum over the elements outside the basis."""
+    self._check_basis(basis)
+    return _staying_or(basis, [f for f in self.ground if f not in basis], price, order)
+
+
+def _priced_partition(self, basis: frozenset, price, order) -> dict:
+    """Partition: one minimum per block."""
+    # a basis fills every block to its quota, so f must share e's block
+    self._check_basis(basis)
+    return {e: pick for b in self._blocks
+            for e, pick in _staying_or(b & basis, b - basis, price, order).items()}
+
+
+def _priced_graphic(self, basis: frozenset, price, order) -> dict:
+    """Graphic: the non-loop edges outside the basis, sorted, each the
+    answer of the unanswered edges of its fundamental cycle."""
+    # f exchanges for the edges of its fundamental cycle, the path
+    # between its ends in the basis forest (a loop for none).  Taken
+    # cheapest first, each f answers the cycle edges still unanswered;
+    # `answered` skips the others (Tarjan, JACM 1979).
+    self._check_basis(basis)
+    adjacent: dict = {}
+    for e in basis:
+        u, v = self._edges[e]
+        adjacent.setdefault(u, []).append((v, e))
+        adjacent.setdefault(v, []).append((u, e))
+    parent: dict = {}  # vertex -> its depth, its parent and the edge to it
+    stack = list(adjacent)
+    while stack:
+        x = stack.pop()
+        parent.setdefault(x, (0, None, None))  # not reached yet: a new root
+        for y, e in adjacent[x]:
+            if y not in parent:
+                parent[y] = (parent[x][0] + 1, x, e)
+                stack.append(y)
+    cheapest = {e: (price(e), order[e], e) for e in basis}
+    answered: dict = {}
+    for key in sorted((price(f), order[f], f) for f in self.ground
+                      if f not in basis and self._edges[f][0] != self._edges[f][1]):
+        u, v = (_find(answered, x) for x in self._edges[key[2]])
+        while u != v:
+            if parent[u][0] < parent[v][0]:
+                u, v = v, u
+            _depth, x, e = parent[u]
+            cheapest[e] = min(cheapest[e], key)
+            answered[u] = x
+            u = _find(answered, x)
+    return cheapest
+
+
+def _staying_or(part: frozenset, outside: Collection, price, order) -> dict:
+    """Each e of a part of a basis to the least of e itself and `outside`,
+    every element of which exchanges for every such e."""
+    least = [min((price(f), order[f], f) for f in outside)] if part and outside else []
+    return {e: min([(price(e), order[e], e), *least]) for e in part}
+
+
+_PRICED_RULES = {UniformMatroid: _priced_uniform, PartitionMatroid: _priced_partition,
+                 GraphicMatroid: _priced_graphic}
+
+
+def priced_cheapest_exchanges(m, basis: frozenset, price, order) -> dict:
+    """Each e of the basis to (price(f), order[f], f) for the least f
+    among e and its exchanges, by the price-callable rule of m's kind (the
+    query loop for any other subclass)."""
+    return _PRICED_RULES.get(type(m), _priced_query_loop)(m, basis, price, order)
 
 
 def rescan_transform_matroid(game, profile):

@@ -1,6 +1,8 @@
 """Cost functions, profiles, and the two cost aggregates."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -85,11 +87,49 @@ class TestCostFunction:
     def test_subadditivity_checked_on_cached_pairs(self):
         table = {frozenset({0}): F(2), frozenset({1}): F(2), frozenset({0, 1}): F(5)}
         cf = CostFunction(table=table)
-        # the union has to be cached before both parts for the check to see it
         cf.value({0})
         cf.value({0, 1})
         with pytest.raises(InvalidCostOracle):
             cf.value({1})
+
+    def test_subadditivity_caught_in_every_query_order(self):
+        table = {frozenset({0}): 1, frozenset({1}): 1, frozenset({0, 1}): 5}
+        for order in itertools.permutations(table):
+            cf = CostFunction(table=table)
+            with pytest.raises(InvalidCostOracle, match="subadditivity violated on"):
+                for users in order:
+                    cf.value(users)
+
+    def test_verdict_does_not_depend_on_the_query_order(self):
+        # every set of a seeded table over three or four players asked in
+        # shuffled orders: rejected exactly when some pair of sets breaks
+        # monotonicity or subadditivity.  Each table is a capped sum with
+        # one entry moved, which breaks it or not.
+        rng = random.Random(6161)
+        verdicts = Counter()
+        for _ in range(300):
+            players = rng.choice((3, 4))
+            sets = [frozenset(c) for r in range(1, players + 1)
+                    for c in itertools.combinations(range(players), r)]
+            weight = [rng.choice((1, 2, 3, F(5, 2))) for _ in range(players)]
+            cap = rng.randint(2, 8)
+            table = {s: min(cap, sum(weight[i] for i in s)) for s in sets}
+            table[rng.choice(sets)] += rng.choice((-2, -1, F(-1, 2), F(1, 2), 1, 3))
+            if min(table.values()) < 0:
+                continue
+            bad = any(s <= t and table[s] > table[t] or table[s | t] > table[s] + table[t]
+                      for s in sets for t in sets)
+            for _shuffle in range(6):
+                cf = CostFunction(table=table)
+                try:
+                    for users in rng.sample(sets, len(sets)):
+                        cf.value(users)
+                except InvalidCostOracle:
+                    assert bad, table
+                else:
+                    assert not bad, table
+            verdicts[bad] += 1
+        assert min(verdicts.values()) >= 50, verdicts
 
     def test_nonzero_empty_set_rejected(self):
         with pytest.raises(InvalidCostOracle):

@@ -10,9 +10,11 @@ quadratic path it guards against gives.
 """
 
 import random
+from collections import Counter
 
 import sepshare.lp
 from _helpers import chain_instances
+from sepshare import matroids
 from sepshare.gen import gen_matroid, random_bases_profile
 from sepshare.matroids import (
     GraphicMatroid,
@@ -29,41 +31,64 @@ GROUNDS = (32, 64, 128)
 GAMES = 8  # seeded games per size, summed
 
 
-def _count_prices(monkeypatch) -> list:
-    """(prices asked, ground size) of every `cheapest_exchanges` call of
+class _Walk(list):
+    """A ranking that counts the entries its walks read."""
+
+    read = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.read += 1
+            yield key
+
+
+def _count_walks(monkeypatch) -> list:
+    """(entries read, ranking length) of every `cheapest_exchanges` call of
     every matroid kind, a custom subclass's query loop included."""
     calls = []
     for kind in (MatroidOracle, UniformMatroid, PartitionMatroid, GraphicMatroid):
         if "cheapest_exchanges" not in vars(kind):
             continue
 
-        def counting(self, basis, price, order, _real=vars(kind)["cheapest_exchanges"]):
-            asked = [0]
-
-            def counted(f):
-                asked[0] += 1
-                return price(f)
-
-            answer = _real(self, basis, counted, order)
-            calls.append((asked[0], len(self.ground)))
+        def counting(self, basis, ranked, _real=vars(kind)["cheapest_exchanges"]):
+            walk = _Walk(ranked)
+            answer = _real(self, basis, walk)
+            calls.append((walk.read, len(ranked)))
             return answer
 
         monkeypatch.setattr(kind, "cheapest_exchanges", counting)
     return calls
 
 
-def test_matroid_prices_grow_linearly_per_move(monkeypatch):
-    """Each call prices at most its ground, and the prices per move grow
-    at most 2.3x per doubling of the ground.
+def _count_virtual_prices(monkeypatch) -> Counter:
+    """(player, element) -> the times `virtual_cost` priced it."""
+    priced: Counter = Counter()
+    real = matroids.virtual_cost
 
-    Measured per move: 41.1, 64.3 and 109.4 prices at grounds 32, 64 and
-    128 (1.56x, then 1.70x).  With the uniform rule deleted, uniform
-    spaces fall back to the rank x ground query loop: 103.2, 277.4 and
-    959.3 prices per move (2.69x, then 3.46x), and one call prices up to
-    27 times its ground.  Moves x ground, the work that stays, grows
-    4.2x, then 4.3x.
+    def counting(game, i, e):
+        priced[(i, e)] += 1
+        return real(game, i, e)
+
+    monkeypatch.setattr(matroids, "virtual_cost", counting)
+    return priced
+
+
+def test_matroid_ranks_once_and_walks_linearly_per_move(monkeypatch):
+    """A transform prices each (player, element) pair that lies in some
+    basis by virtual cost once, final certificate included; each call
+    walks at most its ranking, and the entries walked per move grow at
+    most 2.3x per doubling of the ground.
+
+    Measured per move: 21.3, 32.0 and 50.5 entries at grounds 32, 64 and
+    128 (1.50x, then 1.58x).  Before the ranking was kept, the final
+    certificate priced every pair a second time.  With the uniform rule
+    deleted, uniform spaces fall back to the query loop, which walks the
+    ranking from the top for each basis element: one call then walks up
+    to 36 times its ranking, and the entries per move are 41.4, 210.8 and
+    712.8 (5.09x, then 3.38x).
     """
-    calls = _count_prices(monkeypatch)
+    calls = _count_walks(monkeypatch)
+    priced = _count_virtual_prices(monkeypatch)
     per_move = []
     for m in GROUNDS:
         calls.clear()
@@ -71,11 +96,14 @@ def test_matroid_prices_grow_linearly_per_move(monkeypatch):
         for seed in range(GAMES):
             rng = random.Random(f"growth/matroid/{m}/{seed}")
             game = gen_matroid(rng, players=4, resources=m)
+            priced.clear()
             result = transform_matroid(game, random_bases_profile(rng, game))
+            assert priced == Counter((i, e) for i, space in enumerate(game.spaces)
+                                     for e in space.ground if space.is_independent({e})), m
             build_matroid_protocol(game, result.profile)
             moves += len(result.moves)
-        assert all(asked <= ground for asked, ground in calls), m
-        per_move.append(sum(asked for asked, _ground in calls) / moves)
+        assert all(read <= length for read, length in calls), m
+        per_move.append(sum(read for read, _length in calls) / moves)
     ratios = [b / a for a, b in zip(per_move, per_move[1:])]
     assert max(ratios) <= 2.3, (per_move, ratios)
 

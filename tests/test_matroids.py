@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import assert_scaled, scaled_doc, transform_run, ufl_game
-from _oracles import rescan_transform_matroid
+from _oracles import priced_cheapest_exchanges, rescan_transform_matroid
 from sepshare import matroids
 from sepshare.errors import (
     InfeasibleProfile,
@@ -125,8 +125,8 @@ def exchange_set(m, basis, e):
     cheapest exchanges: f is one exactly when pricing f alone at 0 makes
     it e's answer."""
     order = {f: k for k, f in enumerate(m.ground)}
-    return sorted(f for f in m.ground
-                  if m.cheapest_exchanges(basis, lambda g: int(g != f), order)[e][2] == f)
+    return sorted(f for f in m.ground if m.cheapest_exchanges(
+        basis, m.ranking(lambda g: int(g != f), order))[e][2] == f)
 
 
 class TestExchanges:
@@ -146,9 +146,10 @@ class TestExchanges:
             for basis in rng.sample(bases, min(len(bases), 10)):
                 price, order = random_pricing(rng, m.ground)
                 priced = []
-                answer = m.cheapest_exchanges(basis, lambda f: priced.append(f) or price[f], order)
-                assert answer == loop.cheapest_exchanges(basis, price.__getitem__, order), (
-                    desc, basis, price, order)
+                ranked = m.ranking(lambda f: priced.append(f) or price[f], order)
+                answer = m.cheapest_exchanges(basis, ranked)
+                assert answer == loop.cheapest_exchanges(
+                    basis, loop.ranking(price.__getitem__, order)), (desc, basis, price, order)
                 assert len(priced) == len(set(priced)) <= len(m.ground), (desc, basis)
                 exchanging = {f for e in basis for f in m.ground if f == e or f not in basis
                               and loop.is_independent((basis - {e}) | {f})}
@@ -210,7 +211,53 @@ class TestExchanges:
     def test_requires_a_basis(self):
         for m in (UniformMatroid([0, 1], 1), QueryLoop(UniformMatroid([0, 1], 1))):
             with pytest.raises(NotABasis):
-                m.cheapest_exchanges(frozenset({0, 1}), lambda f: 0, {0: 0, 1: 1})
+                m.cheapest_exchanges(frozenset({0, 1}), [(0, 0, 0), (0, 1, 1)])
+
+
+class TestRankedWalk:
+    """Walking a ranking priced and sorted once answers like the
+    price-callable rules, which price and pick on every call."""
+
+    def test_matches_the_priced_rules_and_the_query_loop(self):
+        rng = random.Random(2929)
+        kinds = ("uniform", "partition", "graphic")
+        seen = Counter()
+        for n in range(600):
+            desc = random_descriptor(rng, kinds[n % 3])
+            if n % 30 == 0:  # a rank-0 or a full-rank uniform space
+                ground = rng.sample(range(30), rng.randint(1, 6))
+                desc = {"uniform": {"ground": ground, "rank": rng.choice((0, len(ground)))}}
+            m = matroid_from_descriptor(desc)
+            loop = QueryLoop(m)
+            bases = sorted(m.bases(), key=sorted)
+            assert m.loops == loop.loops == set(m.ground).difference(*bases), desc
+            for basis in rng.sample(bases, min(len(bases), 8)):
+                price = {f: rng.choice((0, 1, 2, F(2), F(1, 2), F(3, 2))) for f in m.ground}
+                order = {f: k for k, f in enumerate(rng.sample(m.ground, len(m.ground)))}
+                ranked = m.ranking(price.__getitem__, order)
+                answers = [m.cheapest_exchanges(basis, ranked),
+                           loop.cheapest_exchanges(basis, ranked),
+                           priced_cheapest_exchanges(m, basis, price.__getitem__, order),
+                           priced_cheapest_exchanges(loop, basis, price.__getitem__, order)]
+                typed = [{e: (key, type(key[0])) for e, key in a.items()} for a in answers]
+                assert typed[1:] == typed[:1] * 3, (desc, basis, price, order)
+                seen["ties"] += len(set(price.values())) < len(price)
+            seen["loops"] += bool(m.loops)
+            seen["rank 0"] += m.rank == 0
+            seen["full rank"] += m.rank == len(m.ground)
+            seen["quota 0"] += 0 in desc.get("partition", {}).get("quotas", [1])
+        assert min(seen.values()) >= 20, seen
+
+    def test_the_ranking_leaves_out_exactly_the_loops(self):
+        g = GraphicMatroid({0: ("x", "x"), 1: ("x", "y"), 2: ("y", "x"), 3: ("z", "z")})
+        p = PartitionMatroid([[0, 1], [2], [3, 4]], [1, 0, 2])
+        u = UniformMatroid([5, 6], 0)
+        price = {f: 7 - f for f in range(7)}
+        order = dict.fromkeys(range(7), 0)
+        assert g.ranking(price.__getitem__, order) == [(5, 0, 2), (6, 0, 1)]
+        assert p.ranking(price.__getitem__, order) == [(3, 0, 4), (4, 0, 3), (6, 0, 1), (7, 0, 0)]
+        assert u.ranking(price.__getitem__, order) == []
+        assert u.cheapest_exchanges(frozenset(), []) == {}
 
 
 def _oracle_makers():
@@ -230,7 +277,7 @@ def _oracle_makers():
 def _ask(m, basis, seed=0):
     """The oracle's cheapest exchanges for `basis` under seeded prices."""
     price, order = random_pricing(random.Random(seed), m.ground)
-    return m.cheapest_exchanges(basis, price.__getitem__, order)
+    return m.cheapest_exchanges(basis, m.ranking(price.__getitem__, order))
 
 
 @pytest.mark.parametrize("make", list(_oracle_makers()))
@@ -479,7 +526,7 @@ class TestIncrementalLoop:
         # the final certificate check asks once more per player
         calls = [0]
         certified_after = []
-        real_check = matroids.check_enforceable_matroid
+        real_check = matroids._check_conditions
         for kind in (UniformMatroid, PartitionMatroid, GraphicMatroid):
             def counting(self, *args, _real=vars(kind)["cheapest_exchanges"]):
                 calls[0] += 1
@@ -490,7 +537,7 @@ class TestIncrementalLoop:
             certified_after.append(calls[0])
             return real_check(*args, **kwargs)
 
-        monkeypatch.setattr(matroids, "check_enforceable_matroid", certify)
+        monkeypatch.setattr(matroids, "_check_conditions", certify)
         games = list(_seeded_games(40))
         rng = random.Random(7)
         big = gen_ufl(rng, players=40, facilities=30)

@@ -709,25 +709,40 @@ class TestVerifyMatroid:
         assert doc["budget_balanced"] is True
 
     def test_true_mode_prices_each_pair_once(self, tmp_path, monkeypatch):
-        # one call prices every (player, resource) pair of one player
+        # one call answers every (player, resource) pair of one player and
+        # prices every element of the player's ground once
         from sepshare import matroids
 
         inst = self._rewritten(tmp_path)
         priced = Counter()
+        asked = Counter()
+        player = [None]  # the player of the true-mode call under way
         original = matroids.deviation_cost
+        real_ranking = matroids.MatroidOracle.ranking
 
         def counting(game, profile, i, virtual=False):
+            player[0] = None if virtual else i
             answer = original(game, profile, i, virtual=virtual)
+            player[0] = None
             if not virtual:
                 priced.update((i, e) for e in answer)
             return answer
 
+        def ranking(self, price, order):
+            i = player[0]
+            return real_ranking(self, price if i is None else (
+                lambda f: asked.update([(i, f)]) or price(f)), order)
+
         monkeypatch.setattr(matroids, "deviation_cost", counting)
+        monkeypatch.setattr(matroids.MatroidOracle, "ranking", ranking)
         code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
         assert code == 0
-        rows = json.loads(inst.read_text())["profile"]
+        doc = json.loads(inst.read_text())
+        rows = doc["profile"]
         assert sorted(priced) == sorted((i, e) for i, row in enumerate(rows) for e in row)
         assert set(priced.values()) == {1}
+        grounds = [space["matroid"]["uniform"]["ground"] for space in doc["spaces"]]
+        assert asked == Counter((i, f) for i, ground in enumerate(grounds) for f in ground)
 
 
 def _relabel_vertices(doc):
