@@ -28,45 +28,45 @@ class CostFunction:
     and a general monotone subadditive set function given by a table.  Fixed
     and table values are stored by the rule of `rationals.exact`: an int
     when integral, a Fraction otherwise, so `value` answers the same way.
-    A hand-built table is copied, each key made a frozenset and each value
-    stored by that rule.  A `parsed` table is kept as given: its keys are
-    frozensets and its values follow the rule already, as
-    `schema.game_from_json` builds them, sharing keys and values with the
-    other tables of a document.  Tables are validated lazily: every newly
-    cached value is checked against all previously cached values for
-    monotonicity, and for subadditivity on every pair of cached sets whose
-    union is cached, raising InvalidCostOracle on the first violation; so
-    whether a table's answers are rejected does not depend on the order
-    in which they are asked.
+    A table is an index, from each user set (a frozenset) to a position,
+    and the values in position order.  A hand-built table is copied into
+    its own, each key made a frozenset and each value stored by that rule.
+    `schema.game_from_json` passes one `index` to all tables of a document
+    that list the same keys in the same order, and as `table` each one's
+    values, stored by the rule already; nothing mutates a shared index, and
+    a malformed entry fails that read, naming the first bad entry.  Tables
+    are validated lazily: every newly cached value is checked against all
+    previously cached values for monotonicity, and for subadditivity on
+    every pair of cached sets whose union is cached, raising
+    InvalidCostOracle on the first violation; so whether a table's answers
+    are rejected does not depend on the order in which they are asked.
 
     Instances cache table answers and are not thread-safe.
     """
 
-    def __init__(
-        self, fixed=None, table: Optional[Mapping] = None, *, parsed: bool = False
-    ) -> None:
+    def __init__(self, fixed=None, table=None, *, index: Optional[Mapping] = None) -> None:
         if (fixed is None) == (table is None):
             raise InputError("exactly one of fixed / table required")
         self._fixed: Optional[int | Fraction] = None
-        self._table: Optional[dict[frozenset, int | Fraction]] = None
         if fixed is not None:
             value = exact(fixed)
             if value < 0:
                 raise InputError(f"negative cost {value}")
             self._fixed = value
         else:
-            tbl = table if parsed else {
-                frozenset(key): exact(val) for key, val in table.items()
-            }
-            if frozenset() in tbl and tbl[frozenset()] != 0:
+            if index is None:
+                own = {frozenset(key): exact(val) for key, val in table.items()}
+                index, table = dict(zip(own, range(len(own)))), list(own.values())
+            self._index, self._values = index, table
+            empty = index.get(frozenset())
+            if empty is not None and table[empty] != 0:
                 raise InvalidCostOracle("cost of the empty set must be 0")
-            self._table = tbl
         self._cache: dict[frozenset, int | Fraction] = {}
 
     @property
     def table(self) -> Optional[dict]:
-        """The explicit table this function was built from, if any."""
-        return None if self._table is None else dict(self._table)
+        """The explicit table this function was built from, if any, as a new dict."""
+        return None if self.is_fixed else {u: self._values[k] for u, k in self._index.items()}
 
     @property
     def is_fixed(self) -> bool:
@@ -87,7 +87,7 @@ class CostFunction:
         if s in self._cache:
             return self._cache[s]
         try:
-            v = self._table[s]
+            v = self._values[self._index[s]]
         except KeyError:
             raise InputError(
                 f"cost table has no entry for user set {sorted(s)}"

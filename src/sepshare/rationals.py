@@ -12,6 +12,8 @@ both types give through `numerator` and `denominator`.
 
 from __future__ import annotations
 
+import sys
+from decimal import Context
 from fractions import Fraction
 
 from .errors import InputError
@@ -53,14 +55,27 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
+        if str(exc).startswith("Exceeds the limit"):
+            raise _too_long(f"rational {text[:40]!r}...") from exc
         raise InputError(f"malformed rational {text!r}") from exc
+
+
+def _too_long(what: str) -> InputError:
+    return InputError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                      "the limit of int-string conversion")
 
 
 def format_rational(value: int | Fraction) -> str:
     """Canonical "p/q" form, always with an explicit denominator."""
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise _too_long("an exact value") from exc
 
 
 def approx(value: int | Fraction) -> str:
     """Decimal rendering to six digits, for humans; never in machine output."""
-    return f"{float(value):.6g}"
+    try:
+        return f"{float(value):.6g}"
+    except OverflowError:  # past the float range
+        return f"{Context(6).divide(value.numerator, value.denominator).normalize():g}"

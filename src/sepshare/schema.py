@@ -28,7 +28,7 @@ def _users_from_key(key: str) -> frozenset:
     if key == "":
         return frozenset()
     try:
-        return frozenset(int(part) for part in key.split(","))
+        return frozenset(map(int, key.split(",")))
     except ValueError as ex:
         raise InputError(f"bad player set key {key!r}") from ex
 
@@ -36,20 +36,16 @@ def _users_from_key(key: str) -> frozenset:
 def cost_to_json(cf: CostFunction):
     if cf.is_fixed:
         return format_rational(cf.fixed_value)
-    return {
-        "subadditive_table": {
-            _users_key(users): format_rational(v)
-            for users, v in sorted(cf.table.items(), key=lambda kv: _users_key(kv[0]))
-            if users
-        }
-    }
+    table = sorted((_users_key(u), format_rational(v)) for u, v in cf.table.items() if u)
+    return {"subadditive_table": dict(table)}
 
 
 class _Once(dict):
     """`parse` run once per distinct string: `memo[text]` parses on the
     first lookup and is a plain dict lookup after.  Both parsers are pure
-    and their answers immutable.  Look up strings only: `memo.parse` takes
-    anything else, and rejects it."""
+    and their answers immutable.  A lookup of anything but a string parses
+    it and caches nothing, as both parsers reject it; an unhashable one
+    raises TypeError first, so callers hand those to `memo.parse`."""
 
     def __init__(self, parse) -> None:
         super().__init__()
@@ -60,16 +56,25 @@ class _Once(dict):
         return value
 
 
-def cost_from_json(data, rational: _Once, users: _Once) -> CostFunction:
-    """A cost function from JSON, read with the document's string parsers."""
+def cost_from_json(data, rational: _Once, users: _Once, indexes: dict) -> CostFunction:
+    """A cost function from JSON, read with the document's string parsers.
+    Tables share the index that `indexes` keeps per key order, and read
+    only their values; on a bad key or value, a walk entry by entry raises
+    the error of the first bad entry, key before value."""
     if isinstance(data, str):
         return CostFunction(fixed=rational[data])
     if isinstance(data, Mapping) and set(data) == {"subadditive_table"}:
-        table = {
-            users[k]: rational[v] if type(v) is str else rational.parse(v)
-            for k, v in data["subadditive_table"].items()
-        }
-        return CostFunction(table=table, parsed=True)
+        raw = data["subadditive_table"]
+        try:
+            keys = tuple(raw)
+            if (index := indexes.get(keys)) is None:
+                index = indexes[keys] = {users[k]: n for n, k in enumerate(keys)}
+            values = list(map(rational.__getitem__, raw.values()))
+        except (InputError, TypeError, AttributeError):
+            for k, v in raw.items():
+                users[k], rational[v] if type(v) is str else rational.parse(v)
+            raise
+        return CostFunction(table=values, index=index)
     raise InputError(f"unrecognized cost encoding {data!r}")
 
 
@@ -131,13 +136,13 @@ def game_from_json(data: Mapping) -> GameModel:
     # a document repeats few strings many times: parse each one once, and
     # keep each integral value as an int (see `rationals.exact`)
     rational = _Once(lambda text: exact(parse_rational(text)))
-    users = _Once(_users_from_key)
+    users, indexes = _Once(_users_from_key), {}
     costs = {}
     for e in resources:
         key = str(e)
         if key not in raw_costs:
             raise InputError(f"no cost for resource {e}")
-        costs[e] = cost_from_json(raw_costs[key], rational, users)
+        costs[e] = cost_from_json(raw_costs[key], rational, users, indexes)
     delays = None
     if "delays" in data and data["delays"] is not None:
         rows = data["delays"]
@@ -164,7 +169,7 @@ def game_from_json(data: Mapping) -> GameModel:
             u, v, cost_spec = spec
             _check_vertex(u, f"endpoint of graph edge {e}")
             _check_vertex(v, f"endpoint of graph edge {e}")
-            declared, mine = cost_from_json(cost_spec, rational, users), costs[e]
+            declared, mine = cost_from_json(cost_spec, rational, users, indexes), costs[e]
             if declared.table != mine.table or (
                     mine.is_fixed and declared.fixed_value != mine.fixed_value):
                 raise InputError(f"graph cost for resource {e} contradicts 'costs'")

@@ -13,10 +13,11 @@ off one search per left node.  The full-path LP reference writes one
 stability row per enumerated simple path, where the package generates the
 rows it needs from best responses.  The reference loader parses every cost
 table entry and delay cell where it stands, where the package parses each
-distinct string of a document once.  The series-parallel recognition
-reference restarts its reduction and rebuilds its parallel-edge and degree
-maps after every contraction, where the package runs one worklist over
-neighbour sets.  The path-game transform reference re-sums the whole
+distinct string of a document once and shares one key index among the
+tables that list the same keys in the same order.  The series-parallel
+recognition reference restarts its reduction and rebuilds its
+parallel-edge and degree maps after every contraction, where the package
+runs one worklist over neighbour sets.  The path-game transform reference re-sums the whole
 profile around every step and scans every player for an edge's users,
 where the package keeps one per-edge user map and prices each move from
 the edges it changes.  The single-source pricing reference runs a full

@@ -25,6 +25,7 @@ from sepshare.nsepa import counterexample_fixture, is_enforceable
 from sepshare.oracle import enumerate_strategies
 from sepshare.protocol import SeparableProtocol
 from sepshare.rationals import exact, format_rational, parse_rational
+from sepshare.schema import game_from_json
 
 
 rationals = st.fractions(
@@ -134,6 +135,91 @@ class TestCostFunction:
     def test_nonzero_empty_set_rejected(self):
         with pytest.raises(InvalidCostOracle):
             CostFunction(table={frozenset(): F(1)})
+
+    @staticmethod
+    def _loaded(*tables) -> list:
+        """The cost functions of a game document with these JSON tables,
+        one resource each, over as many players as the widest key names."""
+        players = 1 + max((int(i) for t in tables for k in t for i in k.split(",") if i),
+                          default=0)
+        uniform = {"uniform": {"ground": list(range(len(tables))), "rank": 1}}
+        game = game_from_json({
+            "players": players,
+            "resources": list(range(len(tables))),
+            "costs": {str(e): {"subadditive_table": t} for e, t in enumerate(tables)},
+            "spaces": [{"matroid": uniform}] * players,
+        })
+        return [game.costs[e] for e in range(len(tables))]
+
+    def test_functions_on_one_index_keep_their_own_caches(self):
+        good, bad = self._loaded({"0": "2/1", "1": "3/1", "0,1": "4/1"},
+                                 {"0": "5/1", "1": "-1/1", "0,1": "3/1"})
+        assert good._index is bad._index
+        index = dict(good._index)
+        assert good.value({0, 1}) == 4
+        assert bad.value({0}) == 5
+        with pytest.raises(InvalidCostOracle, match=r"monotonicity violated: c\(\[0\]\)=5"):
+            bad.value({0, 1})
+        with pytest.raises(InvalidCostOracle, match="negative cost -1"):
+            bad.value({1})
+        assert [good.value(s) for s in ({1}, {0}, {0, 1})] == [3, 2, 4]
+        assert good.table == {frozenset({0}): 2, frozenset({1}): 3, frozenset({0, 1}): 4}
+        assert good._index == index
+
+    def test_the_table_is_a_new_dict_on_each_call(self):
+        built = CostFunction(table={frozenset({0}): 2, frozenset({0, 1}): 3})
+        loaded, twin = self._loaded({"0": "2/1", "0,1": "3/1"}, {"0": "2/1", "0,1": "3/1"})
+        for cf in (built, loaded):
+            table = cf.table
+            table[frozenset({0})] = 9
+            table[frozenset({1})] = 1
+            del table[frozenset({0, 1})]
+            assert cf.table == twin.table == {frozenset({0}): 2, frozenset({0, 1}): 3}
+            assert cf.value({0}) == 2 and cf.value({0, 1}) == 3
+            with pytest.raises(InputError, match=r"no entry for user set \[1\]"):
+                cf.value({1})
+
+    def test_hand_built_tables_answer_as_loaded_ones(self):
+        # the same seeded entries as a hand-built table and as a JSON table
+        # beside a second table in its key order; keys in shuffled id order,
+        # some sets listed twice (the later entry wins), some values
+        # negative, some tables breaking monotonicity or subadditivity
+        rng = random.Random(3030)
+        outcomes = Counter()
+
+        def answers(make, queries):
+            try:
+                cf = make()
+            except InputError as ex:
+                return [(type(ex).__name__, str(ex))]
+            out = [cf.table]
+            for users in queries:
+                try:
+                    out.append(cf.value(users))
+                except InputError as ex:
+                    out.append((type(ex).__name__, str(ex)))
+            return out
+
+        for n in range(200):
+            players = rng.randint(1, 4)
+            sets = [c for r in range(players + 1)
+                    for c in itertools.combinations(range(players), r)]
+            picked = sets if rng.random() < 0.7 else rng.sample(sets, rng.randint(1, len(sets)))
+            keys = [tuple(rng.sample(c, len(c))) for c in rng.sample(picked, len(picked))]
+            twice = rng.sample(keys, rng.randint(0, min(len(keys), 2)))
+            keys += [tuple(rng.sample(k, len(k))) for k in twice]
+            weights = [rng.choice((1, 2, F(5, 2), 3)) for _ in range(players)]
+            cap = rng.randint(2, 6)
+            values = [min(cap, sum(weights[i] for i in k)) for k in keys]
+            if rng.random() < 0.5:
+                values[rng.randrange(len(keys))] = rng.choice((-1, 1, 7, F(7, 3)))
+            text = {",".join(map(str, k)): format_rational(v) for k, v in zip(keys, values)}
+            queries = rng.sample(sets, len(sets))
+            built = answers(lambda: CostFunction(table=dict(zip(keys, values))), queries)
+            loaded = answers(lambda: self._loaded(text, dict(text))[0], queries)
+            assert built == loaded, n
+            outcomes[any(isinstance(a, tuple) for a in built)] += 1
+        assert min(outcomes.values()) >= 60, outcomes
 
 
 class TestProfile:

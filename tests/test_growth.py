@@ -12,10 +12,13 @@ quadratic path it guards against gives.
 import random
 from collections import Counter
 
+import pytest
+
 import sepshare.lp
 from _helpers import chain_instances
 from sepshare import matroids
-from sepshare.gen import gen_matroid, random_bases_profile
+from sepshare.game import CostFunction
+from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.matroids import (
     GraphicMatroid,
     MatroidOracle,
@@ -26,6 +29,7 @@ from sepshare.matroids import (
 )
 from sepshare.network import Network
 from sepshare.nsepa import nsepa_transform
+from sepshare.protocol import verify_pne
 
 GROUNDS = (32, 64, 128)
 GAMES = 8  # seeded games per size, summed
@@ -106,6 +110,42 @@ def test_matroid_ranks_once_and_walks_linearly_per_move(monkeypatch):
         per_move.append(sum(read for read, _length in calls) / moves)
     ratios = [b / a for a, b in zip(per_move, per_move[1:])]
     assert max(ratios) <= 2.3, (per_move, ratios)
+
+
+@pytest.mark.parametrize("family", ["ufl", "matroid"])
+def test_cost_queries_per_ground_pair_stay_flat(monkeypatch, family):
+    """`CostFunction.value` calls, per (player, ground element) pair, of a
+    transform, its protocol and the protocol's PNE check grow at most 1.5x
+    per doubling of the game: `gen_ufl` with 6k players and 8k facilities,
+    `gen_matroid` with 4 players and 12k resources, at k = 2, 4 and 8.
+
+    Measured per pair: 3.41, 3.19 and 3.09 (ufl), 5.53, 6.23 and 7.35
+    (matroid; 1.13x, then 1.18x).  Ranking every player's elements again
+    after each move gives 14.4, 25.3 and 48.8 (ufl; 1.76x, then 1.93x) and
+    13.5, 20.6 and 39.9 (matroid; 1.53x, then 1.93x).
+    """
+    calls = 0
+    real = CostFunction.value
+
+    def counting(self, users):
+        nonlocal calls
+        calls += 1
+        return real(self, users)
+
+    monkeypatch.setattr(CostFunction, "value", counting)
+    per_pair = []
+    for k in (2, 4, 8):
+        calls = pairs = 0
+        for seed in range(GAMES):
+            rng = random.Random(f"growth/{family}/{k}/{seed}")
+            game = (gen_ufl(rng, 6 * k, 8 * k) if family == "ufl"
+                    else gen_matroid(rng, players=4, resources=12 * k))
+            result = transform_matroid(game, random_bases_profile(rng, game))
+            assert verify_pne(game, build_matroid_protocol(game, result.profile)).ok, k
+            pairs += sum(len(space.ground) for space in game.spaces)
+        per_pair.append(calls / pairs)
+    ratios = [b / a for a, b in zip(per_pair, per_pair[1:])]
+    assert max(ratios) <= 1.5, (per_pair, ratios)
 
 
 BUNDLES = (8, 16, 32)

@@ -4,16 +4,19 @@ import argparse
 import io
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from _helpers import path_game, ufl_game
 from _oracles import per_entry_game_from_json
+from sepshare import schema
 from sepshare.cli import build_parser, run
 from sepshare.errors import InputError
-from sepshare.game import GameModel, Profile
+from sepshare.game import CostFunction, GameModel, Profile
 from sepshare.gen import gen_matroid, gen_sp
 from sepshare.rationals import parse_rational
 from sepshare.schema import (
@@ -213,6 +216,129 @@ class TestLoaderParsesEachStringOnce:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "input error: graph cost for resource 0 contradicts 'costs'\n"
+
+
+def _tables_doc(*tables):
+    """A three-player facility game document whose resources carry these
+    tables, one each."""
+    doc = game_to_json(ufl_game([1] * len(tables), players=3))
+    for e, table in enumerate(tables):
+        doc["costs"][str(e)] = {"subadditive_table": table}
+    return doc
+
+
+def _same_as_per_entry(doc):
+    """What `game_from_json` gives for `doc`, checked against the loader
+    that parses every entry where it stands."""
+    loaded = _loaded(game_from_json, doc)
+    assert loaded == _loaded(per_entry_game_from_json, doc)
+    return loaded
+
+
+FORWARD = {"0": "2/1", "1": "2/1", "2": "3/1", "0,1": "3/1", "0,2": "4/1", "1,2": "4/1",
+           "0,1,2": "5/1"}
+
+
+def _with(table, **values):
+    """`table` with some values replaced, keys named by their ids."""
+    return {k: values.get("k" + k.replace(",", ""), v) for k, v in table.items()}
+
+
+class TestSharedKeyIndex:
+    """Tables of one document that list the same keys in the same order
+    share one key index; each keeps only its values."""
+
+    def test_tables_in_one_key_order_share_one_index(self):
+        backward = dict(reversed(FORWARD.items()))
+        doc = _tables_doc(FORWARD, _with(FORWARD, k0="1/1"), _with(FORWARD, k012="9/2"),
+                          backward, _with(backward, k12="7/2"))
+        costs, _delays = _same_as_per_entry(doc)
+        assert costs[0] == costs[3] and costs[4][frozenset({1, 2})] == F(7, 2)
+        index = [cf._index for cf in game_from_json(doc).costs.values()]
+        assert index[0] is index[1] is index[2] and index[3] is index[4]
+        assert index[0] is not index[3] and index[0].keys() == index[3].keys()
+
+    @pytest.mark.parametrize("first, second", [("0,1", "1,0"), ("1,0", "0,1")])
+    def test_a_set_listed_twice_keeps_its_later_entry(self, first, second):
+        one = {"0": "1/1", first: "3/1", second: "4/1"}
+        again = {"0": "2/1", first: "5/1", second: "6/1"}
+        other = {"0": "1/1", second: "3/1", first: "4/1"}
+        costs, _delays = _same_as_per_entry(_tables_doc(one, again, other))
+        assert [costs[e][frozenset({0, 1})] for e in range(3)] == [4, 6, 4]
+        assert all(len(costs[e]) == 2 for e in range(3))
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"0": "x", "1.5": "1/1"}, "malformed rational 'x'"),
+        ({"1.5": "1/1", "0": "x"}, "bad player set key '1.5'"),
+        ({"0": "1/1", "1.5": "x"}, "bad player set key '1.5'"),
+        ({"0": "1/1", "1": [1], "x": "1/1"}, "not an exact rational string: [1]"),
+    ], ids=["value-then-key", "key-then-value", "one-entry", "unhashable-then-key"])
+    def test_the_first_bad_entry_names_the_error(self, bad, error):
+        doc = _tables_doc(FORWARD, dict(bad), FORWARD)
+        assert _same_as_per_entry(doc) == ("InputError", error)
+
+    @pytest.mark.parametrize("value, error", [
+        ("1/0", "malformed rational '1/0'"),
+        (5, "not an exact rational string: 5"),
+        ([1], "not an exact rational string: [1]"),
+        (None, "not an exact rational string: None"),
+    ])
+    def test_a_repeated_key_order_still_reads_every_value(self, value, error):
+        doc = _tables_doc(FORWARD, FORWARD, {**FORWARD, "0,2": value})
+        assert _same_as_per_entry(doc) == ("InputError", error)
+
+    @pytest.mark.parametrize("table, name", [
+        (["0", "1"], "list"), ("0,1", "str"), (5, "int"), (None, "NoneType"),
+    ], ids=["list-of-strings", "string", "number", "null"])
+    def test_a_table_that_is_not_an_object_exits_two(self, tmp_path, capsys, table, name):
+        doc = _tables_doc(FORWARD, table)
+        error = f"malformed game object: '{name}' object has no attribute 'items'"
+        assert _same_as_per_entry(doc) == ("InputError", error)
+        capsys.readouterr()
+        code = run(["transform-matroid", "--in", str(_write_doc(tmp_path, doc))])
+        assert (code, capsys.readouterr().err) == (2, f"input error: {error}\n")
+
+    def test_a_graph_table_in_another_key_order(self, tmp_path, capsys):
+        """The graph block repeats resource 0's table in reversed key
+        order, first equal, then with one value changed."""
+        _code, inst = run_to_file(tmp_path, "sp.json", ["gen", "sp", "--seed", "3"])
+        doc = json.loads(inst.read_text())
+        cost = {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "5/1"}}
+        doc["costs"]["0"] = doc["costs"]["1"] = doc["graph"]["edges"][1][2] = cost
+        edge = doc["graph"]["edges"][0]
+        edge[2] = {"subadditive_table": {"0,1": "5/1", "1": "4/1", "0": "3/1"}}
+        table = game_from_json(doc).costs[0].table
+        assert table == {frozenset({0}): 3, frozenset({1}): 4, frozenset({0, 1}): 5}
+        edge[2]["subadditive_table"]["0,1"] = "6/1"
+        capsys.readouterr()
+        assert run(["verify", "--in", str(_write_doc(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: graph cost for resource 0 contradicts 'costs'\n"
+
+    def test_the_key_memo_reads_each_key_order_once(self, monkeypatch):
+        """Reading 20 tables over 10 players in one key order looks up
+        each of its 1,023 keys once; parsing every entry looked up
+        20,460."""
+        lookups = Counter()
+
+        class Counting(schema._Once):
+            def __getitem__(self, text):
+                lookups[self.parse is schema._users_from_key] += 1
+                return super().__getitem__(text)
+
+        rng = random.Random(2020)
+        game = gen_matroid(rng, players=10, resources=20)
+        sets = [frozenset(c) for r in range(1, 11) for c in combinations(range(10), r)]
+        costs = {}
+        for e in game.resources:
+            weights, cap = [rng.randint(1, 9) for _ in range(10)], rng.randint(4, 30)
+            costs[e] = CostFunction(table={s: min(cap, sum(weights[i] for i in s)) for s in sets})
+        game = GameModel(game.n, game.resources, costs, game.spaces)
+        doc = json.loads(dumps(game_to_json(game)))
+        monkeypatch.setattr(schema, "_Once", Counting)
+        loaded = game_from_json(doc)
+        assert lookups[True] == len(sets) == 1023
+        assert all(loaded.costs[e].table == costs[e].table for e in game.resources)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -946,6 +1072,45 @@ def test_file_faults_exit_two_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+def _one_player_doc(*costs):
+    """One player who must use every resource, with these costs."""
+    ground = list(range(len(costs)))
+    return {"players": 1, "resources": ground,
+            "costs": {str(e): cost for e, cost in enumerate(costs)},
+            "spaces": [{"matroid": {"uniform": {"ground": ground, "rank": len(ground)}}}],
+            "profile": [ground]}
+
+
+DIGITS = sys.get_int_max_str_digits()  # the interpreter's limit, 4,300 by default
+
+
+@pytest.mark.parametrize("command", ["transform-matroid", "verify"])
+@pytest.mark.parametrize("costs, error", [
+    (["9" * DIGITS + "/1"] * 2, f"an exact value has more than {DIGITS} digits"),
+    (["9" * (DIGITS + 1) + "/1"], f"rational '{'9' * 40}'... has more than {DIGITS} digits"),
+], ids=["sum-past-the-limit", "cost-past-the-limit"])
+def test_values_past_the_digit_limit_exit_two_with_one_short_line(
+        tmp_path, capsys, command, costs, error):
+    """An exact value past the interpreter's limit on int-string conversion
+    can be neither read nor written: exit 2 and one short line that quotes
+    at most 40 of its digits."""
+    inst = _write_doc(tmp_path, _one_player_doc(*costs))
+    capsys.readouterr()
+    code = run([command, "--in", str(inst), "--approx-display"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"input error: {error}, the limit of int-string conversion\n"
+
+
+@pytest.mark.parametrize("command", ["transform-matroid", "verify"])
+def test_approx_display_renders_values_past_the_float_range(tmp_path, command):
+    inst = _write_doc(tmp_path, _one_player_doc("9" * 400 + "/1", "1/3"))
+    code, rep = run_to_file(tmp_path, "r.json", [command, "--in", str(inst), "--approx-display"])
+    doc = json.loads(rep.read_text())
+    assert code == 0
+    assert doc["input_cost_approx"] == doc["output_cost_approx"] == "1e+400"
 
 
 def test_standard_input_rejects_bytes_that_are_not_utf8(tmp_path, capsys, monkeypatch):
