@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InfeasibleProfile, InputError, InvalidCostOracle, UnsupportedSpace
 from .network import Network, Vertex
-from .rationals import exact
+from .rationals import exact, shown
 
 
 class CostFunction:
@@ -247,13 +247,13 @@ class GameModel:
                     raise InputError("path spaces require a network")
                 for v in (sp.source, sp.terminal):
                     if v not in network.vindex:
-                        raise InputError(f"vertex {v!r} of player {i} not in network")
+                        raise InputError(f"vertex {shown(v)} of player {i} not in network")
             elif sp.kind == "matroid":
                 for e in sp.ground:
                     if e not in self.resource_order:
                         raise InputError(f"matroid ground element {e} is not a resource")
             else:
-                raise UnsupportedSpace(f"unknown space kind {sp.kind!r}")
+                raise UnsupportedSpace(f"unknown space kind {shown(sp.kind)}")
             if sp.kind != self.kind:
                 raise UnsupportedSpace("mixed strategy spaces are not supported")
         self._delay: dict[tuple[int, int], int | Fraction] = {}

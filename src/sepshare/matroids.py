@@ -32,7 +32,7 @@ from .errors import (
 )
 from .game import GameModel, Profile, Step, move_cost, total_cost
 from .protocol import SeparableProtocol, water_fill
-from .rationals import integer
+from .rationals import integer, shown
 
 Ranked = Sequence[tuple[int | Fraction, int, int]]  # (price, order, f), ascending
 Exchanges = dict[int, tuple[int | Fraction, int, int]]  # e -> (price, order, f) of its pick
@@ -305,7 +305,7 @@ def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
         if len(set(ground)) < len(ground):
             raise InputError("matroid ground repeats an element")
         return GraphicMatroid({g: (u, v) for g, (u, v) in zip(ground, edges)})
-    raise InputError(f"unknown matroid kind {kind!r}")
+    raise InputError(f"unknown matroid kind {shown(kind)}")
 
 
 # -- deviation costs -------------------------------------------------------

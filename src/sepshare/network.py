@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, Disconnected, InputError
-from .rationals import exact
+from .rationals import exact, shown
 
 Vertex = Hashable
 EdgeId = int
@@ -45,7 +45,7 @@ class Network:
             if eid in self.endpoints:
                 raise InputError(f"duplicate edge id {eid}")
             if u == v:
-                raise InputError(f"self-loop on vertex {u!r} (edge {eid})")
+                raise InputError(f"self-loop on vertex {shown(u)} (edge {eid})")
             self.endpoints[eid] = (u, v)
             for w in (u, v):
                 if w not in seen:
@@ -76,7 +76,7 @@ class Network:
             return w
         if v == w:
             return u
-        raise InputError(f"vertex {v!r} not an endpoint of edge {eid}")
+        raise InputError(f"vertex {shown(v)} not an endpoint of edge {eid}")
 
     def neighbors(self, v: Vertex) -> list[tuple[Vertex, EdgeId]]:
         return self._adj[v]
@@ -179,7 +179,7 @@ class Network:
                 count += 1
                 if max_paths is not None and count > max_paths:
                     raise BudgetExceeded(
-                        f"more than {max_paths} simple paths between {frm!r} and {to!r}"
+                        f"more than {max_paths} simple paths between {shown(frm)} and {shown(to)}"
                     )
                 yield epath
                 continue
@@ -277,4 +277,4 @@ class Network:
                     del edges[mark:]
                     if p == s and t in disc:
                         return self._blocks.setdefault((s, t), frozenset(block))
-        raise Disconnected(f"no path between {s!r} and {t!r}")
+        raise Disconnected(f"no path between {shown(s)} and {shown(t)}")

@@ -104,27 +104,29 @@ def _ordered_path(game: GameModel, i: int, choice: frozenset) -> tuple[int, ...]
     return order
 
 
-def _detour_search(game: GameModel, i: int, ordered: tuple[int, ...]) -> tuple[list, Callable]:
-    """Nodes of player i's ordered path, and the search from the path node
-    at a given position through the player's region minus the path edges.
-    Every path node is a barrier, reached but never left, so a tree's entry
-    at another path node is the cheapest detour between the two.  Edges
-    weigh fixed cost plus the player's delay unless `weight` says otherwise."""
+def _detour_search(game: GameModel, i: int, ordered: tuple[int, ...]) -> tuple[dict, Callable]:
+    """Position index of player i's ordered path (each node to its position
+    from the source), and the search from a path node through the player's
+    region minus the path edges.  The index is the barrier: every path node
+    is reached but never left, so a tree's entry at another path node is the
+    cheapest detour between the two, and a tree's path nodes are found by
+    looking its entries up in the index.  Edges weigh fixed cost plus the
+    player's delay unless `weight` says otherwise."""
     net = game.network
     sp: PathSpace = game.spaces[i]
-    nodes = [sp.source]
+    position, node = {sp.source: 0}, sp.source
     for eid in ordered:
-        nodes.append(net.other_end(eid, nodes[-1]))
+        node = net.other_end(eid, node)
+        position[node] = len(position)
     allowed = net.blocks_between(sp.source, sp.terminal) - frozenset(ordered)
-    barrier = frozenset(nodes)
 
     def detour_weight(eid: int) -> int | Fraction:
         return _fixed_cost(game, eid) + game.delay(i, eid)
 
-    def search(a: int, weight: Callable = detour_weight) -> dict:
-        return net.dijkstra(nodes[a], weight, blocked_vertices=barrier, edges=allowed)
+    def search(node: Vertex, weight: Callable = detour_weight) -> dict:
+        return net.dijkstra(node, weight, blocked_vertices=position, edges=allowed)
 
-    return nodes, search
+    return position, search
 
 
 def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative]:
@@ -148,17 +150,17 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
     if not is_two_terminal_sp(net, sp.source, sp.terminal, edge_ids=region):
         raise NotSeriesParallel(f"player {i}'s subgraph is not series-parallel")
     ordered = _ordered_path(game, i, choice)
-    nodes, search = _detour_search(game, i, ordered)
+    position, search = _detour_search(game, i, ordered)
     found: list[Alternative] = []
-    for a in range(len(nodes) - 1):
-        tree = search(a)
-        later = [b for b in range(a + 1, len(nodes)) if nodes[b] in tree]
+    for v, a in list(position.items())[:-1]:
+        tree = search(v)
+        later = sorted((w for w in tree if position.get(w, -1) > a), key=position.__getitem__)
         if len(later) > 1:  # fewest edges first; the stable sort keeps path order on ties
-            hops = search(a, lambda eid: 1)
-            later.sort(key=lambda b: len(hops[nodes[b]][1]))
-        for b in later:
-            cost, eseq = tree[nodes[b]]
-            found.append(Alternative(i, nodes[a], nodes[b], eseq, ordered[a:b], cost))
+            hops = search(v, lambda eid: 1)
+            later.sort(key=lambda w: len(hops[w][1]))
+        for w in later:
+            cost, eseq = tree[w]
+            found.append(Alternative(i, v, w, eseq, ordered[a:position[w]], cost))
     used = [e for alt in found for e in alt.edges]
     if len(used) != len(set(used)):
         raise InternalInvariant("alternatives are not edge-disjoint")
@@ -320,15 +322,14 @@ def smallest_tight_alternative(
     _require_path_game(game)
     if f not in ordered_path:
         raise InputError(f"edge {f} is not on the player's current path")
-    nodes, search = _detour_search(game, i, ordered_path)
+    position, search = _detour_search(game, i, ordered_path)
     fpos = ordered_path.index(f)
     best: Optional[tuple] = None
-    for a in range(fpos + 1):
-        tree = search(a)
-        for b in range(fpos + 1, len(nodes)):
-            if nodes[b] not in tree:
+    for v, a in list(position.items())[:fpos + 1]:
+        tree = search(v)
+        for w, (cost, eseq) in tree.items():
+            if (b := position.get(w, -1)) <= fpos:
                 continue
-            cost, eseq = tree[nodes[b]]
             substituted = tuple(ordered_path[a:b])
             absorbed = sum(share_of(e) + game.delay(i, e) for e in substituted)
             if cost < absorbed:
@@ -340,7 +341,7 @@ def smallest_tight_alternative(
                 continue
             key = (len(substituted), eseq, a, b)
             if best is None or key < best[0]:
-                best = (key, Alternative(i, nodes[a], nodes[b], eseq, substituted, cost))
+                best = (key, Alternative(i, v, w, eseq, substituted, cost))
     if best is None:
         raise NoTightAlternative(f"no tight detour around edge {f} for player {i}")
     return best[1]
@@ -382,8 +383,10 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     cost, and afterwards the all-zero share vector is LP-feasible.  The
     moves are reported as `repairs`.
 
-    The working profile, which keeps each edge's users, and the ordered
-    paths are updated move by move.  Each step's `cost_delta` is
+    The working profile, which keeps each edge's users, the ordered paths
+    and the paid ledger, each edge's total share, are updated move by move:
+    the ledger starts from the LP optimum and changes only where a
+    substitution drops or adopts shares.  Each step's `cost_delta` is
     `move_cost`, priced from the edges that leave and join the mover's
     path alone, and the deltas of all steps must add up to
     `output_cost - input_cost`.
@@ -432,18 +435,10 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         raise InternalInvariant(f"enforceability LP ended {report.status}")
 
     shares: dict[tuple[int, int], int | Fraction] = dict(report.shares)
+    paid: dict[int, int | Fraction] = {}
+    for (i, e), share in shares.items():
+        paid[e] = paid.get(e, 0) + share
     dropped: dict[int, set] = {i: set() for i in range(game.n)}
-
-    def paid(e: int) -> int | Fraction:
-        return sum(shares.get((i, e), 0) for i in current.users(e))
-
-    def unpaid_edges() -> list[tuple[int, int]]:
-        out = []
-        for i in range(game.n):
-            for e in paths[i]:
-                if paid(e) < _fixed_cost(game, e):
-                    out.append((i, e))
-        return out
 
     def private(i: int) -> int | Fraction:
         return sum(shares.get((i, e), 0) + game.delay(i, e) for e in paths[i])
@@ -452,33 +447,24 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     phase_bound = len(current.used_resources())
     phases = 0
     while True:
-        snapshot = unpaid_edges()
-        if not snapshot:
+        snapshot = [{e for e in paths[i] if paid[e] < _fixed_cost(game, e)}
+                    for i in range(game.n)]
+        if not any(snapshot):
             break
         phases += 1
         if phases > phase_bound:
             raise InternalInvariant(f"more than {phase_bound} phases")
-        for i in range(game.n):
-            targets = {e for j, e in snapshot if j == i}
+        for i, targets in enumerate(snapshot):
             while True:
-                mine = [
-                    e
-                    for e in paths[i]
-                    if e in targets and paid(e) < _fixed_cost(game, e)
-                ]
-                if not mine:
+                f = next((e for e in paths[i]
+                          if e in targets and paid[e] < _fixed_cost(game, e)), None)
+                if f is None:
                     break
                 before = private(i)
-                f = mine[0]
                 if (i, f) not in report.shares:
                     raise InternalInvariant("unpaid edge outside the original path")
-                alt = smallest_tight_alternative(
-                    game,
-                    i,
-                    paths[i],
-                    lambda e: shares.get((i, e), 0),
-                    f,
-                )
+                alt = smallest_tight_alternative(game, i, paths[i],
+                                                 lambda e: shares.get((i, e), 0), f)
                 readopted = set(alt.edges) & dropped[i]
                 if readopted:
                     raise InternalInvariant(
@@ -490,9 +476,10 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                 delta = move(i, old[:a] + alt.edges + old[b:])
                 for e in alt.substituted:
                     dropped[i].add(e)
-                    shares.pop((i, e), None)
+                    paid[e] -= shares.pop((i, e), 0)
                 for e in alt.edges:
                     shares[(i, e)] = _fixed_cost(game, e)
+                    paid[e] = paid.get(e, 0) + shares[(i, e)]
                 after = private(i)
                 if after != before:
                     raise InternalInvariant(
@@ -505,7 +492,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         users = current.users(e)
         if not users:
             continue
-        excess = paid(e) - _fixed_cost(game, e)
+        excess = paid[e] - _fixed_cost(game, e)
         if excess < 0:
             raise InternalInvariant(f"edge {e} left unpaid after all phases")
         if excess:

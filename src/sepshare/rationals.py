@@ -7,16 +7,25 @@ with each other, and ints are several times cheaper.  The rule has no
 exception: the simplex tableau of `lp.solve` follows it too, and builds
 a Fraction only where a pivot other than 1 divides.  Serialized
 form is always the string "p/q" with q > 0 and gcd(|p|, q) = 1, which
-both types give through `numerator` and `denominator`.
+both types give through `numerator` and `denominator`.  Messages quote
+at most 40 characters of any input.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from decimal import Context
 from fractions import Fraction
 
 from .errors import InputError
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # q > 0
+
+
+def shown(value) -> str:
+    """`repr(value)` for a message, cut to 40 characters and "..." past that."""
+    return text if len(text := repr(value)) <= 40 else text[:40] + "..."
 
 
 def exact(value: int | Fraction | str) -> int | Fraction:
@@ -29,38 +38,49 @@ def exact(value: int | Fraction | str) -> int | Fraction:
     if isinstance(value, str):
         value = parse_rational(value)
     elif not isinstance(value, (int, Fraction)):
-        raise InputError(f"not an exact rational: {value!r}")
+        raise InputError(f"not an exact rational: {shown(value)}")
     return value.numerator if value.denominator == 1 else value
 
 
 def integer(value, what: str) -> int:
     """`value` if it is a JSON integer, not a bool; InputError otherwise."""
     if type(value) is not int:
-        raise InputError(f"{what} must be a JSON integer, not {value!r}")
+        raise InputError(f"{what} must be a JSON integer, not {shown(value)}")
     return value
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into a Fraction.
 
-    Fraction's own parser also accepts decimal and scientific notation;
-    those are deliberately rejected here to keep files bit-exact.
+    Only ASCII `-?[0-9]+(/[0-9]+)?` with q > 0 is read, so files stay
+    bit-exact: no "+", spaces, underscores, other digits, decimal or
+    scientific notation.  Non-canonical "6/8" and "-0" read as their values.
     """
     if not isinstance(text, str):
-        raise InputError(f"not an exact rational string: {text!r}")
-    s = text.strip()
-    num, sep, den = s.partition("/")
+        raise InputError(f"not an exact rational string: {shown(text)}")
+    if not _RATIONAL.fullmatch(text):
+        raise InputError(f"malformed rational {shown(text)}")
+    num, _, den = text.partition("/")
     try:
-        if sep:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        if str(exc).startswith("Exceeds the limit"):
-            raise _too_long(f"rational {text[:40]!r}...") from exc
-        raise InputError(f"malformed rational {text!r}") from exc
+        return Fraction(int(num), int(den or 1))
+    except ValueError as exc:
+        raise too_long(f"rational {text[:40]!r}...") from exc
 
 
-def _too_long(what: str) -> InputError:
+def parse_users(key: str) -> frozenset:
+    """The player set of a cost-table key, ASCII `[0-9]+(,[0-9]+)*` or "",
+    its ids in any order, repeats allowed.  (An ASCII `isdigit` string is
+    `[0-9]+`; this test costs half of a regular expression's.)"""
+    ids = key.split(",") if key else []
+    if ids and not (key.isascii() and all(ids) and "".join(ids).isdigit()):
+        raise InputError(f"bad player set key {shown(key)}")
+    try:
+        return frozenset(map(int, ids))
+    except ValueError as exc:
+        raise too_long(f"player set key {key[:40]!r}...") from exc
+
+
+def too_long(what: str) -> InputError:
     return InputError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
                       "the limit of int-string conversion")
 
@@ -70,7 +90,7 @@ def format_rational(value: int | Fraction) -> str:
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
-        raise _too_long("an exact value") from exc
+        raise too_long("an exact value") from exc
 
 
 def approx(value: int | Fraction) -> str:

@@ -17,20 +17,11 @@ from .game import CostFunction, GameModel, PathSpace, Profile, Step
 from .matroids import matroid_from_descriptor
 from .network import Network
 from .protocol import SeparableProtocol
-from .rationals import exact, format_rational, integer, parse_rational
+from .rationals import exact, format_rational, integer, parse_rational, parse_users, shown, too_long
 
 
 def _users_key(users: frozenset) -> str:
     return ",".join(str(i) for i in sorted(users))
-
-
-def _users_from_key(key: str) -> frozenset:
-    if key == "":
-        return frozenset()
-    try:
-        return frozenset(map(int, key.split(",")))
-    except ValueError as ex:
-        raise InputError(f"bad player set key {key!r}") from ex
 
 
 def cost_to_json(cf: CostFunction):
@@ -75,7 +66,7 @@ def cost_from_json(data, rational: _Once, users: _Once, indexes: dict) -> CostFu
                 users[k], rational[v] if type(v) is str else rational.parse(v)
             raise
         return CostFunction(table=values, index=index)
-    raise InputError(f"unrecognized cost encoding {data!r}")
+    raise InputError(f"unrecognized cost encoding {shown(data)}")
 
 
 def game_to_json(game: GameModel) -> dict:
@@ -112,7 +103,7 @@ def _check_vertex(value, where: str) -> None:
     """Vertices are labelled by JSON scalars; a list or an object cannot be
     hashed, so it cannot label one."""
     if isinstance(value, (list, dict)):
-        raise InputError(f"{where} must be a JSON string or number, not {value!r}")
+        raise InputError(f"{where} must be a JSON string or number, not {shown(value)}")
 
 
 @contextmanager
@@ -136,7 +127,7 @@ def game_from_json(data: Mapping) -> GameModel:
     # a document repeats few strings many times: parse each one once, and
     # keep each integral value as an int (see `rationals.exact`)
     rational = _Once(lambda text: exact(parse_rational(text)))
-    users, indexes = _Once(_users_from_key), {}
+    users, indexes = _Once(parse_users), {}
     costs = {}
     for e in resources:
         key = str(e)
@@ -176,7 +167,7 @@ def game_from_json(data: Mapping) -> GameModel:
             triples.append((e, u, v))
         directed = g.get("directed", False)
         if type(directed) is not bool:
-            raise InputError(f"graph.directed must be true or false, not {directed!r}")
+            raise InputError(f"graph.directed must be true or false, not {shown(directed)}")
         network = Network(triples, directed=directed)
     spaces = []
     if len(raw_spaces) != players:
@@ -194,7 +185,7 @@ def game_from_json(data: Mapping) -> GameModel:
         elif kind == "matroid":
             spaces.append(matroid_from_descriptor(body))
         else:
-            raise InputError(f"unknown space kind {kind!r}")
+            raise InputError(f"unknown space kind {shown(kind)}")
     return GameModel(
         players=players,
         resources=resources,
@@ -220,7 +211,7 @@ def profile_from_json(data, game: GameModel) -> Profile:
         if not isinstance(row, list) or not all(
             isinstance(e, int) and not isinstance(e, bool) for e in row
         ):
-            raise InputError(f"profile row {row!r} is not a list of integer resource ids")
+            raise InputError(f"profile row {shown(row)} is not a list of integer resource ids")
         if len(set(row)) != len(row):
             repeated = next(e for e in row if row.count(e) > 1)
             raise InputError(f"profile row {k} repeats resource {repeated}")
@@ -291,5 +282,7 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as ex:
         raise InputError(f"malformed JSON at line {ex.lineno} column {ex.colno}: {ex.msg}") from ex
+    except ValueError as ex:  # an integer past the int-string digit limit
+        raise too_long("a JSON integer") from ex
     except RecursionError as ex:
         raise InputError("JSON nested too deeply") from ex

@@ -34,7 +34,7 @@ from .errors import (
 from .game import GameModel, PathSpace, Profile, Step, total_cost
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, water_fill
-from .rationals import exact
+from .rationals import exact, shown
 
 ItemId = object  # int for graph edges, ("aux", deep, shallow) for auxiliary edges
 
@@ -74,7 +74,7 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
             choices.append(frozenset())
             continue
         if t not in tree:
-            raise Disconnected(f"terminal {t!r} cannot reach the source")
+            raise Disconnected(f"terminal {shown(t)} cannot reach the source")
         choices.append(frozenset(tree[t][1]))
     out = Profile(choices)
     game.validate_profile(out)

@@ -87,8 +87,8 @@ from sepshare.nsepa import (
 )
 from sepshare.oracle import EnumerationBudget, profiles_iter
 from sepshare.protocol import SeparableProtocol
-from sepshare.rationals import parse_rational
-from sepshare.schema import _reading, _users_from_key
+from sepshare.rationals import parse_rational, parse_users
+from sepshare.schema import _reading
 from sepshare.singlesource import (
     Replacement,
     SingleSourceResult,
@@ -647,7 +647,7 @@ def per_entry_cost_from_json(data) -> CostFunction:
         return CostFunction(fixed=parse_rational(data))
     if isinstance(data, Mapping) and set(data) == {"subadditive_table"}:
         table = {
-            _users_from_key(k): parse_rational(v)
+            parse_users(k): parse_rational(v)
             for k, v in data["subadditive_table"].items()
         }
         return CostFunction(table=table)

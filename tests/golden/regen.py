@@ -15,6 +15,13 @@ in-process and diffs all three byte for byte, so rerun this script only
 for a change that is meant to alter reports, and say why in the change
 log.
 
+The `scale` group (`scale.json`) holds larger cases of the four transform
+families, about eight times the largest case above in (player, resource)
+pairs.  It keeps no files, only the pair count, the exit code and the
+SHA-256 digests of each case's instance, report and trace, so the
+repository stays small; `instance_bytes` rebuilds the instance from the
+case's `gen` argv or `chain_instance` arguments.
+
 Run from the repository root:
 
     PYTHONPATH=src python3 tests/golden/regen.py
@@ -22,6 +29,7 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import shutil
@@ -81,6 +89,19 @@ OPTIMUM = [("optimum-ufl", ["gen", "ufl"]), ("optimum-matroid", ["gen", "matroid
            ("optimum-tree", ["gen", "tree"]), ("optimum-sp", ["gen", "sp"])]
 OPTIMUM_SEEDS = range(1, 4)
 
+# the scale group: (case prefix, generator argv, command argv), one case per
+# seed in SCALE_SEEDS, and the chains as (seed, bundles, players); every
+# case exits 0, so no tree case pins a known non-equilibrium output
+SCALE = [
+    ("scale-ufl", ["gen", "ufl", "--players", "320", "--facilities", "16"],
+     ["transform-matroid"]),
+    ("scale-matroid", ["gen", "matroid", "--players", "6", "--resources", "40"],
+     ["transform-matroid"]),
+    ("scale-tree", ["gen", "tree", "--vertices", "40", "--players", "12"], ["transform-tree"]),
+]
+SCALE_SEEDS = range(1, 4)
+SCALE_CHAINS = [(11, 48, 24), (12, 56, 20), (13, 64, 16)]
+
 
 def chain_instance(seed: int, bundles: int, players: int) -> dict:
     """A chain of `bundles` parallel bundles of one to three arms, each arm
@@ -130,6 +151,42 @@ def bundled_instance(gen: list[str], transform: list[str]) -> dict:
         made = json.loads(report.read_text())
     doc["profile"], doc["protocol"] = made["profile"], made["protocol"]
     return doc
+
+
+def instance_bytes(case: dict) -> bytes:
+    """The instance document of a scale case, rebuilt by its `chain_instance`
+    arguments or written by its `gen` argv."""
+    if "builder" in case:
+        return (dumps(chain_instance(**case["builder"])) + "\n").encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "instance.json"
+        if run(case["gen"] + ["--out", str(out)]) != 0:
+            sys.exit(f"generator failed for {case['name']}")
+        return out.read_bytes()
+
+
+def scale_digests(case: dict, folder: Path) -> dict:
+    """The exit code of a scale case and the SHA-256 digests of its instance,
+    report and trace, made in `folder`; a file the run did not write has
+    no digest."""
+    instance = folder / "instance.json"
+    instance.write_bytes(instance_bytes(case))
+    code = run(case["command"] + ["--in", str(instance), "--out", str(folder / "report.json"),
+                                  "--trace", str(folder / "trace.jsonl")])
+    files = [instance, folder / "report.json", folder / "trace.jsonl"]
+    return {"exit": code, "sha256": {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+                                     for path in files if path.exists()}}
+
+
+def _scale_cases() -> list[dict]:
+    cases = [{"name": f"{prefix}-{seed:02d}", "gen": gen + ["--seed", str(seed)],
+              "command": command}
+             for prefix, gen, command in SCALE for seed in SCALE_SEEDS]
+    cases += [{"name": f"scale-chain-{n:02d}",
+               "builder": {"seed": seed, "bundles": bundles, "players": players},
+               "command": ["nsepa", "transform"]}
+              for n, (seed, bundles, players) in enumerate(SCALE_CHAINS, 1)]
+    return cases
 
 
 def _record(case: dict, folder: Path, manifest: list) -> None:
@@ -190,6 +247,16 @@ def main() -> None:
     _generated({"name": "optimum-theorem5-01", "gen": ["fixture", "theorem5"],
                 "command": ["optimum"]}, manifest)
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    scale = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in _scale_cases():
+            folder = Path(tmp) / case["name"]
+            folder.mkdir()
+            made = scale_digests(case, folder)
+            doc = json.loads((folder / "instance.json").read_text())
+            scale.append({**case, "pairs": sum(map(len, doc["profile"])), **made})
+            print(f"{case['name']}: exit {scale[-1]['exit']}")
+    (HERE / "scale.json").write_text(json.dumps(scale, indent=2) + "\n")
 
 
 if __name__ == "__main__":

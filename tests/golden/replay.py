@@ -1,11 +1,13 @@
 """Replay golden cases and diff them against the recorded bytes.
 
 Reruns every case of the named families (the case name without its
-`-NN` suffix, such as `sp`, `verify-tree` or `chain`), or of every
-family when none is named, in this process and compares the exit code,
-report and trace with what `cases.json` and the case folder hold.  Run
-it under a fixed `PYTHONHASHSEED` to check that reports do not depend on
-set or dict order:
+`-NN` suffix, such as `sp`, `verify-tree`, `chain` or `scale-tree`), or
+of every family when none is named, in this process and compares the exit
+code, report and trace with what `cases.json` and the case folder hold.
+A case of the scale group is rebuilt first, and its exit code and the
+digests of its instance, report and trace are compared with `scale.json`.
+Run it under a fixed `PYTHONHASHSEED` to check that reports do not depend
+on set or dict order:
 
     PYTHONHASHSEED=4242 PYTHONPATH=src python3 tests/golden/replay.py sp tree
 
@@ -20,6 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from regen import scale_digests
 from sepshare.cli import run
 
 HERE = Path(__file__).resolve().parent
@@ -30,7 +33,8 @@ def _same(made: Path, recorded: Path) -> bool:
 
 
 def main(families: list[str]) -> int:
-    cases = json.loads((HERE / "cases.json").read_text())
+    cases = [*json.loads((HERE / "cases.json").read_text()),
+             *json.loads((HERE / "scale.json").read_text())]
     known = {c["name"].rsplit("-", 1)[0] for c in cases}
     unknown = [f for f in families if f not in known]
     if unknown:
@@ -44,14 +48,19 @@ def main(families: list[str]) -> int:
             folder = HERE / case["name"]
             out = Path(tmp) / case["name"]
             out.mkdir()
-            report, trace = out / "report.json", out / "trace.jsonl"
-            code = run(case["command"] + ["--in", str(folder / "instance.json"),
-                                          "--out", str(report), "--trace", str(trace)])
-            for what, same in (
-                ("exit code", code == case["exit"]),
-                ("report", _same(report, folder / "report.json")),
-                ("trace", _same(trace, folder / "trace.jsonl")),
-            ):
+            if "sha256" in case:
+                made = scale_digests(case, out)
+                checks = [("exit code", made["exit"] == case["exit"])] + [
+                    (name, made["sha256"].get(name) == digest)
+                    for name, digest in case["sha256"].items()]
+            else:
+                report, trace = out / "report.json", out / "trace.jsonl"
+                code = run(case["command"] + ["--in", str(folder / "instance.json"),
+                                              "--out", str(report), "--trace", str(trace)])
+                checks = [("exit code", code == case["exit"]),
+                          ("report", _same(report, folder / "report.json")),
+                          ("trace", _same(trace, folder / "trace.jsonl"))]
+            for what, same in checks:
                 if not same:
                     bad += 1
                     print(f"{case['name']}: {what} differs")

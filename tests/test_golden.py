@@ -1,8 +1,10 @@
 """Golden corpus: every transform, check, verify and optimum case gives
 the recorded exit code and byte-identical report and trace, in this
 process and replayed by tests/golden/replay.py under two fixed hash
-seeds; and the generators still write every case's instance.
-Regenerate with tests/golden/regen.py."""
+seeds; and the generators still write every case's instance.  The
+replays rebuild each case of the scale group and hold its instance,
+report and trace to their recorded SHA-256 digests.  Regenerate with
+tests/golden/regen.py."""
 
 import importlib.util
 import json
@@ -18,6 +20,7 @@ from sepshare.schema import dumps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+SCALE = json.loads((GOLDEN / "scale.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
@@ -45,11 +48,11 @@ def _replay(*families, **env):
 def test_golden_cases_replay_under_a_fixed_hash_seed(hash_seed):
     """No report depends on set or dict iteration order: the replay script
     reruns every family in a fresh interpreter."""
-    families = sorted({c["name"].rsplit("-", 1)[0] for c in CASES})
+    families = sorted({c["name"].rsplit("-", 1)[0] for c in CASES + SCALE})
     done = _replay(*families, PYTHONHASHSEED=hash_seed)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert len(CASES) == 112
-    assert "replayed 112 cases, 0 differences" in done.stdout
+    assert (len(CASES), len(SCALE)) == (112, 12)
+    assert "replayed 124 cases, 0 differences" in done.stdout
 
 
 def test_replay_takes_every_family_by_default_and_rejects_an_unknown_one():
@@ -57,7 +60,7 @@ def test_replay_takes_every_family_by_default_and_rejects_an_unknown_one():
     misspelled family exits 2 naming it instead of replaying no case."""
     every = _replay()
     assert every.returncode == 0, every.stdout + every.stderr
-    assert "replayed 112 cases, 0 differences" in every.stdout
+    assert "replayed 124 cases, 0 differences" in every.stdout
     typo = _replay("sp", "sp-chian")
     assert (typo.returncode, typo.stdout) == (2, "")
     assert typo.stderr == "no golden case in family sp-chian\n"
@@ -91,3 +94,22 @@ def test_generators_reproduce_every_golden_instance(tmp_path):
             built["gen"] += 1
         assert made == recorded, case["name"]
     assert built == {"gen": 98, "builder": 5, "bundle": 9}
+
+
+def test_scale_group_is_eight_times_the_largest_case():
+    """Each scale family holds three exit-0 cases of about eight times the
+    (player, resource) pairs of its largest small case, and every chain
+    has at least 32 bundles.  The replays above rebuild each instance and
+    check its digest, so the pair counts recorded with it hold."""
+    def pairs(name):
+        doc = json.loads((GOLDEN / name / "instance.json").read_text())
+        return sum(map(len, doc["profile"]))
+
+    largest = {family: max(pairs(c["name"]) for c in CASES if c["name"].startswith(prefix))
+               for family, prefix in (("ufl", "ufl40-"), ("matroid", "matroid-"),
+                                      ("tree", "tree-"), ("chain", "chain-"))}
+    for case in SCALE:
+        family = case["name"].split("-")[1]
+        assert case["exit"] == 0
+        assert family != "chain" or case["builder"]["bundles"] >= 32
+        assert 5 <= case["pairs"] / largest[family] <= 12, case["name"]

@@ -3,8 +3,8 @@ counters.
 
 A quadratic path can hide in code that every other test runs, because
 small inputs make it cheap.  So each check here runs one family at three
-sizes, each double the last, counts work that does not depend on the
-machine, and bounds how that count grows per doubling.  Each bound is set
+or four sizes, each double the last, counts work that does not depend on
+the machine, and bounds how that count grows per doubling.  Each bound is set
 from the measured ratios, with headroom, and is well below what the
 quadratic path it guards against gives.
 """
@@ -17,7 +17,7 @@ import pytest
 import sepshare.lp
 from _helpers import chain_instances
 from sepshare import matroids
-from sepshare.game import CostFunction
+from sepshare.game import CostFunction, Profile
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.matroids import (
     GraphicMatroid,
@@ -219,3 +219,90 @@ def test_dijkstra_settled_vertices_grow_linearly(monkeypatch):
         per_unit.append(sum(settled) / size)
     ratios = [b / a for a, b in zip(per_unit, per_unit[1:])]
     assert max(ratios) <= 1.75, (per_unit, ratios)
+
+
+SHAPES = ((8, 3), (16, 6), (32, 12), (64, 24))  # (bundles, players), both doubling
+
+
+def _transform_work(count) -> list:
+    """`count()`, read after each shape's `nsepa_transform` runs, per (player,
+    edge) pair of the profile plus edge: chains of `SHAPES`, seeds
+    1000 * bundles + 1 to 4 each, summed per shape."""
+    per_unit = []
+    for bundles, players in SHAPES:
+        cases = chain_instances((1000 * bundles + seed, bundles, players)
+                                for seed in range(1, 5))
+        before, size = count(), 0
+        for game, profile in cases:
+            nsepa_transform(game, profile)
+            size += sum(len(choice) for choice in profile) + len(game.resources)
+        per_unit.append((count() - before) / size)
+    return per_unit
+
+
+def test_transform_user_reads_grow_linearly(monkeypatch):
+    """The user entries that `nsepa_transform` reads through
+    `Profile.users`, per (player, edge) pair plus edge, grow at most 1.4x
+    over each of the last two doublings of bundles and players.
+
+    The transform keeps each edge's paid total, so it reads an edge's users
+    to price a move, to build the LP and to balance the edge at the end.
+    Measured: 1.69, 2.92, 3.70 and 4.34 entries (1.27x, then 1.17x).
+    Summing every edge's shares over its users at each phase and before
+    each substitution gives 2.81, 6.71, 11.21 and 17.21 (1.67x, then 1.54x).
+    """
+    read = 0
+    real = Profile.users
+
+    def counting(self, rid):
+        nonlocal read
+        users = real(self, rid)
+        read += len(users)
+        return users
+
+    monkeypatch.setattr(Profile, "users", counting)
+    per_unit = _transform_work(lambda: read)
+    ratios = [b / a for a, b in zip(per_unit[1:], per_unit[2:])]
+    assert max(ratios) <= 1.4, (per_unit, ratios)
+
+
+class _Examined(dict):
+    """A search tree that counts the entries its membership tests and
+    iterations examine."""
+
+    examined = 0
+
+    def __contains__(self, key):
+        _Examined.examined += 1
+        return super().__contains__(key)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            _Examined.examined += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
+            _Examined.examined += 1
+            yield item
+
+
+def test_transform_search_tree_reads_grow_linearly(monkeypatch):
+    """The entries of `Network.dijkstra`'s trees that `nsepa_transform`
+    examines, by membership test or iteration, per (player, edge) pair
+    plus edge, grow at most 1.4x over each of the last two doublings of
+    bundles and players.
+
+    A detour search's tree holds only the pieces attached at its start, and
+    the reached path nodes are read off it.  Measured: 1.38, 3.18, 3.97
+    and 5.05 entries (1.25x, then 1.27x).  Testing every later path
+    position against each tree gives 1.47, 5.80, 14.27 and 31.53 (2.46x,
+    then 2.21x).
+    """
+    real = Network.dijkstra
+    monkeypatch.setattr(Network, "dijkstra",
+                        lambda self, *args, **kwargs: _Examined(real(self, *args, **kwargs)))
+    monkeypatch.setattr(_Examined, "examined", 0)
+    per_unit = _transform_work(lambda: _Examined.examined)
+    ratios = [b / a for a, b in zip(per_unit[1:], per_unit[2:])]
+    assert max(ratios) <= 1.4, (per_unit, ratios)

@@ -168,7 +168,7 @@ class TestLoaderParsesEachStringOnce:
         ({"2,1": "3/1"}, {frozenset({1, 2}): F(3)}),
         ({"1,1": "3/1"}, {frozenset({1}): F(3)}),
         ({"1,2": "3/1", "2,1": "4/1"}, {frozenset({1, 2}): F(4)}),
-        ({" 1": "1/1", "+1": "2/1", "01": "3/1"}, {frozenset({1}): F(3)}),
+        ({"1": "1/1", "01": "3/1"}, {frozenset({1}): F(3)}),
         ({"": "0/1", "1": "-2/1"}, {frozenset(): F(0), frozenset({1}): F(-2)}),
         ({"1": "1/0"}, "malformed rational '1/0'"),
         ({"1": "1.5"}, "malformed rational '1.5'"),
@@ -323,7 +323,7 @@ class TestSharedKeyIndex:
 
         class Counting(schema._Once):
             def __getitem__(self, text):
-                lookups[self.parse is schema._users_from_key] += 1
+                lookups[self.parse is schema.parse_users] += 1
                 return super().__getitem__(text)
 
         rng = random.Random(2020)
@@ -1102,6 +1102,80 @@ def test_values_past_the_digit_limit_exit_two_with_one_short_line(
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"input error: {error}, the limit of int-string conversion\n"
+
+
+@pytest.mark.parametrize("text", [
+    "1_000/1", "\u0663/1", " 7 ", "+3", "3/-4", "3/+4", "7\n", "1.5", "1e3", "0x10", "--1",
+    "1/0", "0/00", "/1", "1/", "3/4/5", "",
+], ids=["underscore", "arabic-indic-digit", "spaces", "plus", "negative-denominator",
+        "plus-denominator", "newline", "decimal", "scientific", "hex", "double-minus",
+        "zero-denominator", "zeros-denominator", "no-numerator", "no-denominator",
+        "two-slashes", "empty"])
+def test_exact_values_outside_the_ascii_grammar_exit_two(tmp_path, capsys, text):
+    """An exact value is `-?[0-9]+(/[0-9]+)?` in ASCII with a positive
+    denominator, nothing that `int` also reads: exit 2, one line."""
+    inst = _write_doc(tmp_path, _one_player_doc(text))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(inst)]) == 2
+    assert capsys.readouterr().err == f"input error: malformed rational {text!r}\n"
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1,2", "1,2 ", "+1", "-1", "\u0661", "1,,2", ",1",
+                                 "1,", "1;2", "0x1"])
+def test_table_keys_outside_the_ascii_grammar_exit_two(tmp_path, capsys, key):
+    """A cost-table key is `[0-9]+(,[0-9]+)*` in ASCII, or empty: exit 2,
+    one line."""
+    table = {"": "0/1", "0": "1/1", key: "1/1"}
+    inst = _write_doc(tmp_path, _one_player_doc({"subadditive_table": table}))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(inst)]) == 2
+    assert capsys.readouterr().err == f"input error: bad player set key {key!r}\n"
+
+
+def test_non_canonical_values_and_keys_in_the_grammar_are_read(tmp_path):
+    """"6/8", "-0", leading zeros and unsorted or repeated key ids match the
+    grammar, so they are read by value."""
+    assert [parse_rational(t) for t in ("6/8", "-0", "-0/5", "007/014")] == [
+        F(3, 4), 0, 0, F(1, 2)]
+    assert [schema.parse_users(k) for k in ("", "00", "2,1,2")] == [
+        frozenset(), frozenset({0}), frozenset({1, 2})]
+    inst = _write_doc(tmp_path, _one_player_doc("6/8", "-0", {"subadditive_table": {
+        "": "0/1", "0,00": "5/2"}}))
+    code, rep = run_to_file(tmp_path, "r.json", ["transform-matroid", "--in", str(inst)])
+    assert code == 0
+    assert json.loads(rep.read_text())["output_cost"] == "13/4"
+
+
+@pytest.mark.parametrize("doc, error", [
+    (_one_player_doc({"subadditive_table": {"1" * 5000: "1/1"}}),
+     f"player set key '{'1' * 40}'... has more than {DIGITS} digits, the limit of "
+     "int-string conversion"),
+    (_one_player_doc({"subadditive_table": {"1," * 3000: "1/1"}}),
+     f"bad player set key '{'1,' * 19}1..."),
+    (_one_player_doc("x" * 5000), f"malformed rational '{'x' * 39}..."),
+    (_one_player_doc("1/" + "x" * 5000), f"malformed rational '1/{'x' * 37}..."),
+    (_one_player_doc(["1/1"] * 1000), f"unrecognized cost encoding {str(['1/1'] * 8)[:40]}..."),
+    ({**_one_player_doc("1/1"), "profile": [["x"] * 1000]},
+     f"profile row {str(['x'] * 10)[:40]}... is not a list of integer resource ids"),
+], ids=["long-key-of-digits", "long-key", "long-value", "long-denominator", "long-cost",
+        "long-profile-row"])
+def test_long_input_values_are_echoed_cut_to_forty_characters(tmp_path, capsys, doc, error):
+    """An input error quotes at most 40 characters of the offending value,
+    however long it is."""
+    inst = _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    assert run(["verify", "--in", str(inst)]) == 2
+    assert capsys.readouterr().err == f"input error: {error}\n"
+
+
+def test_json_integers_past_the_digit_limit_exit_two_with_one_short_line(tmp_path, capsys):
+    """An integer literal that Python's JSON reader refuses to convert is
+    bad input, not a ValueError traceback."""
+    inst = tmp_path / "big.json"
+    inst.write_text('{"players": ' + "1" * (DIGITS + 1) + "}")
+    assert run(["verify", "--in", str(inst)]) == 2
+    assert capsys.readouterr().err == (f"input error: a JSON integer has more than {DIGITS} "
+                                       "digits, the limit of int-string conversion\n")
 
 
 @pytest.mark.parametrize("command", ["transform-matroid", "verify"])
