@@ -169,7 +169,7 @@ def _tree_family(game: GameModel, profile: Profile):
     result = transform_single_source(game, profile)
     repairs = [(e, i, format_rational(amount)) for e, i, amount in result.repairs]
     return (result, result.protocol, result.events, len(result.events),
-            len(result.replacements), {"repairs": repairs})
+            sum(step.kind == "drop" for step in result.events), {"repairs": repairs})
 
 
 def _nsepa_family(game: GameModel, profile: Profile):

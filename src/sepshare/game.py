@@ -251,7 +251,7 @@ class GameModel:
             elif sp.kind == "matroid":
                 for e in sp.ground:
                     if e not in self.resource_order:
-                        raise InputError(f"matroid ground element {e} is not a resource")
+                        raise InputError(f"matroid ground element {shown(e)} is not a resource")
             else:
                 raise UnsupportedSpace(f"unknown space kind {shown(sp.kind)}")
             if sp.kind != self.kind:
@@ -263,7 +263,7 @@ class GameModel:
                     raise InputError(f"delay for unknown pair ({i}, {e})")
                 dv = exact(d)
                 if dv < 0:
-                    raise InputError(f"negative delay for ({i}, {e})")
+                    raise InputError(f"negative delay for ({i}, {shown(e)})")
                 if dv != 0:
                     self._delay[(i, e)] = dv
 
@@ -310,7 +310,7 @@ class GameModel:
         for i, choice in enumerate(profile.choices):
             for e in choice:
                 if e not in self.resource_order:
-                    raise InfeasibleProfile(f"player {i} uses unknown resource {e}")
+                    raise InfeasibleProfile(f"player {i} uses unknown resource {shown(e)}")
             if not self.is_feasible_choice(i, choice):
                 raise InfeasibleProfile(f"choice of player {i} is not in their space")
         self._valid.add(profile)

@@ -43,9 +43,9 @@ class Network:
                 order.append(v)
         for eid, u, v in edges:
             if eid in self.endpoints:
-                raise InputError(f"duplicate edge id {eid}")
+                raise InputError(f"duplicate edge id {shown(eid)}")
             if u == v:
-                raise InputError(f"self-loop on vertex {shown(u)} (edge {eid})")
+                raise InputError(f"self-loop on vertex {shown(u)} (edge {shown(eid)})")
             self.endpoints[eid] = (u, v)
             for w in (u, v):
                 if w not in seen:
@@ -141,17 +141,14 @@ class Network:
         frm: Vertex,
         to: Vertex,
         weight: Callable[[EdgeId], int | Fraction],
-        blocked_vertices: Collection[Vertex] = frozenset(),
-        edges: Optional[Collection[EdgeId]] = None,
     ) -> Optional[tuple[int | Fraction, tuple[EdgeId, ...]]]:
-        """Cheapest frm -> to path as (distance, edge ids), or None if unreachable.
+        """Cheapest frm -> to path over every edge as (distance, edge ids), or
+        None if unreachable: the `to` entry of a `dijkstra` search from frm
+        that stops once it settles `to`.
 
         In directed networks the path follows edge orientation frm -> to.
         """
-        tree = self.dijkstra(
-            frm, weight, blocked_vertices=blocked_vertices, edges=edges, stop=(to,)
-        )
-        return tree.get(to)
+        return self.dijkstra(frm, weight, stop=(to,)).get(to)
 
     # -- enumeration ---------------------------------------------------
 
@@ -200,7 +197,7 @@ class Network:
         leaving: dict[Vertex, list[EdgeId]] = {}
         for eid in eids:
             if eid not in self.endpoints:
-                raise InputError(f"unknown edge id {eid}")
+                raise InputError(f"unknown edge id {shown(eid)}")
             u, v = self.endpoints[eid]
             leaving.setdefault(u, []).append(eid)
             if not self.directed:

@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Mapping
 
 from .errors import InputError, InternalInvariant
 from .game import GameModel, Profile
-from .rationals import exact
+from .rationals import exact, shown
 
 
 def water_fill(
@@ -54,12 +54,12 @@ class SeparableProtocol:
         stored: dict[tuple[int, int], int | Fraction] = {}
         for (i, e), v in shares.items():
             if not (0 <= i < len(base)):
-                raise InputError(f"share for unknown player {i}")
+                raise InputError(f"share for unknown player {shown(i)}")
             if e not in base[i]:
-                raise InputError(f"share for ({i}, {e}) but resource not in base choice")
+                raise InputError(f"share for ({i}, {shown(e)}) but resource not in base choice")
             value = exact(v)
             if value < 0:
-                raise InputError(f"negative share for ({i}, {e})")
+                raise InputError(f"negative share for ({i}, {shown(e)})")
             if value != 0:
                 stored[(i, e)] = value
         self.game = game

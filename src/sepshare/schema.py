@@ -132,7 +132,7 @@ def game_from_json(data: Mapping) -> GameModel:
     for e in resources:
         key = str(e)
         if key not in raw_costs:
-            raise InputError(f"no cost for resource {e}")
+            raise InputError(f"no cost for resource {shown(e)}")
         costs[e] = cost_from_json(raw_costs[key], rational, users, indexes)
     delays = None
     if "delays" in data and data["delays"] is not None:
@@ -156,14 +156,14 @@ def game_from_json(data: Mapping) -> GameModel:
         triples = []
         for e, spec in zip(resources, edges):
             if not isinstance(spec, list) or len(spec) != 3:
-                raise InputError(f"graph edge for resource {e} must be [u, v, cost]")
+                raise InputError(f"graph edge for resource {shown(e)} must be [u, v, cost]")
             u, v, cost_spec = spec
-            _check_vertex(u, f"endpoint of graph edge {e}")
-            _check_vertex(v, f"endpoint of graph edge {e}")
+            _check_vertex(u, f"endpoint of graph edge {shown(e)}")
+            _check_vertex(v, f"endpoint of graph edge {shown(e)}")
             declared, mine = cost_from_json(cost_spec, rational, users, indexes), costs[e]
             if declared.table != mine.table or (
                     mine.is_fixed and declared.fixed_value != mine.fixed_value):
-                raise InputError(f"graph cost for resource {e} contradicts 'costs'")
+                raise InputError(f"graph cost for resource {shown(e)} contradicts 'costs'")
             triples.append((e, u, v))
         directed = g.get("directed", False)
         if type(directed) is not bool:
@@ -214,7 +214,7 @@ def profile_from_json(data, game: GameModel) -> Profile:
             raise InputError(f"profile row {shown(row)} is not a list of integer resource ids")
         if len(set(row)) != len(row):
             repeated = next(e for e in row if row.count(e) > 1)
-            raise InputError(f"profile row {k} repeats resource {repeated}")
+            raise InputError(f"profile row {k} repeats resource {shown(repeated)}")
     profile = Profile([frozenset(row) for row in rows])
     game.validate_profile(profile)
     return profile
@@ -251,7 +251,8 @@ def protocol_from_json(data: Mapping, game: GameModel) -> SeparableProtocol:
                 integer(row["resource"], "a share's resource"))
         if pair in shares:
             i, e = pair
-            raise InputError(f"protocol repeats the share of player {i} on resource {e}")
+            raise InputError(
+                f"protocol repeats the share of player {shown(i)} on resource {shown(e)}")
         shares[pair] = parse_rational(row["share"])
     return SeparableProtocol(game, base, shares)
 

@@ -88,21 +88,8 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
 
 @dataclass(frozen=True)
 class AuxEdge:
-    deep: Vertex
-    shallow: Vertex
-    gpath: tuple[int, ...]  # ordered deep -> shallow
+    gpath: tuple[int, ...]  # ordered deep -> shallow, the ends in its key
     cost: int | Fraction
-
-
-@dataclass
-class Replacement:
-    """One dropped edge with the auxiliary reroutes that replaced it."""
-
-    edge: int
-    deviation_vertices: tuple
-    payers: tuple[int, ...]
-    tree_cost_before: int | Fraction
-    tree_cost_after: int | Fraction
 
 
 class AuxiliaryGraph:
@@ -134,7 +121,6 @@ class AuxiliaryGraph:
         # shares of closed items; users only, zero entries kept on purpose
         self.closed_shares: dict[ItemId, dict[int, int | Fraction]] = {}
         self.aux_payer: dict[tuple, int] = {}
-        self.replacements: list[Replacement] = []
         self.events: list[Step] = []  # "close" and "drop"
         self._build_aux_edges()
         self.cost: dict[ItemId, int | Fraction] = {
@@ -238,7 +224,7 @@ class AuxiliaryGraph:
                     if key in self.aux or shallow not in reach:
                         continue
                     cost, eseq = reach[shallow]
-                    self.aux[key] = AuxEdge(deep, shallow, eseq, cost)
+                    self.aux[key] = AuxEdge(eseq, cost)
 
     # ---- pricing ----------------------------------------------------
 
@@ -399,16 +385,7 @@ class AuxiliaryGraph:
         after = self.tree_cost()
         if not after < before:
             raise InternalInvariant("tree replacement failed to reduce tree cost")
-        self.events.append(Step("drop", payers[0], e, after - before))
-        self.replacements.append(
-            Replacement(
-                edge=e,
-                deviation_vertices=tuple(chosen),
-                payers=tuple(payers),
-                tree_cost_before=before,
-                tree_cost_after=after,
-            )
-        )
+        self.events.append(Step("drop", payers[0], e, exact(after - before)))
 
     def run(self) -> None:
         guard = 0
@@ -428,8 +405,6 @@ class SingleSourceResult:
     protocol: SeparableProtocol
     input_cost: int | Fraction
     output_cost: int | Fraction
-    replacements: tuple[Replacement, ...]
-    aux_in_tree: tuple[tuple, ...]
     repairs: tuple[tuple, ...]  # (resource, player, amount) balance fixes
     events: tuple[Step, ...] = ()  # "close" and "drop"; drop deltas are tree-cost changes
 
@@ -480,24 +455,22 @@ def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, dict, tuple]:
     game.validate_profile(profile)
 
     shares: dict[tuple[int, int], int | Fraction] = {}
-
-    def paid(e: int) -> int | Fraction:
-        return sum(shares.get((i, e), 0) for i in range(game.n))
-
+    paid: dict[int, int | Fraction] = {}  # per edge, the sum of its shares so far
     for item, table in state.closed_shares.items():
         if isinstance(item, tuple):
             continue  # auxiliary; settled through expansion charging
         for i, v in table.items():
             if v != 0 and item in profile[i]:
                 shares[(i, item)] = v
+                paid[item] = paid.get(item, 0) + v
     for i in range(game.n):
         for e in expansion_of[i]:
-            if e in profile[i] and paid(e) == 0:
-                shares[(i, e)] = game.costs[e].fixed_value
+            if e in profile[i] and paid.get(e, 0) == 0:
+                shares[(i, e)] = paid[e] = game.costs[e].fixed_value
     repairs: list[tuple] = []
     for e in sorted(profile.used_resources(), key=game.resource_key):
         cost = game.costs[e].fixed_value
-        total = paid(e)
+        total = paid.get(e, 0)
         if total > cost:
             raise InternalInvariant(f"edge {e} overpaid after expansion")
         if total < cost:
@@ -524,7 +497,6 @@ def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceRe
     output_cost = total_cost(game, out)
     if output_cost > input_cost:
         raise InternalInvariant("transform increased total cost")
-    aux_in_tree = []
     for it in sorted(state.users, key=str):
         if not isinstance(it, tuple):
             continue
@@ -532,15 +504,11 @@ def transform_single_source(game: GameModel, profile: Profile) -> SingleSourceRe
         expected = [state.aux_payer[it]] if state.aux[it].cost != 0 else []
         if payers != expected:
             raise InternalInvariant(f"auxiliary edge {it} not paid by one player")
-        aux_in_tree.append((it, state.aux_payer[it]))
-    aux_in_tree = tuple(aux_in_tree)
     return SingleSourceResult(
         profile=out,
         protocol=protocol,
         input_cost=input_cost,
         output_cost=output_cost,
-        replacements=tuple(state.replacements),
-        aux_in_tree=aux_in_tree,
         repairs=repairs,
         events=tuple(state.events),
     )

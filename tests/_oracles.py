@@ -90,7 +90,6 @@ from sepshare.protocol import SeparableProtocol
 from sepshare.rationals import parse_rational, parse_users
 from sepshare.schema import _reading
 from sepshare.singlesource import (
-    Replacement,
     SingleSourceResult,
     _require_single_source,
     expand_and_assign,
@@ -481,7 +480,8 @@ def per_pair_tight_alternative(game, i, ordered_path, share_of, f):
         for b in range(fpos + 1, len(nodes)):
             x, y = nodes[a], nodes[b]
             barrier = frozenset(set(nodes) - {x, y})
-            hit = net.shortest_path(x, y, weight, blocked_vertices=barrier, edges=allowed)
+            hit = net.dijkstra(x, weight, blocked_vertices=barrier, edges=allowed,
+                               stop=(y,)).get(y)
             if hit is None:
                 continue
             cost, eseq = hit
@@ -544,7 +544,8 @@ def discovery_alternatives(game: GameModel, i: int, choice: frozenset) -> list[A
             if hit is None:
                 break
             v = hit
-            path = net.shortest_path(u, v, weight, blocked_vertices=blocked, edges=live_edges)
+            path = net.dijkstra(u, weight, blocked_vertices=blocked, edges=live_edges,
+                                stop=(v,)).get(v)
             if path is None:
                 raise InternalInvariant("discovered node without a connecting path")
             cost, eseq = path
@@ -881,14 +882,8 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
 
 @dataclass(frozen=True)
 class _RebuildAuxEdge:
-    deep: object
-    shallow: object
     gpath: tuple
     cost: Fraction
-
-    @property
-    def item(self) -> tuple:
-        return ("aux", self.deep, self.shallow)
 
 
 class RebuildAuxiliaryGraph:
@@ -916,7 +911,6 @@ class RebuildAuxiliaryGraph:
             self.open_edges.update(items)
         self.closed_shares = {}
         self.aux_payer = {}
-        self.replacements = []
         self.events = []
         self._check_tree()
         self._build_aux_edges()
@@ -991,7 +985,7 @@ class RebuildAuxiliaryGraph:
                     if key in self.aux or shallow not in reach:
                         continue
                     cost, eseq = reach[shallow]
-                    self.aux[key] = _RebuildAuxEdge(deep, shallow, eseq, cost)
+                    self.aux[key] = _RebuildAuxEdge(eseq, cost)
 
     def _working_cost(self, i, item, restored=None):
         if item == restored:
@@ -1007,7 +1001,7 @@ class RebuildAuxiliaryGraph:
 
     def _ghat_best(self, i, restored):
         tree = self.tree_items()
-        items = list(tree) + [aux.item for aux in self.aux.values() if aux.item not in tree]
+        items = list(tree) + [key for key in self.aux if key not in tree]
         adj = {}
         for it in items:
             u, v = self.item_ends(it)
@@ -1144,15 +1138,6 @@ class RebuildAuxiliaryGraph:
             raise InternalInvariant("tree replacement failed to reduce tree cost")
         self._check_tree()
         self.events.append(Step("drop", payers[0], e, after - before))
-        self.replacements.append(
-            Replacement(
-                edge=e,
-                deviation_vertices=tuple(chosen),
-                payers=tuple(payers),
-                tree_cost_before=before,
-                tree_cost_after=after,
-            )
-        )
 
     def run(self):
         guard = 0
@@ -1173,7 +1158,6 @@ def rebuild_transform_single_source(game, profile) -> SingleSourceResult:
     output_cost = total_cost(game, out)
     if output_cost > input_cost:
         raise InternalInvariant("transform increased total cost")
-    aux_in_tree = []
     for it in sorted(state.tree_items(), key=str):
         if not isinstance(it, tuple):
             continue
@@ -1181,14 +1165,11 @@ def rebuild_transform_single_source(game, profile) -> SingleSourceResult:
         expected = [state.aux_payer[it]] if state.aux[it].cost != 0 else []
         if payers != expected:
             raise InternalInvariant(f"auxiliary edge {it} not paid by one player")
-        aux_in_tree.append((it, state.aux_payer[it]))
     return SingleSourceResult(
         profile=out,
         protocol=SeparableProtocol(game, out, shares),
         input_cost=input_cost,
         output_cost=output_cost,
-        replacements=tuple(state.replacements),
-        aux_in_tree=tuple(aux_in_tree),
         repairs=repairs,
         events=tuple(state.events),
     )

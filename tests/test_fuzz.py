@@ -24,7 +24,8 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 TRANSFORMS = (["transform-matroid"], ["transform-tree"], ["nsepa", "transform"])
 
 OTHER_TYPES = [None, True, False, 0.5, "x", "", [], {}, [[]], {"x": 1}, 3, "1/2"]
-EXTREME = [-1, 0, 2**63, -(2**63), 10**40, 1e308, -1e308, "9" * 5000 + "/1", "1/" + "9" * 60]
+EXTREME = [-1, 0, 2**63, -(2**63), 10**40, 10**400, 1e308, -1e308, "9" * 5000 + "/1",
+           "1/" + "9" * 60]
 RATIONAL_EDITS = [
     lambda s: f" {s} ", lambda s: "+" + s, lambda s: s.replace("/", "/-"),
     lambda s: s.replace("1", "1_0"), lambda s: s.replace("1", "١"),

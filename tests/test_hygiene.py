@@ -354,9 +354,9 @@ def test_shares_are_ints_exactly_when_integral():
 
 @pytest.mark.parametrize("q", [1, 2], ids=["integral", "halved"])
 def test_single_source_state_is_int_exactly_when_integral(q):
-    """The pricing pass's auxiliary costs, search distances, closed shares
-    and tree costs and the output shares of `gen_tree` games, as generated
-    and with every cost halved."""
+    """The pricing pass's auxiliary costs, search distances, closed shares,
+    tree costs and drop deltas and the output shares of `gen_tree` games, as
+    generated and with every cost halved."""
     values, drops = [], 0
     for seed in range(60):
         game, profile = gen_tree(random.Random(seed), vertices=12, players=4)
@@ -367,9 +367,9 @@ def test_single_source_state_is_int_exactly_when_integral(q):
         state.run()
         values += [v for shares in state.closed_shares.values() for v in shares.values()]
         values.append(state.tree_cost())
-        for step in state.replacements:
-            values += [step.tree_cost_before, step.tree_cost_after]
-        drops += len(state.replacements)
+        deltas = [step.cost_delta for step in state.events if step.kind == "drop"]
+        values += deltas
+        drops += len(deltas)
         values += transform_single_source(game, profile).protocol.shares.values()
     assert all(map(stored, values)), [v for v in values if not stored(v)][:5]
     assert drops > 10 and {type(v) for v in values} == ({int} if q == 1 else {int, Fraction})

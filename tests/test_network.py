@@ -65,10 +65,10 @@ class TestShortestPath:
     def test_blocked_vertices_are_endpoints_only(self):
         # the barrier vertex may terminate a path but not be crossed
         net = Network([(0, "s", "m"), (1, "m", "t"), (2, "s", "t")])
-        hit = net.shortest_path(
-            "s", "t", w({0: 1, 1: 1, 2: 9}), blocked_vertices=frozenset({"m"})
+        tree = net.dijkstra(
+            "s", w({0: 1, 1: 1, 2: 9}), blocked_vertices=frozenset({"m"}), stop=("t",)
         )
-        assert hit[1] == (2,)
+        assert tree["t"][1] == (2,)
 
     def test_search_walks_only_the_given_edges(self):
         net = Network([(0, "s", "a"), (1, "a", "t"), (2, "s", "t"), (3, "t", "b")])
@@ -78,7 +78,7 @@ class TestShortestPath:
         assert [_path_vertices(net, edges, "s") for _dist, edges in tree.values()] == [
             ["s"], ["s", "t"], ["s", "t", "b"]
         ]
-        assert net.shortest_path("s", "a", w({0: 1}), edges=()) is None
+        assert net.dijkstra("s", w({0: 1}), edges=(), stop=("a",)).get("a") is None
 
     def test_negative_weight_rejected(self):
         net = Network([(0, "s", "t")])
@@ -126,8 +126,8 @@ class TestShortestPath:
 
     def test_early_exit_gives_the_full_search_entry(self):
         """On seeded random multigraphs with blocked vertices, edge subsets
-        and directed edges, `shortest_path` equals the entry of a search
-        that settles every vertex."""
+        and directed edges, a search that stops at its target gives that
+        target the entry of a search that settles every vertex."""
         rng = random.Random(5150)
         reached = missed = 0
         for _ in range(400):
@@ -141,7 +141,8 @@ class TestShortestPath:
                 allowed = set(rng.sample(sorted(costs), rng.randint(0, len(costs))))
             s, t = rng.randrange(nv), rng.randrange(nv)
             full = net.dijkstra(s, w(costs), blocked_vertices=blocked, edges=allowed)
-            hit = net.shortest_path(s, t, w(costs), blocked_vertices=blocked, edges=allowed)
+            hit = net.dijkstra(s, w(costs), blocked_vertices=blocked, edges=allowed,
+                               stop=(t,)).get(t)
             assert hit == full.get(t)
             reached += hit is not None
             missed += hit is None

@@ -1168,6 +1168,43 @@ def test_long_input_values_are_echoed_cut_to_forty_characters(tmp_path, capsys, 
     assert capsys.readouterr().err == f"input error: {error}\n"
 
 
+BIG = 10**400  # an integer id of 401 digits
+CUT = f"{str(BIG)[:40]}..."
+
+
+def _big_resource_doc():
+    """One player on one resource, whose id is BIG."""
+    return {"players": 1, "resources": [BIG], "costs": {str(BIG): "1/1"},
+            "spaces": [{"matroid": {"uniform": {"ground": [BIG], "rank": 1}}}],
+            "profile": [[BIG]]}
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({**_one_player_doc("1/1"), "resources": [BIG]}, f"no cost for resource {CUT}"),
+    ({**_big_resource_doc(), "graph": {"edges": [["s", "t"]]}},
+     f"graph edge for resource {CUT} must be [u, v, cost]"),
+    ({**_one_player_doc("1/1"), "profile": [[BIG]]}, f"player 0 uses unknown resource {CUT}"),
+    ({**_one_player_doc("1/1"), "profile": [[BIG, BIG]]}, f"profile row 0 repeats resource {CUT}"),
+    ({**_one_player_doc("1/1"), "protocol": {"base": [[0]], "shares": [
+        {"player": BIG, "resource": 0, "share": "1/1"}]}}, f"share for unknown player {CUT}"),
+    ({**_one_player_doc("1/1"), "protocol": {"base": [[0]], "shares": [
+        {"player": 0, "resource": BIG, "share": "1/1"}]}},
+     f"share for (0, {CUT}) but resource not in base choice"),
+    ({**_big_resource_doc(), "protocol": {"base": [[BIG]], "shares": [
+        {"player": 0, "resource": BIG, "share": "-1/1"}]}}, f"negative share for (0, {CUT})"),
+    ({**_big_resource_doc(), "delays": [["-1/1"]]}, f"negative delay for (0, {CUT})"),
+], ids=["resource-list", "graph-edge", "profile-row", "profile-repeat", "share-player",
+        "share-resource", "negative-share", "negative-delay"])
+def test_long_integer_ids_are_echoed_cut_to_forty_characters(tmp_path, capsys, doc, error):
+    """An input error names an integer id read from the input by at most
+    40 of its digits, however long it is."""
+    inst = _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    assert run(["verify", "--in", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {error}\n" and len(err) <= 160
+
+
 def test_json_integers_past_the_digit_limit_exit_two_with_one_short_line(tmp_path, capsys):
     """An integer literal that Python's JSON reader refuses to convert is
     bad input, not a ValueError traceback."""

@@ -19,6 +19,11 @@ from sepshare.singlesource import (
 )
 
 
+def drops(res):
+    """(dropped edge, first payer, tree-cost change) of each drop step."""
+    return [(s.resource, s.player, s.cost_delta) for s in res.events if s.kind == "drop"]
+
+
 class TestTreeProfile:
     def test_tree_input_is_unchanged(self):
         g = path_game([("s", "a", 2), ("a", "t", 3)], [("s", "t"), ("s", "a")])
@@ -111,9 +116,7 @@ class TestTransform:
         assert res.profile == Profile([{1}, {1}])
         assert (res.input_cost, res.output_cost) == (F(10), F(4))
         assert dict(res.protocol.shares) == {(0, 1): F(4)}
-        [rep] = res.replacements
-        assert (rep.edge, rep.deviation_vertices, rep.payers) == (0, ("m",), (0,))
-        assert (rep.tree_cost_before, rep.tree_cost_after) == (F(10), F(4))
+        assert drops(res) == [(0, 0, -6)]  # tree cost 10 -> 4
 
     def test_dear_bypasses_keep_the_trunk(self):
         g = path_game(
@@ -122,7 +125,7 @@ class TestTransform:
         )
         res = transform_single_source(g, Profile([{1, 0}, {2, 0}]))
         assert res.profile == Profile([{0, 1}, {0, 2}])
-        assert res.replacements == ()
+        assert drops(res) == []
         # trunk shares fill caps in player order: 8 then the remaining 2
         assert dict(res.protocol.shares) == {
             (0, 0): F(8),
@@ -145,8 +148,7 @@ class TestTransform:
             (0, 3): F(5),
             (1, 2): F(1),
         }
-        [rep] = res.replacements
-        assert (rep.edge, rep.deviation_vertices, rep.payers) == (0, ("a",), (0,))
+        assert drops(res) == [(0, 0, -7)]  # tree cost 14 -> 7
 
     def test_shared_expansion_edge_is_paid_once(self):
         g = path_game(
@@ -170,7 +172,7 @@ class TestTransform:
             (0, 5): F(2),
             (1, 6): F(2),
         }
-        assert [(r.edge, r.payers) for r in res.replacements] == [(0, (0,)), (2, (1,))]
+        assert drops(res) == [(0, 0, -6), (2, 1, -6)]  # tree cost 22 -> 16 -> 10
         assert res.repairs == ()
 
     def test_each_replacement_strictly_reduces_tree_cost(self):
@@ -187,8 +189,8 @@ class TestTransform:
             [("s", "t1"), ("s", "t2")],
         )
         res = transform_single_source(g, Profile([{1, 0}, {3, 2}]))
-        for rep in res.replacements:
-            assert rep.tree_cost_after < rep.tree_cost_before
+        deltas = [delta for _e, _i, delta in drops(res)]
+        assert len(deltas) == 2 and all(delta < 0 for delta in deltas)
 
     def test_empty_game_passes_through(self):
         g = path_game([("s", "a", 1)], [])
@@ -211,17 +213,17 @@ class TestTransform:
 
     def test_random_instances_end_stable_and_balanced(self):
         rng = random.Random(2025)
-        drops = 0
+        dropped = 0
         for _ in range(60):
             game, profile = gen_tree(rng)
             res = transform_single_source(game, profile)
             assert res.output_cost <= res.input_cost
             assert verify_pne(game, res.protocol).ok
             assert verify_budget_balance(game, res.protocol, res.profile).ok
-            for rep in res.replacements:
-                assert rep.tree_cost_after < rep.tree_cost_before
-            drops += len(res.replacements)
-        assert drops > 0  # the sample must exercise the replacement branch
+            deltas = [delta for _e, _i, delta in drops(res)]
+            assert all(delta < 0 for delta in deltas)
+            dropped += len(deltas)
+        assert dropped > 0  # the sample must exercise the drop branch
 
     def test_kept_depths_match_a_fresh_walk(self, monkeypatch):
         # pricing reads the walks, users, depths and adjacency kept since
@@ -294,11 +296,11 @@ class TestTransform:
 
         monkeypatch.setattr(AuxiliaryGraph, "_next_open_edge", next_open_edge)
         rng = random.Random(2026)
-        drops = 0
+        dropped = 0
         for _ in range(100):
             game, profile = gen_tree(rng)
-            drops += len(transform_single_source(game, profile).replacements)
-        assert drops >= 20 and picks > 300
+            dropped += len(drops(transform_single_source(game, profile)))
+        assert dropped >= 20 and picks > 300
 
     def test_same_results_as_the_rebuilding_pass(self):
         # every result field and step of the kept-state pass equals the
@@ -307,18 +309,18 @@ class TestTransform:
         def outcome(transform, game, profile):
             res = transform(game, profile)
             shares = sorted(res.protocol.shares.items())
-            return (res.profile, shares, res.input_cost, res.output_cost, res.replacements,
-                    res.aux_in_tree, res.repairs, res.events)
+            return (res.profile, shares, res.input_cost, res.output_cost, res.repairs,
+                    res.events)
 
         seeds = [(s, {"vertices": 16, "players": 4}) for s in range(3000)]
         seeds += [(s, {}) for s in range(1000)]
-        drops = 0
+        dropped = 0
         for seed, sizes in seeds:
             game, profile = gen_tree(random.Random(seed), **sizes)
             got = outcome(transform_single_source, game, profile)
             assert got == outcome(rebuild_transform_single_source, game, profile), seed
-            drops += len(got[4])
-        assert drops >= 2000
+            dropped += sum(step.kind == "drop" for step in got[-1])
+        assert dropped >= 2000
 
     @pytest.mark.xfail(strict=True, reason="the pricing pass can end off equilibrium")
     @pytest.mark.parametrize("seed", [324, 568, 1686, 2146, 2415])

@@ -71,13 +71,14 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracer_module, tmp_p
 
 def test_the_tree_layer_reports_its_spans_and_counters(tracer_module, tmp_path):
     # `gen tree --seed 9` drops two edges, so every single-source span and
-    # counter sees work
-    inst, out = tmp_path / "tree.json", tmp_path / "r.json"
+    # counter sees work; the drop counter counts the trace's drop steps
+    inst, out, trace = tmp_path / "tree.json", tmp_path / "r.json", tmp_path / "t.jsonl"
     assert run(["gen", "tree", "--seed", "9", "--out", str(inst)]) == 0
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
-        assert run(["transform-tree", "--in", str(inst), "--out", str(out)]) == 0
+        assert run(["transform-tree", "--in", str(inst), "--out", str(out),
+                    "--trace", str(trace)]) == 0
     finally:
         tracer.uninstall()
     summary = tracer.summary()
@@ -85,6 +86,8 @@ def test_the_tree_layer_reports_its_spans_and_counters(tracer_module, tmp_path):
                  "singlesource.replacements", "singlesource.aux_build_s",
                  "singlesource.pricing_s", "singlesource.ghat_s"):
         assert summary[name] > 0, name
+    steps = [json.loads(line)["step"] for line in trace.read_text().splitlines()]
+    assert summary["singlesource.replacements"] == steps.count("drop") == 2
     assert json.loads(out.read_text())["command"] == "transform-tree"
 
 
