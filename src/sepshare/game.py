@@ -3,11 +3,12 @@
 A game has players 0..n-1 (this numbering is the global player order used
 by every tie-break in the package), an ordered list of resource ids, a
 shareable cost function per resource, a non-shareable delay per (player,
-resource), and one strategy space per player.  A space is either a
-`matroids.MatroidOracle`, whose bases over a subset of the resources are
-the strategies, or a `PathSpace` of simple source-terminal paths in an
-attached network.  All spaces of one game are of one kind, which the game
-fixes when it is built as `GameModel.kind`.
+resource), kept as one row per player, and one strategy space per player.
+A space is either a `matroids.MatroidOracle`, whose bases over a subset
+of the resources are the strategies, or a `PathSpace` of simple
+source-terminal paths in an attached network.  All spaces of one game
+are of one kind, which the game fixes when it is built as
+`GameModel.kind`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InfeasibleProfile, InputError, InvalidCostOracle, UnsupportedSpace
 from .network import Network, Vertex
-from .rationals import exact, shown
+from .rationals import exact, shown, shown_rational
 
 
 class CostFunction:
@@ -51,7 +52,7 @@ class CostFunction:
         if fixed is not None:
             value = exact(fixed)
             if value < 0:
-                raise InputError(f"negative cost {value}")
+                raise InputError(f"negative cost {shown_rational(value)}")
             self._fixed = value
         else:
             if index is None:
@@ -93,7 +94,7 @@ class CostFunction:
                 f"cost table has no entry for user set {sorted(s)}"
             ) from None
         if v < 0:
-            raise InvalidCostOracle(f"negative cost {v} for {sorted(s)}")
+            raise InvalidCostOracle(f"negative cost {shown_rational(v)} for {sorted(s)}")
         self._check_against_cache(s, v)
         self._cache[s] = v
         return v
@@ -103,6 +104,7 @@ class CostFunction:
         for t, w in self._cache.items():
             for (a, x), (b, y) in (((s, v), (t, w)), ((t, w), (s, v))):
                 if a <= b and x > y:
+                    x, y = shown_rational(x), shown_rational(y)
                     raise InvalidCostOracle(
                         f"monotonicity violated: c({sorted(a)})={x} > c({sorted(b)})={y}")
             # (other part, value of the union, sum of the parts) of each pair
@@ -210,10 +212,14 @@ class GameModel:
 
     `kind` is the one kind of all its spaces, "matroid" or "path", or
     None for a game without players; mixed spaces raise UnsupportedSpace.
-    Delays are stored by the rule of `rationals.exact` (an int when
-    integral, a Fraction otherwise) and only when nonzero; `delay` and
-    `cost` answer in the stored form.  `validate_profile` remembers the
-    profiles that passed, so checking one again is a set lookup.
+    `delays` is one mapping per player, from resource to delay (a missing
+    resource has delay 0), or None for no delays.  Each row is kept as
+    `delays[i]`, a dict of the nonzero delays stored by the rule of
+    `rationals.exact` (an int when integral, a Fraction otherwise); it is
+    checked with set operations, and re-stored only when it holds
+    something other than a nonzero int.  `delay` and `cost` answer in the
+    stored form.  `validate_profile` remembers the profiles that passed,
+    so checking one again is a set lookup.
     """
 
     def __init__(
@@ -222,7 +228,7 @@ class GameModel:
         resources: Sequence[int],
         costs: Mapping[int, CostFunction],
         spaces: Sequence,
-        delays: Optional[Mapping] = None,
+        delays: Optional[Sequence[Mapping]] = None,
         network: Optional[Network] = None,
     ) -> None:
         if players < 0:
@@ -256,16 +262,20 @@ class GameModel:
                 raise UnsupportedSpace(f"unknown space kind {shown(sp.kind)}")
             if sp.kind != self.kind:
                 raise UnsupportedSpace("mixed strategy spaces are not supported")
-        self._delay: dict[tuple[int, int], int | Fraction] = {}
-        if delays:
-            for (i, e), d in delays.items():
-                if not (0 <= i < players) or e not in self.resource_order:
-                    raise InputError(f"delay for unknown pair ({i}, {e})")
-                dv = exact(d)
-                if dv < 0:
+        rows = [dict(row) for row in (delays if delays is not None else [{}] * players)]
+        if len(rows) != players:
+            raise InputError("delays must have one row per player")
+        for i, row in enumerate(rows):
+            if not row.keys() <= self.resource_order.keys():
+                e = next(e for e in row if e not in self.resource_order)
+                raise InputError(f"delay for unknown pair ({i}, {shown(e)})")
+            if {*map(type, row.values())} - {int}:
+                row = rows[i] = {e: exact(d) for e, d in row.items()}
+            if row and min(row.values()) <= 0:
+                if (e := next((e for e, d in row.items() if d < 0), None)) is not None:
                     raise InputError(f"negative delay for ({i}, {shown(e)})")
-                if dv != 0:
-                    self._delay[(i, e)] = dv
+                rows[i] = {e: d for e, d in row.items() if d}
+        self.delays: tuple[dict[int, int | Fraction], ...] = tuple(rows)
 
         self._valid: set[Profile] = set()
 
@@ -278,11 +288,11 @@ class GameModel:
             raise InputError("game has no network")
 
     def delay(self, i: int, e: int) -> int | Fraction:
-        return self._delay.get((i, e), 0)
+        return self.delays[i].get(e, 0)
 
     @property
     def has_delays(self) -> bool:
-        return bool(self._delay)
+        return any(self.delays)
 
     def cost(self, e: int, users: Iterable[int]) -> int | Fraction:
         return self.costs[e].value(users)

@@ -56,12 +56,7 @@ def gen_ufl(rng: random.Random, players: int, facilities: int) -> GameModel:
     """Facility location: every client picks exactly one open facility."""
     resources = list(range(facilities))
     costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in resources}
-    delays = {}
-    for i in range(players):
-        for e in resources:
-            d = rng.randint(0, 9)
-            if d:
-                delays[(i, e)] = d
+    delays = [{e: d for e in resources if (d := rng.randint(0, 9))} for _ in range(players)]
     spaces = [UniformMatroid(resources, 1) for _ in range(players)]
     return GameModel(
         players=players, resources=resources, costs=costs, spaces=spaces, delays=delays
@@ -105,12 +100,8 @@ def gen_matroid(
                 v = rng.choice([x for x in verts if x != u] or verts)
                 edges[eid] = (f"g{u}", f"g{v}")
             spaces.append(GraphicMatroid(edges))
-    delays = {}
-    for i in range(n):
-        for e in ids:
-            d = rng.randint(0, 6)
-            if d and rng.random() < 0.5:
-                delays[(i, e)] = d
+    delays = [{e: d for e in ids if (d := rng.randint(0, 6)) and rng.random() < 0.5}
+              for _ in range(n)]
     return GameModel(
         players=n, resources=ids, costs=costs, spaces=spaces, delays=delays
     )
@@ -201,12 +192,8 @@ def gen_sp(
     for _ in range(n):
         a, b = sorted(rng.sample(range(len(cuts)), 2))
         spaces.append(PathSpace(source=cuts[a], terminal=cuts[b]))
-    delays = {}
-    for i in range(n):
-        for e in ids:
-            d = rng.randint(0, 5)
-            if d and rng.random() * 3 < 1:
-                delays[(i, e)] = d
+    delays = [{e: d for e in ids if (d := rng.randint(0, 5)) and rng.random() * 3 < 1}
+              for _ in range(n)]
     game = GameModel(
         players=n,
         resources=ids,

@@ -313,7 +313,7 @@ def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
 
 def virtual_cost(game: GameModel, i: int, e: int) -> int | Fraction:
     """Cost of the resource as if player i were alone on it, plus delay."""
-    return game.cost(e, frozenset((i,))) + game.delay(i, e)
+    return game.cost(e, frozenset((i,))) + game.delays[i].get(e, 0)
 
 
 def deviation_cost(
@@ -325,11 +325,12 @@ def deviation_cost(
     resource at the user set it would have after the move; virtual mode
     prices it as if i were alone."""
     game.require("matroid")
+    delays = game.delays[i]
 
     def price(f: int) -> int | Fraction:
         if virtual:
             return virtual_cost(game, i, f)
-        return game.cost(f, profile.users(f) | {i}) + game.delay(i, f)
+        return game.cost(f, profile.users(f) | {i}) + delays.get(f, 0)
 
     space = game.spaces[i]
     cheapest = space.cheapest_exchanges(profile[i], space.ranking(price, game.resource_order))

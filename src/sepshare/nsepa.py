@@ -119,9 +119,10 @@ def _detour_search(game: GameModel, i: int, ordered: tuple[int, ...]) -> tuple[d
         node = net.other_end(eid, node)
         position[node] = len(position)
     allowed = net.blocks_between(sp.source, sp.terminal) - frozenset(ordered)
+    delays = game.delays[i]
 
     def detour_weight(eid: int) -> int | Fraction:
-        return _fixed_cost(game, eid) + game.delay(i, eid)
+        return _fixed_cost(game, eid) + delays.get(eid, 0)
 
     def search(node: Vertex, weight: Callable = detour_weight) -> dict:
         return net.dijkstra(node, weight, blocked_vertices=position, edges=allowed)
@@ -411,18 +412,19 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     repairs: list[Step] = []
     for i in range(game.n):
         sp: PathSpace = game.spaces[i]
+        delays = game.delays[i]
         while True:
             held = current[i]
 
             def reroute_price(e: int) -> int | Fraction:
                 opened = 0 if e in held else _fixed_cost(game, e)
-                return opened + game.delay(i, e)
+                return opened + delays.get(e, 0)
 
             hit = game.network.shortest_path(sp.source, sp.terminal, reroute_price)
             if hit is None:
                 raise InternalInvariant(f"player {i} lost connectivity")
             price, edges = hit
-            stay = sum(game.delay(i, e) for e in paths[i])
+            stay = sum(delays.get(e, 0) for e in paths[i])
             if price >= stay:
                 break
             repairs.append(Step("repair", i, None, move(i, tuple(edges))))
@@ -441,7 +443,8 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     dropped: dict[int, set] = {i: set() for i in range(game.n)}
 
     def private(i: int) -> int | Fraction:
-        return sum(shares.get((i, e), 0) + game.delay(i, e) for e in paths[i])
+        delays = game.delays[i]
+        return sum(shares.get((i, e), 0) + delays.get(e, 0) for e in paths[i])
 
     substitutions: list[Step] = []
     phase_bound = len(current.used_resources())

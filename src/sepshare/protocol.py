@@ -143,12 +143,12 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
     single newcomer pay).  Either way the deviation cost is additive, so
     best responses are shortest paths / min-weight bases in these weights.
     """
-    base = protocol.base
+    base, delays = protocol.base, game.delays[i]
 
     def weight(e: int) -> int | Fraction:
         if e in base[i]:
-            return protocol.share(i, e) + game.delay(i, e)
-        return game.cost(e, base.users(e) | {i}) + game.delay(i, e)
+            return protocol.share(i, e) + delays.get(e, 0)
+        return game.cost(e, base.users(e) | {i}) + delays.get(e, 0)
 
     return weight
 

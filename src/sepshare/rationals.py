@@ -28,6 +28,13 @@ def shown(value) -> str:
     return text if len(text := repr(value)) <= 40 else text[:40] + "..."
 
 
+def shown_rational(value: int | Fraction) -> str:
+    """`format_rational(value)` for a message, without a denominator of 1
+    (as `str` prints it), cut to 40 characters and "..." past that."""
+    text = format_rational(value).removesuffix("/1")
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def exact(value: int | Fraction | str) -> int | Fraction:
     """An int, a Fraction or a "p/q" string as an exact rational, stored
     as an int when it is integral.  Bools and floats are rejected."""

@@ -76,10 +76,8 @@ def game_to_json(game: GameModel) -> dict:
         "costs": {str(e): cost_to_json(game.costs[e]) for e in game.resources},
     }
     if game.has_delays:
-        out["delays"] = [
-            [format_rational(game.delay(i, e)) for e in game.resources]
-            for i in range(game.n)
-        ]
+        out["delays"] = [[format_rational(row.get(e, 0)) for e in game.resources]
+                         for row in game.delays]
     spaces = []
     for sp in game.spaces:
         if game.kind == "path":
@@ -139,14 +137,17 @@ def game_from_json(data: Mapping) -> GameModel:
         rows = data["delays"]
         if len(rows) != players:
             raise InputError("delays must have one row per player")
-        delays = {}
+        delays = []
         for i, row in enumerate(rows):
             if len(row) != len(resources):
                 raise InputError(f"delay row {i} has wrong length")
-            for e, cell in zip(resources, row):
-                value = rational[cell] if type(cell) is str else rational.parse(cell)
-                if value != 0:
-                    delays[(i, e)] = value
+            try:  # one pass; on an unhashable cell, walk the row to the first bad cell's error
+                delays.append({e: v for e, v in zip(resources, map(rational.__getitem__, row))
+                               if v})
+            except TypeError:
+                for cell in row:
+                    rational[cell] if type(cell) is str else rational.parse(cell)
+                raise
     network: Optional[Network] = None
     if "graph" in data and data["graph"] is not None:
         g = data["graph"]

@@ -29,7 +29,7 @@ def path_game(edges, pairs, delays=None, directed=False):
         resources=list(range(len(edges))),
         costs=costs,
         spaces=spaces,
-        delays=delays or {},
+        delays=delays,
         network=net,
     )
 
@@ -40,7 +40,7 @@ def ufl_game(costs, delays=None, players=2):
     cf = {e: CostFunction(fixed=Fraction(c)) for e, c in enumerate(costs)}
     spaces = [UniformMatroid(ids, 1) for _ in range(players)]
     return GameModel(
-        players=players, resources=ids, costs=cf, spaces=spaces, delays=delays or {}
+        players=players, resources=ids, costs=cf, spaces=spaces, delays=delays
     )
 
 
@@ -100,7 +100,7 @@ def nested_sp_game(rng):
         if rng.random() < 0.5:
             s, t = t, s
         spaces.append(PathSpace(source=s, terminal=t))
-    delays = {(i, e): rng.randint(1, 5) for i in range(n) for e in ids if rng.random() < 1 / 6}
+    delays = [{e: rng.randint(1, 5) for e in ids if rng.random() < 1 / 6} for _ in range(n)]
     game = GameModel(players=n, resources=ids, costs=costs, spaces=spaces, delays=delays,
                      network=net)
     choices = []

@@ -673,14 +673,12 @@ def per_entry_game_from_json(data) -> GameModel:
         rows = data["delays"]
         if len(rows) != players:
             raise InputError("delays must have one row per player")
-        delays = {}
+        delays = []
         for i, row in enumerate(rows):
             if len(row) != len(resources):
                 raise InputError(f"delay row {i} has wrong length")
-            for e, cell in zip(resources, row):
-                value = parse_rational(cell)
-                if value != 0:
-                    delays[(i, e)] = value
+            delays.append({e: value for e, cell in zip(resources, row)
+                           if (value := parse_rational(cell)) != 0})
     spaces = [matroid_from_descriptor(sp["matroid"]) for sp in data["spaces"]]
     return GameModel(players, resources, costs, spaces, delays=delays)
 

@@ -125,8 +125,8 @@ def chain_instance(seed: int, bundles: int, players: int) -> dict:
     for _ in range(players):
         a, b = sorted(rng.sample(range(len(cuts)), 2))
         spaces.append(PathSpace(source=cuts[a], terminal=cuts[b]))
-    delays = {(i, e): Fraction(rng.randint(1, 5))
-              for i in range(players) for e in ids if rng.random() < 1 / 10}
+    delays = [{e: Fraction(rng.randint(1, 5)) for e in ids if rng.random() < 1 / 10}
+              for _ in range(players)]
     game = GameModel(players=players, resources=ids, costs=costs, spaces=spaces,
                      delays=delays, network=net)
     choices = []

@@ -302,14 +302,28 @@ class TestGameModel:
             )
 
     def test_delays_must_be_nonnegative_and_known(self):
-        with pytest.raises(InputError):
-            ufl_game([1], delays={(0, 0): F(-1)}, players=1)
-        with pytest.raises(InputError):
-            ufl_game([1], delays={(3, 0): F(1)}, players=1)
+        """One row per player, keyed by resources, with no negative value;
+        each breach has its own message."""
+        for delays, error in [
+            ([{0: F(-1)}], r"negative delay for \(0, 0\)"),
+            ([{0: 2, 1: -1}], r"negative delay for \(0, 1\)"),
+            ([{0: 2, 1: "-1/2"}], r"negative delay for \(0, 1\)"),
+            ([{0: F(1)}, {0: F(1)}], "delays must have one row per player"),
+            ([], "delays must have one row per player"),
+            ([{3: F(1)}], r"delay for unknown pair \(0, 3\)"),
+            ([{0: 1, "x": F(1)}], r"delay for unknown pair \(0, 'x'\)"),
+        ]:
+            with pytest.raises(InputError, match=f"^{error}$"):
+                ufl_game([1, 1], delays=delays, players=1)
+
+    def test_delay_rows_keep_only_nonzero_values(self):
+        g = ufl_game([1, 2], delays=[{0: F(0), 1: 3}, {0: "0/4", 1: 0}])
+        assert g.delays == ({1: 3}, {}) and (g.delay(0, 0), g.delay(0, 1)) == (0, 3)
 
     def test_has_delays(self):
         assert not ufl_game([1, 2]).has_delays
-        assert ufl_game([1, 2], delays={(0, 0): F(2)}).has_delays
+        assert not ufl_game([1, 2], delays=[{0: F(0)}, {}]).has_delays
+        assert ufl_game([1, 2], delays=[{0: F(2)}, {}]).has_delays
 
 
 class TestTotalCost:
@@ -320,7 +334,7 @@ class TestTotalCost:
         assert total_cost(g, Profile([])) == 0
 
     def test_single_resource_with_delay(self):
-        g = ufl_game([5], delays={(0, 0): F(2)}, players=1)
+        g = ufl_game([5], delays=[{0: F(2)}], players=1)
         assert total_cost(g, Profile([{0}])) == 7
 
     def test_shared_resource_counted_once(self):
@@ -338,7 +352,7 @@ class TestPrivateCost:
         return SeparableProtocol(game, base, shares)
 
     def test_single_player_pays_cost_plus_delay(self):
-        g = ufl_game([5], delays={(0, 0): F(2)}, players=1)
+        g = ufl_game([5], delays=[{0: F(2)}], players=1)
         base = Profile([{0}])
         proto = self._protocol(g, base, {(0, 0): F(5)})
         assert private_cost(g, proto, base, 0) == 7

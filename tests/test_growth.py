@@ -10,11 +10,13 @@ quadratic path it guards against gives.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import sepshare.lp
+import sepshare.rationals
 from _helpers import chain_instances
 from sepshare import matroids
 from sepshare.game import CostFunction, Profile
@@ -30,6 +32,7 @@ from sepshare.matroids import (
 from sepshare.network import Network
 from sepshare.nsepa import nsepa_transform
 from sepshare.protocol import verify_pne
+from sepshare.schema import game_from_json, game_to_json
 
 GROUNDS = (32, 64, 128)
 GAMES = 8  # seeded games per size, summed
@@ -146,6 +149,39 @@ def test_cost_queries_per_ground_pair_stay_flat(monkeypatch, family):
         per_pair.append(calls / pairs)
     ratios = [b / a for a, b in zip(per_pair, per_pair[1:])]
     assert max(ratios) <= 1.5, (per_pair, ratios)
+
+
+def test_a_load_stores_each_delay_cell_without_normalizing_it_again(monkeypatch):
+    """`rationals.exact` calls inside `schema.game_from_json`, per nonzero
+    delay cell of `gen_ufl` documents with 6k players and 8k facilities,
+    stay at most 0.25 at k = 2, 4 and 8.
+
+    The document's rational strings are each parsed and stored once, and
+    the delay rows are kept as loaded.  Measured per cell: 0.19, 0.07 and
+    0.03 (the distinct strings of the costs and delays).  Normalizing
+    every stored delay again in `GameModel` gives 1.19, 1.07 and 1.03.
+    """
+    calls = 0
+    real = sepshare.rationals.exact
+
+    def counting(value):
+        nonlocal calls
+        calls += 1
+        return real(value)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "sepshare" and getattr(module, "exact", None) is real:
+            monkeypatch.setattr(module, "exact", counting)
+    per_cell = []
+    for k in (2, 4, 8):
+        docs = [game_to_json(gen_ufl(random.Random(f"growth/ufl-load/{k}/{seed}"), 6 * k, 8 * k))
+                for seed in range(GAMES)]
+        calls = 0
+        for doc in docs:
+            game_from_json(doc)
+        cells = sum(cell != "0/1" for doc in docs for row in doc["delays"] for cell in row)
+        per_cell.append(calls / cells)
+    assert max(per_cell) <= 0.25, per_cell
 
 
 BUNDLES = (8, 16, 32)

@@ -310,7 +310,7 @@ def _built_game() -> GameModel:
              frozenset({0, 1}): Fraction(7, 2)}
     costs = {0: CostFunction(fixed=Fraction(6, 3)), 1: CostFunction(fixed="5/3"),
              2: CostFunction(table=table)}
-    delays = {(0, 0): Fraction(9, 3), (0, 2): "1/2", (1, 1): 8, (1, 2): Fraction(0)}
+    delays = [{0: Fraction(9, 3), 2: "1/2"}, {1: 8, 2: Fraction(0)}]
     spaces = [UniformMatroid([0, 1, 2], 1) for _ in range(2)]
     return GameModel(2, [0, 1, 2], costs, spaces, delays=delays)
 
@@ -412,6 +412,6 @@ def test_bools_and_floats_are_not_stored(bad):
     with pytest.raises(InputError):
         CostFunction(fixed=bad)
     with pytest.raises(InputError):
-        GameModel(2, game.resources, game.costs, game.spaces, delays={(0, 0): bad})
+        GameModel(2, game.resources, game.costs, game.spaces, delays=[{0: bad}, {}])
     with pytest.raises(InputError):
         SeparableProtocol(game, Profile([{0}, {0}]), {(0, 0): bad})

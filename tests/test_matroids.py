@@ -323,7 +323,7 @@ class TestKeptTable:
 
 class TestDeviationCost:
     def test_lone_player_takes_cheapest_swap(self):
-        g = ufl_game([4, 7], delays={(0, 0): F(1), (0, 1): F(2)}, players=1)
+        g = ufl_game([4, 7], delays=[{0: F(1), 1: F(2)}], players=1)
         p = Profile([{0}])
         for virtual in (False, True):
             assert deviation_cost(g, p, 0, virtual=virtual) == {0: (5, 0)}  # min(4+1, 7+2)
@@ -341,7 +341,7 @@ class TestDeviationCost:
             resources=[0, 1],
             costs={0: ufl_game([6]).costs[0], 1: ufl_game([9]).costs[0]},
             spaces=[m],
-            delays={(0, 0): F(2)},
+            delays=[{0: F(2)}],
         )
         # each block holds one element, so each stays where it is
         assert deviation_cost(g, Profile([{0, 1}]), 0, virtual=True) == {0: (8, 0), 1: (9, 1)}
@@ -364,7 +364,7 @@ class TestEnforceabilityConditions:
         assert check_enforceable_matroid(g, Profile([{0}]), virtual=False).ok
 
     def test_excess_delay_violates_delay_condition(self):
-        g = ufl_game([1, 1], delays={(0, 0): F(5)}, players=1)
+        g = ufl_game([1, 1], delays=[{0: F(5)}], players=1)
         report = check_enforceable_matroid(g, Profile([{0}]), virtual=False)
         assert not report.ok
         assert report.violations[0].kind == "delay"
@@ -379,12 +379,10 @@ class TestEnforceabilityConditions:
             m = rng.randint(2, 3)
             g = ufl_game(
                 [rng.randint(1, 12) for _ in range(m)],
-                delays={
-                    (i, e): F(rng.randint(0, 4))
-                    for i in range(n)
-                    for e in range(m)
-                    if rng.random() < 0.5
-                },
+                delays=[
+                    {e: F(rng.randint(0, 4)) for e in range(m) if rng.random() < 0.5}
+                    for _ in range(n)
+                ],
                 players=n,
             )
             profile = Profile([{rng.randrange(m)} for _ in range(n)])
@@ -448,7 +446,7 @@ class TestTransform:
         assert res.moves == ()
 
     def test_delay_packet_move(self):
-        g = ufl_game([1, 1], delays={(0, 0): F(5)}, players=1)
+        g = ufl_game([1, 1], delays=[{0: F(5)}], players=1)
         res = transform_matroid(g, Profile([{0}]))
         assert res.profile == Profile([{1}])
         [move] = res.moves

@@ -115,12 +115,8 @@ def _delay_heavy(game, seed):
     """The game with fresh delays 1..30 on about a third of its (player,
     edge) pairs."""
     rng = random.Random(f"delay-heavy/{seed}")
-    delays = {
-        (i, e): F(rng.randint(1, 30))
-        for i in range(game.n)
-        for e in game.resources
-        if rng.random() < 1 / 3
-    }
+    delays = [{e: F(rng.randint(1, 30)) for e in game.resources if rng.random() < 1 / 3}
+              for _ in range(game.n)]
     return GameModel(game.n, game.resources, game.costs, game.spaces, delays=delays,
                      network=game.network)
 
@@ -220,7 +216,7 @@ class TestAlternatives:
         g = path_game(
             [("a", "b", 3), ("a", "b", 5)],
             [("a", "b")],
-            delays={(0, 1): F(2)},
+            delays=[{1: F(2)}],
         )
         [alt] = alternatives(g, 0, frozenset({0}))
         assert alt.weight == F(7)
@@ -565,7 +561,7 @@ class TestTransform:
         # paying the parallel edge alone beats the delay of staying, so no
         # share vector stabilizes the input and the LP is infeasible
         g = path_game(
-            [("s", "t", 1), ("s", "t", 2)], [("s", "t")], delays={(0, 0): F(10)}
+            [("s", "t", 1), ("s", "t", 2)], [("s", "t")], delays=[{0: F(10)}]
         )
         assert is_enforceable(g, Profile([{0}])).status == INFEASIBLE
         res = nsepa_transform(g, Profile([{0}]))

@@ -89,7 +89,7 @@ class TestOptimum:
 
     def test_delays_enter_the_objective(self):
         g = path_game(
-            [("s", "t", 3), ("s", "t", 4)], [("s", "t")], delays={(0, 0): F(5)}
+            [("s", "t", 3), ("s", "t", 4)], [("s", "t")], delays=[{0: F(5)}]
         )
         res = brute_force_optimum(g)
         assert res.profile == Profile([{1}])

@@ -35,7 +35,7 @@ from sepshare.schema import (
 class TestSchema:
     def test_path_game_round_trip_is_byte_identical(self):
         g = path_game(
-            [("s", "a", 2), ("a", "t", "7/2")], [("s", "t")], delays={(0, 0): F(1, 3)}
+            [("s", "a", 2), ("a", "t", "7/2")], [("s", "t")], delays=[{0: F(1, 3)}]
         )
         doc = game_to_json(g)
         text = dumps(doc)
@@ -43,7 +43,7 @@ class TestSchema:
         assert dumps(again) == text
 
     def test_matroid_game_round_trip_is_byte_identical(self):
-        g = ufl_game((10, 8), delays={(1, 0): F(2)})
+        g = ufl_game((10, 8), delays=[{}, {0: F(2)}])
         text = dumps(game_to_json(g))
         again = dumps(game_to_json(game_from_json(loads(text))))
         assert again == text
@@ -393,6 +393,19 @@ class TestCli:
         _code, full = run_to_file(tmp_path, "f.json", ["transform-tree", "--in", str(gen)])
         assert doc["repairs"] == []
         assert doc.keys() == json.loads(full.read_text()).keys()
+
+    def test_all_zero_delays_are_no_delays_to_the_tree_transform(self, tmp_path):
+        """Delays of "0/1" leave every delay row empty, so a tree game that
+        lists them passes the single-source check and transforms as the
+        same game without them."""
+        _code, gen = run_to_file(tmp_path, "g.json", ["gen", "tree", "--seed", "1"])
+        doc = json.loads(gen.read_text())
+        doc["delays"] = [["0/1"] * len(doc["resources"]) for _ in range(doc["players"])]
+        assert not game_from_json(doc).has_delays
+        inst = _write_doc(tmp_path, doc, "zero.json")
+        code, zero = run_to_file(tmp_path, "z.json", ["transform-tree", "--in", str(inst)])
+        _code, plain = run_to_file(tmp_path, "p.json", ["transform-tree", "--in", str(gen)])
+        assert code == 0 and zero.read_text() == plain.read_text()
 
     def test_malformed_instance_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1201,6 +1214,46 @@ def test_long_integer_ids_are_echoed_cut_to_forty_characters(tmp_path, capsys, d
     inst = _write_doc(tmp_path, doc)
     capsys.readouterr()
     assert run(["verify", "--in", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {error}\n" and len(err) <= 160
+
+
+def _two_players(doc):
+    """`doc` with a second player on the same space and choice."""
+    return {**doc, "players": 2, "spaces": doc["spaces"] * 2, "profile": doc["profile"] * 2}
+
+
+def test_every_delay_cell_is_read_before_any_delay_is_checked(tmp_path, capsys):
+    """A malformed cell in row 1 is named although row 0 holds a negative
+    delay: the load parses every cell before the game checks a row."""
+    doc = {**_two_players(_one_player_doc("1/1")), "delays": [["-1/1"], ["x"]]}
+    inst = _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    assert run(["verify", "--in", str(inst)]) == 2
+    assert capsys.readouterr().err == "input error: malformed rational 'x'\n"
+    doc["delays"][1] = ["1/1"]
+    assert run(["verify", "--in", str(_write_doc(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == "input error: negative delay for (0, 0)\n"
+
+
+LONG = "9" * 4000  # a cost of 4,000 digits
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    ("verify", _one_player_doc(f"-{LONG}/1"), f"negative cost -{LONG[:39]}..."),
+    ("verify", _one_player_doc({"subadditive_table": {"0": f"-{LONG}/1"}}),
+     f"negative cost -{LONG[:39]}... for [0]"),
+    ("transform-matroid",
+     _two_players(_one_player_doc({"subadditive_table": {"0": f"{LONG}/1", "0,1": "1/1"}})),
+     f"monotonicity violated: c([0])={LONG[:40]}... > c([0, 1])=1"),
+], ids=["negative-fixed", "negative-table", "monotonicity"])
+def test_long_cost_values_are_echoed_cut_to_forty_characters(tmp_path, capsys, command, doc,
+                                                             error):
+    """A cost error quotes at most 40 characters of each value it names,
+    in the "p/q" form without a denominator of 1, however long it is."""
+    inst = _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    assert run([command, "--in", str(inst)]) == 2
     err = capsys.readouterr().err
     assert err == f"input error: {error}\n" and len(err) <= 160
 

@@ -206,7 +206,7 @@ class TestTransform:
 
     def test_delays_are_rejected(self):
         g = path_game(
-            [("s", "a", 1), ("a", "t", 1)], [("s", "t")], delays={(0, 0): F(1)}
+            [("s", "a", 1), ("a", "t", 1)], [("s", "t")], delays=[{0: F(1)}]
         )
         with pytest.raises(UnsupportedSpace):
             transform_single_source(g, Profile([{0, 1}]))
