@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import InfeasibleProfile, InputError, InvalidCostOracle, UnsupportedSpace
 from .network import Network, Vertex
@@ -198,7 +198,9 @@ class Profile:
         """The profile with player i on `choice`.  Users already found are
         kept, changed only on the resources that i leaves or joins."""
         old, new = self.choices[i], frozenset(choice)
-        out = Profile(self.choices[:i] + (new,) + self.choices[i + 1:])
+        out = object.__new__(Profile)  # the other choices are frozen already
+        out.choices = self.choices[:i] + (new,) + self.choices[i + 1:]
+        out._occupancy = None
         if self._occupancy is not None:
             occ = out._occupancy = dict(self._occupancy)
             for e in old ^ new:
@@ -217,9 +219,14 @@ class GameModel:
     `delays[i]`, a dict of the nonzero delays stored by the rule of
     `rationals.exact` (an int when integral, a Fraction otherwise); it is
     checked with set operations, and re-stored only when it holds
-    something other than a nonzero int.  `delay` and `cost` answer in the
-    stored form.  `validate_profile` remembers the profiles that passed,
-    so checking one again is a set lookup.
+    something other than a nonzero int.  Next to the delay rows sits one
+    fixed-cost row, `fixed`, from each resource whose cost is fixed to
+    that value, built once; `cost`, `join_cost`, `fixed_cost`,
+    `total_cost` and `move_cost` read it, so only a cost table is asked
+    for its value on a user set.  Each answers in the stored form.  A
+    matroid space that players share is checked once.
+    `validate_profile` remembers the profiles that passed, so checking
+    one again is a set lookup.
     """
 
     def __init__(
@@ -242,11 +249,14 @@ class GameModel:
         for e in self.resources:
             if e not in self.costs:
                 raise InputError(f"resource {e} has no cost function")
+        self.fixed: dict[int, int | Fraction] = {
+            e: value for e in self.resources if (value := self.costs[e]._fixed) is not None}
         self.network = network
         if len(spaces) != players:
             raise InputError("one strategy space per player required")
         self.spaces = tuple(spaces)
         self.kind: Optional[str] = self.spaces[0].kind if self.spaces else None
+        grounds_checked: set[int] = set()  # ids of the matroid spaces checked so far
         for i, sp in enumerate(self.spaces):
             if sp.kind == "path":
                 if network is None:
@@ -254,12 +264,13 @@ class GameModel:
                 for v in (sp.source, sp.terminal):
                     if v not in network.vindex:
                         raise InputError(f"vertex {shown(v)} of player {i} not in network")
-            elif sp.kind == "matroid":
+            elif sp.kind != "matroid":
+                raise UnsupportedSpace(f"unknown space kind {shown(sp.kind)}")
+            elif id(sp) not in grounds_checked:  # a space players share is checked once
+                grounds_checked.add(id(sp))
                 for e in sp.ground:
                     if e not in self.resource_order:
                         raise InputError(f"matroid ground element {shown(e)} is not a resource")
-            else:
-                raise UnsupportedSpace(f"unknown space kind {shown(sp.kind)}")
             if sp.kind != self.kind:
                 raise UnsupportedSpace("mixed strategy spaces are not supported")
         rows = [dict(row) for row in (delays if delays is not None else [{}] * players)]
@@ -294,8 +305,22 @@ class GameModel:
     def has_delays(self) -> bool:
         return any(self.delays)
 
-    def cost(self, e: int, users: Iterable[int]) -> int | Fraction:
-        return self.costs[e].value(users)
+    def cost(self, e: int, users: Collection[int]) -> int | Fraction:
+        """Cost of e on `users`; a fixed cost is read off its row."""
+        if (value := self.fixed.get(e)) is None:
+            return self.costs[e].value(users)
+        return value if users else 0
+
+    def join_cost(self, e: int, users: frozenset, i: int) -> int | Fraction:
+        """Cost of e once player i joins `users`: a fixed cost is read
+        off its row, with no user set built."""
+        if (value := self.fixed.get(e)) is None:
+            return self.costs[e].value(users | {i})
+        return value
+
+    def fixed_cost(self, e: int) -> int | Fraction:
+        """The fixed cost of e; UnsupportedSpace for a cost table."""
+        return self.fixed[e] if e in self.fixed else self.costs[e].fixed_value
 
     def resource_key(self, e: int) -> int:
         """Position of e in the global resource order, for tie-breaking."""
@@ -350,5 +375,5 @@ def move_cost(game: GameModel, profile: Profile, i: int, choice: Iterable[int]) 
         delta += game.cost(e, users - {i}) - game.cost(e, users) - game.delay(i, e)
     for e in new - old:
         users = profile.users(e)
-        delta += game.cost(e, users | {i}) - game.cost(e, users) + game.delay(i, e)
+        delta += game.join_cost(e, users, i) - game.cost(e, users) + game.delay(i, e)
     return exact(delta)

@@ -17,10 +17,11 @@ and the verdicts of the resources whose users or deviations it changes.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -313,7 +314,7 @@ def matroid_from_descriptor(desc: Mapping) -> MatroidOracle:
 
 def virtual_cost(game: GameModel, i: int, e: int) -> int | Fraction:
     """Cost of the resource as if player i were alone on it, plus delay."""
-    return game.cost(e, frozenset((i,))) + game.delays[i].get(e, 0)
+    return game.join_cost(e, frozenset(), i) + game.delays[i].get(e, 0)
 
 
 def deviation_cost(
@@ -330,7 +331,7 @@ def deviation_cost(
     def price(f: int) -> int | Fraction:
         if virtual:
             return virtual_cost(game, i, f)
-        return game.cost(f, profile.users(f) | {i}) + delays.get(f, 0)
+        return game.join_cost(f, profile.users(f), i) + delays.get(f, 0)
 
     space = game.spaces[i]
     cheapest = space.cheapest_exchanges(profile[i], space.ranking(price, game.resource_order))
@@ -455,7 +456,7 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
 
     def uncovered(e: int, users: list[int]) -> bool:
         headroom = sum(vdev(i, e)[0] - game.delay(i, e) for i in users)
-        return game.cost(e, frozenset(users)) > headroom
+        return game.cost(e, users) > headroom
 
     def verdict(e: int) -> Optional[str]:
         if e not in verdicts:
@@ -531,5 +532,5 @@ def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtoc
         users = sorted(profile.users(e))
         if users:
             caps = [((i, e), deltas[(i, e)] - game.delay(i, e)) for i in users]
-            shares.update(water_fill(game.cost(e, frozenset(users)), caps))
+            shares.update(water_fill(game.cost(e, users), caps))
     return SeparableProtocol(game, profile, shares)

@@ -43,10 +43,6 @@ def _require_path_game(game: GameModel) -> None:
         raise UnsupportedSpace("series-parallel analysis expects undirected networks")
 
 
-def _fixed_cost(game: GameModel, e: int) -> int | Fraction:
-    return game.costs[e].fixed_value
-
-
 # -- series-parallel recognition ------------------------------------------
 
 
@@ -122,7 +118,7 @@ def _detour_search(game: GameModel, i: int, ordered: tuple[int, ...]) -> tuple[d
     delays = game.delays[i]
 
     def detour_weight(eid: int) -> int | Fraction:
-        return _fixed_cost(game, eid) + delays.get(eid, 0)
+        return game.fixed_cost(eid) + delays.get(eid, 0)
 
     def search(node: Vertex, weight: Callable = detour_weight) -> dict:
         return net.dijkstra(node, weight, blocked_vertices=position, edges=allowed)
@@ -184,7 +180,7 @@ def _stability_row(
     """Row of player i's deviation that adopts `joined` and drops `left`:
     the shares on `left` may not exceed the full cost plus delay of
     `joined` minus the delay saved on `left`."""
-    bound = sum(_fixed_cost(game, e) + game.delay(i, e) for e in joined)
+    bound = sum(game.fixed_cost(e) + game.delay(i, e) for e in joined)
     for e in left:
         bound -= game.delay(i, e)
     return tuple(sorted((var_index[(i, e)], 1) for e in left)), exact(bound)
@@ -215,7 +211,7 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
         if not users:
             continue
         rows.append(tuple((var_index[(i, e)], 1) for i in sorted(users)))
-        rhs.append(_fixed_cost(game, e))
+        rhs.append(game.fixed_cost(e))
 
     not_sp = None
     try:
@@ -259,7 +255,7 @@ def is_enforceable(game: GameModel, profile: Profile) -> EnforceabilityLPReport:
 
 
 def _optimize(game: GameModel, profile: Profile, inst: LPInstance) -> EnforceabilityLPReport:
-    used_cost = exact(sum(_fixed_cost(game, e) for e in game.resources if profile.users(e)))
+    used_cost = exact(sum(game.fixed_cost(e) for e in game.resources if profile.users(e)))
     lp = inst.lp
     generated: set = set()
     while True:
@@ -396,7 +392,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     game.validate_profile(profile)
     input_cost = total_cost(game, profile)
     for e in profile.used_resources():
-        _fixed_cost(game, e)  # fixed costs only: a used table raises before any move
+        game.fixed_cost(e)  # fixed costs only: a used table raises before any move
 
     current = profile
     paths = [_ordered_path(game, i, profile[i]) for i in range(game.n)]
@@ -417,7 +413,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
             held = current[i]
 
             def reroute_price(e: int) -> int | Fraction:
-                opened = 0 if e in held else _fixed_cost(game, e)
+                opened = 0 if e in held else game.fixed_cost(e)
                 return opened + delays.get(e, 0)
 
             hit = game.network.shortest_path(sp.source, sp.terminal, reroute_price)
@@ -450,7 +446,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
     phase_bound = len(current.used_resources())
     phases = 0
     while True:
-        snapshot = [{e for e in paths[i] if paid[e] < _fixed_cost(game, e)}
+        snapshot = [{e for e in paths[i] if paid[e] < game.fixed_cost(e)}
                     for i in range(game.n)]
         if not any(snapshot):
             break
@@ -460,7 +456,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         for i, targets in enumerate(snapshot):
             while True:
                 f = next((e for e in paths[i]
-                          if e in targets and paid[e] < _fixed_cost(game, e)), None)
+                          if e in targets and paid[e] < game.fixed_cost(e)), None)
                 if f is None:
                     break
                 before = private(i)
@@ -481,7 +477,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
                     dropped[i].add(e)
                     paid[e] -= shares.pop((i, e), 0)
                 for e in alt.edges:
-                    shares[(i, e)] = _fixed_cost(game, e)
+                    shares[(i, e)] = game.fixed_cost(e)
                     paid[e] = paid.get(e, 0) + shares[(i, e)]
                 after = private(i)
                 if after != before:
@@ -495,7 +491,7 @@ def nsepa_transform(game: GameModel, profile: Profile) -> NsepaTransformResult:
         users = current.users(e)
         if not users:
             continue
-        excess = paid[e] - _fixed_cost(game, e)
+        excess = paid[e] - game.fixed_cost(e)
         if excess < 0:
             raise InternalInvariant(f"edge {e} left unpaid after all phases")
         if excess:

@@ -148,7 +148,7 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
     def weight(e: int) -> int | Fraction:
         if e in base[i]:
             return protocol.share(i, e) + delays.get(e, 0)
-        return game.cost(e, base.users(e) | {i}) + delays.get(e, 0)
+        return game.join_cost(e, base.users(e), i) + delays.get(e, 0)
 
     return weight
 

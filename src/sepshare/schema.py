@@ -9,8 +9,9 @@ parallel to the resource list; matroid players carry descriptors.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from contextlib import contextmanager
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from .errors import InputError
 from .game import CostFunction, GameModel, PathSpace, Profile, Step
@@ -171,6 +172,9 @@ def game_from_json(data: Mapping) -> GameModel:
             raise InputError(f"graph.directed must be true or false, not {shown(directed)}")
         network = Network(triples, directed=directed)
     spaces = []
+    # players with the same descriptor share one oracle; keyed by `repr`,
+    # which keeps 1, 1.0 and true apart where dict equality would not
+    oracles: dict[str, Any] = {}
     if len(raw_spaces) != players:
         raise InputError("one space per player required")
     for i, sp in enumerate(raw_spaces):
@@ -184,7 +188,9 @@ def game_from_json(data: Mapping) -> GameModel:
             _check_vertex(body["terminal"], f"terminal of space {i}")
             spaces.append(PathSpace(source=body["source"], terminal=body["terminal"]))
         elif kind == "matroid":
-            spaces.append(matroid_from_descriptor(body))
+            if (oracle := oracles.get(key := repr(body))) is None:
+                oracle = oracles[key] = matroid_from_descriptor(body)
+            spaces.append(oracle)
         else:
             raise InputError(f"unknown space kind {shown(kind)}")
     return GameModel(

@@ -47,7 +47,7 @@ def _require_single_source(game: GameModel) -> Vertex:
     if game.has_delays:
         raise UnsupportedSpace("tree transform requires zero delays")
     for e in game.resources:
-        game.costs[e].fixed_value  # raises for set-function costs
+        game.fixed_cost(e)  # raises for set-function costs
     if not sources:
         return game.network.vertices[0] if game.network.vertices else None
     return sources.pop()
@@ -62,11 +62,7 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
         return profile  # without players there is no source to search from
     union = profile.used_resources()
     net = game.network
-
-    def weight(eid: int) -> int | Fraction:
-        return game.costs[eid].fixed_value
-
-    tree = net.dijkstra(source, weight, reverse=net.directed, edges=union)
+    tree = net.dijkstra(source, game.fixed.__getitem__, reverse=net.directed, edges=union)
     choices = []
     for i in range(game.n):
         t = game.spaces[i].terminal
@@ -123,10 +119,8 @@ class AuxiliaryGraph:
         self.aux_payer: dict[tuple, int] = {}
         self.events: list[Step] = []  # "close" and "drop"
         self._build_aux_edges()
-        self.cost: dict[ItemId, int | Fraction] = {
-            e: game.costs[e].fixed_value for e in game.resources
-        }
-        self.cost.update((key, aux.cost) for key, aux in self.aux.items())
+        self.cost: dict[ItemId, int | Fraction] = game.fixed | {
+            key: aux.cost for key, aux in self.aux.items()}
         self._check_tree()  # sets walks, users, depth, adj and the pricing order
 
     # ---- structure helpers ------------------------------------------
@@ -200,11 +194,7 @@ class AuxiliaryGraph:
         player's walk: the cheapest graph path between them.  One search
         per deeper vertex, ended once it has settled every shallower vertex
         of the walks through it."""
-        net = self.net
-
-        def weight(eid: int) -> int | Fraction:
-            return self.game.costs[eid].fixed_value
-
+        net, weight = self.net, self.game.fixed.__getitem__
         # pairs (deeper, shallower): walk runs terminal -> source
         walks = [self._vertex_walk(i) for i in range(self.game.n)]
         targets: dict[Vertex, set] = {}
@@ -466,10 +456,10 @@ def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, dict, tuple]:
     for i in range(game.n):
         for e in expansion_of[i]:
             if e in profile[i] and paid.get(e, 0) == 0:
-                shares[(i, e)] = paid[e] = game.costs[e].fixed_value
+                shares[(i, e)] = paid[e] = game.fixed[e]
     repairs: list[tuple] = []
     for e in sorted(profile.used_resources(), key=game.resource_key):
-        cost = game.costs[e].fixed_value
+        cost = game.fixed[e]
         total = paid.get(e, 0)
         if total > cost:
             raise InternalInvariant(f"edge {e} overpaid after expansion")

@@ -77,7 +77,6 @@ from sepshare.network import Network, Vertex
 from sepshare.nsepa import (
     Alternative,
     NsepaTransformResult,
-    _fixed_cost,
     _optimize,
     _ordered_path,
     _require_path_game,
@@ -102,6 +101,12 @@ UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _fixed_cost(game, e: int) -> int | Fraction:
+    """e's fixed cost read off its cost function, not off the game's
+    fixed-cost row."""
+    return game.costs[e].fixed_value
 
 
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):

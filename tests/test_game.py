@@ -20,6 +20,7 @@ from sepshare.game import (
     total_cost,
 )
 from sepshare.gen import gen_matroid, gen_sp, gen_ufl, random_bases_profile
+from sepshare.matroids import transform_matroid
 from sepshare.network import Network
 from sepshare.nsepa import counterexample_fixture, is_enforceable
 from sepshare.oracle import enumerate_strategies
@@ -324,6 +325,50 @@ class TestGameModel:
         assert not ufl_game([1, 2]).has_delays
         assert not ufl_game([1, 2], delays=[{0: F(0)}, {}]).has_delays
         assert ufl_game([1, 2], delays=[{0: F(2)}, {}]).has_delays
+
+
+    def test_a_zero_fixed_cost_is_read_off_the_row(self, monkeypatch):
+        """A "0/1" fixed cost is an entry of the fixed-cost row, so a join
+        prices it at 0 without asking its cost function."""
+        uniform = {"matroid": {"uniform": {"ground": [0, 1], "rank": 1}}}
+        game = game_from_json({"players": 2, "resources": [0, 1],
+                               "costs": {"0": "0/1", "1": "3/1"}, "spaces": [uniform] * 2})
+        assert game.fixed == {0: 0, 1: 3}
+
+        def asked(cost_function, users):
+            raise AssertionError(f"a fixed cost was asked for {sorted(users)}")
+
+        monkeypatch.setattr(CostFunction, "value", asked)
+        p = Profile([{1}, {1}])
+        assert [game.join_cost(0, p.users(0), 1), game.fixed_cost(0), game.cost(0, {1})] == [0] * 3
+        assert (total_cost(game, p), move_cost(game, p, 0, {0})) == (3, 0)
+
+    @pytest.mark.parametrize("table, error", [
+        ({"0": "2/1", "1": "2/1", "0,1": "1/1"}, "monotonicity violated: c([0])=2 > c([0, 1])=1"),
+        ({"0": "1/1", "1": "1/1", "0,1": "3/1"}, "subadditivity violated on [0] and [1]"),
+    ], ids=["monotonicity", "subadditivity"])
+    def test_a_table_among_fixed_costs_fails_at_the_same_query(self, monkeypatch, table, error):
+        """A bad table next to fixed costs is asked the same user sets, in
+        the same order, as when every fixed cost was asked too, and its
+        first bad answer raises the same error."""
+        asked = []
+        real = CostFunction.value
+
+        def recording(cost_function, users):
+            if not cost_function.is_fixed:
+                asked.append(sorted(users))
+            return real(cost_function, users)
+
+        monkeypatch.setattr(CostFunction, "value", recording)
+        uniform = {"matroid": {"uniform": {"ground": [0, 1, 2], "rank": 1}}}
+        game = game_from_json({
+            "players": 2, "resources": [0, 1, 2], "spaces": [uniform] * 2,
+            "costs": {"0": "4/1", "1": {"subadditive_table": table}, "2": "6/1"},
+            "delays": [["0/1", "1/1", "3/1"], ["2/1", "0/1", "0/1"]]})
+        with pytest.raises(InvalidCostOracle) as caught:
+            transform_matroid(game, Profile([{0}, {2}]))
+        assert str(caught.value) == error
+        assert asked == [[0], [1], [0], [], [0], [0, 1]]
 
 
 class TestTotalCost:

@@ -19,7 +19,7 @@ import sepshare.lp
 import sepshare.rationals
 from _helpers import chain_instances
 from sepshare import matroids
-from sepshare.game import CostFunction, Profile
+from sepshare.game import CostFunction, GameModel, Profile
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.matroids import (
     GraphicMatroid,
@@ -115,27 +115,20 @@ def test_matroid_ranks_once_and_walks_linearly_per_move(monkeypatch):
     assert max(ratios) <= 2.3, (per_move, ratios)
 
 
-@pytest.mark.parametrize("family", ["ufl", "matroid"])
-def test_cost_queries_per_ground_pair_stay_flat(monkeypatch, family):
-    """`CostFunction.value` calls, per (player, ground element) pair, of a
-    transform, its protocol and the protocol's PNE check grow at most 1.5x
-    per doubling of the game: `gen_ufl` with 6k players and 8k facilities,
-    `gen_matroid` with 4 players and 12k resources, at k = 2, 4 and 8.
-
-    Measured per pair: 3.41, 3.19 and 3.09 (ufl), 5.53, 6.23 and 7.35
-    (matroid; 1.13x, then 1.18x).  Ranking every player's elements again
-    after each move gives 14.4, 25.3 and 48.8 (ufl; 1.76x, then 1.93x) and
-    13.5, 20.6 and 39.9 (matroid; 1.53x, then 1.93x).
-    """
+def _priced_per_pair(monkeypatch, owner, name: str, family: str) -> list[float]:
+    """Calls of `owner.name`, per (player, ground element) pair, of a
+    transform, its protocol and the protocol's PNE check: `gen_ufl` with
+    6k players and 8k facilities, `gen_matroid` with 4 players and 12k
+    resources, at k = 2, 4 and 8."""
     calls = 0
-    real = CostFunction.value
+    real = getattr(owner, name)
 
-    def counting(self, users):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return real(self, users)
+        return real(*args)
 
-    monkeypatch.setattr(CostFunction, "value", counting)
+    monkeypatch.setattr(owner, name, counting)
     per_pair = []
     for k in (2, 4, 8):
         calls = pairs = 0
@@ -147,8 +140,39 @@ def test_cost_queries_per_ground_pair_stay_flat(monkeypatch, family):
             assert verify_pne(game, build_matroid_protocol(game, result.profile)).ok, k
             pairs += sum(len(space.ground) for space in game.spaces)
         per_pair.append(calls / pairs)
+    return per_pair
+
+
+@pytest.mark.parametrize("family", ["ufl", "matroid"])
+def test_cost_queries_per_ground_pair_stay_flat(monkeypatch, family):
+    """Game cost queries per (player, ground element) pair, counted as in
+    `_priced_per_pair`, grow at most 1.5x per doubling of the game.  On
+    `gen_ufl`, whose costs are all fixed and so ask no cost function, the
+    count is `GameModel.join_cost` calls; on `gen_matroid`, whose costs
+    mix fixed costs and tables, it is `CostFunction.value` calls.
+
+    Measured per pair: 3.00, 3.00 and 3.00 (ufl), 1.95, 2.35 and 2.95
+    (matroid; 1.21x, then 1.26x).  Ranking every player's elements again
+    after each move gives 14.0, 25.1 and 48.7 (ufl; 1.80x, then 1.94x)
+    and 4.50, 7.31 and 14.3 (matroid; 1.63x, then 1.96x).
+    """
+    owner, name = (GameModel, "join_cost") if family == "ufl" else (CostFunction, "value")
+    per_pair = _priced_per_pair(monkeypatch, owner, name, family)
     ratios = [b / a for a, b in zip(per_pair, per_pair[1:])]
     assert max(ratios) <= 1.5, (per_pair, ratios)
+
+
+def test_fixed_costs_ask_no_cost_function(monkeypatch):
+    """`CostFunction.value` calls per (player, ground element) pair on
+    `gen_ufl`, counted as in `_priced_per_pair`, stay at most 0.5 at
+    every k: the game reads each fixed cost off its fixed-cost row.
+
+    Measured per pair: 0, 0 and 0.  Building the joined user set and
+    asking the cost function, as the three per-player pricing passes once
+    did, gives 3.41, 3.19 and 3.09.
+    """
+    per_pair = _priced_per_pair(monkeypatch, CostFunction, "value", "ufl")
+    assert max(per_pair) <= 0.5, per_pair
 
 
 def test_a_load_stores_each_delay_cell_without_normalizing_it_again(monkeypatch):

@@ -293,6 +293,27 @@ def test_the_check_sees_a_fraction_call():
     assert _calls(tree, "Fraction") == ["g", "<module>"]
 
 
+def _reads(tree: ast.Module, attribute: str) -> list[int]:
+    """The line of each read of `attribute` off any object."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == attribute)
+
+
+def test_fixed_value_is_read_only_in_the_game_and_the_schema():
+    """A fixed cost is read off the game's fixed-cost row, so only the row,
+    built in `game`, and the JSON writer in `schema` ask a cost function
+    for it."""
+    found = {path.stem for path in ALL_MODULES
+             if _reads(ast.parse(path.read_text()), "fixed_value")}
+    assert found == {"game", "schema"}
+
+
+def test_the_check_sees_a_fixed_value_read():
+    tree = ast.parse("def fixed_value(self):\n    return 1\nx = game.costs[e].fixed_value\n"
+                     "y = [cf.fixed_value for cf in costs]\nz = fixed_value\n")
+    assert _reads(tree, "fixed_value") == [3, 4]
+
+
 def _loaded_game() -> GameModel:
     uniform = {"uniform": {"ground": [0, 1, 2], "rank": 1}}
     return game_from_json({
@@ -321,8 +342,10 @@ def test_costs_and_delays_are_ints_exactly_when_integral(make):
     user_sets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
     costs = [game.cost(e, users) for e in game.resources for users in user_sets]
     delays = [game.delay(i, e) for i in range(game.n) for e in game.resources]
-    assert all(map(stored, costs + delays)), (costs, delays)
+    fixed = list(game.fixed.values())
+    assert all(map(stored, costs + delays + fixed)), (costs, delays, fixed)
     assert {type(v) for v in costs} == {type(v) for v in delays} == {int, Fraction}
+    assert game.fixed == {0: 2, 1: Fraction(5, 3)} and {type(v) for v in fixed} == {int, Fraction}
     profile = transform_matroid(game, Profile([{2}, {2}])).profile
     protocol = build_matroid_protocol(game, profile)
     values = [protocol.share(i, e) for i in range(game.n) for e in game.resources]

@@ -2,6 +2,7 @@
 
 import argparse
 import io
+import itertools
 import json
 import random
 import sys
@@ -1050,6 +1051,68 @@ def test_matroid_element_ids_are_read_exactly(tmp_path, capsys, command, space, 
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"input error: a matroid element must be a JSON integer, not {bad!r}"]
+
+
+# each bad value of ELEMENT_IDS, and a bool rank, with the field it names
+TWIN_IDS = {name: (space, bad, "a matroid element") for name, (space, bad) in ELEMENT_IDS.items()}
+TWIN_IDS["uniform-rank-bool"] = (lambda x: {"uniform": {"ground": [0, 1], "rank": x}}, True,
+                                 "a rank")
+
+
+@pytest.mark.parametrize("space, bad, field", TWIN_IDS.values(), ids=TWIN_IDS.keys())
+def test_a_bad_descriptor_after_its_valid_twin_exits_two(tmp_path, capsys, space, bad, field):
+    """Players whose descriptors are equal as dicts share no oracle when
+    one holds a float or bool where the other holds an int: the second
+    player's descriptor still exits 2 with one line naming it."""
+    doc = _partition_doc()
+    doc.update(players=2, profile=[[0], [0]])
+    doc["spaces"] = [{"matroid": space(int(bad))}, {"matroid": space(bad)}]
+    assert doc["spaces"][0] == doc["spaces"][1]
+    _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(tmp_path / "inst.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: {field} must be a JSON integer, not {bad!r}"]
+
+
+def test_players_with_one_descriptor_share_one_oracle(tmp_path):
+    """60 players over 4 distinct descriptors get 4 oracles, and the same
+    reports as a twin document that lists each player's ground in an order
+    of its own, so that each of its players gets an oracle of its own."""
+    _code, inst = run_to_file(tmp_path, "ufl.json", [
+        "gen", "ufl", "--players", "60", "--facilities", "10", "--seed", "5"])
+    doc, twin = json.loads(inst.read_text()), json.loads(inst.read_text())
+    markets = [list(range(k, k + 5)) for k in (0, 2, 4, 5)]
+    for i in range(60):
+        market = markets[i % 4]
+        order = next(itertools.islice(itertools.permutations(market), i // 4, None))
+        doc["spaces"][i] = {"matroid": {"uniform": {"ground": market, "rank": 1}}}
+        twin["spaces"][i] = {"matroid": {"uniform": {"ground": list(order), "rank": 1}}}
+        doc["profile"][i] = twin["profile"][i] = [market[i % 5]]
+    for data, oracles in ((doc, 4), (twin, 60)):
+        assert len({id(space) for space in schema.game_from_json(data).spaces}) == oracles
+    sources = _write_doc(tmp_path, doc), _write_doc(tmp_path, twin, "twin.json")
+    for command in (["transform-matroid"], ["verify"]):
+        (code, rep), (twin_code, twin_rep) = [
+            run_to_file(tmp_path, f"{src.stem}.out", command + ["--in", str(src)])
+            for src in sources]
+        assert code == twin_code, command
+        assert twin_rep.read_bytes() == rep.read_bytes(), command
+
+
+@pytest.mark.parametrize("command", [["transform-tree"], ["nsepa", "transform"],
+                                     ["nsepa", "check"]], ids=" ".join)
+def test_a_cost_table_on_a_path_game_exits_two(tmp_path, capsys, command):
+    """The path layers read fixed costs only: a cost table on a used edge
+    exits 2 with one line."""
+    doc = _two_link_doc()
+    doc["costs"]["0"] = doc["graph"]["edges"][0][2] = {"subadditive_table": {"0": "3/1"}}
+    _write_doc(tmp_path, doc)
+    capsys.readouterr()
+    code, rep = run_to_file(tmp_path, "r.json", command + ["--in", str(tmp_path / "inst.json")])
+    assert code == 2 and not rep.exists()
+    assert capsys.readouterr().err == "input error: cost function is not fixed\n"
 
 
 def _unreadable_file(tmp_path):

@@ -48,9 +48,11 @@ def _named(tracer_module) -> dict:
 
 
 def test_install_wraps_every_name_and_uninstall_restores_it(tracer_module, tmp_path):
+    # a `gen matroid` game has cost tables: `gen ufl`'s costs are all fixed,
+    # and the game reads those off its fixed-cost row, asking no cost function
     before = _named(tracer_module)
-    inst, out = tmp_path / "ufl.json", tmp_path / "r.json"
-    assert run(["gen", "ufl", "--players", "4", "--facilities", "5", "--seed", "3",
+    inst, out = tmp_path / "matroid.json", tmp_path / "r.json"
+    assert run(["gen", "matroid", "--players", "4", "--resources", "6", "--seed", "3",
                 "--out", str(inst)]) == 0
     tracer = tracer_module.Tracer()
     try:
