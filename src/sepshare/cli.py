@@ -2,7 +2,7 @@
 
 Reads instance documents (game JSON, optionally bundling "profile",
 named "profiles", and a "protocol"), runs transforms or verifiers, and
-writes machine-readable RunReport JSON.  Reports carry exact rationals;
+writes machine-readable `run_report` JSON.  Reports carry exact rationals;
 --approx-display adds decimal renderings for humans.  Exit codes: 0
 success, 1 verification failure, 2 input error, 3 enumeration budget
 exceeded (only `optimum` enumerates).
@@ -14,7 +14,6 @@ import argparse
 import functools
 import random
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -42,36 +41,30 @@ from .schema import (
 from .singlesource import transform_single_source
 
 
-@dataclass
-class RunReport:
-    command: str
-    input_cost: int | Fraction = 0
-    output_cost: int | Fraction = 0
-    iterations: int = 0
-    phases: int = 0
-    enforceable: bool = False
-    pne_verified: bool = False
-    budget_balanced: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self, approx_display: bool = False) -> dict:
-        out = {
-            "command": self.command,
-            "input_cost": format_rational(self.input_cost),
-            "output_cost": format_rational(self.output_cost),
-            "iterations": self.iterations,
-            "phases": self.phases,
-            "enforceable": self.enforceable,
-            "pne_verified": self.pne_verified,
-            "budget_balanced": self.budget_balanced,
-            "timings": {},  # always empty; kept so reports stay byte-stable
-        }
-        if approx_display:
-            out["input_cost_approx"] = approx(self.input_cost)
-            out["output_cost_approx"] = approx(self.output_cost)
-        for k, v in self.extra.items():
-            out[k] = jsonable(v)
-        return out
+def run_report(command: str, approx_display: bool, input_cost: int | Fraction = 0,
+               output_cost: int | Fraction = 0, iterations: int = 0, phases: int = 0,
+               enforceable: bool = False, pne_verified: bool = False,
+               budget_balanced: bool = False, **extra) -> dict:
+    """The JSON report of one run: the costs formatted exactly, each key of
+    `extra` encoded by `jsonable`, and under `approx_display` the costs
+    rendered as decimals too."""
+    out = {
+        "command": command,
+        "input_cost": format_rational(input_cost),
+        "output_cost": format_rational(output_cost),
+        "iterations": iterations,
+        "phases": phases,
+        "enforceable": enforceable,
+        "pne_verified": pne_verified,
+        "budget_balanced": budget_balanced,
+        "timings": {},  # always empty; kept so reports stay byte-stable
+    }
+    if approx_display:
+        out["input_cost_approx"] = approx(input_cost)
+        out["output_cost_approx"] = approx(output_cost)
+    for k, v in extra.items():
+        out[k] = jsonable(v)
+    return out
 
 
 def _read_text(path: Optional[str]) -> str:
@@ -195,8 +188,9 @@ def _cmd_transform(command: str, family, args) -> tuple[dict, Sequence[Step], bo
     if command == "nsepa-transform":
         # path games also re-decide the output with the enforceability LP
         enforceable = is_enforceable(game, result.profile).enforceable
-    report = RunReport(
-        command=command,
+    report = run_report(
+        command,
+        args.approx_display,
         input_cost=result.input_cost,
         output_cost=result.output_cost,
         iterations=iterations,
@@ -204,10 +198,12 @@ def _cmd_transform(command: str, family, args) -> tuple[dict, Sequence[Step], bo
         enforceable=enforceable,
         pne_verified=pne,
         budget_balanced=bb,
-        extra={"profile": result.profile, "protocol": protocol_to_json(protocol), **extra},
+        profile=result.profile,
+        protocol=protocol_to_json(protocol),
+        **extra,
     )
     ok = enforceable and pne and bb and result.output_cost <= result.input_cost
-    return report.to_json(args.approx_display), steps, ok
+    return report, steps, ok
 
 
 def _cmd_nsepa_check(args) -> tuple[dict, Sequence[Step], bool]:
@@ -217,20 +213,19 @@ def _cmd_nsepa_check(args) -> tuple[dict, Sequence[Step], bool]:
     cost = total_cost(game, profile)
     protocol = SeparableProtocol(game, profile, rep.shares) if rep.enforceable else None
     pne, bb = _verify_booleans(game, protocol, profile)
-    report = RunReport(
-        command="nsepa-check",
+    report = run_report(
+        "nsepa-check",
+        args.approx_display,
         input_cost=cost,
         output_cost=cost,
         enforceable=rep.enforceable,
         pne_verified=pne,
         budget_balanced=bb,
-        extra={
-            "lp_status": rep.status,
-            "lp_value": None if rep.lp_value is None else format_rational(rep.lp_value),
-            "used_cost": format_rational(rep.used_cost),
-        },
+        lp_status=rep.status,
+        lp_value=None if rep.lp_value is None else format_rational(rep.lp_value),
+        used_cost=format_rational(rep.used_cost),
     )
-    return report.to_json(args.approx_display), [], rep.enforceable and pne and bb
+    return report, [], rep.enforceable and pne and bb
 
 
 def _cmd_verify(args) -> tuple[dict, Sequence[Step], bool]:
@@ -239,17 +234,18 @@ def _cmd_verify(args) -> tuple[dict, Sequence[Step], bool]:
     cost = total_cost(game, profile)
     enforceable, protocol = _derive_protocol(game, profile, doc, args)
     pne, bb = _verify_booleans(game, protocol, profile)
-    report = RunReport(
-        command="verify",
+    extra = {} if protocol is None else {"protocol": protocol_to_json(protocol)}
+    report = run_report(
+        "verify",
+        args.approx_display,
         input_cost=cost,
         output_cost=cost,
         enforceable=enforceable,
         pne_verified=pne,
         budget_balanced=bb,
+        **extra,
     )
-    if protocol is not None:
-        report.extra["protocol"] = protocol_to_json(protocol)
-    return report.to_json(args.approx_display), [], enforceable and pne and bb
+    return report, [], enforceable and pne and bb
 
 
 def _cmd_optimum(args) -> tuple[dict, Sequence[Step], bool]:
@@ -258,17 +254,19 @@ def _cmd_optimum(args) -> tuple[dict, Sequence[Step], bool]:
         if value is not None and value < 1:
             raise InputError(f"{flag} must be at least 1, not {value}")
     game, doc = _load_instance(args)
-    budget = replace(DEFAULT_BUDGET, **{k: v for k, v in limits.items() if v is not None})
+    budget = DEFAULT_BUDGET._replace(**{k: v for k, v in limits.items() if v is not None})
     result = brute_force_optimum(game, budget=budget)
     enforceable = brute_force_enforceable(game, result.profile)
-    report = RunReport(
-        command="optimum",
+    report = run_report(
+        "optimum",
+        args.approx_display,
         input_cost=result.cost,
         output_cost=result.cost,
         enforceable=enforceable,
-        extra={"optimum_profile": result.profile, "unique": result.unique},
+        optimum_profile=result.profile,
+        unique=result.unique,
     )
-    return report.to_json(args.approx_display), [], enforceable
+    return report, [], enforceable
 
 
 def _cmd_gen(args) -> tuple[dict, Sequence[Step], bool]:

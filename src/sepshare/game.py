@@ -13,9 +13,8 @@ are of one kind, which the game fixes when it is built as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InfeasibleProfile, InputError, InvalidCostOracle, UnsupportedSpace
 from .network import Network, Vertex
@@ -122,8 +121,7 @@ class CostFunction:
                         f"subadditivity violated on {sorted(r)} and {sorted(t)}")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One local rewrite step of a transform.
 
     `kind` is "delay" or "cover" for a matroid packet move (the player
@@ -143,8 +141,7 @@ class Step:
     phase: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PathSpace:
+class PathSpace(NamedTuple):
     """Simple paths between `terminal` and `source` in the game network.
 
     In directed networks players walk terminal -> source, so a feasible

@@ -54,6 +54,8 @@ def _subadditive_table(rng: random.Random, players: int) -> dict[frozenset, int]
 
 def gen_ufl(rng: random.Random, players: int, facilities: int) -> GameModel:
     """Facility location: every client picks exactly one open facility."""
+    if facilities < 1:
+        raise InputError(f"facilities must be at least 1, not {facilities}")
     resources = list(range(facilities))
     costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in resources}
     delays = [{e: d for e in resources if (d := rng.randint(0, 9))} for _ in range(players)]

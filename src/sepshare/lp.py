@@ -29,9 +29,8 @@ value, which by weak duality proves the point optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError, InternalInvariant
 from .rationals import exact
@@ -45,28 +44,32 @@ Number = int | Fraction
 Row = tuple[tuple[int, Number], ...]
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class _Program(NamedTuple):
+    objective: tuple[int | Fraction, ...]
+    rows: tuple[Row, ...]
+    rhs: tuple[int | Fraction, ...]
+
+
+class LinearProgram(_Program):
     """maximize objective . x  s.t.  rows[k] . x <= rhs[k],  x >= 0.
 
     `objective` is dense.  Each row is (column, coefficient) pairs, columns
     ascending and in range, no coefficient zero; `build` takes dense rows.
     Pair tuples, not dicts, keep rows hashable and count one per nonzero.
     Every number is stored by the rule of `rationals.exact`; `build`
-    converts, the constructor only checks."""
+    converts, the constructor only checks (`_make` and `_replace` build
+    the tuple directly and do not)."""
 
-    objective: tuple[int | Fraction, ...]
-    rows: tuple[Row, ...]
-    rhs: tuple[int | Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.objective)
-        if len(self.rows) != len(self.rhs):
+    def __new__(cls, objective, rows, rhs) -> LinearProgram:
+        n = len(objective)
+        if len(rows) != len(rhs):
             raise InputError("row / rhs length mismatch")
-        for where, values in (("objective", self.objective), ("rhs", self.rhs)):
+        for where, values in (("objective", objective), ("rhs", rhs)):
             if bad := [v for v in values if type(exact(v)) is not type(v)]:
                 raise InputError(f"{where} entry {bad[0]!r} is not stored by rationals.exact")
-        for k, row in enumerate(self.rows):
+        for k, row in enumerate(rows):
             last = -1
             for j, a in row:
                 if not (last < j < n and a):
@@ -74,6 +77,7 @@ class LinearProgram:
                 if type(exact(a)) is not type(a):
                     raise InputError(f"row {k}: coefficient {a!r} is not stored by rationals.exact")
                 last = j
+        return super().__new__(cls, objective, rows, rhs)
 
     @staticmethod
     def build(objective, rows, rhs) -> "LinearProgram":
@@ -86,8 +90,7 @@ class LinearProgram:
         return LinearProgram(objective, tuple(sparse), tuple(map(exact, rhs)))
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     status: str
     values: tuple[int | Fraction, ...] = ()
     objective_value: Optional[int | Fraction] = None

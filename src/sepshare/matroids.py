@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -338,8 +337,7 @@ def deviation_cost(
     return {e: (value, f) for e, (value, _order, f) in cheapest.items()}
 
 
-@dataclass(frozen=True)
-class EnforceabilityViolation:
+class EnforceabilityViolation(NamedTuple):
     kind: str  # "delay" or "cover"
     resource: int
     player: Optional[int]
@@ -347,8 +345,7 @@ class EnforceabilityViolation:
     rhs: int | Fraction
 
 
-@dataclass(frozen=True)
-class EnforceabilityReport:
+class EnforceabilityReport(NamedTuple):
     ok: bool
     violations: tuple[EnforceabilityViolation, ...] = ()
 
@@ -399,8 +396,7 @@ def _check_conditions(
 # -- the transform ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatroidTransformResult:
+class MatroidTransformResult(NamedTuple):
     profile: Profile
     moves: tuple[Step, ...]  # "delay" and "cover" packet moves
     input_cost: int | Fraction

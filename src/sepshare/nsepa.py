@@ -19,9 +19,8 @@ Fixed edge costs throughout; delays are allowed and always charged on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     InputError,
@@ -79,8 +78,7 @@ def is_two_terminal_sp(network: Network, s: Vertex, t: Vertex, edge_ids) -> bool
 # -- alternatives ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Alternative:
+class Alternative(NamedTuple):
     """A detour of one player: replaces the path segment between `frm` and
     `to` by `edges`, which are internally disjoint from the path."""
 
@@ -167,8 +165,7 @@ def alternatives(game: GameModel, i: int, choice: frozenset) -> list[Alternative
 # -- the enforceability LP -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LPInstance:
+class LPInstance(NamedTuple):
     lp: LinearProgram
     var_index: dict
     not_series_parallel: Optional[NotSeriesParallel]  # None: all detour rows are in
@@ -231,8 +228,7 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
     return LPInstance(lp=lp, var_index=var_index, not_series_parallel=not_sp)
 
 
-@dataclass(frozen=True)
-class EnforceabilityLPReport:
+class EnforceabilityLPReport(NamedTuple):
     enforceable: bool
     status: str
     lp_value: Optional[int | Fraction]
@@ -344,8 +340,7 @@ def smallest_tight_alternative(
     return best[1]
 
 
-@dataclass(frozen=True)
-class NsepaTransformResult:
+class NsepaTransformResult(NamedTuple):
     profile: Profile
     protocol: SeparableProtocol
     phases: int

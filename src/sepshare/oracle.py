@@ -9,17 +9,15 @@ raise BudgetExceeded rather than ever returning a truncated answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceeded, NotEnforceable, UnsupportedSpace
 from .game import GameModel, Profile, total_cost
 from .protocol import SeparableProtocol
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(NamedTuple):
     max_profiles: int = 10**6
     max_paths_per_player: int = 10**4
 
@@ -68,8 +66,7 @@ def profiles_iter(
         yield Profile(combo)
 
 
-@dataclass(frozen=True)
-class OptimumResult:
+class OptimumResult(NamedTuple):
     profile: Profile
     cost: int | Fraction
     unique: bool

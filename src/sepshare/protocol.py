@@ -10,9 +10,8 @@ provided the shares themselves are balanced on the base profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import InputError, InternalInvariant
 from .game import GameModel, Profile
@@ -92,15 +91,13 @@ class SeparableProtocol:
         return self.game.cost(e, users) if i == min(users) else 0
 
 
-@dataclass(frozen=True)
-class BalanceViolation:
+class BalanceViolation(NamedTuple):
     resource: int
     paid: int | Fraction
     cost: int | Fraction
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     ok: bool
     violations: tuple[BalanceViolation, ...] = ()
 
@@ -121,16 +118,14 @@ def verify_budget_balance(
     return BalanceReport(ok=not bad, violations=tuple(bad))
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     player: int
     current_cost: int | Fraction
     best_cost: int | Fraction
     better_choice: frozenset
 
 
-@dataclass(frozen=True)
-class PneReport:
+class PneReport(NamedTuple):
     ok: bool
     deviations: tuple[Deviation, ...] = ()
 

@@ -267,14 +267,15 @@ def protocol_from_json(data: Mapping, game: GameModel) -> SeparableProtocol:
 def jsonable(obj):
     """Recursive encoder for reports: profiles to their JSON rows.  Reports
     format their rationals where they are built, so a Fraction here is
-    one left unformatted and raises InputError, as a float does."""
+    one left unformatted and raises InputError, as a float does.  Records
+    are NamedTuples, so only a plain list or tuple is encoded as a list."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
         raise InputError("floats are banned from reports")
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):
         return [jsonable(x) for x in obj]
     if isinstance(obj, Profile):
         return profile_to_json(obj)["profile"]

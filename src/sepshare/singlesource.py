@@ -21,9 +21,8 @@ so integral games price on ints throughout.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     Disconnected,
@@ -82,8 +81,7 @@ def to_tree_profile(game: GameModel, profile: Profile) -> Profile:
 # -- working state ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuxEdge:
+class AuxEdge(NamedTuple):
     gpath: tuple[int, ...]  # ordered deep -> shallow, the ends in its key
     cost: int | Fraction
 
@@ -389,8 +387,7 @@ class AuxiliaryGraph:
 # -- expansion -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingleSourceResult:
+class SingleSourceResult(NamedTuple):
     profile: Profile
     protocol: SeparableProtocol
     input_cost: int | Fraction

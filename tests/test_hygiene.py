@@ -1,12 +1,12 @@
 """Source hygiene: every module-level import in the package is used, every
 module-level function, class and assigned name is read somewhere, the
-package imports nothing outside itself and the standard library, the
-README names no command-line flag that the parser does not accept, and no
-float can enter the exact arithmetic: true division appears only in the
-LP, `float(` only in `rationals.approx`, and `Fraction(` only in the LP and
-in `rationals`.  Costs, delays, shares, search distances, total costs, LP
-values and step deltas are ints exactly when integral and Fractions
-otherwise.
+package imports nothing outside itself and the standard library and
+never `dataclasses`, the README names no command-line flag that the
+parser does not accept, and no float can enter the exact arithmetic: true
+division appears only in the LP, `float(` only in `rationals.approx`, and
+`Fraction(` only in the LP and in `rationals`.  Costs, delays, shares,
+search distances, total costs, LP values and step deltas are ints exactly
+when integral and Fractions otherwise.
 
 `__init__.py` is skipped by the unused-import check, as its imports are the
 package's re-exports.
@@ -157,20 +157,21 @@ def test_the_check_sees_a_dead_name():
     assert _dead_names({"m": module}, [reader]) == ["m.B", "m.C", "m.f"]
 
 
-def _third_party(tree: ast.Module) -> set[str]:
-    """Top-level modules imported anywhere, neither relative nor standard."""
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """Top-level modules imported anywhere, relative imports aside."""
     names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names)
+    return names
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
 def test_only_the_standard_library_is_imported(path):
-    found = _third_party(ast.parse(path.read_text(encoding="utf-8")))
+    found = _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+    found -= set(sys.stdlib_module_names)
     assert not found, f"{path.stem} imports {sorted(found)}"
 
 
@@ -179,7 +180,21 @@ def test_the_check_sees_a_third_party_import():
         "import json, networkx.algorithms as nxa\nfrom . import errors\n"
         "from os.path import join\ndef f():\n    import numpy\n"
     )
-    assert _third_party(tree) == {"networkx", "numpy"}
+    assert _absolute_imports(tree) - set(sys.stdlib_module_names) == {"networkx", "numpy"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    """Records are NamedTuples.  A frozen dataclass compiles and executes
+    its generated methods on every import, and `dataclasses` loads
+    `inspect`, so every CLI run would pay for both at start-up."""
+    assert "dataclasses" not in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_the_check_sees_a_dataclasses_import():
+    tree = ast.parse("import json\nfrom . import lp\ndef f():\n"
+                     "    import dataclasses as dc\n    from dataclasses import replace\n")
+    assert _absolute_imports(tree) == {"json", "dataclasses"}
 
 
 def _accepted_flags(parser: argparse.ArgumentParser) -> set[str]:

@@ -17,8 +17,9 @@ from _oracles import per_entry_game_from_json
 from sepshare import schema
 from sepshare.cli import build_parser, run
 from sepshare.errors import InputError
-from sepshare.game import CostFunction, GameModel, Profile
+from sepshare.game import CostFunction, GameModel, Profile, Step
 from sepshare.gen import gen_matroid, gen_sp
+from sepshare.protocol import Deviation, PneReport
 from sepshare.rationals import parse_rational
 from sepshare.schema import (
     dumps,
@@ -75,6 +76,17 @@ class TestSchema:
         reaches the encoder would print unlike its integral twin, an int."""
         with pytest.raises(InputError):
             jsonable(F(1, 3))
+
+    @pytest.mark.parametrize("record", [
+        Step("delay", 0, 1, -2, source=0),
+        PneReport(ok=False, deviations=(Deviation(0, 3, 2, frozenset({1})),)),
+    ], ids=lambda r: type(r).__name__)
+    def test_records_are_banned_from_reports(self, record):
+        """Records are NamedTuples, yet one that reaches the encoder is
+        refused, not written as a list of its fields."""
+        name = type(record).__name__
+        with pytest.raises(InputError, match=f"^cannot encode {name} in a report$"):
+            jsonable({"nested": [record]})
 
     def test_float_costs_are_rejected_on_load(self):
         g = path_game([("s", "t", 1)], [("s", "t")])
@@ -1376,9 +1388,19 @@ def test_gen_rejects_sizes_it_cannot_build(tmp_path, capsys, argv):
         assert len(err.splitlines()) == 1 and err.startswith("input error: "), err
 
 
+@pytest.mark.parametrize("facilities", ["0", "-1"])
+def test_gen_ufl_names_its_facility_bound(tmp_path, capsys, facilities):
+    """`--facilities` is bounded like `--resources` and `--vertices`, in
+    the generator's own words, not the oracle's."""
+    code = run(["gen", "ufl", "--facilities", facilities, "--out", str(tmp_path / "g.json")])
+    assert code == 2 and not (tmp_path / "g.json").exists()
+    assert capsys.readouterr().err == (
+        f"input error: facilities must be at least 1, not {facilities}\n")
+
+
 def test_gen_accepts_the_smallest_sizes_it_can_build(tmp_path):
     for argv in (["tree", "--vertices", "2"], ["matroid", "--resources", "1"],
-                 ["sp", "--max-edges", "3"]):
+                 ["sp", "--max-edges", "3"], ["ufl", "--facilities", "1"]):
         for seed in range(20):
             code, _doc = run_to_file(tmp_path, "g.json", ["gen", *argv, "--seed", str(seed)])
             assert code == 0, (argv, seed)
