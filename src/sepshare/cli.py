@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import BudgetExceeded, InputError, SepshareError
 from .game import GameModel, Profile, Step, total_cost
 from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
-from .matroids import build_matroid_protocol, transform_matroid
+from .matroids import transform_matroid
 from .nsepa import counterexample_fixture, is_enforceable, nsepa_transform
 from .oracle import (DEFAULT_BUDGET, brute_force_enforceable, brute_force_optimum,
                      enforcing_protocol)
@@ -154,8 +154,7 @@ def _verify_booleans(
 
 def _matroid_family(game: GameModel, profile: Profile):
     result = transform_matroid(game, profile)
-    protocol = build_matroid_protocol(game, result.profile)
-    return result, protocol, result.moves, result.iterations, 0, {}
+    return result, result.protocol, result.moves, result.iterations, 0, {}
 
 
 def _tree_family(game: GameModel, profile: Profile):

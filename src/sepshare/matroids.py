@@ -12,6 +12,7 @@ A virtual price depends only on the player and the element, so the
 transform ranks each player's elements once and walks that ranking for
 every cheapest exchange; a move invalidates only the mover's deviations
 and the verdicts of the resources whose users or deviations it changes.
+The protocol on its output is priced from the same rankings.
 """
 
 from __future__ import annotations
@@ -372,16 +373,18 @@ def _check_conditions(
     `ranked`, each player's virtual ranking, if given."""
     game.require("matroid")
     game.validate_profile(profile)
-    bad = []
     deltas: dict[tuple[int, int], int | Fraction] = {}
     for i in range(game.n):
         cheapest = (deviation_cost(game, profile, i, virtual=virtual) if ranked is None
                     else game.spaces[i].cheapest_exchanges(profile[i], ranked[i]))
-        for e in profile[i]:
-            value = deltas[(i, e)] = cheapest[e][0]
-            d = game.delay(i, e)
-            if d > value:
-                bad.append(EnforceabilityViolation("delay", e, i, d, value))
+        deltas.update(((i, e), cheapest[e][0]) for e in profile[i])
+    return _judged(game, profile, deltas), deltas
+
+
+def _judged(game: GameModel, profile: Profile, deltas: Mapping) -> EnforceabilityReport:
+    """The delay and cover conditions on the deviation costs `deltas`."""
+    bad = [EnforceabilityViolation("delay", e, i, d, value)
+           for (i, e), value in deltas.items() if (d := game.delay(i, e)) > value]
     for e in game.resources:
         users = profile.users(e)
         if not users:
@@ -390,7 +393,7 @@ def _check_conditions(
         cost = game.cost(e, users)
         if cost > headroom:
             bad.append(EnforceabilityViolation("cover", e, None, cost, headroom))
-    return EnforceabilityReport(ok=not bad, violations=tuple(bad)), deltas
+    return EnforceabilityReport(ok=not bad, violations=tuple(bad))
 
 
 # -- the transform ---------------------------------------------------------
@@ -401,6 +404,7 @@ class MatroidTransformResult(NamedTuple):
     moves: tuple[Step, ...]  # "delay" and "cover" packet moves
     input_cost: int | Fraction
     output_cost: int | Fraction
+    protocol: SeparableProtocol  # `build_matroid_protocol`'s, from the kept rankings
 
     @property
     def iterations(self) -> int:
@@ -431,6 +435,11 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     deviations that did not change.  The scan for the next violation
     computes missing verdicts in order and stops at the first violated
     one, so it picks the same resource as a full rescan would.
+
+    The protocol is priced from the kept rankings.  A true price differs
+    from the virtual `cost({i})` only on a cost table with a user other
+    than i, so only players holding such a key are re-priced and walk
+    again; monotone costs price no key below its virtual price.
     """
     game.require("matroid")
     game.validate_profile(profile)
@@ -506,12 +515,23 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     output_cost = total_cost(game, current)
     if sum(mv.cost_delta for mv in moves) != output_cost - input_cost:
         raise InternalInvariant("step cost deltas do not add up to the cost change")
-    report = _check_conditions(game, current, True, ranked)[0]
+    report, deltas = _check_conditions(game, current, True, ranked)
     if not report.ok:
         raise InternalInvariant("transform terminated on a violated profile")
-    return MatroidTransformResult(
-        profile=current, moves=tuple(moves), input_cost=input_cost, output_cost=output_cost
-    )
+    # re-price in the player-major, ground order of a fresh true-mode pass
+    tables = {f: users for f in sorted(game.resources)
+              if f not in game.fixed and (users := current.users(f))}
+    for i, keys in enumerate(ranked):
+        true = {f: game.join_cost(f, users, i) + game.delay(i, f)
+                for f, users in tables.items() if (i, f) in alone and users != {i}}
+        if true:
+            keys = sorted((true.get(f, price), order, f) for price, order, f in keys)
+            cheapest = game.spaces[i].cheapest_exchanges(current[i], keys)
+            deltas.update(((i, e), cheapest[e][0]) for e in current[i])
+    if tables and not _judged(game, current, deltas).ok:
+        raise InternalInvariant("true exchange prices fell below the virtual ones")
+    protocol = _water_filled(game, current, deltas)
+    return MatroidTransformResult(current, tuple(moves), input_cost, output_cost, protocol)
 
 
 def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtocol:
@@ -523,6 +543,11 @@ def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtoc
     report, deltas = _check_conditions(game, profile, virtual=False)
     if not report.ok:
         raise NotEnforceable(f"{len(report.violations)} condition(s) violated")
+    return _water_filled(game, profile, deltas)
+
+
+def _water_filled(game: GameModel, profile: Profile, deltas: Mapping) -> SeparableProtocol:
+    """Water-fill each used resource over its users, capped at `deltas` minus delay."""
     shares: dict[tuple[int, int], int | Fraction] = {}
     for e in game.resources:
         users = sorted(profile.users(e))

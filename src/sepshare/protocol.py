@@ -138,10 +138,10 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
     single newcomer pay).  Either way the deviation cost is additive, so
     best responses are shortest paths / min-weight bases in these weights.
     """
-    base, delays = protocol.base, game.delays[i]
+    base, delays, mine = protocol.base, game.delays[i], protocol.base[i]
 
     def weight(e: int) -> int | Fraction:
-        if e in base[i]:
+        if e in mine:
             return protocol.share(i, e) + delays.get(e, 0)
         return game.join_cost(e, base.users(e), i) + delays.get(e, 0)
 
@@ -151,18 +151,19 @@ def _deviation_weight(game: GameModel, protocol: SeparableProtocol, i: int):
 def best_response(
     game: GameModel, protocol: SeparableProtocol, i: int
 ) -> tuple[frozenset, int | Fraction]:
-    """Cheapest unilateral deviation of player i from the protocol's base."""
+    """Cheapest unilateral deviation of player i from the protocol's base;
+    on a matroid space each ground element is weighed once."""
     weight = _deviation_weight(game, protocol, i)
     sp = game.spaces[i]
     if game.kind == "matroid":
-        choice = sp.greedy(sorted(sp.ground, key=lambda e: (weight(e), game.resource_key(e))))
-    else:
-        hit = game.network.shortest_path(sp.terminal, sp.source, weight)
-        if hit is None:
-            raise InputError(f"player {i} has no feasible path")
-        choice = frozenset(hit[1])
-    value = sum(weight(e) for e in choice)
-    return choice, value
+        keys = sorted((weight(e), game.resource_order[e], e) for e in sp.ground)
+        choice = sp.greedy(e for _weight, _order, e in keys)
+        return choice, sum(w for w, _order, e in keys if e in choice)
+    hit = game.network.shortest_path(sp.terminal, sp.source, weight)
+    if hit is None:
+        raise InputError(f"player {i} has no feasible path")
+    choice = frozenset(hit[1])
+    return choice, sum(weight(e) for e in choice)
 
 
 def verify_pne(game: GameModel, protocol: SeparableProtocol) -> PneReport:

@@ -9,6 +9,7 @@ from the measured ratios, with headroom, and is well below what the
 quadratic path it guards against gives.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 import sepshare.lp
 import sepshare.rationals
 from _helpers import chain_instances
-from sepshare import matroids
+from sepshare import cli, matroids
 from sepshare.game import CostFunction, GameModel, Profile
 from sepshare.gen import gen_matroid, gen_ufl, random_bases_profile
 from sepshare.matroids import (
@@ -35,7 +36,7 @@ from sepshare.matroids import (
 from sepshare.network import Network
 from sepshare.nsepa import nsepa_transform
 from sepshare.protocol import verify_pne
-from sepshare.schema import game_from_json, game_to_json
+from sepshare.schema import game_from_json, game_to_json, profile_to_json
 
 GROUNDS = (32, 64, 128)
 GAMES = 8  # seeded games per size, summed
@@ -140,7 +141,7 @@ def _priced_per_pair(monkeypatch, owner, name: str, family: str) -> list[float]:
             game = (gen_ufl(rng, 6 * k, 8 * k) if family == "ufl"
                     else gen_matroid(rng, players=4, resources=12 * k))
             result = transform_matroid(game, random_bases_profile(rng, game))
-            assert verify_pne(game, build_matroid_protocol(game, result.profile)).ok, k
+            assert verify_pne(game, result.protocol).ok, k
             pairs += sum(len(space.ground) for space in game.spaces)
         per_pair.append(calls / pairs)
     return per_pair
@@ -154,15 +155,57 @@ def test_cost_queries_per_ground_pair_stay_flat(monkeypatch, family):
     count is `GameModel.join_cost` calls; on `gen_matroid`, whose costs
     mix fixed costs and tables, it is `CostFunction.value` calls.
 
-    Measured per pair: 3.00, 3.00 and 3.00 (ufl), 1.95, 2.35 and 2.95
-    (matroid; 1.21x, then 1.26x).  Ranking every player's elements again
-    after each move gives 14.0, 25.1 and 48.7 (ufl; 1.80x, then 1.94x)
-    and 4.50, 7.31 and 14.3 (matroid; 1.63x, then 1.96x).
+    Measured per pair: 2.00, 2.00 and 2.00 (ufl), 1.87, 2.17 and 2.81
+    (matroid; 1.16x, then 1.30x).  Building the protocol with a fresh
+    true-mode pass gives 3.00, 3.00 and 3.00 (ufl) and 1.95, 2.35 and
+    2.95 (matroid).  Ranking every player's elements again after each
+    move, with that pass, gives 14.0, 25.1 and 48.7 (ufl; 1.80x, then
+    1.94x) and 4.50, 7.31 and 14.3 (matroid; 1.63x, then 1.96x).
     """
     owner, name = (GameModel, "join_cost") if family == "ufl" else (CostFunction, "value")
     per_pair = _priced_per_pair(monkeypatch, owner, name, family)
     ratios = [b / a for a, b in zip(per_pair, per_pair[1:])]
     assert max(ratios) <= 1.5, (per_pair, ratios)
+
+
+def test_a_transform_run_prices_each_ground_pair_twice(monkeypatch, tmp_path):
+    """`GameModel.join_cost` calls per (player, ground element) pair over
+    in-process `transform-matroid` runs on `gen_ufl` documents with 6k
+    players and 8k facilities stay at most 2.1 at k = 2, 4 and 8.
+
+    The transform ranks each pair by virtual cost once, and its protocol
+    is built from those rankings: every cost is fixed, so no true price
+    differs from its virtual one.  The PNE check then weighs each pair
+    once.  Measured per pair: 2.00, 2.00 and 2.00.  Building the protocol
+    with a fresh true-mode pass, as `build_matroid_protocol` does, gives
+    3.00, 3.00 and 3.00.
+    """
+    calls = 0
+    real = GameModel.join_cost
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    per_pair = []
+    for k in (2, 4, 8):
+        paths, pairs = [], 0
+        for seed in range(GAMES):
+            rng = random.Random(f"growth/ufl-cli/{k}/{seed}")
+            game = gen_ufl(rng, 6 * k, 8 * k)
+            doc = {**game_to_json(game), **profile_to_json(random_bases_profile(rng, game))}
+            paths.append(tmp_path / f"ufl-{k}-{seed}.json")
+            paths[-1].write_text(json.dumps(doc))
+            pairs += sum(len(space.ground) for space in game.spaces)
+        monkeypatch.setattr(GameModel, "join_cost", counting)
+        calls = 0
+        for path in paths:
+            assert cli.run(["transform-matroid", "--in", str(path),
+                            "--out", str(tmp_path / "report.json")]) == 0
+        monkeypatch.setattr(GameModel, "join_cost", real)
+        per_pair.append(calls / pairs)
+    assert max(per_pair) <= 2.1, per_pair
 
 
 def test_fixed_costs_ask_no_cost_function(monkeypatch):

@@ -521,7 +521,9 @@ class TestIncrementalLoop:
 
     def test_exchanges_priced_once_per_basis(self, monkeypatch):
         # each basis a player holds is asked of its oracle at most once;
-        # the final certificate check asks once more per player
+        # the final certificate check asks once more per player, and the
+        # protocol once more per player whose true ranking re-prices a key:
+        # one on a cost table that has a user other than that player
         calls = [0]
         certified_after = []
         real_check = matroids._check_conditions
@@ -548,7 +550,42 @@ class TestIncrementalLoop:
             for move in res.moves:
                 moved[move.player] += 1
             assert certified_after and certified_after[0] <= game.n + sum(moved)
-            assert calls[0] == certified_after[0] + game.n
+            repriced = {i for i, space in enumerate(game.spaces) for f in space.ground
+                        if f not in game.fixed and f not in space.loops
+                        and res.profile.users(f) - {i}}
+            if len(game.fixed) == len(game.resources):
+                assert not repriced  # all fixed: the certificate serves the protocol
+            assert calls[0] == certified_after[0] + game.n + len(repriced)
+
+    def test_protocol_matches_a_fresh_true_mode_build(self, monkeypatch):
+        # the protocol built from the kept rankings is the one a fresh
+        # true-mode pass builds, and the true deviation costs often differ
+        # from the certificate's virtual ones, so the re-pricing is exercised
+        certified = []
+        real_check = matroids._check_conditions
+
+        def certify(*args, **kwargs):
+            report, deltas = real_check(*args, **kwargs)
+            certified.append(dict(deltas))
+            return report, deltas
+
+        monkeypatch.setattr(matroids, "_check_conditions", certify)
+        games = []
+        for seed in range(320):
+            rng = random.Random(f"protocol/{seed}")
+            game = (gen_matroid(rng) if seed < 300
+                    else gen_ufl(rng, players=rng.randint(1, 30), facilities=rng.randint(2, 20)))
+            games.append((game, random_bases_profile(rng, game)))
+        differ = 0
+        for game, profile in games:
+            res = transform_matroid(game, profile)
+            virtual = certified[-1]
+            assert res.protocol.shares == build_matroid_protocol(game, res.profile).shares
+            differ += virtual != real_check(game, res.profile, False)[1]
+        kinds = {type(space) for game, _profile in games for space in game.spaces}
+        assert kinds == {UniformMatroid, PartitionMatroid, GraphicMatroid}
+        assert any(len(game.fixed) < len(game.resources) for game, _profile in games)
+        assert differ >= 50, differ
 
 
 class TestRulePaths:

@@ -49,9 +49,11 @@ def _named(tracer_module) -> dict:
 
 def test_install_wraps_every_name_and_uninstall_restores_it(tracer_module, tmp_path):
     # a `gen matroid` game has cost tables: `gen ufl`'s costs are all fixed,
-    # and the game reads those off its fixed-cost row, asking no cost function
+    # and the game reads those off its fixed-cost row, asking no cost function;
+    # `transform-matroid` prices from its kept rankings, so `verify`, whose
+    # protocol search prices every exchange afresh, reaches `deviation_cost`
     before = _named(tracer_module)
-    inst, out = tmp_path / "matroid.json", tmp_path / "r.json"
+    inst, out, checked = tmp_path / "matroid.json", tmp_path / "r.json", tmp_path / "v.json"
     assert run(["gen", "matroid", "--players", "4", "--resources", "6", "--seed", "3",
                 "--out", str(inst)]) == 0
     tracer = tracer_module.Tracer()
@@ -60,6 +62,7 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracer_module, tmp_p
         wrapped = _named(tracer_module)
         assert all(wrapped[key] is not before[key] for key in before)
         assert run(["transform-matroid", "--in", str(inst), "--out", str(out)]) == 0
+        assert run(["verify", "--in", str(inst), "--out", str(checked)]) == 0
     finally:
         tracer.uninstall()
     assert _named(tracer_module) == before
@@ -69,6 +72,7 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracer_module, tmp_p
         assert summary[counter] > 0, counter
     assert summary["schema.load_s"] > 0 and summary["matroids.transform_s"] > 0
     assert json.loads(out.read_text())["command"] == "transform-matroid"
+    assert json.loads(checked.read_text())["command"] == "verify"
 
 
 def test_the_tree_layer_reports_its_spans_and_counters(tracer_module, tmp_path):
