@@ -53,7 +53,6 @@ from .nsepa import (
 from .oracle import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    brute_force_enforceable,
     brute_force_optimum,
     enforcing_protocol,
     enumerate_strategies,

@@ -22,8 +22,7 @@ from .game import GameModel, Profile, Step, total_cost
 from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
 from .matroids import transform_matroid
 from .nsepa import counterexample_fixture, is_enforceable, nsepa_transform
-from .oracle import (DEFAULT_BUDGET, brute_force_enforceable, brute_force_optimum,
-                     enforcing_protocol)
+from .oracle import DEFAULT_BUDGET, brute_force_optimum, enforcing_protocol
 from .protocol import SeparableProtocol, verify_budget_balance, verify_pne
 from .rationals import approx, format_rational
 from .schema import (
@@ -255,7 +254,7 @@ def _cmd_optimum(args) -> tuple[dict, Sequence[Step], bool]:
     game, doc = _load_instance(args)
     budget = DEFAULT_BUDGET._replace(**{k: v for k, v in limits.items() if v is not None})
     result = brute_force_optimum(game, budget=budget)
-    enforceable = brute_force_enforceable(game, result.profile)
+    enforceable = enforcing_protocol(game, result.profile) is not None
     report = run_report(
         "optimum",
         args.approx_display,

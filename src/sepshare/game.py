@@ -1,13 +1,13 @@
-"""Core game model: resources, cost functions, strategy spaces, profiles.
+"""Core game model: resources, costs, strategy spaces, profiles.
 
 A game has players 0..n-1 (this numbering is the global player order used
 by every tie-break in the package), an ordered list of resource ids, a
-shareable cost function per resource, a non-shareable delay per (player,
-resource), kept as one row per player, and one strategy space per player.
-A space is either a `matroids.MatroidOracle`, whose bases over a subset
-of the resources are the strategies, or a `PathSpace` of simple
-source-terminal paths in an attached network.  All spaces of one game
-are of one kind, which the game fixes when it is built as
+shareable cost per resource (a fixed cost or a table), a non-shareable
+delay per (player, resource), kept as one row per player, and one strategy
+space per player.  A space is either a `matroids.MatroidOracle`, whose
+bases over a subset of the resources are the strategies, or a `PathSpace`
+of simple source-terminal paths in an attached network.  All spaces of
+one game are of one kind, which the game fixes when it is built as
 `GameModel.kind`.
 """
 
@@ -22,12 +22,11 @@ from .rationals import exact, shown, shown_rational
 
 
 class CostFunction:
-    """Shareable cost of one resource as a function of its user set.
-
-    Two flavours: a fixed cost (same value for every non-empty user set)
-    and a general monotone subadditive set function given by a table.  Fixed
-    and table values are stored by the rule of `rationals.exact`: an int
-    when integral, a Fraction otherwise, so `value` answers the same way.
+    """Shareable cost of one resource as a table: a monotone subadditive
+    function of its user set.  A fixed cost is a number, not a CostFunction
+    (see `GameModel`).  Table values are stored by the rule of
+    `rationals.exact`: an int when integral, a Fraction otherwise, so
+    `value` answers the same way.
     A table is an index, from each user set (a frozenset) to a position,
     and the values in position order.  A hand-built table is copied into
     its own, each key made a frozenset and each value stored by that rule.
@@ -44,46 +43,25 @@ class CostFunction:
     Instances cache table answers and are not thread-safe.
     """
 
-    def __init__(self, fixed=None, table=None, *, index: Optional[Mapping] = None) -> None:
-        if (fixed is None) == (table is None):
-            raise InputError("exactly one of fixed / table required")
-        self._fixed: Optional[int | Fraction] = None
-        if fixed is not None:
-            value = exact(fixed)
-            if value < 0:
-                raise InputError(f"negative cost {shown_rational(value)}")
-            self._fixed = value
-        else:
-            if index is None:
-                own = {frozenset(key): exact(val) for key, val in table.items()}
-                index, table = dict(zip(own, range(len(own)))), list(own.values())
-            self._index, self._values = index, table
-            empty = index.get(frozenset())
-            if empty is not None and table[empty] != 0:
-                raise InvalidCostOracle("cost of the empty set must be 0")
+    def __init__(self, table, *, index: Optional[Mapping] = None) -> None:
+        if index is None:
+            own = {frozenset(key): exact(val) for key, val in table.items()}
+            index, table = dict(zip(own, range(len(own)))), list(own.values())
+        self._index, self._values = index, table
+        empty = index.get(frozenset())
+        if empty is not None and table[empty] != 0:
+            raise InvalidCostOracle("cost of the empty set must be 0")
         self._cache: dict[frozenset, int | Fraction] = {}
 
     @property
-    def table(self) -> Optional[dict]:
-        """The explicit table this function was built from, if any, as a new dict."""
-        return None if self.is_fixed else {u: self._values[k] for u, k in self._index.items()}
-
-    @property
-    def is_fixed(self) -> bool:
-        return self._fixed is not None
-
-    @property
-    def fixed_value(self) -> int | Fraction:
-        if self._fixed is None:
-            raise UnsupportedSpace("cost function is not fixed")
-        return self._fixed
+    def table(self) -> dict:
+        """The explicit table this function was built from, as a new dict."""
+        return {u: self._values[k] for u, k in self._index.items()}
 
     def value(self, users: Iterable[int]) -> int | Fraction:
         s = frozenset(users)
         if not s:
             return 0
-        if self._fixed is not None:
-            return self._fixed
         if s in self._cache:
             return self._cache[s]
         try:
@@ -216,12 +194,13 @@ class GameModel:
     `delays[i]`, a dict of the nonzero delays stored by the rule of
     `rationals.exact` (an int when integral, a Fraction otherwise); it is
     checked with set operations, and re-stored only when it holds
-    something other than a nonzero int.  Next to the delay rows sits one
-    fixed-cost row, `fixed`, from each resource whose cost is fixed to
-    that value, built once; `cost`, `join_cost`, `fixed_cost`,
-    `total_cost` and `move_cost` read it, so only a cost table is asked
-    for its value on a user set.  Each answers in the stored form.  A
-    matroid space that players share is checked once.
+    something other than a nonzero int.  `costs` maps each resource to
+    a `CostFunction` (a cost table) or to its fixed cost, a number that
+    must not be negative, stored by the same rule in `costs` and in the
+    fixed-cost row `fixed`; `cost`, `join_cost`, `fixed_cost`, `total_cost`
+    and `move_cost` read that row, so only a cost table is asked for its
+    value on a user set.  Each answers in the stored form.  A matroid
+    space that players share is checked once.
     `validate_profile` remembers the profiles that passed, so checking
     one again is a set lookup.
     """
@@ -230,7 +209,7 @@ class GameModel:
         self,
         players: int,
         resources: Sequence[int],
-        costs: Mapping[int, CostFunction],
+        costs: Mapping[int, int | Fraction | CostFunction],
         spaces: Sequence,
         delays: Optional[Sequence[Mapping]] = None,
         network: Optional[Network] = None,
@@ -243,11 +222,14 @@ class GameModel:
         self.resources: tuple[int, ...] = tuple(resources)
         self.resource_order: dict[int, int] = {e: k for k, e in enumerate(self.resources)}
         self.costs = dict(costs)
+        self.fixed: dict[int, int | Fraction] = {}
         for e in self.resources:
             if e not in self.costs:
                 raise InputError(f"resource {e} has no cost function")
-        self.fixed: dict[int, int | Fraction] = {
-            e: value for e in self.resources if (value := self.costs[e]._fixed) is not None}
+            if not isinstance(cost := self.costs[e], CostFunction):
+                self.costs[e] = self.fixed[e] = cost = exact(cost)
+                if cost < 0:
+                    raise InputError(f"negative cost {shown_rational(cost)}")
         self.network = network
         if len(spaces) != players:
             raise InputError("one strategy space per player required")
@@ -317,11 +299,10 @@ class GameModel:
 
     def fixed_cost(self, e: int) -> int | Fraction:
         """The fixed cost of e; UnsupportedSpace for a cost table."""
-        return self.fixed[e] if e in self.fixed else self.costs[e].fixed_value
-
-    def resource_key(self, e: int) -> int:
-        """Position of e in the global resource order, for tie-breaking."""
-        return self.resource_order[e]
+        try:
+            return self.fixed[e]
+        except KeyError:
+            raise UnsupportedSpace(f"cost of resource {shown(e)} is not fixed") from None
 
     def is_feasible_choice(self, i: int, choice: frozenset) -> bool:
         sp = self.spaces[i]

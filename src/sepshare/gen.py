@@ -57,7 +57,7 @@ def gen_ufl(rng: random.Random, players: int, facilities: int) -> GameModel:
     if facilities < 1:
         raise InputError(f"facilities must be at least 1, not {facilities}")
     resources = list(range(facilities))
-    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in resources}
+    costs = {e: rng.randint(1, 20) for e in resources}
     delays = [{e: d for e in resources if (d := rng.randint(0, 9))} for _ in range(players)]
     spaces = [UniformMatroid(resources, 1) for _ in range(players)]
     return GameModel(
@@ -75,12 +75,12 @@ def gen_matroid(
     n = players if players is not None else rng.randint(1, 5)
     m = resources if resources is not None else rng.randint(2, 8)
     ids = list(range(m))
-    costs: dict[int, CostFunction] = {}
+    costs: dict[int, int | CostFunction] = {}
     for e in ids:
         if rng.random() * 3 < 1:
             costs[e] = CostFunction(table=_subadditive_table(rng, n))
         else:
-            costs[e] = CostFunction(fixed=rng.randint(1, 20))
+            costs[e] = rng.randint(1, 20)
     spaces = []
     for _ in range(n):
         size = rng.randint(1, m)
@@ -141,7 +141,7 @@ def gen_tree(
             pairs.append((u, v))
     net = Network([(i, u, v) for i, (u, v) in enumerate(pairs)])
     ids = list(range(len(pairs)))
-    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in ids}
+    costs = {e: rng.randint(1, 20) for e in ids}
     n = players if players is not None else rng.randint(1, 4)
     source = verts[0]
     spaces = [
@@ -189,7 +189,7 @@ def gen_sp(
         cuts.append(b)
     net = Network([(i, u, v) for i, (u, v) in enumerate(pairs)])
     ids = list(range(len(pairs)))
-    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in ids}
+    costs = {e: rng.randint(1, 20) for e in ids}
     spaces = []
     for _ in range(n):
         a, b = sorted(rng.sample(range(len(cuts)), 2))

@@ -29,7 +29,7 @@ from .errors import (
     NotSeriesParallel,
     UnsupportedSpace,
 )
-from .game import CostFunction, GameModel, PathSpace, Profile, Step, move_cost, total_cost
+from .game import GameModel, PathSpace, Profile, Step, move_cost, total_cost
 from .lp import OPTIMAL, LinearProgram, Row, solve
 from .network import Network, Vertex
 from .protocol import SeparableProtocol, verify_pne, water_fill
@@ -196,7 +196,7 @@ def build_lp(game: GameModel, profile: Profile) -> LPInstance:
     game.validate_profile(profile)
     var_index: dict = {}
     for i in range(game.n):
-        for e in sorted(profile[i], key=game.resource_key):
+        for e in sorted(profile[i], key=game.resource_order.__getitem__):
             var_index[(i, e)] = len(var_index)
     rows: list[Row] = []
     rhs: list[int | Fraction] = []
@@ -551,7 +551,7 @@ def counterexample_fixture() -> tuple[GameModel, Profile]:
         directed=False,
         vertices=["s1", "t1", "s2", "t2", "s3", "t3", "a"],
     )
-    costs = {k: CostFunction(fixed=c) for k, (_u, _v, c) in enumerate(_FIXTURE_EDGES)}
+    costs = {k: c for k, (_u, _v, c) in enumerate(_FIXTURE_EDGES)}
     game = GameModel(
         players=3,
         resources=list(range(len(_FIXTURE_EDGES))),

@@ -115,7 +115,3 @@ def enforcing_protocol(game: GameModel, profile: Profile) -> Optional[SeparableP
     except NotEnforceable:
         return None
 
-
-def brute_force_enforceable(game: GameModel, profile: Profile) -> bool:
-    """Ground-truth enforceability of a profile."""
-    return enforcing_protocol(game, profile) is not None

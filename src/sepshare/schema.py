@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Any, Optional
 
 from .errors import InputError
@@ -25,10 +26,10 @@ def _users_key(users: frozenset) -> str:
     return ",".join(str(i) for i in sorted(users))
 
 
-def cost_to_json(cf: CostFunction):
-    if cf.is_fixed:
-        return format_rational(cf.fixed_value)
-    table = sorted((_users_key(u), format_rational(v)) for u, v in cf.table.items() if u)
+def cost_to_json(cost: int | Fraction | CostFunction):
+    if not isinstance(cost, CostFunction):
+        return format_rational(cost)
+    table = sorted((_users_key(u), format_rational(v)) for u, v in cost.table.items() if u)
     return {"subadditive_table": dict(table)}
 
 
@@ -48,13 +49,15 @@ class _Once(dict):
         return value
 
 
-def cost_from_json(data, rational: _Once, users: _Once, indexes: dict) -> CostFunction:
-    """A cost function from JSON, read with the document's string parsers.
-    Tables share the index that `indexes` keeps per key order, and read
-    only their values; on a bad key or value, a walk entry by entry raises
-    the error of the first bad entry, key before value."""
+def cost_from_json(data, rational: _Once, users: _Once,
+                   indexes: dict) -> int | Fraction | CostFunction:
+    """A cost from JSON, read with the document's string parsers: a fixed
+    cost as its number, a table as a CostFunction.  Tables share the index
+    that `indexes` keeps per key order, and read only their values; on a
+    bad key or value, a walk entry by entry raises the error of the first
+    bad entry, key before value."""
     if isinstance(data, str):
-        return CostFunction(fixed=rational[data])
+        return rational[data]
     if isinstance(data, Mapping) and set(data) == {"subadditive_table"}:
         raw = data["subadditive_table"]
         try:
@@ -163,8 +166,9 @@ def game_from_json(data: Mapping) -> GameModel:
             _check_vertex(u, f"endpoint of graph edge {shown(e)}")
             _check_vertex(v, f"endpoint of graph edge {shown(e)}")
             declared, mine = cost_from_json(cost_spec, rational, users, indexes), costs[e]
-            if declared.table != mine.table or (
-                    mine.is_fixed and declared.fixed_value != mine.fixed_value):
+            if isinstance(declared, CostFunction) and isinstance(mine, CostFunction):
+                declared, mine = declared.table, mine.table  # else a number is compared
+            if declared != mine:
                 raise InputError(f"graph cost for resource {shown(e)} contradicts 'costs'")
             triples.append((e, u, v))
         directed = g.get("directed", False)

@@ -455,7 +455,7 @@ def expand_and_assign(state: AuxiliaryGraph) -> tuple[Profile, dict, tuple]:
             if e in profile[i] and paid.get(e, 0) == 0:
                 shares[(i, e)] = paid[e] = game.fixed[e]
     repairs: list[tuple] = []
-    for e in sorted(profile.used_resources(), key=game.resource_key):
+    for e in sorted(profile.used_resources(), key=game.resource_order.__getitem__):
         cost = game.fixed[e]
         total = paid.get(e, 0)
         if total > cost:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sepshare.cli import run
-from sepshare.game import CostFunction, GameModel, PathSpace, Profile
+from sepshare.game import GameModel, PathSpace, Profile
 from sepshare.matroids import UniformMatroid
 from sepshare.network import Network
 from sepshare.rationals import format_rational, parse_rational
@@ -20,9 +20,7 @@ def path_game(edges, pairs, delays=None, directed=False):
     net = Network(
         [(k, u, v) for k, (u, v, _c) in enumerate(edges)], directed=directed
     )
-    costs = {
-        k: CostFunction(fixed=Fraction(c)) for k, (_u, _v, c) in enumerate(edges)
-    }
+    costs = {k: Fraction(c) for k, (_u, _v, c) in enumerate(edges)}
     spaces = [PathSpace(source=s, terminal=t) for s, t in pairs]
     return GameModel(
         players=len(pairs),
@@ -37,7 +35,7 @@ def path_game(edges, pairs, delays=None, directed=False):
 def ufl_game(costs, delays=None, players=2):
     """Facility location: rank-1 players over facilities with the given costs."""
     ids = list(range(len(costs)))
-    cf = {e: CostFunction(fixed=Fraction(c)) for e, c in enumerate(costs)}
+    cf = {e: Fraction(c) for e, c in enumerate(costs)}
     spaces = [UniformMatroid(ids, 1) for _ in range(players)]
     return GameModel(
         players=players, resources=ids, costs=cf, spaces=spaces, delays=delays
@@ -89,7 +87,7 @@ def nested_sp_game(rng):
     compose("n0", "n1", rng.randint(4, 45))
     net = Network([(e, u, v) for e, (u, v) in enumerate(pairs)])
     ids = list(net.edge_ids)
-    costs = {e: CostFunction(fixed=rng.randint(1, 20)) for e in ids}
+    costs = {e: rng.randint(1, 20) for e in ids}
     n = rng.randint(1, 4)
     spaces = []
     for _ in range(n):

@@ -103,12 +103,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _fixed_cost(game, e: int) -> int | Fraction:
-    """e's fixed cost read off its cost function, not off the game's
-    fixed-cost row."""
-    return game.costs[e].fixed_value
-
-
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Exact Gaussian elimination; None when the system is singular."""
     n = len(matrix)
@@ -477,7 +471,7 @@ def per_pair_tight_alternative(game, i, ordered_path, share_of, f):
     fpos = ordered_path.index(f)
 
     def weight(eid):
-        return game.costs[eid].fixed_value + game.delay(i, eid)
+        return game.costs[eid] + game.delay(i, eid)
 
     allowed = frozenset(region) - frozenset(ordered_path)
     best = None
@@ -537,7 +531,7 @@ def discovery_alternatives(game: GameModel, i: int, choice: frozenset) -> list[A
     pos = {v: k for k, v in enumerate(nodes)}
 
     def weight(eid: int) -> int | Fraction:
-        return _fixed_cost(game, eid) + game.delay(i, eid)
+        return game.costs[eid] + game.delay(i, eid)
 
     live_edges = set(region) - set(choice)
     # path nodes and the interiors of detours found so far
@@ -621,14 +615,14 @@ def full_path_lp(game, profile) -> LinearProgram:
     are the (player, own edge) shares in player and resource order."""
     var_index = {}
     for i in range(game.n):
-        for e in sorted(profile[i], key=game.resource_key):
+        for e in sorted(profile[i], key=game.resource_order.__getitem__):
             var_index[(i, e)] = len(var_index)
     nvars = len(var_index)
     rows, rhs = [], []
     for e in game.resources:
         if profile.users(e):
             rows.append([_ONE if f == e else _ZERO for (_j, f) in var_index])
-            rhs.append(game.costs[e].fixed_value)
+            rhs.append(game.costs[e])
     for i, sp in enumerate(game.spaces):
         own = profile[i]
         for epath in game.network.simple_paths(sp.terminal, sp.source):
@@ -638,7 +632,7 @@ def full_path_lp(game, profile) -> LinearProgram:
             row = [_ZERO] * nvars
             bound = _ZERO
             for e in q - own:
-                bound += game.costs[e].fixed_value + game.delay(i, e)
+                bound += game.costs[e] + game.delay(i, e)
             for e in own - q:
                 row[var_index[(i, e)]] = _ONE
                 bound -= game.delay(i, e)
@@ -647,10 +641,11 @@ def full_path_lp(game, profile) -> LinearProgram:
     return LinearProgram.build([_ONE] * nvars, rows, rhs)
 
 
-def per_entry_cost_from_json(data) -> CostFunction:
-    """A cost function with every table key and value parsed in place."""
+def per_entry_cost_from_json(data) -> Fraction | CostFunction:
+    """A fixed cost as its number, or a cost table with every key and value
+    parsed in place."""
     if isinstance(data, str):
-        return CostFunction(fixed=parse_rational(data))
+        return parse_rational(data)
     if isinstance(data, Mapping) and set(data) == {"subadditive_table"}:
         table = {
             parse_users(k): parse_rational(v)
@@ -742,7 +737,7 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
 
     def total_of(rows):
         used = {e for row in rows for e in row}
-        fixed = sum((_fixed_cost(game, e) for e in used), _ZERO)
+        fixed = sum((game.costs[e] for e in used), _ZERO)
         lag = sum((game.delay(i, e) for i in range(game.n) for e in rows[i]), _ZERO)
         return fixed + lag
 
@@ -753,7 +748,7 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
             held = frozenset(work[i])
 
             def reroute_price(e):
-                opened = _ZERO if e in held else _fixed_cost(game, e)
+                opened = _ZERO if e in held else game.costs[e]
                 return opened + game.delay(i, e)
 
             hit = game.network.shortest_path(sp.source, sp.terminal, reroute_price)
@@ -789,7 +784,7 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
             (i, e)
             for i in range(game.n)
             for e in paths[i]
-            if paid(e) < _fixed_cost(game, e)
+            if paid(e) < game.costs[e]
         ]
 
     def private(i):
@@ -809,7 +804,7 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
             targets = {e for j, e in snapshot if j == i}
             while True:
                 mine = [
-                    e for e in paths[i] if e in targets and paid(e) < _fixed_cost(game, e)
+                    e for e in paths[i] if e in targets and paid(e) < game.costs[e]
                 ]
                 if not mine:
                     break
@@ -834,7 +829,7 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
                     dropped[i].add(e)
                     shares.pop((i, e), None)
                 for e in alt.edges:
-                    shares[(i, e)] = _fixed_cost(game, e)
+                    shares[(i, e)] = game.costs[e]
                 after = private(i)
                 if after != before:
                     raise InternalInvariant(
@@ -848,7 +843,7 @@ def rescan_nsepa_transform(game, profile) -> NsepaTransformResult:
         users = [i for i in range(game.n) if e in paths[i]]
         if not users:
             continue
-        excess = paid(e) - _fixed_cost(game, e)
+        excess = paid(e) - game.costs[e]
         if excess < 0:
             raise InternalInvariant(f"edge {e} left unpaid after all phases")
         for i in sorted(users, reverse=True):
@@ -926,7 +921,7 @@ class RebuildAuxiliaryGraph:
     def item_cost(self, item):
         if isinstance(item, tuple) and item and item[0] == "aux":
             return self.aux[item].cost
-        return self.game.costs[item].fixed_value
+        return self.game.costs[item]
 
     def tree_items(self):
         out = set()
@@ -972,7 +967,7 @@ class RebuildAuxiliaryGraph:
 
     def _build_aux_edges(self):
         def weight(eid):
-            return self.game.costs[eid].fixed_value
+            return self.game.costs[eid]
 
         trees = {}
         for i in range(self.game.n):

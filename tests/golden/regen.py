@@ -39,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sepshare.cli import run
-from sepshare.game import CostFunction, GameModel, PathSpace, Profile
+from sepshare.game import GameModel, PathSpace, Profile
 from sepshare.network import Network
 from sepshare.schema import dumps, game_to_json, profile_to_json
 
@@ -120,7 +120,7 @@ def chain_instance(seed: int, bundles: int, players: int) -> dict:
                 pairs += [(cuts[k], mid), (mid, cuts[k + 1])]
     net = Network([(e, u, v) for e, (u, v) in enumerate(pairs)])
     ids = list(range(len(pairs)))
-    costs = {e: CostFunction(fixed=Fraction(rng.randint(1, 20))) for e in ids}
+    costs = {e: rng.randint(1, 20) for e in ids}
     spaces = []
     for _ in range(players):
         a, b = sorted(rng.sample(range(len(cuts)), 2))

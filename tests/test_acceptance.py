@@ -27,11 +27,7 @@ from sepshare.matroids import (
     transform_matroid,
 )
 from sepshare.nsepa import counterexample_fixture, is_enforceable, nsepa_transform
-from sepshare.oracle import (
-    brute_force_enforceable,
-    brute_force_optimum,
-    profiles_iter,
-)
+from sepshare.oracle import brute_force_optimum, enforcing_protocol, profiles_iter
 from sepshare.protocol import verify_budget_balance, verify_pne
 from sepshare.singlesource import transform_single_source
 
@@ -67,9 +63,7 @@ def test_2_matroid_transform_iteration_bound_and_soundness():
         assert verify_pne(game, protocol).ok
         assert verify_budget_balance(game, protocol, res.profile).ok
         kinds |= {type(sp).__name__ for sp in game.spaces}
-        cost_families |= {
-            "fixed" if cf.is_fixed else "table" for cf in game.costs.values()
-        }
+        cost_families |= {"fixed" if e in game.fixed else "table" for e in game.resources}
     assert kinds == {"UniformMatroid", "PartitionMatroid", "GraphicMatroid"}
     assert cost_families == {"fixed", "table"}
     assert time.monotonic() - t0 < 60
@@ -101,7 +95,7 @@ def test_4_series_parallel_transform_end_to_end():
     for _ in range(200):
         game, profile = gen_sp(rng)
         res = nsepa_transform(game, profile)
-        assert brute_force_enforceable(game, res.profile)
+        assert enforcing_protocol(game, res.profile) is not None
         assert res.output_cost <= res.input_cost
         # a delay reroute repair may leave the phase union larger than the
         # input's, in which case all edges is the honest ceiling

@@ -59,26 +59,26 @@ class TestRationals:
 
 class TestCostFunction:
     def test_fixed_cost_ignores_user_set(self):
-        cf = CostFunction(fixed=5)
-        assert cf.value({0}) == 5
-        assert cf.value({0, 1, 2}) == 5
-        assert cf.value(set()) == 0
-
-    def test_exactly_one_kind_required(self):
-        with pytest.raises(InputError):
-            CostFunction(fixed=1, table={frozenset({0}): F(1)})
-        with pytest.raises(InputError):
-            CostFunction()
+        """A fixed cost is a number, held in `costs` and in `fixed`."""
+        game = GameModel(players=0, resources=[0], costs={0: F(10, 2)}, spaces=[])
+        assert game.costs == game.fixed == {0: 5} and type(game.costs[0]) is int
+        assert [game.cost(0, users) for users in ({0}, {0, 1, 2}, set())] == [5, 5, 0]
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(InputError):
-            CostFunction(fixed=-1)
+        """The game checks a fixed cost's sign and stores it by the rule
+        of `rationals.exact`, which rejects a bool or a float."""
+        for bad, error in [
+            (-1, "negative cost -1"), (F(-1, 2), "negative cost -1/2"),
+            ("-3/1", "negative cost -3"), (True, "bool is not a rational value"),
+            (1.5, "not an exact rational: 1.5"),
+        ]:
+            with pytest.raises(InputError, match=f"^{error}$"):
+                GameModel(players=0, resources=[0, 1], costs={0: 1, 1: bad}, spaces=[])
 
     def test_table_lookup_and_round_trip(self):
         cf = CostFunction(table={frozenset({0}): F(2), frozenset({0, 1}): F(3)})
         assert cf.value({0, 1}) == 3
         assert cf.table == {frozenset({0}): F(2), frozenset({0, 1}): F(3)}
-        assert CostFunction(fixed=1).table is None
 
     def test_monotonicity_checked_on_cached_pairs(self):
         cf = CostFunction(table={frozenset({0}): F(5), frozenset({0, 1}): F(3)})
@@ -285,7 +285,7 @@ class TestGameModel:
         g = GameModel(
             players=1,
             resources=[0, 5],
-            costs={0: CostFunction(fixed=1), 5: CostFunction(fixed=1)},
+            costs={0: 1, 5: 1},
             spaces=[PathSpace(source="s", terminal="t")],
             network=Network([(0, "s", "t")]),
         )
@@ -298,7 +298,7 @@ class TestGameModel:
             GameModel(
                 players=0,
                 resources=[0, 0],
-                costs={0: CostFunction(fixed=1)},
+                costs={0: 1},
                 spaces=[],
             )
 
@@ -355,8 +355,7 @@ class TestGameModel:
         real = CostFunction.value
 
         def recording(cost_function, users):
-            if not cost_function.is_fixed:
-                asked.append(sorted(users))
+            asked.append(sorted(users))
             return real(cost_function, users)
 
         monkeypatch.setattr(CostFunction, "value", recording)
@@ -374,7 +373,7 @@ class TestGameModel:
 class TestTotalCost:
     def test_zero_player_game_costs_nothing(self):
         g = GameModel(
-            players=0, resources=[0], costs={0: CostFunction(fixed=9)}, spaces=[]
+            players=0, resources=[0], costs={0: 9}, spaces=[]
         )
         assert total_cost(g, Profile([])) == 0
 

@@ -1,10 +1,11 @@
 """Source hygiene: every module-level import in the package is used, every
 module-level function, class and assigned name is read somewhere, the
 package imports nothing outside itself and the standard library and
-never `dataclasses`, the README names no command-line flag that the
-parser does not accept, and no float can enter the exact arithmetic: true
-division appears only in the LP, `float(` only in `rationals.approx`, and
-`Fraction(` only in the LP and in `rationals`.  Costs, delays, shares,
+never `dataclasses`, no module reads another object's private attribute,
+the README names no command-line flag that the parser does not accept,
+and no float can enter the exact arithmetic: true division appears only
+in the LP, `float(` only in `rationals.approx`, and `Fraction(` only in
+the LP and in `rationals`.  Costs, delays, shares,
 search distances, total costs, LP values and step deltas are ints exactly
 when integral and Fractions otherwise.
 
@@ -308,25 +309,31 @@ def test_the_check_sees_a_fraction_call():
     assert _calls(tree, "Fraction") == ["g", "<module>"]
 
 
-def _reads(tree: ast.Module, attribute: str) -> list[int]:
-    """The line of each read of `attribute` off any object."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == attribute)
+_NAMEDTUPLE_API = {"_replace", "_make", "_asdict", "_fields"}
 
 
-def test_fixed_value_is_read_only_in_the_game_and_the_schema():
-    """A fixed cost is read off the game's fixed-cost row, so only the row,
-    built in `game`, and the JSON writer in `schema` ask a cost function
-    for it."""
-    found = {path.stem for path in ALL_MODULES
-             if _reads(ast.parse(path.read_text()), "fixed_value")}
-    assert found == {"game", "schema"}
+def _private_reads(tree: ast.Module) -> list[int]:
+    """The line of each read of a single-underscore attribute off anything
+    but `self` or `cls`, NamedTuple's own methods and fields aside."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and node.attr not in _NAMEDTUPLE_API
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
 
 
-def test_the_check_sees_a_fixed_value_read():
-    tree = ast.parse("def fixed_value(self):\n    return 1\nx = game.costs[e].fixed_value\n"
-                     "y = [cf.fixed_value for cf in costs]\nz = fixed_value\n")
-    assert _reads(tree, "fixed_value") == [3, 4]
+def test_no_module_reads_another_objects_private_state():
+    found = [f"{path.stem}:{line}" for path in ALL_MODULES
+             for line in _private_reads(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_check_sees_a_private_read():
+    tree = ast.parse("x = self._cache\ny = cls._made\nz = game.costs[e]._fixed\n"
+                     "budget._replace(k=1)\nother._occupancy = None\nw = obj.__class__\n"
+                     "v = [cf._index for cf in costs]\nu = super()._check(1)\n")
+    assert _private_reads(tree) == [3, 7, 8]
 
 
 def _loaded_game() -> GameModel:
@@ -344,8 +351,7 @@ def _loaded_game() -> GameModel:
 def _built_game() -> GameModel:
     table = {frozenset(): 0, frozenset({0}): Fraction(4, 2), frozenset({1}): "3/2",
              frozenset({0, 1}): Fraction(7, 2)}
-    costs = {0: CostFunction(fixed=Fraction(6, 3)), 1: CostFunction(fixed="5/3"),
-             2: CostFunction(table=table)}
+    costs = {0: Fraction(6, 3), 1: "5/3", 2: CostFunction(table=table)}
     delays = [{0: Fraction(9, 3), 2: "1/2"}, {1: 8, 2: Fraction(0)}]
     spaces = [UniformMatroid([0, 1, 2], 1) for _ in range(2)]
     return GameModel(2, [0, 1, 2], costs, spaces, delays=delays)
@@ -425,7 +431,7 @@ def test_path_layer_values_are_ints_exactly_when_integral(q):
         game = game_from_json(scaled_doc(game_to_json(game), q))
         for i, space in enumerate(game.spaces):
             tree = game.network.dijkstra(
-                space.source, lambda e: game.costs[e].fixed_value + game.delay(i, e)
+                space.source, lambda e: game.costs[e] + game.delay(i, e)
             )
             values += [dist for dist, _edges in tree.values()]
         values.append(total_cost(game, profile))
@@ -448,7 +454,7 @@ def test_path_layer_values_are_ints_exactly_when_integral(q):
 def test_bools_and_floats_are_not_stored(bad):
     game = _built_game()
     with pytest.raises(InputError):
-        CostFunction(fixed=bad)
+        GameModel(2, game.resources, {**game.costs, 0: bad}, game.spaces)
     with pytest.raises(InputError):
         GameModel(2, game.resources, game.costs, game.spaces, delays=[{0: bad}, {}])
     with pytest.raises(InputError):

@@ -50,7 +50,7 @@ from sepshare.nsepa import (
     nsepa_transform,
     smallest_tight_alternative,
 )
-from sepshare.oracle import DEFAULT_BUDGET, brute_force_enforceable
+from sepshare.oracle import DEFAULT_BUDGET, enforcing_protocol
 from sepshare.protocol import Deviation, PneReport, verify_budget_balance, verify_pne
 from sepshare.schema import (
     dumps,
@@ -584,7 +584,7 @@ class TestTransform:
             bound = len(used) if not res.repairs else len(game.resources)
             assert res.phases <= bound
             assert res.output_cost <= res.input_cost
-            assert brute_force_enforceable(game, res.profile)
+            assert enforcing_protocol(game, res.profile) is not None
             assert verify_pne(game, res.protocol).ok
             assert verify_budget_balance(game, res.protocol, res.profile).ok
             # reroute repairs happen exactly when the input LP is infeasible

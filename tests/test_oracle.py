@@ -6,14 +6,14 @@ import pytest
 
 from _helpers import path_game, path_subsets, ufl_game
 from sepshare.errors import BudgetExceeded, UnsupportedSpace
-from sepshare.game import CostFunction, GameModel, PathSpace, Profile
+from sepshare.game import GameModel, PathSpace, Profile
 from sepshare.matroids import UniformMatroid, transform_matroid
 from sepshare.network import Network
 from sepshare.nsepa import counterexample_fixture, nsepa_transform
 from sepshare.oracle import (
     EnumerationBudget,
-    brute_force_enforceable,
     brute_force_optimum,
+    enforcing_protocol,
     enumerate_strategies,
     profiles_iter,
 )
@@ -99,23 +99,23 @@ class TestOptimum:
 class TestEnforceable:
     def test_fixture_optimum_is_not(self):
         game, opt = counterexample_fixture()
-        assert not brute_force_enforceable(game, opt)
+        assert enforcing_protocol(game, opt) is None
 
     def test_shortest_single_path_is(self):
         g = path_game([("s", "t", 3), ("s", "t", 5)], [("s", "t")])
-        assert brute_force_enforceable(g, Profile([{0}]))
-        assert not brute_force_enforceable(g, Profile([{1}]))
+        assert enforcing_protocol(g, Profile([{0}])) is not None
+        assert enforcing_protocol(g, Profile([{1}])) is None
 
     def test_transform_outputs_always_are(self):
         g = path_game(
             [("c0", "c1", 10), ("c0", "c1", 4)], [("c0", "c1"), ("c0", "c1")]
         )
         res = nsepa_transform(g, Profile([{0}, {0}]))
-        assert brute_force_enforceable(g, res.profile)
+        assert enforcing_protocol(g, res.profile) is not None
 
         u = ufl_game((10, 3))
         out = transform_matroid(u, Profile([{0}, {0}]))
-        assert brute_force_enforceable(u, out.profile)
+        assert enforcing_protocol(u, out.profile) is not None
 
     def test_mixed_space_kinds_are_rejected(self):
         """A game fixes its one family when it is built, so a game that
@@ -125,7 +125,7 @@ class TestEnforceable:
             GameModel(
                 players=2,
                 resources=[0],
-                costs={0: CostFunction(fixed=1)},
+                costs={0: 1},
                 spaces=[
                     PathSpace(source="s", terminal="t"),
                     UniformMatroid([0], 1),

@@ -98,7 +98,7 @@ class TestCaseRule:
         g = GameModel(
             players=3,
             resources=[0, 1],
-            costs={0: CostFunction(table=table), 1: CostFunction(fixed=1)},
+            costs={0: CostFunction(table=table), 1: 1},
             spaces=[UniformMatroid([0, 1], 1) for _ in range(3)],
         )
         proto = make_protocol(g, [{0}, {1}, {1}], {(0, 0): 6})

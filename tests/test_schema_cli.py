@@ -157,9 +157,12 @@ def _loaded(load, doc):
         game = load(doc)
     except InputError as ex:
         return type(ex).__name__, str(ex)
-    costs = {e: cf.fixed_value if cf.is_fixed else cf.table for e, cf in game.costs.items()}
+    costs = {e: cost if e in game.fixed else cost.table for e, cost in game.costs.items()}
     delays = {(i, e): game.delay(i, e) for i in range(game.n) for e in game.resources}
     return costs, delays
+
+
+TABLE = {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "5/1"}}
 
 
 class TestLoaderParsesEachStringOnce:
@@ -216,13 +219,17 @@ class TestLoaderParsesEachStringOnce:
         table = game_from_json(doc).costs[0].table
         assert table == {frozenset({0}): 3, frozenset({1}): 4, frozenset({0, 1}): 5}
 
-    @pytest.mark.parametrize("graph_cost", [
-        {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "6/1"}},
-        {"subadditive_table": {"0": "3/1", "1": "4/1"}},
-        "5/1",
-    ], ids=["other-value", "missing-entry", "fixed"])
-    def test_a_contradicting_graph_table_exits_two(self, tmp_path, capsys, graph_cost):
-        cost = {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "5/1"}}
+    @pytest.mark.parametrize("cost, graph_cost", [
+        (TABLE, {"subadditive_table": {"0": "3/1", "1": "4/1", "0,1": "6/1"}}),
+        (TABLE, {"subadditive_table": {"0": "3/1", "1": "4/1"}}),
+        (TABLE, "5/1"),
+        ("5/1", {"subadditive_table": {"0": "5/1", "1": "5/1", "0,1": "5/1"}}),
+        ("5/1", "6/1"),
+    ], ids=["other-value", "missing-entry", "fixed", "fixed-against-table", "fixed-other-value"])
+    def test_a_contradicting_graph_table_exits_two(self, tmp_path, capsys, cost, graph_cost):
+        """Resource 0's graph cost contradicts its cost in `costs`: a table
+        there against another table or a fixed cost, and a fixed cost there
+        against a table or another value."""
         _doc, inst = self._sp_doc(tmp_path, cost, graph_cost)
         capsys.readouterr()
         code, _rep = run_to_file(tmp_path, "r.json", ["verify", "--in", str(inst)])
@@ -1117,14 +1124,14 @@ def test_players_with_one_descriptor_share_one_oracle(tmp_path):
                                      ["nsepa", "check"]], ids=" ".join)
 def test_a_cost_table_on_a_path_game_exits_two(tmp_path, capsys, command):
     """The path layers read fixed costs only: a cost table on a used edge
-    exits 2 with one line."""
+    exits 2 with one line that names the edge."""
     doc = _two_link_doc()
     doc["costs"]["0"] = doc["graph"]["edges"][0][2] = {"subadditive_table": {"0": "3/1"}}
     _write_doc(tmp_path, doc)
     capsys.readouterr()
     code, rep = run_to_file(tmp_path, "r.json", command + ["--in", str(tmp_path / "inst.json")])
     assert code == 2 and not rep.exists()
-    assert capsys.readouterr().err == "input error: cost function is not fixed\n"
+    assert capsys.readouterr().err == "input error: cost of resource 0 is not fixed\n"
 
 
 def _unreadable_file(tmp_path):

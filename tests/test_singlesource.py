@@ -44,14 +44,14 @@ class TestTreeProfile:
         assert to_tree_profile(g, Profile([{0, 1}])) == Profile([{0, 1}])
 
     def test_unreachable_terminal_raises(self):
-        from sepshare.game import CostFunction, GameModel, PathSpace
+        from sepshare.game import GameModel, PathSpace
         from sepshare.network import Network
 
         net = Network([(0, "s", "a")], vertices=["s", "a", "z"])
         g = GameModel(
             players=1,
             resources=[0],
-            costs={0: CostFunction(fixed=1)},
+            costs={0: 1},
             spaces=[PathSpace(source="s", terminal="z")],
             network=net,
         )
