@@ -197,9 +197,10 @@ class GameModel:
     something other than a nonzero int.  `costs` maps each resource to
     a `CostFunction` (a cost table) or to its fixed cost, a number that
     must not be negative, stored by the same rule in `costs` and in the
-    fixed-cost row `fixed`; `cost`, `join_cost`, `fixed_cost`, `total_cost`
-    and `move_cost` read that row, so only a cost table is asked for its
-    value on a user set.  Each answers in the stored form.  A matroid
+    fixed-cost row `fixed`; `cost`, `join_cost`, `total_cost` and
+    `move_cost` read that row, so only a cost table is asked for its value
+    on a user set.  Each answers in the stored form.  `require("path")`
+    rejects a cost table, so the path layers read `fixed` alone.  A matroid
     space that players share is checked once.
     `validate_profile` remembers the profiles that passed, so checking
     one again is a set lookup.
@@ -271,11 +272,16 @@ class GameModel:
 
     def require(self, kind: str) -> None:
         """Raise unless the spaces are of `kind`, "matroid" or "path" (a
-        game without players passes both); a path game needs a network."""
+        game without players passes both); a path game needs a network and
+        fixed costs, and names its first cost table in resource order."""
         if self.kind not in (None, kind):
             raise UnsupportedSpace(f"the game has {self.kind} spaces, not {kind} spaces")
-        if kind == "path" and self.network is None:
-            raise InputError("game has no network")
+        if kind == "path":
+            if self.network is None:
+                raise InputError("game has no network")
+            if len(self.fixed) < len(self.resources):
+                e = next(e for e in self.resources if e not in self.fixed)
+                raise UnsupportedSpace(f"cost of resource {shown(e)} is not fixed")
 
     def delay(self, i: int, e: int) -> int | Fraction:
         return self.delays[i].get(e, 0)
@@ -296,13 +302,6 @@ class GameModel:
         if (value := self.fixed.get(e)) is None:
             return self.costs[e].value(users | {i})
         return value
-
-    def fixed_cost(self, e: int) -> int | Fraction:
-        """The fixed cost of e; UnsupportedSpace for a cost table."""
-        try:
-            return self.fixed[e]
-        except KeyError:
-            raise UnsupportedSpace(f"cost of resource {shown(e)} is not fixed") from None
 
     def is_feasible_choice(self, i: int, choice: frozenset) -> bool:
         sp = self.spaces[i]

@@ -318,23 +318,17 @@ def virtual_cost(game: GameModel, i: int, e: int) -> int | Fraction:
 
 
 def deviation_cost(
-    game: GameModel, profile: Profile, i: int, virtual: bool = False
+    game: GameModel, profile: Profile, i: int
 ) -> dict[int, tuple[int | Fraction, int]]:
     """Cheapest packet move for player i away from each e of their basis
     (staying counts), as {e: (value, chosen element)}, ties to the
-    smallest resource in global order.  True mode prices the landing
-    resource at the user set it would have after the move; virtual mode
-    prices it as if i were alone."""
+    smallest resource in global order.  The landing resource is priced at
+    the user set it would have after the move."""
     game.require("matroid")
-    delays = game.delays[i]
-
-    def price(f: int) -> int | Fraction:
-        if virtual:
-            return virtual_cost(game, i, f)
-        return game.join_cost(f, profile.users(f), i) + delays.get(f, 0)
-
-    space = game.spaces[i]
-    cheapest = space.cheapest_exchanges(profile[i], space.ranking(price, game.resource_order))
+    delays, space = game.delays[i], game.spaces[i]
+    keys = space.ranking(lambda f: game.join_cost(f, profile.users(f), i) + delays.get(f, 0),
+                         game.resource_order)
+    cheapest = space.cheapest_exchanges(profile[i], keys)
     return {e: (value, f) for e, (value, _order, f) in cheapest.items()}
 
 
@@ -351,31 +345,28 @@ class EnforceabilityReport(NamedTuple):
     violations: tuple[EnforceabilityViolation, ...] = ()
 
 
-def check_enforceable_matroid(
-    game: GameModel, profile: Profile, virtual: bool = False
-) -> EnforceabilityReport:
+def check_enforceable_matroid(game: GameModel, profile: Profile) -> EnforceabilityReport:
     """Delay and coverage conditions characterizing enforceable profiles.
 
     Per resource in a player's basis the delay may not exceed the player's
     cheapest exchange ("delay" condition); per used resource the headroom
     of its users must cover the shareable cost ("cover" condition).
-    Virtual mode replaces exchange costs by virtual ones, giving a
-    sufficient condition that the transform below establishes.
     """
-    return _check_conditions(game, profile, virtual)[0]
+    return _check_conditions(game, profile)[0]
 
 
 def _check_conditions(
-    game: GameModel, profile: Profile, virtual: bool, ranked: Optional[Sequence[Ranked]] = None
+    game: GameModel, profile: Profile, ranked: Optional[Sequence[Ranked]] = None
 ) -> tuple[EnforceabilityReport, dict[tuple[int, int], int | Fraction]]:
     """The report of `check_enforceable_matroid` and the deviation cost
-    of every (player, resource in their basis) pair it priced; it walks
-    `ranked`, each player's virtual ranking, if given."""
+    of every (player, resource in their basis) pair it priced; given
+    `ranked`, one ranking per player (the transform's virtual ones), it
+    walks those instead."""
     game.require("matroid")
     game.validate_profile(profile)
     deltas: dict[tuple[int, int], int | Fraction] = {}
     for i in range(game.n):
-        cheapest = (deviation_cost(game, profile, i, virtual=virtual) if ranked is None
+        cheapest = (deviation_cost(game, profile, i) if ranked is None
                     else game.spaces[i].cheapest_exchanges(profile[i], ranked[i]))
         deltas.update(((i, e), cheapest[e][0]) for e in profile[i])
     return _judged(game, profile, deltas), deltas
@@ -515,10 +506,10 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     output_cost = total_cost(game, current)
     if sum(mv.cost_delta for mv in moves) != output_cost - input_cost:
         raise InternalInvariant("step cost deltas do not add up to the cost change")
-    report, deltas = _check_conditions(game, current, True, ranked)
+    report, deltas = _check_conditions(game, current, ranked)
     if not report.ok:
         raise InternalInvariant("transform terminated on a violated profile")
-    # re-price in the player-major, ground order of a fresh true-mode pass
+    # re-price in the player-major, ground order of `build_matroid_protocol`
     tables = {f: users for f in sorted(game.resources)
               if f not in game.fixed and (users := current.users(f))}
     for i, keys in enumerate(ranked):
@@ -537,10 +528,10 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
 def build_matroid_protocol(game: GameModel, profile: Profile) -> SeparableProtocol:
     """Water-fill shares within deviation headroom; smallest players first.
 
-    Requires the (true mode) enforceability conditions; raises
-    NotEnforceable otherwise.
+    Requires the enforceability conditions at true exchange prices;
+    raises NotEnforceable otherwise.
     """
-    report, deltas = _check_conditions(game, profile, virtual=False)
+    report, deltas = _check_conditions(game, profile)
     if not report.ok:
         raise NotEnforceable(f"{len(report.violations)} condition(s) violated")
     return _water_filled(game, profile, deltas)

@@ -45,8 +45,6 @@ def _require_single_source(game: GameModel) -> Vertex:
         raise UnsupportedSpace(f"multiple sources {sorted(map(str, sources))}")
     if game.has_delays:
         raise UnsupportedSpace("tree transform requires zero delays")
-    for e in game.resources:
-        game.fixed_cost(e)  # raises for set-function costs
     if not sources:
         return game.network.vertices[0] if game.network.vertices else None
     return sources.pop()

@@ -69,7 +69,6 @@ from sepshare.matroids import (
     PartitionMatroid,
     UniformMatroid,
     _find,
-    deviation_cost,
     matroid_from_descriptor,
     virtual_cost,
 )
@@ -367,6 +366,32 @@ def priced_cheapest_exchanges(m, basis: frozenset, price, order) -> dict:
     return _PRICED_RULES.get(type(m), _priced_query_loop)(m, basis, price, order)
 
 
+def virtual_exchanges(game, profile, i) -> dict:
+    """Player i's cheapest virtual exchange from each e of their basis, as
+    {e: (value, order, landing resource)}: every element priced as if i
+    were alone on it, by the priced cheapest-exchange rules."""
+    return priced_cheapest_exchanges(game.spaces[i], profile[i],
+                                     lambda f: virtual_cost(game, i, f), game.resource_order)
+
+
+def first_virtual_violation(game, profile):
+    """("delay" or "cover", resource) for the first resource in global
+    order whose users break the virtual conditions, delay before cover,
+    or None when the virtual conditions hold."""
+    exchanges = [virtual_exchanges(game, profile, i) for i in range(game.n)]
+    for e in game.resources:
+        users = sorted(profile.users(e))
+        if not users:
+            continue
+        vdev = {i: exchanges[i][e][0] for i in users}
+        if any(game.delay(i, e) > vdev[i] for i in users):
+            return "delay", e
+        headroom = sum((vdev[i] - game.delay(i, e) for i in users), _ZERO)
+        if game.cost(e, frozenset(users)) > headroom:
+            return "cover", e
+    return None
+
+
 def rescan_transform_matroid(game, profile):
     """The matroid rewrite loop with a full rescan after every move.
 
@@ -379,29 +404,17 @@ def rescan_transform_matroid(game, profile):
     moves: list[Step] = []
 
     def vdev(i, e):
-        return deviation_cost(game, current, i, virtual=True)[e][0]
-
-    def first_violation():
-        for e in game.resources:
-            users = sorted(current.users(e))
-            if not users:
-                continue
-            if any(game.delay(i, e) > vdev(i, e) for i in users):
-                return "delay", e
-            headroom = sum((vdev(i, e) - game.delay(i, e) for i in users), _ZERO)
-            if game.cost(e, frozenset(users)) > headroom:
-                return "cover", e
-        return None
+        return virtual_exchanges(game, current, i)[e][0]
 
     def move_packet(i, e, kind):
         nonlocal current
-        value, f = deviation_cost(game, current, i, virtual=True)[e]
+        value, _order, f = virtual_exchanges(game, current, i)[e]
         assert virtual_cost(game, i, e) > value and f != e
         before = total_cost(game, current)
         current = current.replace(i, (current[i] - {e}) | {f})
         moves.append(Step(kind, i, f, total_cost(game, current) - before, source=e))
 
-    while (hit := first_violation()) is not None:
+    while (hit := first_virtual_violation(game, current)) is not None:
         kind, e = hit
         if kind == "delay":
             i = next(i for i in sorted(current.users(e)) if game.delay(i, e) > vdev(i, e))

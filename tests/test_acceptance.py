@@ -12,6 +12,7 @@ import time
 from fractions import Fraction as F
 
 from _oracles import (
+    first_virtual_violation,
     fourier_motzkin_status,
     full_path_lp,
     verify_separability_bruteforce,
@@ -58,7 +59,7 @@ def test_2_matroid_transform_iteration_bound_and_soundness():
         rk = max(game.spaces[i].rank for i in range(game.n))
         assert res.iterations <= game.n * len(game.resources) * rk
         assert total_cost(game, res.profile) <= total_cost(game, profile)
-        assert check_enforceable_matroid(game, res.profile, virtual=True).ok
+        assert first_virtual_violation(game, res.profile) is None
         protocol = build_matroid_protocol(game, res.profile)
         assert verify_pne(game, protocol).ok
         assert verify_budget_balance(game, protocol, res.profile).ok
@@ -128,7 +129,7 @@ def test_5_brute_force_optima_are_enforceable():
         game = gen_matroid(rng, players=rng.randint(1, 3))
         try:
             best = brute_force_optimum(game)
-            assert check_enforceable_matroid(game, best.profile, virtual=False).ok
+            assert check_enforceable_matroid(game, best.profile).ok
         except BudgetExceeded:
             continue
         matroid_checked += 1

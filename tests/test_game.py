@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from _helpers import path_game, ufl_game
 from _oracles import private_cost
-from sepshare.errors import InfeasibleProfile, InputError, InvalidCostOracle
+from sepshare.errors import InfeasibleProfile, InputError, InvalidCostOracle, UnsupportedSpace
 from sepshare.game import (
     CostFunction,
     GameModel,
@@ -20,7 +20,7 @@ from sepshare.game import (
     total_cost,
 )
 from sepshare.gen import gen_matroid, gen_sp, gen_ufl, random_bases_profile
-from sepshare.matroids import transform_matroid
+from sepshare.matroids import UniformMatroid, transform_matroid
 from sepshare.network import Network
 from sepshare.nsepa import counterexample_fixture, is_enforceable
 from sepshare.oracle import enumerate_strategies
@@ -293,6 +293,22 @@ class TestGameModel:
         with pytest.raises(InfeasibleProfile, match="choice of player 0 is not in their space"):
             g.validate_profile(Profile([{5}]))
 
+    def test_require_path_names_the_first_cost_table_in_resource_order(self):
+        """A path game takes fixed costs only: `require("path")` names its
+        first cost table in resource order, used or not, with or without
+        players.  A matroid game takes tables."""
+        table = CostFunction({(0,): 2})
+        net = Network([(9, "s", "a"), (5, "x", "y"), (2, "a", "t")])
+        for players in (1, 0):
+            g = GameModel(players=players, resources=[9, 5, 2], costs={9: 1, 5: table, 2: table},
+                          spaces=[PathSpace(source="s", terminal="t")] * players, network=net)
+            with pytest.raises(UnsupportedSpace, match="^cost of resource 5 is not fixed$"):
+                g.require("path")
+        g = GameModel(players=2, resources=[0, 1], costs={0: table, 1: table},
+                      spaces=[UniformMatroid([0, 1], 1)] * 2)
+        assert g.require("matroid") is None
+        assert path_game([("s", "t", 3)], [("s", "t")]).require("path") is None
+
     def test_duplicate_resources_rejected(self):
         with pytest.raises(InputError):
             GameModel(
@@ -340,7 +356,7 @@ class TestGameModel:
 
         monkeypatch.setattr(CostFunction, "value", asked)
         p = Profile([{1}, {1}])
-        assert [game.join_cost(0, p.users(0), 1), game.fixed_cost(0), game.cost(0, {1})] == [0] * 3
+        assert [game.join_cost(0, p.users(0), 1), game.fixed[0], game.cost(0, {1})] == [0] * 3
         assert (total_cost(game, p), move_cost(game, p, 0, {0})) == (3, 0)
 
     @pytest.mark.parametrize("table, error", [

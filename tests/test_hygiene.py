@@ -2,6 +2,7 @@
 module-level function, class and assigned name is read somewhere, the
 package imports nothing outside itself and the standard library and
 never `dataclasses`, no module reads another object's private attribute,
+the path layers read a shareable cost only through `game.fixed`,
 the README names no command-line flag that the parser does not accept,
 and no float can enter the exact arithmetic: true division appears only
 in the LP, `float(` only in `rationals.approx`, and `Fraction(` only in
@@ -334,6 +335,34 @@ def test_the_check_sees_a_private_read():
                      "budget._replace(k=1)\nother._occupancy = None\nw = obj.__class__\n"
                      "v = [cf._index for cf in costs]\nu = super()._check(1)\n")
     assert _private_reads(tree) == [3, 7, 8]
+
+
+def _cost_reads(tree: ast.Module) -> list[int]:
+    """The line of each shareable-cost read other than through the
+    fixed-cost row `fixed`: any `.fixed_cost` or `.costs`, and any `cost`
+    or `join_cost` off a game (a name `game` or an attribute `.game`)."""
+    def on_game(node: ast.expr) -> bool:
+        return getattr(node, "id", None) == "game" or getattr(node, "attr", None) == "game"
+
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            node.attr in ("fixed_cost", "costs")
+            or node.attr in ("cost", "join_cost") and on_game(node.value)))
+
+
+@pytest.mark.parametrize("name", ["nsepa.py", "singlesource.py"])
+def test_path_layers_read_costs_only_through_the_fixed_row(name):
+    """`GameModel.require("path")` rejects a cost table, so the path layers
+    read a shareable cost as `game.fixed[e]` and nothing else."""
+    assert _cost_reads(ast.parse((SRC / name).read_text())) == []
+
+
+def test_the_check_sees_a_cost_read():
+    tree = ast.parse("a = game.fixed_cost(e)\nb = game.fixed[e]\nc = self.game.cost(e, u)\n"
+                     "d = self.cost[e]\nf = game.join_cost(e, u, i)\ng = game.costs[e]\n"
+                     "h = game.fixed.__getitem__\nk = other.cost(e)\nw = game.cost\n")
+    assert _cost_reads(tree) == [1, 3, 5, 6, 9]
 
 
 def _loaded_game() -> GameModel:

@@ -8,7 +8,11 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import assert_scaled, scaled_doc, transform_run, ufl_game
-from _oracles import priced_cheapest_exchanges, rescan_transform_matroid
+from _oracles import (
+    first_virtual_violation,
+    priced_cheapest_exchanges,
+    rescan_transform_matroid,
+)
 from sepshare import matroids
 from sepshare.errors import (
     InfeasibleProfile,
@@ -324,13 +328,15 @@ class TestKeptTable:
 class TestDeviationCost:
     def test_lone_player_takes_cheapest_swap(self):
         g = ufl_game([4, 7], delays=[{0: F(1), 1: F(2)}], players=1)
-        p = Profile([{0}])
-        for virtual in (False, True):
-            assert deviation_cost(g, p, 0, virtual=virtual) == {0: (5, 0)}  # min(4+1, 7+2)
+        assert deviation_cost(g, Profile([{0}]), 0) == {0: (5, 0)}  # min(4+1, 7+2)
 
     def test_virtual_cost_ignores_occupancy(self):
         g = ufl_game([10, 3])
-        assert deviation_cost(g, Profile([{0}, {0}]), 0, virtual=True) == {0: (3, 1)}
+        space = g.spaces[0]
+        ranked = space.ranking(lambda f: virtual_cost(g, 0, f), g.resource_order)
+        assert space.cheapest_exchanges(frozenset({0}), ranked) == {0: (3, 1, 1)}
+        assert first_virtual_violation(g, Profile([{0}, {0}])) == ("cover", 0)  # 3 + 3 < 10
+        assert first_virtual_violation(g, Profile([{1}, {1}])) is None
         assert virtual_cost(g, 0, 0) == 10
         assert virtual_cost(g, 0, 1) == 3
 
@@ -344,28 +350,28 @@ class TestDeviationCost:
             delays=[{0: F(2)}],
         )
         # each block holds one element, so each stays where it is
-        assert deviation_cost(g, Profile([{0, 1}]), 0, virtual=True) == {0: (8, 0), 1: (9, 1)}
+        assert deviation_cost(g, Profile([{0, 1}]), 0) == {0: (8, 0), 1: (9, 1)}
 
 
 class TestEnforceabilityConditions:
     def test_crowded_cheap_option_violates_coverage(self):
         g = ufl_game([10, 3])
-        report = check_enforceable_matroid(g, Profile([{0}, {0}]), virtual=False)
+        report = check_enforceable_matroid(g, Profile([{0}, {0}]))
         assert not report.ok
         [v] = report.violations
         assert (v.kind, v.resource, v.lhs, v.rhs) == ("cover", 0, F(10), F(6))
 
     def test_cheap_profile_is_fine(self):
         g = ufl_game([10, 3])
-        assert check_enforceable_matroid(g, Profile([{1}, {1}]), virtual=False).ok
+        assert check_enforceable_matroid(g, Profile([{1}, {1}])).ok
 
     def test_single_player_holds_with_equality(self):
         g = ufl_game([5], players=1)
-        assert check_enforceable_matroid(g, Profile([{0}]), virtual=False).ok
+        assert check_enforceable_matroid(g, Profile([{0}])).ok
 
     def test_excess_delay_violates_delay_condition(self):
         g = ufl_game([1, 1], delays=[{0: F(5)}], players=1)
-        report = check_enforceable_matroid(g, Profile([{0}]), virtual=False)
+        report = check_enforceable_matroid(g, Profile([{0}]))
         assert not report.ok
         assert report.violations[0].kind == "delay"
 
@@ -386,7 +392,7 @@ class TestEnforceabilityConditions:
                 players=n,
             )
             profile = Profile([{rng.randrange(m)} for _ in range(n)])
-            verdict = check_enforceable_matroid(g, profile, virtual=False).ok
+            verdict = check_enforceable_matroid(g, profile).ok
             assert verdict == self._share_lp_feasible(g, profile)
 
     @staticmethod
@@ -462,7 +468,7 @@ class TestTransform:
             rank = max(game.spaces[i].rank for i in range(game.n))
             assert res.iterations <= game.n * len(game.resources) * rank
             assert total_cost(game, res.profile) <= total_cost(game, profile)
-            assert check_enforceable_matroid(game, res.profile, virtual=True).ok
+            assert first_virtual_violation(game, res.profile) is None
             # replay: every packet move on its own never increases the cost,
             # and its recorded delta is exactly the change in total cost
             current = profile
@@ -581,7 +587,7 @@ class TestIncrementalLoop:
             res = transform_matroid(game, profile)
             virtual = certified[-1]
             assert res.protocol.shares == build_matroid_protocol(game, res.profile).shares
-            differ += virtual != real_check(game, res.profile, False)[1]
+            differ += virtual != real_check(game, res.profile)[1]
         kinds = {type(space) for game, _profile in games for space in game.spaces}
         assert kinds == {UniformMatroid, PartitionMatroid, GraphicMatroid}
         assert any(len(game.fixed) < len(game.resources) for game, _profile in games)
@@ -627,10 +633,12 @@ class TestRulePaths:
             game.validate_profile(profile)
         calls = self._count(monkeypatch, "is_basis")
         for game, profile in games:
-            for virtual in (False, True):
+            virtual = [space.ranking(lambda f, i=i: virtual_cost(game, i, f), game.resource_order)
+                       for i, space in enumerate(game.spaces)]
+            for ranked in (None, virtual):
                 calls.clear()
-                matroids._check_conditions(game, profile, virtual)
-                assert calls == [(game.spaces[i], profile[i]) for i in range(game.n)], virtual
+                matroids._check_conditions(game, profile, ranked)
+                assert calls == [(game.spaces[i], profile[i]) for i in range(game.n)], ranked
 
 
 class TestProtocolConstruction:

@@ -875,16 +875,15 @@ class TestVerifyMatroid:
         inst = self._rewritten(tmp_path)
         priced = Counter()
         asked = Counter()
-        player = [None]  # the player of the true-mode call under way
+        player = [None]  # the player of the `deviation_cost` call under way
         original = matroids.deviation_cost
         real_ranking = matroids.MatroidOracle.ranking
 
-        def counting(game, profile, i, virtual=False):
-            player[0] = None if virtual else i
-            answer = original(game, profile, i, virtual=virtual)
+        def counting(game, profile, i):
+            player[0] = i
+            answer = original(game, profile, i)
             player[0] = None
-            if not virtual:
-                priced.update((i, e) for e in answer)
+            priced.update((i, e) for e in answer)
             return answer
 
         def ranking(self, price, order):
@@ -1123,15 +1122,22 @@ def test_players_with_one_descriptor_share_one_oracle(tmp_path):
 @pytest.mark.parametrize("command", [["transform-tree"], ["nsepa", "transform"],
                                      ["nsepa", "check"]], ids=" ".join)
 def test_a_cost_table_on_a_path_game_exits_two(tmp_path, capsys, command):
-    """The path layers read fixed costs only: a cost table on a used edge
-    exits 2 with one line that names the edge."""
-    doc = _two_link_doc()
-    doc["costs"]["0"] = doc["graph"]["edges"][0][2] = {"subadditive_table": {"0": "3/1"}}
-    _write_doc(tmp_path, doc)
-    capsys.readouterr()
-    code, rep = run_to_file(tmp_path, "r.json", command + ["--in", str(tmp_path / "inst.json")])
-    assert code == 2 and not rep.exists()
-    assert capsys.readouterr().err == "input error: cost of resource 0 is not fixed\n"
+    """Path games take fixed costs only: a cost table exits 2 with one line
+    that names the edge, whether a player uses it, no player can reach it,
+    or the game has no players."""
+    disjoint = game_to_json(path_game([("s", "a", 1), ("a", "t", 2), ("x", "y", 4)],
+                                      [("s", "t")]))
+    disjoint["profile"] = [[0, 1]]
+    docs = [(_two_link_doc(), 0), (disjoint, 2),
+            (game_to_json(path_game([("s", "t", 3)], [])), 0)]
+    for doc, e in docs:
+        doc["costs"][str(e)] = doc["graph"]["edges"][e][2] = {"subadditive_table": {"0": "3/1"}}
+        _write_doc(tmp_path, doc)
+        capsys.readouterr()
+        code, rep = run_to_file(tmp_path, "r.json",
+                                command + ["--in", str(tmp_path / "inst.json")])
+        assert code == 2 and not rep.exists(), doc
+        assert capsys.readouterr().err == f"input error: cost of resource {e} is not fixed\n"
 
 
 def _unreadable_file(tmp_path):
