@@ -153,7 +153,7 @@ def _verify_booleans(
 
 def _matroid_family(game: GameModel, profile: Profile):
     result = transform_matroid(game, profile)
-    return result, result.protocol, result.moves, result.iterations, 0, {}
+    return result, result.protocol, result.moves, len(result.moves), 0, {}
 
 
 def _tree_family(game: GameModel, profile: Profile):

@@ -12,7 +12,7 @@ A virtual price depends only on the player and the element, so the
 transform ranks each player's elements once and walks that ranking for
 every cheapest exchange; a move invalidates only the mover's deviations
 and the verdicts of the resources whose users or deviations it changes.
-The protocol on its output is priced from the same rankings.
+The protocol on its output is priced at true exchange costs.
 """
 
 from __future__ import annotations
@@ -356,19 +356,15 @@ def check_enforceable_matroid(game: GameModel, profile: Profile) -> Enforceabili
 
 
 def _check_conditions(
-    game: GameModel, profile: Profile, ranked: Optional[Sequence[Ranked]] = None
+    game: GameModel, profile: Profile
 ) -> tuple[EnforceabilityReport, dict[tuple[int, int], int | Fraction]]:
     """The report of `check_enforceable_matroid` and the deviation cost
-    of every (player, resource in their basis) pair it priced; given
-    `ranked`, one ranking per player (the transform's virtual ones), it
-    walks those instead."""
+    of every (player, resource in their basis) pair it priced."""
     game.require("matroid")
     game.validate_profile(profile)
     deltas: dict[tuple[int, int], int | Fraction] = {}
     for i in range(game.n):
-        cheapest = (deviation_cost(game, profile, i) if ranked is None
-                    else game.spaces[i].cheapest_exchanges(profile[i], ranked[i]))
-        deltas.update(((i, e), cheapest[e][0]) for e in profile[i])
+        deltas.update(((i, e), v) for e, (v, _f) in deviation_cost(game, profile, i).items())
     return _judged(game, profile, deltas), deltas
 
 
@@ -395,11 +391,7 @@ class MatroidTransformResult(NamedTuple):
     moves: tuple[Step, ...]  # "delay" and "cover" packet moves
     input_cost: int | Fraction
     output_cost: int | Fraction
-    protocol: SeparableProtocol  # `build_matroid_protocol`'s, from the kept rankings
-
-    @property
-    def iterations(self) -> int:
-        return len(self.moves)
+    protocol: SeparableProtocol  # `build_matroid_protocol`'s
 
 
 def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResult:
@@ -427,10 +419,10 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     computes missing verdicts in order and stops at the first violated
     one, so it picks the same resource as a full rescan would.
 
-    The protocol is priced from the kept rankings.  A true price differs
-    from the virtual `cost({i})` only on a cost table with a user other
-    than i, so only players holding such a key are re-priced and walk
-    again; monotone costs price no key below its virtual price.
+    The certificate walks the kept rankings.  A true price differs from
+    the virtual `cost({i})` only on a cost table with a user other than i,
+    so the protocol re-prices only the players holding such a key, each by
+    `deviation_cost`; monotone costs price no key below its virtual price.
     """
     game.require("matroid")
     game.validate_profile(profile)
@@ -506,20 +498,18 @@ def transform_matroid(game: GameModel, profile: Profile) -> MatroidTransformResu
     output_cost = total_cost(game, current)
     if sum(mv.cost_delta for mv in moves) != output_cost - input_cost:
         raise InternalInvariant("step cost deltas do not add up to the cost change")
-    report, deltas = _check_conditions(game, current, ranked)
-    if not report.ok:
-        raise InternalInvariant("transform terminated on a violated profile")
-    # re-price in the player-major, ground order of `build_matroid_protocol`
-    tables = {f: users for f in sorted(game.resources)
-              if f not in game.fixed and (users := current.users(f))}
+    deltas = {}
     for i, keys in enumerate(ranked):
-        true = {f: game.join_cost(f, users, i) + game.delay(i, f)
-                for f, users in tables.items() if (i, f) in alone and users != {i}}
-        if true:
-            keys = sorted((true.get(f, price), order, f) for price, order, f in keys)
-            cheapest = game.spaces[i].cheapest_exchanges(current[i], keys)
-            deltas.update(((i, e), cheapest[e][0]) for e in current[i])
-    if tables and not _judged(game, current, deltas).ok:
+        cheapest = game.spaces[i].cheapest_exchanges(current[i], keys)
+        deltas.update(((i, e), cheapest[e][0]) for e in current[i])
+    if not _judged(game, current, deltas).ok:
+        raise InternalInvariant("transform terminated on a violated profile")
+    tables = [f for f in game.resources if f not in game.fixed and current.users(f)]
+    repriced = [i for i in range(game.n)
+                if any((i, f) in alone and current.users(f) != {i} for f in tables)]
+    for i in repriced:
+        deltas.update(((i, e), v) for e, (v, _f) in deviation_cost(game, current, i).items())
+    if repriced and not _judged(game, current, deltas).ok:
         raise InternalInvariant("true exchange prices fell below the virtual ones")
     protocol = _water_filled(game, current, deltas)
     return MatroidTransformResult(current, tuple(moves), input_cost, output_cost, protocol)

@@ -98,12 +98,12 @@ def enforcing_protocol(game: GameModel, profile: Profile) -> Optional[SeparableP
     """A protocol that makes the profile a stable equilibrium, or None if
     no separable protocol does.
 
-    Path games take the shares of the exact LP characterization (fixed
-    costs only), which generates its path rows lazily, so no path is
-    enumerated; matroid games (and a game without players) take the
-    water-filling construction, whose exchange conditions are exact.
+    Path games, and a game without players that has a network, take the
+    shares of the exact LP characterization (fixed costs only), which
+    generates its path rows lazily, so no path is enumerated; other games
+    take the water-filling construction, whose exchange conditions are exact.
     """
-    if game.kind == "path":
+    if game.kind == "path" or game.kind is None and game.network is not None:
         from .nsepa import is_enforceable
 
         report = is_enforceable(game, profile)

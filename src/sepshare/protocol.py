@@ -152,11 +152,11 @@ def best_response(
     game: GameModel, protocol: SeparableProtocol, i: int
 ) -> tuple[frozenset, int | Fraction]:
     """Cheapest unilateral deviation of player i from the protocol's base;
-    on a matroid space each ground element is weighed once."""
+    on a matroid space each key of `MatroidOracle.ranking` is weighed once."""
     weight = _deviation_weight(game, protocol, i)
     sp = game.spaces[i]
     if game.kind == "matroid":
-        keys = sorted((weight(e), game.resource_order[e], e) for e in sp.ground)
+        keys = sp.ranking(weight, game.resource_order)
         choice = sp.greedy(e for _weight, _order, e in keys)
         return choice, sum(w for w, _order, e in keys if e in choice)
     hit = game.network.shortest_path(sp.terminal, sp.source, weight)

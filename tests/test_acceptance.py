@@ -57,7 +57,7 @@ def test_2_matroid_transform_iteration_bound_and_soundness():
         profile = random_bases_profile(rng, game)
         res = transform_matroid(game, profile)
         rk = max(game.spaces[i].rank for i in range(game.n))
-        assert res.iterations <= game.n * len(game.resources) * rk
+        assert len(res.moves) <= game.n * len(game.resources) * rk
         assert total_cost(game, res.profile) <= total_cost(game, profile)
         assert first_virtual_violation(game, res.profile) is None
         protocol = build_matroid_protocol(game, res.profile)

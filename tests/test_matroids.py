@@ -466,7 +466,7 @@ class TestTransform:
             profile = random_bases_profile(rng, game)
             res = transform_matroid(game, profile)
             rank = max(game.spaces[i].rank for i in range(game.n))
-            assert res.iterations <= game.n * len(game.resources) * rank
+            assert len(res.moves) <= game.n * len(game.resources) * rank
             assert total_cost(game, res.profile) <= total_cost(game, profile)
             assert first_virtual_violation(game, res.profile) is None
             # replay: every packet move on its own never increases the cost,
@@ -527,55 +527,60 @@ class TestIncrementalLoop:
 
     def test_exchanges_priced_once_per_basis(self, monkeypatch):
         # each basis a player holds is asked of its oracle at most once;
-        # the final certificate check asks once more per player, and the
-        # protocol once more per player whose true ranking re-prices a key:
-        # one on a cost table that has a user other than that player
+        # the final certificate asks once more per player (between the
+        # output's total cost and its first judgement), and the protocol
+        # once more per player it re-prices
         calls = [0]
-        certified_after = []
-        real_check = matroids._check_conditions
+        summed_at, judged_at = [], []
+        real_total, real_judged = matroids.total_cost, matroids._judged
         for kind in (UniformMatroid, PartitionMatroid, GraphicMatroid):
             def counting(self, *args, _real=vars(kind)["cheapest_exchanges"]):
                 calls[0] += 1
                 return _real(self, *args)
             monkeypatch.setattr(kind, "cheapest_exchanges", counting)
 
-        def certify(*args, **kwargs):
-            certified_after.append(calls[0])
-            return real_check(*args, **kwargs)
+        def summing(*args):
+            summed_at.append(calls[0])
+            return real_total(*args)
 
-        monkeypatch.setattr(matroids, "_check_conditions", certify)
+        def judging(*args):
+            judged_at.append(calls[0])
+            return real_judged(*args)
+
+        monkeypatch.setattr(matroids, "total_cost", summing)
+        monkeypatch.setattr(matroids, "_judged", judging)
         games = list(_seeded_games(40))
         rng = random.Random(7)
         big = gen_ufl(rng, players=40, facilities=30)
         games.append((big, random_bases_profile(rng, big)))
         for game, profile in games:
             calls[0] = 0
-            certified_after.clear()
+            summed_at.clear()
+            judged_at.clear()
             res = transform_matroid(game, profile)
             moved = [0] * game.n
             for move in res.moves:
                 moved[move.player] += 1
-            assert certified_after and certified_after[0] <= game.n + sum(moved)
-            repriced = {i for i, space in enumerate(game.spaces) for f in space.ground
-                        if f not in game.fixed and f not in space.loops
-                        and res.profile.users(f) - {i}}
+            looped = summed_at[-1]
+            assert looped <= game.n + sum(moved)
+            assert judged_at[0] == looped + game.n
+            repriced = _repriced(game, res.profile)
             if len(game.fixed) == len(game.resources):
                 assert not repriced  # all fixed: the certificate serves the protocol
-            assert calls[0] == certified_after[0] + game.n + len(repriced)
+            assert calls[0] == judged_at[0] + len(repriced)
 
     def test_protocol_matches_a_fresh_true_mode_build(self, monkeypatch):
         # the protocol built from the kept rankings is the one a fresh
         # true-mode pass builds, and the true deviation costs often differ
         # from the certificate's virtual ones, so the re-pricing is exercised
-        certified = []
-        real_check = matroids._check_conditions
+        judged = []
+        real_judged = matroids._judged
 
-        def certify(*args, **kwargs):
-            report, deltas = real_check(*args, **kwargs)
-            certified.append(dict(deltas))
-            return report, deltas
+        def judging(game, profile, deltas):
+            judged.append(dict(deltas))
+            return real_judged(game, profile, deltas)
 
-        monkeypatch.setattr(matroids, "_check_conditions", certify)
+        monkeypatch.setattr(matroids, "_judged", judging)
         games = []
         for seed in range(320):
             rng = random.Random(f"protocol/{seed}")
@@ -584,14 +589,48 @@ class TestIncrementalLoop:
             games.append((game, random_bases_profile(rng, game)))
         differ = 0
         for game, profile in games:
+            judged.clear()
             res = transform_matroid(game, profile)
-            virtual = certified[-1]
+            virtual = judged[0]  # the certificate's, judged first
             assert res.protocol.shares == build_matroid_protocol(game, res.profile).shares
-            differ += virtual != real_check(game, res.profile)[1]
+            differ += virtual != matroids._check_conditions(game, res.profile)[1]
         kinds = {type(space) for game, _profile in games for space in game.spaces}
         assert kinds == {UniformMatroid, PartitionMatroid, GraphicMatroid}
         assert any(len(game.fixed) < len(game.resources) for game, _profile in games)
         assert differ >= 50, differ
+
+    def test_one_deviation_cost_per_repriced_player(self, monkeypatch):
+        # the protocol re-prices through `deviation_cost`, once for each
+        # player with a cost table in their ground that another player
+        # uses, in player order; with every cost fixed it re-prices no one
+        asked = []
+        real = matroids.deviation_cost
+
+        def counting(game, profile, i):
+            asked.append(i)
+            return real(game, profile, i)
+
+        monkeypatch.setattr(matroids, "deviation_cost", counting)
+        shared = 0
+        for seed in range(150):
+            rng = random.Random(f"repriced/{seed}")
+            for game in (gen_matroid(rng), gen_ufl(rng, players=rng.randint(1, 12),
+                                                   facilities=rng.randint(2, 10))):
+                asked.clear()
+                res = transform_matroid(game, random_bases_profile(rng, game))
+                assert asked == _repriced(game, res.profile)
+                if len(game.fixed) == len(game.resources):
+                    assert asked == []
+                shared += bool(asked)
+        assert shared >= 50, shared
+
+
+def _repriced(game, profile):
+    """The players, ascending, with a cost table outside their loops that
+    another player uses in `profile`."""
+    return [i for i, space in enumerate(game.spaces) if any(
+        f not in game.fixed and f not in space.loops and profile.users(f) - {i}
+        for f in space.ground)]
 
 
 class TestRulePaths:
@@ -628,17 +667,38 @@ class TestRulePaths:
         assert calls == []
 
     def test_one_conditions_pass_checks_each_basis_once(self, monkeypatch):
+        # the true conditions check each basis once; so do the transform's
+        # certificate (after the output's total cost, before its first
+        # judgement) and its re-pricing, for each player it re-prices
         games = list(_seeded_games(60))
         for game, profile in games:
             game.validate_profile(profile)
         calls = self._count(monkeypatch, "is_basis")
+        judged = []
+        real_total, real_judged = matroids.total_cost, matroids._judged
+
+        def summing(*args):
+            calls.clear()
+            return real_total(*args)
+
+        def judging(*args):
+            judged.append(list(calls))
+            return real_judged(*args)
+
         for game, profile in games:
-            virtual = [space.ranking(lambda f, i=i: virtual_cost(game, i, f), game.resource_order)
-                       for i, space in enumerate(game.spaces)]
-            for ranked in (None, virtual):
-                calls.clear()
-                matroids._check_conditions(game, profile, ranked)
-                assert calls == [(game.spaces[i], profile[i]) for i in range(game.n)], ranked
+            calls.clear()
+            matroids._check_conditions(game, profile)
+            assert calls == [(game.spaces[i], profile[i]) for i in range(game.n)]
+        monkeypatch.setattr(matroids, "total_cost", summing)
+        monkeypatch.setattr(matroids, "_judged", judging)
+        for game, profile in games:
+            judged.clear()
+            out = transform_matroid(game, profile).profile
+            checked = [[(game.spaces[i], out[i]) for i in range(game.n)]]
+            if repriced := _repriced(game, out):
+                checked.append(checked[0] + [(game.spaces[i], out[i]) for i in repriced])
+            assert judged == checked
+            assert calls == checked[-1]
 
 
 class TestProtocolConstruction:

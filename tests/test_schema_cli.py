@@ -1120,11 +1120,12 @@ def test_players_with_one_descriptor_share_one_oracle(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["transform-tree"], ["nsepa", "transform"],
-                                     ["nsepa", "check"]], ids=" ".join)
+                                     ["nsepa", "check"], ["verify"], ["optimum"]], ids=" ".join)
 def test_a_cost_table_on_a_path_game_exits_two(tmp_path, capsys, command):
     """Path games take fixed costs only: a cost table exits 2 with one line
     that names the edge, whether a player uses it, no player can reach it,
-    or the game has no players."""
+    or the game has no players (which `verify` and `optimum` read as a path
+    game by its network)."""
     disjoint = game_to_json(path_game([("s", "a", 1), ("a", "t", 2), ("x", "y", 4)],
                                       [("s", "t")]))
     disjoint["profile"] = [[0, 1]]
