@@ -570,8 +570,8 @@ class TestIncrementalLoop:
             assert calls[0] == judged_at[0] + len(repriced)
 
     def test_protocol_matches_a_fresh_true_mode_build(self, monkeypatch):
-        # the protocol built from the kept rankings is the one a fresh
-        # true-mode pass builds, and the true deviation costs often differ
+        # the transform's protocol is the one a fresh true-mode pass
+        # builds, and the true deviation costs often differ
         # from the certificate's virtual ones, so the re-pricing is exercised
         judged = []
         real_judged = matroids._judged
