@@ -5,24 +5,23 @@ named "profiles", and a "protocol"), runs transforms or verifiers, and
 writes machine-readable `run_report` JSON.  Reports carry exact rationals;
 --approx-display adds decimal renderings for humans.  Exit codes: 0
 success, 1 verification failure, 2 input error, 3 enumeration budget
-exceeded (only `optimum` enumerates).
+exceeded (only `optimum` enumerates).  Only the schema layer is imported
+with this module; each command imports the algorithm modules it runs
+(`nsepa`, `singlesource`, `oracle`, `gen`) when it runs, because a run
+serves one command and compiling the others is most of a cold start.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InputError, SepshareError
 from .game import GameModel, Profile, Step, total_cost
-from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
 from .matroids import transform_matroid
-from .nsepa import counterexample_fixture, is_enforceable, nsepa_transform
-from .oracle import DEFAULT_BUDGET, brute_force_optimum, enforcing_protocol
 from .protocol import SeparableProtocol, verify_budget_balance, verify_pne
 from .rationals import approx, format_rational
 from .schema import (
@@ -37,7 +36,6 @@ from .schema import (
     protocol_to_json,
     step_to_json,
 )
-from .singlesource import transform_single_source
 
 
 def run_report(command: str, approx_display: bool, input_cost: int | Fraction = 0,
@@ -129,6 +127,8 @@ def _derive_protocol(
     """Enforceability verdict plus a protocol to verify: an explicit
     protocol (document or --protocol) as-is, else the one
     `enforcing_protocol` finds."""
+    from .oracle import enforcing_protocol
+
     explicit = None
     if getattr(args, "protocol", None):
         explicit = protocol_from_json(loads(_read_text(args.protocol)), game)
@@ -157,6 +157,8 @@ def _matroid_family(game: GameModel, profile: Profile):
 
 
 def _tree_family(game: GameModel, profile: Profile):
+    from .singlesource import transform_single_source
+
     result = transform_single_source(game, profile)
     repairs = [(e, i, format_rational(amount)) for e, i, amount in result.repairs]
     return (result, result.protocol, result.events, len(result.events),
@@ -164,6 +166,8 @@ def _tree_family(game: GameModel, profile: Profile):
 
 
 def _nsepa_family(game: GameModel, profile: Profile):
+    from .nsepa import nsepa_transform
+
     result = nsepa_transform(game, profile)
     extra = {
         "lp_value": format_rational(result.lp_value),
@@ -185,6 +189,8 @@ def _cmd_transform(command: str, family, args) -> tuple[dict, Sequence[Step], bo
     enforceable = pne and bb
     if command == "nsepa-transform":
         # path games also re-decide the output with the enforceability LP
+        from .nsepa import is_enforceable
+
         enforceable = is_enforceable(game, result.profile).enforceable
     report = run_report(
         command,
@@ -205,6 +211,8 @@ def _cmd_transform(command: str, family, args) -> tuple[dict, Sequence[Step], bo
 
 
 def _cmd_nsepa_check(args) -> tuple[dict, Sequence[Step], bool]:
+    from .nsepa import is_enforceable
+
     game, doc = _load_instance(args)
     profile = _pick_profile(doc, game, args.profile)
     rep = is_enforceable(game, profile)
@@ -247,6 +255,8 @@ def _cmd_verify(args) -> tuple[dict, Sequence[Step], bool]:
 
 
 def _cmd_optimum(args) -> tuple[dict, Sequence[Step], bool]:
+    from .oracle import DEFAULT_BUDGET, brute_force_optimum, enforcing_protocol
+
     limits = {"max_profiles": args.max_profiles, "max_paths_per_player": args.max_paths}
     for flag, value in zip(("--max-profiles", "--max-paths"), limits.values()):
         if value is not None and value < 1:
@@ -268,6 +278,10 @@ def _cmd_optimum(args) -> tuple[dict, Sequence[Step], bool]:
 
 
 def _cmd_gen(args) -> tuple[dict, Sequence[Step], bool]:
+    import random
+
+    from .gen import gen_matroid, gen_sp, gen_tree, gen_ufl, random_bases_profile
+
     rng = random.Random(args.seed)
     if args.family == "ufl":
         game = gen_ufl(rng, players=args.players, facilities=args.facilities)
@@ -286,6 +300,8 @@ def _cmd_gen(args) -> tuple[dict, Sequence[Step], bool]:
 
 
 def _cmd_fixture(args) -> tuple[dict, Sequence[Step], bool]:
+    from .nsepa import counterexample_fixture
+
     game, opt = counterexample_fixture()
     doc = game_to_json(game)
     rows = profile_to_json(opt)["profile"]

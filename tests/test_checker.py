@@ -6,7 +6,8 @@ instance and the report alone, so a fault that a transform shares with
 the package's own verifiers still fails here.  It is loaded from `bench/`
 without writing there.
 
-Two sources of reports: every exit-0 transform case of the golden corpus,
+Three sources of reports: every exit-0 transform case of the golden
+corpus, its 12 scale cases rebuilt in memory by `tests/golden/regen.py`,
 and brute-force-sized games of each family, transformed from the
 generator's start and from the social optimum.  The paper's corollary is
 the property: the output is an equilibrium under its protocol and costs
@@ -31,17 +32,22 @@ GOLDEN = ROOT / "tests" / "golden"
 TRANSFORMS = (["transform-matroid"], ["transform-tree"], ["nsepa", "transform"])
 
 
-@pytest.fixture(scope="module")
-def checker():
+def _load(name: str, path: Path):
+    """The module at `path`, loaded without writing bytecode next to it."""
     written = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        spec = importlib.util.spec_from_file_location("bench_checker", ROOT / "bench" / "checker.py")
+        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = written
     return module
+
+
+@pytest.fixture(scope="module")
+def checker():
+    return _load("bench_checker", ROOT / "bench" / "checker.py")
 
 
 def test_every_golden_transform_report_passes(checker):
@@ -53,6 +59,17 @@ def test_every_golden_transform_report_passes(checker):
         instance = json.loads((folder / "instance.json").read_text())
         report = json.loads((folder / "report.json").read_text())
         assert checker.check("-".join(case["command"]), instance, report) == [], case["name"]
+
+
+def test_every_scale_case_report_passes(checker, tmp_path):
+    regen = _load("golden_regen", GOLDEN / "regen.py")
+    cases = json.loads((GOLDEN / "scale.json").read_text())
+    assert len(cases) == 12
+    for case in cases:
+        doc = json.loads(regen.instance_bytes(case))
+        code, [report, *_steps] = transform_run(tmp_path, case["command"], doc)
+        assert code == case["exit"] == 0, case["name"]
+        assert checker.check("-".join(case["command"]), doc, report) == [], case["name"]
 
 
 def _small_games(seed):

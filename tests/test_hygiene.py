@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, every
 module-level function, class and assigned name is read somewhere, the
+package exports exactly its public names, the
 package imports nothing outside itself and the standard library and
 never `dataclasses`, no module reads another object's private attribute,
 the path layers read a shareable cost only through `game.fixed`,
@@ -9,21 +10,21 @@ in the LP, `float(` only in `rationals.approx`, and `Fraction(` only in
 the LP and in `rationals`.  Costs, delays, shares,
 search distances, total costs, LP values and step deltas are ints exactly
 when integral and Fractions otherwise.
-
-`__init__.py` is skipped by the unused-import check, as its imports are the
-package's re-exports.
 """
 
 import argparse
 import ast
+import importlib
 import random
 import re
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import sepshare
 from _helpers import scaled_doc, stored
 from sepshare.cli import build_parser
 from sepshare.errors import InputError
@@ -38,7 +39,6 @@ from sepshare.singlesource import AuxiliaryGraph, to_tree_profile, transform_sin
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sepshare"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -76,10 +76,10 @@ def _used_names(tree: ast.Module) -> set[str]:
 
 
 def test_the_package_has_modules():
-    assert {"cli.py", "nsepa.py", "network.py"} <= {p.name for p in MODULES}
+    assert {"cli.py", "nsepa.py", "network.py"} <= {p.name for p in ALL_MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
@@ -157,6 +157,21 @@ def test_the_check_sees_a_dead_name():
                        "H: int = os.sep\n__all__ = []\n")
     reader = ast.parse("from m import g\nprint(m.H)\n")
     assert _dead_names({"m": module}, [reader]) == ["m.B", "m.C", "m.f"]
+
+
+def test_the_package_exports_exactly_its_public_names():
+    """`sepshare.__all__` is the 50 names of the package's name -> module
+    table, each of which `getattr` resolves to the object that its module
+    defines, and a star import binds no module."""
+    assert len(sepshare.__all__) == len(set(sepshare.__all__)) == 50
+    assert set(sepshare.__all__) == set(sepshare._HOME)
+    for name in sepshare.__all__:
+        stem = sepshare._HOME[name]
+        assert name in _defined_names(ast.parse((SRC / f"{stem}.py").read_text())), name
+        assert getattr(sepshare, name) is vars(importlib.import_module(f"sepshare.{stem}"))[name]
+    namespace: dict = {}
+    exec("from sepshare import *", namespace)
+    assert sorted(k for k, v in namespace.items() if isinstance(v, types.ModuleType)) == []
 
 
 def _absolute_imports(tree: ast.Module) -> set[str]:
